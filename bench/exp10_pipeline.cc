@@ -1,35 +1,32 @@
 // Experiment 10 (beyond the paper): continuous cross-shard pipelining under
-// skew -- RunPipelined's bounded per-shard credits vs RunParallel's
-// shard-sequential submission.
+// skew -- how RunPipelined's bounded per-shard credits behave as the
+// in-flight depth K grows.
 //
 // The workload deliberately skews the pid distribution: --hot percent of the
 // operations target shard 0's residue class (pid % S == 0), making chip 0 a
 // hotspot the way a hot relation pins one flash channel. The executor rings
 // are kept small (--queue) to model a steady-state flusher with bounded
-// buffering. Under those two conditions RunParallel head-of-line blocks: the
-// producer drip-feeds one shard's windows through its full ring while every
-// other chip sits idle, so wall-clock degenerates toward the *sum* of the
-// shard workloads. RunPipelined streams windows round-robin with at most K
-// in flight per shard, so the cold chips overlap the hot one and wall-clock
-// tracks the *max*.
+// buffering. RunPipelined streams windows round-robin with at most K in
+// flight per shard, skipping a shard that is out of credits, so the cold
+// chips overlap the hot one and wall-clock tracks the *max* of the shard
+// workloads rather than their sum.
 //
-// For PDL(256B) and OPU the bench reports, per mode (parallel, pipelined
-// with K in --depth):
+// For PDL(256B) and OPU the bench reports, per K in --depth:
 //   * wall_ms / kops_s -- host wall-clock over the measured ops;
-//   * speedup          -- wall-clock of RunParallel over this mode (1.00x
-//     for the parallel row itself; > 1 means pipelining won);
+//   * speedup          -- wall-clock of the sweep's first row (K=1 by
+//     default) over this row; > 1 means deeper pipelining won;
 //   * lag_ms           -- shard clock spread max-min (virtual time) at the
 //     end of the run: how far the hot chip ran ahead, the skew observable;
 //   * par us/op        -- elapsed virtual time (max of the chip clocks);
 //   * p50/p99/p999     -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set);
-//   * determinism      -- per-chip virtual clocks must match a sequential
-//     RunBatched replay of the same schedule bit-for-bit (ok/FAIL; --check=0
-//     disables the replay).
+//   * determinism      -- per-chip clocks and erase counts and every virtual
+//     RunStats field must match an inline (null-executor) replay of the
+//     same schedule bit-for-bit (ok/FAIL; --check=0 disables the replay).
 //
-// Expected shape: pipelined K>=2 beats parallel by roughly
-// (total work)/(hot shard work); K=1 already wins on submission interleave
-// but leaves the workers briefly idle between windows; determinism always ok.
+// Expected shape: K>=2 keeps the workers busy across window handoffs and
+// beats K=1, which leaves them briefly idle between windows; every virtual
+// column is identical across K; determinism always ok.
 
 #include <algorithm>
 #include <chrono>
@@ -57,8 +54,7 @@ struct PipelinePoint {
   double lag_ms = 0;
   // Stall attribution: gc/meta are induced virtual-time device traffic
   // (deterministic); wait_ms is the wall-clock the producer spent parked on
-  // per-shard credits (RunPipelined only, min over reps, noisy -- reported,
-  // never gated).
+  // per-shard credits (min over reps, noisy -- reported, never gated).
   double gc_us_per_op = 0;
   double meta_us_per_op = 0;
   double wait_ms = 0;
@@ -111,8 +107,8 @@ Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
   return run;
 }
 
-/// One measured point. `depth` == 0 selects RunParallel; > 0 selects
-/// RunPipelined with that in-flight depth. Wall-clock is the minimum over
+/// One measured point: RunPipelined with `depth` windows in flight per
+/// shard. Wall-clock is the minimum over
 /// `reps` identically-prepared executions (min, not mean: scheduler and
 /// frequency noise only ever adds time); virtual-time metrics are
 /// deterministic across reps.
@@ -147,13 +143,8 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     ftl::ShardExecutor executor(num_shards, queue_capacity, pin_cores);
     workload::RunStats stats;
     const auto t0 = std::chrono::steady_clock::now();
-    if (depth == 0) {
-      FLASHDB_RETURN_IF_ERROR(run.driver->RunParallel(
-          run.schedule, batch_size, &executor, &stats));
-    } else {
-      FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
-          run.schedule, batch_size, depth, &executor, &stats));
-    }
+    FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
+        run.schedule, batch_size, depth, &executor, &stats));
     const auto t1 = std::chrono::steady_clock::now();
 
     const double wall_ms =
@@ -186,21 +177,19 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
       point.wall_ms > 0
           ? static_cast<double>(env.measure_ops) / point.wall_ms
           : 0;
-  ftl::ShardedStore* run_store = last_store.get();
 
   if (check) {
-    // Replay the identical schedule sequentially on an identically prepared
-    // store; continuous submission must leave every chip's virtual clock
-    // exactly where the sequential run leaves it.
+    // Replay the identical schedule inline on an identically prepared
+    // store; continuous submission must leave every chip exactly where the
+    // inline run leaves it.
     FLASHDB_ASSIGN_OR_RETURN(
         PreparedRun ref, Prepare(env, spec, num_shards, params, total_blocks));
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(
-        ref.driver->RunBatched(ref.schedule, batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
+        ref.schedule, batch_size, depth, nullptr, &ref_stats));
     point.checked = true;
-    point.deterministic =
-        run_store->shard_clocks() == ref.store->shard_clocks() &&
-        last_stats.latency == ref_stats.latency;
+    point.deterministic = harness::SameVirtualRun(
+        last_store.get(), last_stats, ref.store.get(), ref_stats);
   }
   return point;
 }
@@ -243,8 +232,8 @@ int main(int argc, char** argv) {
   std::printf(
       "Experiment 10: cross-shard pipelining under skew, %u shards, "
       "%u blocks total, %llu ops\n(%.0f%% of ops pinned to shard 0; "
-      "executor rings hold %zu windows; batch %u;\n speedup = RunParallel "
-      "wall-clock over this mode)\n\n",
+      "executor rings hold %zu windows; batch %u;\n speedup = wall-clock of "
+      "the first depth over this one)\n\n",
       num_shards, total_blocks,
       static_cast<unsigned long long>(env.measure_ops), params.hot_shard_pct,
       queue_capacity, batch_size);
@@ -263,12 +252,8 @@ int main(int argc, char** argv) {
       std::cerr << spec.status().ToString() << "\n";
       return 1;
     }
-    double parallel_wall = 0;
-    // depth 0 = the RunParallel reference row, then the pipelined sweep.
-    std::vector<uint32_t> points;
-    points.push_back(0);
-    points.insert(points.end(), depths.begin(), depths.end());
-    for (uint32_t depth : points) {
+    double anchor_wall = 0;  // the first depth's wall-clock
+    for (uint32_t depth : depths) {
       auto point =
           RunPoint(env, *spec, num_shards, batch_size, depth, queue_capacity,
                    reps, params, total_blocks, pin, check, &metrics);
@@ -278,12 +263,11 @@ int main(int argc, char** argv) {
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (depth == 0) parallel_wall = point->wall_ms;
+      if (depth == depths.front()) anchor_wall = point->wall_ms;
       const double speedup =
-          point->wall_ms > 0 ? parallel_wall / point->wall_ms : 0;
+          point->wall_ms > 0 ? anchor_wall / point->wall_ms : 0;
       if (point->checked && !point->deterministic) failures++;
-      tbl.AddRow({name, depth == 0 ? "parallel" : "pipelined",
-                  depth == 0 ? "-" : std::to_string(depth),
+      tbl.AddRow({name, "pipelined", std::to_string(depth),
                   TablePrinter::Num(point->wall_ms, 2),
                   TablePrinter::Num(point->kops_per_sec),
                   TablePrinter::Num(speedup, 2) + "x",

@@ -22,10 +22,11 @@
 //                    paid for leveling, amortized over the measured ops);
 //   * par us/op   -- elapsed virtual time (max of the chip clocks);
 //   * wall_ms     -- host wall-clock of the measured RunPipelined call;
-//   * determinism -- the measured pipelined run must leave every chip's
-//                    virtual clock, erase count, and swap count bit-identical
-//                    to a sequential RunBatched replay of the same schedule
-//                    (ok/FAIL; --check=0 disables the replay).
+//   * determinism -- the measured threaded run must leave every chip's
+//                    virtual clock and erase count, and every virtual
+//                    RunStats field (swap count included), bit-identical to
+//                    an inline replay of the same schedule (ok/FAIL;
+//                    --check=0 disables the replay).
 //
 // Expected shape: at hot=0 no swaps happen and all columns match the "off"
 // row (the router's identity mapping is legacy striping); at hot=90 with the
@@ -107,8 +108,8 @@ Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
   return run;
 }
 
-/// One measured point: RunPipelined under the given skew/threshold, with an
-/// optional sequential RunBatched replay as the determinism reference.
+/// One measured point: threaded RunPipelined under the given skew/threshold,
+/// with an optional inline replay as the determinism reference.
 Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
                            const methods::MethodSpec& spec,
                            uint32_t num_shards, uint32_t batch_size,
@@ -160,7 +161,7 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
   point.wear_cv = flash::SummarizeWear(block_deltas).cv();
 
   if (check) {
-    // Sequential replay of the identical schedule on an identically prepared
+    // Inline replay of the identical schedule on an identically prepared
     // store: wear leveling must plan the same migrations at the same epoch
     // boundaries and leave every chip bit-identical.
     FLASHDB_ASSIGN_OR_RETURN(
@@ -168,13 +169,11 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
         Prepare(env, spec, num_shards, params, total_blocks, threshold,
                 wl_base));
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(
-        ref.driver->RunBatched(ref.schedule, batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
+        ref.schedule, batch_size, depth, nullptr, &ref_stats));
     point.checked = true;
-    point.deterministic =
-        run.store->shard_clocks() == ref.store->shard_clocks() &&
-        run.store->shard_erases() == ref.store->shard_erases() &&
-        ref_stats.migrations == stats.migrations;
+    point.deterministic = harness::SameVirtualRun(run.store.get(), stats,
+                                                  ref.store.get(), ref_stats);
   }
   return point;
 }

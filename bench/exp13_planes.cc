@@ -19,9 +19,10 @@
 //     while another plane was idle (plane model's residual serialization);
 //   * wall_ms    -- host wall-clock of a threaded RunPipelined execution of
 //     the same schedule (depth --depth windows in flight per shard);
-//   * determinism -- per-chip virtual clocks of the threaded run must match
-//     the sequential RunBatched replay bit-for-bit (ok/FAIL; --check=0
-//     skips the threaded replay and reports "-").
+//   * determinism -- per-chip clocks and erase counts and every virtual
+//     RunStats field of the threaded run must match the inline run
+//     bit-for-bit (ok/FAIL; --check=0 skips the threaded replay and reports
+//     "-").
 //
 // Expected shape: vt_speedup grows with the plane count and saturates
 // slightly below it (random reads collide on planes; GC compaction writes
@@ -101,10 +102,9 @@ Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
   return run;
 }
 
-/// Measures one geometry x method cell: a sequential RunBatched execution
-/// for the deterministic virtual-time metrics, plus (with `check`) a
-/// threaded RunPipelined execution of the identical schedule whose per-chip
-/// clocks must replay the sequential ones bit-for-bit.
+/// Measures one geometry x method cell: an inline RunPipelined execution for
+/// the deterministic virtual-time metrics, plus (with `check`) a threaded
+/// execution of the identical schedule that must replay it bit-for-bit.
 Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
                             const methods::MethodSpec& spec,
                             const GeometryPoint& geom, uint32_t num_shards,
@@ -118,8 +118,8 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
   FLASHDB_ASSIGN_OR_RETURN(PreparedRun run,
                            Prepare(env, spec, num_shards, total_blocks));
   workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->RunBatched(run.schedule, batch_size, &stats));
+  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
+      run.schedule, batch_size, depth, nullptr, &stats));
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.vt_kops_per_sec =
@@ -139,8 +139,8 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
     const auto t1 = std::chrono::steady_clock::now();
     point.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     point.checked = true;
-    point.deterministic =
-        rep.store->shard_clocks() == run.store->shard_clocks();
+    point.deterministic = harness::SameVirtualRun(rep.store.get(), rep_stats,
+                                                  run.store.get(), stats);
   }
   return point;
 }

@@ -16,11 +16,11 @@
 //     requires 0 on every scrub=on row);
 //   * scrub us/op -- virtual time of scrub relocations, per operation;
 //   * reloc       -- pages relocated by the scrubber (0 with scrub=off);
-//   * determinism -- per-chip virtual clocks of a threaded RunPipelined
-//     replay must match the sequential RunBatched run bit-for-bit: the error
-//     model and the scrubber are pure functions of per-shard state, so
-//     execution mode must not change a single retry decision (--check=0
-//     skips the replay and reports "-").
+//   * determinism -- a threaded replay must match the inline run
+//     bit-for-bit (per-chip clocks and erase counts, every virtual RunStats
+//     field): the error model and the scrubber are pure functions of
+//     per-shard state, so the executor must not change a single retry
+//     decision (--check=0 skips the replay and reports "-").
 //
 // Expected shape: retry us/op grows with the error rate, and the scrub=on
 // rows pay a small relocation cost to keep the disturb term (and with it the
@@ -109,10 +109,9 @@ Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
   return run;
 }
 
-/// Measures one (method, error-rate, scrub) cell: a sequential RunBatched
+/// Measures one (method, error-rate, scrub) cell: an inline RunPipelined
 /// execution for the deterministic metrics, plus (with `check`) a threaded
-/// RunPipelined execution of the identical schedule whose per-chip clocks
-/// must replay the sequential ones bit-for-bit.
+/// execution of the identical schedule that must replay it bit-for-bit.
 Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
                                 const methods::MethodSpec& spec,
                                 flash::FaultInjector* injector, bool scrub,
@@ -125,8 +124,8 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
       PreparedRun run, Prepare(env, spec, num_shards, total_blocks,
                                disturb_limit, epoch_ops, scrub, injector));
   workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->RunBatched(run.schedule, batch_size, &stats));
+  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
+      run.schedule, batch_size, depth, nullptr, &stats));
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.retry_us_per_op = stats.retry_us_per_op();
@@ -145,10 +144,8 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
     FLASHDB_RETURN_IF_ERROR(rep.driver->RunPipelined(
         rep.schedule, batch_size, depth, &executor, &rep_stats));
     point.checked = true;
-    point.deterministic =
-        rep.store->shard_clocks() == run.store->shard_clocks() &&
-        rep_stats.read_retries == stats.read_retries &&
-        rep_stats.scrub_relocations == stats.scrub_relocations;
+    point.deterministic = harness::SameVirtualRun(rep.store.get(), rep_stats,
+                                                  run.store.get(), stats);
   }
   return point;
 }

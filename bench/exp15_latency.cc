@@ -24,10 +24,11 @@
 //     scrub at epoch boundaries.
 //
 // Every row carries a determinism cross-check: an identically prepared rig
-// replays the same operations through a *different* run mode (sequential
-// rows via single-worker RunPipelined; pipelined rows via RunBatched) and
-// the whole latency histogram, the worst-op sample, and the per-chip
-// virtual clocks must match bit-for-bit. The perf gate requires `ok` in
+// replays the same operations through the *other* executor (sequential rows
+// via single-worker threaded RunPipelined; pipelined rows inline), and the
+// per-chip clocks and erase counts plus every virtual RunStats field --
+// whole latency histogram and worst-op sample included -- must match
+// bit-for-bit. The perf gate requires `ok` in
 // every row and bands the p50/p99/p999 columns tightly against the
 // baseline; wall_ms is machine-relative and stays warn-only.
 
@@ -87,11 +88,6 @@ struct PreparedRun {
   PageStore* store() {
     return sharded != nullptr ? static_cast<PageStore*>(sharded.get())
                               : flat_store.get();
-  }
-  /// Per-chip virtual clocks, uniform across both rig shapes.
-  std::vector<uint64_t> clocks() {
-    if (sharded != nullptr) return sharded->shard_clocks();
-    return {flat_dev->clock().now_us()};
   }
 };
 
@@ -179,9 +175,9 @@ void AttachTrace(PreparedRun* run, uint32_t shards, obs::TraceRecorder* rec) {
 }
 
 /// Runs one cell in its own mode, then (with `check`) replays the identical
-/// operations through a different mode on an identically prepared rig and
-/// compares chip clocks, the full histogram, the worst-op sample, and the
-/// canonical event trace. With a --trace path, exports the primary run's
+/// operations through the other executor on an identically prepared rig and
+/// compares chip state, every virtual RunStats field, and the canonical
+/// event trace. With a --trace path, exports the primary run's
 /// timeline as Chrome trace JSON.
 Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
                               const methods::MethodSpec& spec,
@@ -261,13 +257,12 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
       FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
           ref_schedule, 1, 4, &executor, &ref_stats));
     } else {
-      FLASHDB_RETURN_IF_ERROR(
-          ref.driver->RunBatched(ref_schedule, batch, &ref_stats));
+      FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
+          ref_schedule, batch, cfg.depth, nullptr, &ref_stats));
     }
     point.checked = true;
-    point.deterministic = ref.clocks() == run.clocks() &&
-                          ref_stats.latency == point.stats.latency &&
-                          ref_stats.worst_op == point.stats.worst_op;
+    point.deterministic = harness::SameVirtualRun(ref.store(), ref_stats,
+                                                  run.store(), point.stats);
     // The trace-determinism contract: the two modes' deterministic event
     // streams must agree byte-for-byte (wall-domain events excluded).
     point.trace_ok =

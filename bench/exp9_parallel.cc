@@ -4,23 +4,24 @@
 // A fixed database and a fixed total capacity (--blocks) are striped across
 // S chips, S in {1, 2, 4, 8}; each chip's pipeline runs thread-confined on
 // its own ShardExecutor worker, fed per-shard windows of B update operations
-// whose write-backs go through the batched WriteBatch path. For PDL(256B)
-// and OPU the bench reports, per (S, B):
+// (RunPipelined, kDepth windows in flight per shard) whose write-backs go
+// through the batched WriteBatch path. For PDL(256B) and OPU the bench
+// reports, per (S, B):
 //   * wall_ms / kops_s -- host wall-clock (std::chrono) over the measured
 //     ops; this is the figure that should scale with S on a multi-core host
 //     (the virtual-time speedup of exp8 becomes real).
 //   * par us/op       -- elapsed virtual time (max of the chip clocks).
 //   * p50/p99/p999    -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set).
-//   * determinism     -- the same schedule is replayed sequentially through
-//     RunBatched on an identically prepared store; per-chip virtual clocks
-//     must match the threaded run bit-for-bit (ok/FAIL). Disable the second
-//     run with --check=0.
+//   * determinism     -- the same schedule is replayed inline (null
+//     executor) on an identically prepared store; per-chip clocks and erase
+//     counts and every virtual RunStats field must match the threaded run
+//     bit-for-bit (ok/FAIL). Disable the second run with --check=0.
 //
 // Expected shape: wall-clock speedup approaching min(S, cores), flat
 // per-shard virtual time, determinism always ok. Larger B amortizes
-// submission/future overhead and saves read-step work (window-local reads
-// are served from queued images). --pin=1 pins worker i to core i (mod
+// submission overhead and saves read-step work (window-local reads are
+// served from queued images). --pin=1 pins worker i to core i (mod
 // available cores); it can only move wall_ms, never the virtual columns.
 
 #include <chrono>
@@ -40,6 +41,9 @@ using namespace flashdb;
 using harness::TablePrinter;
 
 namespace {
+
+/// Windows in flight per shard.
+constexpr uint32_t kDepth = 4;
 
 struct ParallelPoint {
   double wall_ms = 0;
@@ -100,7 +104,7 @@ Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
   return run;
 }
 
-Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
+Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
                                        const methods::MethodSpec& spec,
                                        uint32_t num_shards,
                                        uint32_t batch_size,
@@ -126,8 +130,8 @@ Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
   ftl::ShardExecutor executor(num_shards, /*queue_capacity=*/1024, pin_cores);
   workload::RunStats stats;
   const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(run.driver->RunParallel(run.schedule, batch_size,
-                                                  &executor, &stats));
+  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
+      run.schedule, batch_size, kDepth, &executor, &stats));
   const auto t1 = std::chrono::steady_clock::now();
 
   ParallelPoint point;
@@ -162,18 +166,17 @@ Result<ParallelPoint> RunParallelPoint(const harness::ExperimentEnv& env,
   }
 
   if (check) {
-    // Replay the identical schedule sequentially on an identically prepared
-    // store; thread-confined execution must leave every chip's virtual clock
-    // exactly where the threaded run left it.
+    // Replay the identical schedule inline on an identically prepared
+    // store; thread-confined execution must leave every chip exactly where
+    // the threaded run left it.
     FLASHDB_ASSIGN_OR_RETURN(
         PreparedRun ref, Prepare(env, spec, num_shards, params, total_blocks));
     workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(
-        ref.driver->RunBatched(ref.schedule, batch_size, &ref_stats));
+    FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
+        ref.schedule, batch_size, kDepth, nullptr, &ref_stats));
     point.checked = true;
-    point.deterministic =
-        run.store->shard_clocks() == ref.store->shard_clocks() &&
-        stats.latency == ref_stats.latency;
+    point.deterministic = harness::SameVirtualRun(run.store.get(), stats,
+                                                  ref.store.get(), ref_stats);
   }
   return point;
 }
@@ -229,7 +232,7 @@ int main(int argc, char** argv) {
     for (uint32_t batch : batch_sizes) {
       double base_wall = 0;
       for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-        auto point = RunParallelPoint(env, *spec, shards, batch, params,
+        auto point = RunPoint(env, *spec, shards, batch, params,
                                       total_blocks, pin, check, &metrics);
         metrics.SnapshotEpoch(point_index++);
         if (!point.ok()) {

@@ -58,6 +58,8 @@ struct OpCounters {
     r.erase_us = erase_us - o.erase_us;
     return r;
   }
+
+  friend bool operator==(const OpCounters& a, const OpCounters& b) = default;
 };
 
 /// Distribution summary of per-block erase counts -- the wear-leveling

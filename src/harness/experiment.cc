@@ -1,11 +1,36 @@
 #include "harness/experiment.h"
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "ftl/shard_executor.h"
+#include "ftl/sharded_store.h"
 #include "obs/trace_recorder.h"
 
 namespace flashdb::harness {
+
+namespace {
+/// Per-chip (virtual clock, erase count) pairs of a flat or sharded store.
+std::vector<std::pair<uint64_t, uint64_t>> ChipState(PageStore* store) {
+  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store);
+  if (sharded == nullptr) {
+    return {{store->device()->clock().now_us(), store->total_erases()}};
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> chips;
+  const std::vector<uint64_t> clocks = sharded->shard_clocks();
+  const std::vector<uint64_t> erases = sharded->shard_erases();
+  for (size_t i = 0; i < clocks.size(); ++i) {
+    chips.emplace_back(clocks[i], erases[i]);
+  }
+  return chips;
+}
+}  // namespace
+
+bool SameVirtualRun(PageStore* a, const workload::RunStats& sa, PageStore* b,
+                    const workload::RunStats& sb) {
+  return ChipState(a) == ChipState(b) && sa.SameVirtualAs(sb);
+}
 
 std::string PointTracePath(const std::string& base, uint64_t index) {
   if (index == 0) return base;

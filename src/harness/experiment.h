@@ -79,6 +79,13 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);
 
+/// The benches' replay check: true when two executions of one schedule left
+/// every chip with the same virtual clock and erase count and agree on
+/// every virtual RunStats field (RunStats::SameVirtualAs; the wall-clock
+/// credit_wait_ns is excluded). Either store may be flat or sharded.
+bool SameVirtualRun(PageStore* a, const workload::RunStats& sa, PageStore* b,
+                    const workload::RunStats& sb);
+
 /// Per-point trace file naming under --trace: index 0 keeps `base`, index k
 /// becomes `<stem>.k.<ext>` (benches measure several points per run, each
 /// with its own timeline).

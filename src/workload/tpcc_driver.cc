@@ -1,20 +1,15 @@
 #include "workload/tpcc_driver.h"
 
-#include <atomic>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 
 #include "flash/flash_device.h"
 #include "obs/trace_recorder.h"
+#include "workload/credit_stream.h"
 
 namespace flashdb::workload {
 
 namespace {
-/// Per-shard workload seed stride (shard 0 keeps the base seed, which is
-/// what makes legacy_single_stream draw-for-draw exp7-compatible); clients
+/// Per-shard workload seed stride (shard 0 keeps the base seed); clients
 /// use a different odd constant so their streams never collide with a
 /// shard's.
 constexpr uint64_t kShardSeedStride = 0x9e3779b97f4a7c15ULL;
@@ -49,36 +44,6 @@ uint32_t TpccDriver::PagesPerShard(const TpccScale& scale, uint32_t page_size,
   const uint32_t fullest =
       (scale.warehouses + num_shards - 1) / num_shards;
   return TpccWorkload::RequiredPagesHosted(scale, page_size, fullest);
-}
-
-TpccDriver::CostSnap TpccDriver::SnapCost(flash::FlashDevice* dev) {
-  const flash::FlashStats& st = dev->stats();
-  CostSnap snap;
-  snap.clock_us = dev->clock().now_us();
-  snap.read_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kReadStep)].total_us();
-  snap.write_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kWriteStep)]
-          .total_us();
-  snap.gc_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kGc)].total_us();
-  snap.meta_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kMeta)].total_us();
-  return snap;
-}
-
-WorstOpSample TpccDriver::CostSince(const CostSnap& before,
-                                    flash::FlashDevice* dev, PageId pid) {
-  const CostSnap after = SnapCost(dev);
-  WorstOpSample s;
-  s.total_us = after.clock_us - before.clock_us;
-  s.read_us = after.read_us - before.read_us;
-  s.write_us = after.write_us - before.write_us;
-  s.gc_us = after.gc_us - before.gc_us;
-  s.meta_us = after.meta_us - before.meta_us;
-  s.pid = pid;
-  s.valid = true;
-  return s;
 }
 
 Status TpccDriver::Load(ftl::ShardExecutor* executor) {
@@ -181,161 +146,34 @@ void TpccDriver::FoldStats(const std::vector<uint64_t>& clocks_before,
   }
 }
 
-Status TpccDriver::ServeInline(uint64_t num_txns) {
-  if (opts_.legacy_single_stream) {
-    if (store_->num_shards() != 1 || opts_.num_clients != 1) {
-      return Status::InvalidArgument(
-          "legacy_single_stream requires 1 shard and 1 client");
-    }
-    ShardState& sh = shards_[0];
-    flash::FlashDevice* dev = store_->shard_device(0);
-    for (uint64_t i = 0; i < num_txns; ++i) {
-      const CostSnap before = SnapCost(dev);
-      TpccTxnType type;
-      uint32_t w;
-      Status st = sh.workload->RunTransactionDrawing(&type, &w);
-      if (st.ok() && opts_.flush_every_txn) st = sh.pool->FlushAll();
-      FLASHDB_RETURN_IF_ERROR(st);
-      const WorstOpSample cost = CostSince(before, dev, w);
-      if (dev->trace() != nullptr) {
-        dev->trace()->Emit(obs::TraceCat::kTxnSpan, before.clock_us,
-                           cost.total_us, w, static_cast<uint64_t>(type), 0);
-      }
-      TpccTypeStats& acc = sh.acc[static_cast<size_t>(type)];
-      acc.count++;
-      acc.latency.Record(cost.total_us);
-      acc.worst_op.Offer(cost);
-      commit_log_.push_back(TpccCommit{0, w, type});
-    }
-    return Status::OK();
-  }
-  for (uint64_t i = 0; i < num_txns; ++i) {
-    const Draw d = DrawNext(i);
-    FLASHDB_RETURN_IF_ERROR(ExecuteTxn(shard_of_warehouse(d.warehouse), d.type,
-                                       d.warehouse, d.client));
-    commit_log_.push_back(TpccCommit{d.client, d.warehouse, d.type});
-  }
-  return Status::OK();
-}
-
-Status TpccDriver::ServeConcurrent(uint64_t num_txns,
-                                   ftl::ShardExecutor* executor) {
-  const uint32_t n = store_->num_shards();
-  const uint32_t max_inflight = std::max(1u, opts_.max_inflight_per_shard);
-
-  // Credit accounting shared between this thread and the workers'
-  // completion callbacks -- the same Dekker-style park/wake handshake as
-  // UpdateDriver::RunPipelinedChunk, with the commit-log append folded into
-  // the completion under the mutex (the log *is* the commit order).
-  struct Control {
-    std::vector<std::atomic<uint32_t>> inflight;
-    std::atomic<bool> producer_waiting{false};
-    std::atomic<bool> has_error{false};
-    std::mutex mu;  // guards first_error + the commit log; wake-up serialize
-    std::condition_variable cv;
-    Status first_error;
-    TpccCommitLog* log = nullptr;
-
-    explicit Control(uint32_t shards) : inflight(shards) {}
-
-    void OnComplete(uint32_t shard, const TpccCommit& commit,
-                    const Status& st) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (st.ok()) {
-          log->push_back(commit);
-        } else {
-          if (first_error.ok()) first_error = st;
-          has_error.store(true, std::memory_order_release);
-        }
-      }
-      inflight[shard].fetch_sub(1, std::memory_order_release);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (producer_waiting.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_one();
-      }
-    }
-
-    void WaitFor(const std::function<bool()>& ready) {
-      std::unique_lock<std::mutex> lock(mu);
-      producer_waiting.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      cv.wait(lock, ready);
-      producer_waiting.store(false, std::memory_order_relaxed);
-    }
-  } ctl(n);
-  ctl.log = &commit_log_;
-
-  for (uint64_t i = 0; i < num_txns; ++i) {
-    if (ctl.has_error.load(std::memory_order_acquire)) break;
-    // Transactions must submit in global draw order -- per-shard submission
-    // order is what the determinism contract pins down -- so when the
-    // target shard is out of credits the producer parks rather than
-    // reordering around it.
-    const Draw d = DrawNext(i);
-    const uint32_t s = shard_of_warehouse(d.warehouse);
-    if (ctl.inflight[s].load(std::memory_order_acquire) >= max_inflight) {
-      const auto park_start = std::chrono::steady_clock::now();
-      ctl.WaitFor([&] {
-        return ctl.has_error.load(std::memory_order_acquire) ||
-               ctl.inflight[s].load(std::memory_order_acquire) < max_inflight;
-      });
-      const uint64_t waited_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - park_start)
-              .count());
-      credit_wait_ns_ += waited_ns;
-      if (wall_trace_ != nullptr) {
-        wall_trace_->Emit(obs::TraceCat::kCreditWait,
-                          (credit_wait_ns_ - waited_ns) / 1000,
-                          waited_ns / 1000, s, waited_ns);
-      }
-      if (ctl.has_error.load(std::memory_order_acquire)) break;
-    }
-    ctl.inflight[s].fetch_add(1, std::memory_order_relaxed);
-    const TpccCommit commit{d.client, d.warehouse, d.type};
-    const Status submitted = executor->SubmitWithCallback(
-        s, [this, s, d] { return ExecuteTxn(s, d.type, d.warehouse, d.client); },
-        [&ctl, s, commit](const Status& st) { ctl.OnComplete(s, commit, st); });
-    if (!submitted.ok()) {
-      // Nothing enqueued, the callback never runs: hand the credit back.
-      ctl.inflight[s].fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      if (ctl.first_error.ok()) ctl.first_error = submitted;
-      ctl.has_error.store(true, std::memory_order_release);
-      break;
-    }
-  }
-
-  // Drain on the *executor's* counters, not the credits: `completed` only
-  // increments after a completion callback has fully returned, so equality
-  // proves no worker can touch ctl (or a shard's pool) again. The acquire
-  // loads also publish the workers' device mutations to this thread before
-  // FoldStats snapshots the clocks.
-  for (uint32_t i = 0; i < n; ++i) {
-    while (executor->completed_count(i) != executor->submitted_count(i)) {
-      std::this_thread::yield();
-    }
-  }
-  return ctl.first_error;
-}
-
 Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
                          TpccRunStats* out) {
+  const uint32_t n = store_->num_shards();
+  FLASHDB_RETURN_IF_ERROR(
+      CreditStream::Validate(executor, n, opts_.max_inflight_per_shard));
   commit_log_.clear();
   commit_log_.reserve(num_txns);
   ResetAccumulators();
   const std::vector<uint64_t> clocks_before = store_->shard_clocks();
-  Status st;
-  if (executor == nullptr || opts_.legacy_single_stream) {
-    st = ServeInline(num_txns);
-  } else {
-    if (executor->num_workers() < store_->num_shards()) {
-      return Status::InvalidArgument("executor has fewer workers than shards");
-    }
-    st = ServeConcurrent(num_txns, executor);
+  CreditStream credits(executor, n, opts_.max_inflight_per_shard,
+                       &credit_wait_ns_, wall_trace_);
+  for (uint64_t i = 0; i < num_txns && !credits.failed(); ++i) {
+    // Transactions must submit in global draw order -- per-shard submission
+    // order is what the determinism contract pins down -- so when the
+    // target shard is out of credits the producer parks rather than
+    // reordering around it. The commit-log append rides the completion,
+    // serialized across shards (the log *is* the commit order).
+    const Draw d = DrawNext(i);
+    const uint32_t s = shard_of_warehouse(d.warehouse);
+    const TpccCommit commit{d.client, d.warehouse, d.type};
+    credits.Submit(
+        s,
+        [this, s, d] { return ExecuteTxn(s, d.type, d.warehouse, d.client); },
+        [this, commit] { commit_log_.push_back(commit); });
   }
+  // The drain also publishes the workers' device mutations to this thread
+  // before FoldStats snapshots the clocks.
+  const Status st = credits.Drain();
   FoldStats(clocks_before, out);
   return st;
 }

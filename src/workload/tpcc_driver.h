@@ -7,9 +7,9 @@
 // instance holding only the hosted warehouses' tables (ITEM replicated,
 // read-only). A transaction therefore touches exactly one shard, and the
 // driver streams *whole transactions* to the owning shard's ShardExecutor
-// worker with bounded per-shard credits -- the same continuous-submission
-// pattern UpdateDriver::RunPipelined uses one layer down, lifted from
-// page-op windows to transactions.
+// worker with bounded per-shard credits -- the same CreditStream that
+// UpdateDriver::RunPipelined uses one layer down, lifted from page-op
+// windows to transactions.
 //
 // Traffic model. N logical clients issue transactions round-robin (txn i
 // belongs to client i % N). Each client has a home warehouse
@@ -73,11 +73,6 @@ struct TpccDriverOptions {
   /// serving: each commit is one partitioned WriteBatch on the chip). When
   /// off, dirty pages reach flash via eviction and explicit FlushAll().
   bool flush_every_txn = true;
-  /// exp7-compatibility mode (requires 1 shard, 1 client): transactions are
-  /// drawn by the shard workload's own RunTransactionDrawing, consuming the
-  /// single legacy RNG stream draw-for-draw like TpccWorkload::Run. The
-  /// commit log still records what was drawn, so Replay() works unchanged.
-  bool legacy_single_stream = false;
 };
 
 /// One committed transaction, in commit order.
@@ -111,7 +106,7 @@ struct TpccRunStats {
   /// Sum over shards of the clock advance (total device busy time).
   uint64_t total_work_us = 0;
   /// Wall-clock time the producer spent parked on per-shard credits
-  /// (concurrent Serve only; wall time, excluded from determinism checks).
+  /// (threaded Serve only; wall time, excluded from determinism checks).
   uint64_t credit_wait_ns = 0;
 };
 
@@ -141,11 +136,12 @@ class TpccDriver {
   Status Load(ftl::ShardExecutor* executor);
 
   /// Serves `num_txns` transactions and appends their commit order to the
-  /// commit log (cleared first). With `executor` non-null, transactions
-  /// stream to the shard workers with bounded credits; null runs them
-  /// inline in submission order. Client RNG streams persist across calls
-  /// (warmup then measure continues the same traffic). Accumulates into
-  /// `*out` (caller zero-initializes); `out` may be null.
+  /// commit log (cleared first). Transactions stream in draw order through
+  /// a CreditStream with max_inflight_per_shard credits per shard (which
+  /// must be positive): to the shard workers when `executor` is non-null,
+  /// inline on the calling thread when null. Client RNG streams persist
+  /// across calls (warmup then measure continues the same traffic).
+  /// Accumulates into `*out` (caller zero-initializes); `out` may be null.
   Status Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
                TpccRunStats* out);
 
@@ -157,7 +153,7 @@ class TpccDriver {
   /// Flushes every shard's pool in shard order (quiescent workers only).
   Status FlushAll();
 
-  /// Wall-clock-domain trace lane for the concurrent producer's credit-wait
+  /// Wall-clock-domain trace lane for the producer's credit-wait
   /// events (TraceRecorder::wall_lane()); null disables. Per-shard
   /// virtual-time events (flash spans, buffer traffic, transaction spans)
   /// attach via each shard device's set_trace.
@@ -181,19 +177,6 @@ class TpccDriver {
     std::array<TpccTypeStats, kNumTpccTxnTypes> acc;
   };
 
-  /// Point-in-time read of one chip's clock + by-category time totals (the
-  /// same bracketing UpdateDriver uses per page op, here per transaction).
-  struct CostSnap {
-    uint64_t clock_us = 0;
-    uint64_t read_us = 0;
-    uint64_t write_us = 0;
-    uint64_t gc_us = 0;
-    uint64_t meta_us = 0;
-  };
-  static CostSnap SnapCost(flash::FlashDevice* dev);
-  static WorstOpSample CostSince(const CostSnap& before,
-                                 flash::FlashDevice* dev, PageId pid);
-
   /// One client draw: routing + type, from the client's RNG stream.
   struct Draw {
     uint32_t client = 0;
@@ -206,9 +189,6 @@ class TpccDriver {
   /// the calling thread when inline) and records its metrics into the
   /// shard's accumulators.
   Status ExecuteTxn(uint32_t s, TpccTxnType type, uint32_t w, uint32_t client);
-
-  Status ServeInline(uint64_t num_txns);
-  Status ServeConcurrent(uint64_t num_txns, ftl::ShardExecutor* executor);
 
   void ResetAccumulators();
   /// Folds shard accumulators + clock deltas since `clocks_before` into

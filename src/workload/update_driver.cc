@@ -1,20 +1,16 @@
 #include "workload/update_driver.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <future>
-#include <mutex>
+#include <cstring>
 #include <string>
-#include <thread>
 
 #include "flash/flash_device.h"
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
+#include "workload/credit_stream.h"
 
 namespace flashdb::workload {
 
@@ -29,15 +25,14 @@ void InitialImage(PageId pid, MutBytes page, void* arg) {
 
 UpdateDriver::UpdateDriver(PageStore* store, const WorkloadParams& params)
     : store_(store),
+      sharded_(dynamic_cast<ftl::ShardedStore*>(store)),
       params_(params),
       rng_(params.seed),
       data_size_(store->device()->geometry().data_size) {
   scratch_.resize(data_size_);
-  if (params_.hot_shard_pct > 0) {
-    auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-    if (sharded != nullptr && sharded->num_shards() > 1) {
-      hot_pid_stride_ = sharded->num_shards();
-    }
+  if (params_.hot_shard_pct > 0 && sharded_ != nullptr &&
+      sharded_->num_shards() > 1) {
+    hot_pid_stride_ = sharded_->num_shards();
   }
 }
 
@@ -76,43 +71,6 @@ void UpdateDriver::DrawUpdateCmd(uint32_t* offset, ByteBuffer* data) {
   rng_.Fill(*data);
 }
 
-Status UpdateDriver::ApplyOneUpdate(PageId pid, MutBytes page) {
-  UpdateLog log;
-  DrawUpdateCmd(&log.offset, &log.data);
-  std::memcpy(page.data() + log.offset, log.data.data(), log.data.size());
-  // Tightly-coupled methods capture the update log here; loosely-coupled
-  // methods ignore the notification.
-  return store_->OnUpdate(pid, page, log);
-}
-
-Status UpdateDriver::UpdateOperation(PageId pid) {
-  // Step (1): the reading step recreates the logical page from flash.
-  {
-    StoreCategoryScope cat(store_, flash::OpCategory::kReadStep);
-    FLASHDB_RETURN_IF_ERROR(store_->ReadPage(pid, scratch_));
-  }
-  if (params_.verify && !BytesEqual(scratch_, shadow_[pid])) {
-    return Status::Corruption("shadow mismatch on read of pid " +
-                              std::to_string(pid));
-  }
-  // Step (2): N_updates_till_write in-memory update commands. Log-based
-  // methods may spill their log buffers to flash here; that traffic belongs
-  // to the writing step in the paper's accounting.
-  {
-    StoreCategoryScope cat(store_, flash::OpCategory::kWriteStep);
-    for (uint32_t u = 0; u < params_.updates_till_write; ++u) {
-      FLASHDB_RETURN_IF_ERROR(ApplyOneUpdate(pid, scratch_));
-    }
-  }
-  if (params_.verify) shadow_[pid] = scratch_;
-  // Step (3): the writing step reflects the page into flash.
-  {
-    StoreCategoryScope cat(store_, flash::OpCategory::kWriteStep);
-    FLASHDB_RETURN_IF_ERROR(store_->WriteBack(pid, scratch_));
-  }
-  return Status::OK();
-}
-
 Status UpdateDriver::ReadOperation(PageId pid) {
   StoreCategoryScope cat(store_, flash::OpCategory::kReadStep);
   FLASHDB_RETURN_IF_ERROR(store_->ReadPage(pid, scratch_));
@@ -121,6 +79,15 @@ Status UpdateDriver::ReadOperation(PageId pid) {
                               std::to_string(pid));
   }
   return Status::OK();
+}
+
+void UpdateDriver::DrawOp(bool draw_kind, PlannedOp* op) {
+  op->pid = DrawPid();
+  op->is_update =
+      !draw_kind || rng_.NextDouble() * 100.0 < params_.pct_update_ops;
+  if (!op->is_update) return;
+  op->updates.resize(params_.updates_till_write);
+  for (PlannedUpdate& u : op->updates) DrawUpdateCmd(&u.offset, &u.data);
 }
 
 Status UpdateDriver::Warmup(double erases_per_block, uint64_t max_ops) {
@@ -132,11 +99,14 @@ Status UpdateDriver::Warmup(double erases_per_block, uint64_t max_ops) {
       erases_per_block * static_cast<double>(num_blocks));
   const uint64_t start = store_->total_erases();
   uint64_t ops = 0;
-  while (store_->total_erases() - start < target && ops < max_ops) {
-    FLASHDB_RETURN_IF_ERROR(UpdateOperation(DrawPid()));
+  return RunEach(/*record=*/false, [&](PlannedOp* op) {
+    if (store_->total_erases() - start >= target || ops == max_ops) {
+      return false;
+    }
     ++ops;
-  }
-  return Status::OK();
+    DrawOp(/*draw_kind=*/false, op);
+    return true;
+  });
 }
 
 Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
@@ -144,117 +114,72 @@ Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
   pending_worst_ = WorstOpSample{};
   const flash::FlashStats stats0 = store_->stats();
   const uint64_t clock0 = StoreClockUs();
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-
-  for (uint64_t i = 0; i < num_ops; ++i) {
-    const PageId pid = DrawPid();
-    // Hoisting the kind draw off the branch keeps RNG consumption (pid,
-    // then kind) identical to older versions and to MakeSchedule.
-    const bool is_update = rng_.NextDouble() * 100.0 < params_.pct_update_ops;
-    flash::FlashDevice* dev = nullptr;
-    CostSnap snap;
-    if (params_.record_latency) {
-      // The op's latency is its own chip's clock advance, so on a sharded
-      // store the sample brackets the owning shard's device.
-      dev = sharded != nullptr
-                ? sharded->shard_device(sharded->shard_of(pid))
-                : store_->device();
-      snap = SnapCost(dev);
-    }
-    if (is_update) {
-      FLASHDB_RETURN_IF_ERROR(UpdateOperation(pid));
-      out->update_ops++;
-    } else {
-      FLASHDB_RETURN_IF_ERROR(ReadOperation(pid));
-    }
-    if (params_.record_latency) {
-      const WorstOpSample sample = CostSince(snap, dev, pid);
-      pending_latency_.Record(sample.total_us);
-      pending_worst_.Offer(sample);
-      if (dev->trace() != nullptr) {
-        dev->trace()->Emit(obs::TraceCat::kOpSpan, snap.clock_us,
-                           sample.total_us, pid, is_update ? 1 : 0);
-      }
-    }
-    out->operations++;
-  }
-
-  out->latency.Merge(pending_latency_);
-  out->worst_op.Offer(pending_worst_);
-  const flash::FlashStats stats1 = store_->stats();
-  out->read_step +=
-      stats1.by_category[static_cast<int>(flash::OpCategory::kReadStep)] -
-      stats0.by_category[static_cast<int>(flash::OpCategory::kReadStep)];
-  out->write_step +=
-      stats1.by_category[static_cast<int>(flash::OpCategory::kWriteStep)] -
-      stats0.by_category[static_cast<int>(flash::OpCategory::kWriteStep)];
-  out->gc += stats1.by_category[static_cast<int>(flash::OpCategory::kGc)] -
-             stats0.by_category[static_cast<int>(flash::OpCategory::kGc)];
-  out->meta += stats1.by_category[static_cast<int>(flash::OpCategory::kMeta)] -
-               stats0.by_category[static_cast<int>(flash::OpCategory::kMeta)];
-  out->erases += stats1.total.erases - stats0.total.erases;
-  const flash::IntegrityCounters integrity =
-      stats1.integrity - stats0.integrity;
-  out->read_retries += integrity.read_retries;
-  out->retry_us += integrity.retry_us;
-  out->reads_corrected += integrity.reads_corrected;
-  out->reads_uncorrectable += integrity.reads_uncorrectable;
-  out->plane_stall_us += stats1.plane_stall_us() - stats0.plane_stall_us();
-  out->elapsed_vt_us += StoreClockUs() - clock0;
+  uint64_t ops = 0;
+  uint64_t update_ops = 0;
+  FLASHDB_RETURN_IF_ERROR(
+      RunEach(params_.record_latency, [&](PlannedOp* op) {
+        if (ops == num_ops) return false;
+        ++ops;
+        DrawOp(/*draw_kind=*/true, op);
+        if (op->is_update) ++update_ops;
+        return true;
+      }));
+  AccumulateRunStats(stats0, clock0, ops, update_ops, out);
   return Status::OK();
 }
 
 Schedule UpdateDriver::MakeSchedule(uint64_t num_ops) {
-  // Draw-for-draw identical to Run(): pid, operation kind, then per update
-  // command the DrawUpdateCmd draws, in the order Run() consumes them.
-  Schedule schedule;
-  schedule.reserve(num_ops);
-  for (uint64_t i = 0; i < num_ops; ++i) {
-    PlannedOp op;
-    op.pid = DrawPid();
-    op.is_update = rng_.NextDouble() * 100.0 < params_.pct_update_ops;
-    if (op.is_update) {
-      op.updates.resize(params_.updates_till_write);
-      for (PlannedUpdate& u : op.updates) {
-        DrawUpdateCmd(&u.offset, &u.data);
-      }
-    }
-    schedule.push_back(std::move(op));
-  }
+  Schedule schedule(num_ops);
+  for (PlannedOp& op : schedule) DrawOp(/*draw_kind=*/true, &op);
   return schedule;
 }
 
-std::vector<UpdateDriver::ShardStream> UpdateDriver::PartitionSchedule(
-    ChunkSpan chunk) {
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-  const uint32_t n = sharded != nullptr ? sharded->num_shards() : 1;
-  std::vector<ShardStream> streams(n);
-  for (uint32_t i = 0; i < n; ++i) {
+std::vector<UpdateDriver::ShardStream> UpdateDriver::MakeStreams(bool record) {
+  std::vector<ShardStream> streams(sharded_ != nullptr ? sharded_->num_shards()
+                                                       : 1);
+  for (uint32_t i = 0; i < streams.size(); ++i) {
     ShardStream& s = streams[i];
-    s.store = sharded != nullptr ? sharded->shard(i) : store_;
+    s.store = sharded_ != nullptr ? sharded_->shard(i) : store_;
+    s.record = record;
     s.scratch.resize(data_size_);
-  }
-  for (const PlannedOp& op : chunk) {
-    const uint32_t shard = sharded != nullptr ? sharded->shard_of(op.pid) : 0;
-    ShardStream& s = streams[shard];
-    s.ops.push_back(&op);
-    s.inner_pids.push_back(sharded != nullptr ? sharded->inner_pid(op.pid)
-                                              : op.pid);
-    s.global_pids.push_back(op.pid);
   }
   return streams;
 }
 
+UpdateDriver::ShardStream* UpdateDriver::Route(
+    const PlannedOp& op, std::vector<ShardStream>* streams) {
+  if (sharded_ == nullptr) {
+    (*streams)[0].ops.push_back(ShardStream::Op{&op, op.pid, op.pid});
+    return &(*streams)[0];
+  }
+  ShardStream* s = &(*streams)[sharded_->shard_of(op.pid)];
+  s->ops.push_back(ShardStream::Op{&op, sharded_->inner_pid(op.pid), op.pid});
+  return s;
+}
+
+Status UpdateDriver::RunEach(bool record,
+                             const std::function<bool(PlannedOp*)>& next) {
+  std::vector<ShardStream> streams = MakeStreams(record);
+  PlannedOp op;
+  while (next(&op)) {
+    ShardStream* s = Route(op, &streams);
+    FLASHDB_RETURN_IF_ERROR(RunShardWindow(s, 0, 1));
+    s->ops.clear();
+  }
+  FoldStreamLatency(&streams);
+  return Status::OK();
+}
+
 Status UpdateDriver::FlushShardWindow(ShardStream* s) {
   if (s->queued_n == 0) return Status::OK();
-  if (params_.record_latency) {
+  StoreCategoryScope cat(s->store, flash::OpCategory::kWriteStep);
+  if (s->record) {
     // Per-write flush so each queued op gets its own clock delta. The
     // batched-write equivalence (WriteBatch == same writes via WriteBack,
     // pinned by tests/batched_write_test.cc) makes this path produce the
     // exact device state and virtual clocks of the WriteBatch path below --
     // recording changes attribution, never the gated numbers.
     flash::FlashDevice* dev = s->store->device();
-    StoreCategoryScope cat(s->store, flash::OpCategory::kWriteStep);
     for (size_t i = 0; i < s->queued_n; ++i) {
       ShardStream::QueuedWrite& q = s->queued[i];
       const CostSnap snap = SnapCost(dev);
@@ -269,42 +194,38 @@ Status UpdateDriver::FlushShardWindow(ShardStream* s) {
       s->worst.Offer(q.cost);
       if (dev->trace() != nullptr) {
         // The op's span opened at its inline start; its duration is the
-        // accumulated latency (inline + this write-back) -- identical in
-        // every run mode sharing the schedule and batch size.
+        // accumulated latency (inline + this write-back) -- identical
+        // inline and threaded for one schedule and batch size.
         dev->trace()->Emit(obs::TraceCat::kOpSpan, q.start_us,
                            q.cost.total_us, q.cost.pid, 1);
       }
     }
-    s->queued_n = 0;
-    s->latest.clear();
-    return Status::OK();
+  } else {
+    s->writes.clear();
+    for (size_t i = 0; i < s->queued_n; ++i) {
+      const ShardStream::QueuedWrite& q = s->queued[i];
+      s->writes.push_back(PageWrite{q.inner_pid, q.image});
+    }
+    FLASHDB_RETURN_IF_ERROR(s->store->WriteBatch(s->writes));
   }
-  std::vector<PageWrite> writes;
-  writes.reserve(s->queued_n);
-  for (size_t i = 0; i < s->queued_n; ++i) {
-    writes.push_back(PageWrite{s->queued[i].inner_pid, s->queued[i].image});
-  }
-  StoreCategoryScope cat(s->store, flash::OpCategory::kWriteStep);
-  FLASHDB_RETURN_IF_ERROR(s->store->WriteBatch(writes));
   s->queued_n = 0;  // images keep their capacity for the next window
-  s->latest.clear();
   return Status::OK();
 }
 
 Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
-  const bool record = params_.record_latency;
-  flash::FlashDevice* dev = record ? s->store->device() : nullptr;
+  flash::FlashDevice* dev = s->record ? s->store->device() : nullptr;
   for (size_t k = begin; k < end; ++k) {
-    const PlannedOp& op = *s->ops[k];
-    const PageId ipid = s->inner_pids[k];
-    const PageId gpid = s->global_pids[k];
+    const PlannedOp& op = *s->ops[k].op;
+    const PageId ipid = s->ops[k].inner_pid;
+    const PageId gpid = s->ops[k].pid;
     CostSnap snap;
-    if (record) snap = SnapCost(dev);
+    if (s->record) snap = SnapCost(dev);
     // Reading step. A page whose write-back is still queued in this window
-    // is served from the queued image (its on-flash copy is stale).
-    const auto it = s->latest.find(ipid);
-    if (it != s->latest.end()) {
-      CopyBytes(s->scratch, s->queued[it->second].image);
+    // is served from its newest queued image (its on-flash copy is stale).
+    size_t slot = s->queued_n;
+    while (slot > 0 && s->queued[slot - 1].inner_pid != ipid) --slot;
+    if (slot > 0) {
+      CopyBytes(s->scratch, s->queued[slot - 1].image);
     } else {
       StoreCategoryScope cat(s->store, flash::OpCategory::kReadStep);
       FLASHDB_RETURN_IF_ERROR(s->store->ReadPage(ipid, s->scratch));
@@ -315,9 +236,9 @@ Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
     }
     if (!op.is_update) {
       // A read-only op completes here; one served from a queued image cost
-      // no device time and records a 0 -- the same 0 in every run mode,
+      // no device time and records a 0 -- the same 0 inline and threaded,
       // since window composition is fixed by the schedule.
-      if (record) {
+      if (s->record) {
         const WorstOpSample sample = CostSince(snap, dev, gpid);
         s->hist.Record(sample.total_us);
         s->worst.Offer(sample);
@@ -329,6 +250,10 @@ Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
       continue;
     }
     // Updating step: apply the planned commands, notifying the store.
+    // Tightly-coupled methods capture the update log here; loosely-coupled
+    // methods ignore the notification. Log-based methods may spill their log
+    // buffers to flash, which belongs to the writing step in the paper's
+    // accounting.
     {
       StoreCategoryScope cat(s->store, flash::OpCategory::kWriteStep);
       for (const PlannedUpdate& u : op.updates) {
@@ -341,22 +266,21 @@ Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
       }
     }
     if (params_.verify) shadow_[gpid] = s->scratch;
-    // Queue the write-back for the window's batched flush.
+    // Queue the write-back for the window's flush.
     if (s->queued_n == s->queued.size()) s->queued.emplace_back();
     ShardStream::QueuedWrite& q = s->queued[s->queued_n];
     q.inner_pid = ipid;
     q.image.assign(s->scratch.begin(), s->scratch.end());
     // An update op's sample stays open until its write-back flushes: stash
     // the inline cost (reading step + log spills) with the queued write.
-    q.cost = record ? CostSince(snap, dev, gpid) : WorstOpSample{};
-    q.start_us = record ? snap.clock_us : 0;
-    s->latest[ipid] = s->queued_n;
+    q.cost = s->record ? CostSince(snap, dev, gpid) : WorstOpSample{};
+    q.start_us = s->record ? snap.clock_us : 0;
     ++s->queued_n;
   }
   return FlushShardWindow(s);
 }
 
-UpdateDriver::CostSnap UpdateDriver::SnapCost(flash::FlashDevice* dev) {
+CostSnap SnapCost(flash::FlashDevice* dev) {
   // stats() returns a reference, so this is five counter loads -- cheap
   // enough to bracket every operation when recording is on.
   const flash::FlashStats& st = dev->stats();
@@ -374,8 +298,8 @@ UpdateDriver::CostSnap UpdateDriver::SnapCost(flash::FlashDevice* dev) {
   return snap;
 }
 
-WorstOpSample UpdateDriver::CostSince(const CostSnap& before,
-                                      flash::FlashDevice* dev, PageId pid) {
+WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
+                        PageId pid) {
   const CostSnap after = SnapCost(dev);
   WorstOpSample s;
   s.total_us = after.clock_us - before.clock_us;
@@ -389,45 +313,33 @@ WorstOpSample UpdateDriver::CostSince(const CostSnap& before,
 }
 
 void UpdateDriver::FoldStreamLatency(std::vector<ShardStream>* streams) {
-  if (!params_.record_latency) return;
   for (ShardStream& s : *streams) {
     pending_latency_.Merge(s.hist);
     pending_worst_.Offer(s.worst);
   }
 }
 
-uint64_t UpdateDriver::StoreClockUs() const {
-  if (const auto* sharded = dynamic_cast<const ftl::ShardedStore*>(store_)) {
-    return sharded->parallel_time_us();
-  }
-  // device() is non-const on PageStore; the clock read itself is const.
-  return const_cast<UpdateDriver*>(this)->store_->device()->clock().now_us();
+uint64_t UpdateDriver::StoreClockUs() {
+  return sharded_ != nullptr ? sharded_->parallel_time_us()
+                             : store_->device()->clock().now_us();
 }
 
 void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
-                                      uint64_t clock0_us,
-                                      const Schedule& schedule, RunStats* out) {
-  for (const PlannedOp& op : schedule) {
-    out->operations++;
-    if (op.is_update) out->update_ops++;
-  }
+                                      uint64_t clock0_us, uint64_t operations,
+                                      uint64_t update_ops, RunStats* out) {
+  out->operations += operations;
+  out->update_ops += update_ops;
   const flash::FlashStats after = store_->stats();
-  out->read_step +=
-      after.by_category[static_cast<int>(flash::OpCategory::kReadStep)] -
-      before.by_category[static_cast<int>(flash::OpCategory::kReadStep)];
-  out->write_step +=
-      after.by_category[static_cast<int>(flash::OpCategory::kWriteStep)] -
-      before.by_category[static_cast<int>(flash::OpCategory::kWriteStep)];
-  out->gc += after.by_category[static_cast<int>(flash::OpCategory::kGc)] -
-             before.by_category[static_cast<int>(flash::OpCategory::kGc)];
-  out->migrate +=
-      after.by_category[static_cast<int>(flash::OpCategory::kMigrate)] -
-      before.by_category[static_cast<int>(flash::OpCategory::kMigrate)];
-  out->meta += after.by_category[static_cast<int>(flash::OpCategory::kMeta)] -
-               before.by_category[static_cast<int>(flash::OpCategory::kMeta)];
-  out->scrub +=
-      after.by_category[static_cast<int>(flash::OpCategory::kScrub)] -
-      before.by_category[static_cast<int>(flash::OpCategory::kScrub)];
+  const auto delta = [&](flash::OpCategory c) {
+    return after.by_category[static_cast<int>(c)] -
+           before.by_category[static_cast<int>(c)];
+  };
+  out->read_step += delta(flash::OpCategory::kReadStep);
+  out->write_step += delta(flash::OpCategory::kWriteStep);
+  out->gc += delta(flash::OpCategory::kGc);
+  out->migrate += delta(flash::OpCategory::kMigrate);
+  out->meta += delta(flash::OpCategory::kMeta);
+  out->scrub += delta(flash::OpCategory::kScrub);
   out->erases += after.total.erases - before.total.erases;
   const flash::IntegrityCounters integrity =
       after.integrity - before.integrity;
@@ -441,164 +353,6 @@ void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
   out->worst_op.Offer(pending_worst_);
 }
 
-Status UpdateDriver::RunEpochs(
-    const Schedule& schedule, ftl::ShardExecutor* executor, RunStats* out,
-    const std::function<Status(ChunkSpan)>& run_chunk) {
-  pending_latency_.Reset();
-  pending_worst_ = WorstOpSample{};
-  const flash::FlashStats stats0 = store_->stats();
-  const uint64_t clock0 = StoreClockUs();
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-  const uint64_t epoch = params_.rebalance_epoch_ops;
-  const bool leveling =
-      sharded != nullptr && sharded->router()->rebalancing_enabled();
-  const bool scrubbing = params_.scrub && sharded != nullptr;
-  const ChunkSpan all(schedule);
-  if (epoch == 0) {
-    FLASHDB_RETURN_IF_ERROR(run_chunk(all));
-  } else {
-    // Epoch splitting applies whenever it is configured -- even with the
-    // router disabled -- so a leveling-off reference run sees the exact same
-    // window boundaries (and therefore virtual clocks) as a leveling-on run
-    // that happens to plan zero migrations.
-    uint64_t epoch_index = 0;
-    for (size_t begin = 0; begin < all.size(); begin += epoch) {
-      const ChunkSpan chunk =
-          all.subspan(begin, std::min<size_t>(epoch, all.size() - begin));
-      FLASHDB_RETURN_IF_ERROR(run_chunk(chunk));
-      // Rebalance / scrub between epochs only: a trailing migration or
-      // relocation could not benefit any operation of this run.
-      if (leveling && begin + epoch < all.size()) {
-        FLASHDB_RETURN_IF_ERROR(RebalanceEpoch(chunk, executor, out));
-      }
-      if (scrubbing && begin + epoch < all.size()) {
-        FLASHDB_RETURN_IF_ERROR(ScrubEpoch(out));
-      }
-      if (params_.metrics != nullptr) {
-        // Epoch time series: cumulative values at the quiescent boundary;
-        // per-epoch deltas are differences of consecutive snapshots.
-        obs::MetricsRegistry* m = params_.metrics;
-        const flash::FlashStats st = store_->stats();
-        m->Set("epoch.ops", static_cast<double>(begin + chunk.size()));
-        m->Set("epoch.erases", static_cast<double>(st.total.erases));
-        m->Set("epoch.clock_us", static_cast<double>(StoreClockUs()));
-        m->Set("epoch.gc_us",
-               static_cast<double>(
-                   st.by_category[static_cast<int>(flash::OpCategory::kGc)]
-                       .total_us()));
-        m->Set("epoch.migrations", static_cast<double>(out->migrations));
-        m->Set("epoch.scrub_relocations",
-               static_cast<double>(out->scrub_relocations));
-        m->SnapshotEpoch(epoch_index);
-      }
-      ++epoch_index;
-    }
-  }
-  AccumulateRunStats(stats0, clock0, schedule, out);
-  return Status::OK();
-}
-
-Status UpdateDriver::RebalanceEpoch(ChunkSpan chunk,
-                                    ftl::ShardExecutor* executor,
-                                    RunStats* out) {
-  auto* sharded = static_cast<ftl::ShardedStore*>(store_);
-  ftl::ShardRouter* router = sharded->router();
-  // The epoch's write heat comes from the executed schedule itself, not from
-  // device counters: it is the same in every execution mode by construction.
-  std::vector<uint64_t> heat(router->num_buckets(), 0);
-  for (const PlannedOp& op : chunk) {
-    if (op.is_update) heat[router->bucket_of(op.pid)]++;
-  }
-  router->AddEpochHeat(heat);
-  const std::vector<ftl::ShardRouter::Swap> plan =
-      router->PlanRebalance(sharded->shard_erases());
-  if (plan.empty()) return Status::OK();
-  FLASHDB_RETURN_IF_ERROR(sharded->MigrateBuckets(plan, executor));
-  out->migrations += plan.size();
-  return Status::OK();
-}
-
-Status UpdateDriver::ScrubEpoch(RunStats* out) {
-  auto* sharded = static_cast<ftl::ShardedStore*>(store_);
-  ftl::ShardedStore::ScrubResult res;
-  FLASHDB_RETURN_IF_ERROR(sharded->ScrubShards(&res));
-  out->scrub_candidates += res.candidates;
-  out->scrub_relocations += res.relocated;
-  return Status::OK();
-}
-
-Status UpdateDriver::RunBatched(const Schedule& schedule, uint32_t batch_size,
-                                RunStats* out) {
-  if (batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be > 0");
-  }
-  return RunEpochs(schedule, nullptr, out, [this, batch_size](ChunkSpan c) {
-    return RunBatchedChunk(c, batch_size);
-  });
-}
-
-Status UpdateDriver::RunBatchedChunk(ChunkSpan chunk, uint32_t batch_size) {
-  std::vector<ShardStream> streams = PartitionSchedule(chunk);
-  // Shards are independent chips, so running them one after another produces
-  // the same per-shard device state (and virtual clocks) as any interleaving
-  // -- including RunParallel's.
-  for (ShardStream& s : streams) {
-    for (size_t begin = 0; begin < s.ops.size(); begin += batch_size) {
-      const size_t end = std::min(s.ops.size(), begin + batch_size);
-      FLASHDB_RETURN_IF_ERROR(RunShardWindow(&s, begin, end));
-    }
-  }
-  FoldStreamLatency(&streams);
-  return Status::OK();
-}
-
-Status UpdateDriver::RunParallel(const Schedule& schedule, uint32_t batch_size,
-                                 ftl::ShardExecutor* executor, RunStats* out) {
-  if (batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be > 0");
-  }
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-  if (sharded == nullptr) {
-    return Status::InvalidArgument("RunParallel needs a ShardedStore");
-  }
-  if (executor == nullptr ||
-      executor->num_workers() < sharded->num_shards()) {
-    return Status::InvalidArgument("executor must have one worker per shard");
-  }
-  return RunEpochs(schedule, executor, out,
-                   [this, batch_size, executor](ChunkSpan c) {
-                     return RunParallelChunk(c, batch_size, executor);
-                   });
-}
-
-Status UpdateDriver::RunParallelChunk(ChunkSpan chunk, uint32_t batch_size,
-                                      ftl::ShardExecutor* executor) {
-  std::vector<ShardStream> streams = PartitionSchedule(chunk);
-  // One task per window, all windows of shard i on worker i: each chip's
-  // pipeline is thread-confined to its worker and windows run in schedule
-  // order, so per-shard execution is bit-identical to RunBatched.
-  std::vector<std::future<Status>> futures;
-  for (uint32_t i = 0; i < static_cast<uint32_t>(streams.size()); ++i) {
-    ShardStream* s = &streams[i];
-    for (size_t begin = 0; begin < s->ops.size(); begin += batch_size) {
-      const size_t end = std::min(s->ops.size(), begin + batch_size);
-      futures.push_back(executor->Submit(
-          i, [this, s, begin, end] { return RunShardWindow(s, begin, end); }));
-    }
-  }
-  // Gather every window's Status; the future joins also publish the workers'
-  // device mutations to this thread before the caller's stats snapshot.
-  Status first_error = Status::OK();
-  for (auto& f : futures) {
-    const Status st = f.get();
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  // The joins above quiesced every worker, so the streams' histograms are
-  // safe to fold here (shard order, same as the other modes).
-  FoldStreamLatency(&streams);
-  return first_error;
-}
-
 Status UpdateDriver::RunPipelined(const Schedule& schedule,
                                   uint32_t batch_size, uint32_t max_inflight,
                                   ftl::ShardExecutor* executor,
@@ -606,173 +360,131 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
   if (batch_size == 0) {
     return Status::InvalidArgument("batch_size must be > 0");
   }
-  if (max_inflight == 0) {
-    return Status::InvalidArgument("max_inflight must be > 0");
+  FLASHDB_RETURN_IF_ERROR(CreditStream::Validate(
+      executor, sharded_ != nullptr ? sharded_->num_shards() : 1,
+      max_inflight));
+  pending_latency_.Reset();
+  pending_worst_ = WorstOpSample{};
+  const flash::FlashStats stats0 = store_->stats();
+  const uint64_t clock0 = StoreClockUs();
+  const uint64_t epoch = params_.rebalance_epoch_ops;
+  const bool leveling =
+      sharded_ != nullptr && sharded_->router()->rebalancing_enabled();
+  const bool scrubbing = params_.scrub && sharded_ != nullptr;
+  const ChunkSpan all(schedule);
+  // Epoch splitting applies whenever it is configured -- even with the
+  // router disabled -- so a leveling-off reference run sees the exact same
+  // window boundaries (and therefore virtual clocks) as a leveling-on run
+  // that happens to plan zero migrations.
+  const size_t chunk_ops = epoch == 0 ? all.size() : epoch;
+  uint64_t epoch_index = 0;
+  for (size_t begin = 0; begin < all.size(); begin += chunk_ops) {
+    const ChunkSpan chunk =
+        all.subspan(begin, std::min(chunk_ops, all.size() - begin));
+    const uint64_t wait0 = credit_wait_ns_;
+    const Status st = RunChunk(chunk, batch_size, max_inflight, executor);
+    out->credit_wait_ns += credit_wait_ns_ - wait0;
+    FLASHDB_RETURN_IF_ERROR(st);
+    if (epoch == 0) break;
+    // Rebalance / scrub between epochs only: a trailing migration or
+    // relocation could not benefit any operation of this run.
+    const bool more = begin + epoch < all.size();
+    if (leveling && more) {
+      FLASHDB_RETURN_IF_ERROR(RebalanceEpoch(chunk, executor, out));
+    }
+    if (scrubbing && more) FLASHDB_RETURN_IF_ERROR(ScrubEpoch(out));
+    if (params_.metrics != nullptr) {
+      // Epoch time series: cumulative values at the quiescent boundary;
+      // per-epoch deltas are differences of consecutive snapshots.
+      obs::MetricsRegistry* m = params_.metrics;
+      const flash::FlashStats st = store_->stats();
+      m->Set("epoch.ops", static_cast<double>(begin + chunk.size()));
+      m->Set("epoch.erases", static_cast<double>(st.total.erases));
+      m->Set("epoch.clock_us", static_cast<double>(StoreClockUs()));
+      m->Set("epoch.gc_us",
+             static_cast<double>(
+                 st.by_category[static_cast<int>(flash::OpCategory::kGc)]
+                     .total_us()));
+      m->Set("epoch.migrations", static_cast<double>(out->migrations));
+      m->Set("epoch.scrub_relocations",
+             static_cast<double>(out->scrub_relocations));
+      m->SnapshotEpoch(epoch_index);
+    }
+    ++epoch_index;
   }
-  // A flat store pipelines too: the whole schedule is one stream streamed
-  // depth-max_inflight to worker 0 (see the header comment) -- that is the
-  // threaded run mode of the single-chip experiments.
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store_);
-  const uint32_t workers_needed =
-      sharded != nullptr ? sharded->num_shards() : 1;
-  if (executor == nullptr || executor->num_workers() < workers_needed) {
-    return Status::InvalidArgument("executor must have one worker per shard");
-  }
-  const uint64_t wait0 = credit_wait_ns_;
-  const Status st =
-      RunEpochs(schedule, executor, out,
-                [this, batch_size, max_inflight, executor](ChunkSpan c) {
-                  return RunPipelinedChunk(c, batch_size, max_inflight,
-                                           executor);
-                });
-  out->credit_wait_ns += credit_wait_ns_ - wait0;
-  return st;
+  uint64_t update_ops = 0;
+  for (const PlannedOp& op : schedule) update_ops += op.is_update ? 1 : 0;
+  AccumulateRunStats(stats0, clock0, schedule.size(), update_ops, out);
+  return Status::OK();
 }
 
-Status UpdateDriver::RunPipelinedChunk(ChunkSpan chunk, uint32_t batch_size,
-                                       uint32_t max_inflight,
-                                       ftl::ShardExecutor* executor) {
-  std::vector<ShardStream> streams = PartitionSchedule(chunk);
+Status UpdateDriver::RebalanceEpoch(ChunkSpan chunk,
+                                    ftl::ShardExecutor* executor,
+                                    RunStats* out) {
+  ftl::ShardRouter* router = sharded_->router();
+  // The epoch's write heat comes from the executed schedule itself, not from
+  // device counters: it is the same inline and threaded by construction.
+  std::vector<uint64_t> heat(router->num_buckets(), 0);
+  for (const PlannedOp& op : chunk) {
+    if (op.is_update) heat[router->bucket_of(op.pid)]++;
+  }
+  router->AddEpochHeat(heat);
+  const std::vector<ftl::ShardRouter::Swap> plan =
+      router->PlanRebalance(sharded_->shard_erases());
+  if (plan.empty()) return Status::OK();
+  FLASHDB_RETURN_IF_ERROR(sharded_->MigrateBuckets(plan, executor));
+  out->migrations += plan.size();
+  return Status::OK();
+}
+
+Status UpdateDriver::ScrubEpoch(RunStats* out) {
+  ftl::ShardedStore::ScrubResult res;
+  FLASHDB_RETURN_IF_ERROR(sharded_->ScrubShards(&res));
+  out->scrub_candidates += res.candidates;
+  out->scrub_relocations += res.relocated;
+  return Status::OK();
+}
+
+Status UpdateDriver::RunChunk(ChunkSpan chunk, uint32_t batch_size,
+                              uint32_t max_inflight,
+                              ftl::ShardExecutor* executor) {
+  std::vector<ShardStream> streams = MakeStreams(params_.record_latency);
+  for (const PlannedOp& op : chunk) Route(op, &streams);
   const uint32_t n = static_cast<uint32_t>(streams.size());
-
-  // Credit accounting shared between the submitting thread and the workers'
-  // completion callbacks. The hot path is lock-free: callbacks return
-  // credits with atomic decrements and only take the mutex to wake a parked
-  // producer (same Dekker-style handshake as the executor's own park/wake)
-  // or to record the first error. The release-decrements of
-  // `inflight_total` paired with this thread's acquire-load of 0 also
-  // publish the workers' device mutations before the stats snapshot below.
-  struct Control {
-    std::vector<std::atomic<uint32_t>> inflight;
-    std::atomic<bool> producer_waiting{false};
-    std::atomic<bool> has_error{false};
-    std::mutex mu;  // guards first_error; wake-up serialization
-    std::condition_variable cv;
-    Status first_error;
-
-    explicit Control(uint32_t n) : inflight(n) {}
-
-    void OnComplete(uint32_t shard, const Status& st) {
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.ok()) first_error = st;
-        has_error.store(true, std::memory_order_release);
-      }
-      inflight[shard].fetch_sub(1, std::memory_order_release);
-      // Producer-side pairing: it sets producer_waiting, fences, then
-      // re-checks credits before parking; the fence here makes it
-      // impossible for both sides to read stale values (lost wakeup).
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (producer_waiting.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_one();
-      }
-    }
-
-    /// Parks the producer until `ready` (a credit/progress predicate over
-    /// the atomics) holds. Cold path only, so the std::function indirection
-    /// does not matter.
-    void WaitFor(const std::function<bool()>& ready) {
-      std::unique_lock<std::mutex> lock(mu);
-      producer_waiting.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      cv.wait(lock, ready);
-      producer_waiting.store(false, std::memory_order_relaxed);
-    }
-  } ctl(n);
-
-  std::vector<size_t> next_begin(n, 0);  // submission cursor per shard
-  bool stop_submitting = false;
-  while (!stop_submitting) {
+  std::vector<size_t> next(n, 0);  // submission cursor per shard
+  const auto pending = [&](uint32_t i) {
+    return next[i] < streams[i].ops.size();
+  };
+  // The windows reference `streams` on this stack frame; the stream drains
+  // before either goes away, error or not.
+  CreditStream credits(executor, n, max_inflight, &credit_wait_ns_,
+                       wall_trace_);
+  while (!credits.failed()) {
     // Round-robin pass: give every shard with spare credit its next window.
     // Interleaving submission across shards (instead of finishing one shard
     // first) is what keeps every chip fed when one of them is hot.
-    bool submitted_any = false;
     bool work_left = false;
-    for (uint32_t i = 0; i < n && !stop_submitting; ++i) {
-      ShardStream* s = &streams[i];
-      if (next_begin[i] >= s->ops.size()) continue;
-      if (ctl.has_error.load(std::memory_order_acquire)) {
-        stop_submitting = true;
-        break;
-      }
+    bool submitted = false;
+    for (uint32_t i = 0; i < n && !credits.failed(); ++i) {
+      if (!pending(i)) continue;
       work_left = true;
-      // Only this thread increments, so load-then-add cannot overshoot.
-      if (ctl.inflight[i].load(std::memory_order_acquire) >= max_inflight) {
-        continue;  // no credit
-      }
-      ctl.inflight[i].fetch_add(1, std::memory_order_relaxed);
-      const size_t begin = next_begin[i];
+      if (!credits.HasCredit(i)) continue;
+      ShardStream* s = &streams[i];
+      const size_t begin = next[i];
       const size_t end = std::min(s->ops.size(), begin + batch_size);
-      next_begin[i] = end;
-      const Status submitted = executor->SubmitWithCallback(
-          i, [this, s, begin, end] { return RunShardWindow(s, begin, end); },
-          [&ctl, i](const Status& st) { ctl.OnComplete(i, st); });
-      if (!submitted.ok()) {
-        // Nothing was enqueued and the callback will never run: hand the
-        // credit back and stop streaming.
-        ctl.inflight[i].fetch_sub(1, std::memory_order_relaxed);
-        {
-          std::lock_guard<std::mutex> lock(ctl.mu);
-          if (ctl.first_error.ok()) ctl.first_error = submitted;
-          ctl.has_error.store(true, std::memory_order_release);
-        }
-        stop_submitting = true;
-        break;
-      }
-      submitted_any = true;
+      next[i] = end;
+      credits.Submit(
+          i, [this, s, begin, end] { return RunShardWindow(s, begin, end); });
+      submitted = true;
     }
     if (!work_left) break;
-    if (!submitted_any && !stop_submitting) {
-      // Every remaining shard is at its credit limit: park until a
-      // completion returns a credit somewhere. This is the per-shard
-      // backpressure point -- no barrier, just "some credit came back".
-      // The parked wall time is the run's credit-wait attribution.
-      const auto park_start = std::chrono::steady_clock::now();
-      ctl.WaitFor([&] {
-        if (ctl.has_error.load(std::memory_order_acquire)) return true;
-        for (uint32_t i = 0; i < n; ++i) {
-          if (next_begin[i] < streams[i].ops.size() &&
-              ctl.inflight[i].load(std::memory_order_acquire) <
-                  max_inflight) {
-            return true;
-          }
-        }
-        return false;
-      });
-      const uint64_t waited_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - park_start)
-              .count());
-      credit_wait_ns_ += waited_ns;
-      if (wall_trace_ != nullptr) {
-        // Wall-clock domain: stamped with the producer's cumulative parked
-        // time, excluded from the canonical (deterministic) stream.
-        wall_trace_->Emit(obs::TraceCat::kCreditWait,
-                          (credit_wait_ns_ - waited_ns) / 1000,
-                          waited_ns / 1000, ~0ull, waited_ns);
-      }
-    }
+    // Every remaining shard is at its credit limit: park until a completion
+    // returns a credit somewhere -- per-shard backpressure, no barrier.
+    if (!submitted) credits.AwaitAnyCredit(pending);
   }
-
-  // Drain: the in-flight windows reference `streams` (and their callbacks
-  // reference `ctl`) on this stack frame, so everything must finish before
-  // we return -- error or not. Quiescence comes from the *executor's*
-  // counters, not from ctl's credits: `completed` only increments after a
-  // task's completion callback has fully returned, so equality here proves
-  // no worker can touch ctl (or a stream) again. A credit-based drain would
-  // race -- a callback may still be inside ctl's mutex right after handing
-  // back the credit that makes the count hit zero. The acquire loads pair
-  // with the workers' release increments and also publish their device
-  // mutations to this thread before the caller's stats snapshot (and before
-  // any epoch-boundary rebalancing touches the chips).
-  for (uint32_t i = 0; i < n; ++i) {
-    while (executor->completed_count(i) != executor->submitted_count(i)) {
-      std::this_thread::yield();  // tail is at most max_inflight windows
-    }
-  }
+  const Status st = credits.Drain();
   FoldStreamLatency(&streams);
-  return ctl.first_error;
+  return st;
 }
 
 }  // namespace flashdb::workload

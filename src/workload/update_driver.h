@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -54,42 +53,42 @@ struct WorkloadParams {
   /// absorb. 0 (the default) keeps the uniform draw and consumes the RNG
   /// identically to older versions; ignored on a non-sharded store.
   double hot_shard_pct = 0.0;
-  /// Wear-leveling epoch length for the scheduled modes (RunBatched /
-  /// RunParallel / RunPipelined): every this-many operations the driver
-  /// quiesces the shards at a window boundary, feeds the epoch's per-bucket
-  /// write counts to the store's ShardRouter, and executes any bucket
-  /// migrations the router plans -- then re-partitions the rest of the
-  /// schedule under the new assignment. 0 (the default) disables epoch
-  /// splitting entirely. Splitting applies whenever this is non-zero -- even
-  /// with the router disabled, so leveling-off reference runs share the
-  /// leveling-on runs' window boundaries -- but migrations only happen on a
-  /// ShardedStore whose router has rebalancing enabled, at identical
-  /// virtual-time points in all three modes (determinism is preserved).
+  /// Wear-leveling epoch length for RunPipelined: every this-many
+  /// operations the driver quiesces the shards at a window boundary, feeds
+  /// the epoch's per-bucket write counts to the store's ShardRouter, and
+  /// executes any bucket migrations the router plans -- then re-partitions
+  /// the rest of the schedule under the new assignment. 0 (the default)
+  /// disables epoch splitting entirely. Splitting applies whenever this is
+  /// non-zero -- even with the router disabled, so leveling-off reference
+  /// runs share the leveling-on runs' window boundaries -- but migrations
+  /// only happen on a ShardedStore whose router has rebalancing enabled, at
+  /// identical virtual-time points inline and threaded (determinism is
+  /// preserved). Run() and Warmup() never split.
   uint64_t rebalance_epoch_ops = 0;
   /// Maintain an in-memory shadow database and verify every page read
   /// against it (tests; costs RAM proportional to the database).
   bool verify = false;
-  /// Background integrity scrub for the scheduled modes: at every epoch
-  /// boundary (rebalance_epoch_ops windows -- scrub shares the rebalancer's
-  /// quiescent boundaries and needs a non-zero epoch length) the driver
-  /// drains the shards' scrub-candidate lists and relocates the flagged live
-  /// pages (ShardedStore::ScrubShards). Deterministic across run modes;
-  /// ignored on a non-sharded store.
+  /// Background integrity scrub for RunPipelined: at every epoch boundary
+  /// (rebalance_epoch_ops windows -- scrub shares the rebalancer's quiescent
+  /// boundaries and needs a non-zero epoch length) the driver drains the
+  /// shards' scrub-candidate lists and relocates the flagged live pages
+  /// (ShardedStore::ScrubShards). Deterministic inline and threaded; ignored
+  /// on a non-sharded store.
   bool scrub = false;
   /// Sample every operation's virtual latency into RunStats::latency (and
   /// track the worst op with its per-cause breakdown). An op's latency is
   /// the advance of its owning chip's virtual clock from the op's start to
   /// its write-back completion. To give each queued write-back its own
-  /// clock delta, the scheduled modes flush windows write-by-write
-  /// (WriteBack) instead of as one WriteBatch -- on-flash state and virtual
-  /// clocks are identical either way (the batched-write equivalence the
-  /// tests pin down), so recording never changes any gated virtual-time
-  /// column. Off by default to keep the WriteBatch fast path.
+  /// clock delta, windows flush write-by-write (WriteBack) instead of as one
+  /// WriteBatch -- on-flash state and virtual clocks are identical either
+  /// way (the batched-write equivalence the tests pin down), so recording
+  /// never changes any gated virtual-time column. Off by default to keep
+  /// the WriteBatch fast path.
   bool record_latency = false;
-  /// Optional metrics sink: when set, the scheduled run modes take an
-  /// epoch-granular snapshot (ops, erases, clock, GC time) at every
-  /// rebalance-epoch boundary -- the time-series half of the bench "metrics"
-  /// object. Written only at quiescent boundaries, never on the hot path.
+  /// Optional metrics sink: when set, RunPipelined takes an epoch-granular
+  /// snapshot (ops, erases, clock, GC time) at every rebalance-epoch
+  /// boundary -- the time-series half of the bench "metrics" object.
+  /// Written only at quiescent boundaries, never on the hot path.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -97,9 +96,9 @@ struct WorkloadParams {
 /// virtual time went. Per-cause values are deltas of the owning chip's
 /// by-category device counters across the op, so gc_us captures garbage
 /// collection the op's write-back triggered, meta_us the journal traffic it
-/// induced. Deterministic across the scheduled run modes: per-shard op order
-/// is fixed by the schedule and the cross-shard fold visits shards in index
-/// order, with a strictly-greater-wins rule so ties keep the first sample.
+/// induced. Deterministic inline and threaded: per-shard op order is fixed
+/// by the schedule and the cross-shard fold visits shards in index order,
+/// with a strictly-greater-wins rule so ties keep the first sample.
 struct WorstOpSample {
   uint64_t total_us = 0;  ///< Virtual-clock advance across the whole op.
   uint64_t read_us = 0;   ///< Reading-step device time within the op.
@@ -118,6 +117,20 @@ struct WorstOpSample {
   friend bool operator==(const WorstOpSample& a,
                          const WorstOpSample& b) = default;
 };
+
+/// Point-in-time read of one chip's virtual clock and by-category time
+/// totals: the before-side of a per-op (or per-transaction) cost sample.
+struct CostSnap {
+  uint64_t clock_us = 0;
+  uint64_t read_us = 0;
+  uint64_t write_us = 0;
+  uint64_t gc_us = 0;
+  uint64_t meta_us = 0;
+};
+CostSnap SnapCost(flash::FlashDevice* dev);
+/// The sample formed by `dev`'s counter advance since `before`.
+WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
+                        PageId pid);
 
 /// Virtual-time breakdown of a measured run.
 struct RunStats {
@@ -152,16 +165,16 @@ struct RunStats {
   /// for device-parallel throughput, unlike the per-category sums which
   /// count every chip's busy time.
   uint64_t elapsed_vt_us = 0;
-  /// Wall-clock nanoseconds the pipelined producer spent parked waiting for
-  /// a per-shard credit (RunPipelined only; 0 elsewhere). Wall time, not
-  /// virtual time: excluded from determinism comparisons.
+  /// Wall-clock nanoseconds the producer spent parked waiting for a
+  /// per-shard credit (threaded RunPipelined only; 0 elsewhere). Wall time,
+  /// not virtual time: excluded from determinism comparisons.
   uint64_t credit_wait_ns = 0;
 
   // --- Per-operation latency (WorkloadParams::record_latency only) --------
   /// Distribution of per-op virtual latency in microseconds. Merged across
-  /// shards by counter addition, so it is bit-identical across the
-  /// sequential, batched, parallel, and pipelined executions of one
-  /// schedule. Empty when recording is off. Epoch-boundary work (bucket
+  /// shards by counter addition, so it is bit-identical across the inline
+  /// and threaded executions of one schedule. Empty when recording is off.
+  /// Epoch-boundary work (bucket
   /// migration, scrub sweeps, the migration journal) runs while the shards
   /// are quiescent and belongs to no operation, so it appears in the
   /// migrate/scrub/meta counters above but never in this distribution.
@@ -205,6 +218,14 @@ struct RunStats {
     return operations == 0 ? 0 : static_cast<double>(retry_us) /
                                      static_cast<double>(operations);
   }
+
+  /// Equality of every virtual field -- all of RunStats but the wall-clock
+  /// credit_wait_ns. Two executions of one schedule must agree on it.
+  bool SameVirtualAs(RunStats other) const {
+    other.credit_wait_ns = credit_wait_ns;
+    return *this == other;
+  }
+  friend bool operator==(const RunStats& a, const RunStats& b) = default;
 };
 
 /// One pre-generated in-memory update command of a planned operation.
@@ -218,17 +239,27 @@ struct PlannedUpdate {
 struct PlannedOp {
   PageId pid = 0;
   bool is_update = true;
+  /// The update commands; only meaningful when is_update.
   std::vector<PlannedUpdate> updates;
 };
 
 /// A deterministic operation schedule. Pre-generating the schedule moves the
 /// RNG off the measured path and -- more importantly -- fixes each shard's
 /// operation subsequence up front, so threaded execution is exactly as
-/// deterministic as sequential execution (thread interleaving cannot reorder
-/// the ops any one chip sees).
+/// deterministic as inline execution (thread interleaving cannot reorder the
+/// ops any one chip sees).
 using Schedule = std::vector<PlannedOp>;
 
 /// See file comment.
+///
+/// Execution engine. Every run mode is one engine: operations are routed to
+/// per-shard streams (one stream on a flat store), each stream executes its
+/// ops in windows of `batch_size` -- reads of a page with a queued
+/// write-back are served from the queued image, and the window's
+/// write-backs flush together -- and windows stream to the shards through a
+/// CreditStream whose executor is either inline (null) or threaded. Run()
+/// and Warmup() are the same window body at batch 1, drawing each op just
+/// before executing it.
 class UpdateDriver {
  public:
   UpdateDriver(PageStore* store, const WorkloadParams& params);
@@ -238,65 +269,38 @@ class UpdateDriver {
 
   /// Runs update operations until every block has been erased
   /// `erases_per_block` times on average (steady state; the paper uses 10),
-  /// or until `max_ops` operations, whichever first.
+  /// or until `max_ops` operations, whichever first. Never records latency.
   Status Warmup(double erases_per_block, uint64_t max_ops);
 
-  /// Runs `num_ops` operations (mixed per pct_update_ops) and accumulates
-  /// into `*out` (which the caller zero-initializes).
+  /// Runs `num_ops` operations (mixed per pct_update_ops) one at a time,
+  /// drawing each just before it executes, and accumulates into `*out`
+  /// (which the caller zero-initializes). Equal to MakeSchedule(num_ops)
+  /// followed by RunPipelined at batch 1 without epochs.
   Status Run(uint64_t num_ops, RunStats* out);
 
   /// Pre-draws `num_ops` operations with exactly the distributions (and RNG
   /// consumption) of Run().
   Schedule MakeSchedule(uint64_t num_ops);
 
-  /// Executes `schedule` through the batched WriteBatch path on the calling
-  /// thread: per shard (or the whole store when it is not a ShardedStore),
-  /// ops run in schedule order in windows of `batch_size`; each window's
-  /// write-backs are queued and issued as one WriteBatch. Reads of a page
-  /// with a queued write-back are served from the queued image, so
-  /// read-after-write semantics match sequential execution. Accumulates into
-  /// `*out`.
-  Status RunBatched(const Schedule& schedule, uint32_t batch_size,
-                    RunStats* out);
-
-  /// Same execution as RunBatched, but each shard's windows are submitted to
-  /// that shard's ShardExecutor worker and completion Statuses are gathered
-  /// from the returned futures -- wall-clock parallelism across chips. The
-  /// store must be a ShardedStore and `executor` must have at least
-  /// num_shards() workers; per-shard device state, stats, and virtual clocks
-  /// end up bit-identical to RunBatched on the same schedule.
-  ///
-  /// Submission is shard-sequential (all of shard 0's windows, then shard
-  /// 1's, ...): with bounded executor rings a hot shard head-of-line blocks
-  /// the producer and the remaining chips sit idle -- the steady-state
-  /// weakness RunPipelined exists to remove.
-  Status RunParallel(const Schedule& schedule, uint32_t batch_size,
-                     ftl::ShardExecutor* executor, RunStats* out);
-
-  /// Continuous submission mode: streams the schedule's windows round-robin
-  /// across the shards, keeping at most `max_inflight` windows outstanding
-  /// per shard (a per-shard credit counter, returned by completion callbacks
-  /// on the worker threads -- no global join anywhere in the run). Windows of
-  /// one shard are still submitted in schedule order, so per-shard device
-  /// state, stats, and virtual clocks stay bit-identical to RunBatched /
-  /// RunParallel on the same schedule; only the wall-clock interleaving
-  /// across shards changes. On the first window error submission stops and
-  /// the in-flight windows are drained before the error returns.
-  /// `max_inflight` should not exceed the executor's ring capacity or
-  /// submission degrades to blocking pushes.
-  ///
-  /// Unlike RunParallel, this mode does not need a ShardedStore: against a
-  /// flat store the whole schedule is one stream fed depth-`max_inflight` to
-  /// executor worker 0, giving the single-chip experiments a threaded run
-  /// mode that is bit-identical to RunBatched on the same schedule (and,
-  /// with batch_size 1, to the plain sequential Run() path).
+  /// Executes `schedule` in per-shard windows of `batch_size`, keeping at
+  /// most `max_inflight` windows outstanding per shard. With `executor`
+  /// null every window runs on the calling thread; otherwise windows stream
+  /// round-robin across the shards (shard i on worker i, or the whole flat
+  /// store on worker 0) with per-shard credits returned by completion
+  /// callbacks, so a hot shard never blocks the cold ones and there is no
+  /// global join anywhere in the run. Windows of one shard run in schedule
+  /// order either way, so per-shard device state, stats, histograms and
+  /// virtual clocks are bit-identical inline and threaded, at any depth. On
+  /// the first window error submission stops and the in-flight windows
+  /// drain before the error returns. `max_inflight` should not exceed the
+  /// executor's ring capacity or submission degrades to blocking pushes.
+  /// Accumulates into `*out`.
   Status RunPipelined(const Schedule& schedule, uint32_t batch_size,
                       uint32_t max_inflight, ftl::ShardExecutor* executor,
                       RunStats* out);
 
-  /// One full update operation against page `pid`.
-  Status UpdateOperation(PageId pid);
-  /// One read-only operation against page `pid`.
+  /// One read-only operation against page `pid` (verified against the
+  /// shadow database when WorkloadParams::verify is set).
   Status ReadOperation(PageId pid);
 
   PageStore* store() { return store_; }
@@ -304,19 +308,24 @@ class UpdateDriver {
   uint32_t num_pages() const { return num_pages_; }
 
   /// Wall-clock-domain trace lane (TraceRecorder::wall_lane()) for the
-  /// pipelined producer's credit-wait events. Written only by the submitting
-  /// thread; null disables. Per-shard virtual-time events attach one layer
-  /// down via FlashDevice::set_trace.
+  /// producer's credit-wait events. Written only by the submitting thread;
+  /// null disables. Per-shard virtual-time events attach one layer down via
+  /// FlashDevice::set_trace.
   void set_wall_trace(obs::TraceShard* lane) { wall_trace_ = lane; }
 
  private:
   /// One shard's slice of a schedule plus its thread-confined execution
   /// state (scratch buffers and the queued write-back window).
   struct ShardStream {
-    PageStore* store = nullptr;           ///< Inner store (thread-confined).
-    std::vector<const PlannedOp*> ops;    ///< Slice, in schedule order.
-    std::vector<PageId> inner_pids;       ///< Per-op pid inside the shard.
-    std::vector<PageId> global_pids;      ///< Per-op pid for shadow lookups.
+    PageStore* store = nullptr;  ///< Inner store (thread-confined).
+    bool record = false;         ///< Sample per-op latency.
+
+    struct Op {
+      const PlannedOp* op = nullptr;
+      PageId inner_pid = 0;  ///< Pid inside the shard.
+      PageId pid = 0;        ///< Global pid, for shadow lookups.
+    };
+    std::vector<Op> ops;  ///< Slice, in schedule order.
 
     struct QueuedWrite {
       PageId inner_pid = 0;
@@ -329,11 +338,11 @@ class UpdateDriver {
       /// kOpSpan timestamp, emitted when the write-back flushes.
       uint64_t start_us = 0;
     };
-    ByteBuffer scratch;                    ///< Current page image.
-    UpdateLog log_scratch;                 ///< Reused OnUpdate log.
-    std::vector<QueuedWrite> queued;       ///< Window pool, reused per flush.
+    ByteBuffer scratch;               ///< Current page image.
+    UpdateLog log_scratch;            ///< Reused OnUpdate log.
+    std::vector<QueuedWrite> queued;  ///< Window pool, reused per flush.
     size_t queued_n = 0;
-    std::unordered_map<PageId, size_t> latest;  ///< inner pid -> queue slot.
+    std::vector<PageWrite> writes;    ///< Reused WriteBatch argument.
 
     /// Latency recording only; thread-confined to the shard's worker like
     /// everything else here, folded into the driver's pending accumulators
@@ -342,27 +351,15 @@ class UpdateDriver {
     WorstOpSample worst;
   };
 
-  /// One contiguous slice of a schedule: the unit the epoch wrapper hands to
-  /// the chunk runners, and the whole schedule when epochs are off.
+  /// One contiguous slice of a schedule: the unit between two epoch
+  /// boundaries, and the whole schedule when epochs are off.
   using ChunkSpan = std::span<const PlannedOp>;
 
-  /// Splits `chunk` into per-shard streams (one stream for a flat store)
-  /// using the store's *current* pid routing -- must be re-done after any
-  /// bucket migration.
-  std::vector<ShardStream> PartitionSchedule(ChunkSpan chunk);
-  /// Point-in-time read of one chip's virtual clock and by-category time
-  /// totals -- the before-side of a per-op latency sample.
-  struct CostSnap {
-    uint64_t clock_us = 0;
-    uint64_t read_us = 0;
-    uint64_t write_us = 0;
-    uint64_t gc_us = 0;
-    uint64_t meta_us = 0;
-  };
-  static CostSnap SnapCost(flash::FlashDevice* dev);
-  /// Sample formed by the counter advance since `before` on the same chip.
-  static WorstOpSample CostSince(const CostSnap& before,
-                                 flash::FlashDevice* dev, PageId pid);
+  /// One empty stream per shard (one for a flat store).
+  std::vector<ShardStream> MakeStreams(bool record);
+  /// Appends `op` to its shard's stream, using the store's *current* pid
+  /// routing (re-route after any bucket migration), and returns the stream.
+  ShardStream* Route(const PlannedOp& op, std::vector<ShardStream>* streams);
   /// Folds every stream's histogram and worst-op into the driver's pending
   /// accumulators, in shard-index order (order-stable ties). Caller must
   /// have quiesced the streams' workers first.
@@ -370,20 +367,21 @@ class UpdateDriver {
   /// Executes ops [begin, end) of `s` and flushes the queued write-backs.
   Status RunShardWindow(ShardStream* s, size_t begin, size_t end);
   Status FlushShardWindow(ShardStream* s);
+  /// Draw-one-execute-one loop behind Run() and Warmup(): each op is routed
+  /// alone and runs as a batch-1 window. `next` draws into the reused op
+  /// and returns false to stop.
+  Status RunEach(bool record, const std::function<bool(PlannedOp*)>& next);
+  /// Streams `chunk`'s windows through one CreditStream and drains it.
+  Status RunChunk(ChunkSpan chunk, uint32_t batch_size, uint32_t max_inflight,
+                  ftl::ShardExecutor* executor);
   /// Virtual clock of the store: parallel_time_us() (max over chips) on a
   /// ShardedStore, the single chip's clock otherwise.
-  uint64_t StoreClockUs() const;
-  /// Folds the device-stats / clock delta and schedule counts into `*out`.
+  uint64_t StoreClockUs();
+  /// Folds the op counts, device-stats / clock delta, and pending latency
+  /// samples into `*out`.
   void AccumulateRunStats(const flash::FlashStats& before, uint64_t clock0_us,
-                          const Schedule& schedule, RunStats* out);
-
-  /// The common run skeleton: snapshots stats, splits `schedule` into
-  /// wear-leveling epochs (params_.rebalance_epoch_ops; one chunk when
-  /// disabled), alternates `run_chunk` with RebalanceEpoch, and accumulates
-  /// into `*out`. `executor` (may be null) executes migration copies.
-  Status RunEpochs(const Schedule& schedule, ftl::ShardExecutor* executor,
-                   RunStats* out,
-                   const std::function<Status(ChunkSpan)>& run_chunk);
+                          uint64_t operations, uint64_t update_ops,
+                          RunStats* out);
   /// Epoch boundary (shards quiescent): feeds the finished chunk's write
   /// heat to the router, plans against per-shard erase counts, and executes
   /// the planned bucket migrations.
@@ -393,28 +391,19 @@ class UpdateDriver {
   /// scrub candidates (ShardedStore::ScrubShards).
   Status ScrubEpoch(RunStats* out);
 
-  /// Mode bodies, one chunk at a time (validation and accounting live in the
-  /// public wrappers / RunEpochs).
-  Status RunBatchedChunk(ChunkSpan chunk, uint32_t batch_size);
-  Status RunParallelChunk(ChunkSpan chunk, uint32_t batch_size,
-                          ftl::ShardExecutor* executor);
-  Status RunPipelinedChunk(ChunkSpan chunk, uint32_t batch_size,
-                           uint32_t max_inflight,
-                           ftl::ShardExecutor* executor);
-
-  /// Applies one in-memory update command to `page`, notifying the store.
-  Status ApplyOneUpdate(PageId pid, MutBytes page);
+  /// Draws one operation into `op`: pid, then (when `draw_kind`) the
+  /// update-or-read kind, then an update's commands. The single RNG
+  /// consumer behind Run, Warmup (no kind draw) and MakeSchedule.
+  void DrawOp(bool draw_kind, PlannedOp* op);
   /// Draws one update command (offset + payload) from the workload
-  /// distribution. The single RNG consumer behind both Run()'s
-  /// ApplyOneUpdate and MakeSchedule, so the two paths stay draw-for-draw
-  /// identical by construction.
+  /// distribution.
   void DrawUpdateCmd(uint32_t* offset, ByteBuffer* data);
   /// Draws the target pid of one operation -- uniform, or shard-0-skewed
-  /// when params_.hot_shard_pct is set. The single pid source behind Run,
-  /// Warmup, and MakeSchedule.
+  /// when params_.hot_shard_pct is set.
   PageId DrawPid();
 
   PageStore* store_;
+  ftl::ShardedStore* sharded_;  ///< store_ when it is sharded, else null.
   WorkloadParams params_;
   Random rng_;
   /// Pid stride of the hot residue class: num_shards() when hot_shard_pct
@@ -422,8 +411,8 @@ class UpdateDriver {
   uint32_t hot_pid_stride_ = 0;
   uint32_t num_pages_ = 0;
   uint32_t data_size_;
-  /// Cumulative wall time the pipelined producer spent parked on credits
-  /// (only the submitting thread writes it; see RunStats::credit_wait_ns).
+  /// Cumulative wall time the producer spent parked on credits (only the
+  /// submitting thread writes it; see RunStats::credit_wait_ns).
   uint64_t credit_wait_ns_ = 0;
   /// Wall lane for credit-wait trace events (see set_wall_trace).
   obs::TraceShard* wall_trace_ = nullptr;

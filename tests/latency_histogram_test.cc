@@ -124,16 +124,15 @@ TEST(LatencyHistogramTest, WorstOpOfferKeepsStrictMaximum) {
 }
 
 // The load-bearing property behind gating p50/p99/p999 in CI: the recorded
-// distribution -- not just its summary -- is identical across the batched,
-// parallel, and pipelined executions of one schedule.
-TEST(LatencyHistogramTest, DistributionIsIdenticalAcrossRunModes) {
+// distribution -- not just its summary -- is identical inline and threaded.
+TEST(LatencyHistogramTest, DistributionIsIdenticalInlineAndThreaded) {
   auto spec = methods::ParseMethodSpec("PDL(256B)");
   ASSERT_TRUE(spec.ok());
   WorkloadParams params;
   params.record_latency = true;
   params.pct_update_ops = 80.0;
 
-  auto run_mode = [&](int mode) -> RunStats {
+  auto run_mode = [&](bool threaded) -> RunStats {
     auto store =
         methods::CreateShardedStore(flash::FlashConfig::Small(8), 4, *spec);
     UpdateDriver driver(store.get(), params);
@@ -141,34 +140,25 @@ TEST(LatencyHistogramTest, DistributionIsIdenticalAcrossRunModes) {
     EXPECT_TRUE(driver.Warmup(1.0, 500).ok());
     Schedule schedule = driver.MakeSchedule(400);
     RunStats stats;
-    if (mode == 0) {
-      EXPECT_TRUE(driver.RunBatched(schedule, 8, &stats).ok());
-    } else {
-      ftl::ShardExecutor executor(4);
-      if (mode == 1) {
-        EXPECT_TRUE(driver.RunParallel(schedule, 8, &executor, &stats).ok());
-      } else {
-        EXPECT_TRUE(
-            driver.RunPipelined(schedule, 8, 4, &executor, &stats).ok());
-      }
-    }
+    ftl::ShardExecutor executor(4);
+    EXPECT_TRUE(driver
+                    .RunPipelined(schedule, 8, 4,
+                                  threaded ? &executor : nullptr, &stats)
+                    .ok());
     return stats;
   };
 
-  const RunStats batched = run_mode(0);
-  const RunStats parallel = run_mode(1);
-  const RunStats pipelined = run_mode(2);
-  ASSERT_EQ(batched.latency.count(), 400u);
-  EXPECT_GT(batched.latency.max(), 0u);
-  EXPECT_TRUE(batched.latency == parallel.latency);
-  EXPECT_TRUE(batched.latency == pipelined.latency);
-  EXPECT_TRUE(batched.worst_op == parallel.worst_op);
-  EXPECT_TRUE(batched.worst_op == pipelined.worst_op);
-  EXPECT_TRUE(batched.worst_op.valid);
+  const RunStats inline_stats = run_mode(false);
+  const RunStats threaded = run_mode(true);
+  ASSERT_EQ(inline_stats.latency.count(), 400u);
+  EXPECT_GT(inline_stats.latency.max(), 0u);
+  EXPECT_TRUE(inline_stats.latency == threaded.latency);
+  EXPECT_TRUE(inline_stats.worst_op == threaded.worst_op);
+  EXPECT_TRUE(inline_stats.worst_op.valid);
   // The worst op's cause breakdown never exceeds its total.
-  EXPECT_LE(batched.worst_op.read_us + batched.worst_op.write_us +
-                batched.worst_op.gc_us + batched.worst_op.meta_us,
-            batched.worst_op.total_us);
+  EXPECT_LE(inline_stats.worst_op.read_us + inline_stats.worst_op.write_us +
+                inline_stats.worst_op.gc_us + inline_stats.worst_op.meta_us,
+            inline_stats.worst_op.total_us);
 }
 
 // Recording must not change what the benches gate: device state and virtual
@@ -186,7 +176,7 @@ TEST(LatencyHistogramTest, RecordingNeverChangesVirtualTime) {
     EXPECT_TRUE(driver.Warmup(1.0, 400).ok());
     Schedule schedule = driver.MakeSchedule(300);
     RunStats stats;
-    EXPECT_TRUE(driver.RunBatched(schedule, 8, &stats).ok());
+    EXPECT_TRUE(driver.RunPipelined(schedule, 8, 1, nullptr, &stats).ok());
     return std::pair(store->shard_clocks(), stats.elapsed_vt_us);
   };
   const auto off = run_once(false);

@@ -94,8 +94,8 @@ void RunRandomizedEquivalenceSuite(PageStore* store, uint32_t pages, int seed,
 /// cycles queue write-backs and a window of them is issued as one
 /// WriteBatch; reads of a queued page are served from the queued image
 /// (the store's on-flash copy is legitimately stale until the flush).
-void RunBatchedEquivalenceSuite(PageStore* store, uint32_t pages, int seed,
-                                uint32_t window, const std::string& label) {
+void WindowedEquivalenceSuite(PageStore* store, uint32_t pages, int seed,
+                              uint32_t window, const std::string& label) {
   const uint32_t data_size = store->device()->geometry().data_size;
   SeedArg arg{static_cast<uint64_t>(seed)};
   ASSERT_TRUE(store->Format(pages, &SeededImage, &arg).ok());
@@ -188,9 +188,9 @@ TEST_P(MethodEquivalenceTest, MatchesShadowThroughBatchedWrites) {
 
   FlashDevice dev(FlashConfig::Small(8));
   std::unique_ptr<PageStore> store = methods::CreateStore(&dev, *spec);
-  RunBatchedEquivalenceSuite(store.get(), 100, seed,
-                             /*window=*/static_cast<uint32_t>(3 + seed),
-                             method_name);
+  WindowedEquivalenceSuite(store.get(), 100, seed,
+                           /*window=*/static_cast<uint32_t>(3 + seed),
+                           method_name);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -289,9 +289,9 @@ TEST_P(ShardedEquivalenceTest, MatchesShadowThroughBatchedWrites) {
 
   std::unique_ptr<ftl::ShardedStore> store =
       methods::CreateShardedStore(FlashConfig::Small(8), num_shards, *spec);
-  RunBatchedEquivalenceSuite(store.get(), 100,
-                             /*seed=*/static_cast<int>(num_shards) + 2,
-                             /*window=*/6, std::string(store->name()));
+  WindowedEquivalenceSuite(store.get(), 100,
+                           /*seed=*/static_cast<int>(num_shards) + 2,
+                           /*window=*/6, std::string(store->name()));
 }
 
 TEST_P(ShardedEquivalenceTest, SurvivesCrashRecoveryAcrossShards) {

@@ -21,7 +21,6 @@
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
 #include "methods/method_factory.h"
-#include "workload/update_driver.h"
 
 namespace flashdb {
 namespace {
@@ -335,27 +334,6 @@ TEST(ShardExecutorTest, ConcurrentShardedStoreStress) {
       EXPECT_TRUE(BytesEqual(buf, shadow[s][k])) << "shard " << s;
     }
   }
-}
-
-// Same engine exercised through the driver's RunParallel with verification
-// enabled -- batched WriteBacks, reads racing across shards, every read
-// checked against the shadow database.
-TEST(ShardExecutorTest, RunParallelVerifiedStress) {
-  constexpr uint32_t kShards = 4;
-  auto spec = methods::ParseMethodSpec("PDL(256B)");
-  ASSERT_TRUE(spec.ok());
-  std::unique_ptr<ftl::ShardedStore> store =
-      methods::CreateShardedStore(flash::FlashConfig::Small(8), kShards, *spec);
-  workload::WorkloadParams params;
-  params.verify = true;
-  params.pct_update_ops = 70.0;
-  workload::UpdateDriver driver(store.get(), params);
-  ASSERT_TRUE(driver.LoadDatabase(200).ok());
-  workload::Schedule schedule = driver.MakeSchedule(1500);
-  ShardExecutor ex(kShards);
-  workload::RunStats stats;
-  ASSERT_TRUE(driver.RunParallel(schedule, 16, &ex, &stats).ok());
-  EXPECT_EQ(stats.operations, 1500u);
 }
 
 }  // namespace

@@ -285,7 +285,8 @@ TEST(ShardRouterTest, EraseCountsConvergeUnderSkew) {
   PreparedRun off = PrepareSkewed(90.0, 0.0, 400, 4000, &schedule_off);
   const std::vector<uint64_t> off_before = off.store->shard_erases();
   RunStats stats_off;
-  ASSERT_TRUE(off.driver->RunBatched(schedule_off, 8, &stats_off).ok());
+  ASSERT_TRUE(
+      off.driver->RunPipelined(schedule_off, 8, 1, nullptr, &stats_off).ok());
   const double ratio_off =
       EraseDeltaRatio(off_before, off.store->shard_erases());
   EXPECT_EQ(stats_off.migrations, 0u);
@@ -294,7 +295,8 @@ TEST(ShardRouterTest, EraseCountsConvergeUnderSkew) {
   PreparedRun on = PrepareSkewed(90.0, 1.25, 400, 4000, &schedule_on);
   const std::vector<uint64_t> on_before = on.store->shard_erases();
   RunStats stats_on;
-  ASSERT_TRUE(on.driver->RunBatched(schedule_on, 8, &stats_on).ok());
+  ASSERT_TRUE(
+      on.driver->RunPipelined(schedule_on, 8, 1, nullptr, &stats_on).ok());
   const double ratio_on =
       EraseDeltaRatio(on_before, on.store->shard_erases());
 
@@ -312,12 +314,16 @@ TEST(ShardRouterTest, ZeroSkewStaysLegacyBitIdentical) {
   Schedule schedule_plain;
   PreparedRun plain = PrepareSkewed(0.0, 0.0, 400, 2000, &schedule_plain);
   RunStats stats_plain;
-  ASSERT_TRUE(plain.driver->RunBatched(schedule_plain, 8, &stats_plain).ok());
+  ASSERT_TRUE(
+      plain.driver->RunPipelined(schedule_plain, 8, 1, nullptr, &stats_plain)
+          .ok());
 
   Schedule schedule_armed;
   PreparedRun armed = PrepareSkewed(0.0, 1.25, 400, 2000, &schedule_armed);
   RunStats stats_armed;
-  ASSERT_TRUE(armed.driver->RunBatched(schedule_armed, 8, &stats_armed).ok());
+  ASSERT_TRUE(
+      armed.driver->RunPipelined(schedule_armed, 8, 1, nullptr, &stats_armed)
+          .ok());
 
   EXPECT_EQ(stats_armed.migrations, 0u);
   EXPECT_TRUE(armed.store->router()->is_identity());
@@ -325,24 +331,16 @@ TEST(ShardRouterTest, ZeroSkewStaysLegacyBitIdentical) {
   EXPECT_EQ(plain.store->shard_erases(), armed.store->shard_erases());
 }
 
-// Bucket migrations happen at epoch boundaries in every execution mode, so
-// sequential, windowed-parallel, and pipelined runs of the same schedule
-// stay bit-identical even while migrating under concurrent window
-// submission (TSan exercises the executor paths).
-TEST(ShardRouterTest, MigrationIsDeterministicAcrossModes) {
+// Bucket migrations happen at quiescent epoch boundaries, so inline and
+// threaded runs of the same schedule stay bit-identical even while
+// migrating under concurrent window submission (TSan exercises the executor
+// paths).
+TEST(ShardRouterTest, MigrationIsDeterministicInlineAndThreaded) {
   Schedule schedule_seq;
   PreparedRun seq = PrepareSkewed(90.0, 1.25, 400, 3000, &schedule_seq);
   RunStats stats_seq;
-  ASSERT_TRUE(seq.driver->RunBatched(schedule_seq, 8, &stats_seq).ok());
-
-  Schedule schedule_par;
-  PreparedRun par = PrepareSkewed(90.0, 1.25, 400, 3000, &schedule_par);
-  RunStats stats_par;
-  {
-    ShardExecutor executor(4);
-    ASSERT_TRUE(
-        par.driver->RunParallel(schedule_par, 8, &executor, &stats_par).ok());
-  }
+  ASSERT_TRUE(
+      seq.driver->RunPipelined(schedule_seq, 8, 1, nullptr, &stats_seq).ok());
 
   Schedule schedule_pipe;
   PreparedRun pipe = PrepareSkewed(90.0, 1.25, 400, 3000, &schedule_pipe);
@@ -356,13 +354,9 @@ TEST(ShardRouterTest, MigrationIsDeterministicAcrossModes) {
   }
 
   EXPECT_GT(stats_seq.migrations, 0u);
-  EXPECT_EQ(stats_seq.migrations, stats_par.migrations);
   EXPECT_EQ(stats_seq.migrations, stats_pipe.migrations);
-  EXPECT_EQ(seq.store->shard_clocks(), par.store->shard_clocks());
   EXPECT_EQ(seq.store->shard_clocks(), pipe.store->shard_clocks());
-  EXPECT_EQ(seq.store->shard_erases(), par.store->shard_erases());
   EXPECT_EQ(seq.store->shard_erases(), pipe.store->shard_erases());
-  EXPECT_EQ(stats_seq.migrate.total_us(), stats_par.migrate.total_us());
   EXPECT_EQ(stats_seq.migrate.total_us(), stats_pipe.migrate.total_us());
 
   // And the logical contents agree everywhere.
@@ -539,66 +533,6 @@ TEST(ShardRouterTest, ParallelRecoveryMatchesSequential) {
     ASSERT_TRUE(par->ReadPage(pid, b).ok());
     EXPECT_TRUE(BytesEqual(a, b)) << "pid " << pid;
   }
-}
-
-// Journal appends happen on the submitting thread at drained epoch
-// boundaries, so a journaled store's migrations must stay inside the
-// bit-determinism envelope: sequential and threaded execution of the same
-// schedule leave identical chip clocks, swap counts, and journal epochs.
-TEST(ShardRouterTest, JournaledMigrationsStayDeterministicAcrossModes) {
-  auto spec = methods::ParseMethodSpec("OPU");
-  ASSERT_TRUE(spec.ok());
-  constexpr uint32_t kShards = 4;
-  auto build = [&](Schedule* schedule) {
-    struct Rig {
-      std::vector<std::unique_ptr<flash::FlashDevice>> devices;
-      std::unique_ptr<ShardedStore> store;
-      std::unique_ptr<UpdateDriver> driver;
-    };
-    Rig rig;
-    std::vector<flash::FlashDevice*> ptrs;
-    const FlashConfig cfg = FlashConfig::Small(12).WithMetaBlocks(4);
-    for (uint32_t i = 0; i < kShards; ++i) {
-      rig.devices.push_back(std::make_unique<flash::FlashDevice>(cfg));
-      ptrs.push_back(rig.devices.back().get());
-    }
-    rig.store = methods::CreateShardedStoreOverDevices(ptrs, *spec);
-    EXPECT_TRUE(rig.store->EnableMetaJournal().ok());
-    WearLevelConfig wl;
-    wl.buckets_per_shard = 8;
-    wl.max_erase_ratio = 1.25;
-    wl.min_total_erases = 32;
-    EXPECT_TRUE(rig.store->router()->EnableRebalancing(wl).ok());
-    WorkloadParams params;
-    params.hot_shard_pct = 90.0;
-    params.rebalance_epoch_ops = 400;
-    rig.driver = std::make_unique<UpdateDriver>(rig.store.get(), params);
-    EXPECT_TRUE(rig.driver->LoadDatabase(160).ok());
-    EXPECT_TRUE(rig.driver->Warmup(1.0, 4000).ok());
-    *schedule = rig.driver->MakeSchedule(3000);
-    return rig;
-  };
-
-  Schedule schedule_seq;
-  auto seq = build(&schedule_seq);
-  RunStats stats_seq;
-  ASSERT_TRUE(seq.driver->RunBatched(schedule_seq, 8, &stats_seq).ok());
-
-  Schedule schedule_par;
-  auto par = build(&schedule_par);
-  RunStats stats_par;
-  {
-    ShardExecutor executor(kShards);
-    ASSERT_TRUE(
-        par.driver->RunParallel(schedule_par, 8, &executor, &stats_par).ok());
-  }
-
-  EXPECT_GT(stats_seq.migrations, 0u);
-  EXPECT_EQ(stats_seq.migrations, stats_par.migrations);
-  EXPECT_EQ(seq.store->shard_clocks(), par.store->shard_clocks());
-  EXPECT_EQ(seq.store->shard_erases(), par.store->shard_erases());
-  EXPECT_EQ(seq.store->journal_epochs(), par.store->journal_epochs());
-  EXPECT_EQ(seq.store->journal_epochs(), stats_seq.migrations);
 }
 
 // A journal-less store keeps the legacy contract: same-instance recovery

@@ -5,9 +5,7 @@
 // identically prepared rig must reproduce bit-identical flash state, virtual
 // clocks, latency histograms, and worst-op samples -- for both a loosely
 // coupled method (OPU) and the paper's differential method (PDL) at 1, 2,
-// and 4 shards. A second gate pins RNG-stream compatibility: the driver's
-// legacy mode over a 1-shard store is draw-for-draw identical to the
-// historical exp7 path (flat store + TpccWorkload::Run).
+// and 4 shards.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +21,6 @@ namespace flashdb::workload {
 namespace {
 
 using flash::FlashConfig;
-using flash::FlashDevice;
 
 constexpr uint32_t kPageSize = 2048;
 
@@ -179,55 +176,24 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// RNG-stream compatibility gate: the driver in legacy mode (1 shard, 1
-// client, no per-txn flush) consumes the workload RNG draw-for-draw like the
-// historical exp7 path, so device clock and every logical page must match a
-// flat-store TpccWorkload::Run of the same length.
-TEST(TpccDriverLegacyTest, SingleStreamMatchesExp7Path) {
-  const TpccScale scale = DriverScale();
-  const uint64_t seed = 42;
-  const uint32_t frames = 64;
-  const uint64_t txns = 200;
-
-  // Historical rig: flat chip, one workload, Run + FlushAll.
-  const uint32_t pages = TpccWorkload::RequiredPages(scale, kPageSize);
-  const uint32_t blocks = (pages * 2) / 64 + 8;
-  FlashDevice flat_dev(FlashConfig::Small(blocks));
-  auto spec = methods::ParseMethodSpec("PDL(256B)");
-  ASSERT_TRUE(spec.ok());
-  std::unique_ptr<PageStore> flat_store =
-      methods::CreateStore(&flat_dev, *spec);
-  ASSERT_TRUE(flat_store->Format(pages, nullptr, nullptr).ok());
-  storage::BufferPool flat_pool(flat_store.get(), frames);
-  TpccWorkload flat_tpcc(&flat_pool, scale, seed);
-  ASSERT_TRUE(flat_tpcc.Load().ok());
-  ASSERT_TRUE(flat_tpcc.Run(txns).ok());
-  ASSERT_TRUE(flat_pool.FlushAll().ok());
-
-  // Driver rig: 1-shard ShardedStore in legacy_single_stream mode.
+// Zero credits per shard can never submit anything: Serve rejects the
+// option up front, threaded and inline alike, instead of silently serving
+// at depth 1.
+TEST(TpccDriverOptionsTest, ZeroInflightPerShardIsRejected) {
   TpccDriverOptions opts;
-  opts.scale = scale;
-  opts.num_clients = 1;
-  opts.seed = seed;
-  opts.frames_per_shard = frames;
-  opts.flush_every_txn = false;
-  opts.legacy_single_stream = true;
-  ASSERT_EQ(TpccDriver::PagesPerShard(scale, kPageSize, 1), pages);
-  Rig rig = MakeRig("PDL(256B)", 1, opts);
-  ASSERT_TRUE(rig.driver->Load(nullptr).ok());
-  ASSERT_TRUE(rig.driver->Serve(txns, nullptr, nullptr).ok());
-  ASSERT_TRUE(rig.driver->FlushAll().ok());
+  opts.scale = DriverScale();
+  opts.num_clients = 2;
+  opts.frames_per_shard = 96;
+  opts.max_inflight_per_shard = 0;
 
-  EXPECT_EQ(rig.store->shard_clocks(),
-            std::vector<uint64_t>{flat_dev.clock().now_us()});
-  std::vector<ByteBuffer> flat_pages(pages);
-  for (PageId pid = 0; pid < pages; ++pid) {
-    flat_pages[pid].resize(kPageSize);
-    ASSERT_TRUE(flat_store->ReadPage(pid, flat_pages[pid]).ok());
-  }
-  EXPECT_EQ(DumpPages(rig.store.get()), flat_pages);
-  // The legacy commit log still captured the drawn mix.
-  EXPECT_EQ(rig.driver->commit_log().size(), txns);
+  Rig rig = MakeRig("OPU", 2, opts);
+  ASSERT_TRUE(rig.driver->Load(nullptr).ok());
+  ftl::ShardExecutor executor(2);
+  TpccRunStats stats;
+  EXPECT_TRUE(rig.driver->Serve(20, &executor, &stats).IsInvalidArgument());
+  EXPECT_TRUE(rig.driver->Serve(20, nullptr, &stats).IsInvalidArgument());
+  EXPECT_EQ(stats.transactions, 0u);
+  EXPECT_TRUE(rig.driver->commit_log().empty());
 }
 
 // 100% hotspot routing sends every transaction to warehouse 1 on shard 0:

@@ -5,10 +5,9 @@
 //      reorders the survivors.
 //   2. Merging sorts by (ts, shard, seq) and CanonicalBytes excludes
 //      wall-domain categories.
-//   3. Trace determinism across run modes: RunBatched / RunParallel /
-//      RunPipelined over the same schedule produce byte-identical canonical
-//      streams; concurrent TPC-C Serve equals its single-threaded Replay at
-//      1, 2, and 4 shards.
+//   3. Trace determinism: inline and threaded RunPipelined over the same
+//      schedule produce byte-identical canonical streams; concurrent TPC-C
+//      Serve equals its single-threaded Replay at 1, 2, and 4 shards.
 //   4. Recording changes nothing: a traced run's clocks, stats, and latency
 //      histogram are bit-identical to an untraced run's (null-sink
 //      contract).
@@ -134,29 +133,26 @@ Rig MakeRig(bool traced) {
   return rig;
 }
 
-TEST(TraceDeterminismTest, RunModesProduceIdenticalCanonicalStreams) {
-  Rig batched = MakeRig(true);
-  Rig parallel = MakeRig(true);
-  Rig pipelined = MakeRig(true);
-  // One schedule, three identically prepared rigs: the three modes execute
-  // the very same operations.
-  const workload::Schedule schedule = batched.driver->MakeSchedule(600);
+TEST(TraceDeterminismTest, InlineAndThreadedProduceIdenticalStreams) {
+  Rig inline_rig = MakeRig(true);
+  Rig threaded = MakeRig(true);
+  // One schedule, two identically prepared rigs: both execute the very same
+  // operations.
+  const workload::Schedule schedule = inline_rig.driver->MakeSchedule(600);
 
-  ftl::ShardExecutor par_exec(2);
-  ftl::ShardExecutor pipe_exec(2);
-  workload::RunStats s1, s2, s3;
-  ASSERT_TRUE(batched.driver->RunBatched(schedule, 8, &s1).ok());
-  ASSERT_TRUE(parallel.driver->RunParallel(schedule, 8, &par_exec, &s2).ok());
+  ftl::ShardExecutor executor(2);
+  workload::RunStats s1, s2;
   ASSERT_TRUE(
-      pipelined.driver->RunPipelined(schedule, 8, 4, &pipe_exec, &s3).ok());
+      inline_rig.driver->RunPipelined(schedule, 8, 4, nullptr, &s1).ok());
+  ASSERT_TRUE(
+      threaded.driver->RunPipelined(schedule, 8, 4, &executor, &s2).ok());
 
-  const std::string canon = batched.recorder->CanonicalBytes();
-  EXPECT_GT(batched.recorder->total_emitted(), 0u);
-  EXPECT_EQ(parallel.recorder->CanonicalBytes(), canon);
-  EXPECT_EQ(pipelined.recorder->CanonicalBytes(), canon);
+  const std::string canon = inline_rig.recorder->CanonicalBytes();
+  EXPECT_GT(inline_rig.recorder->total_emitted(), 0u);
+  EXPECT_EQ(threaded.recorder->CanonicalBytes(), canon);
   // The streams carry op spans: one per measured operation.
   uint64_t op_spans = 0;
-  for (const TraceEvent& e : batched.recorder->Merged(true)) {
+  for (const TraceEvent& e : inline_rig.recorder->Merged(true)) {
     if (e.cat == TraceCat::kOpSpan) ++op_spans;
   }
   EXPECT_EQ(op_spans, 600u);
@@ -167,8 +163,9 @@ TEST(TraceDeterminismTest, RecordingChangesNothing) {
   Rig untraced = MakeRig(false);
   const workload::Schedule schedule = traced.driver->MakeSchedule(500);
   workload::RunStats with, without;
-  ASSERT_TRUE(traced.driver->RunBatched(schedule, 8, &with).ok());
-  ASSERT_TRUE(untraced.driver->RunBatched(schedule, 8, &without).ok());
+  ASSERT_TRUE(traced.driver->RunPipelined(schedule, 8, 1, nullptr, &with).ok());
+  ASSERT_TRUE(
+      untraced.driver->RunPipelined(schedule, 8, 1, nullptr, &without).ok());
   // The null-sink contract: attaching a recorder must not move a single
   // virtual-time column.
   EXPECT_EQ(traced.store->shard_clocks(), untraced.store->shard_clocks());

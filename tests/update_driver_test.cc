@@ -177,7 +177,7 @@ TEST(UpdateDriverScheduleTest, MakeScheduleMatchesRunDistributions) {
   EXPECT_NEAR(static_cast<double>(updates) / 2000.0, 0.40, 0.05);
 }
 
-TEST(UpdateDriverBatchedTest, VerifiedBatchedStreamWithReadAfterWrite) {
+TEST(UpdateDriverPipelinedTest, VerifiedInlineWindowsWithReadAfterWrite) {
   // Small database + large windows force same-pid repeats inside a window,
   // exercising the queued-image read path under verification.
   FlashDevice dev(FlashConfig::Small(8));
@@ -189,173 +189,9 @@ TEST(UpdateDriverBatchedTest, VerifiedBatchedStreamWithReadAfterWrite) {
   ASSERT_TRUE(driver.LoadDatabase(20).ok());
   Schedule schedule = driver.MakeSchedule(600);
   RunStats stats;
-  ASSERT_TRUE(driver.RunBatched(schedule, 32, &stats).ok());
+  ASSERT_TRUE(driver.RunPipelined(schedule, 32, 1, nullptr, &stats).ok());
   EXPECT_EQ(stats.operations, 600u);
   EXPECT_GT(stats.update_ops, 0u);
-}
-
-TEST(UpdateDriverBatchedTest, BatchSizeOneMatchesUnbatchedFlashState) {
-  // Two identical stores, same seed: Run() vs MakeSchedule+RunBatched(1)
-  // must produce the same device clock (the schedules are draw-for-draw
-  // identical and windows of one op interleave reads/writes identically).
-  WorkloadParams params;
-  params.pct_update_ops = 100.0;
-  FlashDevice dev_a(FlashConfig::Small(8));
-  auto store_a = MakeStore(&dev_a, "PDL(256B)");
-  UpdateDriver driver_a(store_a.get(), params);
-  ASSERT_TRUE(driver_a.LoadDatabase(100).ok());
-  RunStats stats_a;
-  ASSERT_TRUE(driver_a.Run(400, &stats_a).ok());
-
-  FlashDevice dev_b(FlashConfig::Small(8));
-  auto store_b = MakeStore(&dev_b, "PDL(256B)");
-  UpdateDriver driver_b(store_b.get(), params);
-  ASSERT_TRUE(driver_b.LoadDatabase(100).ok());
-  Schedule schedule = driver_b.MakeSchedule(400);
-  RunStats stats_b;
-  ASSERT_TRUE(driver_b.RunBatched(schedule, 1, &stats_b).ok());
-
-  EXPECT_EQ(dev_a.clock().now_us(), dev_b.clock().now_us());
-  EXPECT_EQ(stats_a.read_step.total_us(), stats_b.read_step.total_us());
-  EXPECT_EQ(stats_a.write_step.total_us(), stats_b.write_step.total_us());
-  EXPECT_EQ(stats_a.gc.total_us(), stats_b.gc.total_us());
-}
-
-TEST(UpdateDriverParallelTest, MatchesRunBatchedPerShardClocks) {
-  auto spec = methods::ParseMethodSpec("PDL(256B)");
-  ASSERT_TRUE(spec.ok());
-  constexpr uint32_t kShards = 4;
-  WorkloadParams params;
-  params.verify = true;
-  params.pct_update_ops = 75.0;
-
-  auto prepare = [&](std::unique_ptr<ftl::ShardedStore>* store,
-                     std::unique_ptr<UpdateDriver>* driver) {
-    *store = methods::CreateShardedStore(FlashConfig::Small(8), kShards,
-                                         *spec);
-    *driver = std::make_unique<UpdateDriver>(store->get(), params);
-    ASSERT_TRUE((*driver)->LoadDatabase(150).ok());
-  };
-
-  std::unique_ptr<ftl::ShardedStore> store_seq, store_par;
-  std::unique_ptr<UpdateDriver> driver_seq, driver_par;
-  prepare(&store_seq, &driver_seq);
-  prepare(&store_par, &driver_par);
-
-  Schedule schedule_seq = driver_seq->MakeSchedule(800);
-  Schedule schedule_par = driver_par->MakeSchedule(800);
-
-  RunStats stats_seq, stats_par;
-  ASSERT_TRUE(driver_seq->RunBatched(schedule_seq, 8, &stats_seq).ok());
-  ftl::ShardExecutor executor(kShards);
-  ASSERT_TRUE(
-      driver_par->RunParallel(schedule_par, 8, &executor, &stats_par).ok());
-
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(store_seq->shard_device(s)->clock().now_us(),
-              store_par->shard_device(s)->clock().now_us())
-        << "shard " << s;
-  }
-  EXPECT_EQ(stats_seq.read_step.total_us(), stats_par.read_step.total_us());
-  EXPECT_EQ(stats_seq.write_step.total_us(),
-            stats_par.write_step.total_us());
-  EXPECT_EQ(stats_seq.gc.total_us(), stats_par.gc.total_us());
-  EXPECT_EQ(stats_seq.erases, stats_par.erases);
-
-  // And the logical contents agree everywhere.
-  ByteBuffer a(store_seq->device()->geometry().data_size);
-  ByteBuffer b(a.size());
-  for (PageId pid = 0; pid < 150; ++pid) {
-    ASSERT_TRUE(store_seq->ReadPage(pid, a).ok());
-    ASSERT_TRUE(store_par->ReadPage(pid, b).ok());
-    EXPECT_TRUE(BytesEqual(a, b)) << "pid " << pid;
-  }
-}
-
-TEST(UpdateDriverParallelTest, RunParallelIsDeterministicAcrossRuns) {
-  auto spec = methods::ParseMethodSpec("OPU");
-  ASSERT_TRUE(spec.ok());
-  constexpr uint32_t kShards = 3;
-  uint64_t clocks[2][kShards];
-  for (int round = 0; round < 2; ++round) {
-    auto store =
-        methods::CreateShardedStore(FlashConfig::Small(8), kShards, *spec);
-    WorkloadParams params;
-    UpdateDriver driver(store.get(), params);
-    ASSERT_TRUE(driver.LoadDatabase(120).ok());
-    Schedule schedule = driver.MakeSchedule(500);
-    ftl::ShardExecutor executor(kShards);
-    RunStats stats;
-    ASSERT_TRUE(driver.RunParallel(schedule, 4, &executor, &stats).ok());
-    for (uint32_t s = 0; s < kShards; ++s) {
-      clocks[round][s] = store->shard_device(s)->clock().now_us();
-    }
-  }
-  for (uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(clocks[0][s], clocks[1][s]) << "shard " << s;
-  }
-}
-
-TEST(UpdateDriverPipelinedTest, MatchesRunBatchedPerShardClocks) {
-  // Continuous credit-gated submission must leave every chip's device state
-  // exactly where the sequential batched replay leaves it -- for shallow and
-  // deep in-flight windows alike, on a skewed pid distribution.
-  auto spec = methods::ParseMethodSpec("PDL(256B)");
-  ASSERT_TRUE(spec.ok());
-  constexpr uint32_t kShards = 4;
-  WorkloadParams params;
-  params.verify = true;
-  params.pct_update_ops = 75.0;
-  params.hot_shard_pct = 50.0;  // shard 0 is the deliberate hotspot
-
-  auto prepare = [&](std::unique_ptr<ftl::ShardedStore>* store,
-                     std::unique_ptr<UpdateDriver>* driver) {
-    *store = methods::CreateShardedStore(FlashConfig::Small(8), kShards,
-                                         *spec);
-    *driver = std::make_unique<UpdateDriver>(store->get(), params);
-    ASSERT_TRUE((*driver)->LoadDatabase(150).ok());
-  };
-
-  for (uint32_t depth : {1u, 2u, 8u}) {
-    std::unique_ptr<ftl::ShardedStore> store_seq, store_pipe;
-    std::unique_ptr<UpdateDriver> driver_seq, driver_pipe;
-    prepare(&store_seq, &driver_seq);
-    prepare(&store_pipe, &driver_pipe);
-
-    Schedule schedule_seq = driver_seq->MakeSchedule(800);
-    Schedule schedule_pipe = driver_pipe->MakeSchedule(800);
-
-    RunStats stats_seq, stats_pipe;
-    ASSERT_TRUE(driver_seq->RunBatched(schedule_seq, 8, &stats_seq).ok());
-    // Ring capacity == depth: credits, not blocking pushes, are the
-    // backpressure.
-    ftl::ShardExecutor executor(kShards, depth);
-    ASSERT_TRUE(driver_pipe
-                    ->RunPipelined(schedule_pipe, 8, depth, &executor,
-                                   &stats_pipe)
-                    .ok());
-
-    for (uint32_t s = 0; s < kShards; ++s) {
-      EXPECT_EQ(store_seq->shard_device(s)->clock().now_us(),
-                store_pipe->shard_device(s)->clock().now_us())
-          << "depth " << depth << " shard " << s;
-    }
-    EXPECT_EQ(stats_seq.read_step.total_us(),
-              stats_pipe.read_step.total_us());
-    EXPECT_EQ(stats_seq.write_step.total_us(),
-              stats_pipe.write_step.total_us());
-    EXPECT_EQ(stats_seq.gc.total_us(), stats_pipe.gc.total_us());
-    EXPECT_EQ(stats_seq.erases, stats_pipe.erases);
-    EXPECT_EQ(stats_pipe.operations, 800u);
-
-    ByteBuffer a(store_seq->device()->geometry().data_size);
-    ByteBuffer b(a.size());
-    for (PageId pid = 0; pid < 150; ++pid) {
-      ASSERT_TRUE(store_seq->ReadPage(pid, a).ok());
-      ASSERT_TRUE(store_pipe->ReadPage(pid, b).ok());
-      EXPECT_TRUE(BytesEqual(a, b)) << "pid " << pid;
-    }
-  }
 }
 
 TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
@@ -381,7 +217,7 @@ TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
   // the per-shard progress counters: shard 0's clock and write count pull
   // ahead of every sibling, and the clock spread is exactly shard_lag_us.
   RunStats stats;
-  ASSERT_TRUE(driver.RunBatched(schedule, 8, &stats).ok());
+  ASSERT_TRUE(driver.RunPipelined(schedule, 8, 1, nullptr, &stats).ok());
   std::vector<ftl::ShardedStore::ShardProgress> progress =
       store->shard_progress();
   ASSERT_EQ(progress.size(), kShards);
@@ -433,46 +269,22 @@ TEST(UpdateDriverPipelinedTest, RejectsBadArguments) {
                   .IsInvalidArgument());  // batch_size 0
   EXPECT_TRUE(driver.RunPipelined(schedule, 4, 0, &executor, &stats)
                   .IsInvalidArgument());  // max_inflight 0
-  EXPECT_TRUE(driver.RunPipelined(schedule, 4, 2, nullptr, &stats)
-                  .IsInvalidArgument());  // no executor
+  EXPECT_TRUE(driver.RunPipelined(schedule, 4, 0, nullptr, &stats)
+                  .IsInvalidArgument());  // max_inflight 0, inline too
   ftl::ShardExecutor short_executor(2);
   EXPECT_TRUE(driver.RunPipelined(schedule, 4, 2, &short_executor, &stats)
                   .IsInvalidArgument());  // 2 workers < 4 shards
+  // A null executor is the inline engine, not an error.
+  EXPECT_TRUE(driver.RunPipelined(schedule, 4, 2, nullptr, &stats).ok());
 
-  // A flat store is pipelineable (single-worker mode): it only rejects a
-  // missing executor, never the store itself.
+  // A flat store pipelines on one worker, or inline.
   FlashDevice dev(FlashConfig::Small(8));
   auto flat = MakeStore(&dev, "OPU");
   UpdateDriver flat_driver(flat.get(), params);
   ASSERT_TRUE(flat_driver.LoadDatabase(50).ok());
   Schedule s2 = flat_driver.MakeSchedule(10);
-  EXPECT_TRUE(flat_driver.RunPipelined(s2, 4, 2, nullptr, &stats)
-                  .IsInvalidArgument());  // no executor
+  EXPECT_TRUE(flat_driver.RunPipelined(s2, 4, 2, nullptr, &stats).ok());
   EXPECT_TRUE(flat_driver.RunPipelined(s2, 4, 2, &executor, &stats).ok());
-}
-
-TEST(UpdateDriverParallelTest, RejectsFlatStoreAndShortExecutor) {
-  FlashDevice dev(FlashConfig::Small(8));
-  auto store = MakeStore(&dev, "OPU");
-  WorkloadParams params;
-  UpdateDriver driver(store.get(), params);
-  ASSERT_TRUE(driver.LoadDatabase(50).ok());
-  Schedule schedule = driver.MakeSchedule(10);
-  ftl::ShardExecutor executor(1);
-  RunStats stats;
-  EXPECT_TRUE(driver.RunParallel(schedule, 4, &executor, &stats)
-                  .IsInvalidArgument());
-
-  auto spec = methods::ParseMethodSpec("OPU");
-  auto sharded =
-      methods::CreateShardedStore(FlashConfig::Small(8), 4, *spec);
-  UpdateDriver sharded_driver(sharded.get(), params);
-  ASSERT_TRUE(sharded_driver.LoadDatabase(50).ok());
-  Schedule s2 = sharded_driver.MakeSchedule(10);
-  EXPECT_TRUE(sharded_driver.RunParallel(s2, 4, &executor, &stats)
-                  .IsInvalidArgument());  // 1 worker < 4 shards
-  EXPECT_TRUE(sharded_driver.RunParallel(s2, 0, nullptr, &stats)
-                  .IsInvalidArgument());  // batch_size 0
 }
 
 }  // namespace
