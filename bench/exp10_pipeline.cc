@@ -155,8 +155,11 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
         static_cast<double>(env.measure_ops);
     point.lag_ms = static_cast<double>(run.store->shard_lag_us()) / 1000.0;
     const double ops = static_cast<double>(env.measure_ops);
-    point.gc_us_per_op = static_cast<double>(stats.gc.total_us()) / ops;
-    point.meta_us_per_op = static_cast<double>(stats.meta.total_us()) / ops;
+    const flash::DeviceCounters& dc = stats.device;
+    point.gc_us_per_op =
+        static_cast<double>(dc.of(flash::OpCategory::kGc).total_us()) / ops;
+    point.meta_us_per_op =
+        static_cast<double>(dc.of(flash::OpCategory::kMeta).total_us()) / ops;
     const double wait_ms =
         static_cast<double>(stats.credit_wait_ns) / 1e6;
     if (rep == 0 || wait_ms < point.wait_ms) point.wait_ms = wait_ms;

@@ -129,9 +129,9 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.retry_us_per_op = stats.retry_us_per_op();
-  point.retries = stats.read_retries;
-  point.corrected = stats.reads_corrected;
-  point.uncorrectable = stats.reads_uncorrectable;
+  point.retries = stats.device.integrity.read_retries;
+  point.corrected = stats.device.integrity.reads_corrected;
+  point.uncorrectable = stats.device.integrity.reads_uncorrectable;
   point.scrub_us_per_op = stats.scrub_us_per_op();
   point.relocated = stats.scrub_relocations;
 

@@ -44,14 +44,16 @@ int main(int argc, char** argv) {
     }
     const workload::RunStats& s = r->stats;
     const double ops = static_cast<double>(s.operations);
-    read_tbl.AddRow({r->method, TablePrinter::Num(s.read_step.total_us() / ops),
-                     TablePrinter::Num(s.read_step.reads / ops, 2)});
-    write_tbl.AddRow(
-        {r->method,
-         TablePrinter::Num((s.write_step.total_us() + s.gc.total_us()) / ops),
-         TablePrinter::Num(s.gc.total_us() / ops),
-         TablePrinter::Num(s.write_step.read_us / ops),
-         TablePrinter::Num((s.write_step.writes + s.gc.writes) / ops, 2)});
+    const flash::OpCounters& rd = s.device.of(flash::OpCategory::kReadStep);
+    const flash::OpCounters& wr = s.device.of(flash::OpCategory::kWriteStep);
+    const flash::OpCounters& gc = s.device.of(flash::OpCategory::kGc);
+    read_tbl.AddRow({r->method, TablePrinter::Num(rd.total_us() / ops),
+                     TablePrinter::Num(rd.reads / ops, 2)});
+    write_tbl.AddRow({r->method,
+                      TablePrinter::Num((wr.total_us() + gc.total_us()) / ops),
+                      TablePrinter::Num(gc.total_us() / ops),
+                      TablePrinter::Num(wr.read_us / ops),
+                      TablePrinter::Num((wr.writes + gc.writes) / ops, 2)});
     overall_tbl.AddRow({r->method, TablePrinter::Num(s.overall_us_per_op())});
   }
 

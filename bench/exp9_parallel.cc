@@ -148,8 +148,11 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
       static_cast<double>(run.store->total_work_us() - total0) /
       static_cast<double>(env.measure_ops);
   const double ops = static_cast<double>(env.measure_ops);
-  point.gc_us_per_op = static_cast<double>(stats.gc.total_us()) / ops;
-  point.meta_us_per_op = static_cast<double>(stats.meta.total_us()) / ops;
+  const flash::DeviceCounters& dc = stats.device;
+  point.gc_us_per_op =
+      static_cast<double>(dc.of(flash::OpCategory::kGc).total_us()) / ops;
+  point.meta_us_per_op =
+      static_cast<double>(dc.of(flash::OpCategory::kMeta).total_us()) / ops;
   point.plane_stall_us_per_op =
       static_cast<double>(stats.plane_stall_us) / ops;
   point.p50_us = stats.latency.p50();

@@ -120,28 +120,58 @@ struct IntegrityCounters {
   uint64_t reads_corrected = 0;      ///< Reads clean after >= 1 retry.
   uint64_t reads_uncorrectable = 0;  ///< Reads still corrupt after the ladder.
 
-  IntegrityCounters operator-(const IntegrityCounters& o) const {
-    IntegrityCounters r;
-    r.read_retries = read_retries - o.read_retries;
-    r.retry_us = retry_us - o.retry_us;
-    r.reads_corrected = reads_corrected - o.reads_corrected;
-    r.reads_uncorrectable = reads_uncorrectable - o.reads_uncorrectable;
-    return r;
-  }
-  IntegrityCounters& operator+=(const IntegrityCounters& o) {
-    read_retries += o.read_retries;
-    retry_us += o.retry_us;
-    reads_corrected += o.reads_corrected;
-    reads_uncorrectable += o.reads_uncorrectable;
-    return *this;
-  }
+  friend bool operator==(const IntegrityCounters& a,
+                         const IntegrityCounters& b) = default;
 };
 
-/// Snapshot-friendly statistics block owned by the device.
-struct FlashStats {
+/// The scalar device counters: op counts and virtual time, globally and per
+/// accounting category, plus the read-path integrity classification. The
+/// one value type of device accounting: a run's breakdown is the delta of
+/// two snapshots (after - before), a multi-chip total is their sum (+=).
+struct DeviceCounters {
   OpCounters total;
   std::array<OpCounters, kNumOpCategories> by_category;
-  IntegrityCounters integrity;               ///< Read-error classification.
+  IntegrityCounters integrity;  ///< Read-error classification.
+
+  const OpCounters& of(OpCategory c) const {
+    return by_category[static_cast<int>(c)];
+  }
+
+  DeviceCounters& operator+=(const DeviceCounters& o) {
+    total += o.total;
+    for (int c = 0; c < kNumOpCategories; ++c) {
+      by_category[c] += o.by_category[c];
+    }
+    integrity.read_retries += o.integrity.read_retries;
+    integrity.retry_us += o.integrity.retry_us;
+    integrity.reads_corrected += o.integrity.reads_corrected;
+    integrity.reads_uncorrectable += o.integrity.reads_uncorrectable;
+    return *this;
+  }
+
+  DeviceCounters operator-(const DeviceCounters& o) const {
+    DeviceCounters r;
+    r.total = total - o.total;
+    for (int c = 0; c < kNumOpCategories; ++c) {
+      r.by_category[c] = by_category[c] - o.by_category[c];
+    }
+    r.integrity.read_retries =
+        integrity.read_retries - o.integrity.read_retries;
+    r.integrity.retry_us = integrity.retry_us - o.integrity.retry_us;
+    r.integrity.reads_corrected =
+        integrity.reads_corrected - o.integrity.reads_corrected;
+    r.integrity.reads_uncorrectable =
+        integrity.reads_uncorrectable - o.integrity.reads_uncorrectable;
+    return r;
+  }
+
+  friend bool operator==(const DeviceCounters& a,
+                         const DeviceCounters& b) = default;
+};
+
+/// Snapshot-friendly statistics block owned by the device: the scalar
+/// counters plus the geometry-sized wear and plane vectors.
+struct FlashStats : DeviceCounters {
   std::vector<uint32_t> block_erase_counts;  ///< Per-block wear (longevity).
   std::vector<PlaneCounters> plane;          ///< Per-plane busy/stall model.
 
@@ -154,18 +184,10 @@ struct FlashStats {
     for (const auto& p : plane) s += p.stall_us;
     return s;
   }
-  /// Sum of per-plane busy time (equals total.total_us() on 1-plane chips).
-  uint64_t plane_busy_us() const {
-    uint64_t s = 0;
-    for (const auto& p : plane) s += p.busy_us;
-    return s;
-  }
 
   /// Resets all counters (geometry-sized vectors keep their size).
   void Reset() {
-    total = OpCounters{};
-    by_category.fill(OpCounters{});
-    integrity = IntegrityCounters{};
+    static_cast<DeviceCounters&>(*this) = DeviceCounters{};
     for (auto& e : block_erase_counts) e = 0;
     for (auto& p : plane) p = PlaneCounters{};
   }

@@ -22,6 +22,19 @@ void StripedInit(PageId inner_pid, MutBytes page, void* arg) {
   ctx->initial(inner_pid * ctx->num_shards + ctx->shard, page,
                ctx->initial_arg);
 }
+
+/// Copies whole page images into one chip's store: the write path of both
+/// bucket migration and journal redo. Each image is first announced as a
+/// full-page update, because a log-based method (IPL) persists only the
+/// update logs it is shown, never the image WriteBack hands it. Methods
+/// that ignore OnUpdate see exactly the WriteBatch.
+Status WritePageImages(PageStore* s, std::span<const PageWrite> writes) {
+  for (const PageWrite& w : writes) {
+    const UpdateLog whole{0, ByteBuffer(w.page.begin(), w.page.end())};
+    FLASHDB_RETURN_IF_ERROR(s->OnUpdate(w.pid, w.page, whole));
+  }
+  return s->WriteBatch(writes);
+}
 }  // namespace
 
 ShardedStore::ShardedStore(std::vector<Shard> shards)
@@ -307,7 +320,7 @@ Status ShardedStore::ApplyRedo(const MetaJournal::Record& snapshot,
       }
       writes.push_back(PageWrite{set.inner_pids[k], set.images[k]});
     }
-    FLASHDB_RETURN_IF_ERROR(s->WriteBatch(writes));
+    FLASHDB_RETURN_IF_ERROR(WritePageImages(s, writes));
     // The completion record appended after the redo asserts durability.
     return s->Flush();
   };
@@ -495,7 +508,7 @@ Status ShardedStore::MigrateBuckets(std::span<const ShardRouter::Swap> swaps,
       for (uint32_t k = 0; k < m; ++k) {
         writes.push_back(PageWrite{slot + k * stride, images[k]});
       }
-      FLASHDB_RETURN_IF_ERROR(s->WriteBatch(writes));
+      FLASHDB_RETURN_IF_ERROR(WritePageImages(s, writes));
       // With a journal, the completion record appended after these writes
       // asserts the copies are *durable* -- write-through any RAM-buffered
       // differentials (PDL) before it can be written. Without a journal the
@@ -581,11 +594,7 @@ flash::FlashStats ShardedStore::stats() {
   flash::FlashStats agg;
   for (Shard& s : shards_) {
     const flash::FlashStats shard_stats = s.store->stats();
-    agg.total += shard_stats.total;
-    agg.integrity += shard_stats.integrity;
-    for (int c = 0; c < flash::kNumOpCategories; ++c) {
-      agg.by_category[c] += shard_stats.by_category[c];
-    }
+    agg += shard_stats;
     agg.block_erase_counts.insert(agg.block_erase_counts.end(),
                                   shard_stats.block_erase_counts.begin(),
                                   shard_stats.block_erase_counts.end());
@@ -609,18 +618,6 @@ uint64_t ShardedStore::parallel_time_us() const {
     m = std::max(m, s.device->clock().now_us());
   }
   return m;
-}
-
-std::vector<ShardedStore::ShardProgress> ShardedStore::shard_progress() {
-  std::vector<ShardProgress> progress(num_shards());
-  for (uint32_t i = 0; i < num_shards(); ++i) {
-    const flash::FlashStats s = shards_[i].store->stats();
-    progress[i].clock_us = shards_[i].device->clock().now_us();
-    progress[i].reads = s.total.reads;
-    progress[i].writes = s.total.writes;
-    progress[i].erases = s.total.erases;
-  }
-  return progress;
 }
 
 uint64_t ShardedStore::shard_lag_us() const {

@@ -203,19 +203,8 @@ class ShardedStore : public PageStore {
   /// quiescence contract as stats().
   std::vector<uint64_t> shard_clocks() const;
 
-  /// Per-shard progress snapshot, the raw material for observing skew: a hot
-  /// shard shows up as a clock (and op count) pulling ahead of the others.
-  /// Read while the shards are quiescent (or from their own workers) -- the
-  /// counters live in per-shard device state, not in shared atomics.
-  struct ShardProgress {
-    uint64_t clock_us = 0;  ///< Virtual busy time of the chip.
-    uint64_t reads = 0;     ///< Device page reads served.
-    uint64_t writes = 0;    ///< Device page programs (full + partial).
-    uint64_t erases = 0;    ///< Block erases.
-  };
-  std::vector<ShardProgress> shard_progress();
   /// Clock spread max-min over the shards: 0 on a perfectly balanced run,
-  /// growing with pid skew. Same quiescence requirement as shard_progress().
+  /// growing with pid skew. Same quiescence contract as stats().
   uint64_t shard_lag_us() const;
 
  private:

@@ -3,8 +3,6 @@
 #include "flash/flash_stats.h"
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
-#include "obs/trace_recorder.h"
-#include "storage/buffer_pool.h"
 #include "workload/latency_histogram.h"
 #include "workload/tpcc.h"
 #include "workload/tpcc_driver.h"
@@ -69,36 +67,6 @@ void ImportHistogram(MetricsRegistry* reg, const std::string& prefix,
   reg->Set(prefix + ".max", static_cast<double>(h.max()), Kind::kHist);
 }
 
-void ImportFlashStats(MetricsRegistry* reg, const std::string& prefix,
-                      const flash::FlashStats& s) {
-  ImportOpCounters(reg, prefix, s.total);
-  for (int c = 0; c < flash::kNumOpCategories; ++c) {
-    const flash::OpCounters& oc = s.by_category[c];
-    if (oc.total_ops() == 0) continue;  // keep the object readable
-    reg->Set(prefix + ".cat." + CategorySlug(c) + ".ops",
-             static_cast<double>(oc.total_ops()), Kind::kCounter);
-    reg->Set(prefix + ".cat." + CategorySlug(c) + ".us",
-             static_cast<double>(oc.total_us()), Kind::kCounter);
-  }
-  const flash::WearSummary w = s.wear();
-  reg->Set(prefix + ".wear.max", static_cast<double>(w.max));
-  reg->Set(prefix + ".wear.mean", w.mean);
-  reg->Set(prefix + ".wear.cv", w.cv());
-  reg->Set(prefix + ".plane.busy_us", static_cast<double>(s.plane_busy_us()),
-           Kind::kCounter);
-  reg->Set(prefix + ".plane.stall_us",
-           static_cast<double>(s.plane_stall_us()), Kind::kCounter);
-  reg->Set(prefix + ".integrity.read_retries",
-           static_cast<double>(s.integrity.read_retries), Kind::kCounter);
-  reg->Set(prefix + ".integrity.retry_us",
-           static_cast<double>(s.integrity.retry_us), Kind::kCounter);
-  reg->Set(prefix + ".integrity.reads_corrected",
-           static_cast<double>(s.integrity.reads_corrected), Kind::kCounter);
-  reg->Set(prefix + ".integrity.reads_uncorrectable",
-           static_cast<double>(s.integrity.reads_uncorrectable),
-           Kind::kCounter);
-}
-
 void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
                     const workload::RunStats& s) {
   reg->Set(prefix + ".operations", static_cast<double>(s.operations),
@@ -108,23 +76,25 @@ void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
   reg->Set(prefix + ".read_us_per_op", s.read_us_per_op());
   reg->Set(prefix + ".write_us_per_op", s.write_us_per_op());
   reg->Set(prefix + ".overall_us_per_op", s.overall_us_per_op());
-  ImportOpCounters(reg, prefix + ".read_step", s.read_step);
-  ImportOpCounters(reg, prefix + ".write_step", s.write_step);
-  ImportOpCounters(reg, prefix + ".gc", s.gc);
-  ImportOpCounters(reg, prefix + ".migrate", s.migrate);
-  ImportOpCounters(reg, prefix + ".meta", s.meta);
-  ImportOpCounters(reg, prefix + ".scrub", s.scrub);
-  reg->Set(prefix + ".erases", static_cast<double>(s.erases), Kind::kCounter);
+  for (int c = 0; c < flash::kNumOpCategories; ++c) {
+    const flash::OpCounters& oc = s.device.by_category[c];
+    if (oc.total_ops() != 0) {
+      ImportOpCounters(reg, prefix + "." + CategorySlug(c), oc);
+    }
+  }
+  reg->Set(prefix + ".erases", static_cast<double>(s.device.total.erases),
+           Kind::kCounter);
   reg->Set(prefix + ".migrations", static_cast<double>(s.migrations),
            Kind::kCounter);
   reg->Set(prefix + ".scrub_candidates",
            static_cast<double>(s.scrub_candidates), Kind::kCounter);
   reg->Set(prefix + ".scrub_relocations",
            static_cast<double>(s.scrub_relocations), Kind::kCounter);
-  reg->Set(prefix + ".read_retries", static_cast<double>(s.read_retries),
+  reg->Set(prefix + ".read_retries",
+           static_cast<double>(s.device.integrity.read_retries),
            Kind::kCounter);
-  reg->Set(prefix + ".retry_us", static_cast<double>(s.retry_us),
-           Kind::kCounter);
+  reg->Set(prefix + ".retry_us",
+           static_cast<double>(s.device.integrity.retry_us), Kind::kCounter);
   reg->Set(prefix + ".plane_stall_us", static_cast<double>(s.plane_stall_us),
            Kind::kCounter);
   reg->Set(prefix + ".elapsed_vt_us", static_cast<double>(s.elapsed_vt_us));
@@ -159,17 +129,6 @@ void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
     if (ts.latency.count() != 0) ImportHistogram(reg, p + ".latency",
                                                  ts.latency);
   }
-}
-
-void ImportBufferPoolStats(MetricsRegistry* reg, const std::string& prefix,
-                           const storage::BufferPoolStats& s) {
-  reg->Set(prefix + ".hits", static_cast<double>(s.hits), Kind::kCounter);
-  reg->Set(prefix + ".misses", static_cast<double>(s.misses), Kind::kCounter);
-  reg->Set(prefix + ".evictions", static_cast<double>(s.evictions),
-           Kind::kCounter);
-  reg->Set(prefix + ".dirty_writebacks",
-           static_cast<double>(s.dirty_writebacks), Kind::kCounter);
-  reg->Set(prefix + ".hit_rate", s.hit_rate());
 }
 
 void ImportExecutorStats(MetricsRegistry* reg, const std::string& prefix,
@@ -209,15 +168,6 @@ void ImportShardedStoreStats(MetricsRegistry* reg, const std::string& prefix,
   reg->Set(prefix + ".shard_lag_us", static_cast<double>(store.shard_lag_us()));
   reg->Set(prefix + ".journal_epochs",
            static_cast<double>(store.journal_epochs()), Kind::kCounter);
-}
-
-void ImportTraceStats(MetricsRegistry* reg, const std::string& prefix,
-                      const TraceRecorder& rec) {
-  reg->Set(prefix + ".emitted", static_cast<double>(rec.total_emitted()),
-           Kind::kCounter);
-  reg->Set(prefix + ".dropped", static_cast<double>(rec.total_dropped()),
-           Kind::kCounter);
-  reg->Set(prefix + ".shards", static_cast<double>(rec.num_shards()));
 }
 
 }  // namespace flashdb::obs

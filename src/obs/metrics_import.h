@@ -4,8 +4,8 @@
 // the hot paths untouched -- the registry is populated at report time only,
 // so it can never perturb a virtual clock or a gated column.
 //
-// Naming convention: "<prefix>.<field>", e.g. "flash.erases",
-// "run.latency.p999", "exec.shard0.in_flight". Histograms import as
+// Naming convention: "<prefix>.<field>", e.g. "run.gc.erases",
+// "run.latency.p999", "executor.worker0.in_flight". Histograms import as
 // Kind::kHist summary fields (count/mean/p50/p95/p99/p999/max).
 
 #ifndef FLASHDB_OBS_METRICS_IMPORT_H_
@@ -15,16 +15,10 @@
 
 #include "obs/metrics_registry.h"
 
-namespace flashdb::flash {
-struct FlashStats;
-}
 namespace flashdb::ftl {
 class ShardExecutor;
 class ShardedStore;
 }  // namespace flashdb::ftl
-namespace flashdb::storage {
-struct BufferPoolStats;
-}
 namespace flashdb::workload {
 class LatencyHistogram;
 struct RunStats;
@@ -33,19 +27,13 @@ struct TpccRunStats;
 
 namespace flashdb::obs {
 
-class TraceRecorder;
-
 /// Histogram summary: <prefix>.count/.mean/.p50/.p95/.p99/.p999/.max.
 void ImportHistogram(MetricsRegistry* reg, const std::string& prefix,
                      const workload::LatencyHistogram& h);
 
-/// Device traffic: ops/us totals, per-category totals, wear (max/mean/cv),
-/// plane busy/stall, read-retry integrity counters.
-void ImportFlashStats(MetricsRegistry* reg, const std::string& prefix,
-                      const flash::FlashStats& s);
-
-/// Workload run breakdown: per-op figures, category totals, stall
-/// attribution, credit_wait, latency histogram, worst-op attribution.
+/// Workload run breakdown: per-op figures, one <prefix>.<category>.* group
+/// per device category the run touched, stall attribution, credit_wait,
+/// latency histogram, worst-op attribution.
 void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
                     const workload::RunStats& s);
 
@@ -53,10 +41,6 @@ void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
 /// elapsed/total virtual time, credit_wait.
 void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
                      const workload::TpccRunStats& s);
-
-/// Buffer pool: hits/misses/evictions/dirty write-backs/hit rate.
-void ImportBufferPoolStats(MetricsRegistry* reg, const std::string& prefix,
-                           const storage::BufferPoolStats& s);
 
 /// Executor: per-worker submitted/completed/in_flight (queue depth) and the
 /// pinned-worker count. Read while quiescent for exact values.
@@ -67,10 +51,6 @@ void ImportExecutorStats(MetricsRegistry* reg, const std::string& prefix,
 /// total_work_us (sum), shard lag, journal epochs.
 void ImportShardedStoreStats(MetricsRegistry* reg, const std::string& prefix,
                              const ftl::ShardedStore& store);
-
-/// Trace recorder health: events emitted/dropped (total and per lane).
-void ImportTraceStats(MetricsRegistry* reg, const std::string& prefix,
-                      const TraceRecorder& rec);
 
 }  // namespace flashdb::obs
 

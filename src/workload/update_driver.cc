@@ -8,7 +8,6 @@
 #include "flash/flash_device.h"
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "workload/credit_stream.h"
 
@@ -330,23 +329,7 @@ void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
   out->operations += operations;
   out->update_ops += update_ops;
   const flash::FlashStats after = store_->stats();
-  const auto delta = [&](flash::OpCategory c) {
-    return after.by_category[static_cast<int>(c)] -
-           before.by_category[static_cast<int>(c)];
-  };
-  out->read_step += delta(flash::OpCategory::kReadStep);
-  out->write_step += delta(flash::OpCategory::kWriteStep);
-  out->gc += delta(flash::OpCategory::kGc);
-  out->migrate += delta(flash::OpCategory::kMigrate);
-  out->meta += delta(flash::OpCategory::kMeta);
-  out->scrub += delta(flash::OpCategory::kScrub);
-  out->erases += after.total.erases - before.total.erases;
-  const flash::IntegrityCounters integrity =
-      after.integrity - before.integrity;
-  out->read_retries += integrity.read_retries;
-  out->retry_us += integrity.retry_us;
-  out->reads_corrected += integrity.reads_corrected;
-  out->reads_uncorrectable += integrity.reads_uncorrectable;
+  out->device += after - before;
   out->plane_stall_us += after.plane_stall_us() - before.plane_stall_us();
   out->elapsed_vt_us += StoreClockUs() - clock0_us;
   out->latency.Merge(pending_latency_);
@@ -377,7 +360,6 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
   // window boundaries (and therefore virtual clocks) as a leveling-on run
   // that happens to plan zero migrations.
   const size_t chunk_ops = epoch == 0 ? all.size() : epoch;
-  uint64_t epoch_index = 0;
   for (size_t begin = 0; begin < all.size(); begin += chunk_ops) {
     const ChunkSpan chunk =
         all.subspan(begin, std::min(chunk_ops, all.size() - begin));
@@ -393,24 +375,6 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
       FLASHDB_RETURN_IF_ERROR(RebalanceEpoch(chunk, executor, out));
     }
     if (scrubbing && more) FLASHDB_RETURN_IF_ERROR(ScrubEpoch(out));
-    if (params_.metrics != nullptr) {
-      // Epoch time series: cumulative values at the quiescent boundary;
-      // per-epoch deltas are differences of consecutive snapshots.
-      obs::MetricsRegistry* m = params_.metrics;
-      const flash::FlashStats st = store_->stats();
-      m->Set("epoch.ops", static_cast<double>(begin + chunk.size()));
-      m->Set("epoch.erases", static_cast<double>(st.total.erases));
-      m->Set("epoch.clock_us", static_cast<double>(StoreClockUs()));
-      m->Set("epoch.gc_us",
-             static_cast<double>(
-                 st.by_category[static_cast<int>(flash::OpCategory::kGc)]
-                     .total_us()));
-      m->Set("epoch.migrations", static_cast<double>(out->migrations));
-      m->Set("epoch.scrub_relocations",
-             static_cast<double>(out->scrub_relocations));
-      m->SnapshotEpoch(epoch_index);
-    }
-    ++epoch_index;
   }
   uint64_t update_ops = 0;
   for (const PlannedOp& op : schedule) update_ops += op.is_update ? 1 : 0;

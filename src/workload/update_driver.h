@@ -34,7 +34,6 @@ class ShardedStore;
 }  // namespace flashdb::ftl
 
 namespace flashdb::obs {
-class MetricsRegistry;
 class TraceShard;
 }  // namespace flashdb::obs
 
@@ -85,11 +84,6 @@ struct WorkloadParams {
   /// never changes any gated virtual-time column. Off by default to keep
   /// the WriteBatch fast path.
   bool record_latency = false;
-  /// Optional metrics sink: when set, RunPipelined takes an epoch-granular
-  /// snapshot (ops, erases, clock, GC time) at every rebalance-epoch
-  /// boundary -- the time-series half of the bench "metrics" object.
-  /// Written only at quiescent boundaries, never on the hot path.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// The slowest operation of a run, with the per-cause breakdown of where its
@@ -136,26 +130,19 @@ WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
 struct RunStats {
   uint64_t operations = 0;        ///< Operations executed (cycles + reads).
   uint64_t update_ops = 0;        ///< Of which update operations.
-  flash::OpCounters read_step;    ///< Reading-step device traffic.
-  flash::OpCounters write_step;   ///< Writing-step device traffic (no GC).
-  flash::OpCounters gc;           ///< Garbage collection / merging traffic.
-  flash::OpCounters migrate;      ///< Wear-leveling migration traffic.
-  flash::OpCounters meta;         ///< Durable-metadata journal traffic.
-  flash::OpCounters scrub;        ///< Background scrub / relocation traffic.
+  /// Device traffic of the run: the delta of the store's counters, summed
+  /// over every chip. device.of(kReadStep) is the reading step, kWriteStep
+  /// the writing step without GC, kGc garbage collection and merging,
+  /// kMigrate / kMeta / kScrub the wear-leveling, journal and scrub
+  /// traffic; device.integrity classifies the run's reads.
+  flash::DeviceCounters device;
   uint64_t migrations = 0;        ///< Bucket swaps committed during the run.
-  uint64_t erases = 0;            ///< Total erase operations in the run.
   uint64_t scrub_candidates = 0;  ///< Flagged pages drained by scrub sweeps.
   uint64_t scrub_relocations = 0; ///< Live pages the scrubber rewrote.
 
-  // --- Read-path integrity (delta of FlashStats::integrity) ---------------
-  uint64_t read_retries = 0;        ///< Re-read attempts after a failed read.
-  uint64_t retry_us = 0;            ///< Virtual time spent on those retries.
-  uint64_t reads_corrected = 0;     ///< Reads clean only after retrying.
-  uint64_t reads_uncorrectable = 0; ///< Reads corrupt after the full ladder.
-
   // --- Stall attribution --------------------------------------------------
   // Where an operation's virtual time went beyond the raw command latencies:
-  // gc/migrate/meta above attribute induced device traffic; the two fields
+  // the device categories above attribute induced traffic; the two fields
   // below attribute waiting.
   /// Virtual time ops spent queued behind same-plane work while another
   /// plane of the chip was idle (delta of FlashStats::plane_stall_us over
@@ -183,17 +170,20 @@ struct RunStats {
   /// WorstOpSample). Invalid when recording is off.
   WorstOpSample worst_op;
 
+  /// `v` per operation (0 for an empty run).
+  double PerOp(uint64_t v) const {
+    return operations == 0 ? 0
+                           : static_cast<double>(v) /
+                                 static_cast<double>(operations);
+  }
   /// Paper-style per-operation figures (microseconds).
   double read_us_per_op() const {
-    return operations == 0 ? 0 : static_cast<double>(read_step.total_us()) /
-                                     static_cast<double>(operations);
+    return PerOp(device.of(flash::OpCategory::kReadStep).total_us());
   }
   /// GC is amortized into the write cost, as in Fig. 12b.
   double write_us_per_op() const {
-    return operations == 0
-               ? 0
-               : static_cast<double>(write_step.total_us() + gc.total_us()) /
-                     static_cast<double>(operations);
+    return PerOp(device.of(flash::OpCategory::kWriteStep).total_us() +
+                 device.of(flash::OpCategory::kGc).total_us());
   }
   double overall_us_per_op() const {
     return read_us_per_op() + write_us_per_op();
@@ -201,23 +191,14 @@ struct RunStats {
   /// Wear-leveling copy cost, reported separately from the paper-style
   /// read/write breakdown (the paper has no migration traffic).
   double migrate_us_per_op() const {
-    return operations == 0 ? 0 : static_cast<double>(migrate.total_us()) /
-                                     static_cast<double>(operations);
+    return PerOp(device.of(flash::OpCategory::kMigrate).total_us());
   }
-  double erases_per_op() const {
-    return operations == 0
-               ? 0
-               : static_cast<double>(erases) / static_cast<double>(operations);
-  }
+  double erases_per_op() const { return PerOp(device.total.erases); }
   /// Background-scrub cost, reported separately like migration.
   double scrub_us_per_op() const {
-    return operations == 0 ? 0 : static_cast<double>(scrub.total_us()) /
-                                     static_cast<double>(operations);
+    return PerOp(device.of(flash::OpCategory::kScrub).total_us());
   }
-  double retry_us_per_op() const {
-    return operations == 0 ? 0 : static_cast<double>(retry_us) /
-                                     static_cast<double>(operations);
-  }
+  double retry_us_per_op() const { return PerOp(device.integrity.retry_us); }
 
   /// Equality of every virtual field -- all of RunStats but the wall-clock
   /// credit_wait_ns. Two executions of one schedule must agree on it.

@@ -10,11 +10,6 @@
 // tracing and shadow verification stay on throughout. Run(n) is the batch-1
 // member of the family and never splits epochs, so it joins the comparison
 // wherever no migration can happen.
-//
-// IPL runs its sharded epochs without rebalancing: a bucket migration
-// rewrites pages through WriteBack alone, which IPL's log-based write path
-// does not reflect, so a migrated IPL store fails shadow verification in
-// any execution mode.
 
 #include <gtest/gtest.h>
 
@@ -49,9 +44,7 @@ struct Config {
   bool sharded = false;
   bool epochs = false;
 
-  bool leveling() const {
-    return sharded && epochs && method.rfind("IPL", 0) != 0;
-  }
+  bool leveling() const { return sharded && epochs; }
 };
 
 /// A warmed store with a recorder on every chip. Identical configs yield

@@ -171,9 +171,7 @@ TEST(TraceDeterminismTest, RecordingChangesNothing) {
   EXPECT_EQ(traced.store->shard_clocks(), untraced.store->shard_clocks());
   EXPECT_TRUE(with.latency == without.latency);
   EXPECT_TRUE(with.worst_op == without.worst_op);
-  EXPECT_EQ(with.read_step.total_us(), without.read_step.total_us());
-  EXPECT_EQ(with.write_step.total_us(), without.write_step.total_us());
-  EXPECT_EQ(with.gc.total_us(), without.gc.total_us());
+  EXPECT_TRUE(with.device == without.device);
   EXPECT_GT(traced.recorder->total_emitted(), 0u);
 }
 
@@ -275,11 +273,28 @@ TEST(MetricsRegistryTest, ImportersProjectRunStats) {
   workload::RunStats stats;
   stats.operations = 42;
   stats.update_ops = 40;
-  stats.read_step.reads = 10;
-  stats.read_step.read_us = 1100;
+  auto& cats = stats.device.by_category;
+  cats[static_cast<int>(flash::OpCategory::kReadStep)].reads = 10;
+  cats[static_cast<int>(flash::OpCategory::kReadStep)].read_us = 1100;
+  cats[static_cast<int>(flash::OpCategory::kGc)].erases = 2;
+  cats[static_cast<int>(flash::OpCategory::kMigrate)].writes = 3;
+  stats.device.total.erases = 2;
+  stats.device.integrity.read_retries = 4;
+  stats.device.integrity.retry_us = 500;
   ImportRunStats(&reg, "run", stats);
   EXPECT_EQ(reg.Get("run.operations"), 42.0);
+  // Device counters keep their run.<category>.* and run.* key names.
   EXPECT_EQ(reg.Get("run.read_step.reads"), 10.0);
+  EXPECT_EQ(reg.Get("run.read_step.read_us"), 1100.0);
+  EXPECT_EQ(reg.Get("run.gc.erases"), 2.0);
+  EXPECT_EQ(reg.Get("run.migrate.writes"), 3.0);
+  EXPECT_EQ(reg.Get("run.erases"), 2.0);
+  EXPECT_EQ(reg.Get("run.read_retries"), 4.0);
+  EXPECT_EQ(reg.Get("run.retry_us"), 500.0);
+  EXPECT_EQ(reg.Get("run.read_us_per_op"), 1100.0 / 42.0);
+  // A category the run never touched exports no group.
+  EXPECT_FALSE(reg.Has("run.write_step.writes"));
+  EXPECT_FALSE(reg.Has("run.scrub.reads"));
   // Unregistered names read as 0 rather than faulting.
   EXPECT_EQ(reg.Get("run.no_such_metric"), 0.0);
 }

@@ -16,6 +16,7 @@ namespace {
 
 using flash::FlashConfig;
 using flash::FlashDevice;
+using flash::OpCategory;
 
 std::unique_ptr<PageStore> MakeStore(FlashDevice* dev, const char* name) {
   auto spec = methods::ParseMethodSpec(name);
@@ -48,8 +49,9 @@ TEST(UpdateDriverTest, ReadOnlyMixDoesNoWrites) {
   RunStats stats;
   ASSERT_TRUE(driver.Run(300, &stats).ok());
   EXPECT_EQ(stats.update_ops, 0u);
-  EXPECT_EQ(stats.write_step.total_ops(), 0u);
-  EXPECT_EQ(stats.read_step.reads, 300u);  // one read per op for OPU
+  EXPECT_EQ(stats.device.of(OpCategory::kWriteStep).total_ops(), 0u);
+  // One read per op for OPU.
+  EXPECT_EQ(stats.device.of(OpCategory::kReadStep).reads, 300u);
 }
 
 TEST(UpdateDriverTest, MixedRatioApproximatelyHolds) {
@@ -77,9 +79,7 @@ TEST(UpdateDriverTest, NUpdatesTillWriteAppliesMultipleCommands) {
   // The tightly-coupled IPL saw every individual update command: with
   // %changed=2 (41 B logs) and N=5 the logs overflow one 128 B buffer,
   // so > 1 slot write per operation on average.
-  EXPECT_GT(static_cast<double>(stats.write_step.writes) /
-                static_cast<double>(stats.operations),
-            1.0);
+  EXPECT_GT(stats.PerOp(stats.device.of(OpCategory::kWriteStep).writes), 1.0);
 }
 
 TEST(UpdateDriverTest, WarmupReachesEraseTarget) {
@@ -113,7 +113,7 @@ TEST(UpdateDriverTest, StatsAccumulateAcrossRuns) {
   ASSERT_TRUE(driver.Run(100, &stats).ok());
   ASSERT_TRUE(driver.Run(100, &stats).ok());
   EXPECT_EQ(stats.operations, 200u);
-  EXPECT_EQ(stats.read_step.reads, 200u);
+  EXPECT_EQ(stats.device.of(OpCategory::kReadStep).reads, 200u);
 }
 
 TEST(UpdateDriverTest, PerOpMetricsAreConsistent) {
@@ -214,20 +214,23 @@ TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
   EXPECT_NEAR(static_cast<double>(on_hot) / 4000.0, 0.70, 0.04);
 
   // Executing the skewed schedule must make the hotspot observable through
-  // the per-shard progress counters: shard 0's clock and write count pull
-  // ahead of every sibling, and the clock spread is exactly shard_lag_us.
+  // the per-shard clocks and device counters: shard 0's clock and write
+  // count pull ahead of every sibling, and the clock spread is exactly
+  // shard_lag_us.
   RunStats stats;
   ASSERT_TRUE(driver.RunPipelined(schedule, 8, 1, nullptr, &stats).ok());
-  std::vector<ftl::ShardedStore::ShardProgress> progress =
-      store->shard_progress();
-  ASSERT_EQ(progress.size(), kShards);
-  uint64_t min_clock = progress[0].clock_us;
-  uint64_t max_clock = progress[0].clock_us;
+  const std::vector<uint64_t> clocks = store->shard_clocks();
+  ASSERT_EQ(clocks.size(), kShards);
+  const auto writes = [&](uint32_t s) {
+    return store->shard_device(s)->stats().total.writes;
+  };
+  uint64_t min_clock = clocks[0];
+  uint64_t max_clock = clocks[0];
   for (uint32_t s = 1; s < kShards; ++s) {
-    EXPECT_GT(progress[0].clock_us, progress[s].clock_us) << "shard " << s;
-    EXPECT_GT(progress[0].writes, progress[s].writes) << "shard " << s;
-    min_clock = std::min(min_clock, progress[s].clock_us);
-    max_clock = std::max(max_clock, progress[s].clock_us);
+    EXPECT_GT(clocks[0], clocks[s]) << "shard " << s;
+    EXPECT_GT(writes(0), writes(s)) << "shard " << s;
+    min_clock = std::min(min_clock, clocks[s]);
+    max_clock = std::max(max_clock, clocks[s]);
   }
   EXPECT_EQ(store->shard_lag_us(), max_clock - min_clock);
 }
