@@ -10,7 +10,6 @@
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 #include "pdl/pdl_store.h"
-#include "workload/update_driver.h"
 
 using namespace flashdb;
 using harness::TablePrinter;
@@ -22,33 +21,29 @@ int main(int argc, char** argv) {
   params.pct_changed_by_one_op = flags.GetDouble("changed", 2.0);
   params.updates_till_write =
       static_cast<uint32_t>(flags.GetInt("nupdates", 1));
-  params.seed = env.seed;
 
   std::printf(
       "Ablation: Max_Differential_Size sweep (%%Changed=%.1f, N=%u)\n\n",
       params.pct_changed_by_one_op, params.updates_till_write);
   TablePrinter tbl({"max_diff", "overall_us/op", "write_us/op", "case3/op",
                     "flushes/op", "erases/op"});
+  const harness::RigSpec flat{.flat = true, .params = params};
   for (uint32_t max_diff : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
-    flash::FlashDevice dev(env.flash_cfg);
-    pdl::PdlConfig cfg;
-    cfg.max_differential_size = max_diff;
-    pdl::PdlStore store(&dev, cfg);
-    workload::UpdateDriver driver(&store, params);
-    Status st = driver.LoadDatabase(env.num_db_pages());
-    if (st.ok()) st = driver.Warmup(env.warmup_erases_per_block,
-                                    20ULL * env.num_db_pages());
-    if (!st.ok()) {
-      std::cerr << max_diff << "B: " << st.ToString() << "\n";
+    const methods::MethodSpec spec{methods::MethodKind::kPdl, max_diff};
+    auto rig = harness::PrepareRig(env, spec, flat);
+    if (!rig.ok()) {
+      std::cerr << max_diff << "B: " << rig.status().ToString() << "\n";
       return 1;
     }
+    const auto& store = static_cast<const pdl::PdlStore&>(*rig->store());
     const pdl::PdlCounters c0 = store.counters();
-    workload::RunStats stats;
-    st = driver.Run(env.measure_ops, &stats);
-    if (!st.ok()) {
-      std::cerr << max_diff << "B: " << st.ToString() << "\n";
+    auto run = harness::Execute(&rig.value(), env.measure_ops,
+                                harness::Execution{});
+    if (!run.ok()) {
+      std::cerr << max_diff << "B: " << run.status().ToString() << "\n";
       return 1;
     }
+    const workload::RunStats& stats = run->stats;
     const pdl::PdlCounters c1 = store.counters();
     const double ops = static_cast<double>(stats.operations);
     tbl.AddRow({std::to_string(max_diff),

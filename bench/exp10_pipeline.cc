@@ -29,14 +29,10 @@
 // column is identical across K; determinism always ok.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <numeric>
 #include <vector>
 
-#include "common/cpu_affinity.h"
-#include "ftl/shard_executor.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 #include "obs/metrics_import.h"
@@ -66,47 +62,6 @@ struct PipelinePoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a store + driver at steady state and pre-draws the measured
-/// schedule; two calls with identical arguments yield identical state.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards,
-                            const workload::WorkloadParams& params,
-                            uint32_t total_blocks) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  run.driver =
-      std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  return run;
-}
-
 /// One measured point: RunPipelined with `depth` windows in flight per
 /// shard. Wall-clock is the minimum over
 /// `reps` identically-prepared executions (min, not mean: scheduler and
@@ -117,43 +72,37 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
                                uint32_t num_shards, uint32_t batch_size,
                                uint32_t depth, size_t queue_capacity,
                                uint32_t reps,
-                               const workload::WorkloadParams& params,
-                               uint32_t total_blocks, bool pin, bool check,
-                               obs::MetricsRegistry* metrics) {
+                               const workload::WorkloadParams& params, bool pin,
+                               bool check, obs::MetricsRegistry* metrics) {
   PipelinePoint point;
-  std::unique_ptr<ftl::ShardedStore> last_store;
-  workload::RunStats last_stats;
-  // Pinning (when requested and supported) is a wall-clock-only knob:
-  // worker i -> core i mod available cores.
-  std::vector<int> pin_cores;
-  if (pin && CpuPinningSupported()) {
-    pin_cores.resize(num_shards);
-    std::iota(pin_cores.begin(), pin_cores.end(), 0);
-    const int cores = static_cast<int>(NumAvailableCores());
-    for (int& c : pin_cores) c %= cores;
-  }
+  const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
+  const harness::Execution threaded{.batch = batch_size,
+                                    .depth = depth,
+                                    .threaded = true,
+                                    .queue_capacity = queue_capacity,
+                                    .pin = pin};
   for (uint32_t rep = 0; rep < reps; ++rep) {
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                             harness::PrepareRig(env, spec, rig_spec));
+    const ftl::ShardedStore* store = rig.sharded();
+    const uint64_t parallel0 = store->parallel_time_us();
+
+    // Uniform metrics object: run breakdown + the executor's per-worker
+    // counters and the store's clock skew, read after the workers quiesce.
+    // Every rep overwrites the previous rep's values.
     FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun run,
-        Prepare(env, spec, num_shards, params, total_blocks));
-    const uint64_t parallel0 = run.store->parallel_time_us();
+        harness::PointResult run,
+        harness::Execute(&rig, env.measure_ops, threaded, metrics));
+    if (metrics != nullptr) {
+      obs::ImportShardedStoreStats(metrics, "store", *store);
+    }
+    const workload::RunStats& stats = run.stats;
 
-    // Workers spawn outside the timed region; the measured span is pure
-    // submit/execute/complete.
-    ftl::ShardExecutor executor(num_shards, queue_capacity, pin_cores);
-    workload::RunStats stats;
-    const auto t0 = std::chrono::steady_clock::now();
-    FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
-        run.schedule, batch_size, depth, &executor, &stats));
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (rep == 0 || wall_ms < point.wall_ms) point.wall_ms = wall_ms;
+    if (rep == 0 || run.wall_ms < point.wall_ms) point.wall_ms = run.wall_ms;
     point.parallel_us_per_op =
-        static_cast<double>(run.store->parallel_time_us() - parallel0) /
+        static_cast<double>(store->parallel_time_us() - parallel0) /
         static_cast<double>(env.measure_ops);
-    point.lag_ms = static_cast<double>(run.store->shard_lag_us()) / 1000.0;
+    point.lag_ms = static_cast<double>(store->shard_lag_us()) / 1000.0;
     const double ops = static_cast<double>(env.measure_ops);
     const flash::DeviceCounters& dc = stats.device;
     point.gc_us_per_op =
@@ -166,34 +115,26 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     point.p50_us = stats.latency.p50();
     point.p99_us = stats.latency.p99();
     point.p999_us = stats.latency.p999();
-    // Uniform metrics object: run breakdown + the executor's per-worker
-    // counters and the store's clock skew, read after the workers quiesce.
-    if (metrics != nullptr && rep == reps - 1) {
-      obs::ImportRunStats(metrics, "run", stats);
-      obs::ImportExecutorStats(metrics, "executor", executor);
-      obs::ImportShardedStoreStats(metrics, "store", *run.store);
+
+    if (rep == reps - 1 && check) {
+      // Replay the identical schedule inline on an identically prepared
+      // store; continuous submission must leave every chip exactly where
+      // the inline run leaves it.
+      FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                               harness::PrepareRig(env, spec, rig_spec));
+      const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
+      FLASHDB_ASSIGN_OR_RETURN(
+          harness::PointResult replay,
+          harness::Execute(&ref, env.measure_ops, inline_ex));
+      point.checked = true;
+      point.deterministic = harness::SameVirtualRun(
+          rig.store(), stats, ref.store(), replay.stats);
     }
-    last_store = std::move(run.store);
-    last_stats = stats;
   }
   point.kops_per_sec =
       point.wall_ms > 0
           ? static_cast<double>(env.measure_ops) / point.wall_ms
           : 0;
-
-  if (check) {
-    // Replay the identical schedule inline on an identically prepared
-    // store; continuous submission must leave every chip exactly where the
-    // inline run leaves it.
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref, Prepare(env, spec, num_shards, params, total_blocks));
-    workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
-        ref.schedule, batch_size, depth, nullptr, &ref_stats));
-    point.checked = true;
-    point.deterministic = harness::SameVirtualRun(
-        last_store.get(), last_stats, ref.store.get(), ref_stats);
-  }
   return point;
 }
 
@@ -259,7 +200,7 @@ int main(int argc, char** argv) {
     for (uint32_t depth : depths) {
       auto point =
           RunPoint(env, *spec, num_shards, batch_size, depth, queue_capacity,
-                   reps, params, total_blocks, pin, check, &metrics);
+                   reps, params, pin, check, &metrics);
       metrics.SnapshotEpoch(point_index++);
       if (!point.ok()) {
         std::cerr << name << " depth " << depth << ": "

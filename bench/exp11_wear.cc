@@ -33,14 +33,12 @@
 // threshold on, erase_ratio drops from unbounded (typically > 5) to under
 // ~1.5 for a few migration copies' worth of migr us/op.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "ftl/shard_executor.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 
@@ -61,86 +59,44 @@ struct WearPoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a store + driver at steady state and pre-draws the measured
-/// schedule; two calls with identical arguments yield identical state.
-/// `threshold` <= 0 leaves wear leveling off.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards,
-                            const workload::WorkloadParams& params,
-                            uint32_t total_blocks, double threshold,
-                            const ftl::WearLevelConfig& wl_base) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  if (threshold > 0) {
-    ftl::WearLevelConfig wl = wl_base;
-    wl.max_erase_ratio = threshold;
-    FLASHDB_RETURN_IF_ERROR(run.store->router()->EnableRebalancing(wl));
-  }
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  run.driver = std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  return run;
-}
-
-/// One measured point: threaded RunPipelined under the given skew/threshold,
-/// with an optional inline replay as the determinism reference.
+/// One measured point: threaded RunPipelined under the given skew/threshold
+/// (`threshold` <= 0 leaves wear leveling off), with an optional inline
+/// replay as the determinism reference.
 Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
-                           const methods::MethodSpec& spec,
-                           uint32_t num_shards, uint32_t batch_size,
-                           uint32_t depth, size_t queue_capacity,
+                           const methods::MethodSpec& spec, uint32_t num_shards,
+                           uint32_t batch_size, uint32_t depth,
+                           size_t queue_capacity,
                            const workload::WorkloadParams& params,
-                           uint32_t total_blocks, double threshold,
+                           double threshold,
                            const ftl::WearLevelConfig& wl_base, bool check) {
+  harness::RigSpec rig_spec{.shards = num_shards, .params = params};
+  if (threshold > 0) {
+    rig_spec.leveling = wl_base;
+    rig_spec.leveling->max_erase_ratio = threshold;
+  }
   WearPoint point;
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run,
-      Prepare(env, spec, num_shards, params, total_blocks, threshold,
-              wl_base));
-  const std::vector<uint64_t> erases0 = run.store->shard_erases();
-  const std::vector<uint32_t> blocks0 = run.store->stats().block_erase_counts;
-  const uint64_t parallel0 = run.store->parallel_time_us();
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                           harness::PrepareRig(env, spec, rig_spec));
+  ftl::ShardedStore* store = rig.sharded();
+  const std::vector<uint64_t> erases0 = store->shard_erases();
+  const std::vector<uint32_t> blocks0 = store->stats().block_erase_counts;
+  const uint64_t parallel0 = store->parallel_time_us();
 
-  ftl::ShardExecutor executor(num_shards, queue_capacity);
-  workload::RunStats stats;
-  const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(run.schedule, batch_size,
-                                                   depth, &executor, &stats));
-  const auto t1 = std::chrono::steady_clock::now();
-  point.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  const harness::Execution threaded{.batch = batch_size,
+                                    .depth = depth,
+                                    .threaded = true,
+                                    .queue_capacity = queue_capacity};
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult run,
+                           harness::Execute(&rig, env.measure_ops, threaded));
+  point.wall_ms = run.wall_ms;
 
-  point.swaps = stats.migrations;
-  point.migrate_us_per_op = stats.migrate_us_per_op();
+  point.swaps = run.stats.migrations;
+  point.migrate_us_per_op = run.stats.migrate_us_per_op();
   point.parallel_us_per_op =
-      static_cast<double>(run.store->parallel_time_us() - parallel0) /
+      static_cast<double>(store->parallel_time_us() - parallel0) /
       static_cast<double>(env.measure_ops);
 
-  const std::vector<uint64_t> erases1 = run.store->shard_erases();
+  const std::vector<uint64_t> erases1 = store->shard_erases();
   uint64_t max_d = 0;
   uint64_t min_d = UINT64_MAX;
   for (uint32_t i = 0; i < num_shards; ++i) {
@@ -154,7 +110,7 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
         static_cast<double>(max_d) / static_cast<double>(min_d);
   }
 
-  std::vector<uint32_t> block_deltas = run.store->stats().block_erase_counts;
+  std::vector<uint32_t> block_deltas = store->stats().block_erase_counts;
   for (size_t i = 0; i < block_deltas.size(); ++i) {
     block_deltas[i] -= blocks0[i];
   }
@@ -164,16 +120,15 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
     // Inline replay of the identical schedule on an identically prepared
     // store: wear leveling must plan the same migrations at the same epoch
     // boundaries and leave every chip bit-identical.
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                             harness::PrepareRig(env, spec, rig_spec));
+    const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
     FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref,
-        Prepare(env, spec, num_shards, params, total_blocks, threshold,
-                wl_base));
-    workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
-        ref.schedule, batch_size, depth, nullptr, &ref_stats));
+        harness::PointResult replay,
+        harness::Execute(&ref, env.measure_ops, inline_ex));
     point.checked = true;
-    point.deterministic = harness::SameVirtualRun(run.store.get(), stats,
-                                                  ref.store.get(), ref_stats);
+    point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
+                                                  ref.store(), replay.stats);
   }
   return point;
 }
@@ -248,8 +203,7 @@ int main(int argc, char** argv) {
       workload::WorkloadParams wp = params;
       wp.hot_shard_pct = hot;
       auto point = RunPoint(env, *spec, num_shards, batch_size, depth,
-                            queue_capacity, wp, total_blocks, threshold,
-                            wl_base, check);
+                            queue_capacity, wp, threshold, wl_base, check);
       if (!point.ok()) {
         std::cerr << method_name << " hot=" << hot << " thresh=" << threshold
                   << ": " << point.status().ToString() << "\n";

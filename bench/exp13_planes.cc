@@ -30,14 +30,11 @@
 // thread count. Identity geometry rows are bit-identical to the other
 // experiments' device behavior by construction.
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ftl/shard_executor.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 
@@ -61,47 +58,6 @@ struct PlanePoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a sharded store + driver at steady state on the given geometry and
-/// pre-draws the measured schedule; identical arguments yield identical
-/// state (the schedule is a pure function of the seed).
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards, uint32_t total_blocks) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp;
-  wp.pct_changed_by_one_op = 2.0;
-  wp.updates_till_write = 1;
-  wp.seed = env.seed;
-  run.driver = std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  return run;
-}
-
 /// Measures one geometry x method cell: an inline RunPipelined execution for
 /// the deterministic virtual-time metrics, plus (with `check`) a threaded
 /// execution of the identical schedule that must replay it bit-for-bit.
@@ -109,17 +65,18 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
                             const methods::MethodSpec& spec,
                             const GeometryPoint& geom, uint32_t num_shards,
                             uint32_t batch_size, uint32_t depth,
-                            size_t queue_capacity, uint32_t total_blocks,
-                            bool check) {
+                            size_t queue_capacity, bool check) {
   env.flash_cfg.geometry.dies_per_chip = geom.dies;
   env.flash_cfg.geometry.planes_per_die = geom.planes_per_die;
 
   PlanePoint point;
-  FLASHDB_ASSIGN_OR_RETURN(PreparedRun run,
-                           Prepare(env, spec, num_shards, total_blocks));
-  workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
-      run.schedule, batch_size, depth, nullptr, &stats));
+  const harness::RigSpec rig_spec{.shards = num_shards};
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                           harness::PrepareRig(env, spec, rig_spec));
+  const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult run,
+                           harness::Execute(&rig, env.measure_ops, inline_ex));
+  const workload::RunStats& stats = run.stats;
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.vt_kops_per_sec =
@@ -129,18 +86,18 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
   point.stall_us_per_op = static_cast<double>(stats.plane_stall_us) / ops;
 
   if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(PreparedRun rep,
-                             Prepare(env, spec, num_shards, total_blocks));
-    ftl::ShardExecutor executor(num_shards, queue_capacity);
-    workload::RunStats rep_stats;
-    const auto t0 = std::chrono::steady_clock::now();
-    FLASHDB_RETURN_IF_ERROR(rep.driver->RunPipelined(
-        rep.schedule, batch_size, depth, &executor, &rep_stats));
-    const auto t1 = std::chrono::steady_clock::now();
-    point.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
+                             harness::PrepareRig(env, spec, rig_spec));
+    const harness::Execution threaded{.batch = batch_size,
+                                      .depth = depth,
+                                      .threaded = true,
+                                      .queue_capacity = queue_capacity};
+    FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
+                             harness::Execute(&rep, env.measure_ops, threaded));
+    point.wall_ms = replay.wall_ms;
     point.checked = true;
-    point.deterministic = harness::SameVirtualRun(rep.store.get(), rep_stats,
-                                                  run.store.get(), stats);
+    point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
+                                                  rig.store(), stats);
   }
   return point;
 }
@@ -187,7 +144,7 @@ int main(int argc, char** argv) {
     double base_vt_kops = 0;
     for (const GeometryPoint& geom : geometries) {
       auto point = RunPoint(env, *spec, geom, num_shards, batch_size, depth,
-                            queue_capacity, total_blocks, check);
+                            queue_capacity, check);
       if (!point.ok()) {
         std::cerr << name << " " << geom.dies << "x" << geom.planes_per_die
                   << ": " << point.status().ToString() << "\n";

@@ -28,15 +28,12 @@
 // row at these rates -- the ladder absorbs what the scrubber has not yet
 // refreshed.
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "flash/fault_injector.h"
-#include "ftl/shard_executor.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 
@@ -57,75 +54,28 @@ struct IntegrityPoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a sharded store + driver at steady state and pre-draws the
-/// measured schedule; identical arguments yield identical state. The error
-/// injector is attached only after warmup, so every point measures the same
-/// warmed flash image and the sweep isolates the read-path costs.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards, uint32_t total_blocks,
-                            uint32_t disturb_limit, uint64_t epoch_ops,
-                            bool scrub, flash::FaultInjector* injector) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  shard_cfg.read_disturb_limit = disturb_limit;
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp;
-  wp.pct_changed_by_one_op = 2.0;
-  wp.updates_till_write = 1;
-  wp.seed = env.seed;
-  wp.rebalance_epoch_ops = epoch_ops;
-  wp.scrub = scrub;
-  run.driver = std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  if (injector != nullptr) {
-    for (uint32_t i = 0; i < num_shards; ++i) {
-      run.store->shard_device(i)->set_fault_injector(injector);
-    }
-  }
-  return run;
-}
-
 /// Measures one (method, error-rate, scrub) cell: an inline RunPipelined
 /// execution for the deterministic metrics, plus (with `check`) a threaded
-/// execution of the identical schedule that must replay it bit-for-bit.
+/// execution of the identical schedule that must replay it bit-for-bit. The
+/// error injector is attached only after warmup, so every point measures
+/// the same warmed flash image and the sweep isolates the read-path costs.
 Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
                                 const methods::MethodSpec& spec,
                                 flash::FaultInjector* injector, bool scrub,
                                 uint32_t num_shards, uint32_t batch_size,
                                 uint32_t depth, size_t queue_capacity,
-                                uint32_t total_blocks, uint32_t disturb_limit,
                                 uint64_t epoch_ops, bool check) {
+  harness::RigSpec rig_spec{.shards = num_shards};
+  rig_spec.params.rebalance_epoch_ops = epoch_ops;
+  rig_spec.params.scrub = scrub;
   IntegrityPoint point;
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run, Prepare(env, spec, num_shards, total_blocks,
-                               disturb_limit, epoch_ops, scrub, injector));
-  workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
-      run.schedule, batch_size, depth, nullptr, &stats));
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                           harness::PrepareRig(env, spec, rig_spec));
+  if (injector != nullptr) rig.AttachFaultInjector(injector);
+  const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult run,
+                           harness::Execute(&rig, env.measure_ops, inline_ex));
+  const workload::RunStats& stats = run.stats;
   const double ops = static_cast<double>(env.measure_ops);
   point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
   point.retry_us_per_op = stats.retry_us_per_op();
@@ -136,16 +86,18 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
   point.relocated = stats.scrub_relocations;
 
   if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun rep, Prepare(env, spec, num_shards, total_blocks,
-                                 disturb_limit, epoch_ops, scrub, injector));
-    ftl::ShardExecutor executor(num_shards, queue_capacity);
-    workload::RunStats rep_stats;
-    FLASHDB_RETURN_IF_ERROR(rep.driver->RunPipelined(
-        rep.schedule, batch_size, depth, &executor, &rep_stats));
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
+                             harness::PrepareRig(env, spec, rig_spec));
+    if (injector != nullptr) rep.AttachFaultInjector(injector);
+    const harness::Execution threaded{.batch = batch_size,
+                                      .depth = depth,
+                                      .threaded = true,
+                                      .queue_capacity = queue_capacity};
+    FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
+                             harness::Execute(&rep, env.measure_ops, threaded));
     point.checked = true;
-    point.deterministic = harness::SameVirtualRun(rep.store.get(), rep_stats,
-                                                  run.store.get(), stats);
+    point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
+                                                  rig.store(), stats);
   }
   return point;
 }
@@ -166,6 +118,7 @@ int main(int argc, char** argv) {
   const size_t queue_capacity = static_cast<size_t>(flags.GetInt("queue", 8));
   const uint32_t disturb_limit =
       static_cast<uint32_t>(flags.GetInt("disturb-limit", 48));
+  env.flash_cfg.read_disturb_limit = disturb_limit;
   const uint64_t epoch_ops =
       static_cast<uint64_t>(flags.GetInt("epoch", 500));
   const double disturb_factor = flags.GetDouble("disturb", 0.01);
@@ -204,10 +157,8 @@ int main(int argc, char** argv) {
       flash::BitErrorInjector injector(params);
       flash::FaultInjector* fi = ber > 0 ? &injector : nullptr;
       for (const bool scrub : {false, true}) {
-        auto point =
-            RunPoint(env, *spec, fi, scrub, num_shards, batch_size, depth,
-                     queue_capacity, total_blocks, disturb_limit, epoch_ops,
-                     check);
+        auto point = RunPoint(env, *spec, fi, scrub, num_shards, batch_size,
+                              depth, queue_capacity, epoch_ops, check);
         if (!point.ok()) {
           std::cerr << name << " ber=" << ber << " scrub=" << scrub << ": "
                     << point.status().ToString() << "\n";

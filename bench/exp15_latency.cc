@@ -32,19 +32,12 @@
 // every row and bands the p50/p99/p999 columns tightly against the
 // baseline; wall_ms is machine-relative and stays warn-only.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
-#include "common/cpu_affinity.h"
 #include "flash/fault_injector.h"
-#include "ftl/shard_executor.h"
-#include "ftl/shard_router.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 #include "obs/metrics_import.h"
@@ -66,8 +59,7 @@ struct Config {
 };
 
 struct LatencyPoint {
-  workload::RunStats stats;
-  double wall_ms = 0;
+  harness::PointResult run;
   bool deterministic = true;
   bool checked = false;
   /// Replay's deterministic event stream byte-identical to the primary's.
@@ -76,116 +68,33 @@ struct LatencyPoint {
   uint64_t trace_dropped = 0;
 };
 
-/// A fully prepared rig: flat (one chip) or sharded, at steady state, with
-/// the measured schedule pre-drawn. Identical arguments yield identical
-/// state, which is what the determinism replays rely on.
-struct PreparedRun {
-  std::unique_ptr<flash::FlashDevice> flat_dev;  // flat rigs only
-  std::unique_ptr<PageStore> flat_store;
-  std::unique_ptr<ftl::ShardedStore> sharded;
-  std::unique_ptr<workload::UpdateDriver> driver;
-
-  PageStore* store() {
-    return sharded != nullptr ? static_cast<PageStore*>(sharded.get())
-                              : flat_store.get();
-  }
-};
-
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            const Config& cfg, uint32_t total_blocks,
-                            uint64_t epoch_ops, double hot_pct,
-                            uint32_t disturb_limit,
-                            flash::FaultInjector* injector) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / cfg.shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const bool scrubbing = std::string(cfg.extra) == "scrub";
-  const bool leveling = std::string(cfg.extra) == "wear";
-  if (scrubbing) shard_cfg.read_disturb_limit = disturb_limit;
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * cfg.shards);
-
-  PreparedRun run;
-  PageStore* store = nullptr;
-  if (cfg.shards == 1) {
-    // The flat rig exercises the "no ShardedStore required" pipelined path.
-    run.flat_dev = std::make_unique<flash::FlashDevice>(shard_cfg);
-    run.flat_store = methods::CreateStore(run.flat_dev.get(), spec);
-    store = run.flat_store.get();
-  } else {
-    run.sharded = methods::CreateShardedStore(shard_cfg, cfg.shards, spec);
-    store = run.sharded.get();
-  }
-
-  workload::WorkloadParams wp;
-  wp.seed = env.seed;
-  wp.record_latency = true;
-  if (leveling) {
-    wp.rebalance_epoch_ops = epoch_ops;
-    wp.hot_shard_pct = hot_pct;  // gives the rebalancer something to level
-    ftl::WearLevelConfig wl;
-    FLASHDB_RETURN_IF_ERROR(run.sharded->router()->EnableRebalancing(wl));
-  }
-  if (scrubbing) {
-    wp.rebalance_epoch_ops = epoch_ops;
-    wp.scrub = true;
-  }
-  run.driver = std::make_unique<workload::UpdateDriver>(store, wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  // The measured schedule is NOT pre-drawn here: the sequential rows draw
-  // their ops inside Run(), so a scheduled rig must call MakeSchedule at
-  // this exact RNG point to execute the very same operations.
-  // Post-warmup attach: every point measures the same warmed flash image.
-  if (injector != nullptr && scrubbing) {
-    if (run.sharded != nullptr) {
-      for (uint32_t i = 0; i < cfg.shards; ++i) {
-        run.sharded->shard_device(i)->set_fault_injector(injector);
-      }
-    } else {
-      run.flat_dev->set_fault_injector(injector);
-    }
-  }
-  return run;
-}
-
-/// Attaches a recorder's lanes to every chip of the rig plus the driver's
-/// wall lane (one lane per shard: shard confinement makes them
-/// single-writer).
-void AttachTrace(PreparedRun* run, uint32_t shards, obs::TraceRecorder* rec) {
-  if (run->sharded != nullptr) {
-    for (uint32_t i = 0; i < shards; ++i) {
-      run->sharded->shard_device(i)->set_trace(rec->shard(i));
-    }
-  } else {
-    run->flat_dev->set_trace(rec->shard(0));
-  }
-  run->driver->set_wall_trace(rec->wall_lane());
-}
-
 /// Runs one cell in its own mode, then (with `check`) replays the identical
 /// operations through the other executor on an identically prepared rig and
 /// compares chip state, every virtual RunStats field, and the canonical
 /// event trace. With a --trace path, exports the primary run's
 /// timeline as Chrome trace JSON.
-Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
+Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
                               const methods::MethodSpec& spec,
                               const Config& cfg, uint32_t batch_size,
-                              size_t queue_capacity, uint32_t total_blocks,
-                              uint64_t epoch_ops, double hot_pct,
-                              uint32_t disturb_limit, double ber,
-                              bool check, uint64_t point_index) {
+                              size_t queue_capacity, uint64_t epoch_ops,
+                              double hot_pct, uint32_t disturb_limit,
+                              double ber, bool check, uint64_t point_index) {
+  const bool scrubbing = std::string(cfg.extra) == "scrub";
+  const bool leveling = std::string(cfg.extra) == "wear";
+  if (scrubbing) env.flash_cfg.read_disturb_limit = disturb_limit;
+  // The flat rig exercises the "no ShardedStore required" pipelined path.
+  harness::RigSpec rig_spec{.shards = cfg.shards, .flat = cfg.shards == 1};
+  rig_spec.params.record_latency = true;
+  if (leveling) {
+    rig_spec.leveling = ftl::WearLevelConfig{};
+    rig_spec.params.rebalance_epoch_ops = epoch_ops;
+    // Gives the rebalancer something to level.
+    rig_spec.params.hot_shard_pct = hot_pct;
+  }
+  if (scrubbing) {
+    rig_spec.params.rebalance_epoch_ops = epoch_ops;
+    rig_spec.params.scrub = true;
+  }
   // Each rig gets its own injector so retry-attenuation RNG state never
   // leaks between the primary run and the replay.
   flash::BitErrorInjector::Params inj_params;
@@ -196,42 +105,33 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
   // Single-op windows make the shards=1 rows bit-identical to the
   // sequential Run() loop; multi-chip rows use the windowed batch size.
   const uint32_t batch = cfg.shards == 1 ? 1 : batch_size;
+  const harness::Execution primary{.batch = batch,
+                                   .depth = cfg.depth,
+                                   .threaded = true,
+                                   .queue_capacity = queue_capacity,
+                                   .pin = cfg.pin};
+  // The replay runs the other mode: sequential rows through the
+  // single-worker pipelined mode -- the cross-mode proof the flat path
+  // exists for -- and pipelined rows inline.
+  harness::Execution replay = primary;
+  if (cfg.depth == 0) {
+    replay.depth = 4;
+  } else {
+    replay.threaded = false;
+  }
 
   LatencyPoint point;
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run,
-      Prepare(env, spec, cfg, total_blocks, epoch_ops, hot_pct, disturb_limit,
-              &primary_injector));
-  // Post-warmup attach: the timeline covers exactly the measured ops.
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                           harness::PrepareRig(env, spec, rig_spec));
+  // Post-warmup attach: every point measures the same warmed flash image,
+  // and the timeline covers exactly the measured ops. The measured
+  // operations are drawn only now, so a sequential row's Run() and its
+  // scheduled replay execute the very same operations.
+  if (scrubbing) rig.AttachFaultInjector(&primary_injector);
   obs::TraceRecorder recorder(cfg.shards);
-  AttachTrace(&run, cfg.shards, &recorder);
-  if (cfg.depth == 0) {
-    const auto t0 = std::chrono::steady_clock::now();
-    FLASHDB_RETURN_IF_ERROR(
-        run.driver->Run(env.measure_ops, &point.stats));
-    point.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  } else {
-    const workload::Schedule schedule =
-        run.driver->MakeSchedule(env.measure_ops);
-    std::vector<int> pins;
-    if (cfg.pin && CpuPinningSupported()) {
-      pins.resize(cfg.shards);
-      std::iota(pins.begin(), pins.end(), 0);
-      const uint32_t cores = NumAvailableCores();
-      for (int& c : pins) c = c % static_cast<int>(cores);
-    }
-    // Workers spawn (and pin) outside the timed region; the measured span
-    // is pure submit/execute/complete.
-    ftl::ShardExecutor executor(cfg.shards, queue_capacity, pins);
-    const auto t0 = std::chrono::steady_clock::now();
-    FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
-        schedule, batch, cfg.depth, &executor, &point.stats));
-    point.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  }
+  rig.AttachTrace(&recorder);
+  FLASHDB_ASSIGN_OR_RETURN(point.run,
+                           harness::Execute(&rig, env.measure_ops, primary));
 
   point.trace_emitted = recorder.total_emitted();
   point.trace_dropped = recorder.total_dropped();
@@ -241,28 +141,16 @@ Result<LatencyPoint> RunPoint(const harness::ExperimentEnv& env,
   }
 
   if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref,
-        Prepare(env, spec, cfg, total_blocks, epoch_ops, hot_pct,
-                disturb_limit, &replay_injector));
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                             harness::PrepareRig(env, spec, rig_spec));
+    if (scrubbing) ref.AttachFaultInjector(&replay_injector);
     obs::TraceRecorder ref_recorder(cfg.shards);
-    AttachTrace(&ref, cfg.shards, &ref_recorder);
-    workload::RunStats ref_stats;
-    const workload::Schedule ref_schedule =
-        ref.driver->MakeSchedule(env.measure_ops);
-    if (cfg.depth == 0) {
-      // Sequential rows replay through the single-worker pipelined mode --
-      // the cross-mode proof the flat path exists for.
-      ftl::ShardExecutor executor(1, queue_capacity);
-      FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
-          ref_schedule, 1, 4, &executor, &ref_stats));
-    } else {
-      FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
-          ref_schedule, batch, cfg.depth, nullptr, &ref_stats));
-    }
+    ref.AttachTrace(&ref_recorder);
+    FLASHDB_ASSIGN_OR_RETURN(harness::PointResult again,
+                             harness::Execute(&ref, env.measure_ops, replay));
     point.checked = true;
-    point.deterministic = harness::SameVirtualRun(ref.store(), ref_stats,
-                                                  run.store(), point.stats);
+    point.deterministic = harness::SameVirtualRun(
+        ref.store(), again.stats, rig.store(), point.run.stats);
     // The trace-determinism contract: the two modes' deterministic event
     // streams must agree byte-for-byte (wall-domain events excluded).
     point.trace_ok =
@@ -327,8 +215,8 @@ int main(int argc, char** argv) {
     }
     for (const Config& cfg : configs) {
       auto point = RunPoint(env, *spec, cfg, batch_size, queue_capacity,
-                            total_blocks, epoch_ops, hot_pct, disturb_limit,
-                            ber, check, point_index);
+                            epoch_ops, hot_pct, disturb_limit, ber, check,
+                            point_index);
       if (!point.ok()) {
         std::cerr << name << " " << cfg.mode << " shards=" << cfg.shards
                   << " K=" << cfg.depth << " extra=" << cfg.extra << ": "
@@ -338,23 +226,23 @@ int main(int argc, char** argv) {
       if (point->checked && (!point->deterministic || !point->trace_ok)) {
         failures++;
       }
-      const workload::LatencyHistogram& h = point->stats.latency;
+      const workload::LatencyHistogram& h = point->run.stats.latency;
       tbl.AddRow({name, cfg.mode, std::to_string(cfg.shards),
                   cfg.depth == 0 ? "-" : std::to_string(cfg.depth),
                   cfg.pin ? "on" : "off", cfg.extra,
                   std::to_string(h.p50()), std::to_string(h.p99()),
                   std::to_string(h.p999()), TablePrinter::Num(h.mean(), 1),
                   std::to_string(h.max()),
-                  std::to_string(point->stats.worst_op.total_us),
-                  std::to_string(point->stats.worst_op.gc_us),
-                  std::to_string(point->stats.worst_op.meta_us),
-                  TablePrinter::Num(point->wall_ms, 2),
+                  std::to_string(point->run.stats.worst_op.total_us),
+                  std::to_string(point->run.stats.worst_op.gc_us),
+                  std::to_string(point->run.stats.worst_op.meta_us),
+                  TablePrinter::Num(point->run.wall_ms, 2),
                   point->checked ? (point->deterministic ? "ok" : "FAIL")
                                  : "-",
                   point->checked ? (point->trace_ok ? "ok" : "FAIL") : "-"});
       // One epoch per measured row: the registry's time series doubles as a
       // machine-readable form of the whole sweep.
-      obs::ImportRunStats(&metrics, "run", point->stats);
+      obs::ImportRunStats(&metrics, "run", point->run.stats);
       metrics.Set("trace.emitted", static_cast<double>(point->trace_emitted),
                   obs::MetricsRegistry::Kind::kCounter);
       metrics.Set("trace.dropped", static_cast<double>(point->trace_dropped),

@@ -33,41 +33,17 @@ struct ShardPoint {
 Result<ShardPoint> RunShardedPoint(const harness::ExperimentEnv& env,
                                    const methods::MethodSpec& spec,
                                    uint32_t num_shards,
-                                   const workload::WorkloadParams& params,
-                                   uint32_t total_blocks) {
-  // Split the chip capacity evenly; the database size tracks the usable
-  // total so utilization stays constant across shard counts.
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  // Below ~8 blocks a chip cannot sustain GC at 50% utilization (the
-  // reserve alone eats most of it); reject instead of thrashing.
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard =
-      g.total_pages() - 2 * g.pages_per_block;  // headroom as in num_db_pages
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  std::unique_ptr<ftl::ShardedStore> store =
-      methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  workload::UpdateDriver driver(store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(driver.LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      driver.Warmup(env.warmup_erases_per_block, warmup_cap));
-
+                                   const workload::WorkloadParams& params) {
+  // The chip capacity splits evenly and the database size tracks the usable
+  // total, so utilization stays constant across shard counts.
+  const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                           harness::PrepareRig(env, spec, rig_spec));
+  const ftl::ShardedStore* store = rig.sharded();
   const uint64_t total0 = store->total_work_us();
   const uint64_t parallel0 = store->parallel_time_us();
-  workload::RunStats stats;
-  FLASHDB_RETURN_IF_ERROR(driver.Run(env.measure_ops, &stats));
+  FLASHDB_RETURN_IF_ERROR(
+      harness::Execute(&rig, env.measure_ops, harness::Execution{}).status());
   ShardPoint point;
   point.total_us_per_op =
       static_cast<double>(store->total_work_us() - total0) /
@@ -112,7 +88,7 @@ int main(int argc, char** argv) {
         std::cerr << spec.status().ToString() << "\n";
         return 1;
       }
-      auto point = RunShardedPoint(env, *spec, shards, params, total_blocks);
+      auto point = RunShardedPoint(env, *spec, shards, params);
       if (!point.ok()) {
         std::cerr << method_names[m] << " x" << shards << ": "
                   << point.status().ToString() << "\n";

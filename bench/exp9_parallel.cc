@@ -24,14 +24,10 @@
 // served from queued images). --pin=1 pins worker i to core i (mod
 // available cores); it can only move wall_ms, never the virtual columns.
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <numeric>
 #include <vector>
 
-#include "common/cpu_affinity.h"
-#include "ftl/shard_executor.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 #include "obs/metrics_import.h"
@@ -63,91 +59,46 @@ struct ParallelPoint {
   bool checked = false;
 };
 
-struct PreparedRun {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::UpdateDriver> driver;
-  workload::Schedule schedule;
-};
-
-/// Builds a store + driver at steady state and pre-draws the measured
-/// schedule; two calls with identical arguments yield identical state.
-Result<PreparedRun> Prepare(const harness::ExperimentEnv& env,
-                            const methods::MethodSpec& spec,
-                            uint32_t num_shards,
-                            const workload::WorkloadParams& params,
-                            uint32_t total_blocks) {
-  flash::FlashConfig shard_cfg = env.flash_cfg;
-  shard_cfg.geometry.num_blocks = total_blocks / num_shards;
-  if (shard_cfg.geometry.num_blocks < 8) {
-    return Status::InvalidArgument(
-        "too many shards for --blocks: " +
-        std::to_string(shard_cfg.geometry.num_blocks) +
-        " blocks/shard, need >= 8");
-  }
-  const auto& g = shard_cfg.geometry;
-  const uint32_t pages_per_shard = g.total_pages() - 2 * g.pages_per_block;
-  const uint32_t db_pages = static_cast<uint32_t>(
-      env.utilization * static_cast<double>(pages_per_shard) * num_shards);
-
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(shard_cfg, num_shards, spec);
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  run.driver =
-      std::make_unique<workload::UpdateDriver>(run.store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(run.driver->LoadDatabase(db_pages));
-  const uint64_t warmup_cap =
-      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
-  FLASHDB_RETURN_IF_ERROR(
-      run.driver->Warmup(env.warmup_erases_per_block, warmup_cap));
-  run.schedule = run.driver->MakeSchedule(env.measure_ops);
-  return run;
-}
-
 Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
-                                       const methods::MethodSpec& spec,
-                                       uint32_t num_shards,
-                                       uint32_t batch_size,
-                                       const workload::WorkloadParams& params,
-                                       uint32_t total_blocks, bool pin,
-                                       bool check,
-                                       obs::MetricsRegistry* metrics) {
-  FLASHDB_ASSIGN_OR_RETURN(
-      PreparedRun run, Prepare(env, spec, num_shards, params, total_blocks));
-  const uint64_t parallel0 = run.store->parallel_time_us();
-  const uint64_t total0 = run.store->total_work_us();
+                               const methods::MethodSpec& spec,
+                               uint32_t num_shards, uint32_t batch_size,
+                               const workload::WorkloadParams& params, bool pin,
+                               bool check, obs::MetricsRegistry* metrics) {
+  const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
+                           harness::PrepareRig(env, spec, rig_spec));
+  const ftl::ShardedStore* store = rig.sharded();
+  const uint64_t parallel0 = store->parallel_time_us();
+  const uint64_t total0 = store->total_work_us();
 
-  // Workers spawn outside the timed region; the measured span is pure
-  // submit/execute/join. Pinning (when requested and supported) is a
-  // wall-clock-only knob: worker i -> core i mod available cores.
-  std::vector<int> pin_cores;
-  if (pin && CpuPinningSupported()) {
-    pin_cores.resize(num_shards);
-    std::iota(pin_cores.begin(), pin_cores.end(), 0);
-    const int cores = static_cast<int>(NumAvailableCores());
-    for (int& c : pin_cores) c %= cores;
+  // The uniform per-bench metrics object: run stats plus the executor's
+  // per-worker submit/complete counters and the store's clock skew --
+  // report-time reads only, the caller snapshots one epoch per point.
+  const harness::Execution threaded{.batch = batch_size,
+                                    .depth = kDepth,
+                                    .threaded = true,
+                                    .pin = pin};
+  FLASHDB_ASSIGN_OR_RETURN(
+      harness::PointResult run,
+      harness::Execute(&rig, env.measure_ops, threaded, metrics));
+  if (metrics != nullptr) {
+    obs::ImportShardedStoreStats(metrics, "store", *store);
   }
-  ftl::ShardExecutor executor(num_shards, /*queue_capacity=*/1024, pin_cores);
-  workload::RunStats stats;
-  const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(run.driver->RunPipelined(
-      run.schedule, batch_size, kDepth, &executor, &stats));
-  const auto t1 = std::chrono::steady_clock::now();
 
   ParallelPoint point;
-  point.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  point.wall_ms = run.wall_ms;
   point.kops_per_sec = point.wall_ms > 0
                            ? static_cast<double>(env.measure_ops) /
                                  point.wall_ms
                            : 0;
   point.parallel_us_per_op =
-      static_cast<double>(run.store->parallel_time_us() - parallel0) /
+      static_cast<double>(store->parallel_time_us() - parallel0) /
       static_cast<double>(env.measure_ops);
   point.total_us_per_op =
-      static_cast<double>(run.store->total_work_us() - total0) /
+      static_cast<double>(store->total_work_us() - total0) /
       static_cast<double>(env.measure_ops);
   const double ops = static_cast<double>(env.measure_ops);
+  const workload::RunStats& stats = run.stats;
   const flash::DeviceCounters& dc = stats.device;
   point.gc_us_per_op =
       static_cast<double>(dc.of(flash::OpCategory::kGc).total_us()) / ops;
@@ -159,27 +110,19 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
   point.p99_us = stats.latency.p99();
   point.p999_us = stats.latency.p999();
 
-  // The uniform per-bench metrics object: run stats plus the executor's
-  // per-worker submit/complete counters and the store's clock skew --
-  // report-time reads only, the caller snapshots one epoch per point.
-  if (metrics != nullptr) {
-    obs::ImportRunStats(metrics, "run", stats);
-    obs::ImportExecutorStats(metrics, "executor", executor);
-    obs::ImportShardedStoreStats(metrics, "store", *run.store);
-  }
-
   if (check) {
     // Replay the identical schedule inline on an identically prepared
     // store; thread-confined execution must leave every chip exactly where
     // the threaded run left it.
+    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                             harness::PrepareRig(env, spec, rig_spec));
+    const harness::Execution inline_ex{.batch = batch_size, .depth = kDepth};
     FLASHDB_ASSIGN_OR_RETURN(
-        PreparedRun ref, Prepare(env, spec, num_shards, params, total_blocks));
-    workload::RunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(ref.driver->RunPipelined(
-        ref.schedule, batch_size, kDepth, nullptr, &ref_stats));
+        harness::PointResult replay,
+        harness::Execute(&ref, env.measure_ops, inline_ex));
     point.checked = true;
-    point.deterministic = harness::SameVirtualRun(run.store.get(), stats,
-                                                  ref.store.get(), ref_stats);
+    point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
+                                                  ref.store(), replay.stats);
   }
   return point;
 }
@@ -235,8 +178,8 @@ int main(int argc, char** argv) {
     for (uint32_t batch : batch_sizes) {
       double base_wall = 0;
       for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-        auto point = RunPoint(env, *spec, shards, batch, params,
-                                      total_blocks, pin, check, &metrics);
+        auto point = RunPoint(env, *spec, shards, batch, params, pin, check,
+                              &metrics);
         metrics.SnapshotEpoch(point_index++);
         if (!point.ok()) {
           std::cerr << name << " x" << shards << " b" << batch << ": "

@@ -1,11 +1,16 @@
 #include "harness/experiment.h"
 
+#include <chrono>
 #include <cstdio>
 #include <utility>
 #include <vector>
 
+#include "common/cpu_affinity.h"
+#include "flash/fault_injector.h"
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
+#include "obs/metrics_import.h"
+#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 
 namespace flashdb::harness {
@@ -25,7 +30,27 @@ std::vector<std::pair<uint64_t, uint64_t>> ChipState(PageStore* store) {
   }
   return chips;
 }
+
+/// Worker i -> core i mod the available cores; empty (unpinned) when not
+/// requested or unsupported.
+std::vector<int> PinCores(bool pin, uint32_t workers) {
+  std::vector<int> cores;
+  if (!pin || !CpuPinningSupported()) return cores;
+  const uint32_t available = NumAvailableCores();
+  for (uint32_t i = 0; i < workers; ++i) {
+    cores.push_back(static_cast<int>(i % available));
+  }
+  return cores;
+}
 }  // namespace
+
+uint32_t ExperimentEnv::num_db_pages(uint32_t chips) const {
+  flash::FlashGeometry g = flash_cfg.geometry;
+  g.num_blocks /= chips;
+  return static_cast<uint32_t>(
+      utilization *
+      static_cast<double>(g.total_pages() - 2 * g.pages_per_block) * chips);
+}
 
 bool SameVirtualRun(PageStore* a, const workload::RunStats& sa, PageStore* b,
                     const workload::RunStats& sb) {
@@ -70,43 +95,116 @@ ExperimentEnv ExperimentEnv::FromFlags(const Flags& flags) {
   return env;
 }
 
+uint32_t Rig::chips() const {
+  return sharded_ != nullptr ? sharded_->num_shards() : 1;
+}
+
+flash::FlashDevice* Rig::chip(uint32_t i) {
+  return sharded_ != nullptr ? sharded_->shard_device(i) : flat_chip_.get();
+}
+
+void Rig::AttachTrace(obs::TraceRecorder* rec) {
+  for (uint32_t i = 0; i < chips(); ++i) chip(i)->set_trace(rec->shard(i));
+  driver_->set_wall_trace(rec->wall_lane());
+}
+
+void Rig::AttachFaultInjector(flash::FaultInjector* injector) {
+  for (uint32_t i = 0; i < chips(); ++i) chip(i)->set_fault_injector(injector);
+}
+
+Result<Rig> PrepareRig(const ExperimentEnv& env,
+                       const methods::MethodSpec& spec, const RigSpec& shape) {
+  if (shape.flat && shape.leveling.has_value()) {
+    return Status::InvalidArgument(
+        "wear leveling needs a sharded rig: a flat rig has no ShardRouter");
+  }
+  // Below ~8 blocks a chip cannot sustain GC at 50% utilization (the
+  // reserve alone eats most of it); reject instead of thrashing.
+  const uint32_t blocks = env.flash_cfg.geometry.num_blocks;
+  if (shape.shards == 0 || blocks / shape.shards < 8) {
+    return Status::InvalidArgument(
+        "--blocks=" + std::to_string(blocks) + " over " +
+        std::to_string(shape.shards) + " chip(s): need >= 8 blocks per chip");
+  }
+  flash::FlashConfig chip_cfg = env.flash_cfg;
+  chip_cfg.geometry.num_blocks = blocks / shape.shards;
+
+  Rig out;
+  if (shape.flat) {
+    out.flat_chip_ = std::make_unique<flash::FlashDevice>(chip_cfg);
+    out.store_ = methods::CreateStore(out.flat_chip_.get(), spec);
+  } else {
+    std::unique_ptr<ftl::ShardedStore> sharded =
+        methods::CreateShardedStore(chip_cfg, shape.shards, spec);
+    out.sharded_ = sharded.get();
+    out.store_ = std::move(sharded);
+    if (shape.leveling.has_value()) {
+      FLASHDB_RETURN_IF_ERROR(
+          out.sharded_->router()->EnableRebalancing(*shape.leveling));
+    }
+  }
+  workload::WorkloadParams wp = shape.params;
+  wp.seed = env.seed;
+  out.driver_ = std::make_unique<workload::UpdateDriver>(out.store_.get(), wp);
+  const uint32_t db_pages = env.num_db_pages(shape.shards);
+  FLASHDB_RETURN_IF_ERROR(out.driver_->LoadDatabase(db_pages));
+  const uint64_t warmup_cap =
+      env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
+  FLASHDB_RETURN_IF_ERROR(
+      out.driver_->Warmup(env.warmup_erases_per_block, warmup_cap));
+  return out;
+}
+
+Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
+                            obs::MetricsRegistry* metrics) {
+  using Clock = std::chrono::steady_clock;
+  workload::UpdateDriver* driver = rig->driver_.get();
+  PointResult result;
+  result.method = std::string(rig->store()->name());
+  std::unique_ptr<ftl::ShardExecutor> executor;
+  Clock::time_point t0;
+  if (ex.depth == 0) {
+    t0 = Clock::now();
+    FLASHDB_RETURN_IF_ERROR(driver->Run(num_ops, &result.stats));
+  } else {
+    const workload::Schedule schedule = driver->MakeSchedule(num_ops);
+    if (ex.threaded) {
+      executor = std::make_unique<ftl::ShardExecutor>(
+          rig->chips(), ex.queue_capacity, PinCores(ex.pin, rig->chips()));
+    }
+    t0 = Clock::now();
+    FLASHDB_RETURN_IF_ERROR(driver->RunPipelined(
+        schedule, ex.batch, ex.depth, executor.get(), &result.stats));
+  }
+  result.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  if (metrics != nullptr) {
+    obs::ImportRunStats(metrics, "run", result.stats);
+    if (executor != nullptr) {
+      obs::ImportExecutorStats(metrics, "executor", *executor);
+    }
+  }
+  return result;
+}
+
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params) {
-  flash::FlashDevice dev(env.flash_cfg);
-  std::unique_ptr<PageStore> store = methods::CreateStore(&dev, spec);
-  workload::WorkloadParams wp = params;
-  wp.seed = env.seed;
-  workload::UpdateDriver driver(store.get(), wp);
-  FLASHDB_RETURN_IF_ERROR(driver.LoadDatabase(env.num_db_pages()));
-  const uint64_t warmup_cap = env.warmup_max_ops != 0
-                                  ? env.warmup_max_ops
-                                  : 20ULL * env.num_db_pages();
-  FLASHDB_RETURN_IF_ERROR(
-      driver.Warmup(env.warmup_erases_per_block, warmup_cap));
+  const RigSpec flat{.flat = true, .params = params};
+  FLASHDB_ASSIGN_OR_RETURN(Rig rig, PrepareRig(env, spec, flat));
   // Attach tracing after warmup so the timeline covers the measured run
   // only. Recording never perturbs virtual time (null-sink contract).
   std::unique_ptr<obs::TraceRecorder> recorder;
   if (!env.trace_path.empty()) {
     recorder = std::make_unique<obs::TraceRecorder>(1);
-    dev.set_trace(recorder->shard(0));
-    driver.set_wall_trace(recorder->wall_lane());
+    rig.AttachTrace(recorder.get());
   }
-  PointResult result;
-  result.method = std::string(store->name());
-  if (env.pipeline_depth == 0) {
-    FLASHDB_RETURN_IF_ERROR(driver.Run(env.measure_ops, &result.stats));
-  } else {
-    // Threaded single-chip mode: window size 1 makes scheduled execution
-    // degenerate to the sequential op sequence (every read from flash,
-    // every write-back flushed immediately), so the measured virtual time
-    // is bit-identical to the Run() path above for the same flags.
-    const workload::Schedule schedule = driver.MakeSchedule(env.measure_ops);
-    ftl::ShardExecutor executor(1);
-    FLASHDB_RETURN_IF_ERROR(driver.RunPipelined(
-        schedule, /*batch_size=*/1, env.pipeline_depth, &executor,
-        &result.stats));
-  }
+  // Window size 1 makes scheduled execution degenerate to the sequential op
+  // sequence (every read from flash, every write-back flushed immediately),
+  // so --pipeline=K measures the same virtual time as the Run() loop.
+  const Execution execution{.depth = env.pipeline_depth, .threaded = true};
+  FLASHDB_ASSIGN_OR_RETURN(PointResult result,
+                           Execute(&rig, env.measure_ops, execution));
   if (recorder != nullptr) {
     static uint64_t point_index = 0;
     FLASHDB_RETURN_IF_ERROR(recorder->WriteChromeTraceFile(

@@ -1,5 +1,8 @@
 // Shared experiment plumbing: builds a device + store + driver for a method,
 // loads the database, reaches steady state, and measures a workload point.
+// Every update-workload bench prepares its stores with PrepareRig and times
+// its measured runs with Execute; a replay check is a second PrepareRig with
+// equal arguments, Execute in the other mode, then SameVirtualRun.
 //
 // Scale note: the paper runs a 1 GB database on a 2 GB chip and warms up
 // until every block was garbage-collected >= 10 times. Virtual-time results
@@ -11,11 +14,21 @@
 #define FLASHDB_HARNESS_EXPERIMENT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "ftl/shard_router.h"
 #include "harness/cli.h"
 #include "methods/method_factory.h"
 #include "workload/update_driver.h"
+
+namespace flashdb::flash {
+class FaultInjector;
+}  // namespace flashdb::flash
+namespace flashdb::obs {
+class MetricsRegistry;
+class TraceRecorder;
+}  // namespace flashdb::obs
 
 namespace flashdb::harness {
 
@@ -51,15 +64,12 @@ struct ExperimentEnv {
   /// pinned by tests/trace_test.cc).
   std::string trace_path;
 
-  uint32_t num_db_pages() const {
-    // Two blocks of headroom keep IPL(64KB) feasible at 50% utilization: its
-    // per-block log region (half the block) means the database occupies the
-    // whole chip, and merging still needs one spare block.
-    const auto& g = flash_cfg.geometry;
-    return static_cast<uint32_t>(
-        utilization *
-        static_cast<double>(g.total_pages() - 2 * g.pages_per_block));
-  }
+  /// Database pages over `chips` chips that split `flash_cfg`'s blocks
+  /// evenly: `utilization` of every chip's pages less two blocks of
+  /// headroom. The headroom keeps IPL(64KB) feasible at 50% utilization: its
+  /// per-block log region (half the block) means the database occupies the
+  /// whole chip, and merging still needs one spare block.
+  uint32_t num_db_pages(uint32_t chips = 1) const;
 
   /// Common bench flags: --blocks, --page-size, --util, --warmup-epb,
   /// --warmup-max, --ops, --seed, --tread, --twrite, --terase, --dies,
@@ -71,10 +81,98 @@ struct ExperimentEnv {
 struct PointResult {
   std::string method;
   workload::RunStats stats;
+  /// Host wall-clock of the measured run (never gated: machine-relative).
+  double wall_ms = 0;
 };
 
-/// Builds a fresh device+store for `spec`, loads `env.num_db_pages()` pages,
-/// warms up to steady state, then measures `env.measure_ops` operations.
+/// How Execute runs the measured operations.
+struct Execution {
+  /// Operations per per-shard window.
+  uint32_t batch = 1;
+  /// Windows in flight per shard. 0 runs the plain sequential Run() loop on
+  /// the calling thread, drawing each operation just before it executes
+  /// (the other fields are then unused).
+  uint32_t depth = 0;
+  /// Streams the windows to a fresh ShardExecutor with one worker per chip
+  /// instead of running them on the calling thread.
+  bool threaded = false;
+  /// Ring capacity of each worker.
+  size_t queue_capacity = 1024;
+  /// Pins worker i to core i mod the available cores: a wall-clock knob
+  /// that never moves virtual time.
+  bool pin = false;
+};
+
+/// Shape of the rig PrepareRig builds.
+struct RigSpec {
+  /// Chips the flash capacity (env.flash_cfg's blocks) is split over.
+  uint32_t shards = 1;
+  /// One chip driven through the method's own store instead of a
+  /// ShardedStore; needs shards == 1.
+  bool flat = false;
+  /// Cross-shard wear leveling, enabled before the load; sharded rigs only.
+  std::optional<ftl::WearLevelConfig> leveling = std::nullopt;
+  /// Workload of the load, the warmup and the measured run; its seed is
+  /// replaced by env.seed.
+  workload::WorkloadParams params = {};
+};
+
+/// A store plus its driver at steady state. Two rigs prepared with equal
+/// arguments hold bit-identical state, which the replay checks rely on.
+class Rig {
+ public:
+  Rig(Rig&&) = default;
+  // No move assignment: memberwise order would free a flat rig's chip
+  // before the store that writes to it.
+  Rig& operator=(Rig&&) = delete;
+
+  PageStore* store() { return store_.get(); }
+  /// The store as a ShardedStore; null for a flat rig.
+  ftl::ShardedStore* sharded() { return sharded_; }
+  uint32_t chips() const;
+
+  /// Attaches `rec`'s lane i to chip i and its wall lane to the driver.
+  /// `rec` needs chips() lanes.
+  void AttachTrace(obs::TraceRecorder* rec);
+  /// Attaches `injector` to every chip.
+  void AttachFaultInjector(flash::FaultInjector* injector);
+
+ private:
+  friend Result<Rig> PrepareRig(const ExperimentEnv& env,
+                                const methods::MethodSpec& spec,
+                                const RigSpec& shape);
+  friend Result<PointResult> Execute(Rig* rig, uint64_t num_ops,
+                                     const Execution& ex,
+                                     obs::MetricsRegistry* metrics);
+  Rig() = default;
+  flash::FlashDevice* chip(uint32_t i);
+
+  std::unique_ptr<flash::FlashDevice> flat_chip_;  // flat rigs only
+  std::unique_ptr<PageStore> store_;
+  ftl::ShardedStore* sharded_ = nullptr;  // store_, when sharded
+  std::unique_ptr<workload::UpdateDriver> driver_;
+};
+
+/// Builds the store for `spec` on env.flash_cfg's blocks split evenly over
+/// `shape.shards` chips (InvalidArgument below 8 blocks per chip: the GC
+/// reserve would eat most of the chip), loads env.num_db_pages(shape.shards)
+/// pages and warms up to env's steady state, capped at
+/// env.warmup_max_ops operations or, when that is 0, 20 per database page.
+/// Draws nothing of the measured run: Execute does that.
+Result<Rig> PrepareRig(const ExperimentEnv& env,
+                       const methods::MethodSpec& spec, const RigSpec& shape);
+
+/// Draws `num_ops` operations from the rig's driver and runs them as `ex`
+/// says. Only the run is timed: a pre-drawn schedule and the worker start-up
+/// stay outside wall_ms. With `metrics`, imports the run stats under "run"
+/// and, when threaded, the executor's counters under "executor".
+Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
+                            obs::MetricsRegistry* metrics = nullptr);
+
+/// A flat rig for `spec` (PrepareRig), measured for `env.measure_ops`
+/// operations: sequentially, or with --pipeline=K as single-op windows
+/// streamed depth-K to one worker. With --trace the measured run's timeline
+/// is exported (PointTracePath).
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);

@@ -1,5 +1,5 @@
-// Tests for the experiment harness: flag parsing, table printing, and an
-// end-to-end workload point.
+// Tests for the experiment harness: flag parsing, table printing, the bench
+// rig (PrepareRig/Execute), and an end-to-end workload point.
 
 #include <gtest/gtest.h>
 
@@ -103,6 +103,89 @@ TEST(ExperimentTest, ShapeCheckPdlBeatsOpuOnSmallUpdates) {
   ASSERT_TRUE(pdl.ok()) << pdl.status().ToString();
   ASSERT_TRUE(opu.ok()) << opu.status().ToString();
   EXPECT_LT(pdl->stats.overall_us_per_op(), opu->stats.overall_us_per_op());
+}
+
+/// A small steady-state environment shared by the rig tests.
+ExperimentEnv SmallRigEnv() {
+  ExperimentEnv env;
+  env.flash_cfg = flash::FlashConfig::Small(32);
+  env.warmup_erases_per_block = 1.0;
+  env.warmup_max_ops = 2000;
+  env.measure_ops = 600;
+  return env;
+}
+
+TEST(RigTest, FlatSequentialRunMatchesThreadedReplay) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("PDL(256B)");
+  ASSERT_TRUE(spec.ok());
+  const RigSpec rig_spec{.flat = true};
+  auto seq_rig = PrepareRig(env, *spec, rig_spec);
+  auto thr_rig = PrepareRig(env, *spec, rig_spec);
+  ASSERT_TRUE(seq_rig.ok()) << seq_rig.status().ToString();
+  ASSERT_TRUE(thr_rig.ok()) << thr_rig.status().ToString();
+  EXPECT_EQ(seq_rig->chips(), 1u);
+  EXPECT_EQ(seq_rig->sharded(), nullptr);
+
+  const Execution threaded{.batch = 1, .depth = 4, .threaded = true};
+  auto seq = Execute(&seq_rig.value(), env.measure_ops, Execution{});
+  auto thr = Execute(&thr_rig.value(), env.measure_ops, threaded);
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  ASSERT_TRUE(thr.ok()) << thr.status().ToString();
+  EXPECT_EQ(seq->stats.operations, env.measure_ops);
+  EXPECT_GT(seq->stats.overall_us_per_op(), 0.0);
+  EXPECT_TRUE(SameVirtualRun(seq_rig->store(), seq->stats, thr_rig->store(),
+                             thr->stats));
+}
+
+TEST(RigTest, LevelingShardedInlineRunMatchesThreadedReplay) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  RigSpec rig_spec{.shards = 2, .leveling = ftl::WearLevelConfig{}};
+  rig_spec.leveling->max_erase_ratio = 1.25;
+  rig_spec.leveling->min_total_erases = 8;
+  rig_spec.params.hot_shard_pct = 90;
+  rig_spec.params.rebalance_epoch_ops = 100;
+  rig_spec.params.record_latency = true;
+  auto inline_rig = PrepareRig(env, *spec, rig_spec);
+  auto thr_rig = PrepareRig(env, *spec, rig_spec);
+  ASSERT_TRUE(inline_rig.ok()) << inline_rig.status().ToString();
+  ASSERT_TRUE(thr_rig.ok()) << thr_rig.status().ToString();
+  ASSERT_NE(inline_rig->sharded(), nullptr);
+  EXPECT_EQ(inline_rig->chips(), 2u);
+
+  const Execution inline_ex{.batch = 4, .depth = 2};
+  Execution threaded_ex = inline_ex;
+  threaded_ex.threaded = true;
+  auto in = Execute(&inline_rig.value(), env.measure_ops, inline_ex);
+  auto thr = Execute(&thr_rig.value(), env.measure_ops, threaded_ex);
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  ASSERT_TRUE(thr.ok()) << thr.status().ToString();
+  // The skew must make the rebalancer act, or the replay proves little.
+  EXPECT_GT(in->stats.migrations, 0u);
+  EXPECT_TRUE(SameVirtualRun(inline_rig->store(), in->stats, thr_rig->store(),
+                             thr->stats));
+}
+
+TEST(RigTest, RejectsFewerThanEightBlocksPerChip) {
+  const ExperimentEnv env = SmallRigEnv();  // 32 blocks
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  EXPECT_TRUE(PrepareRig(env, *spec, RigSpec{.shards = 4}).ok());
+  const auto rig = PrepareRig(env, *spec, RigSpec{.shards = 8});
+  ASSERT_FALSE(rig.ok());
+  EXPECT_TRUE(rig.status().IsInvalidArgument()) << rig.status().ToString();
+}
+
+TEST(RigTest, RejectsFlatRigWithLeveling) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  const RigSpec flat_leveling{.flat = true, .leveling = ftl::WearLevelConfig{}};
+  const auto rig = PrepareRig(env, *spec, flat_leveling);
+  ASSERT_FALSE(rig.ok());
+  EXPECT_TRUE(rig.status().IsInvalidArgument()) << rig.status().ToString();
 }
 
 }  // namespace
