@@ -5,8 +5,8 @@
 // issue single-warehouse TPC-C transactions, each routed to the shard
 // hosting its warehouse (warehouse w -> shard (w-1) mod S), executed whole
 // on that shard's ShardExecutor worker over that shard's BufferPool and
-// chip, and committed write-through (FlushAll == one partitioned WriteBatch
-// per transaction). Reported per cell (method x clients x shards):
+// chip, and committed write-through (FlushAll == one WriteBatch per
+// transaction). Reported per cell (method x clients x shards):
 // transaction-latency percentiles in virtual time, the worst transaction's
 // GC/meta attribution, and serving throughput in virtual time
 // (ktps_vt = txns / max-shard-clock-advance -- the chips run in parallel).

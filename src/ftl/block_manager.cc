@@ -10,7 +10,12 @@ namespace flashdb::ftl {
 BlockManager::BlockManager(flash::FlashDevice* dev, uint32_t gc_reserve_blocks,
                            uint32_t num_streams)
     : dev_(dev),
-      gc_reserve_blocks_(gc_reserve_blocks),
+      // Tiny chips cannot afford the full reserve: clamp it so at least one
+      // quarter of the chip stays allocatable (GC transient demand scales
+      // down with lighter workloads on small chips).
+      gc_reserve_blocks_(std::min(
+          gc_reserve_blocks,
+          std::max(2u, dev->geometry().num_data_blocks() / 8))),
       num_streams_(num_streams == 0 ? 1 : num_streams),
       num_planes_(dev->geometry().planes_per_chip()) {
   pages_per_block_ = dev_->geometry().pages_per_block;
@@ -95,6 +100,14 @@ void BlockManager::SetValidForRecovery(flash::PhysAddr addr) {
 
 void BlockManager::SetObsoleteForRecovery(flash::PhysAddr addr) {
   page_state_[addr] = PageState::kObsolete;
+}
+
+Status BlockManager::MarkObsoleteForRecovery(flash::PhysAddr addr) {
+  ByteBuffer spare(dev_->geometry().spare_size);
+  EncodeObsoleteMark(spare);
+  FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(addr, spare));
+  SetObsoleteForRecovery(addr);
+  return Status::OK();
 }
 
 void BlockManager::MarkBadForRecovery(uint32_t block) {

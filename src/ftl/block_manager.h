@@ -4,10 +4,10 @@
 // The manager keeps an in-RAM mirror of every physical page's state
 // (free / valid / obsolete), allocates pages sequentially within an "open"
 // block (NAND programming order), and performs the obsolete-marking spare
-// program on behalf of callers. A configurable reserve of free blocks
-// guarantees garbage collection can always relocate a victim's valid pages.
-// Victim selection itself is pluggable: see ftl/gc_policy.h, which reads the
-// per-block occupancy this manager exposes.
+// program on behalf of callers. A reserve of free blocks guarantees garbage
+// collection can always relocate a victim's valid pages. Victim selection
+// lives in ftl/gc_policy.h, which reads the per-block occupancy this manager
+// exposes.
 //
 // Plane striping: on multi-plane chips each allocation stream keeps one open
 // block *per plane* and hands out pages round-robin across the planes, so a
@@ -45,8 +45,9 @@ enum class PageState : uint8_t {
 /// See file comment.
 class BlockManager {
  public:
-  /// `gc_reserve_blocks` free blocks are withheld from normal allocation so
-  /// garbage collection can always make progress. `num_streams` is the
+  /// `gc_reserve_blocks` free blocks, capped at max(2, data blocks / 8) so
+  /// tiny chips stay usable, are withheld from normal allocation so garbage
+  /// collection can always make progress. `num_streams` is the
   /// number of allocation streams (see AllocatePage): callers may segregate
   /// page kinds (e.g. PDL base pages vs differential pages) into different
   /// open blocks so blocks stay homogeneous and garbage-collection victims
@@ -75,6 +76,9 @@ class BlockManager {
   void SetValidForRecovery(flash::PhysAddr addr);
   /// Marks a page obsolete in RAM only (recovery replay; no device write).
   void SetObsoleteForRecovery(flash::PhysAddr addr);
+  /// Recovery replay of a page found dead: programs the obsolete mark into
+  /// its spare area (one write op), then SetObsoleteForRecovery.
+  Status MarkObsoleteForRecovery(flash::PhysAddr addr);
   /// Marks a block bad in RAM only: removed from its plane's free list (if
   /// there) and never allocated or picked as a GC victim again. Used when a
   /// recovery scan or the format-time OOB scan finds the bad-block mark, and
@@ -114,7 +118,7 @@ class BlockManager {
     for (auto& b : open_block_) b = -1;
   }
 
-  // --- Occupancy views read by GC policies (ftl/gc_policy.h) --------------
+  // --- Occupancy views read by GC victim selection (ftl/gc_policy.h) -----
   PageState state(flash::PhysAddr addr) const { return page_state_[addr]; }
   uint32_t num_blocks() const {
     return static_cast<uint32_t>(block_programmed_.size());
@@ -159,6 +163,8 @@ class BlockManager {
 
   /// Pages per block of the underlying device.
   uint32_t pages_per_block() const { return pages_per_block_; }
+  /// Data bytes per page of the underlying device.
+  uint32_t data_size() const { return dev_->geometry().data_size; }
 
   /// Total pages the store may fill before GC stops reclaiming anything:
   /// capacity minus the permanent reserve and any bad blocks (diagnostics).

@@ -1,100 +1,66 @@
-// Pluggable garbage-collection victim selection, extracted from the
-// selection loops that used to live inside BlockManager.
+// Garbage-collection victim selection, shared by the out-place methods (OPU
+// and PDL).
 //
-// Two policies cover the paper's methods:
-//   * kGreedyObsolete    -- the classic greedy FTL policy: the closed block
-//                           with the most obsolete pages wins. Right for
-//                           whole-page stores (OPU), where a valid page
-//                           reclaims nothing.
-//   * kCostBenefitBytes  -- byte-scored cost/benefit: an obsolete page scores
-//                           a full page, a valid page scores a caller-supplied
-//                           amount (PDL: the dead fraction of a differential
-//                           page, reclaimable by compaction). Keeps PDL(2KB)
-//                           stable at the paper's 50% utilization.
+// One byte-scored rule covers both: an obsolete page scores a full page, and
+// a valid page scores what collecting its block would give back -- for PDL
+// the dead fraction of a differential page (reclaimed by compaction), for
+// OPU nothing, since a valid data page must be relocated whole. Without a
+// valid-page score the rule therefore ranks blocks by obsolete-page count,
+// the classic greedy FTL policy; with PDL's score it keeps PDL(2KB) stable at
+// the paper's 50% utilization, where greedy selection never sees the dead
+// bytes of still-referenced differential pages.
 //
-// Stores pick a policy through their config (PdlConfig / OpuConfig) so
-// experiments can swap selection strategies without touching store code.
+// Thread-safety: the functions read (and PickGcVictims updates) a
+// BlockManager that follows the shard-confinement contract, so call them
+// only from the owning shard's thread (see flash_device.h).
+//
+// Determinism: victim choice is a pure function of the manager's occupancy
+// state and the valid-page score; ties break toward the lowest block index,
+// so victim sequences -- and therefore GC traffic and virtual clocks -- are
+// reproducible run-over-run.
 
 #ifndef FLASHDB_FTL_GC_POLICY_H_
 #define FLASHDB_FTL_GC_POLICY_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
+#include "common/result.h"
 #include "flash/flash_device.h"
 
 namespace flashdb::ftl {
 
 class BlockManager;
 
-/// Victim-selection algorithm selector (named by store configs).
-enum class GcPolicyKind {
-  kGreedyObsolete,
-  kCostBenefitBytes,
-};
+/// Bytes a valid page gives back when its block is collected. Null means
+/// valid pages give back nothing.
+using ValidPageScore = std::function<uint64_t(flash::PhysAddr)>;
 
-std::string_view GcPolicyKindName(GcPolicyKind kind);
+/// GC benefit of `block` in bytes: one full page per obsolete page (read
+/// from BlockManager::block_obsolete, so the score is O(1) without a
+/// `valid_score`) plus `valid_score` of each valid page.
+uint64_t ScoreBlock(const BlockManager& bm, const ValidPageScore& valid_score,
+                    uint32_t block);
 
-/// Scoring inputs for byte-scored policies; greedy selection ignores it.
-struct GcScoreContext {
-  /// Victims scoring below this are not worth an erase.
-  uint64_t min_score = 1;
-  /// Score of one fully-obsolete page (typically the page data size).
-  uint64_t full_page_score = 1;
-  /// Score of a valid page -- e.g. the dead bytes reclaimable by compacting
-  /// a differential page. Null means valid pages score 0.
-  std::function<uint64_t(flash::PhysAddr)> valid_page_score;
-  /// When >= 0, only blocks of this plane are eligible (used to assemble
-  /// multi-plane victim groups plane by plane). -1 considers every plane.
-  int64_t only_plane = -1;
-};
+/// The next victim group. Its lead is the best-scoring closed block (never
+/// an open, free or bad block), which must score at least one full page. On
+/// multi-plane chips every other plane of the lead's die adds its own best
+/// block if that scores at least half the lead (a weak secondary would force
+/// relocating nearly a block of valid data to save one erase command), so
+/// the group satisfies FlashDevice::EraseBlocksMultiPlane's same-die /
+/// distinct-plane rule by construction; 1-plane chips get one victim. Empty
+/// when no block qualifies.
+std::vector<uint32_t> PickVictimGroup(const BlockManager& bm,
+                                      const ValidPageScore& valid_score);
 
-/// See file comment.
-///
-/// Thread-safety: stateless and const; an instance may be shared across
-/// stores, but each PickVictim call reads a BlockManager that follows the
-/// shard-confinement contract, so call it only from the owning shard's
-/// thread (see flash_device.h).
-///
-/// Determinism: PickVictim is a pure function of the manager's occupancy
-/// state and the score context; ties break toward the lowest block index,
-/// so victim sequences -- and therefore GC traffic and virtual clocks --
-/// are reproducible run-over-run.
-class GcPolicy {
- public:
-  virtual ~GcPolicy() = default;
-
-  virtual std::string_view name() const = 0;
-
-  /// Returns the closed block to reclaim next, or nullopt when no closed
-  /// block is worth collecting. Never returns an open block, a free block,
-  /// or a bad block; honors ctx.only_plane.
-  virtual std::optional<uint32_t> PickVictim(
-      const BlockManager& bm, const GcScoreContext& ctx) const = 0;
-
-  /// This policy's score for one block (the quantity PickVictim maximizes).
-  /// Exposed so victim-group assembly can compare candidates across planes.
-  virtual uint64_t ScoreBlock(const BlockManager& bm, const GcScoreContext& ctx,
-                              uint32_t block) const = 0;
-};
-
-std::unique_ptr<GcPolicy> MakeGcPolicy(GcPolicyKind kind);
-
-/// Assembles a multi-plane victim group: the policy's global best victim
-/// plus, for every other plane of the same die, that plane's best victim if
-/// it scores at least half the lead's score (a weak secondary victim would
-/// force relocating nearly a block of valid data to save one erase command).
-/// Returns an empty vector when there is no victim at all; a single-element
-/// group on 1-plane chips (bit-identical to PickVictim). The group satisfies
-/// FlashDevice::EraseBlocksMultiPlane's same-die / distinct-plane rule by
-/// construction. Deterministic: plane slots are scanned in ascending order.
-std::vector<uint32_t> PickVictimGroup(const GcPolicy& policy,
-                                      const BlockManager& bm,
-                                      const GcScoreContext& ctx);
+/// The start of one GC round: PickVictimGroup, and when nothing qualifies,
+/// closes the open blocks (the reclaimable space may all sit in them) and
+/// picks again. NoSpace when still nothing qualifies; otherwise traces the
+/// kGcVictim event on `dev` and returns the group.
+Result<std::vector<uint32_t>> PickGcVictims(flash::FlashDevice* dev,
+                                            BlockManager* bm,
+                                            const ValidPageScore& valid_score);
 
 }  // namespace flashdb::ftl
 

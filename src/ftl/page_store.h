@@ -16,25 +16,31 @@
 //
 // The single-chip stores share the extracted FTL subsystem: ftl::MappingTable
 // (pid -> physical mapping plus differential bookkeeping and recovery
-// replay), ftl::GcPolicy (pluggable victim selection), and ftl::BlockManager
-// (stream-segregated allocation and block lifecycle).
+// replay), ftl::PickGcVictims (GC victim scoring), and ftl::BlockManager
+// (stream-segregated allocation and block lifecycle). Every store applies the
+// boundary checks and the Format erase sweep declared below this interface.
 //
-// Loosely-coupled methods (PDL, OPU, IPU) ignore OnUpdate and act only on
-// WriteBack; the tightly-coupled IPL consumes the per-update logs the storage
-// system must surface to it.
+// Loosely-coupled methods (PDL, OPU, IPU) only validate OnUpdate's arguments
+// and act on WriteBack; the tightly-coupled IPL consumes the per-update logs
+// the storage system must surface to it.
 
 #ifndef FLASHDB_FTL_PAGE_STORE_H_
 #define FLASHDB_FTL_PAGE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/result.h"
 #include "common/status.h"
 #include "flash/flash_device.h"
+#include "ftl/logical_clock.h"
+#include "ftl/spare_codec.h"
 
 namespace flashdb {
 
@@ -58,6 +64,27 @@ struct PageWrite {
   ConstBytes page;
 };
 
+// --- Rules shared by every store ---------------------------------------
+//
+// Every PageStore call checks its arguments in one order before any device
+// work: a store that was never formatted (nor recovered) rejects the call
+// with InvalidArgument, a pid at or past num_logical_pages() is NotFound, and
+// a page buffer that is not exactly one page is InvalidArgument.
+
+/// Format's page-count check: pid 0xFFFFFFFF is reserved (flash::kNullAddr,
+/// which is also PDL's padding pid), so fewer pages than that fit.
+Status CheckPageCount(uint32_t num_logical_pages);
+
+/// InvalidArgument unless `formatted`.
+Status CheckFormatted(bool formatted);
+
+/// CheckFormatted, then NotFound unless pid < num_pages.
+Status CheckPid(bool formatted, PageId pid, uint32_t num_pages);
+
+/// CheckPid, then InvalidArgument unless `bytes` == data_size.
+Status CheckPageArgs(bool formatted, PageId pid, uint32_t num_pages,
+                     size_t bytes, uint32_t data_size);
+
 /// Interface implemented by every page-update method.
 class PageStore {
  public:
@@ -78,37 +105,31 @@ class PageStore {
 
   /// Notification that the in-memory copy of `pid` was updated; `page_after`
   /// is the page image after the update and `log` the change itself.
-  /// Loosely-coupled methods ignore this (they see only WriteBack).
+  /// Loosely-coupled methods only validate the arguments (they act on
+  /// WriteBack alone).
   virtual Status OnUpdate(PageId pid, ConstBytes page_after,
                           const UpdateLog& log) {
-    (void)pid;
-    (void)page_after;
     (void)log;
-    return Status::OK();
+    return CheckPageArgs(num_logical_pages() != 0, pid, num_logical_pages(),
+                         page_after.size(), device()->geometry().data_size);
   }
 
   /// Reflects the up-to-date image of `pid` into flash memory (called when a
   /// dirty page leaves the DBMS buffer).
   virtual Status WriteBack(PageId pid, ConstBytes page) = 0;
 
-  /// Reflects a batch of pages in order. Entries are validated up front (a
-  /// malformed entry rejects the whole batch before any write reaches
-  /// flash); a valid batch then applies exactly like sequential WriteBack
-  /// calls -- the method-equivalence tests assert identical on-flash state.
-  /// Stores override it to amortize per-call overhead: PDL reuses its
-  /// base-image scratch, ShardedStore partitions the batch so each chip
-  /// sees one contiguous run. The batch is also the unit of work the
-  /// ShardExecutor ships to a shard worker, so larger batches amortize
-  /// submission and future overhead.
+  /// Reflects a batch of pages in order: every entry is validated up front,
+  /// so a malformed entry rejects the whole batch before any write reaches
+  /// flash; a valid batch then applies as sequential WriteBack calls. This is
+  /// the only implementation (a store keeps its per-write scratch across
+  /// WriteBack calls instead), and the unit of work the ShardExecutor ships to
+  /// a shard worker, so larger batches amortize submission overhead.
   virtual Status WriteBatch(std::span<const PageWrite> writes) {
+    const uint32_t pages = num_logical_pages();
     const uint32_t data_size = device()->geometry().data_size;
     for (const PageWrite& w : writes) {
-      if (w.pid >= num_logical_pages()) {
-        return Status::NotFound("pid out of range: " + std::to_string(w.pid));
-      }
-      if (w.page.size() != data_size) {
-        return Status::InvalidArgument("page image must be one page");
-      }
+      FLASHDB_RETURN_IF_ERROR(
+          CheckPageArgs(pages != 0, w.pid, pages, w.page.size(), data_size));
     }
     for (const PageWrite& w : writes) {
       FLASHDB_RETURN_IF_ERROR(WriteBack(w.pid, w.page));
@@ -132,7 +153,7 @@ class PageStore {
   virtual Status ScrubPhysPage(flash::PhysAddr addr, bool* relocated) {
     (void)addr;
     *relocated = false;
-    return Status::OK();
+    return CheckFormatted(num_logical_pages() != 0);
   }
 
   /// Rebuilds all in-memory tables by scanning flash after a crash. The
@@ -140,7 +161,9 @@ class PageStore {
   /// another, now-dead instance).
   virtual Status Recover() = 0;
 
-  /// Number of logical pages the store was formatted with.
+  /// Number of logical pages the store was formatted with; 0 until Format
+  /// or Recover gives it pages. The default OnUpdate, WriteBatch and
+  /// ScrubPhysPage treat a store without pages as not formatted.
   virtual uint32_t num_logical_pages() const = 0;
 
   /// Blocks this store has taken out of service as bad (factory-marked in
@@ -181,6 +204,27 @@ class PageStore {
   /// consume (ShardedStore concatenates its chips' per-block counts).
   virtual flash::WearSummary wear() { return stats().wear(); }
 };
+
+// --- Format steps shared by the single-chip stores ------------------------
+
+/// The erase sweep. When FlashConfig::scan_bad_blocks is set it first finds
+/// the factory-marked bad blocks (one charged spare read per data block); it
+/// then erases every other data block holding programmed pages and returns
+/// the marked blocks, ascending and unerased so their marks survive. A store
+/// that cannot remap bad blocks passes remaps_bad_blocks = false: a marked
+/// block then fails the sweep with InvalidArgument naming it, before any
+/// erase.
+Result<std::vector<uint32_t>> EraseForFormat(flash::FlashDevice* dev,
+                                             bool remaps_bad_blocks);
+
+/// The initial image pass: for each pid in ascending order, zero-fills a
+/// page, lets `initial` (if any) fill it, stamps a `type` spare with the next
+/// `clock` timestamp and programs the page at `place(pid)`.
+Status ProgramInitialPages(
+    flash::FlashDevice* dev, uint32_t num_pages,
+    PageStore::PageInitializer initial, void* initial_arg, ftl::PageType type,
+    ftl::LogicalClock* clock,
+    const std::function<Result<flash::PhysAddr>(PageId)>& place);
 
 /// RAII switch of the accounting category at the store boundary; unlike
 /// flash::CategoryScope it also covers every chip of an aggregating store.

@@ -160,4 +160,22 @@ void ShardExecutor::WorkerLoop(Worker* w, uint32_t index) {
   }
 }
 
+Status RunShardTasks(ShardExecutor* executor, std::vector<ShardTask> tasks) {
+  if (executor == nullptr) {
+    for (ShardTask& t : tasks) FLASHDB_RETURN_IF_ERROR(t.fn());
+    return Status::OK();
+  }
+  std::vector<std::future<Status>> futures;
+  futures.reserve(tasks.size());
+  for (ShardTask& t : tasks) {
+    futures.push_back(executor->Submit(t.worker, std::move(t.fn)));
+  }
+  Status first_error;
+  for (auto& f : futures) {
+    const Status st = f.get();
+    if (!st.ok() && first_error.ok()) first_error = st;
+  }
+  return first_error;
+}
+
 }  // namespace flashdb::ftl

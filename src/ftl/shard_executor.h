@@ -208,6 +208,19 @@ class ShardExecutor {
   std::atomic<bool> stop_{false};
 };
 
+/// One task bound to a worker (a shard).
+struct ShardTask {
+  uint32_t worker = 0;
+  std::function<Status()> fn;
+};
+
+/// Runs `tasks` and returns the first error in task order. Without an
+/// executor they run inline, in order, stopping at the first error; with one
+/// they are all submitted to their workers and all joined before returning,
+/// so no task outlives the state it captures (a task for an out-of-range
+/// worker fails through its rejected submission).
+Status RunShardTasks(ShardExecutor* executor, std::vector<ShardTask> tasks);
+
 }  // namespace flashdb::ftl
 
 #endif  // FLASHDB_FTL_SHARD_EXECUTOR_H_

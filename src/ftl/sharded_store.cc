@@ -91,10 +91,7 @@ MetaJournal::Record ShardedStore::SnapshotRecord() const {
 
 Status ShardedStore::Format(uint32_t num_logical_pages,
                             PageInitializer initial, void* initial_arg) {
-  if (num_logical_pages >= flash::kNullAddr) {
-    return Status::InvalidArgument(
-        "num_logical_pages collides with the reserved pid sentinel");
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
   // Crash ordering: wipe the journal *before* rewriting the chips. A crash
   // before the wipe leaves the old journal over the old data (the previous
   // generation stays fully recoverable); a crash anywhere inside the
@@ -133,48 +130,23 @@ Status ShardedStore::Format(uint32_t num_logical_pages,
 }
 
 Status ShardedStore::ReadPage(PageId pid, MutBytes out) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPid(formatted_, pid, num_pages_));
   return shards_[shard_of(pid)].store->ReadPage(inner_pid(pid), out);
 }
 
 Status ShardedStore::OnUpdate(PageId pid, ConstBytes page_after,
                               const UpdateLog& log) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPid(formatted_, pid, num_pages_));
   return shards_[shard_of(pid)].store->OnUpdate(inner_pid(pid), page_after, log);
 }
 
 Status ShardedStore::WriteBack(PageId pid, ConstBytes page) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPid(formatted_, pid, num_pages_));
   return shards_[shard_of(pid)].store->WriteBack(inner_pid(pid), page);
 }
 
-Status ShardedStore::WriteBatch(std::span<const PageWrite> writes) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  std::vector<std::vector<PageWrite>> per_shard(num_shards());
-  for (const PageWrite& w : writes) {
-    if (w.pid >= num_pages_) {
-      return Status::NotFound("pid out of range: " + std::to_string(w.pid));
-    }
-    per_shard[shard_of(w.pid)].push_back(PageWrite{inner_pid(w.pid), w.page});
-  }
-  for (uint32_t i = 0; i < num_shards(); ++i) {
-    if (per_shard[i].empty()) continue;
-    FLASHDB_RETURN_IF_ERROR(shards_[i].store->WriteBatch(per_shard[i]));
-  }
-  return Status::OK();
-}
-
 Status ShardedStore::Flush() {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   for (Shard& s : shards_) FLASHDB_RETURN_IF_ERROR(s.store->Flush());
   return Status::OK();
 }
@@ -225,25 +197,12 @@ Status ShardedStore::Recover(ShardExecutor* executor) {
   // shard workers when an executor is supplied. Shard confinement makes the
   // parallel path safe, and each chip's operation sequence is identical to
   // the sequential path, so recovered state is bit-identical either way.
-  if (executor != nullptr) {
-    std::vector<std::future<Status>> futures;
-    futures.reserve(num_shards());
-    for (uint32_t i = 0; i < num_shards(); ++i) {
-      PageStore* store = shards_[i].store.get();
-      futures.push_back(
-          executor->Submit(i, [store] { return store->Recover(); }));
-    }
-    Status first_error = Status::OK();
-    for (auto& f : futures) {
-      const Status st = f.get();
-      if (!st.ok() && first_error.ok()) first_error = st;
-    }
-    FLASHDB_RETURN_IF_ERROR(first_error);
-  } else {
-    for (Shard& s : shards_) {
-      FLASHDB_RETURN_IF_ERROR(s.store->Recover());
-    }
+  std::vector<ShardTask> recoveries;
+  for (uint32_t i = 0; i < num_shards(); ++i) {
+    PageStore* store = shards_[i].store.get();
+    recoveries.push_back({i, [store] { return store->Recover(); }});
   }
+  FLASHDB_RETURN_IF_ERROR(RunShardTasks(executor, std::move(recoveries)));
   uint32_t total = 0;
   for (Shard& s : shards_) total += s.store->num_logical_pages();
 
@@ -324,27 +283,12 @@ Status ShardedStore::ApplyRedo(const MetaJournal::Record& snapshot,
     // The completion record appended after the redo asserts durability.
     return s->Flush();
   };
-  if (executor == nullptr) {
-    for (const MetaJournal::RedoSet& set : snapshot.redo) {
-      FLASHDB_RETURN_IF_ERROR(write_set(set));
-    }
-    return Status::OK();
-  }
-  // Out-of-range shards surface through the rejected submission's future
-  // (Submit enqueues nothing for a bad worker), so every future below is
-  // joined before any return -- no captured local can dangle.
-  std::vector<std::future<Status>> futures;
-  futures.reserve(snapshot.redo.size());
+  std::vector<ShardTask> writes;
   for (const MetaJournal::RedoSet& set : snapshot.redo) {
-    futures.push_back(executor->Submit(
-        set.shard, [&, set_ptr = &set] { return write_set(*set_ptr); }));
+    writes.push_back(
+        {set.shard, [&, set_ptr = &set] { return write_set(*set_ptr); }});
   }
-  Status first_error = Status::OK();
-  for (auto& f : futures) {
-    const Status st = f.get();
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  return first_error;
+  return RunShardTasks(executor, std::move(writes));
 }
 
 void ShardedStore::SeedRouterEraseBaseline() {
@@ -352,7 +296,7 @@ void ShardedStore::SeedRouterEraseBaseline() {
 }
 
 Status ShardedStore::ScrubShards(ScrubResult* out) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   ScrubResult res;
   for (uint32_t i = 0; i < num_shards(); ++i) {
     const std::vector<flash::PhysAddr> cands =
@@ -412,7 +356,7 @@ std::vector<uint64_t> ShardedStore::shard_clocks() const {
 
 Status ShardedStore::MigrateBuckets(std::span<const ShardRouter::Swap> swaps,
                                     ShardExecutor* executor) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   if (executor != nullptr && executor->num_workers() < num_shards()) {
     return Status::InvalidArgument("executor must have one worker per shard");
   }

@@ -69,12 +69,6 @@ class ShardedStore : public PageStore {
   Status OnUpdate(PageId pid, ConstBytes page_after,
                   const UpdateLog& log) override;
   Status WriteBack(PageId pid, ConstBytes page) override;
-  /// Partitions the batch by shard (preserving per-shard order, so the
-  /// result is identical to sequential WriteBack calls) and forwards one
-  /// inner-pid batch per chip. Runs on the calling thread; parallel
-  /// submission is the driver's job via ShardExecutor, which needs the
-  /// per-shard partitioning anyway.
-  Status WriteBatch(std::span<const PageWrite> writes) override;
   Status Flush() override;
   /// Sequential recovery (PageStore interface): Recover(nullptr).
   Status Recover() override { return Recover(nullptr); }

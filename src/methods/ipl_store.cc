@@ -1,7 +1,6 @@
 #include "methods/ipl_store.h"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_map>
 
 #include "common/coding.h"
@@ -53,6 +52,22 @@ Status CheckSlot(ConstBytes slot_bytes, size_t* record_bytes) {
   }
   return Status::OK();
 }
+
+/// Applies `count` serialized records {offset u16, length u16, bytes} from
+/// `r` onto `page`. A record running past the buffer or the page is
+/// Corruption.
+Status ApplyRecords(BufferReader* r, uint32_t count, MutBytes page) {
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint16_t off = r->GetU16();
+    const uint16_t len = r->GetU16();
+    ConstBytes data = r->GetBytes(len);
+    if (r->failed() || static_cast<size_t>(off) + len > page.size()) {
+      return Status::Corruption("malformed IPL log record");
+    }
+    std::memcpy(page.data() + off, data.data(), len);
+  }
+  return Status::OK();
+}
 }  // namespace
 
 IplStore::IplStore(flash::FlashDevice* dev, const IplConfig& config)
@@ -61,8 +76,7 @@ IplStore::IplStore(flash::FlashDevice* dev, const IplConfig& config)
       data_size_(dev->geometry().data_size),
       spare_size_(dev->geometry().spare_size),
       block_map_(/*track_diffs=*/false) {
-  slot_size_ = config_.log_buffer_bytes != 0 ? config_.log_buffer_bytes
-                                             : data_size_ / 16;
+  slot_size_ = data_size_ / kLogSlotDivisor;
   if (slot_size_ < kSlotHeaderSize + kRecordHeaderSize + 1) {
     slot_size_ = kSlotHeaderSize + kRecordHeaderSize + 1;
   }
@@ -85,10 +99,7 @@ uint32_t IplStore::LivePagesIn(uint32_t g) const {
 
 Status IplStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
-  if (num_logical_pages >= flash::kNullAddr) {
-    return Status::InvalidArgument(
-        "num_logical_pages collides with the reserved pid sentinel");
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
   const auto& g = dev_->geometry();
   num_groups_ = (num_logical_pages + orig_per_block_ - 1) / orig_per_block_;
   if (num_groups_ + 1 > g.num_data_blocks()) {
@@ -96,13 +107,10 @@ Status IplStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                            std::to_string(orig_per_block_) +
                            " logical pages plus one spare block");
   }
-  for (uint32_t b = 0; b < g.num_data_blocks(); ++b) {
-    bool dirty = false;
-    for (uint32_t p = 0; p < g.pages_per_block && !dirty; ++p) {
-      dirty = !dev_->IsErased(dev_->AddrOf(b, p));
-    }
-    if (dirty) FLASHDB_RETURN_IF_ERROR(dev_->EraseBlock(b));
-  }
+  // Block groups map to whole blocks with no bad-block remapping: a factory
+  // bad block is fatal, not skipped.
+  FLASHDB_RETURN_IF_ERROR(
+      EraseForFormat(dev_, /*remaps_bad_blocks=*/false).status());
   clock_.Reset();
   num_pages_ = num_logical_pages;
   block_map_.Reset(num_groups_, 0);
@@ -111,23 +119,12 @@ Status IplStore::Format(uint32_t num_logical_pages, PageInitializer initial,
   pending_.assign(num_pages_, {});
   free_blocks_.clear();
   counters_ = IplCounters{};
-
-  ByteBuffer page(data_size_, 0);
-  ByteBuffer spare(spare_size_, 0xFF);
-  for (uint32_t grp = 0; grp < num_groups_; ++grp) {
-    block_map_.SetBase(grp, grp);
-    const uint32_t live = std::min(orig_per_block_,
-                                   num_pages_ - grp * orig_per_block_);
-    for (uint32_t i = 0; i < live; ++i) {
-      const PageId pid = grp * orig_per_block_ + i;
-      std::fill(page.begin(), page.end(), 0);
-      if (initial != nullptr) initial(pid, page, initial_arg);
-      std::fill(spare.begin(), spare.end(), 0xFF);
-      ftl::EncodeSpare(spare, ftl::PageType::kOrig, pid, clock_.Next(), page);
-      FLASHDB_RETURN_IF_ERROR(
-          dev_->ProgramPage(dev_->AddrOf(grp, i), page, spare));
-    }
-  }
+  for (uint32_t grp = 0; grp < num_groups_; ++grp) block_map_.SetBase(grp, grp);
+  FLASHDB_RETURN_IF_ERROR(ProgramInitialPages(
+      dev_, num_pages_, initial, initial_arg, ftl::PageType::kOrig, &clock_,
+      [this](PageId pid) -> Result<PhysAddr> {
+        return dev_->AddrOf(LogicalBlockOf(pid), pid % orig_per_block_);
+      }));
   for (uint32_t b = num_groups_; b < g.num_data_blocks(); ++b) {
     free_blocks_.push_back(b);
   }
@@ -136,13 +133,8 @@ Status IplStore::Format(uint32_t num_logical_pages, PageInitializer initial,
 }
 
 Status IplStore::ReadPage(PageId pid, MutBytes out) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
-  if (out.size() != data_size_) {
-    return Status::InvalidArgument("output buffer must be one page");
-  }
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, out.size(), data_size_));
   const uint32_t grp = LogicalBlockOf(pid);
   const uint32_t block = block_map_.base(grp);
   const PhysAddr orig = dev_->AddrOf(block, pid % orig_per_block_);
@@ -171,7 +163,8 @@ Status IplStore::ReadPage(PageId pid, MutBytes out) {
     }
   }
   // Finally the logs still pending in memory.
-  return ApplyPending(pid, out);
+  BufferReader pending(pending_[pid].bytes);
+  return ApplyRecords(&pending, pending_[pid].count, out);
 }
 
 Status IplStore::ApplySlot(ConstBytes slot_bytes, PageId pid, MutBytes page,
@@ -185,40 +178,13 @@ Status IplStore::ApplySlot(ConstBytes slot_bytes, PageId pid, MutBytes page,
   FLASHDB_RETURN_IF_ERROR(CheckSlot(slot_bytes, &record_bytes));
   const uint16_t count = r.GetU16();
   r.GetU32();  // slot CRC, verified by CheckSlot above
-  for (uint16_t i = 0; i < count; ++i) {
-    const uint16_t off = r.GetU16();
-    const uint16_t len = r.GetU16();
-    ConstBytes data = r.GetBytes(len);
-    if (r.failed() || static_cast<size_t>(off) + len > page.size()) {
-      return Status::Corruption("malformed IPL log record");
-    }
-    std::memcpy(page.data() + off, data.data(), len);
-  }
-  return Status::OK();
-}
-
-Status IplStore::ApplyPending(PageId pid, MutBytes page) const {
-  const PendingLogs& pl = pending_[pid];
-  BufferReader r(pl.bytes);
-  for (uint16_t i = 0; i < pl.count; ++i) {
-    const uint16_t off = r.GetU16();
-    const uint16_t len = r.GetU16();
-    ConstBytes data = r.GetBytes(len);
-    if (r.failed() || static_cast<size_t>(off) + len > page.size()) {
-      return Status::Corruption("malformed pending IPL record");
-    }
-    std::memcpy(page.data() + off, data.data(), len);
-  }
-  return Status::OK();
+  return ApplyRecords(&r, count, page);
 }
 
 Status IplStore::OnUpdate(PageId pid, ConstBytes page_after,
                           const UpdateLog& log) {
-  (void)page_after;
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPageArgs(formatted_, pid, num_pages_,
+                                        page_after.size(), data_size_));
   if (log.offset + log.data.size() > data_size_) {
     return Status::InvalidArgument("update log beyond page bounds");
   }
@@ -295,17 +261,14 @@ Status IplStore::FlushPending(PageId pid) {
 }
 
 Status IplStore::WriteBack(PageId pid, ConstBytes page) {
-  (void)page;
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, page.size(), data_size_));
   // Log-based: reflecting a page means persisting its pending update logs.
   return FlushPending(pid);
 }
 
 Status IplStore::Flush() {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   for (PageId pid = 0; pid < num_pages_; ++pid) {
     if (pending_[pid].count != 0) FLASHDB_RETURN_IF_ERROR(FlushPending(pid));
   }
@@ -362,16 +325,7 @@ Status IplStore::MergeBlock(uint32_t grp) {
     auto it = logs.find(pid);
     if (it != logs.end()) {
       BufferReader r(it->second);
-      const uint32_t count = log_counts[pid];
-      for (uint32_t k = 0; k < count; ++k) {
-        const uint16_t off = r.GetU16();
-        const uint16_t len = r.GetU16();
-        ConstBytes data = r.GetBytes(len);
-        if (r.failed() || static_cast<size_t>(off) + len > page.size()) {
-          return Status::Corruption("malformed merge record");
-        }
-        std::memcpy(page.data() + off, data.data(), len);
-      }
+      FLASHDB_RETURN_IF_ERROR(ApplyRecords(&r, log_counts[pid], page));
     }
     std::fill(spare.begin(), spare.end(), 0xFF);
     ftl::EncodeSpare(spare, ftl::PageType::kOrig, pid, merge_ts, page);
@@ -389,7 +343,7 @@ Status IplStore::MergeBlock(uint32_t grp) {
 
 Status IplStore::ScrubPhysPage(flash::PhysAddr addr, bool* relocated) {
   *relocated = false;
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   if (addr >= dev_->geometry().data_pages()) return Status::OK();
   // Find the logical block mapped to this physical block (reverse lookup;
   // num_groups_ is small). A free/unmapped block needs no scrub -- the next

@@ -31,14 +31,10 @@
 
 namespace flashdb::methods {
 
-/// Tuning knobs for IPL. The paper evaluates y = 18 KB and y = 64 KB.
+/// Tuning knob for IPL. The paper evaluates y = 18 KB and y = 64 KB.
 struct IplConfig {
   /// Bytes of each block reserved for the log region (the paper's `y`).
   uint32_t log_bytes_per_block = 18 * 1024;
-
-  /// In-memory log buffer per logical page; also the log slot size.
-  /// 0 means "data_size / 16" (footnote 13).
-  uint32_t log_buffer_bytes = 0;
 };
 
 /// Internal event counters (observability / tests).
@@ -77,6 +73,10 @@ class IplStore : public PageStore {
   uint32_t LogPagesOf(PageId pid) const;
 
  private:
+  /// The in-memory log buffer per logical page, which is also the log slot
+  /// size, is data_size / kLogSlotDivisor bytes (footnote 13).
+  static constexpr uint32_t kLogSlotDivisor = 16;
+
   struct PendingLogs {
     ByteBuffer bytes;     ///< Serialized records: {off u16, len u16, data}*.
     uint16_t count = 0;
@@ -99,8 +99,6 @@ class IplStore : public PageStore {
   /// Applies every record of `slot_bytes` that belongs to `pid` onto `page`.
   static Status ApplySlot(ConstBytes slot_bytes, PageId pid, MutBytes page,
                           bool* belongs);
-  /// Applies pid's pending in-memory records onto `page`.
-  Status ApplyPending(PageId pid, MutBytes page) const;
 
   flash::FlashDevice* dev_;
   IplConfig config_;

@@ -1,7 +1,7 @@
 #include "methods/ipu_store.h"
 
 #include <algorithm>
-#include <string>
+#include <vector>
 
 #include "ftl/mapping_table.h"
 
@@ -16,55 +16,33 @@ IpuStore::IpuStore(flash::FlashDevice* dev)
 
 Status IpuStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
-  if (num_logical_pages >= flash::kNullAddr) {
-    return Status::InvalidArgument(
-        "num_logical_pages collides with the reserved pid sentinel");
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
   const auto& g = dev_->geometry();
   if (num_logical_pages > g.data_pages()) {
     return Status::NoSpace("IPU requires one physical page per logical page");
   }
-  for (uint32_t b = 0; b < g.num_data_blocks(); ++b) {
-    bool dirty = false;
-    for (uint32_t p = 0; p < g.pages_per_block && !dirty; ++p) {
-      dirty = !dev_->IsErased(dev_->AddrOf(b, p));
-    }
-    if (dirty) FLASHDB_RETURN_IF_ERROR(dev_->EraseBlock(b));
-  }
+  // Every page has a fixed home: a factory bad block is fatal, not skipped.
+  FLASHDB_RETURN_IF_ERROR(
+      EraseForFormat(dev_, /*remaps_bad_blocks=*/false).status());
   clock_.Reset();
   num_pages_ = num_logical_pages;
-  ByteBuffer page(data_size_, 0);
-  ByteBuffer spare(spare_size_, 0xFF);
-  for (PageId pid = 0; pid < num_logical_pages; ++pid) {
-    std::fill(page.begin(), page.end(), 0);
-    if (initial != nullptr) initial(pid, page, initial_arg);
-    std::fill(spare.begin(), spare.end(), 0xFF);
-    ftl::EncodeSpare(spare, ftl::PageType::kData, pid, clock_.Next(), page);
-    FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(pid, page, spare));
-  }
+  // The mapping is the identity: logical page pid lives at physical page pid.
+  FLASHDB_RETURN_IF_ERROR(ProgramInitialPages(
+      dev_, num_logical_pages, initial, initial_arg, ftl::PageType::kData,
+      &clock_, [](PageId pid) -> Result<PhysAddr> { return pid; }));
   formatted_ = true;
   return Status::OK();
 }
 
 Status IpuStore::ReadPage(PageId pid, MutBytes out) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
-  if (out.size() != data_size_) {
-    return Status::InvalidArgument("output buffer must be one page");
-  }
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, out.size(), data_size_));
   return ftl::ReadVerifiedPage(dev_, pid, out);
 }
 
 Status IpuStore::WriteBack(PageId pid, ConstBytes page) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
-  if (page.size() != data_size_) {
-    return Status::InvalidArgument("page image must be one page");
-  }
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, page.size(), data_size_));
   const auto& g = dev_->geometry();
   const uint32_t block = dev_->BlockOf(pid);
   const uint32_t in_block = dev_->PageInBlock(pid);
@@ -109,7 +87,7 @@ Status IpuStore::WriteBack(PageId pid, ConstBytes page) {
 
 Status IpuStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {
   *relocated = false;
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   // The mapping is the identity: a data-region address below num_pages_ IS
   // the logical page. WriteBack rewrites the whole block -- the erase zeroes
   // every resident page's read-disturb exposure, not just this one's.

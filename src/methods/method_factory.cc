@@ -84,19 +84,13 @@ std::unique_ptr<PageStore> CreateStore(flash::FlashDevice* dev,
                                        const MethodSpec& spec) {
   switch (spec.kind) {
     case MethodKind::kOpu:
-      return std::make_unique<OpuStore>(dev, OpuConfig{});
+      return std::make_unique<OpuStore>(dev);
     case MethodKind::kIpu:
       return std::make_unique<IpuStore>(dev);
-    case MethodKind::kPdl: {
-      pdl::PdlConfig cfg;
-      cfg.max_differential_size = spec.param;
-      return std::make_unique<pdl::PdlStore>(dev, cfg);
-    }
-    case MethodKind::kIpl: {
-      IplConfig cfg;
-      cfg.log_bytes_per_block = spec.param;
-      return std::make_unique<IplStore>(dev, cfg);
-    }
+    case MethodKind::kPdl:
+      return std::make_unique<pdl::PdlStore>(dev, pdl::PdlConfig{spec.param});
+    case MethodKind::kIpl:
+      return std::make_unique<IplStore>(dev, IplConfig{spec.param});
   }
   return nullptr;
 }

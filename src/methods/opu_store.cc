@@ -3,88 +3,51 @@
 #include <algorithm>
 #include <string>
 
-#include "obs/trace_recorder.h"
+#include "ftl/gc_policy.h"
 
 namespace flashdb::methods {
 
 using flash::kNullAddr;
 using flash::PhysAddr;
 
-OpuStore::OpuStore(flash::FlashDevice* dev, const OpuConfig& config)
+OpuStore::OpuStore(flash::FlashDevice* dev)
     : dev_(dev),
-      config_(config),
       data_size_(dev->geometry().data_size),
       spare_size_(dev->geometry().spare_size),
-      // Clamp the reserve on tiny chips (see PdlStore::EffectiveReserve).
-      bm_(dev, std::min(config.gc_reserve_blocks,
-                        std::max(2u, dev->geometry().num_data_blocks() / 8))),
-      map_(/*track_diffs=*/false),
-      gc_policy_(ftl::MakeGcPolicy(config.gc_policy)) {}
+      bm_(dev, kGcReserveBlocks),
+      map_(/*track_diffs=*/false) {}
 
 Status OpuStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
-  if (num_logical_pages >= kNullAddr) {
-    return Status::InvalidArgument(
-        "num_logical_pages collides with the reserved pid sentinel");
-  }
-  const auto& g = dev_->geometry();
-  // Factory bad blocks (opt-in OOB scan) are excluded before the erase sweep
-  // so their marks are neither erased away nor their blocks put in service.
-  std::vector<uint32_t> factory_bad;
-  if (dev_->config().scan_bad_blocks) {
-    FLASHDB_ASSIGN_OR_RETURN(factory_bad, ftl::ScanFactoryBadBlocks(dev_));
-  }
-  auto is_bad = [&](uint32_t b) {
-    return std::binary_search(factory_bad.begin(), factory_bad.end(), b);
-  };
-  for (uint32_t b = 0; b < g.num_data_blocks(); ++b) {
-    if (is_bad(b)) continue;
-    bool dirty = false;
-    for (uint32_t p = 0; p < g.pages_per_block && !dirty; ++p) {
-      dirty = !dev_->IsErased(dev_->AddrOf(b, p));
-    }
-    if (dirty) FLASHDB_RETURN_IF_ERROR(dev_->EraseBlock(b));
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
+  // Factory bad blocks are left unerased and out of service.
+  FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> factory_bad,
+                           EraseForFormat(dev_, /*remaps_bad_blocks=*/true));
   bm_.Reset();
   for (uint32_t b : factory_bad) bm_.MarkBadForRecovery(b);
   clock_.Reset();
   num_pages_ = num_logical_pages;
-  map_.Reset(num_logical_pages, g.total_pages());
-
-  ByteBuffer page(data_size_, 0);
-  ByteBuffer spare(spare_size_, 0xFF);
-  for (PageId pid = 0; pid < num_logical_pages; ++pid) {
-    std::fill(page.begin(), page.end(), 0);
-    if (initial != nullptr) initial(pid, page, initial_arg);
-    FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(false));
-    std::fill(spare.begin(), spare.end(), 0xFF);
-    ftl::EncodeSpare(spare, ftl::PageType::kData, pid, clock_.Next(), page);
-    FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, page, spare));
-    map_.SetBase(pid, q);
-  }
+  map_.Reset(num_logical_pages, dev_->geometry().total_pages());
+  FLASHDB_RETURN_IF_ERROR(ProgramInitialPages(
+      dev_, num_logical_pages, initial, initial_arg, ftl::PageType::kData,
+      &clock_, [this](PageId pid) -> Result<PhysAddr> {
+        FLASHDB_ASSIGN_OR_RETURN(const PhysAddr q, bm_.AllocatePage(false));
+        map_.SetBase(pid, q);
+        return q;
+      }));
   formatted_ = true;
   return Status::OK();
 }
 
 Status OpuStore::ReadPage(PageId pid, MutBytes out) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
-  if (out.size() != data_size_) {
-    return Status::InvalidArgument("output buffer must be one page");
-  }
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, out.size(), data_size_));
   return ftl::ReadVerifiedPage(dev_, map_.base(pid), out);
 }
 
 Status OpuStore::WriteBack(PageId pid, ConstBytes page) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
-  if (page.size() != data_size_) {
-    return Status::InvalidArgument("page image must be one page");
-  }
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, page.size(), data_size_));
   // Program the up-to-date page into a new physical page first, then set the
   // old copy obsolete (crash between the two leaves duplicates, arbitrated by
   // timestamp during recovery).
@@ -100,7 +63,7 @@ Status OpuStore::WriteBack(PageId pid, ConstBytes page) {
 
 Status OpuStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {
   *relocated = false;
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   if (addr >= dev_->geometry().data_pages() ||
       bm_.state(addr) != ftl::PageState::kValid) {
     return Status::OK();  // obsolete/erased: the block erase clears the wear
@@ -129,25 +92,10 @@ Result<PhysAddr> OpuStore::AllocatePage(bool for_gc) {
 
 Status OpuStore::RunGcOnce() {
   flash::CategoryScope cat(dev_, flash::OpCategory::kGc);
-  const ftl::GcScoreContext score_ctx;  // whole pages only; defaults suffice
-  // On multi-plane chips the group carries one victim per plane of the lead
-  // victim's die (when their scores justify it) so the final erase collapses
-  // into one multi-plane command; single-plane chips get exactly one victim.
-  std::vector<uint32_t> victims =
-      ftl::PickVictimGroup(*gc_policy_, bm_, score_ctx);
-  if (victims.empty()) {
-    // All reclaimable space may sit in the open blocks; close them and retry.
-    bm_.CloseOpenBlocks();
-    victims = ftl::PickVictimGroup(*gc_policy_, bm_, score_ctx);
-  }
-  if (victims.empty()) {
-    return Status::NoSpace("garbage collection found no reclaimable block");
-  }
+  // Whole pages only: a valid data page reclaims nothing.
+  FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> victims,
+                           ftl::PickGcVictims(dev_, &bm_, nullptr));
   ++gc_runs_;
-  if (dev_->trace() != nullptr) {
-    dev_->trace()->Emit(obs::TraceCat::kGcVictim, dev_->clock().now_us(), 0,
-                        victims[0], victims.size());
-  }
   const uint32_t ppb = dev_->geometry().pages_per_block;
   ByteBuffer data(data_size_);
   ByteBuffer spare(spare_size_);
@@ -186,15 +134,6 @@ Status OpuStore::Recover() {
   clock_.Reset();
   map_.Reset(total, total);
   map_.BeginReplay();
-  ByteBuffer obsolete_mark(spare_size_);
-  ftl::EncodeObsoleteMark(obsolete_mark);
-
-  auto obsolete_on_flash = [&](PhysAddr a) -> Status {
-    FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(a, obsolete_mark));
-    bm_.SetObsoleteForRecovery(a);
-    return Status::OK();
-  };
-
   Status scan = ftl::ForEachProgrammedSpare(
       dev_, [&](PhysAddr addr, const ftl::SpareInfo& info) -> Status {
         if (info.bad_block && dev_->PageInBlock(addr) == 0) {
@@ -203,18 +142,17 @@ Status OpuStore::Recover() {
         }
         if (info.obsolete || !info.crc_ok ||
             info.type != ftl::PageType::kData || info.pid >= total) {
+          if (!info.obsolete) return bm_.MarkObsoleteForRecovery(addr);
           bm_.SetObsoleteForRecovery(addr);
-          if (!info.obsolete) {
-            FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(addr, obsolete_mark));
-          }
           return Status::OK();
         }
         clock_.Observe(info.timestamp);
         const ftl::MappingTable::BaseReplay r =
             map_.ReplayBase(info.pid, addr, info.timestamp);
-        if (!r.accepted) return obsolete_on_flash(addr);
+        if (!r.accepted) return bm_.MarkObsoleteForRecovery(addr);
         if (r.displaced_base != kNullAddr) {
-          FLASHDB_RETURN_IF_ERROR(obsolete_on_flash(r.displaced_base));
+          FLASHDB_RETURN_IF_ERROR(
+              bm_.MarkObsoleteForRecovery(r.displaced_base));
         }
         bm_.SetValidForRecovery(addr);
         return Status::OK();

@@ -10,11 +10,9 @@
 #ifndef FLASHDB_METHODS_OPU_STORE_H_
 #define FLASHDB_METHODS_OPU_STORE_H_
 
-#include <memory>
-#include <string>
+#include <vector>
 
 #include "ftl/block_manager.h"
-#include "ftl/gc_policy.h"
 #include "ftl/logical_clock.h"
 #include "ftl/mapping_table.h"
 #include "ftl/page_store.h"
@@ -22,20 +20,10 @@
 
 namespace flashdb::methods {
 
-/// Tuning knobs for OPU.
-struct OpuConfig {
-  uint32_t gc_reserve_blocks = 3;
-
-  /// Victim-selection policy. Greedy is the natural fit (a valid data page
-  /// reclaims nothing); cost-benefit is equivalent here and exists for
-  /// experimentation.
-  ftl::GcPolicyKind gc_policy = ftl::GcPolicyKind::kGreedyObsolete;
-};
-
 /// See file comment.
 class OpuStore : public PageStore {
  public:
-  OpuStore(flash::FlashDevice* dev, const OpuConfig& config = {});
+  explicit OpuStore(flash::FlashDevice* dev);
 
   std::string_view name() const override { return "OPU"; }
   Status Format(uint32_t num_logical_pages, PageInitializer initial,
@@ -60,17 +48,19 @@ class OpuStore : public PageStore {
   uint64_t gc_runs() const { return gc_runs_; }
 
  private:
+  /// Free blocks withheld so garbage collection can always relocate a
+  /// victim's valid pages.
+  static constexpr uint32_t kGcReserveBlocks = 3;
+
   Result<flash::PhysAddr> AllocatePage(bool for_gc);
   Status RunGcOnce();
 
   flash::FlashDevice* dev_;
-  OpuConfig config_;
   uint32_t data_size_;
   uint32_t spare_size_;
   ftl::BlockManager bm_;
   ftl::LogicalClock clock_;
   ftl::MappingTable map_;  ///< Page-level logical->physical table.
-  std::unique_ptr<ftl::GcPolicy> gc_policy_;
   uint32_t num_pages_ = 0;
   uint64_t gc_runs_ = 0;
   bool formatted_ = false;

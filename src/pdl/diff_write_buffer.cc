@@ -32,15 +32,6 @@ void DiffWriteBuffer::Insert(Differential diff) {
   entries_.push_back(std::move(diff));
 }
 
-ByteBuffer DiffWriteBuffer::SerializePage(size_t page_size) const {
-  ByteBuffer out;
-  out.reserve(page_size);
-  for (const Differential& d : entries_) d.AppendTo(&out);
-  assert(out.size() <= page_size);
-  out.resize(page_size, 0xFF);
-  return out;
-}
-
 void DiffWriteBuffer::Clear() {
   entries_.clear();
   index_.clear();

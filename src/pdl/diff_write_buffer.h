@@ -46,10 +46,6 @@ class DiffWriteBuffer {
   /// no entry for the same pid remains (Remove()).
   void Insert(Differential diff);
 
-  /// Serializes all buffered records into a page image of `page_size` bytes,
-  /// 0xFF-padded (erased padding terminates the record list on parse).
-  ByteBuffer SerializePage(size_t page_size) const;
-
   /// All buffered differentials, in insertion order.
   const std::vector<Differential>& entries() const { return entries_; }
 

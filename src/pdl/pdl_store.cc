@@ -4,39 +4,21 @@
 #include <cassert>
 #include <string>
 
-#include "obs/trace_recorder.h"
+#include "ftl/gc_policy.h"
 
 namespace flashdb::pdl {
 
 using flash::kNullAddr;
 using flash::PhysAddr;
 
-namespace {
-/// Tiny chips cannot afford the full reserve; clamp it so at least one
-/// quarter of the chip stays allocatable (GC transient demand scales down
-/// with lighter workloads on small chips).
-uint32_t EffectiveReserve(uint32_t configured, uint32_t num_blocks) {
-  const uint32_t cap = std::max(2u, num_blocks / 8);
-  return std::min(configured, cap);
-}
-}  // namespace
-
 PdlStore::PdlStore(flash::FlashDevice* dev, const PdlConfig& config)
     : dev_(dev),
       config_(config),
       data_size_(dev->geometry().data_size),
       spare_size_(dev->geometry().spare_size),
-      bm_(dev,
-          EffectiveReserve(config.gc_reserve_blocks,
-                           dev->geometry().num_data_blocks()),
-          /*num_streams=*/2),
+      bm_(dev, kGcReserveBlocks, /*num_streams=*/2),
       buffer_(dev->geometry().data_size),
-      map_(/*track_diffs=*/true),
-      gc_policy_(ftl::MakeGcPolicy(config.gc_policy)) {
-  if (config_.gc_merge_threshold == 0 ||
-      config_.gc_merge_threshold > data_size_) {
-    config_.gc_merge_threshold = data_size_ / 4;
-  }
+      map_(/*track_diffs=*/true) {
   name_ = "PDL(" + std::to_string(config_.max_differential_size) + "B)";
 }
 
@@ -56,62 +38,33 @@ Status PdlStore::ValidateConfig() const {
 
 Status PdlStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
-  if (num_logical_pages >= kPaddingPid) {
-    return Status::InvalidArgument(
-        "num_logical_pages collides with the reserved padding pid");
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
   FLASHDB_RETURN_IF_ERROR(ValidateConfig());
-  const auto& g = dev_->geometry();
-  // Factory bad blocks (opt-in OOB scan) are excluded before the erase sweep
-  // so their marks are neither erased away nor their blocks put in service.
-  std::vector<uint32_t> factory_bad;
-  if (dev_->config().scan_bad_blocks) {
-    FLASHDB_ASSIGN_OR_RETURN(factory_bad, ftl::ScanFactoryBadBlocks(dev_));
-  }
-  auto is_bad = [&](uint32_t b) {
-    return std::binary_search(factory_bad.begin(), factory_bad.end(), b);
-  };
-  // Erase any previously programmed data blocks so the chip starts clean
-  // (reserved meta blocks are the journal's, not ours).
-  for (uint32_t b = 0; b < g.num_data_blocks(); ++b) {
-    if (is_bad(b)) continue;
-    bool dirty = false;
-    for (uint32_t p = 0; p < g.pages_per_block && !dirty; ++p) {
-      dirty = !dev_->IsErased(dev_->AddrOf(b, p));
-    }
-    if (dirty) FLASHDB_RETURN_IF_ERROR(dev_->EraseBlock(b));
-  }
+  // Factory bad blocks are left unerased and out of service.
+  FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> factory_bad,
+                           EraseForFormat(dev_, /*remaps_bad_blocks=*/true));
   bm_.Reset();
   for (uint32_t b : factory_bad) bm_.MarkBadForRecovery(b);
   clock_.Reset();
   buffer_.Clear();
   num_pages_ = num_logical_pages;
-  map_.Reset(num_logical_pages, g.total_pages());
+  map_.Reset(num_logical_pages, dev_->geometry().total_pages());
   counters_ = PdlCounters{};
-
-  ByteBuffer page(data_size_, 0);
-  ByteBuffer spare(spare_size_, 0xFF);
-  for (PageId pid = 0; pid < num_logical_pages; ++pid) {
-    std::fill(page.begin(), page.end(), 0);
-    if (initial != nullptr) initial(pid, page, initial_arg);
-    FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(false, kBaseStream));
-    std::fill(spare.begin(), spare.end(), 0xFF);
-    ftl::EncodeSpare(spare, ftl::PageType::kBase, pid, clock_.Next(), page);
-    FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, page, spare));
-    map_.SetBase(pid, q);
-  }
+  FLASHDB_RETURN_IF_ERROR(ProgramInitialPages(
+      dev_, num_logical_pages, initial, initial_arg, ftl::PageType::kBase,
+      &clock_, [this](PageId pid) -> Result<PhysAddr> {
+        FLASHDB_ASSIGN_OR_RETURN(const PhysAddr q,
+                                 bm_.AllocatePage(false, kBaseStream));
+        map_.SetBase(pid, q);
+        return q;
+      }));
   formatted_ = true;
   return Status::OK();
 }
 
 Status PdlStore::ReadPage(PageId pid, MutBytes out) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
-  if (out.size() != data_size_) {
-    return Status::InvalidArgument("output buffer must be one page");
-  }
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, out.size(), data_size_));
   // Step 1: read the base page (CRC-verified end to end).
   FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, map_.base(pid), out));
   // Step 2: find the differential -- the write buffer shadows flash.
@@ -150,40 +103,15 @@ Status PdlStore::FindDifferentialInPage(PhysAddr dp, PageId pid,
 }
 
 Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  if (pid >= num_pages_) {
-    return Status::NotFound("pid out of range: " + std::to_string(pid));
-  }
-  if (page.size() != data_size_) {
-    return Status::InvalidArgument("page image must be one page");
-  }
-  return DoWriteBack(pid, page);
-}
-
-Status PdlStore::WriteBatch(std::span<const PageWrite> writes) {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
-  for (const PageWrite& w : writes) {
-    if (w.pid >= num_pages_) {
-      return Status::NotFound("pid out of range: " + std::to_string(w.pid));
-    }
-    if (w.page.size() != data_size_) {
-      return Status::InvalidArgument("page image must be one page");
-    }
-  }
-  for (const PageWrite& w : writes) {
-    FLASHDB_RETURN_IF_ERROR(DoWriteBack(w.pid, w.page));
-  }
-  return Status::OK();
-}
-
-Status PdlStore::DoWriteBack(PageId pid, ConstBytes page) {
+  FLASHDB_RETURN_IF_ERROR(
+      CheckPageArgs(formatted_, pid, num_pages_, page.size(), data_size_));
   // Step 1: read the base page (into the reused write-path scratch).
   base_scratch_.resize(data_size_);
   FLASHDB_RETURN_IF_ERROR(
       ftl::ReadVerifiedPage(dev_, map_.base(pid), base_scratch_));
   // Step 2: create the differential.
   ComputeDifferentialInto(base_scratch_, page, pid, clock_.Next(),
-                          config_.diff_coalesce_gap, &diff_scratch_);
+                          kDiffCoalesceGap, &diff_scratch_);
   counters_.diff_bytes_written += diff_scratch_.EncodedSize();
   // Step 3: write the differential into the differential write buffer.
   buffer_.Remove(pid);
@@ -208,7 +136,7 @@ Status PdlStore::DoWriteBack(PageId pid, ConstBytes page) {
 }
 
 Status PdlStore::Flush() {
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   return FlushBuffer(false);
 }
 
@@ -219,11 +147,7 @@ Status PdlStore::FlushBuffer(bool for_gc) {
   if (buffer_.empty()) return Status::OK();
   FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(for_gc, kDiffStream));
   // Step 1: write the buffer's contents as a new differential page.
-  ByteBuffer image = buffer_.SerializePage(data_size_);
-  ByteBuffer spare(spare_size_, 0xFF);
-  ftl::EncodeSpare(spare, ftl::PageType::kDiff, kPaddingPid - 1, clock_.Next(),
-                   image);
-  FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, image, spare));
+  FLASHDB_RETURN_IF_ERROR(WriteDiffPage(q, buffer_.entries()));
   // Step 2: update the mapping table and the valid-differential counts.
   for (const Differential& d : buffer_.entries()) {
     const PhysAddr old_dp = map_.DetachDiff(d.pid());
@@ -237,9 +161,22 @@ Status PdlStore::FlushBuffer(bool for_gc) {
   return Status::OK();
 }
 
+Status PdlStore::WriteDiffPage(PhysAddr q,
+                               std::span<const Differential> diffs) {
+  ByteBuffer image;
+  image.reserve(data_size_);
+  for (const Differential& d : diffs) d.AppendTo(&image);
+  assert(image.size() <= data_size_);
+  image.resize(data_size_, 0xFF);
+  ByteBuffer spare(spare_size_, 0xFF);
+  ftl::EncodeSpare(spare, ftl::PageType::kDiff, kPaddingPid - 1, clock_.Next(),
+                   image);
+  return dev_->ProgramPage(q, image, spare);
+}
+
 Status PdlStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {
   *relocated = false;
-  if (!formatted_) return Status::InvalidArgument("store not formatted");
+  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
   if (addr >= dev_->geometry().data_pages() ||
       bm_.state(addr) != ftl::PageState::kValid) {
     return Status::OK();  // obsolete/erased: the block erase clears the wear
@@ -292,14 +229,7 @@ Status PdlStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {
   // timestamps and recovery arbitration keeps exactly one; obsoleting first
   // would tear the records away with nothing durable in their place.
   FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(false, kDiffStream));
-  ByteBuffer image;
-  image.reserve(data_size_);
-  for (const Differential& ld : live) ld.AppendTo(&image);
-  image.resize(data_size_, 0xFF);
-  ByteBuffer dspare(spare_size_, 0xFF);
-  ftl::EncodeSpare(dspare, ftl::PageType::kDiff, kPaddingPid - 1,
-                   clock_.Next(), image);
-  FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, image, dspare));
+  FLASHDB_RETURN_IF_ERROR(WriteDiffPage(q, live));
   for (const Differential& ld : live) {
     map_.DetachDiff(ld.pid());
     // Marks the old page obsolete once the last reference leaves.
@@ -368,38 +298,14 @@ Status PdlStore::RunGcOnce() {
   // Byte-scored victim selection: obsolete pages reclaim a whole page;
   // valid differential pages reclaim their dead fraction via compaction;
   // valid base pages reclaim nothing (they must be relocated).
-  ftl::GcScoreContext score_ctx;
-  score_ctx.min_score = data_size_;
-  score_ctx.full_page_score = data_size_;
-  score_ctx.valid_page_score = [this](PhysAddr addr) -> uint64_t {
-    if (map_.vdct(addr) == 0) return 0;  // base page (or unflushed state)
+  const ftl::ValidPageScore dead_diff_bytes = [this](PhysAddr addr) {
+    if (map_.vdct(addr) == 0) return uint64_t{0};  // base page
     const uint32_t live = map_.diff_live_bytes(addr);
-    return live >= data_size_ ? 0 : data_size_ - live;
+    return uint64_t{live >= data_size_ ? 0 : data_size_ - live};
   };
-  // On multi-plane chips the group carries one victim per plane of the lead
-  // victim's die (when their scores justify it) so the final erase collapses
-  // into one multi-plane command; single-plane chips get exactly one victim.
-  std::vector<uint32_t> victims =
-      ftl::PickVictimGroup(*gc_policy_, bm_, score_ctx);
-  if (victims.empty()) {
-    // The reclaimable space may all sit in the open block (common when the
-    // rest of the chip is packed with valid base pages): close it so it
-    // becomes a legal victim and retry.
-    bm_.CloseOpenBlocks();
-#ifdef FLASHDB_GC_DEBUG
-    std::fprintf(stderr, "gc fallback: closed open blocks (free=%u)\n",
-                 bm_.free_blocks());
-#endif
-    victims = ftl::PickVictimGroup(*gc_policy_, bm_, score_ctx);
-  }
-  if (victims.empty()) {
-    return Status::NoSpace("garbage collection found no reclaimable block");
-  }
+  FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> victims,
+                           ftl::PickGcVictims(dev_, &bm_, dead_diff_bytes));
   counters_.gc_runs++;
-  if (dev_->trace() != nullptr) {
-    dev_->trace()->Emit(obs::TraceCat::kGcVictim, dev_->clock().now_us(), 0,
-                        victims[0], victims.size());
-  }
   auto in_victims = [&](uint32_t b) {
     return std::find(victims.begin(), victims.end(), b) != victims.end();
   };
@@ -468,7 +374,7 @@ Status PdlStore::RunGcOnce() {
           // always cheaper to compact.
           // Merge only while this run's output stays safely below what the
           // erases will reclaim (merging is the only discretionary output).
-          if (d.EncodedSize() >= config_.gc_merge_threshold &&
+          if (d.EncodedSize() >= data_size_ / kGcMergeDivisor &&
               output_estimate() + 2 < reclaim_budget - 4) {
             ++output_pages;
             // Merge the differential into a fresh base page: shrinks the live
@@ -515,20 +421,16 @@ Status PdlStore::RunGcOnce() {
   // their old home (durability: they exist nowhere else).
   size_t i = 0;
   while (i < compacted.size()) {
-    ByteBuffer image;
-    image.reserve(data_size_);
     const size_t first = i;
+    size_t page_bytes = 0;
     while (i < compacted.size() &&
-           image.size() + compacted[i].EncodedSize() <= data_size_) {
-      compacted[i].AppendTo(&image);
+           page_bytes + compacted[i].EncodedSize() <= data_size_) {
+      page_bytes += compacted[i].EncodedSize();
       ++i;
     }
-    image.resize(data_size_, 0xFF);
     FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(true, kDiffStream));
-    ByteBuffer dspare(spare_size_, 0xFF);
-    ftl::EncodeSpare(dspare, ftl::PageType::kDiff, kPaddingPid - 1,
-                     clock_.Next(), image);
-    FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, image, dspare));
+    FLASHDB_RETURN_IF_ERROR(WriteDiffPage(
+        q, std::span(compacted).subspan(first, i - first)));
     for (size_t k = first; k < i; ++k) {
       map_.AttachDiff(compacted[k].pid(), q,
                       static_cast<uint32_t>(compacted[k].EncodedSize()));
@@ -557,17 +459,9 @@ Status PdlStore::Recover() {
   map_.Reset(total, total);
   map_.BeginReplay();
   ByteBuffer data(data_size_);
-  ByteBuffer obsolete_mark(spare_size_);
-  ftl::EncodeObsoleteMark(obsolete_mark);
-
-  auto obsolete_on_flash = [&](PhysAddr a) -> Status {
-    FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(a, obsolete_mark));
-    bm_.SetObsoleteForRecovery(a);
-    return Status::OK();
-  };
   auto release_diff_ref = [&](PhysAddr dp) -> Status {
     FLASHDB_ASSIGN_OR_RETURN(const bool unreferenced, map_.ReleaseDiffRef(dp));
-    if (unreferenced) FLASHDB_RETURN_IF_ERROR(obsolete_on_flash(dp));
+    if (unreferenced) return bm_.MarkObsoleteForRecovery(dp);
     return Status::OK();
   };
 
@@ -584,12 +478,13 @@ Status PdlStore::Recover() {
         clock_.Observe(info.timestamp);
         if (info.type == ftl::PageType::kBase) {
           // Case 1: r is a base page.
-          if (info.pid >= total) return obsolete_on_flash(addr);
+          if (info.pid >= total) return bm_.MarkObsoleteForRecovery(addr);
           const ftl::MappingTable::BaseReplay r =
               map_.ReplayBase(info.pid, addr, info.timestamp);
-          if (!r.accepted) return obsolete_on_flash(addr);
+          if (!r.accepted) return bm_.MarkObsoleteForRecovery(addr);
           if (r.displaced_base != kNullAddr) {
-            FLASHDB_RETURN_IF_ERROR(obsolete_on_flash(r.displaced_base));
+            FLASHDB_RETURN_IF_ERROR(
+                bm_.MarkObsoleteForRecovery(r.displaced_base));
           }
           bm_.SetValidForRecovery(addr);
           if (r.stale_diff != kNullAddr) {
@@ -614,13 +509,13 @@ Status PdlStore::Recover() {
           }
           FLASHDB_RETURN_IF_ERROR(parse_status);
           if (map_.vdct(addr) == 0) {
-            FLASHDB_RETURN_IF_ERROR(obsolete_on_flash(addr));
+            FLASHDB_RETURN_IF_ERROR(bm_.MarkObsoleteForRecovery(addr));
           } else {
             bm_.SetValidForRecovery(addr);
           }
         } else {
           // Foreign or invalid type: unusable, reclaim via GC.
-          FLASHDB_RETURN_IF_ERROR(obsolete_on_flash(addr));
+          FLASHDB_RETURN_IF_ERROR(bm_.MarkObsoleteForRecovery(addr));
         }
         return Status::OK();
       });

@@ -13,11 +13,11 @@
 #ifndef FLASHDB_PDL_PDL_STORE_H_
 #define FLASHDB_PDL_PDL_STORE_H_
 
-#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "ftl/block_manager.h"
-#include "ftl/gc_policy.h"
 #include "ftl/logical_clock.h"
 #include "ftl/mapping_table.h"
 #include "ftl/page_store.h"
@@ -27,33 +27,12 @@
 
 namespace flashdb::pdl {
 
-/// Tuning knobs for PDL.
+/// Tuning knob for PDL.
 struct PdlConfig {
   /// Max_Differential_Size: differentials larger than this are discarded and
   /// the whole page is written as a new base page (Case 3 of Fig. 7).
   /// The paper evaluates 256 bytes and 2048 bytes (one page).
   uint32_t max_differential_size = 256;
-
-  /// Free blocks withheld so garbage collection can always relocate a
-  /// victim's live data (including differential compaction output).
-  uint32_t gc_reserve_blocks = 4;
-
-  /// Gap-coalescing threshold of the differential computation.
-  uint32_t diff_coalesce_gap = static_cast<uint32_t>(kExtentHeaderSize);
-
-  /// During garbage collection, a live differential at least this large is
-  /// *merged* into its base page (one fresh base page replaces base +
-  /// differential) instead of being compacted into a new differential page.
-  /// This bounds the live footprint: without it, near-page-size differentials
-  /// can push total live data (bases + differentials) past the chip capacity
-  /// and garbage collection livelocks. 0 = data_size / 2.
-  uint32_t gc_merge_threshold = 0;
-
-  /// Victim-selection policy. Cost-benefit byte scoring is required for
-  /// stability at 50% utilization with large differentials (greedy never
-  /// sees the dead fraction of a still-referenced differential page); the
-  /// greedy policy exists for ablation experiments.
-  ftl::GcPolicyKind gc_policy = ftl::GcPolicyKind::kCostBenefitBytes;
 };
 
 /// Aggregate PDL-internal event counters (observability / ablation benches).
@@ -78,13 +57,6 @@ class PdlStore : public PageStore {
                 void* initial_arg) override;
   Status ReadPage(PageId pid, MutBytes out) override;
   Status WriteBack(PageId pid, ConstBytes page) override;
-  /// Batched PDL_Writing: same per-entry semantics (and on-flash result) as
-  /// sequential WriteBack calls, with the per-call validation hoisted and the
-  /// base-image / differential scratch reused across the batch. The
-  /// differential write buffer packs the batch's small differentials into
-  /// shared differential pages exactly as it does for sequential writes, so
-  /// a one-shard batch costs ~ceil(total_diff_bytes / page) diff-page writes.
-  Status WriteBatch(std::span<const PageWrite> writes) override;
   Status Flush() override;
   /// Relocates live content at `addr`: a base page is folded with its
   /// differential into a fresh base page; a differential page has its live
@@ -101,7 +73,6 @@ class PdlStore : public PageStore {
   }
   flash::FlashDevice* device() override { return dev_; }
 
-  const PdlConfig& config() const { return config_; }
   const PdlCounters& counters() const { return counters_; }
 
   /// Physical location of pid's base page (tests / diagnostics).
@@ -121,12 +92,26 @@ class PdlStore : public PageStore {
   static constexpr uint32_t kBaseStream = 0;
   static constexpr uint32_t kDiffStream = 1;
 
-  /// PDL_Writing for one page, after validation (shared by WriteBack and
-  /// WriteBatch; uses the write-path scratch buffers).
-  Status DoWriteBack(PageId pid, ConstBytes page);
+  /// Free blocks withheld so garbage collection can always relocate a
+  /// victim's live data, differential compaction output included.
+  static constexpr uint32_t kGcReserveBlocks = 4;
+  /// Gap-coalescing threshold of the differential computation.
+  static constexpr uint32_t kDiffCoalesceGap =
+      static_cast<uint32_t>(kExtentHeaderSize);
+  /// During garbage collection a live differential of at least a quarter
+  /// page (data_size / kGcMergeDivisor: 512 bytes on 2 KB pages) is *merged*
+  /// into its base page (one fresh base page replaces base + differential)
+  /// instead of being compacted into a new differential page. This bounds
+  /// the live footprint: without it, near-page-size differentials can push
+  /// total live data (bases + differentials) past the chip capacity and
+  /// garbage collection livelocks.
+  static constexpr uint32_t kGcMergeDivisor = 4;
   /// Writes the buffer out as a new differential page and updates the
   /// mapping / count tables (procedure writingDifferentialWriteBuffer).
   Status FlushBuffer(bool for_gc);
+  /// Programs `diffs`, packed in order and 0xFF-padded (erased padding ends
+  /// the record list on parse), as a fresh differential page at `q`.
+  Status WriteDiffPage(flash::PhysAddr q, std::span<const Differential> diffs);
   /// Writes `page` as a fresh base page (procedure writingNewBasePage).
   Status WriteNewBasePage(PageId pid, ConstBytes page, bool for_gc);
   /// Releases one reference on differential page `dp`; marks it obsolete on
@@ -157,13 +142,12 @@ class PdlStore : public PageStore {
   DiffWriteBuffer buffer_;
   /// PPMT plus the VDCT / live-byte / flushed-size bookkeeping around it.
   ftl::MappingTable map_;
-  std::unique_ptr<ftl::GcPolicy> gc_policy_;
   PdlCounters counters_;
   bool formatted_ = false;
   /// Journaled bad-block list to re-apply at the next Recover().
   std::vector<uint32_t> pending_bad_;
 
-  /// Write-path scratch reused across WriteBack/WriteBatch calls. The base
+  /// Write-path scratch reused across WriteBack calls. The base
   /// image buffer is reused on every write; the differential's capacity is
   /// only retained when the write ends as a new base page (Case 3) -- a
   /// buffered differential is moved into the write buffer, capacity and all,

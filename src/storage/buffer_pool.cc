@@ -186,8 +186,8 @@ Status BufferPool::FlushPage(PageId pid) {
 Status BufferPool::FlushAll() {
   ConfinementScope confined(this);
   // Collect every dirty resident frame (frame-index order, so the batch is
-  // deterministic), then hand the store one WriteBatch -- over a
-  // ShardedStore this partitions per shard instead of ping-ponging chips.
+  // deterministic), then hand the store one WriteBatch, which rejects a
+  // malformed entry before writing any.
   std::vector<PageWrite> writes;
   std::vector<uint32_t> dirty_idx;
   for (uint32_t i = 0; i < num_frames_; ++i) {

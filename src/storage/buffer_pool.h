@@ -6,8 +6,8 @@
 // OnUpdate -- this is the "storage management module" hook that tightly-
 // coupled methods (IPL) require, and that loosely-coupled methods ignore.
 // Dirty pages are reflected into flash with WriteBack when evicted, and in
-// one WriteBatch when flushed -- over a ShardedStore the batch is partitioned
-// per shard, exactly like a disk-based DBMS swapping pages out of its buffer.
+// one WriteBatch when flushed, exactly like a disk-based DBMS swapping pages
+// out of its buffer.
 
 #ifndef FLASHDB_STORAGE_BUFFER_POOL_H_
 #define FLASHDB_STORAGE_BUFFER_POOL_H_
@@ -58,8 +58,8 @@ class BufferPool {
   /// frame is marked dirty.
   Status WithPage(PageId pid, const std::function<Status(MutBytes)>& fn);
 
-  /// Writes back every dirty frame in one store WriteBatch (partitioned per
-  /// shard over a ShardedStore) and flushes the store. Returns Busy -- with
+  /// Writes back every dirty frame in one store WriteBatch and flushes the
+  /// store. Returns Busy -- with
   /// nothing written -- if any dirty frame is still pinned: silently keeping
   /// a pinned page out of the batch would tear the write-through contract.
   Status FlushAll();

@@ -1,6 +1,6 @@
 #include "workload/tpcc_driver.h"
 
-#include <cassert>
+#include <string>
 
 #include "flash/flash_device.h"
 #include "obs/trace_recorder.h"
@@ -18,8 +18,12 @@ constexpr uint64_t kClientSeedStride = 0xd1b54a32d192ed03ULL;
 
 TpccDriver::TpccDriver(ftl::ShardedStore* store, const TpccDriverOptions& opts)
     : store_(store), opts_(opts) {
+  client_rngs_.reserve(opts_.num_clients);
+  for (uint32_t c = 0; c < opts_.num_clients; ++c) {
+    client_rngs_.emplace_back(opts_.seed + kClientSeedStride * (c + 1));
+  }
+  if (!CheckShards().ok()) return;  // Load/Serve/Replay report it
   const uint32_t num_shards = store_->num_shards();
-  assert(num_shards >= 1 && num_shards <= opts_.scale.warehouses);
   shards_.resize(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     std::vector<uint32_t> hosted;
@@ -33,10 +37,14 @@ TpccDriver::TpccDriver(ftl::ShardedStore* store, const TpccDriverOptions& opts)
         sh.pool.get(), opts_.scale, std::move(hosted),
         opts_.seed + kShardSeedStride * s);
   }
-  client_rngs_.reserve(opts_.num_clients);
-  for (uint32_t c = 0; c < opts_.num_clients; ++c) {
-    client_rngs_.emplace_back(opts_.seed + kClientSeedStride * (c + 1));
-  }
+}
+
+Status TpccDriver::CheckShards() const {
+  if (store_->num_shards() <= opts_.scale.warehouses) return Status::OK();
+  return Status::InvalidArgument(
+      "TPC-C needs a warehouse on every shard: " +
+      std::to_string(opts_.scale.warehouses) + " warehouses over " +
+      std::to_string(store_->num_shards()) + " shards");
 }
 
 uint32_t TpccDriver::PagesPerShard(const TpccScale& scale, uint32_t page_size,
@@ -47,24 +55,12 @@ uint32_t TpccDriver::PagesPerShard(const TpccScale& scale, uint32_t page_size,
 }
 
 Status TpccDriver::Load(ftl::ShardExecutor* executor) {
-  if (executor == nullptr) {
-    for (ShardState& sh : shards_) {
-      FLASHDB_RETURN_IF_ERROR(sh.workload->Load());
-    }
-    return Status::OK();
-  }
-  std::vector<std::future<Status>> futures;
-  futures.reserve(shards_.size());
+  FLASHDB_RETURN_IF_ERROR(CheckShards());
+  std::vector<ftl::ShardTask> loads;
   for (uint32_t s = 0; s < shards_.size(); ++s) {
-    futures.push_back(
-        executor->Submit(s, [this, s] { return shards_[s].workload->Load(); }));
+    loads.push_back({s, [this, s] { return shards_[s].workload->Load(); }});
   }
-  Status first;
-  for (auto& f : futures) {
-    Status st = f.get();
-    if (!st.ok() && first.ok()) first = st;
-  }
-  return first;
+  return ftl::RunShardTasks(executor, std::move(loads));
 }
 
 Status TpccDriver::ExecuteTxn(uint32_t s, TpccTxnType type, uint32_t w,
@@ -148,6 +144,7 @@ void TpccDriver::FoldStats(const std::vector<uint64_t>& clocks_before,
 
 Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
                          TpccRunStats* out) {
+  FLASHDB_RETURN_IF_ERROR(CheckShards());
   const uint32_t n = store_->num_shards();
   FLASHDB_RETURN_IF_ERROR(
       CreditStream::Validate(executor, n, opts_.max_inflight_per_shard));
@@ -179,6 +176,7 @@ Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
 }
 
 Status TpccDriver::Replay(const TpccCommitLog& log, TpccRunStats* out) {
+  FLASHDB_RETURN_IF_ERROR(CheckShards());
   ResetAccumulators();
   const std::vector<uint64_t> clocks_before = store_->shard_clocks();
   Status st;

@@ -70,7 +70,7 @@ struct TpccDriverOptions {
   /// Transactions in flight per shard before the producer parks.
   uint32_t max_inflight_per_shard = 4;
   /// FlushAll the shard's pool after every transaction (write-through
-  /// serving: each commit is one partitioned WriteBatch on the chip). When
+  /// serving: each commit is one WriteBatch on the chip). When
   /// off, dirty pages reach flash via eviction and explicit FlushAll().
   bool flush_every_txn = true;
 };
@@ -114,8 +114,9 @@ struct TpccRunStats {
 class TpccDriver {
  public:
   /// `store` must be formatted with num_shards() * PagesPerShard(...) pages
-  /// and outlive the driver. Requires num_shards() <= scale.warehouses (an
-  /// empty shard would serve nothing).
+  /// and outlive the driver. Every shard must host a warehouse: with
+  /// num_shards() > scale.warehouses, Load, Serve and Replay return
+  /// InvalidArgument naming both counts.
   TpccDriver(ftl::ShardedStore* store, const TpccDriverOptions& opts);
 
   /// Logical pages each shard's chip needs: the hosted-warehouse page
@@ -188,6 +189,8 @@ class TpccDriver {
   /// Runs one transaction on shard `s` (thread-confined to its worker or to
   /// the calling thread when inline) and records its metrics into the
   /// shard's accumulators.
+  /// InvalidArgument when some shard would host no warehouse.
+  Status CheckShards() const;
   Status ExecuteTxn(uint32_t s, TpccTxnType type, uint32_t w, uint32_t client);
 
   void ResetAccumulators();

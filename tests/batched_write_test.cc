@@ -198,9 +198,8 @@ TEST(BatchedWriteShardedTest, BatchedStateSurvivesCrashRecovery) {
   }
 }
 
-// Every implementation (PDL override, ShardedStore partitioner, default
-// loop) shares the all-or-nothing validation contract: a malformed entry
-// anywhere rejects the batch before any write reaches flash.
+// The one WriteBatch (PageStore's) is all-or-nothing for every store: a
+// malformed entry anywhere rejects the batch before any write reaches flash.
 TEST(BatchedWriteValidationTest, RejectsBadEntriesUpFront) {
   for (const char* method :
        {"PDL(256B)", "OPU", "IPU", "IPL(18KB)", "IPL(64KB)"}) {
@@ -222,15 +221,22 @@ TEST(BatchedWriteValidationTest, RejectsBadEntriesUpFront) {
     EXPECT_EQ(dev.clock().now_us(), clock_before) << method;
   }
 
-  // Same contract through the sharded partitioner.
+  // Same contract through the ShardedStore, whose entries land on
+  // different chips: a short page bound for shard 1 must stop the valid
+  // write bound for shard 0 too.
   Result<MethodSpec> spec = ParseMethodSpec("OPU");
   ASSERT_TRUE(spec.ok());
   auto sharded = methods::CreateShardedStore(FlashConfig::Small(8), 2, *spec);
   ASSERT_TRUE(sharded->Format(10, nullptr, nullptr).ok());
   ByteBuffer page(sharded->device()->geometry().data_size, 0);
+  ByteBuffer short_page(16, 0);
   const uint64_t work_before = sharded->total_work_us();
   std::vector<PageWrite> mixed = {PageWrite{1, page}, PageWrite{99, page}};
-  EXPECT_FALSE(sharded->WriteBatch(mixed).ok());
+  EXPECT_TRUE(sharded->WriteBatch(mixed).IsNotFound());
+  EXPECT_EQ(sharded->total_work_us(), work_before);
+  std::vector<PageWrite> cross_shard = {PageWrite{0, page},
+                                        PageWrite{1, short_page}};
+  EXPECT_TRUE(sharded->WriteBatch(cross_shard).IsInvalidArgument());
   EXPECT_EQ(sharded->total_work_us(), work_before);
 }
 

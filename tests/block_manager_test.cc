@@ -1,11 +1,12 @@
 // Unit tests for the BlockManager (allocation, streams, reserve) and its
-// interplay with the pluggable GC victim-selection policies.
+// interplay with GC victim selection (ftl/gc_policy.h).
 
 #include <gtest/gtest.h>
 
+#include "flash/fault_injector.h"
 #include "ftl/block_manager.h"
 #include "ftl/gc_policy.h"
-#include "flash/fault_injector.h"\n#include "ftl/spare_codec.h"
+#include "ftl/spare_codec.h"
 
 namespace flashdb::ftl {
 namespace {
@@ -17,22 +18,22 @@ using flash::PhysAddr;
 class BlockManagerTest : public ::testing::Test {
  protected:
   BlockManagerTest()
-      : dev_(FlashConfig::Small(4)),
-        bm_(&dev_, /*gc_reserve_blocks=*/1),
-        greedy_(MakeGcPolicy(GcPolicyKind::kGreedyObsolete)) {}
+      : dev_(FlashConfig::Small(4)), bm_(&dev_, /*gc_reserve_blocks=*/1) {}
 
   Status ProgramAt(PhysAddr addr) {
     ByteBuffer data(dev_.geometry().data_size, 0x00);
     return dev_.ProgramPage(addr, data, {});
   }
 
+  /// The victim chosen by obsolete-page count alone (OPU's scoring).
   std::optional<uint32_t> PickGreedyVictim() {
-    return greedy_->PickVictim(bm_, GcScoreContext{});
+    const std::vector<uint32_t> group = PickVictimGroup(bm_, nullptr);
+    if (group.empty()) return std::nullopt;
+    return group.front();
   }
 
   FlashDevice dev_;
   BlockManager bm_;
-  std::unique_ptr<GcPolicy> greedy_;
 };
 
 TEST_F(BlockManagerTest, SequentialAllocation) {
@@ -281,7 +282,6 @@ TEST(BlockManagerPlaneTest, ScanFactoryBadBlocksFindsOobMarks) {
 TEST(BlockManagerPlaneTest, PickVictimGroupPairsPlanesOfOneDie) {
   FlashDevice dev(TwoPlaneConfig());
   BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
-  std::unique_ptr<GcPolicy> greedy = MakeGcPolicy(GcPolicyKind::kGreedyObsolete);
   const uint32_t ppb = dev.geometry().pages_per_block;
   std::vector<PhysAddr> pages;
   for (uint32_t i = 0; i < 2 * ppb; ++i) {
@@ -298,14 +298,13 @@ TEST(BlockManagerPlaneTest, PickVictimGroupPairsPlanesOfOneDie) {
         dev.BlockOf(a) == 1 && dev.PageInBlock(a) < ppb / 2;
     if (in_lead || in_secondary) ASSERT_TRUE(bm.MarkObsolete(a).ok());
   }
-  std::vector<uint32_t> group = PickVictimGroup(*greedy, bm, GcScoreContext{});
+  std::vector<uint32_t> group = PickVictimGroup(bm, nullptr);
   EXPECT_EQ(group, (std::vector<uint32_t>{0, 1}));
 }
 
 TEST(BlockManagerPlaneTest, PickVictimGroupSkipsWeakSecondaries) {
   FlashDevice dev(TwoPlaneConfig());
   BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
-  std::unique_ptr<GcPolicy> greedy = MakeGcPolicy(GcPolicyKind::kGreedyObsolete);
   const uint32_t ppb = dev.geometry().pages_per_block;
   std::vector<PhysAddr> pages;
   for (uint32_t i = 0; i < 2 * ppb; ++i) {
@@ -321,7 +320,7 @@ TEST(BlockManagerPlaneTest, PickVictimGroupSkipsWeakSecondaries) {
     const bool in_secondary = dev.BlockOf(a) == 1 && dev.PageInBlock(a) < 3;
     if (in_lead || in_secondary) ASSERT_TRUE(bm.MarkObsolete(a).ok());
   }
-  std::vector<uint32_t> group = PickVictimGroup(*greedy, bm, GcScoreContext{});
+  std::vector<uint32_t> group = PickVictimGroup(bm, nullptr);
   EXPECT_EQ(group, std::vector<uint32_t>{0});
 }
 

@@ -70,27 +70,6 @@ TEST(DiffWriteBufferTest, RemoveAbsentIsNoop) {
   EXPECT_EQ(buf.size(), 1u);
 }
 
-TEST(DiffWriteBufferTest, SerializePageRoundTrips) {
-  DiffWriteBuffer buf(2048);
-  buf.Insert(MakeDiff(10, 100, 30));
-  buf.Insert(MakeDiff(20, 200, 40));
-  ByteBuffer page = buf.SerializePage(2048);
-  ASSERT_EQ(page.size(), 2048u);
-
-  BufferReader reader(page);
-  Differential d;
-  Status st;
-  int n = 0;
-  while (Differential::ParseNext(&reader, &d, &st)) {
-    EXPECT_TRUE(d.pid() == 10 || d.pid() == 20);
-    ++n;
-  }
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(n, 2);
-  // Padding after the records is erased bytes.
-  EXPECT_EQ(page.back(), 0xFF);
-}
-
 TEST(DiffWriteBufferTest, ClearEmptiesEverything) {
   DiffWriteBuffer buf(2048);
   buf.Insert(MakeDiff(1, 1, 10));

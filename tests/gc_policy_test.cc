@@ -1,8 +1,7 @@
-// Tests for the garbage-collection policies that keep PDL stable at the
-// paper's 50% utilization: the pluggable victim-selection policies
-// (ftl/gc_policy.h), byte-scored selection, GC-time merging of large
-// differentials, sustained-load endurance, and accounting invariants
-// (device op counters vs. category breakdown; wear counters).
+// Tests for the garbage collection that keeps PDL stable at the paper's 50%
+// utilization: byte-scored victim selection (ftl/gc_policy.h), GC-time
+// merging of large differentials, sustained-load endurance, and accounting
+// invariants (device op counters vs. category breakdown; wear counters).
 
 #include <gtest/gtest.h>
 
@@ -31,11 +30,11 @@ void SeededImage(PageId pid, MutBytes page, void* arg) {
   r.Fill(page);
 }
 
-// --- Unit tests of the pluggable victim-selection policies ----------------
+// --- Unit tests of the victim scoring ---------------------------------------
 
-class VictimPolicyTest : public ::testing::Test {
+class VictimScoreTest : public ::testing::Test {
  protected:
-  VictimPolicyTest() : dev_(FlashConfig::Small(4)), bm_(&dev_, 1) {}
+  VictimScoreTest() : dev_(FlashConfig::Small(4)), bm_(&dev_, 1) {}
 
   /// Fills `blocks` whole blocks with programmed, valid pages and closes
   /// them (an open block is never a legal victim).
@@ -53,30 +52,19 @@ class VictimPolicyTest : public ::testing::Test {
   ftl::BlockManager bm_;
 };
 
-TEST_F(VictimPolicyTest, KindNamesAreStable) {
-  EXPECT_EQ(ftl::GcPolicyKindName(ftl::GcPolicyKind::kGreedyObsolete),
-            "greedy-obsolete");
-  EXPECT_EQ(ftl::GcPolicyKindName(ftl::GcPolicyKind::kCostBenefitBytes),
-            "cost-benefit-bytes");
-  EXPECT_EQ(ftl::MakeGcPolicy(ftl::GcPolicyKind::kGreedyObsolete)->name(),
-            "greedy-obsolete");
-  EXPECT_EQ(ftl::MakeGcPolicy(ftl::GcPolicyKind::kCostBenefitBytes)->name(),
-            "cost-benefit-bytes");
-}
-
-TEST_F(VictimPolicyTest, GreedyCountsObsoletePagesOnly) {
+TEST_F(VictimScoreTest, ObsoletePagesScoreAFullPageEach) {
   FillBlocks(2);
   const uint32_t ppb = dev_.geometry().pages_per_block;
   // Block 0: 3 obsolete pages. Block 1: 8 obsolete pages.
   for (uint32_t p = 0; p < 3; ++p) ASSERT_TRUE(bm_.MarkObsolete(p).ok());
   for (uint32_t p = 0; p < 8; ++p) ASSERT_TRUE(bm_.MarkObsolete(ppb + p).ok());
-  auto greedy = ftl::MakeGcPolicy(ftl::GcPolicyKind::kGreedyObsolete);
-  auto victim = greedy->PickVictim(bm_, ftl::GcScoreContext{});
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 1u);
+  const uint64_t page_bytes = dev_.geometry().data_size;
+  EXPECT_EQ(ftl::ScoreBlock(bm_, nullptr, 0), 3 * page_bytes);
+  EXPECT_EQ(ftl::ScoreBlock(bm_, nullptr, 1), 8 * page_bytes);
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, nullptr), std::vector<uint32_t>{1});
 }
 
-TEST_F(VictimPolicyTest, CostBenefitSeesDeadBytesInValidPages) {
+TEST_F(VictimScoreTest, ValidPageScoreAddsDeadBytes) {
   FillBlocks(2);
   const uint32_t ppb = dev_.geometry().pages_per_block;
   const uint32_t page_bytes = dev_.geometry().data_size;
@@ -84,93 +72,50 @@ TEST_F(VictimPolicyTest, CostBenefitSeesDeadBytesInValidPages) {
   for (uint32_t p = 0; p < 2; ++p) ASSERT_TRUE(bm_.MarkObsolete(p).ok());
   // Block 1: 1 obsolete page, but its valid pages are almost-dead
   // differential pages worth half a page each -- the byte score dwarfs
-  // block 0 even though greedy would prefer block 0.
+  // block 0 even though obsolete pages alone prefer block 0.
   ASSERT_TRUE(bm_.MarkObsolete(ppb).ok());
-  ftl::GcScoreContext ctx;
-  ctx.min_score = page_bytes;
-  ctx.full_page_score = page_bytes;
-  ctx.valid_page_score = [&](PhysAddr addr) -> uint64_t {
+  const ftl::ValidPageScore half_dead = [&](PhysAddr addr) -> uint64_t {
     return dev_.BlockOf(addr) == 1 ? page_bytes / 2 : 0;
   };
-  auto cost_benefit = ftl::MakeGcPolicy(ftl::GcPolicyKind::kCostBenefitBytes);
-  auto victim = cost_benefit->PickVictim(bm_, ctx);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 1u);
-
-  auto greedy = ftl::MakeGcPolicy(ftl::GcPolicyKind::kGreedyObsolete);
-  auto greedy_victim = greedy->PickVictim(bm_, ctx);
-  ASSERT_TRUE(greedy_victim.has_value());
-  EXPECT_EQ(*greedy_victim, 0u);
+  EXPECT_EQ(ftl::ScoreBlock(bm_, half_dead, 1),
+            page_bytes + (ppb - 1) * (page_bytes / 2));
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, half_dead), std::vector<uint32_t>{1});
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, nullptr), std::vector<uint32_t>{0});
 }
 
-TEST_F(VictimPolicyTest, CostBenefitRespectsMinScore) {
+TEST_F(VictimScoreTest, VictimMustReclaimAtLeastOnePage) {
   FillBlocks(2);
-  ASSERT_TRUE(bm_.MarkObsolete(0).ok());
-  ftl::GcScoreContext ctx;
-  ctx.min_score = dev_.geometry().data_size * 2;  // one obsolete page < min
-  ctx.full_page_score = dev_.geometry().data_size;
-  auto cost_benefit = ftl::MakeGcPolicy(ftl::GcPolicyKind::kCostBenefitBytes);
-  EXPECT_FALSE(cost_benefit->PickVictim(bm_, ctx).has_value());
+  // Dead bytes adding up to less than a page do not justify an erase.
+  const ftl::ValidPageScore one_byte = [](PhysAddr) -> uint64_t { return 1; };
+  EXPECT_TRUE(ftl::PickVictimGroup(bm_, one_byte).empty());
+  EXPECT_TRUE(ftl::PickVictimGroup(bm_, nullptr).empty());
+  // One obsolete page does.
+  ASSERT_TRUE(bm_.MarkObsolete(dev_.geometry().pages_per_block).ok());
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, nullptr), std::vector<uint32_t>{1});
 }
 
-// --- Store-level behavior under each configured policy --------------------
+// --- Store-level behavior ---------------------------------------------------
 
-TEST(PluggablePolicyTest, OpuWorksUnderBothPolicies) {
-  for (ftl::GcPolicyKind kind : {ftl::GcPolicyKind::kGreedyObsolete,
-                                 ftl::GcPolicyKind::kCostBenefitBytes}) {
-    FlashDevice dev(FlashConfig::Small(16));
-    methods::OpuConfig cfg;
-    cfg.gc_policy = kind;
-    methods::OpuStore store(&dev, cfg);
-    const uint32_t pages = 16 * 64 / 2;
-    SeedArg arg{21};
-    ASSERT_TRUE(store.Format(pages, &SeededImage, &arg).ok());
-    Random r(22);
-    ByteBuffer buf(dev.geometry().data_size);
-    std::map<PageId, ByteBuffer> shadow;
-    for (int op = 0; op < 4000; ++op) {
-      const PageId pid = static_cast<PageId>(r.Uniform(pages));
-      ASSERT_TRUE(store.ReadPage(pid, buf).ok());
-      buf[r.Uniform(buf.size())] ^= 0xA5;
-      ASSERT_TRUE(store.WriteBack(pid, buf).ok())
-          << ftl::GcPolicyKindName(kind) << " op " << op;
-      shadow[pid] = buf;
-    }
-    EXPECT_GT(store.gc_runs(), 0u) << ftl::GcPolicyKindName(kind);
-    for (const auto& [pid, expected] : shadow) {
-      ASSERT_TRUE(store.ReadPage(pid, buf).ok());
-      ASSERT_TRUE(BytesEqual(buf, expected))
-          << ftl::GcPolicyKindName(kind) << " pid " << pid;
-    }
-  }
-}
-
-TEST(PluggablePolicyTest, PdlGreedyPolicyStaysCorrectUnderLightLoad) {
-  // Greedy selection is blind to compactable differential bytes, so it is a
-  // worse operating point for PDL -- but it must stay *correct* at moderate
-  // utilization.
+TEST(GcPolicyTest, OpuSurvivesSustainedGc) {
   FlashDevice dev(FlashConfig::Small(16));
-  pdl::PdlConfig cfg;
-  cfg.gc_policy = ftl::GcPolicyKind::kGreedyObsolete;
-  pdl::PdlStore store(&dev, cfg);
-  const uint32_t pages = 16 * 64 / 4;  // 25% utilization
-  SeedArg arg{31};
+  methods::OpuStore store(&dev);
+  const uint32_t pages = 16 * 64 / 2;
+  SeedArg arg{21};
   ASSERT_TRUE(store.Format(pages, &SeededImage, &arg).ok());
-  Random r(32);
+  Random r(22);
   ByteBuffer buf(dev.geometry().data_size);
   std::map<PageId, ByteBuffer> shadow;
-  for (int op = 0; op < 6000; ++op) {
+  for (int op = 0; op < 4000; ++op) {
     const PageId pid = static_cast<PageId>(r.Uniform(pages));
     ASSERT_TRUE(store.ReadPage(pid, buf).ok());
-    const uint32_t off = static_cast<uint32_t>(r.Uniform(buf.size() - 41));
-    for (int i = 0; i < 41; ++i) buf[off + i] ^= 0x3C;
+    buf[r.Uniform(buf.size())] ^= 0xA5;
     ASSERT_TRUE(store.WriteBack(pid, buf).ok()) << "op " << op;
     shadow[pid] = buf;
   }
-  EXPECT_GT(store.counters().gc_runs, 0u);
+  EXPECT_GT(store.gc_runs(), 0u);
   for (const auto& [pid, expected] : shadow) {
     ASSERT_TRUE(store.ReadPage(pid, buf).ok());
-    ASSERT_TRUE(BytesEqual(buf, expected)) << pid;
+    ASSERT_TRUE(BytesEqual(buf, expected)) << "pid " << pid;
   }
 }
 

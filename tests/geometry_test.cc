@@ -160,7 +160,6 @@ TEST(BlockManagerStreamsTest, InvalidStreamRejected) {
 TEST(BlockManagerStreamsTest, CloseOpenBlocksMakesThemVictims) {
   FlashDevice dev(FlashConfig::Small(4));
   ftl::BlockManager bm(&dev, 1);
-  auto greedy = ftl::MakeGcPolicy(ftl::GcPolicyKind::kGreedyObsolete);
   ByteBuffer page(dev.geometry().data_size, 0x00);
   for (int i = 0; i < 8; ++i) {
     auto a = bm.AllocatePage(false, 0);
@@ -169,11 +168,53 @@ TEST(BlockManagerStreamsTest, CloseOpenBlocksMakesThemVictims) {
     ASSERT_TRUE(bm.MarkObsolete(*a).ok());
   }
   // Open block excluded from victim selection.
-  EXPECT_FALSE(greedy->PickVictim(bm, ftl::GcScoreContext{}).has_value());
-  bm.CloseOpenBlocks();
-  auto victim = greedy->PickVictim(bm, ftl::GcScoreContext{});
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 0u);
+  EXPECT_TRUE(ftl::PickVictimGroup(bm, nullptr).empty());
+  // The GC round preamble closes the open blocks and picks again.
+  Result<std::vector<uint32_t>> victims =
+      ftl::PickGcVictims(&dev, &bm, nullptr);
+  ASSERT_TRUE(victims.ok());
+  EXPECT_EQ(*victims, std::vector<uint32_t>{0});
+}
+
+TEST(BlockManagerStreamsTest, NothingReclaimableIsNoSpace) {
+  FlashDevice dev(FlashConfig::Small(4));
+  ftl::BlockManager bm(&dev, 1);
+  ByteBuffer page(dev.geometry().data_size, 0x00);
+  for (int i = 0; i < 8; ++i) {
+    auto a = bm.AllocatePage(false, 0);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(dev.ProgramPage(*a, page, {}).ok());
+  }
+  // Every page is valid: even with the open block closed there is nothing
+  // to reclaim.
+  EXPECT_TRUE(ftl::PickGcVictims(&dev, &bm, nullptr).status().IsNoSpace());
+}
+
+// Format keeps factory bad-block marks on every method. OPU and PDL remap:
+// the marked block leaves service and Format succeeds. IPU and IPL map pages
+// to fixed blocks, so they refuse to format rather than erase the mark.
+TEST(FactoryBadBlockTest, FormatNeverErasesTheMark) {
+  for (const char* method : {"OPU", "PDL(256B)", "IPU", "IPL(18KB)"}) {
+    FlashConfig cfg = FlashConfig::Small(16);
+    cfg.scan_bad_blocks = true;
+    FlashDevice dev(cfg);
+    ASSERT_TRUE(dev.MarkBadBlockOob(1).ok());
+    auto spec = methods::ParseMethodSpec(method);
+    ASSERT_TRUE(spec.ok());
+    auto store = methods::CreateStore(&dev, *spec);
+    const Status st = store->Format(64, nullptr, nullptr);
+    const bool remaps = spec->kind == methods::MethodKind::kOpu ||
+                        spec->kind == methods::MethodKind::kPdl;
+    if (remaps) {
+      EXPECT_TRUE(st.ok()) << method << ": " << st.ToString();
+      EXPECT_EQ(store->bad_blocks(), std::vector<uint32_t>{1}) << method;
+    } else {
+      EXPECT_TRUE(st.IsInvalidArgument()) << method << ": " << st.ToString();
+      EXPECT_NE(st.ToString().find("block 1"), std::string::npos) << method;
+      EXPECT_EQ(dev.stats().total.erases, 0u) << method;
+    }
+    EXPECT_TRUE(dev.HasBadBlockOob(1)) << method;
+  }
 }
 
 

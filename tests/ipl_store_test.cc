@@ -206,13 +206,13 @@ TEST_F(IplStoreTest, RecoverAfterMerges) {
   EXPECT_TRUE(BytesEqual(buf, page));
 }
 
-TEST_F(IplStoreTest, ArgumentValidation) {
+// The shared boundary rules live in boundary_contract_test; this one is
+// IPL's own: an update log must stay inside the page.
+TEST_F(IplStoreTest, UpdateLogBeyondPageIsRejected) {
   IplStore s(&dev_, Cfg(18));
   ByteBuffer page(dev_.geometry().data_size);
-  EXPECT_FALSE(s.ReadPage(0, page).ok());  // unformatted
   SeedArg arg{3};
   ASSERT_TRUE(s.Format(10, &SeededImage, &arg).ok());
-  EXPECT_TRUE(s.ReadPage(10, page).IsNotFound());
   UpdateLog log;
   log.offset = 2040;
   log.data.assign(100, 0);  // beyond page end

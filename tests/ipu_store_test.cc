@@ -117,13 +117,5 @@ TEST_F(IpuStoreTest, RecoverRestoresPageCount) {
   EXPECT_TRUE(BytesEqual(a, b));
 }
 
-TEST_F(IpuStoreTest, ArgumentValidation) {
-  ByteBuffer page(dev_.geometry().data_size);
-  EXPECT_FALSE(store_.ReadPage(0, page).ok());  // unformatted
-  Format(5);
-  EXPECT_TRUE(store_.ReadPage(5, page).IsNotFound());
-  EXPECT_TRUE(store_.WriteBack(5, page).IsNotFound());
-}
-
 }  // namespace
 }  // namespace flashdb::methods

@@ -131,16 +131,6 @@ TEST_F(OpuStoreTest, RecoverAfterFurtherUpdatesKeepsLatest) {
   EXPECT_TRUE(BytesEqual(buf, page));
 }
 
-TEST_F(OpuStoreTest, ArgumentValidation) {
-  ByteBuffer page(dev_.geometry().data_size);
-  EXPECT_FALSE(store_.ReadPage(0, page).ok());  // unformatted
-  Format(5);
-  EXPECT_TRUE(store_.ReadPage(7, page).IsNotFound());
-  EXPECT_TRUE(store_.WriteBack(7, page).IsNotFound());
-  ByteBuffer small(3);
-  EXPECT_FALSE(store_.ReadPage(0, small).ok());
-}
-
 TEST_F(OpuStoreTest, FlushIsANoop) {
   Format(5);
   const uint64_t ops = dev_.stats().total.total_ops();

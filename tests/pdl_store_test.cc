@@ -209,20 +209,6 @@ TEST_F(PdlStoreTest, EmptyDifferentialIsHarmless) {
   EXPECT_TRUE(BytesEqual(ReadBack(*store, 1), Expected(1)));
 }
 
-TEST_F(PdlStoreTest, ErrorsOnBadArguments) {
-  PdlConfig cfg;
-  PdlStore store(&dev_, cfg);
-  ByteBuffer page(dev_.geometry().data_size);
-  EXPECT_FALSE(store.ReadPage(0, page).ok());  // not formatted
-  SeedArg arg{1};
-  ASSERT_TRUE(store.Format(5, &SeededImage, &arg).ok());
-  EXPECT_TRUE(store.ReadPage(99, page).IsNotFound());
-  EXPECT_TRUE(store.WriteBack(99, page).IsNotFound());
-  ByteBuffer small(7);
-  EXPECT_FALSE(store.ReadPage(0, small).ok());
-  EXPECT_FALSE(store.WriteBack(0, small).ok());
-}
-
 TEST_F(PdlStoreTest, GarbageCollectionPreservesData) {
   // Tiny chip (8 blocks) at ~50% utilization forces many GC cycles.
   FlashDevice dev(FlashConfig::Small(12));

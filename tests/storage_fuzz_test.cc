@@ -2,9 +2,9 @@
 // seeded random op sequences on BTree and HeapFile checked against a
 // std::map reference model, eviction-heavy BufferPool traffic under tiny
 // frame counts (where the pinned-frame and nested-WithPage edges live), and
-// the pool's batched FlushAll over a ShardedStore (WriteBatch partitioning
-// must equal per-page write-back). Honors FLASHDB_TEST_SEED like the crash
-// suite, so the CI fault matrix sweeps different op sequences.
+// the pool's batched FlushAll over a ShardedStore (one WriteBatch across the
+// shards must equal per-page write-back). Honors FLASHDB_TEST_SEED like the
+// crash suite, so the CI fault matrix sweeps different op sequences.
 
 #include <gtest/gtest.h>
 
@@ -323,8 +323,8 @@ TEST(StorageFuzzTest, NestedWithPageKeepsSnapshotsSeparate) {
 }
 
 // ---------------------------------------------------------------------------
-// FlushAll over a ShardedStore: the one batched WriteBatch (partitioned per
-// shard) must leave the same per-shard device state as per-page FlushPage.
+// FlushAll over a ShardedStore: one WriteBatch across the shards must leave
+// the same per-shard device state as per-page FlushPage.
 
 TEST(StorageFuzzTest, ShardedFlushAllMatchesPerPageWriteBack) {
   constexpr uint32_t kShards = 2;

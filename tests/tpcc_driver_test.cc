@@ -196,6 +196,27 @@ TEST(TpccDriverOptionsTest, ZeroInflightPerShardIsRejected) {
   EXPECT_TRUE(rig.driver->commit_log().empty());
 }
 
+// A shard without a warehouse would serve nothing: more shards than
+// warehouses is a typed error naming both counts, never an assert or a rig
+// whose extra shards sit idle.
+TEST(TpccDriverOptionsTest, MoreShardsThanWarehousesIsRejected) {
+  TpccDriverOptions opts;
+  opts.scale = DriverScale();
+  opts.scale.warehouses = 2;
+  opts.num_clients = 2;
+  opts.frames_per_shard = 96;
+
+  Rig rig = MakeRig("OPU", 4, opts);
+  const Status load = rig.driver->Load(nullptr);
+  EXPECT_TRUE(load.IsInvalidArgument()) << load.ToString();
+  EXPECT_NE(load.ToString().find("2 warehouses over 4 shards"),
+            std::string::npos)
+      << load.ToString();
+  TpccRunStats stats;
+  EXPECT_TRUE(rig.driver->Serve(20, nullptr, &stats).IsInvalidArgument());
+  EXPECT_TRUE(rig.driver->Replay({}, &stats).IsInvalidArgument());
+}
+
 // 100% hotspot routing sends every transaction to warehouse 1 on shard 0:
 // the other shards' clocks must not move during Serve.
 TEST(TpccDriverSkewTest, FullHotspotConfinesTrafficToShardZero) {

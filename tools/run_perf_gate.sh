@@ -11,6 +11,16 @@ BUILD_DIR=${1:-build}
 OUT_DIR=${2:-bench-json}
 mkdir -p "$OUT_DIR"
 
+# The paper's methods on one chip: every column of exp1 (all six methods;
+# OPU, PDL and IPL(18KB) garbage-collect at these flags) and exp7 (TPC-C over
+# IPL, PDL and OPU across buffer sizes) is virtual time or a count, so CI
+# compares them exactly.
+"$BUILD_DIR/exp1_update_cost" --blocks=32 --ops=2000 --warmup-max=20000 \
+    --json="$OUT_DIR/exp1_update_cost.json"
+
+"$BUILD_DIR/exp7_tpcc" --warmup-tx=50 --tx=100 \
+    --json="$OUT_DIR/exp7_tpcc.json"
+
 "$BUILD_DIR/exp9_parallel" --ops=2000 --warmup-max=3000 --batch=8 \
     --json="$OUT_DIR/exp9_parallel.json"
 
