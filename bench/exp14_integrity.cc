@@ -4,11 +4,12 @@
 //
 // A BitErrorInjector makes read attempts fail with probability
 // p * (1 + wear_factor*erases + disturb_factor*reads_since_erase), attenuated
-// per retry pass. The device re-reads up to max_read_retries times (charging
-// read_retry_us per pass) and flags retried or disturb-saturated pages for
-// scrub; with --scrub the driver drains those flags at every epoch boundary
-// and relocates the live data, resetting its read-disturb exposure. This
-// bench sweeps bit-error rate x scrub {off,on} x method and reports:
+// per retry pass. The device re-reads up to FlashDevice::kMaxReadRetries
+// times (charging Tread per pass) and flags retried or disturb-saturated
+// pages for scrub; with --scrub the driver drains those flags at every epoch
+// boundary and relocates the live data, resetting its read-disturb
+// exposure. This bench sweeps bit-error rate x scrub {off,on} x method and
+// reports:
 //   * vt us/op    -- virtual-clock advance per operation (retries included);
 //   * retry us/op -- virtual time spent in retry passes, per operation;
 //   * retries     -- total retry passes; corrected -- reads clean after >= 1
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "flash/fault_injector.h"
+#include "flash/flash_device.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 
@@ -131,11 +133,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Experiment 14: read-path integrity under injected bit errors, "
-      "%u shards, %u blocks total, %llu ops\n(retry ladder <= "
-      "max_read_retries passes; scrub drains device flags every %llu ops; "
+      "%u shards, %u blocks total, %llu ops\n(retry ladder <= %u "
+      "passes of Tread; scrub drains device flags every %llu ops; "
       "disturb_factor %.3f, disturb limit %u reads)\n\n",
       num_shards, total_blocks,
       static_cast<unsigned long long>(env.measure_ops),
+      flash::FlashDevice::kMaxReadRetries,
       static_cast<unsigned long long>(epoch_ops), disturb_factor,
       disturb_limit);
 

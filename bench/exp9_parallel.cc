@@ -4,13 +4,14 @@
 // A fixed database and a fixed total capacity (--blocks) are striped across
 // S chips, S in {1, 2, 4, 8}; each chip's pipeline runs thread-confined on
 // its own ShardExecutor worker, fed per-shard windows of B update operations
-// (RunPipelined, kDepth windows in flight per shard) whose write-backs go
-// through the batched WriteBatch path. For PDL(256B) and OPU the bench
-// reports, per (S, B):
+// (RunPipelined, kDepth windows in flight per shard) whose queued
+// write-backs flush write by write at the end of each window. For PDL(256B)
+// and OPU the bench reports, per (S, B):
 //   * wall_ms / kops_s -- host wall-clock (std::chrono) over the measured
-//     ops; this is the figure that should scale with S on a multi-core host
-//     (the virtual-time speedup of exp8 becomes real).
-//   * par us/op       -- elapsed virtual time (max of the chip clocks).
+//     ops; this is the figure that should scale with S on a multi-core host.
+//   * par us/op       -- elapsed virtual time (max of the chip clocks): the
+//     multi-chip scaling in virtual time, near-linear in S.
+//   * total us/op     -- summed chip busy time: the total work, flat in S.
 //   * p50/p99/p999    -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set).
 //   * determinism     -- the same schedule is replayed inline (null

@@ -48,9 +48,9 @@ class FaultInjector {
 
   /// Called once per read *attempt* of a page (attempt 0 is the initial
   /// sensing pass; higher values are the device's read-retry passes, each
-  /// re-charged at FlashTiming::read_retry_us). Returning true means this
+  /// re-charged at FlashTiming::read_us). Returning true means this
   /// attempt delivered raw bit errors beyond the on-chip ECC budget; the
-  /// device retries up to FlashConfig::max_read_retries times and, if every
+  /// device retries up to FlashDevice::kMaxReadRetries times and, if every
   /// attempt fails, delivers a deterministically bit-flipped buffer with
   /// Status::OK -- exactly the silent-corruption surface the FTL's spare-area
   /// data CRC exists to catch. `erase_count` (block wear) and

@@ -19,7 +19,8 @@ struct FlashGeometry {
   /// planes_per_chip() consecutive blocks forms one *stripe* touching every
   /// plane once. Operations on distinct planes overlap in virtual time;
   /// same-plane operations serialize. The 1 x 1 default collapses the model
-  /// to the paper's flat chip, bit-identical to the pre-plane behavior.
+  /// to the paper's flat chip, bit-identical to the pre-plane behavior. A
+  /// chip has at most 64 planes.
   uint32_t dies_per_chip = 1;       ///< Ndie (independent command units)
   uint32_t planes_per_die = 1;      ///< Nplane (multi-plane command width)
   /// Blocks at the tail of the chip reserved for durable metadata (the
@@ -58,40 +59,21 @@ struct FlashGeometry {
 
 /// Per-operation latencies in microseconds (Table 1).
 ///
-/// The multi-plane / cache-program fields default to 0, which means "same as
-/// the base operation" -- chips without datasheet numbers for the advanced
-/// commands behave exactly as before, even when a bench mutates the base
-/// latencies (the effective value follows the mutation).
+/// A multi-plane erase costs erase_us per command and a read-retry pass
+/// costs read_us. The cache-program field defaults to 0, which means "same
+/// as write_us": chips without a datasheet number for it behave exactly as
+/// before, even when a bench mutates the base latencies.
 struct FlashTiming {
   uint32_t read_us = 110;    ///< Tread: read one page
   uint32_t write_us = 1010;  ///< Twrite: program one page (or partial program)
   uint32_t erase_us = 1500;  ///< Terase: erase one block
-  /// Per-plane cost of a multi-plane program (0 = write_us).
-  uint32_t multiplane_write_us = 0;
-  /// Cost of one multi-plane erase command covering up to planes_per_die
-  /// blocks (0 = erase_us). Charged once per command, not per block.
-  uint32_t multiplane_erase_us = 0;
   /// Cost of a cache-program: a full-page program whose page immediately
   /// follows the previous program on the same plane and block, so the array
   /// busy time hides behind the data load (0 = write_us = no cache benefit).
   uint32_t cache_write_us = 0;
-  /// Cost of one read-retry pass: the chip re-senses the page with shifted
-  /// read reference voltages after an ECC failure (0 = read_us). Charged per
-  /// retry attempt on top of the initial read, attributed to the page's
-  /// plane like any other read.
-  uint32_t read_retry_us = 0;
 
-  uint32_t effective_multiplane_write_us() const {
-    return multiplane_write_us != 0 ? multiplane_write_us : write_us;
-  }
-  uint32_t effective_multiplane_erase_us() const {
-    return multiplane_erase_us != 0 ? multiplane_erase_us : erase_us;
-  }
   uint32_t effective_cache_write_us() const {
     return cache_write_us != 0 ? cache_write_us : write_us;
-  }
-  uint32_t effective_read_retry_us() const {
-    return read_retry_us != 0 ? read_retry_us : read_us;
   }
 };
 
@@ -99,34 +81,6 @@ struct FlashTiming {
 struct FlashConfig {
   FlashGeometry geometry;
   FlashTiming timing;
-
-  /// Maximum number of program operations on a page's spare area between
-  /// erases. The paper (footnote 9) states the spare area "can be repeatedly
-  /// performed up to four times without an erase operation".
-  uint32_t max_spare_programs = 4;
-
-  /// Maximum number of program operations on a page's data area between
-  /// erases. Page-based methods and PDL use exactly one; IPL's log pages rely
-  /// on partial programming of log slots (SLC-style sector programming).
-  uint32_t max_data_programs = 16;
-
-  /// When true, a program that attempts to flip any bit from 0 back to 1 is
-  /// rejected with Status::FlashConstraint (real NAND cannot do this without
-  /// an erase). Always leave on except in targeted tests.
-  bool strict_bit_semantics = true;
-
-  /// When true, the *first* program of a page must not precede an already
-  /// programmed page with a higher index in the same block (NAND sequential
-  /// page-programming rule).
-  bool enforce_sequential_program = true;
-
-  /// Bound of the device's read-retry ladder: after a read attempt comes
-  /// back with uncorrectable raw bit errors (see FaultInjector::CorruptRead)
-  /// the chip re-senses up to this many times, charging
-  /// effective_read_retry_us() per pass. A read that stays bad through the
-  /// whole ladder delivers corrupted data (the FTL's spare-area data CRC is
-  /// the detection layer). Irrelevant while no injector reports read errors.
-  uint32_t max_read_retries = 4;
 
   /// Read-disturb scrub threshold: when non-zero, a page whose
   /// reads-since-erase counter reaches this value is flagged as a scrub
@@ -159,8 +113,6 @@ struct FlashConfig {
     cfg.timing.read_us = 50;
     cfg.timing.write_us = 660;
     cfg.timing.erase_us = 3500;
-    cfg.timing.multiplane_write_us = 660;
-    cfg.timing.multiplane_erase_us = 3500;
     cfg.timing.cache_write_us = 520;
     cfg.scan_bad_blocks = true;
     return cfg;

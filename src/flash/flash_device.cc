@@ -1,5 +1,7 @@
 #include "flash/flash_device.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -48,9 +50,11 @@ FlashDevice::FlashDevice(const FlashConfig& config) : config_(config) {
                  g.meta_blocks, g.num_blocks);
     std::abort();
   }
-  if (g.dies_per_chip == 0 || g.planes_per_die == 0) {
+  if (g.dies_per_chip == 0 || g.planes_per_die == 0 ||
+      g.planes_per_chip() > 64) {
     std::fprintf(stderr,
-                 "FlashDevice: dies_per_chip and planes_per_die must be >= 1\n");
+                 "FlashDevice: dies_per_chip and planes_per_die must be >= 1, "
+                 "with at most 64 planes per chip\n");
     std::abort();
   }
   if (g.meta_blocks % g.planes_per_chip() != 0) {
@@ -119,17 +123,23 @@ void FlashDevice::SyncPlanesToClock() {
   clock_seen_us_ = now;
 }
 
-uint64_t FlashDevice::OccupyPlane(uint32_t plane, uint64_t us) {
+uint64_t FlashDevice::OccupyPlanes(uint64_t planes, uint64_t us) {
   SyncPlanesToClock();
   uint64_t min_ready = plane_ready_us_[0];
-  for (uint64_t r : plane_ready_us_) min_ready = r < min_ready ? r : min_ready;
-  const uint64_t start = plane_ready_us_[plane];
+  for (uint64_t r : plane_ready_us_) min_ready = std::min(min_ready, r);
+  uint64_t start = 0;
+  for (uint64_t m = planes; m != 0; m &= m - 1) {
+    start = std::max(start, plane_ready_us_[std::countr_zero(m)]);
+  }
   const uint64_t end = start + us;
-  plane_ready_us_[plane] = end;
-  PlaneCounters& pc = stats_.plane[plane];
-  pc.ops++;
-  pc.busy_us += us;
-  pc.stall_us += start - min_ready;
+  for (uint64_t m = planes; m != 0; m &= m - 1) {
+    const int plane = std::countr_zero(m);
+    plane_ready_us_[plane] = end;
+    PlaneCounters& pc = stats_.plane[plane];
+    pc.ops++;
+    pc.busy_us += us;
+    pc.stall_us += start - min_ready;
+  }
   clock_.AdvanceTo(end);
   clock_seen_us_ = clock_.now_us();
   return start;
@@ -139,7 +149,7 @@ void FlashDevice::Charge(OpKind kind, PhysAddr addr, uint64_t us,
                          bool cache_chain) {
   ChargeCounters(kind, us, 1);
   const uint32_t plane = config_.geometry.plane_of_block(BlockOf(addr));
-  const uint64_t start = OccupyPlane(plane, us);
+  const uint64_t start = OccupyPlanes(uint64_t{1} << plane, us);
   if (trace_ != nullptr) {
     const uint64_t what =
         kind == OpKind::kErase ? BlockOf(addr) : static_cast<uint64_t>(addr);
@@ -170,12 +180,11 @@ Status FlashDevice::ReadPage(PhysAddr addr, MutBytes data, MutBytes spare) {
     const uint32_t wear = stats_.block_erase_counts[BlockOf(addr)];
     corrupt = fault_injector_->CorruptRead(addr, 0, wear, rse);
     uint32_t attempt = 0;
-    while (corrupt && attempt < config_.max_read_retries) {
+    while (corrupt && attempt < kMaxReadRetries) {
       ++attempt;
-      const uint64_t retry_us = config_.timing.effective_read_retry_us();
-      Charge(OpKind::kRead, addr, retry_us);
+      Charge(OpKind::kRead, addr, config_.timing.read_us);
       stats_.integrity.read_retries++;
-      stats_.integrity.retry_us += retry_us;
+      stats_.integrity.retry_us += config_.timing.read_us;
       rse = ++reads_since_erase_[addr];
       corrupt = fault_injector_->CorruptRead(addr, attempt, wear, rse);
     }
@@ -252,7 +261,7 @@ std::vector<PhysAddr> FlashDevice::TakeScrubCandidates() {
 
 Status FlashDevice::ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
                                  const char* area, bool strict) {
-  if (strict && config_.strict_bit_semantics) {
+  if (strict) {
     for (size_t i = 0; i < src.size(); ++i) {
       // A program may only clear bits: every bit set in src must already be
       // set in the cells, i.e. src & ~dst must have no bit that is 1 in src
@@ -282,21 +291,18 @@ Status FlashDevice::ProgramImpl(PhysAddr addr, ConstBytes data,
   if (!spare.empty() && spare.size() != g.spare_size) {
     return Status::InvalidArgument("spare image must be exactly spare_size");
   }
-  if (!data.empty() &&
-      data_programs_[addr] >= config_.max_data_programs) {
+  if (!data.empty() && data_programs_[addr] >= kMaxDataPrograms) {
     return Status::FlashConstraint("data partial-program budget exhausted at " +
                                    std::to_string(addr));
   }
-  if (!spare.empty() &&
-      spare_programs_[addr] >= config_.max_spare_programs) {
+  if (!spare.empty() && spare_programs_[addr] >= kMaxSparePrograms) {
     return Status::FlashConstraint(
         "spare partial-program budget exhausted at " + std::to_string(addr));
   }
   const uint32_t block = BlockOf(addr);
   const int32_t page = static_cast<int32_t>(PageInBlock(addr));
   const bool first_program = (data_programs_[addr] == 0 && spare_programs_[addr] == 0);
-  if (config_.enforce_sequential_program && first_program &&
-      page < block_frontier_[block]) {
+  if (first_program && page < block_frontier_[block]) {
     return Status::FlashConstraint(
         "non-sequential first program: page " + std::to_string(page) +
         " behind frontier " + std::to_string(block_frontier_[block]) +
@@ -393,14 +399,7 @@ Status FlashDevice::EraseBlock(uint32_t block) {
       // The chip spends the erase latency before reporting failure; the
       // cells keep their pre-erase contents and the block's wear counter
       // does not advance (nothing was erased).
-      ChargeCounters(OpKind::kErase, config_.timing.erase_us, 1);
-      const uint32_t plane = g.plane_of_block(block);
-      const uint64_t start = OccupyPlane(plane, config_.timing.erase_us);
-      if (trace_ != nullptr) {
-        trace_->Emit(obs::TraceCat::kFlashErase, start,
-                     config_.timing.erase_us, plane, block,
-                     static_cast<uint64_t>(category_));
-      }
+      Charge(OpKind::kErase, first, config_.timing.erase_us);
       return Status::IOError("erase failed (grown bad block) at block " +
                              std::to_string(block));
     }
@@ -422,7 +421,7 @@ Status FlashDevice::EraseBlocksMultiPlane(const std::vector<uint32_t>& blocks) {
         " blocks, got " + std::to_string(blocks.size()));
   }
   uint32_t die = 0;
-  uint32_t seen_planes = 0;  // bitmask; planes_per_chip is small
+  uint64_t seen_planes = 0;  // bitmask; the constructor caps planes at 64
   for (size_t i = 0; i < blocks.size(); ++i) {
     if (blocks[i] >= g.num_blocks) {
       return Status::InvalidArgument("block out of range: " +
@@ -436,7 +435,7 @@ Status FlashDevice::EraseBlocksMultiPlane(const std::vector<uint32_t>& blocks) {
           "multi-plane erase spans dies " + std::to_string(die) + " and " +
           std::to_string(d));
     }
-    const uint32_t bit = 1u << g.plane_of_block(blocks[i]);
+    const uint64_t bit = uint64_t{1} << g.plane_of_block(blocks[i]);
     if (seen_planes & bit) {
       return Status::InvalidArgument(
           "multi-plane erase repeats plane " +
@@ -459,30 +458,11 @@ Status FlashDevice::EraseBlocksMultiPlane(const std::vector<uint32_t>& blocks) {
   }
   for (uint32_t b : blocks) ApplyErase(b);
 
-  // One command's worth of array time, all involved planes in lockstep from
-  // the latest of their ready times; the op still counts as |blocks| block
-  // erases for wear/throughput accounting.
-  const uint64_t us = config_.timing.effective_multiplane_erase_us();
+  // One command's worth of array time on every involved plane; the op
+  // still counts as |blocks| block erases for wear/throughput accounting.
+  const uint64_t us = config_.timing.erase_us;
   ChargeCounters(OpKind::kErase, us, blocks.size());
-  SyncPlanesToClock();
-  uint64_t min_ready = plane_ready_us_[0];
-  for (uint64_t r : plane_ready_us_) min_ready = r < min_ready ? r : min_ready;
-  uint64_t start = 0;
-  for (uint32_t b : blocks) {
-    const uint64_t r = plane_ready_us_[g.plane_of_block(b)];
-    start = r > start ? r : start;
-  }
-  const uint64_t end = start + us;
-  for (uint32_t b : blocks) {
-    const uint32_t plane = g.plane_of_block(b);
-    plane_ready_us_[plane] = end;
-    PlaneCounters& pc = stats_.plane[plane];
-    pc.ops++;
-    pc.busy_us += us;
-    pc.stall_us += start - min_ready;
-  }
-  clock_.AdvanceTo(end);
-  clock_seen_us_ = clock_.now_us();
+  const uint64_t start = OccupyPlanes(seen_planes, us);
   if (trace_ != nullptr) {
     // One event per command: a0 = plane bitmask, a1 = lead block.
     trace_->Emit(obs::TraceCat::kFlashEraseMulti, start, us, seen_planes,
@@ -527,10 +507,6 @@ bool FlashDevice::IsErased(PhysAddr addr) const {
 
 uint32_t FlashDevice::DataProgramCount(PhysAddr addr) const {
   return data_programs_[addr];
-}
-
-uint32_t FlashDevice::SpareProgramCount(PhysAddr addr) const {
-  return spare_programs_[addr];
 }
 
 void FlashDevice::ResetAccounting() {

@@ -68,6 +68,18 @@ inline constexpr uint32_t kBadBlockOobOffset = 20;
 /// corrupting the emulated cells.
 class FlashDevice {
  public:
+  /// Programs a page's spare area takes between erases. The paper (footnote
+  /// 9) states the spare area "can be repeatedly performed up to four times
+  /// without an erase operation".
+  static constexpr uint32_t kMaxSparePrograms = 4;
+  /// Programs a page's data area takes between erases. Page-based methods
+  /// and PDL use exactly one; IPL's log pages rely on partial programming of
+  /// log slots (SLC-style sector programming).
+  static constexpr uint32_t kMaxDataPrograms = 16;
+  /// Read-retry passes after a sense that came back with uncorrectable raw
+  /// bit errors (see FaultInjector::CorruptRead).
+  static constexpr uint32_t kMaxReadRetries = 4;
+
   explicit FlashDevice(const FlashConfig& config);
 
   const FlashConfig& config() const { return config_; }
@@ -92,11 +104,11 @@ class FlashDevice {
   ///
   /// Read-error model: when a fault injector reports raw bit errors for an
   /// attempt (FaultInjector::CorruptRead), the device re-senses up to
-  /// config().max_read_retries times, charging effective_read_retry_us() per
-  /// pass to the page's plane. A read that stays bad through the ladder
-  /// still returns OK but the delivered buffers carry deterministic bit
-  /// flips -- silent at the device level, exactly like real NAND past its
-  /// ECC budget; the FTL's spare-area data CRC is the detection layer.
+  /// kMaxReadRetries times, charging read_us per pass to the page's plane.
+  /// A read that stays bad through the ladder still returns OK but the
+  /// delivered buffers carry deterministic bit flips -- silent at the device
+  /// level, exactly like real NAND past its ECC budget; the FTL's
+  /// spare-area data CRC is the detection layer.
   /// Retry/corrected/uncorrectable classification lands in
   /// stats().integrity; pages that needed retries (or crossed
   /// config().read_disturb_limit reads since erase) are flagged as scrub
@@ -109,8 +121,8 @@ class FlashDevice {
   }
 
   /// Programs the page's data and spare areas with *fresh-write* intent:
-  /// under strict_bit_semantics it is an error if any bit set to 1 in the
-  /// image is already 0 in the cells (the stored result would silently differ
+  /// it is a FlashConstraint error if any bit set to 1 in the image is
+  /// already 0 in the cells (the stored result would silently differ
   /// from the image). Buffers must be exactly data_size / spare_size long
   /// (either may be empty to leave the area untouched). Charges one Twrite.
   Status ProgramPage(PhysAddr addr, ConstBytes data, ConstBytes spare) {
@@ -141,12 +153,12 @@ class FlashDevice {
   /// Erases up to planes_per_die blocks with one multi-plane command. All
   /// blocks must sit on the same die, on pairwise-distinct planes (the
   /// same-block-offset restriction of early multi-plane chips is relaxed, as
-  /// on modern parts). Charges effective_multiplane_erase_us() once; the
-  /// involved planes go busy in lockstep from the latest of their ready
-  /// times. Each block's wear counter still increments individually. If any
-  /// block's erase would fail (grown bad block), the whole command fails
-  /// with IOError and no block is erased -- callers then retry individually
-  /// to isolate the bad block, mirroring real FTL practice.
+  /// on modern parts). Charges erase_us once; the involved planes go busy
+  /// in lockstep from the latest of their ready times. Each block's wear
+  /// counter still increments individually. If any block's erase would fail
+  /// (grown bad block), the whole command fails with IOError and no block is
+  /// erased -- callers then retry individually to isolate the bad block,
+  /// mirroring real FTL practice.
   Status EraseBlocksMultiPlane(const std::vector<uint32_t>& blocks);
 
   /// Programs the bad-block mark byte (ftl::kBadBlockOobOffset) in the spare
@@ -161,14 +173,6 @@ class FlashDevice {
 
   /// Number of data-area programs since the last erase of the page.
   uint32_t DataProgramCount(PhysAddr addr) const;
-  /// Number of spare-area programs since the last erase of the page.
-  uint32_t SpareProgramCount(PhysAddr addr) const;
-
-  /// Read attempts (including retry passes) against this page since its
-  /// block's last erase -- the read-disturb stress input of the error model.
-  uint32_t ReadsSinceErase(PhysAddr addr) const {
-    return reads_since_erase_[addr];
-  }
 
   /// Drains the scrub-candidate list: data-region pages that needed a read
   /// retry, or whose reads-since-erase counter crossed
@@ -236,14 +240,15 @@ class FlashDevice {
   /// Updates op counts and work-time totals: `count` operations summing to
   /// `us` of array time (multi-plane commands pass count > 1, us once).
   void ChargeCounters(OpKind kind, uint64_t us, uint64_t count);
-  /// Advances the per-plane virtual-time model: the op starts at the plane's
-  /// ready time and the chip clock moves to the latest plane completion.
-  /// Returns the op's start time (the plane's prior ready time) -- the span
+  /// Advances the per-plane virtual-time model for one command on every
+  /// plane in the bit mask `planes`: they go busy in lockstep from the
+  /// latest of their ready times, and the chip clock moves to the latest
+  /// plane completion. Returns the command's start time -- the span
   /// timestamp the trace layer records.
-  uint64_t OccupyPlane(uint32_t plane, uint64_t us);
-  /// Counters + single-plane occupancy for the plane owning `addr`, plus the
-  /// trace span when a sink is attached. `cache_chain` marks a program that
-  /// hit the plane's cache-program chain (traced as its own category).
+  uint64_t OccupyPlanes(uint64_t planes, uint64_t us);
+  /// Counters + occupancy of the plane owning `addr`, plus the trace span
+  /// when a sink is attached. `cache_chain` marks a program that hit the
+  /// plane's cache-program chain (traced as its own category).
   void Charge(OpKind kind, PhysAddr addr, uint64_t us,
               bool cache_chain = false);
   /// Re-floors plane ready times after an external clock Advance()/Reset().

@@ -37,9 +37,6 @@ Status ShardRouter::EnableRebalancing(const WearLevelConfig& config) {
   if (config.max_erase_ratio < 1.0) {
     return Status::InvalidArgument("max_erase_ratio must be >= 1.0");
   }
-  if (config.heat_decay < 0.0 || config.heat_decay > 1.0) {
-    return Status::InvalidArgument("heat_decay must be in [0, 1]");
-  }
   config_ = config;
   if (config.buckets_per_shard != buckets_per_shard_) {
     // Re-granulating is safe while the mapping is still the identity: every
@@ -124,7 +121,7 @@ void ShardRouter::SeedEraseBaseline(std::span<const uint64_t> shard_erases) {
 void ShardRouter::AddEpochHeat(std::span<const uint64_t> per_bucket_writes) {
   assert(per_bucket_writes.size() == heat_.size());
   for (uint32_t b = 0; b < num_buckets_; ++b) {
-    heat_[b] = heat_[b] * config_.heat_decay +
+    heat_[b] = heat_[b] * kHeatDecay +
                static_cast<double>(per_bucket_writes[b]);
   }
 }

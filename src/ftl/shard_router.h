@@ -72,9 +72,6 @@ struct WearLevelConfig {
   uint64_t min_total_erases = 64;
   /// Upper bound on bucket swaps per rebalancing decision.
   uint32_t max_swaps_per_rebalance = 8;
-  /// Multiplier applied to every bucket's heat before an epoch's write
-  /// counts are added (exponential decay; 0 forgets history entirely).
-  double heat_decay = 0.5;
 };
 
 /// See file comment.
@@ -180,6 +177,10 @@ class ShardRouter {
   void CommitSwap(const Swap& swap);
 
  private:
+  /// Multiplier applied to every bucket's heat before an epoch's write
+  /// counts are added (exponential decay).
+  static constexpr double kHeatDecay = 0.5;
+
   uint32_t num_shards_;
   uint32_t buckets_per_shard_;
   uint32_t num_buckets_;

@@ -22,19 +22,6 @@ void StripedInit(PageId inner_pid, MutBytes page, void* arg) {
   ctx->initial(inner_pid * ctx->num_shards + ctx->shard, page,
                ctx->initial_arg);
 }
-
-/// Copies whole page images into one chip's store: the write path of both
-/// bucket migration and journal redo. Each image is first announced as a
-/// full-page update, because a log-based method (IPL) persists only the
-/// update logs it is shown, never the image WriteBack hands it. Methods
-/// that ignore OnUpdate see exactly the WriteBatch.
-Status WritePageImages(PageStore* s, std::span<const PageWrite> writes) {
-  for (const PageWrite& w : writes) {
-    const UpdateLog whole{0, ByteBuffer(w.page.begin(), w.page.end())};
-    FLASHDB_RETURN_IF_ERROR(s->OnUpdate(w.pid, w.page, whole));
-  }
-  return s->WriteBatch(writes);
-}
 }  // namespace
 
 ShardedStore::ShardedStore(std::vector<Shard> shards)
@@ -67,7 +54,15 @@ Status ShardedStore::EnableMetaJournal() {
   return Status::OK();
 }
 
-MetaJournal::Record ShardedStore::SnapshotRecord() const {
+Status ShardedStore::CheckExecutor(const ShardExecutor* executor) const {
+  if (executor == nullptr || executor->num_workers() >= num_shards()) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("executor must have one worker per shard");
+}
+
+Status ShardedStore::OpenEpoch(const std::vector<MetaJournal::RedoSet>& redo) {
+  if (journal_ == nullptr) return Status::OK();
   MetaJournal::Record rec;
   rec.type = MetaJournal::Record::Type::kSnapshot;
   rec.epoch = journal_->next_epoch();
@@ -86,7 +81,16 @@ MetaJournal::Record ShardedStore::SnapshotRecord() const {
   for (const Shard& s : shards_) {
     rec.bad_blocks.push_back(s.store->bad_blocks());
   }
-  return rec;
+  rec.redo = redo;
+  return journal_->Append(rec);
+}
+
+Status ShardedStore::CloseEpoch() {
+  if (journal_ == nullptr) return Status::OK();
+  MetaJournal::Record done;
+  done.type = MetaJournal::Record::Type::kComplete;
+  done.epoch = journal_->next_epoch() - 1;
+  return journal_->Append(done);
 }
 
 Status ShardedStore::Format(uint32_t num_logical_pages,
@@ -119,12 +123,11 @@ Status ShardedStore::Format(uint32_t num_logical_pages,
   // (re)format cannot trigger an immediate rebalance.
   router_->Reset(num_pages_);
   SeedRouterEraseBaseline();
-  if (journal_ != nullptr) {
-    // Epoch 0: the format record -- an identity snapshot with no redo
-    // payload, anchoring the epoch chain recovery validates against. Only a
-    // store whose anchor is durable may report itself formatted.
-    FLASHDB_RETURN_IF_ERROR(journal_->Append(SnapshotRecord()));
-  }
+  // Epoch 0 (with a journal): the format record -- an identity snapshot
+  // with no redo payload, anchoring the epoch chain recovery validates
+  // against. Only a store whose anchor is durable may report itself
+  // formatted.
+  FLASHDB_RETURN_IF_ERROR(OpenEpoch());
   formatted_ = true;
   return Status::OK();
 }
@@ -152,9 +155,7 @@ Status ShardedStore::Flush() {
 }
 
 Status ShardedStore::Recover(ShardExecutor* executor) {
-  if (executor != nullptr && executor->num_workers() < num_shards()) {
-    return Status::InvalidArgument("executor must have one worker per shard");
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckExecutor(executor));
   if (journal_ == nullptr && router_ != nullptr && !router_->is_identity()) {
     // Without a journal the routing table is volatile: recovery can only
     // restore identity striping, which mis-associates pids on a migrated
@@ -237,11 +238,8 @@ Status ShardedStore::Recover(ShardExecutor* executor) {
       // The newest epoch's copies may not have finished before the crash:
       // replay them from the journal's redo payload (full-page images, so
       // the replay is idempotent) and only then mark the epoch complete.
-      FLASHDB_RETURN_IF_ERROR(ApplyRedo(snap, executor));
-      MetaJournal::Record done;
-      done.type = MetaJournal::Record::Type::kComplete;
-      done.epoch = snap.epoch;
-      FLASHDB_RETURN_IF_ERROR(journal_->Append(done));
+      FLASHDB_RETURN_IF_ERROR(ApplyRedo(snap.redo, executor));
+      FLASHDB_RETURN_IF_ERROR(CloseEpoch());
     }
     // Only a fully successful recovery may mark the store usable: a partial
     // one (failed Restore or redo) would otherwise serve pids through the
@@ -261,7 +259,7 @@ Status ShardedStore::Recover(ShardExecutor* executor) {
   return Status::OK();
 }
 
-Status ShardedStore::ApplyRedo(const MetaJournal::Record& snapshot,
+Status ShardedStore::ApplyRedo(std::span<const MetaJournal::RedoSet> redo,
                                ShardExecutor* executor) {
   const uint32_t data_size = shards_[0].device->geometry().data_size;
   auto write_set = [&](const MetaJournal::RedoSet& set) -> Status {
@@ -279,14 +277,22 @@ Status ShardedStore::ApplyRedo(const MetaJournal::Record& snapshot,
       }
       writes.push_back(PageWrite{set.inner_pids[k], set.images[k]});
     }
-    FLASHDB_RETURN_IF_ERROR(WritePageImages(s, writes));
-    // The completion record appended after the redo asserts durability.
-    return s->Flush();
+    // Announce each image as a full-page update first: a log-based method
+    // (IPL) persists only the update logs it is shown, never the image
+    // WriteBack hands it. Methods that ignore OnUpdate see exactly the
+    // WriteBatch.
+    for (const PageWrite& w : writes) {
+      const UpdateLog whole{0, ByteBuffer(w.page.begin(), w.page.end())};
+      FLASHDB_RETURN_IF_ERROR(s->OnUpdate(w.pid, w.page, whole));
+    }
+    FLASHDB_RETURN_IF_ERROR(s->WriteBatch(writes));
+    // The completion record appended after the writes asserts they are
+    // durable: write through any RAM-buffered differentials (PDL) first.
+    return journal_ != nullptr ? s->Flush() : Status::OK();
   };
   std::vector<ShardTask> writes;
-  for (const MetaJournal::RedoSet& set : snapshot.redo) {
-    writes.push_back(
-        {set.shard, [&, set_ptr = &set] { return write_set(*set_ptr); }});
+  for (const MetaJournal::RedoSet& set : redo) {
+    writes.push_back({set.shard, [&] { return write_set(set); }});
   }
   return RunShardTasks(executor, std::move(writes));
 }
@@ -327,12 +333,9 @@ Status ShardedStore::ScrubShards(ScrubResult* out) {
   // timestamp during the chips' recovery scans), so an append failure here
   // loses only the epoch marker, not data -- no need to invalidate the store
   // the way a half-applied migration must.
-  if (journal_ != nullptr && res.relocated > 0) {
-    FLASHDB_RETURN_IF_ERROR(journal_->Append(SnapshotRecord()));
-    MetaJournal::Record done;
-    done.type = MetaJournal::Record::Type::kComplete;
-    done.epoch = journal_->next_epoch() - 1;
-    FLASHDB_RETURN_IF_ERROR(journal_->Append(done));
+  if (res.relocated > 0) {
+    FLASHDB_RETURN_IF_ERROR(OpenEpoch());
+    FLASHDB_RETURN_IF_ERROR(CloseEpoch());
   }
   if (out != nullptr) *out = res;
   return Status::OK();
@@ -357,9 +360,7 @@ std::vector<uint64_t> ShardedStore::shard_clocks() const {
 Status ShardedStore::MigrateBuckets(std::span<const ShardRouter::Swap> swaps,
                                     ShardExecutor* executor) {
   FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
-  if (executor != nullptr && executor->num_workers() < num_shards()) {
-    return Status::InvalidArgument("executor must have one worker per shard");
-  }
+  FLASHDB_RETURN_IF_ERROR(CheckExecutor(executor));
   const uint32_t stride = router_->buckets_per_shard();
   const uint32_t data_size = shards_[0].device->geometry().data_size;
   for (const ShardRouter::Swap& swap : swaps) {
@@ -372,156 +373,71 @@ Status ShardedStore::MigrateBuckets(std::span<const ShardRouter::Swap> swaps,
       return Status::InvalidArgument(
           "bucket swap with mismatched page counts");
     }
-    const uint32_t shard_a = router_->bucket_shard(swap.bucket_a);
-    const uint32_t shard_b = router_->bucket_shard(swap.bucket_b);
-    if (shard_a == shard_b) {
+    if (router_->bucket_shard(swap.bucket_a) ==
+        router_->bucket_shard(swap.bucket_b)) {
       return Status::InvalidArgument("bucket swap within a single shard");
     }
-    const uint32_t slot_a = router_->bucket_slot(swap.bucket_a);
-    const uint32_t slot_b = router_->bucket_slot(swap.bucket_b);
-    std::vector<ByteBuffer> images_a(m);
-    std::vector<ByteBuffer> images_b(m);
 
-    // Durable intent: with a journal attached, the swap's snapshot record --
-    // the post-swap routing table plus the exact images the writes below
-    // will program -- is appended *before* any data page changes. A crash
-    // while the record is being appended tears it (recovery discards the
-    // tail and the store is still bit-identical to the previous epoch); once
-    // the record is fully on flash the epoch is committed and recovery rolls
-    // the swap forward by replaying the payload.
-    auto journal_swap = [&]() -> Status {
-      if (journal_ == nullptr) return Status::OK();
-      MetaJournal::Record rec = SnapshotRecord();
-      if (m > 0) {
-        rec.redo.resize(2);
-        rec.redo[0].shard = shard_a;
-        rec.redo[1].shard = shard_b;
+    // redo[i] is bucket i's slot set on its current shard, and receives the
+    // other bucket's images -- the same sets a journal redo replays. Two
+    // empty buckets have no sets: a routing-only epoch, with no copies, no
+    // flush and no kBucketMigrate event.
+    std::vector<MetaJournal::RedoSet> redo;
+    if (m > 0) {
+      redo.resize(2);
+      for (size_t i = 0; i < 2; ++i) {
+        const uint32_t bucket = i == 0 ? swap.bucket_a : swap.bucket_b;
+        const uint32_t slot = router_->bucket_slot(bucket);
+        redo[i].shard = router_->bucket_shard(bucket);
         for (uint32_t k = 0; k < m; ++k) {
-          rec.redo[0].inner_pids.push_back(slot_a + k * stride);
-          rec.redo[1].inner_pids.push_back(slot_b + k * stride);
+          redo[i].inner_pids.push_back(slot + k * stride);
         }
-        rec.redo[0].images = images_b;  // bucket b's pages move to a's slots
-        rec.redo[1].images = images_a;
+        redo[i].images.assign(m, ByteBuffer(data_size));
       }
-      return journal_->Append(rec);
-    };
-    auto journal_complete = [&]() -> Status {
-      if (journal_ == nullptr) return Status::OK();
-      MetaJournal::Record done;
-      done.type = MetaJournal::Record::Type::kComplete;
-      done.epoch = journal_->next_epoch() - 1;
-      return journal_->Append(done);
-    };
-
-    if (m == 0) {  // both buckets empty: a routing-table-only epoch
-      router_->CommitSwap(swap);
-      const Status journaled = journal_swap();
-      if (!journaled.ok()) {
-        formatted_ = false;  // router committed in RAM but not on flash
-        return journaled;
-      }
-      const Status completed = journal_complete();
-      if (!completed.ok()) {
-        formatted_ = false;
-        return completed;
-      }
-      continue;
     }
-
     // Copy protocol: capture both buckets' images, commit the assignment,
     // then write each image set to its exchanged slots. Per shard the device
-    // sees [m reads, then m writes] in slot order -- identical whether the
-    // two shards run inline here or on their executor workers, which is what
-    // keeps migration inside the bit-determinism envelope.
-    auto read_bucket = [&](uint32_t shard, uint32_t slot,
-                           std::vector<ByteBuffer>* images) -> Status {
-      PageStore* s = shards_[shard].store.get();
+    // sees [m reads, then m writes] in slot order in every execution mode,
+    // which keeps migration inside the bit-determinism envelope.
+    auto read_set = [&](size_t i) -> Status {
+      PageStore* s = shards_[redo[i].shard].store.get();
       StoreCategoryScope cat(s, flash::OpCategory::kMigrate);
       for (uint32_t k = 0; k < m; ++k) {
-        (*images)[k].resize(data_size);
-        FLASHDB_RETURN_IF_ERROR(s->ReadPage(slot + k * stride, (*images)[k]));
+        FLASHDB_RETURN_IF_ERROR(
+            s->ReadPage(redo[i].inner_pids[k], redo[1 - i].images[k]));
       }
       return Status::OK();
     };
-    auto write_bucket = [&](uint32_t shard, uint32_t slot,
-                            const std::vector<ByteBuffer>& images) -> Status {
-      PageStore* s = shards_[shard].store.get();
-      StoreCategoryScope cat(s, flash::OpCategory::kMigrate);
-      std::vector<PageWrite> writes;
-      writes.reserve(m);
-      for (uint32_t k = 0; k < m; ++k) {
-        writes.push_back(PageWrite{slot + k * stride, images[k]});
-      }
-      FLASHDB_RETURN_IF_ERROR(WritePageImages(s, writes));
-      // With a journal, the completion record appended after these writes
-      // asserts the copies are *durable* -- write-through any RAM-buffered
-      // differentials (PDL) before it can be written. Without a journal the
-      // legacy behavior is preserved bit-for-bit.
-      return journal_ != nullptr ? s->Flush() : Status::OK();
-    };
-
-    Status write_a;
-    Status write_b;
-    if (executor != nullptr) {
-      auto ra = executor->Submit(
-          shard_a, [&] { return read_bucket(shard_a, slot_a, &images_a); });
-      auto rb = executor->Submit(
-          shard_b, [&] { return read_bucket(shard_b, slot_b, &images_b); });
-      const Status read_a = ra.get();
-      const Status read_b = rb.get();
-      FLASHDB_RETURN_IF_ERROR(read_a);  // nothing written yet: store intact
-      FLASHDB_RETURN_IF_ERROR(read_b);
-      router_->CommitSwap(swap);
-      const Status journaled = journal_swap();
-      if (!journaled.ok()) {
-        formatted_ = false;  // router committed in RAM but not on flash
-        return journaled;
-      }
-      auto wa = executor->Submit(
-          shard_a, [&] { return write_bucket(shard_a, slot_a, images_b); });
-      auto wb = executor->Submit(
-          shard_b, [&] { return write_bucket(shard_b, slot_b, images_a); });
-      write_a = wa.get();
-      write_b = wb.get();
-    } else {
-      FLASHDB_RETURN_IF_ERROR(read_bucket(shard_a, slot_a, &images_a));
-      FLASHDB_RETURN_IF_ERROR(read_bucket(shard_b, slot_b, &images_b));
-      router_->CommitSwap(swap);
-      const Status journaled = journal_swap();
-      if (!journaled.ok()) {
-        formatted_ = false;  // router committed in RAM but not on flash
-        return journaled;
-      }
-      write_a = write_bucket(shard_a, slot_a, images_b);
-      write_b = write_bucket(shard_b, slot_b, images_a);
+    std::vector<ShardTask> reads;
+    for (size_t i = 0; i < redo.size(); ++i) {
+      reads.push_back({redo[i].shard, [&, i] { return read_set(i); }});
     }
+    // Nothing is written yet: a read failure leaves the store intact.
+    FLASHDB_RETURN_IF_ERROR(RunShardTasks(executor, std::move(reads)));
+
+    // A half-applied swap cannot be rolled back in RAM, so from the commit
+    // until the completion record a failure leaves the store unusable rather
+    // than silently serving the wrong bucket's pages. The snapshot record
+    // (post-swap routing plus the images about to be written) precedes every
+    // data write: a crash while appending it rolls the swap back, a crash
+    // after it rolls the swap forward on Recover().
+    router_->CommitSwap(swap);
+    formatted_ = false;
+    FLASHDB_RETURN_IF_ERROR(OpenEpoch(redo));
+    FLASHDB_RETURN_IF_ERROR(ApplyRedo(redo, executor));
     // The swap is applied on both chips: mark it on both shards' timelines
     // (instant events, stamped with each chip's post-copy clock; emitted from
     // the submitting thread while the workers are quiescent).
-    for (const uint32_t sh : {shard_a, shard_b}) {
-      flash::FlashDevice* dev = shards_[sh].device;
-      if (dev->trace() != nullptr && write_a.ok() && write_b.ok()) {
+    for (const MetaJournal::RedoSet& set : redo) {
+      flash::FlashDevice* dev = shards_[set.shard].device;
+      if (dev->trace() != nullptr) {
         dev->trace()->Emit(obs::TraceCat::kBucketMigrate,
                            dev->clock().now_us(), 0, swap.bucket_a,
                            swap.bucket_b, m);
       }
     }
-    if (!write_a.ok() || !write_b.ok()) {
-      // A half-written swap cannot be rolled back in RAM: one slot set may
-      // hold the other bucket's images. Returning the error alone would
-      // leave a store that *silently* serves wrong pages to any caller that
-      // keeps using it, so make it unusable instead -- every subsequent
-      // operation fails fast. With a journal the committed snapshot + redo
-      // record means a fresh instance can still Recover() the exact
-      // post-swap state.
-      formatted_ = false;
-      return !write_a.ok() ? write_a : write_b;
-    }
-    const Status completed = journal_complete();
-    if (!completed.ok()) {
-      formatted_ = false;
-      return completed;
-    }
+    FLASHDB_RETURN_IF_ERROR(CloseEpoch());
+    formatted_ = true;
   }
   return Status::OK();
 }

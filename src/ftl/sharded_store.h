@@ -129,31 +129,21 @@ class ShardedStore : public PageStore {
                : journal_->next_epoch() - 1;
   }
 
-  /// Executes (and commits) the planned bucket swaps: for each swap, both
-  /// buckets' pages are read via the current assignment, the router is
-  /// updated, and the images are written to the exchanged slots -- contents
-  /// observed through ReadPage(pid) are unchanged. With `executor` non-null
-  /// the reads/writes of each chip are submitted to that chip's worker
-  /// (batched copy, two tasks per shard per swap); with null they run inline
-  /// on the calling thread in the same per-shard order, so the two paths
-  /// leave bit-identical device state. Traffic is accounted under
-  /// OpCategory::kMigrate. Requires quiescent shards at entry (epoch
-  /// boundary); the call returns with the shards quiescent again.
+  /// Executes (and commits) the planned bucket swaps, one epoch each. A
+  /// swap reads both buckets' pages through the current assignment, commits
+  /// the router, then writes each image set to the exchanged slots, so
+  /// ReadPage(pid) observes unchanged contents. Per shard the device sees
+  /// the reads, then the writes, in slot order, with or without `executor`.
+  /// Traffic is accounted under OpCategory::kMigrate. Requires quiescent
+  /// shards at entry (epoch boundary) and returns with them quiescent.
   ///
-  /// Failure semantics: an error before any write leaves the store intact.
-  /// A write error mid-swap cannot be rolled back in RAM, so the store is
-  /// invalidated (every subsequent operation fails) rather than left
-  /// silently serving the wrong bucket's pages -- but with a meta journal
-  /// attached the swap's snapshot + redo record is already durable, so a
-  /// fresh instance can Recover() the exact committed state.
-  ///
-  /// With a journal each swap is one durable epoch: after both buckets are
-  /// read, a snapshot record (post-swap routing + the images about to be
-  /// written) is appended *before* any data-page write, and a completion
-  /// record after the copies drain. A crash while appending the snapshot
-  /// rolls the swap back (nothing was written); a crash after it rolls the
-  /// swap forward during recovery via the idempotent redo payload. Either
-  /// way recovery lands on a committed epoch, never a half-migrated state.
+  /// A failure before the commit leaves the store intact. A failure after
+  /// it leaves the store unusable: every later call fails instead of
+  /// serving the wrong bucket's pages. With a meta journal, the snapshot
+  /// record (post-swap routing plus the images to write) is appended before
+  /// any data write and a completion record after the copies are durable. A
+  /// crash while appending the snapshot rolls the swap back on Recover(); a
+  /// crash after it rolls the swap forward from the redo payload.
   Status MigrateBuckets(std::span<const ShardRouter::Swap> swaps,
                         ShardExecutor* executor);
 
@@ -206,11 +196,18 @@ class ShardedStore : public PageStore {
   /// cumulative counters (Format/Recover on possibly pre-worn devices).
   void SeedRouterEraseBaseline();
 
-  /// Builds a journal record snapshotting the router's *current* state.
-  MetaJournal::Record SnapshotRecord() const;
-  /// Replays a snapshot's redo payload (idempotent full-page writes),
-  /// inline or on the shards' workers.
-  Status ApplyRedo(const MetaJournal::Record& snapshot,
+  /// InvalidArgument unless `executor` is null or has a worker per shard.
+  Status CheckExecutor(const ShardExecutor* executor) const;
+  /// Opens a journaled epoch: appends a snapshot of the router's *current*
+  /// state carrying `redo`. With CloseEpoch, the only journal appends.
+  /// Both are no-ops without a journal.
+  Status OpenEpoch(const std::vector<MetaJournal::RedoSet>& redo = {});
+  /// Closes the newest epoch: appends its completion record.
+  Status CloseEpoch();
+  /// Writes every set's full-page images to its shard, inline or on the
+  /// shards' workers: the copy step of bucket migration and the idempotent
+  /// replay of a journal redo payload.
+  Status ApplyRedo(std::span<const MetaJournal::RedoSet> redo,
                    ShardExecutor* executor);
 
   /// Logical pages striped onto shard `i` out of `total`.

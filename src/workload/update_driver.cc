@@ -172,40 +172,32 @@ Status UpdateDriver::RunEach(bool record,
 Status UpdateDriver::FlushShardWindow(ShardStream* s) {
   if (s->queued_n == 0) return Status::OK();
   StoreCategoryScope cat(s->store, flash::OpCategory::kWriteStep);
-  if (s->record) {
-    // Per-write flush so each queued op gets its own clock delta. The
-    // batched-write equivalence (WriteBatch == same writes via WriteBack,
-    // pinned by tests/batched_write_test.cc) makes this path produce the
-    // exact device state and virtual clocks of the WriteBatch path below --
-    // recording changes attribution, never the gated numbers.
-    flash::FlashDevice* dev = s->store->device();
-    for (size_t i = 0; i < s->queued_n; ++i) {
-      ShardStream::QueuedWrite& q = s->queued[i];
-      const CostSnap snap = SnapCost(dev);
-      FLASHDB_RETURN_IF_ERROR(s->store->WriteBack(q.inner_pid, q.image));
-      const WorstOpSample wb = CostSince(snap, dev, q.cost.pid);
-      q.cost.total_us += wb.total_us;
-      q.cost.read_us += wb.read_us;
-      q.cost.write_us += wb.write_us;
-      q.cost.gc_us += wb.gc_us;
-      q.cost.meta_us += wb.meta_us;
-      s->hist.Record(q.cost.total_us);
-      s->worst.Offer(q.cost);
-      if (dev->trace() != nullptr) {
-        // The op's span opened at its inline start; its duration is the
-        // accumulated latency (inline + this write-back) -- identical
-        // inline and threaded for one schedule and batch size.
-        dev->trace()->Emit(obs::TraceCat::kOpSpan, q.start_us,
-                           q.cost.total_us, q.cost.pid, 1);
-      }
+  // Write by write, so each queued op gets its own clock delta when
+  // recording. A window never holds an invalid entry, so this leaves the
+  // device state and virtual clocks of one WriteBatch (the batched-write
+  // equivalence tests/batched_write_test.cc pins down).
+  flash::FlashDevice* dev = s->record ? s->store->device() : nullptr;
+  for (size_t i = 0; i < s->queued_n; ++i) {
+    ShardStream::QueuedWrite& q = s->queued[i];
+    CostSnap snap;
+    if (s->record) snap = SnapCost(dev);
+    FLASHDB_RETURN_IF_ERROR(s->store->WriteBack(q.inner_pid, q.image));
+    if (!s->record) continue;
+    const WorstOpSample wb = CostSince(snap, dev, q.cost.pid);
+    q.cost.total_us += wb.total_us;
+    q.cost.read_us += wb.read_us;
+    q.cost.write_us += wb.write_us;
+    q.cost.gc_us += wb.gc_us;
+    q.cost.meta_us += wb.meta_us;
+    s->hist.Record(q.cost.total_us);
+    s->worst.Offer(q.cost);
+    if (dev->trace() != nullptr) {
+      // The op's span opened at its inline start; its duration is the
+      // accumulated latency (inline + this write-back) -- identical
+      // inline and threaded for one schedule and batch size.
+      dev->trace()->Emit(obs::TraceCat::kOpSpan, q.start_us, q.cost.total_us,
+                         q.cost.pid, 1);
     }
-  } else {
-    s->writes.clear();
-    for (size_t i = 0; i < s->queued_n; ++i) {
-      const ShardStream::QueuedWrite& q = s->queued[i];
-      s->writes.push_back(PageWrite{q.inner_pid, q.image});
-    }
-    FLASHDB_RETURN_IF_ERROR(s->store->WriteBatch(s->writes));
   }
   s->queued_n = 0;  // images keep their capacity for the next window
   return Status::OK();

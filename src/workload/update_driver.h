@@ -77,12 +77,9 @@ struct WorkloadParams {
   /// Sample every operation's virtual latency into RunStats::latency (and
   /// track the worst op with its per-cause breakdown). An op's latency is
   /// the advance of its owning chip's virtual clock from the op's start to
-  /// its write-back completion. To give each queued write-back its own
-  /// clock delta, windows flush write-by-write (WriteBack) instead of as one
-  /// WriteBatch -- on-flash state and virtual clocks are identical either
-  /// way (the batched-write equivalence the tests pin down), so recording
-  /// never changes any gated virtual-time column. Off by default to keep
-  /// the WriteBatch fast path.
+  /// its write-back completion. Windows flush write by write (WriteBack)
+  /// either way; recording only samples each write-back's clock delta, so
+  /// it never changes any gated virtual-time column.
   bool record_latency = false;
 };
 
@@ -323,7 +320,6 @@ class UpdateDriver {
     UpdateLog log_scratch;            ///< Reused OnUpdate log.
     std::vector<QueuedWrite> queued;  ///< Window pool, reused per flush.
     size_t queued_n = 0;
-    std::vector<PageWrite> writes;    ///< Reused WriteBatch argument.
 
     /// Latency recording only; thread-confined to the shard's worker like
     /// everything else here, folded into the driver's pending accumulators

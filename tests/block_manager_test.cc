@@ -241,8 +241,7 @@ TEST(BlockManagerPlaneTest, EraseAndFreeGroupUsesOneMultiPlaneCommand) {
   ASSERT_TRUE(bm.EraseAndFreeGroup({0, 1}).ok());
   // Two block erases for wear accounting, one command's worth of time.
   EXPECT_EQ(dev.stats().total.erases, 2u);
-  EXPECT_EQ(dev.clock().now_us(),
-            clock_before + dev.config().timing.effective_multiplane_erase_us());
+  EXPECT_EQ(dev.clock().now_us(), clock_before + dev.config().timing.erase_us);
   EXPECT_EQ(bm.free_blocks(), free_before + 2);
 }
 

@@ -91,7 +91,7 @@ TEST_F(FlashDeviceTest, SequentialRuleIsPerBlock) {
 
 TEST_F(FlashDeviceTest, SpareProgramBudget) {
   ByteBuffer spare = Spare(0xFF);
-  for (uint32_t i = 0; i < dev_.config().max_spare_programs; ++i) {
+  for (uint32_t i = 0; i < FlashDevice::kMaxSparePrograms; ++i) {
     spare[i] = 0x00;  // clear a different byte each time
     ASSERT_TRUE(dev_.ProgramSpare(7, spare).ok()) << i;
   }
@@ -103,16 +103,18 @@ TEST_F(FlashDeviceTest, SpareProgramBudget) {
 }
 
 TEST_F(FlashDeviceTest, DataProgramBudget) {
-  FlashConfig cfg = TinyConfig();
-  cfg.max_data_programs = 2;
-  FlashDevice dev(cfg);
-  ByteBuffer data(dev.geometry().data_size, 0xFF);
+  ByteBuffer data = Page(0xFF);
   data[0] = 0xFE;
-  ASSERT_TRUE(dev.ProgramPage(0, data, {}).ok());
-  data[1] = 0xFE;
-  ASSERT_TRUE(dev.PartialProgramPage(0, data).ok());
-  EXPECT_TRUE(dev.PartialProgramPage(0, data).IsFlashConstraint());
-  EXPECT_EQ(dev.DataProgramCount(0), 2u);
+  ASSERT_TRUE(dev_.ProgramPage(0, data, {}).ok());
+  for (uint32_t i = 1; i < FlashDevice::kMaxDataPrograms; ++i) {
+    data[i] = 0xFE;  // clear a different byte each time
+    ASSERT_TRUE(dev_.PartialProgramPage(0, data).ok()) << i;
+  }
+  EXPECT_TRUE(dev_.PartialProgramPage(0, data).IsFlashConstraint());
+  EXPECT_EQ(dev_.DataProgramCount(0), FlashDevice::kMaxDataPrograms);
+  // An erase restores the budget.
+  ASSERT_TRUE(dev_.EraseBlock(0).ok());
+  EXPECT_TRUE(dev_.ProgramPage(0, data, {}).ok());
 }
 
 TEST_F(FlashDeviceTest, PartialProgramKeepsOneBitsUntouched) {
@@ -298,8 +300,7 @@ TEST(FlashPlaneTest, MultiPlaneEraseChargesOneCommand) {
   ASSERT_TRUE(dev.ProgramPage(dev.AddrOf(1, 0), page, {}).ok());
   const uint64_t before = dev.clock().now_us();
   ASSERT_TRUE(dev.EraseBlocksMultiPlane({0, 1}).ok());
-  EXPECT_EQ(dev.clock().now_us(),
-            before + dev.config().timing.effective_multiplane_erase_us());
+  EXPECT_EQ(dev.clock().now_us(), before + dev.config().timing.erase_us);
   // Both blocks really erased, and wear accounting counts two block erases.
   EXPECT_TRUE(dev.IsErased(dev.AddrOf(0, 0)));
   EXPECT_TRUE(dev.IsErased(dev.AddrOf(1, 0)));
@@ -365,7 +366,7 @@ TEST(FlashPlaneTest, MarkBadBlockOobSetsAndReportsMark) {
   // Marking survives even when the page-0 spare already spent its partial
   // program budget (a worn-out block must still be markable).
   ByteBuffer spare(dev.geometry().spare_size, 0xFF);
-  for (uint32_t i = 0; i < dev.config().max_spare_programs; ++i) {
+  for (uint32_t i = 0; i < FlashDevice::kMaxSparePrograms; ++i) {
     spare[0] = static_cast<uint8_t>(~(1u << i));
     ASSERT_TRUE(dev.ProgramSpare(dev.AddrOf(5, 0), spare).ok());
   }

@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "flash/fault_injector.h"
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
 #include "methods/method_factory.h"
@@ -422,11 +427,42 @@ struct DurableRig {
   std::unique_ptr<ShardedStore> store;
 };
 
+/// The distinctive image BuildDurableRig writes to `pid`.
+void FillRigImage(PageId pid, ByteBuffer* image) {
+  std::fill(image->begin(), image->end(),
+            static_cast<uint8_t>(0xA7 ^ (pid & 0xFF)));
+}
+
+/// Expects every pid of `store` to read back its BuildDurableRig image.
+void ExpectRigImages(ShardedStore* store) {
+  ByteBuffer expect(store->device()->geometry().data_size);
+  ByteBuffer got(expect.size());
+  for (PageId pid = 0; pid < store->num_logical_pages(); ++pid) {
+    FillRigImage(pid, &expect);
+    ASSERT_TRUE(store->ReadPage(pid, got).ok()) << pid;
+    EXPECT_TRUE(BytesEqual(expect, got)) << "pid " << pid;
+  }
+}
+
+/// A fresh journaled instance of `method` recovered over `rig`'s devices.
+std::unique_ptr<ShardedStore> RecoverDurableRig(const DurableRig& rig,
+                                                std::string_view method) {
+  auto spec = methods::ParseMethodSpec(std::string(method));
+  EXPECT_TRUE(spec.ok());
+  auto store = methods::CreateShardedStoreOverDevices(rig.device_ptrs, *spec);
+  EXPECT_TRUE(store->EnableMetaJournal().ok());
+  EXPECT_TRUE(store->Recover().ok());
+  return store;
+}
+
 /// Journal-enabled 2-shard store over caller-owned devices, formatted with
-/// distinctive per-pid images and migrated once (buckets 0 <-> 1).
+/// distinctive durable per-pid images and, with `migrate`, migrated once
+/// (buckets 0 <-> 1). Each image is announced as a full-page update before
+/// its write-back, since IPL keeps only the update logs it is shown.
 DurableRig BuildDurableRig(bool migrate, uint32_t shards = 2,
-                           uint32_t pages = 96) {
-  auto spec = methods::ParseMethodSpec("OPU");
+                           uint32_t pages = 96,
+                           std::string_view method = "OPU") {
+  auto spec = methods::ParseMethodSpec(std::string(method));
   EXPECT_TRUE(spec.ok());
   DurableRig rig;
   const FlashConfig cfg = FlashConfig::Small(12).WithMetaBlocks(4);
@@ -439,10 +475,11 @@ DurableRig BuildDurableRig(bool migrate, uint32_t shards = 2,
   EXPECT_TRUE(rig.store->Format(pages, nullptr, nullptr).ok());
   ByteBuffer image(cfg.geometry.data_size);
   for (PageId pid = 0; pid < pages; ++pid) {
-    std::fill(image.begin(), image.end(),
-              static_cast<uint8_t>(0xA7 ^ (pid & 0xFF)));
+    FillRigImage(pid, &image);
+    EXPECT_TRUE(rig.store->OnUpdate(pid, image, UpdateLog{0, image}).ok());
     EXPECT_TRUE(rig.store->WriteBack(pid, image).ok());
   }
+  EXPECT_TRUE(rig.store->Flush().ok());  // buffered differentials (PDL)
   if (migrate) {
     const std::vector<ShardRouter::Swap> swaps = {ShardRouter::Swap{0, 1}};
     EXPECT_TRUE(rig.store->MigrateBuckets(swaps, nullptr).ok());
@@ -456,25 +493,94 @@ TEST(ShardRouterTest, JournaledStoreRecoversAfterMigration) {
   const uint32_t pages = rig.store->num_logical_pages();
   rig.store.reset();  // crash: the in-RAM tables die, the devices survive
 
-  auto spec = methods::ParseMethodSpec("OPU");
-  ASSERT_TRUE(spec.ok());
-  auto recovered =
-      methods::CreateShardedStoreOverDevices(rig.device_ptrs, *spec);
-  ASSERT_TRUE(recovered->EnableMetaJournal().ok());
-  ASSERT_TRUE(recovered->Recover().ok());
-
+  auto recovered = RecoverDurableRig(rig, "OPU");
   EXPECT_EQ(recovered->num_logical_pages(), pages);
   EXPECT_EQ(recovered->router()->swaps_committed(), 1u);
   EXPECT_EQ(recovered->shard_of(0), 1u);  // the migrated routing survived
   EXPECT_EQ(recovered->shard_of(1), 0u);
-  ByteBuffer expect(rig.devices[0]->geometry().data_size);
-  ByteBuffer got(expect.size());
-  for (PageId pid = 0; pid < pages; ++pid) {
-    std::fill(expect.begin(), expect.end(),
-              static_cast<uint8_t>(0xA7 ^ (pid & 0xFF)));
-    ASSERT_TRUE(recovered->ReadPage(pid, got).ok()) << pid;
-    EXPECT_TRUE(BytesEqual(expect, got)) << "pid " << pid;
+  ExpectRigImages(recovered.get());
+}
+
+/// Fails every data-page program on its chip: a shard whose copies cannot
+/// land. Reads, spare programs and erases still succeed.
+class FailProgramsInjector : public flash::FaultInjector {
+ public:
+  void BeforeMutation(flash::OpKind, uint32_t) override {}
+  void AfterMutation(flash::OpKind, uint32_t) override {}
+  bool FailMutation(flash::OpKind kind, uint32_t) override {
+    return kind == flash::OpKind::kProgram;
   }
+};
+
+class MigrationFailureTest
+    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+
+// A copy that fails after the swap committed (an I/O error, not a power cut)
+// leaves the live store unusable, and a fresh journaled instance rolls the
+// swap forward from the redo record. Bucket 1 sits on shard 1, whose
+// programs all fail; shard 0 holds the journal. Shard 1 is the swap's first
+// side, so an inline copy stops before writing shard 0.
+TEST_P(MigrationFailureTest, FailedCopyLeavesStoreUnusableAndRollsForward) {
+  const auto [method, threaded] = GetParam();
+  DurableRig rig = BuildDurableRig(/*migrate=*/false, 2, 96, method);
+  FailProgramsInjector fail;
+  rig.devices[1]->set_fault_injector(&fail);
+  const std::vector<ShardRouter::Swap> swaps = {ShardRouter::Swap{1, 0}};
+  if (threaded) {
+    ShardExecutor executor(2);
+    EXPECT_FALSE(rig.store->MigrateBuckets(swaps, &executor).ok());
+  } else {
+    EXPECT_FALSE(rig.store->MigrateBuckets(swaps, nullptr).ok());
+  }
+  ByteBuffer page(rig.devices[0]->geometry().data_size);
+  EXPECT_TRUE(rig.store->ReadPage(0, page).IsInvalidArgument());
+  EXPECT_TRUE(rig.store->WriteBack(0, page).IsInvalidArgument());
+  EXPECT_TRUE(rig.store->MigrateBuckets(swaps, nullptr).IsInvalidArgument());
+  rig.devices[1]->set_fault_injector(nullptr);
+  rig.store.reset();
+
+  auto recovered = RecoverDurableRig(rig, method);
+  EXPECT_EQ(recovered->router()->swaps_committed(), 1u);
+  ExpectRigImages(recovered.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Methods, MigrationFailureTest,
+    ::testing::Combine(::testing::Values("OPU", "PDL(256B)", "IPL(18KB)"),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<const char*, bool>>& info) {
+      std::string name = std::get<0>(info.param);
+      for (char& c : name) {
+        if (!isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name + (std::get<1>(info.param) ? "_threaded" : "_inline");
+    });
+
+// Swapping two empty buckets is a journaled routing-only epoch: no copy
+// traffic, and the new routing survives a restart. 4 pages over 2 x 8
+// buckets leave buckets 4 and 5 empty, on shards 0 and 1.
+TEST(ShardRouterTest, EmptyBucketSwapIsRoutingOnlyEpoch) {
+  DurableRig rig = BuildDurableRig(/*migrate=*/false, 2, 4, "PDL(256B)");
+  const ShardRouter* router = rig.store->router();
+  ASSERT_EQ(router->bucket_size(4), 0u);
+  ASSERT_EQ(router->bucket_size(5), 0u);
+  ASSERT_EQ(router->bucket_shard(4), 0u);
+  ASSERT_EQ(router->bucket_shard(5), 1u);
+  const uint64_t epochs = rig.store->journal_epochs();
+  const std::vector<ShardRouter::Swap> swaps = {ShardRouter::Swap{4, 5}};
+  ASSERT_TRUE(rig.store->MigrateBuckets(swaps, nullptr).ok());
+  EXPECT_EQ(rig.store->journal_epochs(), epochs + 1);
+  EXPECT_EQ(router->bucket_shard(4), 1u);
+  const flash::FlashStats stats = rig.store->stats();
+  EXPECT_EQ(stats.by_category[static_cast<int>(flash::OpCategory::kMigrate)]
+                .total_ops(),
+            0u);
+  rig.store.reset();
+
+  auto recovered = RecoverDurableRig(rig, "PDL(256B)");
+  EXPECT_EQ(recovered->router()->swaps_committed(), 1u);
+  EXPECT_EQ(recovered->router()->bucket_shard(4), 1u);
+  ExpectRigImages(recovered.get());
 }
 
 // Regression for the wear-seeding path: recovery must be idempotent. The
