@@ -4,12 +4,11 @@
 //
 // The workload deliberately skews the pid distribution: --hot percent of the
 // operations target shard 0's residue class (pid % S == 0), making chip 0 a
-// hotspot the way a hot relation pins one flash channel. The executor rings
-// are kept small (--queue) to model a steady-state flusher with bounded
-// buffering. RunPipelined streams windows round-robin with at most K in
-// flight per shard, skipping a shard that is out of credits, so the cold
-// chips overlap the hot one and wall-clock tracks the *max* of the shard
-// workloads rather than their sum.
+// hotspot the way a hot relation pins one flash channel. RunPipelined
+// streams windows round-robin with at most K in flight per shard (each
+// executor ring holds exactly K), skipping a shard that is out of credits,
+// so the cold chips overlap the hot one and wall-clock tracks the *max* of
+// the shard workloads rather than their sum.
 //
 // For PDL(256B) and OPU the bench reports, per K in --depth:
 //   * wall_ms / kops_s -- host wall-clock over the measured ops;
@@ -17,7 +16,8 @@
 //     default) over this row; > 1 means deeper pipelining won;
 //   * lag_ms           -- shard clock spread max-min (virtual time) at the
 //     end of the run: how far the hot chip ran ahead, the skew observable;
-//   * par us/op        -- elapsed virtual time (max of the chip clocks);
+//   * par us/op        -- elapsed virtual time (the largest chip-clock
+//     advance, RunStats::elapsed_vt_us);
 //   * p50/p99/p999     -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set);
 //   * determinism      -- per-chip clocks and erase counts and every virtual
@@ -70,8 +70,7 @@ struct PipelinePoint {
 Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
                                const methods::MethodSpec& spec,
                                uint32_t num_shards, uint32_t batch_size,
-                               uint32_t depth, size_t queue_capacity,
-                               uint32_t reps,
+                               uint32_t depth, uint32_t reps,
                                const workload::WorkloadParams& params, bool pin,
                                bool check, obs::MetricsRegistry* metrics) {
   PipelinePoint point;
@@ -79,13 +78,11 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
   const harness::Execution threaded{.batch = batch_size,
                                     .depth = depth,
                                     .threaded = true,
-                                    .queue_capacity = queue_capacity,
                                     .pin = pin};
   for (uint32_t rep = 0; rep < reps; ++rep) {
     FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                              harness::PrepareRig(env, spec, rig_spec));
     const ftl::ShardedStore* store = rig.sharded();
-    const uint64_t parallel0 = store->parallel_time_us();
 
     // Uniform metrics object: run breakdown + the executor's per-worker
     // counters and the store's clock skew, read after the workers quiesce.
@@ -99,11 +96,9 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     const workload::RunStats& stats = run.stats;
 
     if (rep == 0 || run.wall_ms < point.wall_ms) point.wall_ms = run.wall_ms;
-    point.parallel_us_per_op =
-        static_cast<double>(store->parallel_time_us() - parallel0) /
-        static_cast<double>(env.measure_ops);
-    point.lag_ms = static_cast<double>(store->shard_lag_us()) / 1000.0;
     const double ops = static_cast<double>(env.measure_ops);
+    point.parallel_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
+    point.lag_ms = static_cast<double>(store->shard_lag_us()) / 1000.0;
     const flash::DeviceCounters& dc = stats.device;
     point.gc_us_per_op =
         static_cast<double>(dc.of(flash::OpCategory::kGc).total_us()) / ops;
@@ -150,8 +145,6 @@ int main(int argc, char** argv) {
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
-  const size_t queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue", 8));
   const uint32_t reps =
       std::max<uint32_t>(1, static_cast<uint32_t>(flags.GetInt("reps", 1)));
   const bool check = flags.GetBool("check", true);
@@ -176,11 +169,11 @@ int main(int argc, char** argv) {
   std::printf(
       "Experiment 10: cross-shard pipelining under skew, %u shards, "
       "%u blocks total, %llu ops\n(%.0f%% of ops pinned to shard 0; "
-      "executor rings hold %zu windows; batch %u;\n speedup = wall-clock of "
-      "the first depth over this one)\n\n",
+      "batch %u;\n speedup = wall-clock of the first depth over this one)"
+      "\n\n",
       num_shards, total_blocks,
       static_cast<unsigned long long>(env.measure_ops), params.hot_shard_pct,
-      queue_capacity, batch_size);
+      batch_size);
 
   const std::vector<std::string> method_names = {"PDL(256B)", "OPU"};
   TablePrinter tbl({"Method", "Mode", "K", "wall_ms", "kops/s", "speedup",
@@ -199,8 +192,8 @@ int main(int argc, char** argv) {
     double anchor_wall = 0;  // the first depth's wall-clock
     for (uint32_t depth : depths) {
       auto point =
-          RunPoint(env, *spec, num_shards, batch_size, depth, queue_capacity,
-                   reps, params, pin, check, &metrics);
+          RunPoint(env, *spec, num_shards, batch_size, depth, reps, params,
+                   pin, check, &metrics);
       metrics.SnapshotEpoch(point_index++);
       if (!point.ok()) {
         std::cerr << name << " depth " << depth << ": "

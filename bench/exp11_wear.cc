@@ -20,7 +20,8 @@
 //                    over every block of every chip (0 = perfectly flat);
 //   * migr us/op  -- virtual-time cost of the migration copies (the price
 //                    paid for leveling, amortized over the measured ops);
-//   * par us/op   -- elapsed virtual time (max of the chip clocks);
+//   * par us/op   -- elapsed virtual time (the largest chip-clock advance,
+//                    RunStats::elapsed_vt_us);
 //   * wall_ms     -- host wall-clock of the measured RunPipelined call;
 //   * determinism -- the measured threaded run must leave every chip's
 //                    virtual clock and erase count, and every virtual
@@ -65,7 +66,6 @@ struct WearPoint {
 Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
                            const methods::MethodSpec& spec, uint32_t num_shards,
                            uint32_t batch_size, uint32_t depth,
-                           size_t queue_capacity,
                            const workload::WorkloadParams& params,
                            double threshold,
                            const ftl::WearLevelConfig& wl_base, bool check) {
@@ -80,21 +80,18 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
   ftl::ShardedStore* store = rig.sharded();
   const std::vector<uint64_t> erases0 = store->shard_erases();
   const std::vector<uint32_t> blocks0 = store->stats().block_erase_counts;
-  const uint64_t parallel0 = store->parallel_time_us();
 
   const harness::Execution threaded{.batch = batch_size,
                                     .depth = depth,
-                                    .threaded = true,
-                                    .queue_capacity = queue_capacity};
+                                    .threaded = true};
   FLASHDB_ASSIGN_OR_RETURN(harness::PointResult run,
                            harness::Execute(&rig, env.measure_ops, threaded));
   point.wall_ms = run.wall_ms;
 
   point.swaps = run.stats.migrations;
   point.migrate_us_per_op = run.stats.migrate_us_per_op();
-  point.parallel_us_per_op =
-      static_cast<double>(store->parallel_time_us() - parallel0) /
-      static_cast<double>(env.measure_ops);
+  point.parallel_us_per_op = static_cast<double>(run.stats.elapsed_vt_us) /
+                             static_cast<double>(env.measure_ops);
 
   const std::vector<uint64_t> erases1 = store->shard_erases();
   uint64_t max_d = 0;
@@ -146,7 +143,6 @@ int main(int argc, char** argv) {
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
-  const size_t queue_capacity = static_cast<size_t>(flags.GetInt("queue", 8));
   const bool check = flags.GetBool("check", true);
   // OPU is the default: wear is erase-driven, and the page-based baseline
   // erases orders of magnitude more than PDL at bench scale, so leveling is
@@ -202,8 +198,8 @@ int main(int argc, char** argv) {
     for (double threshold : thresholds) {
       workload::WorkloadParams wp = params;
       wp.hot_shard_pct = hot;
-      auto point = RunPoint(env, *spec, num_shards, batch_size, depth,
-                            queue_capacity, wp, threshold, wl_base, check);
+      auto point = RunPoint(env, *spec, num_shards, batch_size, depth, wp,
+                            threshold, wl_base, check);
       if (!point.ok()) {
         std::cerr << method_name << " hot=" << hot << " thresh=" << threshold
                   << ": " << point.status().ToString() << "\n";

@@ -16,10 +16,11 @@
 //   * pages       -- logical pages in the database;
 //   * epochs      -- migration epochs recovered from the journal (== swaps);
 //   * wall_ms     -- host wall-clock of the Recover() call;
-//   * rec par us  -- elapsed virtual recovery time (max over chip clocks);
-//   * rec work us -- total device busy time of recovery (sum over chips):
-//                    the single-chip-equivalent cost that mode=exec spreads
-//                    across workers;
+//   * rec par us  -- elapsed virtual recovery time (the largest chip-clock
+//                    advance, workload::ClockAdvanceOf);
+//   * rec work us -- total device busy time of recovery (the sum of the
+//                    chip-clock advances): the single-chip-equivalent cost
+//                    that mode=exec spreads across workers;
 //   * roundtrip   -- recovered state must round-trip: swap count preserved
 //                    and every logical page bit-identical to its pre-crash
 //                    content (ok/FAIL);
@@ -43,6 +44,7 @@
 #include "ftl/shard_executor.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
+#include "workload/run_accounting.h"
 
 using namespace flashdb;
 using harness::TablePrinter;
@@ -139,18 +141,6 @@ std::vector<uint32_t> ContentCrcs(ftl::ShardedStore* store,
   return crcs;
 }
 
-uint64_t MaxClock(const std::vector<flash::FlashDevice*>& devices) {
-  uint64_t m = 0;
-  for (const auto* d : devices) m = std::max(m, d->clock().now_us());
-  return m;
-}
-
-uint64_t SumClock(const std::vector<flash::FlashDevice*>& devices) {
-  uint64_t s = 0;
-  for (const auto* d : devices) s += d->clock().now_us();
-  return s;
-}
-
 struct RecoveryPoint {
   double wall_ms = 0;
   uint64_t rec_par_us = 0;
@@ -177,12 +167,7 @@ Result<std::unique_ptr<ftl::ShardedStore>> RecoverOnce(
   auto recovered =
       methods::CreateShardedStoreOverDevices(rig->device_ptrs, spec);
   FLASHDB_RETURN_IF_ERROR(recovered->EnableMetaJournal());
-  const uint64_t par0 = MaxClock(rig->device_ptrs);
-  const uint64_t work0 = SumClock(rig->device_ptrs);
-  std::vector<uint64_t> clocks0;
-  for (const auto* d : rig->device_ptrs) {
-    clocks0.push_back(d->clock().now_us());
-  }
+  const std::vector<uint64_t> clocks0 = recovered->shard_clocks();
   const auto t0 = std::chrono::steady_clock::now();
   if (use_executor) {
     ftl::ShardExecutor executor(num_shards);
@@ -192,11 +177,12 @@ Result<std::unique_ptr<ftl::ShardedStore>> RecoverOnce(
   }
   const auto t1 = std::chrono::steady_clock::now();
   point->wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  point->rec_par_us = MaxClock(rig->device_ptrs) - par0;
-  point->rec_work_us = SumClock(rig->device_ptrs) - work0;
+  const std::vector<uint64_t> clocks1 = recovered->shard_clocks();
+  const workload::ClockAdvance adv = workload::ClockAdvanceOf(clocks0, clocks1);
+  point->rec_par_us = adv.elapsed_vt_us;
+  point->rec_work_us = adv.total_work_us;
   for (uint32_t i = 0; i < num_shards; ++i) {
-    point->clock_deltas.push_back(rig->device_ptrs[i]->clock().now_us() -
-                                  clocks0[i]);
+    point->clock_deltas.push_back(clocks1[i] - clocks0[i]);
   }
   point->epochs = recovered->journal_epochs();
 

@@ -10,7 +10,8 @@
 // groups with one multi-plane command when the victims align. This bench
 // sweeps geometry x method (x pipeline depth for the threaded check) and
 // reports, per point:
-//   * vt us/op   -- virtual-clock advance per operation (max over chips);
+//   * vt us/op   -- virtual-clock advance per operation (the largest
+//     chip-clock advance, RunStats::elapsed_vt_us);
 //   * vt kops/s  -- operations per virtual second, the device-parallel
 //     throughput (deterministic; gated against the baseline);
 //   * vt_speedup -- vt throughput over the same method's 1x1 point (the
@@ -64,8 +65,7 @@ struct PlanePoint {
 Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
                             const methods::MethodSpec& spec,
                             const GeometryPoint& geom, uint32_t num_shards,
-                            uint32_t batch_size, uint32_t depth,
-                            size_t queue_capacity, bool check) {
+                            uint32_t batch_size, uint32_t depth, bool check) {
   env.flash_cfg.geometry.dies_per_chip = geom.dies;
   env.flash_cfg.geometry.planes_per_die = geom.planes_per_die;
 
@@ -88,10 +88,8 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
   if (check) {
     FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
                              harness::PrepareRig(env, spec, rig_spec));
-    const harness::Execution threaded{.batch = batch_size,
-                                      .depth = depth,
-                                      .threaded = true,
-                                      .queue_capacity = queue_capacity};
+    harness::Execution threaded = inline_ex;
+    threaded.threaded = true;
     FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
                              harness::Execute(&rep, env.measure_ops, threaded));
     point.wall_ms = replay.wall_ms;
@@ -115,7 +113,6 @@ int main(int argc, char** argv) {
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 2));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
-  const size_t queue_capacity = static_cast<size_t>(flags.GetInt("queue", 8));
   const bool check = flags.GetBool("check", true);
 
   // 1x1 is the identity anchor; 1x2 and 1x4 grow one die's planes; 2x4 is
@@ -143,8 +140,8 @@ int main(int argc, char** argv) {
     }
     double base_vt_kops = 0;
     for (const GeometryPoint& geom : geometries) {
-      auto point = RunPoint(env, *spec, geom, num_shards, batch_size, depth,
-                            queue_capacity, check);
+      auto point =
+          RunPoint(env, *spec, geom, num_shards, batch_size, depth, check);
       if (!point.ok()) {
         std::cerr << name << " " << geom.dies << "x" << geom.planes_per_die
                   << ": " << point.status().ToString() << "\n";

@@ -3,14 +3,15 @@
 // and the background scrubber under an injected bit-error model.
 //
 // A BitErrorInjector makes read attempts fail with probability
-// p * (1 + wear_factor*erases + disturb_factor*reads_since_erase), attenuated
-// per retry pass. The device re-reads up to FlashDevice::kMaxReadRetries
-// times (charging Tread per pass) and flags retried or disturb-saturated
-// pages for scrub; with --scrub the driver drains those flags at every epoch
-// boundary and relocates the live data, resetting its read-disturb
-// exposure. This bench sweeps bit-error rate x scrub {off,on} x method and
-// reports:
-//   * vt us/op    -- virtual-clock advance per operation (retries included);
+// p * (1 + kWearFactor*erases + disturb_factor*reads_since_erase), attenuated
+// by the fixed kRetryAttenuation per retry pass. The device re-reads up to
+// FlashDevice::kMaxReadRetries times (charging Tread per pass) and flags
+// retried or disturb-saturated pages for scrub; with --scrub the driver
+// drains those flags at every epoch boundary and relocates the live data,
+// resetting its read-disturb exposure. This bench sweeps bit-error rate x
+// scrub {off,on} x method and reports:
+//   * vt us/op    -- virtual-clock advance per operation (the largest
+//     chip-clock advance, RunStats::elapsed_vt_us; retries included);
 //   * retry us/op -- virtual time spent in retry passes, per operation;
 //   * retries     -- total retry passes; corrected -- reads clean after >= 1
 //     retry; uncorr -- reads still corrupt after the ladder (the perf gate
@@ -65,8 +66,8 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
                                 const methods::MethodSpec& spec,
                                 flash::FaultInjector* injector, bool scrub,
                                 uint32_t num_shards, uint32_t batch_size,
-                                uint32_t depth, size_t queue_capacity,
-                                uint64_t epoch_ops, bool check) {
+                                uint32_t depth, uint64_t epoch_ops,
+                                bool check) {
   harness::RigSpec rig_spec{.shards = num_shards};
   rig_spec.params.rebalance_epoch_ops = epoch_ops;
   rig_spec.params.scrub = scrub;
@@ -91,10 +92,8 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
     FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
                              harness::PrepareRig(env, spec, rig_spec));
     if (injector != nullptr) rep.AttachFaultInjector(injector);
-    const harness::Execution threaded{.batch = batch_size,
-                                      .depth = depth,
-                                      .threaded = true,
-                                      .queue_capacity = queue_capacity};
+    harness::Execution threaded = inline_ex;
+    threaded.threaded = true;
     FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
                              harness::Execute(&rep, env.measure_ops, threaded));
     point.checked = true;
@@ -117,7 +116,6 @@ int main(int argc, char** argv) {
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 2));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
-  const size_t queue_capacity = static_cast<size_t>(flags.GetInt("queue", 8));
   const uint32_t disturb_limit =
       static_cast<uint32_t>(flags.GetInt("disturb-limit", 48));
   env.flash_cfg.read_disturb_limit = disturb_limit;
@@ -161,7 +159,7 @@ int main(int argc, char** argv) {
       flash::FaultInjector* fi = ber > 0 ? &injector : nullptr;
       for (const bool scrub : {false, true}) {
         auto point = RunPoint(env, *spec, fi, scrub, num_shards, batch_size,
-                              depth, queue_capacity, epoch_ops, check);
+                              depth, epoch_ops, check);
         if (!point.ok()) {
           std::cerr << name << " ber=" << ber << " scrub=" << scrub << ": "
                     << point.status().ToString() << "\n";

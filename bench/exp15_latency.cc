@@ -76,7 +76,7 @@ struct LatencyPoint {
 Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
                               const methods::MethodSpec& spec,
                               const Config& cfg, uint32_t batch_size,
-                              size_t queue_capacity, uint64_t epoch_ops,
+                              uint64_t epoch_ops,
                               double hot_pct, uint32_t disturb_limit,
                               double ber, bool check, uint64_t point_index) {
   const bool scrubbing = std::string(cfg.extra) == "scrub";
@@ -108,7 +108,6 @@ Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
   const harness::Execution primary{.batch = batch,
                                    .depth = cfg.depth,
                                    .threaded = true,
-                                   .queue_capacity = queue_capacity,
                                    .pin = cfg.pin};
   // The replay runs the other mode: sequential rows through the
   // single-worker pipelined mode -- the cross-mode proof the flat path
@@ -172,7 +171,6 @@ int main(int argc, char** argv) {
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
-  const size_t queue_capacity = static_cast<size_t>(flags.GetInt("queue", 8));
   const uint64_t epoch_ops =
       static_cast<uint64_t>(flags.GetInt("epoch", 500));
   const double hot_pct = flags.GetDouble("hot", 60.0);
@@ -214,9 +212,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const Config& cfg : configs) {
-      auto point = RunPoint(env, *spec, cfg, batch_size, queue_capacity,
-                            epoch_ops, hot_pct, disturb_limit, ber, check,
-                            point_index);
+      auto point = RunPoint(env, *spec, cfg, batch_size, epoch_ops, hot_pct,
+                            disturb_limit, ber, check, point_index);
       if (!point.ok()) {
         std::cerr << name << " " << cfg.mode << " shards=" << cfg.shards
                   << " K=" << cfg.depth << " extra=" << cfg.extra << ": "

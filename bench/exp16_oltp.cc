@@ -9,7 +9,8 @@
 // transaction). Reported per cell (method x clients x shards):
 // transaction-latency percentiles in virtual time, the worst transaction's
 // GC/meta attribution, and serving throughput in virtual time
-// (ktps_vt = txns / max-shard-clock-advance -- the chips run in parallel).
+// (ktps_vt = txns / the largest shard-clock advance -- the chips run in
+// parallel).
 //
 // The speedup_vt column is each cell's ktps_vt over the same method's
 // (clients=4, shards=1) anchor; the acceptance bound is >= 3x at
@@ -125,7 +126,7 @@ Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
                       std::chrono::steady_clock::now() - t0)
                       .count();
   if (point.stats.elapsed_vt_us > 0) {
-    point.ktps_vt = 1000.0 * static_cast<double>(point.stats.transactions) /
+    point.ktps_vt = 1000.0 * static_cast<double>(point.stats.latency.count()) /
                     static_cast<double>(point.stats.elapsed_vt_us);
   }
 
@@ -153,7 +154,6 @@ Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
     point.checked = true;
     point.deterministic =
         ref.store->shard_clocks() == rig.store->shard_clocks() &&
-        ref_stats.transactions == point.stats.transactions &&
         ref_stats.latency == point.stats.latency &&
         ref_stats.worst_op == point.stats.worst_op;
     point.trace_ok =
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
       const workload::LatencyHistogram& h = pt.stats.latency;
       tbl.AddRow({name, std::to_string(cell.clients),
                   std::to_string(cell.shards),
-                  std::to_string(pt.stats.transactions),
+                  std::to_string(pt.stats.latency.count()),
                   std::to_string(h.p50()), std::to_string(h.p99()),
                   std::to_string(h.p999()),
                   std::to_string(pt.stats.worst_op.total_us),

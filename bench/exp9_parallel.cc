@@ -9,9 +9,11 @@
 // and OPU the bench reports, per (S, B):
 //   * wall_ms / kops_s -- host wall-clock (std::chrono) over the measured
 //     ops; this is the figure that should scale with S on a multi-core host.
-//   * par us/op       -- elapsed virtual time (max of the chip clocks): the
-//     multi-chip scaling in virtual time, near-linear in S.
-//   * total us/op     -- summed chip busy time: the total work, flat in S.
+//   * par us/op       -- elapsed virtual time (the largest chip-clock
+//     advance, RunStats::elapsed_vt_us): the multi-chip scaling in virtual
+//     time, near-linear in S.
+//   * total us/op     -- summed chip-clock advances (total_work_us): the
+//     total work, flat in S.
 //   * p50/p99/p999    -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set).
 //   * determinism     -- the same schedule is replayed inline (null
@@ -68,9 +70,6 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
   const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                            harness::PrepareRig(env, spec, rig_spec));
-  const ftl::ShardedStore* store = rig.sharded();
-  const uint64_t parallel0 = store->parallel_time_us();
-  const uint64_t total0 = store->total_work_us();
 
   // The uniform per-bench metrics object: run stats plus the executor's
   // per-worker submit/complete counters and the store's clock skew --
@@ -83,7 +82,7 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
       harness::PointResult run,
       harness::Execute(&rig, env.measure_ops, threaded, metrics));
   if (metrics != nullptr) {
-    obs::ImportShardedStoreStats(metrics, "store", *store);
+    obs::ImportShardedStoreStats(metrics, "store", *rig.sharded());
   }
 
   ParallelPoint point;
@@ -92,14 +91,10 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
                            ? static_cast<double>(env.measure_ops) /
                                  point.wall_ms
                            : 0;
-  point.parallel_us_per_op =
-      static_cast<double>(store->parallel_time_us() - parallel0) /
-      static_cast<double>(env.measure_ops);
-  point.total_us_per_op =
-      static_cast<double>(store->total_work_us() - total0) /
-      static_cast<double>(env.measure_ops);
   const double ops = static_cast<double>(env.measure_ops);
   const workload::RunStats& stats = run.stats;
+  point.parallel_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
+  point.total_us_per_op = static_cast<double>(stats.total_work_us) / ops;
   const flash::DeviceCounters& dc = stats.device;
   point.gc_us_per_op =
       static_cast<double>(dc.of(flash::OpCategory::kGc).total_us()) / ops;

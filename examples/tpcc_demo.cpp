@@ -63,11 +63,16 @@ int main(int argc, char** argv) {
   const workload::TpccStats& s = tpcc.stats();
   std::printf("\ntransaction mix: new-order %llu, payment %llu, order-status "
               "%llu, delivery %llu, stock-level %llu\n",
-              static_cast<unsigned long long>(s.new_order),
-              static_cast<unsigned long long>(s.payment),
-              static_cast<unsigned long long>(s.order_status),
-              static_cast<unsigned long long>(s.delivery),
-              static_cast<unsigned long long>(s.stock_level));
+              static_cast<unsigned long long>(
+                  s.of(workload::TpccTxnType::kNewOrder)),
+              static_cast<unsigned long long>(
+                  s.of(workload::TpccTxnType::kPayment)),
+              static_cast<unsigned long long>(
+                  s.of(workload::TpccTxnType::kOrderStatus)),
+              static_cast<unsigned long long>(
+                  s.of(workload::TpccTxnType::kDelivery)),
+              static_cast<unsigned long long>(
+                  s.of(workload::TpccTxnType::kStockLevel)));
   const auto& t = dev.stats().total;
   std::printf("flash I/O: %llu reads, %llu writes, %llu erases\n",
               static_cast<unsigned long long>(t.reads),

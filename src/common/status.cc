@@ -1,5 +1,9 @@
 #include "common/status.h"
 
+#include <cstdarg>
+#include <cstdio>
+#include <cstdlib>
+
 namespace flashdb {
 
 std::string_view StatusCodeName(StatusCode code) {
@@ -36,6 +40,16 @@ std::string Status::ToString() const {
     out += msg_;
   }
   return out;
+}
+
+void CheckOrAbort(bool ok, const char* fmt, ...) {
+  if (ok) return;
+  va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  std::abort();
 }
 
 }  // namespace flashdb

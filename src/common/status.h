@@ -92,6 +92,12 @@ class Status {
   std::string msg_;
 };
 
+/// Aborts with the printf-style message (and a newline) on stderr unless
+/// `ok`: the constructor contracts that must hold in every build, where an
+/// assert would vanish in Release.
+void CheckOrAbort(bool ok, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /// Propagates a non-ok status to the caller. Usable in functions returning
 /// Status or Result<T> (Result is constructible from Status).
 #define FLASHDB_RETURN_IF_ERROR(expr)            \

@@ -174,16 +174,16 @@ class BitErrorInjector : public FaultInjector {
     /// Base probability that one read attempt of an unworn, undisturbed page
     /// comes back with uncorrectable raw errors. 0 disables the model.
     double page_error_rate = 0.0;
-    /// Additive probability scale per block erase (wear term).
-    double wear_factor = 0.01;
     /// Additive probability scale per read since the block's last erase
     /// (read-disturb term).
     double disturb_factor = 0.0005;
-    /// Multiplier applied per retry attempt: attempt k errors with
-    /// p * retry_attenuation^k. Must be < 1 for retries to help.
-    double retry_attenuation = 0.25;
     uint64_t seed = 0x5D1F7ULL;
   };
+  /// Additive probability scale per block erase (wear term).
+  static constexpr double kWearFactor = 0.01;
+  /// Multiplier applied per retry attempt: attempt k errors with
+  /// p * kRetryAttenuation^k (< 1, so retries help).
+  static constexpr double kRetryAttenuation = 0.25;
 
   explicit BitErrorInjector(const Params& params) : p_(params) {}
 
@@ -193,9 +193,9 @@ class BitErrorInjector : public FaultInjector {
   bool CorruptRead(uint32_t addr, uint32_t attempt, uint32_t erase_count,
                    uint32_t reads_since_erase) override {
     double prob = p_.page_error_rate *
-                  (1.0 + p_.wear_factor * static_cast<double>(erase_count) +
+                  (1.0 + kWearFactor * static_cast<double>(erase_count) +
                    p_.disturb_factor * static_cast<double>(reads_since_erase));
-    for (uint32_t a = 0; a < attempt; ++a) prob *= p_.retry_attenuation;
+    for (uint32_t a = 0; a < attempt; ++a) prob *= kRetryAttenuation;
     if (prob <= 0.0) return false;
     uint64_t h = MixBits64(p_.seed ^ (static_cast<uint64_t>(addr) << 20));
     h = MixBits64(h ^ reads_since_erase);

@@ -51,10 +51,6 @@ struct FlashGeometry {
   uint32_t die_of_block(uint32_t block) const {
     return plane_of_block(block) / planes_per_die;
   }
-  /// First block of the stripe containing `block`.
-  uint32_t stripe_of_block(uint32_t block) const {
-    return block / planes_per_chip();
-  }
 };
 
 /// Per-operation latencies in microseconds (Table 1).

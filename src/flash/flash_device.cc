@@ -43,27 +43,18 @@ FlashDevice::ConfinementScope::ConfinementScope(const FlashDevice* dev)
 
 FlashDevice::FlashDevice(const FlashConfig& config) : config_(config) {
   const auto& g = config_.geometry;
-  if (g.meta_blocks >= g.num_blocks) {
-    std::fprintf(stderr,
-                 "FlashDevice: meta_blocks (%u) must leave at least one data "
-                 "block (num_blocks %u)\n",
-                 g.meta_blocks, g.num_blocks);
-    std::abort();
-  }
-  if (g.dies_per_chip == 0 || g.planes_per_die == 0 ||
-      g.planes_per_chip() > 64) {
-    std::fprintf(stderr,
-                 "FlashDevice: dies_per_chip and planes_per_die must be >= 1, "
-                 "with at most 64 planes per chip\n");
-    std::abort();
-  }
-  if (g.meta_blocks % g.planes_per_chip() != 0) {
-    std::fprintf(stderr,
-                 "FlashDevice: meta_blocks (%u) must be a whole plane stripe "
-                 "(multiple of %u) -- use FlashConfig::WithMetaBlocks\n",
-                 g.meta_blocks, g.planes_per_chip());
-    std::abort();
-  }
+  CheckOrAbort(g.meta_blocks < g.num_blocks,
+               "FlashDevice: meta_blocks (%u) must leave at least one data "
+               "block (num_blocks %u)",
+               g.meta_blocks, g.num_blocks);
+  CheckOrAbort(g.dies_per_chip != 0 && g.planes_per_die != 0 &&
+                   g.planes_per_chip() <= 64,
+               "FlashDevice: dies_per_chip and planes_per_die must be >= 1, "
+               "with at most 64 planes per chip");
+  CheckOrAbort(g.meta_blocks % g.planes_per_chip() == 0,
+               "FlashDevice: meta_blocks (%u) must be a whole plane stripe "
+               "(multiple of %u) -- use FlashConfig::WithMetaBlocks",
+               g.meta_blocks, g.planes_per_chip());
   data_.assign(static_cast<size_t>(g.total_pages()) * g.data_size, 0xFF);
   spare_.assign(static_cast<size_t>(g.total_pages()) * g.spare_size, 0xFF);
   data_programs_.assign(g.total_pages(), 0);

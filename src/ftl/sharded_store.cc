@@ -1,7 +1,6 @@
 #include "ftl/sharded_store.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "ftl/shard_executor.h"
 #include "obs/trace_recorder.h"
@@ -26,12 +25,13 @@ void StripedInit(PageId inner_pid, MutBytes page, void* arg) {
 
 ShardedStore::ShardedStore(std::vector<Shard> shards)
     : shards_(std::move(shards)) {
-  assert(!shards_.empty() && "ShardedStore needs at least one shard");
+  CheckOrAbort(!shards_.empty(), "ShardedStore: needs at least one shard");
   for (const Shard& s : shards_) {
-    assert(s.device != nullptr && s.store != nullptr);
-    assert(s.device->geometry().data_size ==
-               shards_[0].device->geometry().data_size &&
-           "all shards must share the page geometry");
+    CheckOrAbort(s.device != nullptr && s.store != nullptr,
+                 "ShardedStore: every shard needs a device and a store");
+    CheckOrAbort(s.device->geometry().data_size ==
+                     shards_[0].device->geometry().data_size,
+                 "ShardedStore: all shards must share the page data size");
   }
   name_ = "Sharded[" + std::to_string(shards_.size()) + "x" +
           std::string(shards_[0].store->name()) + "]";
@@ -472,14 +472,6 @@ uint64_t ShardedStore::total_erases() {
   return sum;
 }
 
-uint64_t ShardedStore::parallel_time_us() const {
-  uint64_t m = 0;
-  for (const Shard& s : shards_) {
-    m = std::max(m, s.device->clock().now_us());
-  }
-  return m;
-}
-
 uint64_t ShardedStore::shard_lag_us() const {
   uint64_t lo = UINT64_MAX;
   uint64_t hi = 0;
@@ -489,12 +481,6 @@ uint64_t ShardedStore::shard_lag_us() const {
     hi = std::max(hi, c);
   }
   return hi - lo;
-}
-
-uint64_t ShardedStore::total_work_us() const {
-  uint64_t sum = 0;
-  for (const Shard& s : shards_) sum += s.device->clock().now_us();
-  return sum;
 }
 
 }  // namespace flashdb::ftl

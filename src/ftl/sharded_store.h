@@ -11,15 +11,11 @@
 // page geometry. The shards are independent chips: each runs its own
 // allocation, garbage collection and recovery.
 //
-// Accounting is aggregated two ways, matching how a multi-chip deployment is
-// measured:
-//   * stats()            -- operation counters summed over shards (total
-//                           work); per-block wear concatenated in shard
-//                           order.
-//   * parallel_time_us() -- max of the shard clocks: the elapsed virtual
-//                           time when the chips operate in parallel.
-//   * total_work_us()    -- sum of the shard clocks: total device busy time
-//                           (what a single chip would have needed).
+// Accounting: stats() sums the operation counters over the shards (total
+// work) and concatenates per-block wear in shard order; shard_clocks()
+// exposes every chip's virtual clock. A run's elapsed time and total work
+// are derived from clock readings taken before and after it by the
+// workload layer's one rule (workload::ClockAdvanceOf).
 
 #ifndef FLASHDB_FTL_SHARDED_STORE_H_
 #define FLASHDB_FTL_SHARDED_STORE_H_
@@ -59,7 +55,9 @@ class ShardedStore : public PageStore {
     std::unique_ptr<PageStore> store;
   };
 
-  /// `shards` must be non-empty with identical page geometry everywhere.
+  /// `shards` must be non-empty, each with a device and a store, all with
+  /// the same page data size; otherwise the constructor aborts with a
+  /// message, in every build.
   explicit ShardedStore(std::vector<Shard> shards);
 
   std::string_view name() const override { return name_; }
@@ -121,7 +119,6 @@ class ShardedStore : public PageStore {
   /// crash recovery after migrations possible. Journal traffic is accounted
   /// under OpCategory::kMeta on shard 0.
   Status EnableMetaJournal();
-  bool meta_journal_enabled() const { return journal_ != nullptr; }
   /// Migration epochs committed to the journal (0 = format snapshot only).
   uint64_t journal_epochs() const {
     return journal_ == nullptr || journal_->next_epoch() == 0
@@ -171,12 +168,6 @@ class ShardedStore : public PageStore {
   /// any half-finished relocation resolved by the chips' own timestamp
   /// arbitration.
   Status ScrubShards(ScrubResult* out);
-
-  /// Elapsed virtual time with the shards operating in parallel (max of the
-  /// shard clocks).
-  uint64_t parallel_time_us() const;
-  /// Total device busy time across all shards (sum of the shard clocks).
-  uint64_t total_work_us() const;
 
   /// Cumulative erase count per shard (cheap: no stats snapshot). The input
   /// of the router's wear trigger; same quiescence contract as stats().

@@ -89,8 +89,6 @@ ExperimentEnv ExperimentEnv::FromFlags(const Flags& flags) {
       static_cast<uint64_t>(flags.GetInt("warmup-max", 0));
   env.measure_ops = static_cast<uint64_t>(flags.GetInt("ops", 4000));
   env.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  env.pipeline_depth =
-      static_cast<uint32_t>(flags.GetInt("pipeline", 0));
   env.trace_path = flags.GetString("trace", "");
   return env;
 }
@@ -170,7 +168,7 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
     const workload::Schedule schedule = driver->MakeSchedule(num_ops);
     if (ex.threaded) {
       executor = std::make_unique<ftl::ShardExecutor>(
-          rig->chips(), ex.queue_capacity, PinCores(ex.pin, rig->chips()));
+          rig->chips(), ex.depth, PinCores(ex.pin, rig->chips()));
     }
     t0 = Clock::now();
     FLASHDB_RETURN_IF_ERROR(driver->RunPipelined(
@@ -199,12 +197,8 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
     recorder = std::make_unique<obs::TraceRecorder>(1);
     rig.AttachTrace(recorder.get());
   }
-  // Window size 1 makes scheduled execution degenerate to the sequential op
-  // sequence (every read from flash, every write-back flushed immediately),
-  // so --pipeline=K measures the same virtual time as the Run() loop.
-  const Execution execution{.depth = env.pipeline_depth, .threaded = true};
   FLASHDB_ASSIGN_OR_RETURN(PointResult result,
-                           Execute(&rig, env.measure_ops, execution));
+                           Execute(&rig, env.measure_ops, Execution{}));
   if (recorder != nullptr) {
     static uint64_t point_index = 0;
     FLASHDB_RETURN_IF_ERROR(recorder->WriteChromeTraceFile(

@@ -49,13 +49,6 @@ struct ExperimentEnv {
   uint64_t warmup_max_ops = 0;
   uint64_t measure_ops = 4000;
   uint64_t seed = 42;
-  /// Measured-run execution mode (--pipeline=K). 0 runs the plain
-  /// sequential Run() loop. K > 0 pre-draws the schedule and streams it
-  /// depth-K to a one-worker ShardExecutor via RunPipelined with window
-  /// size 1 -- the single-chip threaded mode, bit-identical to sequential
-  /// (single-op windows read every page from flash and flush immediately,
-  /// so scheduled execution degenerates to exactly the Run() sequence).
-  uint32_t pipeline_depth = 0;
   /// When non-empty (--trace=out.json), every measured point records a
   /// deterministic event timeline (flash command spans, GC/scrub/meta/
   /// buffer-pool traffic, op spans) and exports it as Chrome trace-event
@@ -73,7 +66,7 @@ struct ExperimentEnv {
 
   /// Common bench flags: --blocks, --page-size, --util, --warmup-epb,
   /// --warmup-max, --ops, --seed, --tread, --twrite, --terase, --dies,
-  /// --planes, --pipeline, --trace.
+  /// --planes, --trace.
   static ExperimentEnv FromFlags(const Flags& flags);
 };
 
@@ -94,10 +87,10 @@ struct Execution {
   /// (the other fields are then unused).
   uint32_t depth = 0;
   /// Streams the windows to a fresh ShardExecutor with one worker per chip
-  /// instead of running them on the calling thread.
+  /// instead of running them on the calling thread. Each worker's ring
+  /// holds `depth` windows, the most the credits keep in flight, so no
+  /// submission blocks on a full ring.
   bool threaded = false;
-  /// Ring capacity of each worker.
-  size_t queue_capacity = 1024;
   /// Pins worker i to core i mod the available cores: a wall-clock knob
   /// that never moves virtual time.
   bool pin = false;
@@ -170,9 +163,8 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
                             obs::MetricsRegistry* metrics = nullptr);
 
 /// A flat rig for `spec` (PrepareRig), measured for `env.measure_ops`
-/// operations: sequentially, or with --pipeline=K as single-op windows
-/// streamed depth-K to one worker. With --trace the measured run's timeline
-/// is exported (PointTracePath).
+/// operations by the sequential Run() loop. With --trace the measured run's
+/// timeline is exported (PointTracePath).
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);

@@ -98,6 +98,8 @@ void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
   reg->Set(prefix + ".plane_stall_us", static_cast<double>(s.plane_stall_us),
            Kind::kCounter);
   reg->Set(prefix + ".elapsed_vt_us", static_cast<double>(s.elapsed_vt_us));
+  reg->Set(prefix + ".total_work_us", static_cast<double>(s.total_work_us),
+           Kind::kCounter);
   reg->Set(prefix + ".credit_wait_ns", static_cast<double>(s.credit_wait_ns),
            Kind::kCounter);
   if (s.latency.count() != 0) {
@@ -108,7 +110,7 @@ void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
 
 void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
                      const workload::TpccRunStats& s) {
-  reg->Set(prefix + ".transactions", static_cast<double>(s.transactions),
+  reg->Set(prefix + ".transactions", static_cast<double>(s.latency.count()),
            Kind::kCounter);
   reg->Set(prefix + ".elapsed_vt_us", static_cast<double>(s.elapsed_vt_us));
   reg->Set(prefix + ".total_work_us", static_cast<double>(s.total_work_us),
@@ -120,14 +122,13 @@ void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
   }
   ImportWorstOp(reg, prefix + ".worst_txn", s.worst_op);
   for (uint32_t t = 0; t < workload::kNumTpccTxnTypes; ++t) {
-    const workload::TpccTypeStats& ts = s.by_type[t];
-    if (ts.count == 0) continue;
+    const workload::LatencyHistogram& h = s.by_type[t].latency;
+    if (h.count() == 0) continue;
     const std::string p =
         prefix + ".type." +
         workload::TpccTxnTypeName(static_cast<workload::TpccTxnType>(t));
-    reg->Set(p + ".count", static_cast<double>(ts.count), Kind::kCounter);
-    if (ts.latency.count() != 0) ImportHistogram(reg, p + ".latency",
-                                                 ts.latency);
+    reg->Set(p + ".count", static_cast<double>(h.count()), Kind::kCounter);
+    ImportHistogram(reg, p + ".latency", h);
   }
 }
 
@@ -161,10 +162,6 @@ void ImportShardedStoreStats(MetricsRegistry* reg, const std::string& prefix,
     reg->Set(prefix + ".shard" + std::to_string(i) + ".clock_us",
              static_cast<double>(clocks[i]));
   }
-  reg->Set(prefix + ".parallel_time_us",
-           static_cast<double>(store.parallel_time_us()));
-  reg->Set(prefix + ".total_work_us",
-           static_cast<double>(store.total_work_us()));
   reg->Set(prefix + ".shard_lag_us", static_cast<double>(store.shard_lag_us()));
   reg->Set(prefix + ".journal_epochs",
            static_cast<double>(store.journal_epochs()), Kind::kCounter);

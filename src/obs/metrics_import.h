@@ -32,8 +32,8 @@ void ImportHistogram(MetricsRegistry* reg, const std::string& prefix,
                      const workload::LatencyHistogram& h);
 
 /// Workload run breakdown: per-op figures, one <prefix>.<category>.* group
-/// per device category the run touched, stall attribution, credit_wait,
-/// latency histogram, worst-op attribution.
+/// per device category the run touched, stall attribution, elapsed and
+/// total virtual time, credit_wait, latency histogram, worst-op attribution.
 void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
                     const workload::RunStats& s);
 
@@ -47,8 +47,7 @@ void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
 void ImportExecutorStats(MetricsRegistry* reg, const std::string& prefix,
                          const ftl::ShardExecutor& ex);
 
-/// Sharded store: per-shard virtual clocks, parallel_time_us (max),
-/// total_work_us (sum), shard lag, journal epochs.
+/// Sharded store: per-shard virtual clocks, shard lag, journal epochs.
 void ImportShardedStoreStats(MetricsRegistry* reg, const std::string& prefix,
                              const ftl::ShardedStore& store);
 

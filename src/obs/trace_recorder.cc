@@ -48,11 +48,10 @@ void TraceShard::Reset() {
   dropped_ = 0;
 }
 
-TraceRecorder::TraceRecorder(uint32_t num_shards, size_t capacity_per_shard)
-    : num_shards_(num_shards) {
+TraceRecorder::TraceRecorder(uint32_t num_shards) : num_shards_(num_shards) {
   lanes_.reserve(num_shards + 1);
   for (uint32_t i = 0; i <= num_shards; ++i) {
-    lanes_.emplace_back(i, capacity_per_shard);
+    lanes_.emplace_back(i, kCapacityPerShard);
   }
 }
 

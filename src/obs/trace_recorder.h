@@ -62,7 +62,6 @@ class TraceShard {
     e.a2 = a2;
   }
 
-  uint32_t shard_id() const { return shard_; }
   size_t size() const { return size_; }
   size_t capacity() const { return ring_.size(); }
   /// Events overwritten by ring overflow (oldest-dropped policy).
@@ -88,11 +87,11 @@ class TraceShard {
 /// See file comment.
 class TraceRecorder {
  public:
-  static constexpr size_t kDefaultCapacity = 1 << 16;
+  /// Events each lane keeps before dropping its oldest.
+  static constexpr size_t kCapacityPerShard = 1 << 16;
 
   /// `num_shards` virtual-time lanes plus one wall lane.
-  explicit TraceRecorder(uint32_t num_shards,
-                         size_t capacity_per_shard = kDefaultCapacity);
+  explicit TraceRecorder(uint32_t num_shards);
 
   uint32_t num_shards() const { return num_shards_; }
   /// Lane for shard `i`'s virtual-time events (device, FTL, driver spans).

@@ -45,7 +45,6 @@ class Differential {
 
   PageId pid() const { return pid_; }
   uint64_t timestamp() const { return timestamp_; }
-  void set_timestamp(uint64_t ts) { timestamp_ = ts; }
 
   /// Reinitializes to an empty differential for `pid`, keeping the extent and
   /// payload capacity (hot-path reuse in ComputeDifferentialInto).

@@ -183,8 +183,4 @@ void SlottedPage::Compact() {
   set_free_end(end);
 }
 
-uint32_t SlottedPage::BytesUsed() const {
-  return dir_end() + (static_cast<uint32_t>(page_.size()) - free_end());
-}
-
 }  // namespace flashdb::storage

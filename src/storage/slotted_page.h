@@ -65,10 +65,6 @@ class SlottedPage {
   /// Rewrites the record heap to squeeze out holes left by deletes/updates.
   void Compact();
 
-  /// Byte range of the page covered by the header + slot directory + heap
-  /// (diagnostics).
-  uint32_t BytesUsed() const;
-
  private:
   uint16_t slot_offset(SlotId s) const;
   uint16_t slot_length(SlotId s) const;

@@ -1,7 +1,6 @@
 #include "workload/tpcc.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <set>
 
@@ -148,11 +147,15 @@ TpccWorkload::TpccWorkload(storage::BufferPool* pool, const TpccScale& scale,
       scale_(scale),
       warehouse_ids_(std::move(warehouse_ids)),
       rng_(seed) {
-  assert(!warehouse_ids_.empty());
+  CheckOrAbort(!warehouse_ids_.empty(),
+               "TpccWorkload: the hosted warehouse list is empty");
   w_slot_.assign(scale_.warehouses + 1, 0);
   for (uint32_t i = 0; i < warehouse_ids_.size(); ++i) {
-    assert(warehouse_ids_[i] >= 1 && warehouse_ids_[i] <= scale_.warehouses);
-    w_slot_[warehouse_ids_[i]] = i;
+    const uint32_t w = warehouse_ids_[i];
+    CheckOrAbort(w >= 1 && w <= scale_.warehouses,
+                 "TpccWorkload: hosted warehouse %u is outside 1..%u", w,
+                 scale_.warehouses);
+    w_slot_[w] = i;
   }
   const uint64_t wd = static_cast<uint64_t>(warehouse_ids_.size()) *
                       scale_.districts_per_warehouse;
@@ -323,8 +326,6 @@ uint32_t TpccWorkload::PickItem() {
   return ((a | b) + 987) % n + 1;
 }
 
-Status TpccWorkload::NewOrder() { return NewOrderAt(PickWarehouse()); }
-
 Status TpccWorkload::NewOrderAt(uint32_t w) {
   const uint32_t d =
       1 + static_cast<uint32_t>(rng_.Uniform(scale_.districts_per_warehouse));
@@ -365,11 +366,8 @@ Status TpccWorkload::NewOrderAt(uint32_t w) {
         InsertRow(order_line_, OlKey(w, d, o, ln),
                   MakeRow(kOrderLineRow, &rng_, {}, {i, price * qty, 0u})));
   }
-  stats_.new_order++;
   return Status::OK();
 }
-
-Status TpccWorkload::Payment() { return PaymentAt(PickWarehouse()); }
 
 Status TpccWorkload::PaymentAt(uint32_t w) {
   const uint32_t d =
@@ -395,11 +393,8 @@ Status TpccWorkload::PaymentAt(uint32_t w) {
                    MakeRow(kHistoryRow, &rng_, {amount},
                            {w, d, c})));
   (void)rid;
-  stats_.payment++;
   return Status::OK();
 }
-
-Status TpccWorkload::OrderStatus() { return OrderStatusAt(PickWarehouse()); }
 
 Status TpccWorkload::OrderStatusAt(uint32_t w) {
   const uint32_t d =
@@ -409,10 +404,7 @@ Status TpccWorkload::OrderStatusAt(uint32_t w) {
   ByteBuffer row;
   FLASHDB_RETURN_IF_ERROR(GetRow(customer_, CKey(w, d, c), &row));
   const uint32_t next = next_o_id_[wd_idx];
-  if (next <= 1) {
-    stats_.order_status++;
-    return Status::OK();
-  }
+  if (next <= 1) return Status::OK();
   const uint32_t lo = next > 20 ? next - 20 : 1;
   const uint32_t o = static_cast<uint32_t>(rng_.Range(lo, next - 1));
   FLASHDB_RETURN_IF_ERROR(GetRow(order_, OKey(w, d, o), &row));
@@ -423,11 +415,8 @@ Status TpccWorkload::OrderStatusAt(uint32_t w) {
         ByteBuffer line;
         return order_line_.heap->Get(Rid::Decode(enc), &line);
       }));
-  stats_.order_status++;
   return Status::OK();
 }
-
-Status TpccWorkload::Delivery() { return DeliveryAt(PickWarehouse()); }
 
 Status TpccWorkload::DeliveryAt(uint32_t w) {
   ByteBuffer row;
@@ -467,11 +456,8 @@ Status TpccWorkload::DeliveryAt(uint32_t w) {
           EncodeFixed64(r->data(), DecodeFixed64(r->data()) + total);
         }));
   }
-  stats_.delivery++;
   return Status::OK();
 }
-
-Status TpccWorkload::StockLevel() { return StockLevelAt(PickWarehouse()); }
 
 Status TpccWorkload::StockLevelAt(uint32_t w) {
   const uint32_t d =
@@ -500,19 +486,22 @@ Status TpccWorkload::StockLevelAt(uint32_t w) {
     if (DecodeFixed32(row.data()) < threshold) ++low_count;
   }
   (void)low_count;
-  stats_.stock_level++;
   return Status::OK();
 }
 
 Status TpccWorkload::RunTransactionOfType(TpccTxnType type, uint32_t w) {
-  switch (type) {
-    case TpccTxnType::kNewOrder: return NewOrderAt(w);
-    case TpccTxnType::kPayment: return PaymentAt(w);
-    case TpccTxnType::kOrderStatus: return OrderStatusAt(w);
-    case TpccTxnType::kDelivery: return DeliveryAt(w);
-    case TpccTxnType::kStockLevel: return StockLevelAt(w);
-  }
-  return Status::InvalidArgument("unknown transaction type");
+  const Status st = [&] {
+    switch (type) {
+      case TpccTxnType::kNewOrder: return NewOrderAt(w);
+      case TpccTxnType::kPayment: return PaymentAt(w);
+      case TpccTxnType::kOrderStatus: return OrderStatusAt(w);
+      case TpccTxnType::kDelivery: return DeliveryAt(w);
+      case TpccTxnType::kStockLevel: return StockLevelAt(w);
+    }
+    return Status::InvalidArgument("unknown transaction type");
+  }();
+  if (st.ok()) stats_.committed[static_cast<size_t>(type)]++;
+  return st;
 }
 
 Status TpccWorkload::RunTransaction() {

@@ -22,8 +22,10 @@
 #ifndef FLASHDB_WORKLOAD_TPCC_H_
 #define FLASHDB_WORKLOAD_TPCC_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -57,15 +59,13 @@ enum class TpccTxnType : uint8_t {
 inline constexpr uint32_t kNumTpccTxnTypes = 5;
 const char* TpccTxnTypeName(TpccTxnType t);
 
-/// Per-transaction-type counters.
+/// Committed transactions per type, indexed by TpccTxnType.
 struct TpccStats {
-  uint64_t new_order = 0;
-  uint64_t payment = 0;
-  uint64_t order_status = 0;
-  uint64_t delivery = 0;
-  uint64_t stock_level = 0;
+  std::array<uint64_t, kNumTpccTxnTypes> committed{};
+
+  uint64_t of(TpccTxnType t) const { return committed[static_cast<size_t>(t)]; }
   uint64_t total() const {
-    return new_order + payment + order_status + delivery + stock_level;
+    return std::accumulate(committed.begin(), committed.end(), uint64_t{0});
   }
 };
 
@@ -78,10 +78,12 @@ class TpccWorkload {
                uint64_t seed);
 
   /// Hosts only `warehouse_ids` (global ids in 1..scale.warehouses, given in
-  /// hosting order). The ITEM table is replicated into every instance (it is
-  /// read-only after load); WAREHOUSE/DISTRICT/CUSTOMER/STOCK/ORDER* rows
-  /// exist only for the hosted warehouses. Page budgets shrink with the
-  /// hosted count, so a shard's instance fits a shard-sized store.
+  /// hosting order; an empty list or an id outside that range aborts with a
+  /// message, in every build). The ITEM table is replicated into every
+  /// instance (it is read-only after load); WAREHOUSE/DISTRICT/CUSTOMER/
+  /// STOCK/ORDER* rows exist only for the hosted warehouses. Page budgets
+  /// shrink with the hosted count, so a shard's instance fits a shard-sized
+  /// store.
   TpccWorkload(storage::BufferPool* pool, const TpccScale& scale,
                std::vector<uint32_t> warehouse_ids, uint64_t seed);
 
@@ -114,7 +116,8 @@ class TpccWorkload {
   /// Executes one transaction of `type` against hosted warehouse `w` (the
   /// externally-routed form the multi-client driver uses; type and
   /// warehouse come from the client's RNG, everything inside the
-  /// transaction from this instance's RNG).
+  /// transaction from this instance's RNG). Every transaction runs through
+  /// here, which counts it in stats() once it commits.
   Status RunTransactionOfType(TpccTxnType type, uint32_t w);
 
   /// Executes `n` transactions.
@@ -125,22 +128,14 @@ class TpccWorkload {
   const std::vector<uint32_t>& warehouse_ids() const { return warehouse_ids_; }
   storage::BufferPool* pool() { return pool_; }
 
-  // Individual transaction types (exposed for tests); each draws its target
-  // warehouse uniformly from the hosted list.
-  Status NewOrder();
-  Status Payment();
-  Status OrderStatus();
-  Status Delivery();
-  Status StockLevel();
-
-  // Per-warehouse forms (`w` must be hosted).
+ private:
+  // The five transaction types (`w` must be hosted).
   Status NewOrderAt(uint32_t w);
   Status PaymentAt(uint32_t w);
   Status OrderStatusAt(uint32_t w);
   Status DeliveryAt(uint32_t w);
   Status StockLevelAt(uint32_t w);
 
- private:
   struct Table {
     std::unique_ptr<storage::HeapFile> heap;
     std::unique_ptr<storage::BTree> index;

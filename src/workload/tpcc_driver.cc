@@ -64,7 +64,7 @@ Status TpccDriver::Load(ftl::ShardExecutor* executor) {
 }
 
 Status TpccDriver::ExecuteTxn(uint32_t s, TpccTxnType type, uint32_t w,
-                              uint32_t client) {
+                              uint32_t client, TpccTypeSamples* acc) {
   ShardState& sh = shards_[s];
   flash::FlashDevice* dev = store_->shard_device(s);
   const CostSnap before = SnapCost(dev);
@@ -76,10 +76,7 @@ Status TpccDriver::ExecuteTxn(uint32_t s, TpccTxnType type, uint32_t w,
     dev->trace()->Emit(obs::TraceCat::kTxnSpan, before.clock_us, cost.total_us,
                        w, static_cast<uint64_t>(type), client);
   }
-  TpccTypeStats& acc = sh.acc[static_cast<size_t>(type)];
-  acc.count++;
-  acc.latency.Record(cost.total_us);
-  acc.worst_op.Offer(cost);
+  (*acc)[static_cast<size_t>(type)].Record(cost);
   return Status::OK();
 }
 
@@ -101,43 +98,19 @@ TpccDriver::Draw TpccDriver::DrawNext(uint64_t txn_index) {
   return d;
 }
 
-void TpccDriver::ResetAccumulators() {
-  for (ShardState& sh : shards_) {
-    for (TpccTypeStats& acc : sh.acc) {
-      acc.count = 0;
-      acc.latency.Reset();
-      acc.worst_op = WorstOpSample{};
-    }
-  }
-  credit_wait_ns_ = 0;
-}
-
 void TpccDriver::FoldStats(const std::vector<uint64_t>& clocks_before,
-                           TpccRunStats* out) {
+                           const std::vector<TpccTypeSamples>& acc,
+                           uint64_t wait_ns, TpccRunStats* out) {
   if (out == nullptr) return;
-  const std::vector<uint64_t> clocks_after = store_->shard_clocks();
-  uint64_t elapsed = 0;
-  uint64_t work = 0;
-  for (size_t s = 0; s < clocks_after.size(); ++s) {
-    const uint64_t delta = clocks_after[s] - clocks_before[s];
-    elapsed = std::max(elapsed, delta);
-    work += delta;
-  }
-  out->elapsed_vt_us += elapsed;
-  out->total_work_us += work;
-  out->credit_wait_ns += credit_wait_ns_;
-  // Shard-index fold order: Merge is commutative and Offer order-stable, so
-  // this equals the sequential replay's fold no matter how the concurrent
-  // run interleaved.
-  for (ShardState& sh : shards_) {
+  const ClockAdvance adv =
+      ClockAdvanceOf(clocks_before, store_->shard_clocks());
+  out->elapsed_vt_us += adv.elapsed_vt_us;
+  out->total_work_us += adv.total_work_us;
+  out->credit_wait_ns += wait_ns;
+  for (const TpccTypeSamples& shard : acc) {
     for (uint32_t t = 0; t < kNumTpccTxnTypes; ++t) {
-      const TpccTypeStats& acc = sh.acc[t];
-      out->by_type[t].count += acc.count;
-      out->by_type[t].latency.Merge(acc.latency);
-      out->by_type[t].worst_op.Offer(acc.worst_op);
-      out->latency.Merge(acc.latency);
-      out->worst_op.Offer(acc.worst_op);
-      out->transactions += acc.count;
+      out->by_type[t].Merge(shard[t]);
+      out->Merge(shard[t]);
     }
   }
 }
@@ -145,15 +118,19 @@ void TpccDriver::FoldStats(const std::vector<uint64_t>& clocks_before,
 Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
                          TpccRunStats* out) {
   FLASHDB_RETURN_IF_ERROR(CheckShards());
+  if (opts_.num_clients == 0) {
+    return Status::InvalidArgument("TPC-C serving needs num_clients > 0");
+  }
   const uint32_t n = store_->num_shards();
   FLASHDB_RETURN_IF_ERROR(
       CreditStream::Validate(executor, n, opts_.max_inflight_per_shard));
   commit_log_.clear();
   commit_log_.reserve(num_txns);
-  ResetAccumulators();
+  std::vector<TpccTypeSamples> acc(n);
+  uint64_t wait_ns = 0;
   const std::vector<uint64_t> clocks_before = store_->shard_clocks();
-  CreditStream credits(executor, n, opts_.max_inflight_per_shard,
-                       &credit_wait_ns_, wall_trace_);
+  CreditStream credits(executor, n, opts_.max_inflight_per_shard, &wait_ns,
+                       wall_trace_);
   for (uint64_t i = 0; i < num_txns && !credits.failed(); ++i) {
     // Transactions must submit in global draw order -- per-shard submission
     // order is what the determinism contract pins down -- so when the
@@ -163,29 +140,41 @@ Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
     const Draw d = DrawNext(i);
     const uint32_t s = shard_of_warehouse(d.warehouse);
     const TpccCommit commit{d.client, d.warehouse, d.type};
+    TpccTypeSamples* shard_acc = &acc[s];
     credits.Submit(
         s,
-        [this, s, d] { return ExecuteTxn(s, d.type, d.warehouse, d.client); },
+        [this, s, d, shard_acc] {
+          return ExecuteTxn(s, d.type, d.warehouse, d.client, shard_acc);
+        },
         [this, commit] { commit_log_.push_back(commit); });
   }
   // The drain also publishes the workers' device mutations to this thread
   // before FoldStats snapshots the clocks.
   const Status st = credits.Drain();
-  FoldStats(clocks_before, out);
+  FoldStats(clocks_before, acc, wait_ns, out);
   return st;
 }
 
 Status TpccDriver::Replay(const TpccCommitLog& log, TpccRunStats* out) {
   FLASHDB_RETURN_IF_ERROR(CheckShards());
-  ResetAccumulators();
+  for (const TpccCommit& c : log) {
+    if (c.warehouse < 1 || c.warehouse > opts_.scale.warehouses ||
+        static_cast<uint32_t>(c.type) >= kNumTpccTxnTypes) {
+      return Status::InvalidArgument(
+          "commit log names warehouse " + std::to_string(c.warehouse) +
+          " (of " + std::to_string(opts_.scale.warehouses) + ") and type " +
+          std::to_string(static_cast<uint32_t>(c.type)));
+    }
+  }
+  std::vector<TpccTypeSamples> acc(store_->num_shards());
   const std::vector<uint64_t> clocks_before = store_->shard_clocks();
   Status st;
   for (const TpccCommit& c : log) {
-    st = ExecuteTxn(shard_of_warehouse(c.warehouse), c.type, c.warehouse,
-                    c.client);
+    const uint32_t s = shard_of_warehouse(c.warehouse);
+    st = ExecuteTxn(s, c.type, c.warehouse, c.client, &acc[s]);
     if (!st.ok()) break;
   }
-  FoldStats(clocks_before, out);
+  FoldStats(clocks_before, acc, /*wait_ns=*/0, out);
   return st;
 }
 

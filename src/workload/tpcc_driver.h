@@ -45,8 +45,8 @@
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
 #include "storage/buffer_pool.h"
+#include "workload/run_accounting.h"
 #include "workload/tpcc.h"
-#include "workload/update_driver.h"
 
 namespace flashdb::obs {
 class TraceShard;
@@ -83,27 +83,23 @@ struct TpccCommit {
 };
 using TpccCommitLog = std::vector<TpccCommit>;
 
-/// Per-transaction-type serving metrics. A transaction's latency is the
+/// Transaction samples per type, indexed by TpccTxnType.
+using TpccTypeSamples = std::array<OpSamples, kNumTpccTxnTypes>;
+
+/// Virtual-time serving metrics of one Serve()/Replay() call. The OpSamples
+/// base holds every committed transaction (all types merged), so
+/// latency.count() is the transaction count. A transaction's latency is the
 /// advance of its shard's virtual clock across the whole transaction
 /// (including its flush); the worst-op sample carries the same GC/meta
 /// attribution as the page-op layer, with `pid` holding the warehouse id.
-struct TpccTypeStats {
-  uint64_t count = 0;
-  LatencyHistogram latency;
-  WorstOpSample worst_op;
-};
-
-/// Virtual-time serving metrics of one Serve()/Replay() call.
-struct TpccRunStats {
-  uint64_t transactions = 0;
-  std::array<TpccTypeStats, kNumTpccTxnTypes> by_type;
-  /// All types merged.
-  LatencyHistogram latency;
-  WorstOpSample worst_op;
-  /// Max over shards of the run's clock advance: the serving-throughput
-  /// denominator when the chips run in parallel.
+struct TpccRunStats : OpSamples {
+  /// The same samples split by type; by_type[t].latency.count() is the
+  /// number of type-t transactions.
+  TpccTypeSamples by_type;
+  /// Largest per-shard clock advance of the run (ClockAdvanceOf): the
+  /// serving-throughput denominator when the chips run in parallel.
   uint64_t elapsed_vt_us = 0;
-  /// Sum over shards of the clock advance (total device busy time).
+  /// Sum of the per-shard clock advances (total device busy time).
   uint64_t total_work_us = 0;
   /// Wall-clock time the producer spent parked on per-shard credits
   /// (threaded Serve only; wall time, excluded from determinism checks).
@@ -139,16 +135,19 @@ class TpccDriver {
   /// Serves `num_txns` transactions and appends their commit order to the
   /// commit log (cleared first). Transactions stream in draw order through
   /// a CreditStream with max_inflight_per_shard credits per shard (which
-  /// must be positive): to the shard workers when `executor` is non-null,
-  /// inline on the calling thread when null. Client RNG streams persist
-  /// across calls (warmup then measure continues the same traffic).
+  /// must be positive, as must num_clients; InvalidArgument otherwise): to
+  /// the shard workers when `executor` is non-null, inline on the calling
+  /// thread when null. Client RNG streams persist across calls (warmup then
+  /// measure continues the same traffic).
   /// Accumulates into `*out` (caller zero-initializes); `out` may be null.
   Status Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
                TpccRunStats* out);
 
   /// Re-executes `log` single-threaded in log order against this driver's
   /// (freshly loaded) shards -- the differential half of the determinism
-  /// contract. Does not consume client RNG streams.
+  /// contract. Does not consume client RNG streams. A log naming a
+  /// warehouse outside 1..W or an unknown type is InvalidArgument before
+  /// any transaction runs.
   Status Replay(const TpccCommitLog& log, TpccRunStats* out);
 
   /// Flushes every shard's pool in shard order (quiescent workers only).
@@ -161,21 +160,14 @@ class TpccDriver {
   void set_wall_trace(obs::TraceShard* lane) { wall_trace_ = lane; }
 
   const TpccCommitLog& commit_log() const { return commit_log_; }
-  TpccWorkload* shard_workload(uint32_t s) {
-    return shards_[s].workload.get();
-  }
   storage::BufferPool* shard_pool(uint32_t s) { return shards_[s].pool.get(); }
   ftl::ShardedStore* store() { return store_; }
 
  private:
-  /// One shard's sub-DBMS plus its worker-confined metric accumulators
-  /// (folded into the caller's TpccRunStats in shard-index order after the
-  /// workers quiesce -- Merge is commutative and Offer order-stable, so the
-  /// fold equals the sequential replay's).
+  /// One shard's sub-DBMS.
   struct ShardState {
     std::unique_ptr<storage::BufferPool> pool;
     std::unique_ptr<TpccWorkload> workload;
-    std::array<TpccTypeStats, kNumTpccTxnTypes> acc;
   };
 
   /// One client draw: routing + type, from the client's RNG stream.
@@ -186,17 +178,19 @@ class TpccDriver {
   };
   Draw DrawNext(uint64_t txn_index);
 
-  /// Runs one transaction on shard `s` (thread-confined to its worker or to
-  /// the calling thread when inline) and records its metrics into the
-  /// shard's accumulators.
   /// InvalidArgument when some shard would host no warehouse.
   Status CheckShards() const;
-  Status ExecuteTxn(uint32_t s, TpccTxnType type, uint32_t w, uint32_t client);
-
-  void ResetAccumulators();
-  /// Folds shard accumulators + clock deltas since `clocks_before` into
+  /// Runs one transaction on shard `s` (thread-confined to its worker or to
+  /// the calling thread when inline) and records its sample into `*acc`,
+  /// the shard's accumulator for this call.
+  Status ExecuteTxn(uint32_t s, TpccTxnType type, uint32_t w, uint32_t client,
+                    TpccTypeSamples* acc);
+  /// Folds the per-shard accumulators `acc` in shard-index order (Merge is
+  /// commutative and Offer order-stable, so the fold equals the sequential
+  /// replay's), the clock advance since `clocks_before` and `wait_ns` into
   /// `*out` (no-op when null).
   void FoldStats(const std::vector<uint64_t>& clocks_before,
+                 const std::vector<TpccTypeSamples>& acc, uint64_t wait_ns,
                  TpccRunStats* out);
 
   ftl::ShardedStore* store_;
@@ -204,7 +198,6 @@ class TpccDriver {
   std::vector<ShardState> shards_;
   std::vector<Random> client_rngs_;
   TpccCommitLog commit_log_;
-  uint64_t credit_wait_ns_ = 0;
   obs::TraceShard* wall_trace_ = nullptr;
 };
 

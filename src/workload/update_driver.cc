@@ -98,7 +98,7 @@ Status UpdateDriver::Warmup(double erases_per_block, uint64_t max_ops) {
       erases_per_block * static_cast<double>(num_blocks));
   const uint64_t start = store_->total_erases();
   uint64_t ops = 0;
-  return RunEach(/*record=*/false, [&](PlannedOp* op) {
+  return RunEach(/*samples=*/nullptr, [&](PlannedOp* op) {
     if (store_->total_erases() - start >= target || ops == max_ops) {
       return false;
     }
@@ -109,21 +109,20 @@ Status UpdateDriver::Warmup(double erases_per_block, uint64_t max_ops) {
 }
 
 Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
-  pending_latency_.Reset();
-  pending_worst_ = WorstOpSample{};
   const flash::FlashStats stats0 = store_->stats();
-  const uint64_t clock0 = StoreClockUs();
+  const std::vector<uint64_t> clocks0 = ChipClocks();
+  OpSamples samples;
   uint64_t ops = 0;
   uint64_t update_ops = 0;
-  FLASHDB_RETURN_IF_ERROR(
-      RunEach(params_.record_latency, [&](PlannedOp* op) {
+  FLASHDB_RETURN_IF_ERROR(RunEach(
+      params_.record_latency ? &samples : nullptr, [&](PlannedOp* op) {
         if (ops == num_ops) return false;
         ++ops;
         DrawOp(/*draw_kind=*/true, op);
         if (op->is_update) ++update_ops;
         return true;
       }));
-  AccumulateRunStats(stats0, clock0, ops, update_ops, out);
+  AccumulateRunStats(stats0, clocks0, ops, update_ops, samples, out);
   return Status::OK();
 }
 
@@ -156,16 +155,18 @@ UpdateDriver::ShardStream* UpdateDriver::Route(
   return s;
 }
 
-Status UpdateDriver::RunEach(bool record,
+Status UpdateDriver::RunEach(OpSamples* samples,
                              const std::function<bool(PlannedOp*)>& next) {
-  std::vector<ShardStream> streams = MakeStreams(record);
+  std::vector<ShardStream> streams = MakeStreams(samples != nullptr);
   PlannedOp op;
   while (next(&op)) {
     ShardStream* s = Route(op, &streams);
     FLASHDB_RETURN_IF_ERROR(RunShardWindow(s, 0, 1));
     s->ops.clear();
   }
-  FoldStreamLatency(&streams);
+  if (samples != nullptr) {
+    for (const ShardStream& s : streams) samples->Merge(s.samples);
+  }
   return Status::OK();
 }
 
@@ -183,14 +184,8 @@ Status UpdateDriver::FlushShardWindow(ShardStream* s) {
     if (s->record) snap = SnapCost(dev);
     FLASHDB_RETURN_IF_ERROR(s->store->WriteBack(q.inner_pid, q.image));
     if (!s->record) continue;
-    const WorstOpSample wb = CostSince(snap, dev, q.cost.pid);
-    q.cost.total_us += wb.total_us;
-    q.cost.read_us += wb.read_us;
-    q.cost.write_us += wb.write_us;
-    q.cost.gc_us += wb.gc_us;
-    q.cost.meta_us += wb.meta_us;
-    s->hist.Record(q.cost.total_us);
-    s->worst.Offer(q.cost);
+    q.cost += CostSince(snap, dev, q.cost.pid);
+    s->samples.Record(q.cost);
     if (dev->trace() != nullptr) {
       // The op's span opened at its inline start; its duration is the
       // accumulated latency (inline + this write-back) -- identical
@@ -231,8 +226,7 @@ Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
       // since window composition is fixed by the schedule.
       if (s->record) {
         const WorstOpSample sample = CostSince(snap, dev, gpid);
-        s->hist.Record(sample.total_us);
-        s->worst.Offer(sample);
+        s->samples.Record(sample);
         if (dev->trace() != nullptr) {
           dev->trace()->Emit(obs::TraceCat::kOpSpan, snap.clock_us,
                              sample.total_us, gpid, 0);
@@ -271,61 +265,25 @@ Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
   return FlushShardWindow(s);
 }
 
-CostSnap SnapCost(flash::FlashDevice* dev) {
-  // stats() returns a reference, so this is five counter loads -- cheap
-  // enough to bracket every operation when recording is on.
-  const flash::FlashStats& st = dev->stats();
-  CostSnap snap;
-  snap.clock_us = dev->clock().now_us();
-  snap.read_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kReadStep)].total_us();
-  snap.write_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kWriteStep)]
-          .total_us();
-  snap.gc_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kGc)].total_us();
-  snap.meta_us =
-      st.by_category[static_cast<int>(flash::OpCategory::kMeta)].total_us();
-  return snap;
-}
-
-WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
-                        PageId pid) {
-  const CostSnap after = SnapCost(dev);
-  WorstOpSample s;
-  s.total_us = after.clock_us - before.clock_us;
-  s.read_us = after.read_us - before.read_us;
-  s.write_us = after.write_us - before.write_us;
-  s.gc_us = after.gc_us - before.gc_us;
-  s.meta_us = after.meta_us - before.meta_us;
-  s.pid = pid;
-  s.valid = true;
-  return s;
-}
-
-void UpdateDriver::FoldStreamLatency(std::vector<ShardStream>* streams) {
-  for (ShardStream& s : *streams) {
-    pending_latency_.Merge(s.hist);
-    pending_worst_.Offer(s.worst);
-  }
-}
-
-uint64_t UpdateDriver::StoreClockUs() {
-  return sharded_ != nullptr ? sharded_->parallel_time_us()
-                             : store_->device()->clock().now_us();
+std::vector<uint64_t> UpdateDriver::ChipClocks() {
+  if (sharded_ != nullptr) return sharded_->shard_clocks();
+  return {store_->device()->clock().now_us()};
 }
 
 void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
-                                      uint64_t clock0_us, uint64_t operations,
-                                      uint64_t update_ops, RunStats* out) {
+                                      const std::vector<uint64_t>& clocks0,
+                                      uint64_t operations, uint64_t update_ops,
+                                      const OpSamples& samples,
+                                      RunStats* out) {
   out->operations += operations;
   out->update_ops += update_ops;
   const flash::FlashStats after = store_->stats();
   out->device += after - before;
   out->plane_stall_us += after.plane_stall_us() - before.plane_stall_us();
-  out->elapsed_vt_us += StoreClockUs() - clock0_us;
-  out->latency.Merge(pending_latency_);
-  out->worst_op.Offer(pending_worst_);
+  const ClockAdvance adv = ClockAdvanceOf(clocks0, ChipClocks());
+  out->elapsed_vt_us += adv.elapsed_vt_us;
+  out->total_work_us += adv.total_work_us;
+  out->Merge(samples);
 }
 
 Status UpdateDriver::RunPipelined(const Schedule& schedule,
@@ -338,10 +296,9 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
   FLASHDB_RETURN_IF_ERROR(CreditStream::Validate(
       executor, sharded_ != nullptr ? sharded_->num_shards() : 1,
       max_inflight));
-  pending_latency_.Reset();
-  pending_worst_ = WorstOpSample{};
   const flash::FlashStats stats0 = store_->stats();
-  const uint64_t clock0 = StoreClockUs();
+  const std::vector<uint64_t> clocks0 = ChipClocks();
+  OpSamples samples;
   const uint64_t epoch = params_.rebalance_epoch_ops;
   const bool leveling =
       sharded_ != nullptr && sharded_->router()->rebalancing_enabled();
@@ -356,7 +313,8 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
     const ChunkSpan chunk =
         all.subspan(begin, std::min(chunk_ops, all.size() - begin));
     const uint64_t wait0 = credit_wait_ns_;
-    const Status st = RunChunk(chunk, batch_size, max_inflight, executor);
+    const Status st =
+        RunChunk(chunk, batch_size, max_inflight, executor, &samples);
     out->credit_wait_ns += credit_wait_ns_ - wait0;
     FLASHDB_RETURN_IF_ERROR(st);
     if (epoch == 0) break;
@@ -370,7 +328,8 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
   }
   uint64_t update_ops = 0;
   for (const PlannedOp& op : schedule) update_ops += op.is_update ? 1 : 0;
-  AccumulateRunStats(stats0, clock0, schedule.size(), update_ops, out);
+  AccumulateRunStats(stats0, clocks0, schedule.size(), update_ops, samples,
+                     out);
   return Status::OK();
 }
 
@@ -403,7 +362,8 @@ Status UpdateDriver::ScrubEpoch(RunStats* out) {
 
 Status UpdateDriver::RunChunk(ChunkSpan chunk, uint32_t batch_size,
                               uint32_t max_inflight,
-                              ftl::ShardExecutor* executor) {
+                              ftl::ShardExecutor* executor,
+                              OpSamples* samples) {
   std::vector<ShardStream> streams = MakeStreams(params_.record_latency);
   for (const PlannedOp& op : chunk) Route(op, &streams);
   const uint32_t n = static_cast<uint32_t>(streams.size());
@@ -439,7 +399,7 @@ Status UpdateDriver::RunChunk(ChunkSpan chunk, uint32_t batch_size,
     if (!submitted) credits.AwaitAnyCredit(pending);
   }
   const Status st = credits.Drain();
-  FoldStreamLatency(&streams);
+  for (const ShardStream& s : streams) samples->Merge(s.samples);
   return st;
 }
 

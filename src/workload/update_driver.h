@@ -26,7 +26,7 @@
 #include "common/random.h"
 #include "flash/flash_stats.h"
 #include "ftl/page_store.h"
-#include "workload/latency_histogram.h"
+#include "workload/run_accounting.h"
 
 namespace flashdb::ftl {
 class ShardExecutor;
@@ -83,48 +83,17 @@ struct WorkloadParams {
   bool record_latency = false;
 };
 
-/// The slowest operation of a run, with the per-cause breakdown of where its
-/// virtual time went. Per-cause values are deltas of the owning chip's
-/// by-category device counters across the op, so gc_us captures garbage
-/// collection the op's write-back triggered, meta_us the journal traffic it
-/// induced. Deterministic inline and threaded: per-shard op order is fixed
-/// by the schedule and the cross-shard fold visits shards in index order,
-/// with a strictly-greater-wins rule so ties keep the first sample.
-struct WorstOpSample {
-  uint64_t total_us = 0;  ///< Virtual-clock advance across the whole op.
-  uint64_t read_us = 0;   ///< Reading-step device time within the op.
-  uint64_t write_us = 0;  ///< Writing-step device time (incl. log spills).
-  uint64_t gc_us = 0;     ///< GC the op triggered inside the store.
-  uint64_t meta_us = 0;   ///< Journal traffic the op induced.
-  PageId pid = 0;         ///< Global pid of the op.
-  bool valid = false;     ///< False until a first sample is offered.
-
-  /// Keeps the stricter maximum: `cand` replaces *this only when strictly
-  /// slower (first-seen wins ties, which makes the fold order-stable).
-  void Offer(const WorstOpSample& cand) {
-    if (cand.valid && (!valid || cand.total_us > total_us)) *this = cand;
-  }
-
-  friend bool operator==(const WorstOpSample& a,
-                         const WorstOpSample& b) = default;
-};
-
-/// Point-in-time read of one chip's virtual clock and by-category time
-/// totals: the before-side of a per-op (or per-transaction) cost sample.
-struct CostSnap {
-  uint64_t clock_us = 0;
-  uint64_t read_us = 0;
-  uint64_t write_us = 0;
-  uint64_t gc_us = 0;
-  uint64_t meta_us = 0;
-};
-CostSnap SnapCost(flash::FlashDevice* dev);
-/// The sample formed by `dev`'s counter advance since `before`.
-WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
-                        PageId pid);
-
-/// Virtual-time breakdown of a measured run.
-struct RunStats {
+/// Virtual-time breakdown of a measured run. The OpSamples base holds the
+/// per-operation latency (WorkloadParams::record_latency only): the
+/// distribution of per-op virtual latency in microseconds, merged across
+/// shards by counter addition so it is bit-identical across the inline and
+/// threaded executions of one schedule, and the slowest op with its
+/// per-cause attribution. Both stay empty when recording is off.
+/// Epoch-boundary work (bucket migration, scrub sweeps, the migration
+/// journal) runs while the shards are quiescent and belongs to no operation,
+/// so it appears in the migrate/scrub/meta counters but never in the
+/// samples.
+struct RunStats : OpSamples {
   uint64_t operations = 0;        ///< Operations executed (cycles + reads).
   uint64_t update_ops = 0;        ///< Of which update operations.
   /// Device traffic of the run: the delta of the store's counters, summed
@@ -145,27 +114,15 @@ struct RunStats {
   /// plane of the chip was idle (delta of FlashStats::plane_stall_us over
   /// every chip). 0 on single-plane geometries.
   uint64_t plane_stall_us = 0;
-  /// Virtual-clock advance across the run (max over chips): the denominator
-  /// for device-parallel throughput, unlike the per-category sums which
-  /// count every chip's busy time.
+  /// Largest per-chip virtual-clock advance across the run (ClockAdvanceOf):
+  /// the denominator for device-parallel throughput.
   uint64_t elapsed_vt_us = 0;
+  /// Sum of the per-chip clock advances: total device busy time.
+  uint64_t total_work_us = 0;
   /// Wall-clock nanoseconds the producer spent parked waiting for a
   /// per-shard credit (threaded RunPipelined only; 0 elsewhere). Wall time,
   /// not virtual time: excluded from determinism comparisons.
   uint64_t credit_wait_ns = 0;
-
-  // --- Per-operation latency (WorkloadParams::record_latency only) --------
-  /// Distribution of per-op virtual latency in microseconds. Merged across
-  /// shards by counter addition, so it is bit-identical across the inline
-  /// and threaded executions of one schedule. Empty when recording is off.
-  /// Epoch-boundary work (bucket
-  /// migration, scrub sweeps, the migration journal) runs while the shards
-  /// are quiescent and belongs to no operation, so it appears in the
-  /// migrate/scrub/meta counters above but never in this distribution.
-  LatencyHistogram latency;
-  /// The run's slowest operation with per-cause attribution (see
-  /// WorstOpSample). Invalid when recording is off.
-  WorstOpSample worst_op;
 
   /// `v` per operation (0 for an empty run).
   double PerOp(uint64_t v) const {
@@ -322,10 +279,9 @@ class UpdateDriver {
     size_t queued_n = 0;
 
     /// Latency recording only; thread-confined to the shard's worker like
-    /// everything else here, folded into the driver's pending accumulators
-    /// after the chunk quiesces.
-    LatencyHistogram hist;
-    WorstOpSample worst;
+    /// everything else here, folded into the run's samples after the chunk
+    /// quiesces.
+    OpSamples samples;
   };
 
   /// One contiguous slice of a schedule: the unit between two epoch
@@ -337,28 +293,27 @@ class UpdateDriver {
   /// Appends `op` to its shard's stream, using the store's *current* pid
   /// routing (re-route after any bucket migration), and returns the stream.
   ShardStream* Route(const PlannedOp& op, std::vector<ShardStream>* streams);
-  /// Folds every stream's histogram and worst-op into the driver's pending
-  /// accumulators, in shard-index order (order-stable ties). Caller must
-  /// have quiesced the streams' workers first.
-  void FoldStreamLatency(std::vector<ShardStream>* streams);
   /// Executes ops [begin, end) of `s` and flushes the queued write-backs.
   Status RunShardWindow(ShardStream* s, size_t begin, size_t end);
   Status FlushShardWindow(ShardStream* s);
   /// Draw-one-execute-one loop behind Run() and Warmup(): each op is routed
   /// alone and runs as a batch-1 window. `next` draws into the reused op
-  /// and returns false to stop.
-  Status RunEach(bool record, const std::function<bool(PlannedOp*)>& next);
-  /// Streams `chunk`'s windows through one CreditStream and drains it.
+  /// and returns false to stop. Records per-op latency into `*samples`
+  /// when it is non-null.
+  Status RunEach(OpSamples* samples,
+                 const std::function<bool(PlannedOp*)>& next);
+  /// Streams `chunk`'s windows through one CreditStream, drains it, and
+  /// folds the streams' latency samples into `*samples` in shard order.
   Status RunChunk(ChunkSpan chunk, uint32_t batch_size, uint32_t max_inflight,
-                  ftl::ShardExecutor* executor);
-  /// Virtual clock of the store: parallel_time_us() (max over chips) on a
-  /// ShardedStore, the single chip's clock otherwise.
-  uint64_t StoreClockUs();
-  /// Folds the op counts, device-stats / clock delta, and pending latency
-  /// samples into `*out`.
-  void AccumulateRunStats(const flash::FlashStats& before, uint64_t clock0_us,
+                  ftl::ShardExecutor* executor, OpSamples* samples);
+  /// Per-chip virtual clocks in shard order (one for a flat store).
+  std::vector<uint64_t> ChipClocks();
+  /// Folds the op counts, the device-stats and clock deltas since
+  /// `before` / `clocks0`, and the run's latency samples into `*out`.
+  void AccumulateRunStats(const flash::FlashStats& before,
+                          const std::vector<uint64_t>& clocks0,
                           uint64_t operations, uint64_t update_ops,
-                          RunStats* out);
+                          const OpSamples& samples, RunStats* out);
   /// Epoch boundary (shards quiescent): feeds the finished chunk's write
   /// heat to the router, plans against per-shard erase counts, and executes
   /// the planned bucket migrations.
@@ -393,11 +348,6 @@ class UpdateDriver {
   uint64_t credit_wait_ns_ = 0;
   /// Wall lane for credit-wait trace events (see set_wall_trace).
   obs::TraceShard* wall_trace_ = nullptr;
-  /// Latency samples of the run in progress, reset at the start of every
-  /// public run entry point and folded into the caller's RunStats at the
-  /// end (see AccumulateRunStats). Only the submitting thread touches them.
-  LatencyHistogram pending_latency_;
-  WorstOpSample pending_worst_;
   ByteBuffer scratch_;
   std::vector<ByteBuffer> shadow_;  ///< Only when params_.verify.
 };

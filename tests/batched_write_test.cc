@@ -230,14 +230,14 @@ TEST(BatchedWriteValidationTest, RejectsBadEntriesUpFront) {
   ASSERT_TRUE(sharded->Format(10, nullptr, nullptr).ok());
   ByteBuffer page(sharded->device()->geometry().data_size, 0);
   ByteBuffer short_page(16, 0);
-  const uint64_t work_before = sharded->total_work_us();
+  const std::vector<uint64_t> clocks_before = sharded->shard_clocks();
   std::vector<PageWrite> mixed = {PageWrite{1, page}, PageWrite{99, page}};
   EXPECT_TRUE(sharded->WriteBatch(mixed).IsNotFound());
-  EXPECT_EQ(sharded->total_work_us(), work_before);
+  EXPECT_EQ(sharded->shard_clocks(), clocks_before);
   std::vector<PageWrite> cross_shard = {PageWrite{0, page},
                                         PageWrite{1, short_page}};
   EXPECT_TRUE(sharded->WriteBatch(cross_shard).IsInvalidArgument());
-  EXPECT_EQ(sharded->total_work_us(), work_before);
+  EXPECT_EQ(sharded->shard_clocks(), clocks_before);
 }
 
 }  // namespace

@@ -4,12 +4,12 @@
 // identical flash cells and per-chip clocks, and report identical virtual
 // RunStats (histogram and worst op included) and canonical traces.
 //
-// Swept: flat and 4-shard stores; OPU, PDL(256B) and IPL(18KB); batch 1 and
-// 8; threaded depth 1 and 4; epochs off, and on with the durable meta journal
-// plus wear-leveling rebalancing on the sharded store. Latency recording,
-// tracing and shadow verification stay on throughout. Run(n) is the batch-1
-// member of the family and never splits epochs, so it joins the comparison
-// wherever no migration can happen.
+// Swept: flat and 4-shard stores; OPU, IPU, PDL(256B) and IPL(18KB); batch
+// 1 and 8; threaded depth 1 and 4; epochs off, and on with the durable meta
+// journal plus wear-leveling rebalancing on the sharded store. Latency
+// recording, tracing and shadow verification stay on throughout. Run(n) is
+// the batch-1 member of the family and never splits epochs, so it joins the
+// comparison wherever no migration can happen.
 
 #include <gtest/gtest.h>
 
@@ -175,8 +175,9 @@ TEST_P(ExecutionEngineTest, RunInlineAndThreadedAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     StoresMethodsEpochs, ExecutionEngineTest,
-    ::testing::Combine(::testing::Values("OPU", "PDL(256B)", "IPL(18KB)"),
-                       ::testing::Bool(), ::testing::Bool()),
+    ::testing::Combine(
+        ::testing::Values("OPU", "IPU", "PDL(256B)", "IPL(18KB)"),
+        ::testing::Bool(), ::testing::Bool()),
     [](const auto& info) {
       std::string name = std::get<0>(info.param);
       name += std::get<1>(info.param) ? "_sharded" : "_flat";

@@ -664,5 +664,35 @@ TEST(ShardRouterTest, JournallessMigratedStoreStillRefusesRecovery) {
   EXPECT_FALSE(store->Recover().ok());
 }
 
+/// A shard running OPU on its own chip with `data_size`-byte pages.
+ShardedStore::Shard OpuShard(uint32_t data_size) {
+  FlashConfig cfg = FlashConfig::Small(8);
+  cfg.geometry.data_size = data_size;
+  ShardedStore::Shard shard;
+  shard.owned_device = std::make_unique<flash::FlashDevice>(cfg);
+  shard.device = shard.owned_device.get();
+  auto spec = methods::ParseMethodSpec("OPU");
+  EXPECT_TRUE(spec.ok());
+  shard.store = methods::CreateStore(shard.device, *spec);
+  return shard;
+}
+
+// The shard list is a constructor contract that holds in every build: an
+// empty list (which would index shard 0), a shard without a device or
+// store, or unequal page data sizes abort with a message.
+TEST(ShardedStoreDeathTest, BadShardListsAbort) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const auto build = [](std::vector<uint32_t> data_sizes, bool drop_store) {
+    std::vector<ShardedStore::Shard> shards;
+    for (uint32_t size : data_sizes) shards.push_back(OpuShard(size));
+    if (drop_store) shards.back().store.reset();
+    ShardedStore store(std::move(shards));
+  };
+  EXPECT_DEATH(build({}, false), "ShardedStore: needs at least one shard");
+  EXPECT_DEATH(build({2048}, true), "every shard needs a device and a store");
+  EXPECT_DEATH(build({2048, 4096}, false),
+               "all shards must share the page data size");
+}
+
 }  // namespace
 }  // namespace flashdb::ftl

@@ -70,17 +70,12 @@ std::vector<ByteBuffer> DumpPages(PageStore* store) {
 }
 
 void ExpectStatsEqual(const TpccRunStats& a, const TpccRunStats& b) {
-  EXPECT_EQ(a.transactions, b.transactions);
   EXPECT_EQ(a.elapsed_vt_us, b.elapsed_vt_us);
   EXPECT_EQ(a.total_work_us, b.total_work_us);
   EXPECT_TRUE(a.latency == b.latency);
   EXPECT_TRUE(a.worst_op == b.worst_op);
   for (uint32_t t = 0; t < kNumTpccTxnTypes; ++t) {
-    EXPECT_EQ(a.by_type[t].count, b.by_type[t].count) << TpccTxnTypeName(
-        static_cast<TpccTxnType>(t));
-    EXPECT_TRUE(a.by_type[t].latency == b.by_type[t].latency)
-        << TpccTxnTypeName(static_cast<TpccTxnType>(t));
-    EXPECT_TRUE(a.by_type[t].worst_op == b.by_type[t].worst_op)
+    EXPECT_TRUE(a.by_type[t] == b.by_type[t])
         << TpccTxnTypeName(static_cast<TpccTxnType>(t));
   }
 }
@@ -192,8 +187,51 @@ TEST(TpccDriverOptionsTest, ZeroInflightPerShardIsRejected) {
   TpccRunStats stats;
   EXPECT_TRUE(rig.driver->Serve(20, &executor, &stats).IsInvalidArgument());
   EXPECT_TRUE(rig.driver->Serve(20, nullptr, &stats).IsInvalidArgument());
-  EXPECT_EQ(stats.transactions, 0u);
+  EXPECT_EQ(stats.latency.count(), 0u);
   EXPECT_TRUE(rig.driver->commit_log().empty());
+}
+
+// Transaction i belongs to client i % num_clients: zero clients is a typed
+// error from Serve, never a division by zero.
+TEST(TpccDriverOptionsTest, ZeroClientsIsRejected) {
+  TpccDriverOptions opts;
+  opts.scale = DriverScale();
+  opts.num_clients = 0;
+  opts.frames_per_shard = 96;
+
+  Rig rig = MakeRig("OPU", 2, opts);
+  ASSERT_TRUE(rig.driver->Load(nullptr).ok());
+  ftl::ShardExecutor executor(2);
+  TpccRunStats stats;
+  EXPECT_TRUE(rig.driver->Serve(20, &executor, &stats).IsInvalidArgument());
+  EXPECT_TRUE(rig.driver->Serve(20, nullptr, &stats).IsInvalidArgument());
+  EXPECT_EQ(stats.latency.count(), 0u);
+  EXPECT_TRUE(rig.driver->commit_log().empty());
+}
+
+// Replay validates the whole log before running any of it: a warehouse
+// outside 1..W or an unknown type is InvalidArgument, and the shards'
+// clocks have not moved.
+TEST(TpccDriverOptionsTest, ReplayRejectsBadCommitsBeforeRunningAny) {
+  TpccDriverOptions opts;
+  opts.scale = DriverScale();  // 4 warehouses
+  opts.num_clients = 2;
+  opts.frames_per_shard = 96;
+
+  Rig rig = MakeRig("OPU", 2, opts);
+  ASSERT_TRUE(rig.driver->Load(nullptr).ok());
+  const std::vector<uint64_t> clocks = rig.store->shard_clocks();
+  const TpccCommit good{0, 1, TpccTxnType::kPayment};
+  for (const TpccCommit& bad :
+       {TpccCommit{0, 0, TpccTxnType::kPayment},
+        TpccCommit{0, 5, TpccTxnType::kNewOrder},
+        TpccCommit{0, 2, static_cast<TpccTxnType>(kNumTpccTxnTypes)}}) {
+    TpccRunStats stats;
+    const Status st = rig.driver->Replay({good, bad}, &stats);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(stats.latency.count(), 0u);
+    EXPECT_EQ(rig.store->shard_clocks(), clocks);
+  }
 }
 
 // A shard without a warehouse would serve nothing: more shards than
@@ -245,8 +283,9 @@ TEST(TpccDriverSkewTest, FullHotspotConfinesTrafficToShardZero) {
   EXPECT_EQ(stats.elapsed_vt_us, stats.total_work_us);
 }
 
-// Latency recording sanity: every transaction lands one histogram sample,
-// per-type counts sum to the total, and the worst op carries attribution.
+// Latency recording sanity: every committed transaction lands one histogram
+// sample, the per-type samples sum to the total, and the worst op carries
+// attribution.
 TEST(TpccDriverStatsTest, HistogramsCoverEveryTransaction) {
   TpccDriverOptions opts;
   opts.scale = DriverScale();
@@ -259,13 +298,10 @@ TEST(TpccDriverStatsTest, HistogramsCoverEveryTransaction) {
   ASSERT_TRUE(rig.driver->Load(&executor).ok());
   TpccRunStats stats;
   ASSERT_TRUE(rig.driver->Serve(200, &executor, &stats).ok());
-  EXPECT_EQ(stats.transactions, 200u);
   EXPECT_EQ(stats.latency.count(), 200u);
+  EXPECT_EQ(rig.driver->commit_log().size(), 200u);
   uint64_t by_type = 0;
-  for (const TpccTypeStats& t : stats.by_type) {
-    by_type += t.count;
-    EXPECT_EQ(t.latency.count(), t.count);
-  }
+  for (const OpSamples& t : stats.by_type) by_type += t.latency.count();
   EXPECT_EQ(by_type, 200u);
   EXPECT_TRUE(stats.worst_op.valid);
   EXPECT_GT(stats.worst_op.total_us, 0u);

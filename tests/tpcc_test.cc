@@ -61,12 +61,17 @@ TEST(TpccTest, LoadSucceeds) {
 TEST(TpccTest, EachTransactionTypeRuns) {
   Fixture f("OPU");
   ASSERT_TRUE(f.tpcc->Load().ok());
-  ASSERT_TRUE(f.tpcc->NewOrder().ok());
-  ASSERT_TRUE(f.tpcc->Payment().ok());
-  ASSERT_TRUE(f.tpcc->OrderStatus().ok());
-  ASSERT_TRUE(f.tpcc->Delivery().ok());
-  ASSERT_TRUE(f.tpcc->StockLevel().ok());
-  EXPECT_EQ(f.tpcc->stats().total(), 5u);
+  for (uint32_t t = 0; t < kNumTpccTxnTypes; ++t) {
+    const auto type = static_cast<TpccTxnType>(t);
+    ASSERT_TRUE(f.tpcc->RunTransactionOfType(type, 1).ok())
+        << TpccTxnTypeName(type);
+    EXPECT_EQ(f.tpcc->stats().of(type), 1u) << TpccTxnTypeName(type);
+  }
+  EXPECT_EQ(f.tpcc->stats().total(), kNumTpccTxnTypes);
+  // An unknown type commits nothing.
+  EXPECT_TRUE(f.tpcc->RunTransactionOfType(static_cast<TpccTxnType>(9), 1)
+                  .IsInvalidArgument());
+  EXPECT_EQ(f.tpcc->stats().total(), kNumTpccTxnTypes);
 }
 
 TEST(TpccTest, MixApproximatesSpec) {
@@ -75,11 +80,14 @@ TEST(TpccTest, MixApproximatesSpec) {
   ASSERT_TRUE(f.tpcc->Run(1000).ok());
   const TpccStats& s = f.tpcc->stats();
   EXPECT_EQ(s.total(), 1000u);
-  EXPECT_NEAR(static_cast<double>(s.new_order) / 1000.0, 0.45, 0.06);
-  EXPECT_NEAR(static_cast<double>(s.payment) / 1000.0, 0.43, 0.06);
-  EXPECT_NEAR(static_cast<double>(s.order_status) / 1000.0, 0.04, 0.03);
-  EXPECT_NEAR(static_cast<double>(s.delivery) / 1000.0, 0.04, 0.03);
-  EXPECT_NEAR(static_cast<double>(s.stock_level) / 1000.0, 0.04, 0.03);
+  const auto share = [&](TpccTxnType t) {
+    return static_cast<double>(s.of(t)) / 1000.0;
+  };
+  EXPECT_NEAR(share(TpccTxnType::kNewOrder), 0.45, 0.06);
+  EXPECT_NEAR(share(TpccTxnType::kPayment), 0.43, 0.06);
+  EXPECT_NEAR(share(TpccTxnType::kOrderStatus), 0.04, 0.03);
+  EXPECT_NEAR(share(TpccTxnType::kDelivery), 0.04, 0.03);
+  EXPECT_NEAR(share(TpccTxnType::kStockLevel), 0.04, 0.03);
 }
 
 TEST(TpccTest, RunsOnEveryMethod) {
@@ -116,8 +124,22 @@ TEST(TpccTest, DeterministicForSeed) {
   ASSERT_TRUE(b.tpcc->Load().ok());
   ASSERT_TRUE(a.tpcc->Run(200).ok());
   ASSERT_TRUE(b.tpcc->Run(200).ok());
-  EXPECT_EQ(a.tpcc->stats().new_order, b.tpcc->stats().new_order);
+  EXPECT_EQ(a.tpcc->stats().committed, b.tpcc->stats().committed);
   EXPECT_EQ(a.dev->clock().now_us(), b.dev->clock().now_us());
+}
+
+// The hosted-warehouse list is a constructor contract that holds in every
+// build: an empty list or an id outside 1..W aborts with a message instead
+// of indexing past the per-warehouse bookkeeping.
+TEST(TpccDeathTest, BadHostedWarehousesAbort) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  Fixture f("OPU");
+  const auto host = [&](std::vector<uint32_t> ids) {
+    TpccWorkload tpcc(f.pool.get(), TinyScale(), std::move(ids), 7);
+  };
+  EXPECT_DEATH(host({}), "hosted warehouse list is empty");
+  EXPECT_DEATH(host({0}), "hosted warehouse 0 is outside 1..1");  // W = 1
+  EXPECT_DEATH(host({1, 2}), "hosted warehouse 2 is outside 1..1");
 }
 
 }  // namespace

@@ -235,6 +235,40 @@ TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
   EXPECT_EQ(store->shard_lag_us(), max_clock - min_clock);
 }
 
+// The clock rule: a run's elapsed time is the largest per-chip clock
+// advance, not the movement of the largest clock. Every measured op lands on
+// the chip whose clock starts (and stays) behind, so the largest clock never
+// moves -- yet the run took exactly that chip's advance.
+TEST(UpdateDriverPipelinedTest, ElapsedIsTheLargestChipAdvance) {
+  auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  auto store = methods::CreateShardedStore(FlashConfig::Small(8), 2, *spec);
+  UpdateDriver driver(store.get(), WorkloadParams{});
+  ASSERT_TRUE(driver.LoadDatabase(40).ok());
+  // Identity routing: even pids live on shard 0, odd pids on shard 1.
+  PlannedOp read_pid0;
+  read_pid0.is_update = false;
+  Schedule lead(100, read_pid0);
+  RunStats lead_stats;
+  ASSERT_TRUE(driver.RunPipelined(lead, 1, 1, nullptr, &lead_stats).ok());
+  Schedule behind(5);
+  for (size_t i = 0; i < behind.size(); ++i) {
+    behind[i].pid = static_cast<PageId>(2 * i + 1);
+    behind[i].updates = {PlannedUpdate{0, ByteBuffer(8, 0xAB)}};
+  }
+  const std::vector<uint64_t> before = store->shard_clocks();
+  ASSERT_GT(before[0], before[1]);
+  RunStats stats;
+  ASSERT_TRUE(driver.RunPipelined(behind, 4, 1, nullptr, &stats).ok());
+  const std::vector<uint64_t> after = store->shard_clocks();
+  ASSERT_EQ(after[0], before[0]);
+  ASSERT_LT(after[1], after[0]);  // the largest clock never moved
+  const uint64_t advance = after[1] - before[1];
+  EXPECT_GT(advance, 0u);
+  EXPECT_EQ(stats.elapsed_vt_us, advance);
+  EXPECT_EQ(stats.total_work_us, advance);
+}
+
 TEST(UpdateDriverPipelinedTest, ZeroSkewKeepsUniformDrawIdentical) {
   // hot_shard_pct = 0 must not change the RNG stream: schedules drawn with
   // and without the field present are bit-identical.
