@@ -22,7 +22,7 @@
 //     (deterministic; identical whether or not --pin is set);
 //   * determinism      -- per-chip clocks and erase counts and every virtual
 //     RunStats field must match an inline (null-executor) replay of the
-//     same schedule bit-for-bit (ok/FAIL; --check=0 disables the replay).
+//     same schedule bit-for-bit (ok/FAIL).
 //
 // Expected shape: K>=2 keeps the workers busy across window handoffs and
 // beats K=1, which leaves them briefly idle between windows; every virtual
@@ -59,7 +59,6 @@ struct PipelinePoint {
   uint64_t p99_us = 0;
   uint64_t p999_us = 0;
   bool deterministic = true;
-  bool checked = false;
 };
 
 /// One measured point: RunPipelined with `depth` windows in flight per
@@ -72,7 +71,7 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
                                uint32_t num_shards, uint32_t batch_size,
                                uint32_t depth, uint32_t reps,
                                const workload::WorkloadParams& params, bool pin,
-                               bool check, obs::MetricsRegistry* metrics) {
+                               obs::MetricsRegistry* metrics) {
   PipelinePoint point;
   const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   const harness::Execution threaded{.batch = batch_size,
@@ -111,7 +110,7 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
     point.p99_us = stats.latency.p99();
     point.p999_us = stats.latency.p999();
 
-    if (rep == reps - 1 && check) {
+    if (rep == reps - 1) {
       // Replay the identical schedule inline on an identically prepared
       // store; continuous submission must leave every chip exactly where
       // the inline run leaves it.
@@ -121,7 +120,6 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
       FLASHDB_ASSIGN_OR_RETURN(
           harness::PointResult replay,
           harness::Execute(&ref, env.measure_ops, inline_ex));
-      point.checked = true;
       point.deterministic = harness::SameVirtualRun(
           rig.store(), stats, ref.store(), replay.stats);
     }
@@ -147,7 +145,6 @@ int main(int argc, char** argv) {
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t reps =
       std::max<uint32_t>(1, static_cast<uint32_t>(flags.GetInt("reps", 1)));
-  const bool check = flags.GetBool("check", true);
   const bool pin = flags.GetBool("pin", false);
 
   workload::WorkloadParams params;
@@ -191,9 +188,8 @@ int main(int argc, char** argv) {
     }
     double anchor_wall = 0;  // the first depth's wall-clock
     for (uint32_t depth : depths) {
-      auto point =
-          RunPoint(env, *spec, num_shards, batch_size, depth, reps, params,
-                   pin, check, &metrics);
+      auto point = RunPoint(env, *spec, num_shards, batch_size, depth, reps,
+                            params, pin, &metrics);
       metrics.SnapshotEpoch(point_index++);
       if (!point.ok()) {
         std::cerr << name << " depth " << depth << ": "
@@ -203,7 +199,7 @@ int main(int argc, char** argv) {
       if (depth == depths.front()) anchor_wall = point->wall_ms;
       const double speedup =
           point->wall_ms > 0 ? anchor_wall / point->wall_ms : 0;
-      if (point->checked && !point->deterministic) failures++;
+      if (!point->deterministic) failures++;
       tbl.AddRow({name, "pipelined", std::to_string(depth),
                   TablePrinter::Num(point->wall_ms, 2),
                   TablePrinter::Num(point->kops_per_sec),
@@ -216,8 +212,7 @@ int main(int argc, char** argv) {
                   std::to_string(point->p50_us),
                   std::to_string(point->p99_us),
                   std::to_string(point->p999_us),
-                  point->checked ? (point->deterministic ? "ok" : "FAIL")
-                                 : "-"});
+                  point->deterministic ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);

@@ -26,8 +26,7 @@
 //   * determinism -- the measured threaded run must leave every chip's
 //                    virtual clock and erase count, and every virtual
 //                    RunStats field (swap count included), bit-identical to
-//                    an inline replay of the same schedule (ok/FAIL;
-//                    --check=0 disables the replay).
+//                    an inline replay of the same schedule (ok/FAIL).
 //
 // Expected shape: at hot=0 no swaps happen and all columns match the "off"
 // row (the router's identity mapping is legacy striping); at hot=90 with the
@@ -57,18 +56,17 @@ struct WearPoint {
   double parallel_us_per_op = 0;
   double wall_ms = 0;
   bool deterministic = true;
-  bool checked = false;
 };
 
 /// One measured point: threaded RunPipelined under the given skew/threshold
-/// (`threshold` <= 0 leaves wear leveling off), with an optional inline
-/// replay as the determinism reference.
+/// (`threshold` <= 0 leaves wear leveling off), with an inline replay as the
+/// determinism reference.
 Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
                            const methods::MethodSpec& spec, uint32_t num_shards,
                            uint32_t batch_size, uint32_t depth,
                            const workload::WorkloadParams& params,
                            double threshold,
-                           const ftl::WearLevelConfig& wl_base, bool check) {
+                           const ftl::WearLevelConfig& wl_base) {
   harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   if (threshold > 0) {
     rig_spec.leveling = wl_base;
@@ -113,20 +111,16 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
   }
   point.wear_cv = flash::SummarizeWear(block_deltas).cv();
 
-  if (check) {
-    // Inline replay of the identical schedule on an identically prepared
-    // store: wear leveling must plan the same migrations at the same epoch
-    // boundaries and leave every chip bit-identical.
-    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                             harness::PrepareRig(env, spec, rig_spec));
-    const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
-    FLASHDB_ASSIGN_OR_RETURN(
-        harness::PointResult replay,
-        harness::Execute(&ref, env.measure_ops, inline_ex));
-    point.checked = true;
-    point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
-                                                  ref.store(), replay.stats);
-  }
+  // Inline replay of the identical schedule on an identically prepared
+  // store: wear leveling must plan the same migrations at the same epoch
+  // boundaries and leave every chip bit-identical.
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                           harness::PrepareRig(env, spec, rig_spec));
+  const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
+                           harness::Execute(&ref, env.measure_ops, inline_ex));
+  point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
+                                                ref.store(), replay.stats);
   return point;
 }
 
@@ -143,7 +137,6 @@ int main(int argc, char** argv) {
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
-  const bool check = flags.GetBool("check", true);
   // OPU is the default: wear is erase-driven, and the page-based baseline
   // erases orders of magnitude more than PDL at bench scale, so leveling is
   // observable within a short run (pass --method=PDL(256B) etc. to explore).
@@ -199,13 +192,13 @@ int main(int argc, char** argv) {
       workload::WorkloadParams wp = params;
       wp.hot_shard_pct = hot;
       auto point = RunPoint(env, *spec, num_shards, batch_size, depth, wp,
-                            threshold, wl_base, check);
+                            threshold, wl_base);
       if (!point.ok()) {
         std::cerr << method_name << " hot=" << hot << " thresh=" << threshold
                   << ": " << point.status().ToString() << "\n";
         return 1;
       }
-      if (point->checked && !point->deterministic) failures++;
+      if (!point->deterministic) failures++;
       tbl.AddRow({method_name, TablePrinter::Num(hot, 0),
                   threshold > 0 ? TablePrinter::Num(threshold, 2) : "off",
                   std::to_string(point->swaps),
@@ -215,8 +208,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(point->migrate_us_per_op),
                   TablePrinter::Num(point->parallel_us_per_op),
                   TablePrinter::Num(point->wall_ms, 2),
-                  point->checked ? (point->deterministic ? "ok" : "FAIL")
-                                 : "-"});
+                  point->deterministic ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);

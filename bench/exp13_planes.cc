@@ -22,8 +22,7 @@
 //     the same schedule (depth --depth windows in flight per shard);
 //   * determinism -- per-chip clocks and erase counts and every virtual
 //     RunStats field of the threaded run must match the inline run
-//     bit-for-bit (ok/FAIL; --check=0 skips the threaded replay and reports
-//     "-").
+//     bit-for-bit (ok/FAIL).
 //
 // Expected shape: vt_speedup grows with the plane count and saturates
 // slightly below it (random reads collide on planes; GC compaction writes
@@ -56,16 +55,15 @@ struct PlanePoint {
   double stall_us_per_op = 0;
   double wall_ms = 0;
   bool deterministic = true;
-  bool checked = false;
 };
 
 /// Measures one geometry x method cell: an inline RunPipelined execution for
-/// the deterministic virtual-time metrics, plus (with `check`) a threaded
-/// execution of the identical schedule that must replay it bit-for-bit.
+/// the deterministic virtual-time metrics, plus a threaded execution of the
+/// identical schedule that must replay it bit-for-bit.
 Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
                             const methods::MethodSpec& spec,
                             const GeometryPoint& geom, uint32_t num_shards,
-                            uint32_t batch_size, uint32_t depth, bool check) {
+                            uint32_t batch_size, uint32_t depth) {
   env.flash_cfg.geometry.dies_per_chip = geom.dies;
   env.flash_cfg.geometry.planes_per_die = geom.planes_per_die;
 
@@ -85,18 +83,15 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
           : 0;
   point.stall_us_per_op = static_cast<double>(stats.plane_stall_us) / ops;
 
-  if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
-                             harness::PrepareRig(env, spec, rig_spec));
-    harness::Execution threaded = inline_ex;
-    threaded.threaded = true;
-    FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
-                             harness::Execute(&rep, env.measure_ops, threaded));
-    point.wall_ms = replay.wall_ms;
-    point.checked = true;
-    point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
-                                                  rig.store(), stats);
-  }
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
+                           harness::PrepareRig(env, spec, rig_spec));
+  harness::Execution threaded = inline_ex;
+  threaded.threaded = true;
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
+                           harness::Execute(&rep, env.measure_ops, threaded));
+  point.wall_ms = replay.wall_ms;
+  point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
+                                                rig.store(), stats);
   return point;
 }
 
@@ -113,7 +108,6 @@ int main(int argc, char** argv) {
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 2));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
-  const bool check = flags.GetBool("check", true);
 
   // 1x1 is the identity anchor; 1x2 and 1x4 grow one die's planes; 2x4 is
   // the modern two-die layout (8 planes, multi-plane erases per die).
@@ -140,8 +134,7 @@ int main(int argc, char** argv) {
     }
     double base_vt_kops = 0;
     for (const GeometryPoint& geom : geometries) {
-      auto point =
-          RunPoint(env, *spec, geom, num_shards, batch_size, depth, check);
+      auto point = RunPoint(env, *spec, geom, num_shards, batch_size, depth);
       if (!point.ok()) {
         std::cerr << name << " " << geom.dies << "x" << geom.planes_per_die
                   << ": " << point.status().ToString() << "\n";
@@ -150,7 +143,7 @@ int main(int argc, char** argv) {
       if (geom.planes_per_chip() == 1) base_vt_kops = point->vt_kops_per_sec;
       const double speedup =
           base_vt_kops > 0 ? point->vt_kops_per_sec / base_vt_kops : 0;
-      if (point->checked && !point->deterministic) failures++;
+      if (!point->deterministic) failures++;
       tbl.AddRow({name, std::to_string(geom.dies),
                   std::to_string(geom.planes_per_die),
                   TablePrinter::Num(point->vt_us_per_op),
@@ -158,8 +151,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(speedup, 2) + "x",
                   TablePrinter::Num(point->stall_us_per_op),
                   TablePrinter::Num(point->wall_ms, 2),
-                  point->checked ? (point->deterministic ? "ok" : "FAIL")
-                                 : "-"});
+                  point->deterministic ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);

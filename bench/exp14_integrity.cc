@@ -22,7 +22,7 @@
 //     bit-for-bit (per-chip clocks and erase counts, every virtual RunStats
 //     field): the error model and the scrubber are pure functions of
 //     per-shard state, so the executor must not change a single retry
-//     decision (--check=0 skips the replay and reports "-").
+//     decision.
 //
 // Expected shape: retry us/op grows with the error rate, and the scrub=on
 // rows pay a small relocation cost to keep the disturb term (and with it the
@@ -54,20 +54,18 @@ struct IntegrityPoint {
   double scrub_us_per_op = 0;
   uint64_t relocated = 0;
   bool deterministic = true;
-  bool checked = false;
 };
 
 /// Measures one (method, error-rate, scrub) cell: an inline RunPipelined
-/// execution for the deterministic metrics, plus (with `check`) a threaded
-/// execution of the identical schedule that must replay it bit-for-bit. The
+/// execution for the deterministic metrics, plus a threaded execution of the
+/// identical schedule that must replay it bit-for-bit. The
 /// error injector is attached only after warmup, so every point measures
 /// the same warmed flash image and the sweep isolates the read-path costs.
 Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
                                 const methods::MethodSpec& spec,
                                 flash::FaultInjector* injector, bool scrub,
                                 uint32_t num_shards, uint32_t batch_size,
-                                uint32_t depth, uint64_t epoch_ops,
-                                bool check) {
+                                uint32_t depth, uint64_t epoch_ops) {
   harness::RigSpec rig_spec{.shards = num_shards};
   rig_spec.params.rebalance_epoch_ops = epoch_ops;
   rig_spec.params.scrub = scrub;
@@ -88,18 +86,15 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
   point.scrub_us_per_op = stats.scrub_us_per_op();
   point.relocated = stats.scrub_relocations;
 
-  if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
-                             harness::PrepareRig(env, spec, rig_spec));
-    if (injector != nullptr) rep.AttachFaultInjector(injector);
-    harness::Execution threaded = inline_ex;
-    threaded.threaded = true;
-    FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
-                             harness::Execute(&rep, env.measure_ops, threaded));
-    point.checked = true;
-    point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
-                                                  rig.store(), stats);
-  }
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
+                           harness::PrepareRig(env, spec, rig_spec));
+  if (injector != nullptr) rep.AttachFaultInjector(injector);
+  harness::Execution threaded = inline_ex;
+  threaded.threaded = true;
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
+                           harness::Execute(&rep, env.measure_ops, threaded));
+  point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
+                                                rig.store(), stats);
   return point;
 }
 
@@ -122,7 +117,6 @@ int main(int argc, char** argv) {
   const uint64_t epoch_ops =
       static_cast<uint64_t>(flags.GetInt("epoch", 500));
   const double disturb_factor = flags.GetDouble("disturb", 0.01);
-  const bool check = flags.GetBool("check", true);
 
   // Error rates stay comfortably inside the ladder's budget: the point is
   // the cost curve and the scrubber's effect on it, not data loss (the
@@ -159,13 +153,13 @@ int main(int argc, char** argv) {
       flash::FaultInjector* fi = ber > 0 ? &injector : nullptr;
       for (const bool scrub : {false, true}) {
         auto point = RunPoint(env, *spec, fi, scrub, num_shards, batch_size,
-                              depth, epoch_ops, check);
+                              depth, epoch_ops);
         if (!point.ok()) {
           std::cerr << name << " ber=" << ber << " scrub=" << scrub << ": "
                     << point.status().ToString() << "\n";
           return 1;
         }
-        if (point->checked && !point->deterministic) failures++;
+        if (!point->deterministic) failures++;
         if (point->uncorrectable != 0 && scrub) failures++;
         tbl.AddRow({name, TablePrinter::Num(ber, 3), scrub ? "on" : "off",
                     TablePrinter::Num(point->vt_us_per_op),
@@ -175,8 +169,7 @@ int main(int argc, char** argv) {
                     std::to_string(point->uncorrectable),
                     TablePrinter::Num(point->scrub_us_per_op, 2),
                     std::to_string(point->relocated),
-                    point->checked ? (point->deterministic ? "ok" : "FAIL")
-                                   : "-"});
+                    point->deterministic ? "ok" : "FAIL"});
       }
     }
   }

@@ -28,9 +28,9 @@
 // via single-worker threaded RunPipelined; pipelined rows inline), and the
 // per-chip clocks and erase counts plus every virtual RunStats field --
 // whole latency histogram and worst-op sample included -- must match
-// bit-for-bit. The perf gate requires `ok` in
-// every row and bands the p50/p99/p999 columns tightly against the
-// baseline; wall_ms is machine-relative and stays warn-only.
+// bit-for-bit. The perf gate requires `ok` in every row and compares every
+// virtual column exactly with the baseline; wall_ms is machine-relative and
+// stays warn-only.
 
 #include <cstdio>
 #include <iostream>
@@ -61,24 +61,23 @@ struct Config {
 struct LatencyPoint {
   harness::PointResult run;
   bool deterministic = true;
-  bool checked = false;
   /// Replay's deterministic event stream byte-identical to the primary's.
   bool trace_ok = true;
   uint64_t trace_emitted = 0;
   uint64_t trace_dropped = 0;
 };
 
-/// Runs one cell in its own mode, then (with `check`) replays the identical
-/// operations through the other executor on an identically prepared rig and
-/// compares chip state, every virtual RunStats field, and the canonical
-/// event trace. With a --trace path, exports the primary run's
-/// timeline as Chrome trace JSON.
+/// Runs one cell in its own mode, then replays the identical operations
+/// through the other executor on an identically prepared rig and compares
+/// chip state, every virtual RunStats field, and the canonical event trace.
+/// With a --trace path, exports the primary run's timeline as Chrome trace
+/// JSON.
 Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
                               const methods::MethodSpec& spec,
                               const Config& cfg, uint32_t batch_size,
                               uint64_t epoch_ops,
                               double hot_pct, uint32_t disturb_limit,
-                              double ber, bool check, uint64_t point_index) {
+                              double ber, uint64_t point_index) {
   const bool scrubbing = std::string(cfg.extra) == "scrub";
   const bool leveling = std::string(cfg.extra) == "wear";
   if (scrubbing) env.flash_cfg.read_disturb_limit = disturb_limit;
@@ -139,22 +138,18 @@ Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
         harness::PointTracePath(env.trace_path, point_index)));
   }
 
-  if (check) {
-    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                             harness::PrepareRig(env, spec, rig_spec));
-    if (scrubbing) ref.AttachFaultInjector(&replay_injector);
-    obs::TraceRecorder ref_recorder(cfg.shards);
-    ref.AttachTrace(&ref_recorder);
-    FLASHDB_ASSIGN_OR_RETURN(harness::PointResult again,
-                             harness::Execute(&ref, env.measure_ops, replay));
-    point.checked = true;
-    point.deterministic = harness::SameVirtualRun(
-        ref.store(), again.stats, rig.store(), point.run.stats);
-    // The trace-determinism contract: the two modes' deterministic event
-    // streams must agree byte-for-byte (wall-domain events excluded).
-    point.trace_ok =
-        ref_recorder.CanonicalBytes() == recorder.CanonicalBytes();
-  }
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                           harness::PrepareRig(env, spec, rig_spec));
+  if (scrubbing) ref.AttachFaultInjector(&replay_injector);
+  obs::TraceRecorder ref_recorder(cfg.shards);
+  ref.AttachTrace(&ref_recorder);
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult again,
+                           harness::Execute(&ref, env.measure_ops, replay));
+  point.deterministic = harness::SameVirtualRun(ref.store(), again.stats,
+                                                rig.store(), point.run.stats);
+  // The trace-determinism contract: the two modes' deterministic event
+  // streams must agree byte-for-byte (wall-domain events excluded).
+  point.trace_ok = ref_recorder.CanonicalBytes() == recorder.CanonicalBytes();
   return point;
 }
 
@@ -177,7 +172,6 @@ int main(int argc, char** argv) {
   const double ber = flags.GetDouble("ber", 0.01);
   const uint32_t disturb_limit =
       static_cast<uint32_t>(flags.GetInt("disturb-limit", 48));
-  const bool check = flags.GetBool("check", true);
 
   std::printf(
       "Experiment 15: per-operation latency tails, %u blocks total, "
@@ -213,16 +207,14 @@ int main(int argc, char** argv) {
     }
     for (const Config& cfg : configs) {
       auto point = RunPoint(env, *spec, cfg, batch_size, epoch_ops, hot_pct,
-                            disturb_limit, ber, check, point_index);
+                            disturb_limit, ber, point_index);
       if (!point.ok()) {
         std::cerr << name << " " << cfg.mode << " shards=" << cfg.shards
                   << " K=" << cfg.depth << " extra=" << cfg.extra << ": "
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (point->checked && (!point->deterministic || !point->trace_ok)) {
-        failures++;
-      }
+      if (!point->deterministic || !point->trace_ok) failures++;
       const workload::LatencyHistogram& h = point->run.stats.latency;
       tbl.AddRow({name, cfg.mode, std::to_string(cfg.shards),
                   cfg.depth == 0 ? "-" : std::to_string(cfg.depth),
@@ -234,9 +226,8 @@ int main(int argc, char** argv) {
                   std::to_string(point->run.stats.worst_op.gc_us),
                   std::to_string(point->run.stats.worst_op.meta_us),
                   TablePrinter::Num(point->run.wall_ms, 2),
-                  point->checked ? (point->deterministic ? "ok" : "FAIL")
-                                 : "-",
-                  point->checked ? (point->trace_ok ? "ok" : "FAIL") : "-"});
+                  point->deterministic ? "ok" : "FAIL",
+                  point->trace_ok ? "ok" : "FAIL"});
       // One epoch per measured row: the registry's time series doubles as a
       // machine-readable form of the whole sweep.
       obs::ImportRunStats(&metrics, "run", point->run.stats);

@@ -14,8 +14,7 @@
 //
 // The speedup_vt column is each cell's ktps_vt over the same method's
 // (clients=4, shards=1) anchor; the acceptance bound is >= 3x at
-// (clients=4, shards=4), CI-gated with --min against the committed
-// baseline.
+// (clients=4, shards=4), a --min bound of tools/run_perf_gate.sh.
 //
 // Every row carries the commit-order determinism check that makes the
 // concurrent numbers trustworthy: the recorded commit log (warmup +
@@ -57,7 +56,6 @@ struct OltpPoint {
   double ktps_vt = 0;
   double wall_ms = 0;
   bool deterministic = true;
-  bool checked = false;
   /// Replay's deterministic event stream byte-identical to the concurrent
   /// serve's (transaction spans, flash commands, buffer traffic).
   bool trace_ok = true;
@@ -103,8 +101,7 @@ void AttachTrace(Rig* rig, uint32_t shards, obs::TraceRecorder* rec) {
 Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
                            const workload::TpccDriverOptions& opts,
                            const Cell& cell, uint64_t warmup_tx,
-                           uint64_t measure_tx, bool check,
-                           const std::string& trace_path,
+                           uint64_t measure_tx, const std::string& trace_path,
                            uint64_t point_index) {
   FLASHDB_ASSIGN_OR_RETURN(Rig rig, Prepare(spec, opts, cell.shards));
   ftl::ShardExecutor executor(cell.shards);
@@ -137,28 +134,24 @@ Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
         harness::PointTracePath(trace_path, point_index)));
   }
 
-  if (check) {
-    // The commit-order determinism contract: single-threaded replay of the
-    // recorded log (warmup first, then the measured span) on a fresh,
-    // identically prepared rig must reproduce the concurrent run
-    // bit-for-bit -- per-chip clocks, full histogram, worst-op sample, and
-    // the canonical event trace.
-    FLASHDB_ASSIGN_OR_RETURN(Rig ref, Prepare(spec, opts, cell.shards));
-    FLASHDB_RETURN_IF_ERROR(ref.driver->Load(nullptr));
-    FLASHDB_RETURN_IF_ERROR(ref.driver->Replay(warmup_log, nullptr));
-    obs::TraceRecorder ref_recorder(cell.shards);
-    AttachTrace(&ref, cell.shards, &ref_recorder);
-    workload::TpccRunStats ref_stats;
-    FLASHDB_RETURN_IF_ERROR(
-        ref.driver->Replay(rig.driver->commit_log(), &ref_stats));
-    point.checked = true;
-    point.deterministic =
-        ref.store->shard_clocks() == rig.store->shard_clocks() &&
-        ref_stats.latency == point.stats.latency &&
-        ref_stats.worst_op == point.stats.worst_op;
-    point.trace_ok =
-        ref_recorder.CanonicalBytes() == recorder.CanonicalBytes();
-  }
+  // The commit-order determinism contract: single-threaded replay of the
+  // recorded log (warmup first, then the measured span) on a fresh,
+  // identically prepared rig must reproduce the concurrent run bit-for-bit
+  // -- per-chip clocks, full histogram, worst-op sample, and the canonical
+  // event trace.
+  FLASHDB_ASSIGN_OR_RETURN(Rig ref, Prepare(spec, opts, cell.shards));
+  FLASHDB_RETURN_IF_ERROR(ref.driver->Load(nullptr));
+  FLASHDB_RETURN_IF_ERROR(ref.driver->Replay(warmup_log, nullptr));
+  obs::TraceRecorder ref_recorder(cell.shards);
+  AttachTrace(&ref, cell.shards, &ref_recorder);
+  workload::TpccRunStats ref_stats;
+  FLASHDB_RETURN_IF_ERROR(
+      ref.driver->Replay(rig.driver->commit_log(), &ref_stats));
+  point.deterministic =
+      ref.store->shard_clocks() == rig.store->shard_clocks() &&
+      ref_stats.latency == point.stats.latency &&
+      ref_stats.worst_op == point.stats.worst_op;
+  point.trace_ok = ref_recorder.CanonicalBytes() == recorder.CanonicalBytes();
   return point;
 }
 
@@ -186,7 +179,6 @@ int main(int argc, char** argv) {
   opts.remote_pct = flags.GetDouble("remote", 10.0);
   opts.max_inflight_per_shard =
       static_cast<uint32_t>(flags.GetInt("inflight", 4));
-  const bool check = flags.GetBool("check", true);
 
   std::printf(
       "Experiment 16: concurrent TPC-C serving over shards\n  %u warehouses, "
@@ -217,16 +209,14 @@ int main(int argc, char** argv) {
       workload::TpccDriverOptions cell_opts = opts;
       cell_opts.num_clients = cell.clients;
       auto point = RunPoint(*spec, cell_opts, cell, warmup_tx, measure_tx,
-                            check, trace_path, point_index);
+                            trace_path, point_index);
       if (!point.ok()) {
         std::cerr << name << " clients=" << cell.clients
                   << " shards=" << cell.shards << ": "
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (point->checked && (!point->deterministic || !point->trace_ok)) {
-        failures++;
-      }
+      if (!point->deterministic || !point->trace_ok) failures++;
       // One registry epoch per measured cell (series across the sweep).
       obs::ImportTpccStats(&metrics, "tpcc", point->stats);
       metrics.Set("trace.emitted", static_cast<double>(point->trace_emitted),
@@ -255,8 +245,8 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(pt.ktps_vt, 2),
                   anchor > 0 ? TablePrinter::Num(pt.ktps_vt / anchor, 2) : "-",
                   TablePrinter::Num(pt.wall_ms, 2),
-                  pt.checked ? (pt.deterministic ? "ok" : "FAIL") : "-",
-                  pt.checked ? (pt.trace_ok ? "ok" : "FAIL") : "-"});
+                  pt.deterministic ? "ok" : "FAIL",
+                  pt.trace_ok ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);

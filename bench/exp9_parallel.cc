@@ -19,7 +19,7 @@
 //   * determinism     -- the same schedule is replayed inline (null
 //     executor) on an identically prepared store; per-chip clocks and erase
 //     counts and every virtual RunStats field must match the threaded run
-//     bit-for-bit (ok/FAIL). Disable the second run with --check=0.
+//     bit-for-bit (ok/FAIL).
 //
 // Expected shape: wall-clock speedup approaching min(S, cores), flat
 // per-shard virtual time, determinism always ok. Larger B amortizes
@@ -59,14 +59,13 @@ struct ParallelPoint {
   uint64_t p99_us = 0;
   uint64_t p999_us = 0;
   bool deterministic = true;
-  bool checked = false;
 };
 
 Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
                                const methods::MethodSpec& spec,
                                uint32_t num_shards, uint32_t batch_size,
                                const workload::WorkloadParams& params, bool pin,
-                               bool check, obs::MetricsRegistry* metrics) {
+                               obs::MetricsRegistry* metrics) {
   const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                            harness::PrepareRig(env, spec, rig_spec));
@@ -106,20 +105,16 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
   point.p99_us = stats.latency.p99();
   point.p999_us = stats.latency.p999();
 
-  if (check) {
-    // Replay the identical schedule inline on an identically prepared
-    // store; thread-confined execution must leave every chip exactly where
-    // the threaded run left it.
-    FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                             harness::PrepareRig(env, spec, rig_spec));
-    const harness::Execution inline_ex{.batch = batch_size, .depth = kDepth};
-    FLASHDB_ASSIGN_OR_RETURN(
-        harness::PointResult replay,
-        harness::Execute(&ref, env.measure_ops, inline_ex));
-    point.checked = true;
-    point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
-                                                  ref.store(), replay.stats);
-  }
+  // Replay the identical schedule inline on an identically prepared store;
+  // thread-confined execution must leave every chip exactly where the
+  // threaded run left it.
+  FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
+                           harness::PrepareRig(env, spec, rig_spec));
+  const harness::Execution inline_ex{.batch = batch_size, .depth = kDepth};
+  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
+                           harness::Execute(&ref, env.measure_ops, inline_ex));
+  point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
+                                                ref.store(), replay.stats);
   return point;
 }
 
@@ -133,7 +128,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
-  const bool check = flags.GetBool("check", true);
   const bool pin = flags.GetBool("pin", false);
 
   workload::WorkloadParams params;
@@ -174,8 +168,7 @@ int main(int argc, char** argv) {
     for (uint32_t batch : batch_sizes) {
       double base_wall = 0;
       for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-        auto point = RunPoint(env, *spec, shards, batch, params, pin, check,
-                              &metrics);
+        auto point = RunPoint(env, *spec, shards, batch, params, pin, &metrics);
         metrics.SnapshotEpoch(point_index++);
         if (!point.ok()) {
           std::cerr << name << " x" << shards << " b" << batch << ": "
@@ -185,7 +178,7 @@ int main(int argc, char** argv) {
         if (shards == 1) base_wall = point->wall_ms;
         const double speedup =
             point->wall_ms > 0 ? base_wall / point->wall_ms : 0;
-        if (point->checked && !point->deterministic) failures++;
+        if (!point->deterministic) failures++;
         tbl.AddRow({name, std::to_string(shards), std::to_string(batch),
                     TablePrinter::Num(point->wall_ms, 2),
                     TablePrinter::Num(point->kops_per_sec),
@@ -198,8 +191,7 @@ int main(int argc, char** argv) {
                     std::to_string(point->p50_us),
                     std::to_string(point->p99_us),
                     std::to_string(point->p999_us),
-                    point->checked ? (point->deterministic ? "ok" : "FAIL")
-                                   : "-"});
+                    point->deterministic ? "ok" : "FAIL"});
       }
     }
   }

@@ -16,9 +16,6 @@ class SimClock {
   /// Current virtual time in microseconds.
   uint64_t now_us() const { return now_us_; }
 
-  /// Advances the clock by `us` microseconds.
-  void Advance(uint64_t us) { now_us_ += us; }
-
   /// Advances the clock to absolute time `t_us` if it lies in the future;
   /// a monotonic max used by the per-plane device model, where the chip
   /// clock is the completion time of the latest-finishing plane.
@@ -31,20 +28,6 @@ class SimClock {
 
  private:
   uint64_t now_us_ = 0;
-};
-
-/// Scoped measurement of virtual time spent inside a region.
-class SimTimer {
- public:
-  explicit SimTimer(const SimClock& clock)
-      : clock_(clock), start_us_(clock.now_us()) {}
-
-  /// Virtual microseconds elapsed since construction.
-  uint64_t elapsed_us() const { return clock_.now_us() - start_us_; }
-
- private:
-  const SimClock& clock_;
-  uint64_t start_us_;
 };
 
 }  // namespace flashdb

@@ -13,7 +13,8 @@ struct FlashGeometry {
   uint32_t num_blocks = 32768;      ///< Nblock
   uint32_t pages_per_block = 64;    ///< Npage
   uint32_t data_size = 2048;        ///< Sdata (bytes per page, data area)
-  uint32_t spare_size = 64;         ///< Sspare (bytes per page, spare area)
+  /// Sspare (bytes per page, spare area): Table 1's 64 on every chip.
+  static constexpr uint32_t spare_size = 64;
   /// Die/plane hierarchy. Blocks are interleaved across planes round-robin
   /// (block b lives in plane b % planes_per_chip()), so a run of
   /// planes_per_chip() consecutive blocks forms one *stripe* touching every

@@ -102,20 +102,7 @@ void FlashDevice::ChargeCounters(OpKind kind, uint64_t us, uint64_t count) {
   }
 }
 
-void FlashDevice::SyncPlanesToClock() {
-  const uint64_t now = clock_.now_us();
-  if (now == clock_seen_us_) return;
-  // The clock moved outside the device (an explicit Advance by harness code,
-  // or a Reset). Host time passes with every plane idle, so ready floors
-  // move up to now; a backwards move (Reset) rebases every plane.
-  for (auto& r : plane_ready_us_) {
-    if (now < clock_seen_us_ || now > r) r = now;
-  }
-  clock_seen_us_ = now;
-}
-
 uint64_t FlashDevice::OccupyPlanes(uint64_t planes, uint64_t us) {
-  SyncPlanesToClock();
   uint64_t min_ready = plane_ready_us_[0];
   for (uint64_t r : plane_ready_us_) min_ready = std::min(min_ready, r);
   uint64_t start = 0;
@@ -132,7 +119,6 @@ uint64_t FlashDevice::OccupyPlanes(uint64_t planes, uint64_t us) {
     pc.stall_us += start - min_ready;
   }
   clock_.AdvanceTo(end);
-  clock_seen_us_ = clock_.now_us();
   return start;
 }
 
@@ -507,7 +493,6 @@ void FlashDevice::ResetAccounting() {
   // timing artifact, so phases start with it broken for independence.
   plane_ready_us_.assign(plane_ready_us_.size(), 0);
   plane_last_prog_.assign(plane_last_prog_.size(), kNullAddr);
-  clock_seen_us_ = 0;
 }
 
 ConstBytes FlashDevice::RawData(PhysAddr addr) const {

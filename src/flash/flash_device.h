@@ -181,7 +181,8 @@ class FlashDevice {
   /// of the block clears a pending flag (the page's content is gone).
   std::vector<PhysAddr> TakeScrubCandidates();
 
-  SimClock& clock() { return clock_; }
+  /// The chip's virtual clock. Read-only: only the chip's own commands
+  /// (and ResetAccounting) move it.
   const SimClock& clock() const { return clock_; }
 
   FlashStats& stats() { return stats_; }
@@ -251,8 +252,6 @@ class FlashDevice {
   /// plane's cache-program chain (traced as its own category).
   void Charge(OpKind kind, PhysAddr addr, uint64_t us,
               bool cache_chain = false);
-  /// Re-floors plane ready times after an external clock Advance()/Reset().
-  void SyncPlanesToClock();
   /// Resets the cells, program budgets and frontier of one block.
   void ApplyErase(uint32_t block);
   /// Marks a data-region page as a scrub candidate (idempotent until the
@@ -276,13 +275,11 @@ class FlashDevice {
   std::vector<PhysAddr> scrub_candidates_; ///< pending scrub flags, flag order
   /// Virtual time at which each plane finishes its queued work. The chip
   /// clock is always max(plane_ready_us_) after an operation; with one plane
-  /// the model degenerates to plain SimClock::Advance, bit for bit.
+  /// the model degenerates to a plain clock advance, bit for bit.
   std::vector<uint64_t> plane_ready_us_;
   /// Last full-page program per plane (cache-program chain head), kNullAddr
   /// when the chain is broken (erase / partial program on the plane).
   std::vector<PhysAddr> plane_last_prog_;
-  /// clock_.now_us() as of the last device op; detects external advances.
-  uint64_t clock_seen_us_ = 0;
   SimClock clock_;
   FlashStats stats_;
   OpCategory category_ = OpCategory::kDefault;

@@ -100,20 +100,13 @@ Status VerifyPageRead(const SpareInfo& info, ConstBytes data,
   return Status::OK();
 }
 
+static_assert(flash::FlashGeometry::spare_size >= kSpareDataCrcEnd,
+              "the spare codec's fields must fit in the spare area");
+
 Status ReadVerifiedPage(flash::FlashDevice* dev, flash::PhysAddr addr,
                         MutBytes data, MutBytes spare, SpareInfo* info_out) {
-  uint8_t local[64];
-  ByteBuffer heap;
-  MutBytes sp = spare;
-  if (sp.empty()) {
-    const uint32_t spare_size = dev->geometry().spare_size;
-    if (spare_size <= sizeof(local)) {
-      sp = MutBytes(local, spare_size);
-    } else {
-      heap.resize(spare_size);
-      sp = heap;
-    }
-  }
+  uint8_t local[flash::FlashGeometry::spare_size];
+  const MutBytes sp = spare.empty() ? MutBytes(local) : spare;
   FLASHDB_RETURN_IF_ERROR(dev->ReadPage(addr, data, sp));
   const SpareInfo info = DecodeSpare(sp);
   if (info_out != nullptr) *info_out = info;

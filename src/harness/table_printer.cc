@@ -34,18 +34,6 @@ void TablePrinter::Print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void TablePrinter::PrintCsv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ",";
-      os << row[c];
-    }
-    os << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 namespace {
 void EmitJsonString(std::ostream& os, const std::string& s) {
   os << '"';

@@ -11,7 +11,7 @@
 
 namespace flashdb::harness {
 
-/// Collects rows and prints them with aligned columns (and optionally CSV).
+/// Collects rows and prints them with aligned columns.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> header)
@@ -23,7 +23,6 @@ class TablePrinter {
   static std::string Num(double v, int prec = 1);
 
   void Print(std::ostream& os) const;
-  void PrintCsv(std::ostream& os) const;
 
   /// Writes the table as a JSON array of row objects keyed by the header
   /// (cells stay strings; consumers parse numbers as needed).

@@ -69,12 +69,6 @@ void MetricsRegistry::SnapshotEpoch(uint64_t id) {
   epochs_.push_back(std::move(e));
 }
 
-void MetricsRegistry::Clear() {
-  names_.clear();
-  map_.clear();
-  epochs_.clear();
-}
-
 namespace {
 
 /// JSON number: integral values (the common case -- counters, clocks) print

@@ -49,15 +49,11 @@ class MetricsRegistry {
   Kind kind(const std::string& name) const;
 
   size_t size() const { return names_.size(); }
-  const std::vector<std::string>& names() const { return names_; }
 
   /// Freezes the current values as the time-series sample for epoch `id`.
   /// Metrics registered after a snapshot report 0 for the earlier epochs.
   void SnapshotEpoch(uint64_t id);
   size_t num_epochs() const { return epochs_.size(); }
-
-  /// Drops every metric and epoch snapshot.
-  void Clear();
 
   /// {"values":{name:value,...},"kinds":{name:"counter"|...},
   ///  "epochs":[{"epoch":id,"values":{...}},...]} -- values in registration

@@ -41,13 +41,6 @@ std::vector<TraceEvent> TraceShard::Snapshot() const {
   return out;
 }
 
-void TraceShard::Reset() {
-  head_ = 0;
-  size_ = 0;
-  next_seq_ = 0;
-  dropped_ = 0;
-}
-
 TraceRecorder::TraceRecorder(uint32_t num_shards) : num_shards_(num_shards) {
   lanes_.reserve(num_shards + 1);
   for (uint32_t i = 0; i <= num_shards; ++i) {
@@ -177,10 +170,6 @@ Status TraceRecorder::WriteChromeTraceFile(const std::string& path) const {
   out.flush();
   if (!out) return Status::IOError("short write on trace file: " + path);
   return Status::OK();
-}
-
-void TraceRecorder::Reset() {
-  for (TraceShard& lane : lanes_) lane.Reset();
 }
 
 }  // namespace flashdb::obs

@@ -72,9 +72,6 @@ class TraceShard {
   /// Copies the surviving events out, oldest first (seq order).
   std::vector<TraceEvent> Snapshot() const;
 
-  /// Empties the ring and resets seq/drop counters.
-  void Reset();
-
  private:
   uint32_t shard_;
   std::vector<TraceEvent> ring_;
@@ -116,8 +113,6 @@ class TraceRecorder {
   /// them). Loads in chrome://tracing and Perfetto.
   void WriteChromeTrace(std::ostream& os) const;
   Status WriteChromeTraceFile(const std::string& path) const;
-
-  void Reset();
 
  private:
   uint32_t num_shards_;

@@ -5,7 +5,7 @@
 // for a fixed seed/flags the full distribution -- not just the mean -- is
 // reproducible bit-for-bit across the sequential, batched, parallel, and
 // pipelined run modes. That is what lets tools/check_bench.py gate
-// p50/p99/p999 tightly, where wall-clock percentiles could only ever be
+// p50/p99/p999 exactly, where wall-clock percentiles could only ever be
 // warn-only.
 //
 // Bucketing follows HdrHistogram with kPrecisionBits sub-bucket bits: values

@@ -192,13 +192,12 @@ TEST(RandomTest, SkewedInRange) {
   for (int i = 0; i < 1000; ++i) EXPECT_LT(r.Skewed(50, 0.8), 50u);
 }
 
-TEST(SimClockTest, AdvanceAndTimer) {
+TEST(SimClockTest, AdvanceToAndReset) {
   SimClock clock;
   EXPECT_EQ(clock.now_us(), 0u);
-  clock.Advance(110);
-  SimTimer t(clock);
-  clock.Advance(1010);
-  EXPECT_EQ(t.elapsed_us(), 1010u);
+  clock.AdvanceTo(1120);
+  EXPECT_EQ(clock.now_us(), 1120u);
+  clock.AdvanceTo(110);  // a time in the past never moves the clock back
   EXPECT_EQ(clock.now_us(), 1120u);
   clock.Reset();
   EXPECT_EQ(clock.now_us(), 0u);

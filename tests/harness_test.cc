@@ -46,14 +46,6 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter t({"a", "b"});
-  t.AddRow({"1", "2"});
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TablePrinterTest, NumFormatting) {
   EXPECT_EQ(TablePrinter::Num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Num(1000.0, 0), "1000");

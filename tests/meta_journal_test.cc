@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/random.h"
@@ -49,6 +50,21 @@ MetaJournal::Record Complete(uint64_t epoch) {
   MetaJournal::Record rec;
   rec.type = MetaJournal::Record::Type::kComplete;
   rec.epoch = epoch;
+  return rec;
+}
+
+/// A snapshot whose redo payload (four random full-page images for shard 0)
+/// spans several journal frames.
+MetaJournal::Record MultiFrameSnapshot(uint64_t epoch, uint32_t data_size) {
+  MetaJournal::Record rec = Snapshot(epoch);
+  rec.redo.resize(1);
+  Random r(5);
+  for (uint32_t k = 0; k < 4; ++k) {
+    rec.redo[0].inner_pids.push_back(k);
+    ByteBuffer img(data_size);
+    r.Fill(img);
+    rec.redo[0].images.push_back(std::move(img));
+  }
   return rec;
 }
 
@@ -124,16 +140,7 @@ TEST(MetaJournalTest, TornTailRecordIsDiscarded) {
 
   // Tear the next snapshot: cut power after the first frame of a
   // multi-frame record has been programmed.
-  MetaJournal::Record big = Snapshot(2);
-  big.redo.resize(1);
-  big.redo[0].shard = 0;
-  Random r(5);
-  for (uint32_t k = 0; k < 4; ++k) {
-    big.redo[0].inner_pids.push_back(k);
-    ByteBuffer img(data_size);
-    r.Fill(img);
-    big.redo[0].images.push_back(std::move(img));
-  }
+  const MetaJournal::Record big = MultiFrameSnapshot(2, data_size);
   ASSERT_GT(journal.frames_needed(big), 2u);
   CountdownFaultInjector fi(1, /*cut_after_apply=*/true);
   dev.set_fault_injector(&fi);
@@ -145,6 +152,10 @@ TEST(MetaJournalTest, TornTailRecordIsDiscarded) {
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_EQ(rec->snapshot.epoch, 1u) << "torn epoch-2 record must not win";
   EXPECT_TRUE(rec->complete);
+  // A power cut's footprint, not corruption.
+  EXPECT_EQ(fresh.scan_stats().records_torn, 1u);
+  EXPECT_EQ(fresh.scan_stats().records_discarded, 0u);
+  EXPECT_EQ(fresh.scan_stats().frames_bad_crc, 0u);
   // The journal resumes past the torn frames: appending epoch 2 again works.
   EXPECT_EQ(fresh.next_epoch(), 2u);
   ASSERT_TRUE(fresh.Append(Snapshot(2)).ok());
@@ -153,6 +164,36 @@ TEST(MetaJournalTest, TornTailRecordIsDiscarded) {
   ASSERT_TRUE(rec2.ok()) << rec2.status().ToString();
   EXPECT_EQ(rec2->snapshot.epoch, 2u);
   EXPECT_FALSE(rec2->complete);
+}
+
+TEST(MetaJournalTest, RottenFrameIsCountedAndOlderSnapshotRecovers) {
+  FlashDevice dev(MetaConfig());
+  const uint32_t data_size = dev.geometry().data_size;
+  MetaJournal journal(&dev);
+  ASSERT_TRUE(journal.Format().ok());
+  ASSERT_TRUE(journal.Append(Snapshot(0)).ok());
+  ASSERT_EQ(journal.frames_needed(Snapshot(0)), 1u);
+  const MetaJournal::Record later = MultiFrameSnapshot(1, data_size);
+  ASSERT_GT(journal.frames_needed(later), 2u);
+  ASSERT_TRUE(journal.Append(later).ok());
+
+  // Clear one bit in the payload of the committed later record's first
+  // frame: the page after the one-frame format snapshot.
+  const flash::PhysAddr frame = dev.geometry().first_meta_page() + 1;
+  const ConstBytes cells = dev.RawData(frame);
+  size_t i = 32;  // past the frame header
+  while (cells[i] == 0) ++i;
+  ByteBuffer mask(data_size, 0xFF);
+  mask[i] = static_cast<uint8_t>(~(1u << std::countr_zero(cells[i])));
+  ASSERT_TRUE(dev.PartialProgramPage(frame, mask).ok());
+
+  MetaJournal fresh(&dev);
+  auto rec = fresh.Recover();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->snapshot.epoch, 0u);
+  EXPECT_EQ(fresh.scan_stats().frames_bad_crc, 1u);
+  EXPECT_EQ(fresh.scan_stats().records_discarded, 1u);
+  EXPECT_EQ(fresh.scan_stats().records_torn, 0u);
 }
 
 TEST(MetaJournalTest, PingPongReclaimsSpaceAndKeepsNewestRecord) {

@@ -52,15 +52,6 @@ TEST(TraceShardTest, RingKeepsNewestAndCountsDrops) {
   }
 }
 
-TEST(TraceShardTest, ResetClearsCounters) {
-  TraceShard lane(0, 4);
-  for (int i = 0; i < 10; ++i) lane.Emit(TraceCat::kFlashProgram, i, 1);
-  lane.Reset();
-  EXPECT_EQ(lane.size(), 0u);
-  EXPECT_EQ(lane.dropped(), 0u);
-  EXPECT_EQ(lane.emitted(), 0u);
-}
-
 TEST(TraceRecorderTest, MergeOrdersByTimeShardSeq) {
   TraceRecorder rec(2);
   rec.shard(1)->Emit(TraceCat::kFlashRead, 50, 1);     // (50, s1, #0)

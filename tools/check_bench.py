@@ -2,53 +2,33 @@
 """Perf-regression gate over the benches' --json dumps.
 
 Every bench emits, via --json=<path>, one JSON object mapping table names to
-arrays of row objects whose cells are strings (see harness::JsonDump). This
-script compares such a dump against a checked-in baseline and enforces three
-kinds of checks:
+arrays of row objects whose cells are strings (see harness::JsonDump). The
+gate's one rule: every cell of every baseline table must equal the current
+dump's cell, with rows paired by position (each bench prints its rows in a
+fixed loop order) -- so a moved value, a dropped or added row, column or
+table all fail. Values that are not tables (the "metrics" registry dump)
+are not compared.
 
-  --rule  TABLE:COLUMN:DIRECTION:fail=F:warn=W
-      Per-row comparison against the baseline row with the same key (--keys).
-      DIRECTION is `higher` (bigger is better, e.g. kops/s) or `lower`
-      (smaller is better, e.g. us/op). A regression worse than F percent
-      fails the gate; worse than W percent prints a warning. `fail=none`
-      makes the rule warn-only -- the right setting for wall-clock metrics
-      whose baseline was recorded on different hardware. Virtual-time
-      metrics are deterministic for a fixed seed/flags, so they can be gated
-      tightly.
+The exception is the host-time columns (HOST_COLUMNS): they measure the
+machine, not the program, so their cells need not match. Each is compared
+only by a --rule naming it:
+
+  --rule  TABLE:COLUMN:DIRECTION[:fail=F][:warn=W]
+      Per-row relative drift of a host-time column. DIRECTION is `higher`
+      (bigger is better, e.g. kops/s) or `lower` (e.g. wall_ms). A
+      regression worse than W percent (default 5) prints a warning; worse
+      than F percent (default 10; `none` makes the rule warn-only) fails.
+
+Acceptance bounds that hold whatever the baseline says are checked on the
+current dump alone; --baseline may then be omitted:
 
   --require TABLE:COLUMN=VALUE
-      Every current row's COLUMN must equal VALUE exactly (e.g. the benches'
-      determinism column must say "ok"). Independent of the baseline.
-
-  --pctl  TABLE:COLUMN[:band=B][:warn=W]
-      Two-sided multiplicative band around the baseline row with the same
-      key: fails when current > baseline*B or current < baseline/B
-      (default band 1.02, i.e. +/-2%). Unlike --rule, a move in *either*
-      direction fails -- the right check for exact-valued columns like the
-      deterministic latency percentiles (p50/p99/p999), where a silent drop
-      is as suspicious as a jump. warn=W (default: the failing band) draws
-      a warning band inside the failing one. A baseline of 0 requires the
-      current value to be exactly 0.
+      Every row's COLUMN must equal VALUE (e.g. determinism=ok).
 
   --min   TABLE:COLUMN:THRESHOLD[:where=COL=VAL,COL2=VAL2]
-      Current-run absolute floor on a numeric column, optionally restricted
-      to rows matching the `where` filter. Machine-relative metrics computed
-      within one run (e.g. pipelined-over-parallel speedup) belong here.
-
   --max   TABLE:COLUMN:THRESHOLD[:where=COL=VAL,COL2=VAL2]
-      Absolute ceiling, mirror of --min. Deterministic quality metrics with
-      a hard acceptance bound (e.g. exp11's wear-leveled erase ratio)
-      belong here.
-
-  --keys  TABLE:COL1,COL2,...
-      Declares the identity columns used to join baseline and current rows
-      for --rule checks. A key present in the baseline but missing from the
-      current dump fails the gate (coverage loss); a key only in the current
-      dump prints a warning suggesting a baseline refresh.
-
-  --update
-      Instead of checking, copy the current dump over the baseline path --
-      the documented way to refresh baselines after an intentional change.
+      Floor / ceiling on a numeric column, optionally restricted to the rows
+      matching the `where` filter; at least one row must match.
 
 Exit status: 0 when every check passes (warnings allowed), 1 otherwise.
 Numeric cells may carry unit suffixes ("1.25x"): the leading float is used.
@@ -57,8 +37,9 @@ Numeric cells may carry unit suffixes ("1.25x"): the leading float is used.
 import argparse
 import json
 import re
-import shutil
 import sys
+
+HOST_COLUMNS = frozenset({"wall_ms", "kops/s", "speedup", "wait_ms"})
 
 _FLOAT_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
 
@@ -74,11 +55,7 @@ def load_dump(path):
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object of tables")
-    return data
-
-
-def row_key(row, key_cols):
-    return tuple(row.get(c, "") for c in key_cols)
+    return {name: rows for name, rows in data.items() if isinstance(rows, list)}
 
 
 class Gate:
@@ -98,17 +75,55 @@ class Gate:
         print(f"ok    {msg}")
 
 
-def split_rule(spec):
-    """TABLE:COLUMN:DIRECTION:fail=F:warn=W -> parsed dict.
+def columns_of(rows):
+    cols = []
+    for row in rows:
+        cols.extend(c for c in row if c not in cols)
+    return cols
 
-    COLUMN may itself contain ':'-free text only; the bench columns do.
-    """
+
+def check_same(gate, baseline, current):
+    """The one rule: every non-host baseline cell equals the current one."""
+    for table in current.keys() - baseline.keys():
+        gate.fail(f"{table}: table not in the baseline")
+    for table, brows in baseline.items():
+        crows = current.get(table)
+        if crows is None:
+            gate.fail(f"{table}: table missing from the current dump")
+            continue
+        if len(crows) != len(brows):
+            gate.fail(f"{table}: {len(crows)} rows, baseline has "
+                      f"{len(brows)}")
+            continue
+        bcols, ccols = columns_of(brows), columns_of(crows)
+        if bcols != ccols:
+            gate.fail(f"{table}: columns {ccols}, baseline has {bcols}")
+            continue
+        compared = [c for c in bcols if c not in HOST_COLUMNS]
+        moved = 0
+        for i, (brow, crow) in enumerate(zip(brows, crows)):
+            for col in compared:
+                if brow.get(col) != crow.get(col):
+                    moved += 1
+                    gate.fail(f"{table}[{i}].{col}: baseline "
+                              f"{brow.get(col)!r}, current {crow.get(col)!r}")
+        if moved == 0:
+            gate.ok(f"{table}: {len(brows)} rows x {len(compared)} columns "
+                    f"equal the baseline")
+
+
+def split_rule(spec):
+    """TABLE:COLUMN:DIRECTION[:fail=F][:warn=W] -> parsed dict."""
     parts = spec.split(":")
     if len(parts) < 3:
         raise ValueError(f"bad --rule {spec!r}")
     table, column, direction = parts[0], parts[1], parts[2]
     if direction not in ("higher", "lower"):
         raise ValueError(f"bad direction in --rule {spec!r}")
+    if column not in HOST_COLUMNS:
+        raise ValueError(f"--rule {spec!r}: {column!r} is not a host-time "
+                         f"column; every other column must equal the "
+                         f"baseline")
     fail = 10.0
     warn = 5.0
     for extra in parts[3:]:
@@ -123,160 +138,18 @@ def split_rule(spec):
             "fail": fail, "warn": warn}
 
 
-def split_pctl(spec):
-    """TABLE:COLUMN[:band=B][:warn=W] -> parsed dict."""
-    parts = spec.split(":")
-    if len(parts) < 2:
-        raise ValueError(f"bad --pctl {spec!r}")
-    table, column = parts[0], parts[1]
-    band = 1.02
-    warn = None
-    for extra in parts[2:]:
-        k, _, v = extra.partition("=")
-        if k == "band":
-            band = float(v)
-        elif k == "warn":
-            warn = float(v)
-        else:
-            raise ValueError(f"bad option {extra!r} in --pctl {spec!r}")
-    if band < 1.0 or (warn is not None and warn < 1.0):
-        raise ValueError(f"--pctl bands must be >= 1.0: {spec!r}")
-    if warn is None:
-        warn = band
-    return {"table": table, "column": column, "band": band, "warn": warn}
-
-
-def check_pctl(gate, rule, baseline, current, keys, baseline_path,
-               current_path):
-    table = rule["table"]
-    if table not in current:
-        gate.fail(f"{table}: missing from current dump {current_path}")
-        return
-    if table not in baseline:
-        gate.fail(f"{table}: missing from baseline {baseline_path} "
-                  f"(refresh baselines?)")
-        return
-    if not require_column(gate, table, rule["column"], current[table],
-                          current_path, "current"):
-        return
-    if not require_column(gate, table, rule["column"], baseline[table],
-                          baseline_path, "baseline"):
-        return
-    key_cols = keys.get(table, [])
-    cur_rows = {row_key(r, key_cols): r for r in current[table]}
-    for brow in baseline[table]:
-        label = f"{table}[{describe(brow, key_cols)}].{rule['column']}"
-        crow = cur_rows.get(row_key(brow, key_cols))
-        if crow is None:
-            gate.fail(f"{label}: row present in baseline but not in current "
-                      f"run (coverage loss)")
-            continue
-        bval = parse_number(brow.get(rule["column"], ""))
-        cval = parse_number(crow.get(rule["column"], ""))
+def check_rule(gate, rule, baseline, current):
+    table, column = rule["table"], rule["column"]
+    brows, crows = baseline.get(table), current.get(table)
+    if brows is None or crows is None or len(brows) != len(crows):
+        return  # check_same already failed the table's shape
+    for i, (brow, crow) in enumerate(zip(brows, crows)):
+        label = f"{table}[{i}].{column}"
+        bval = parse_number(brow.get(column, ""))
+        cval = parse_number(crow.get(column, ""))
         if bval is None or cval is None:
-            gate.fail(f"{label}: non-numeric cell "
-                      f"(baseline {brow.get(rule['column'])!r}, "
-                      f"current {crow.get(rule['column'])!r})")
-            continue
-        if bval == 0:
-            if cval == 0:
-                gate.ok(f"{label}: baseline 0, current 0")
-            else:
-                gate.fail(f"{label}: baseline 0 but current {cval:g}")
-            continue
-        ratio = cval / bval
-        detail = (f"{label}: baseline {bval:g}, current {cval:g} "
-                  f"(x{ratio:.4f}, band x{rule['band']:g})")
-        if ratio > rule["band"] or ratio < 1.0 / rule["band"]:
-            gate.fail(detail)
-        elif ratio > rule["warn"] or ratio < 1.0 / rule["warn"]:
-            gate.warn(detail)
-        else:
-            gate.ok(detail)
-
-
-def split_require(spec):
-    head, _, value = spec.partition("=")
-    table, _, column = head.partition(":")
-    if not table or not column:
-        raise ValueError(f"bad --require {spec!r}")
-    return {"table": table, "column": column, "value": value}
-
-
-def split_min(spec):
-    parts = spec.split(":")
-    if len(parts) < 3:
-        raise ValueError(f"bad --min/--max {spec!r}")
-    table, column, threshold = parts[0], parts[1], float(parts[2])
-    where = {}
-    for extra in parts[3:]:
-        k, _, v = extra.partition("=")
-        if k != "where":
-            raise ValueError(f"bad option in --min/--max {spec!r}")
-        for clause in v.split(","):
-            col, _, val = clause.partition("=")
-            where[col] = val
-    return {"table": table, "column": column, "threshold": threshold,
-            "where": where}
-
-
-def matches(row, where):
-    return all(row.get(c) == v for c, v in where.items())
-
-
-def require_column(gate, table, column, rows, path, which):
-    """Fails (naming the column and dump file) when no row carries COLUMN.
-
-    A rule referencing a column the bench no longer emits would otherwise
-    surface as a per-row "non-numeric cell" wall -- this names the actual
-    problem: the rule and the dump disagree on the schema.
-    """
-    if any(column in r for r in rows):
-        return True
-    known = sorted({c for r in rows for c in r})
-    gate.fail(f"{table}: column {column!r} missing from {which} dump {path} "
-              f"(columns present: {', '.join(known) or 'none'})")
-    return False
-
-
-def describe(row, key_cols):
-    if key_cols:
-        return "/".join(row.get(c, "?") for c in key_cols)
-    return "/".join(v for v in row.values() if v)[:60]
-
-
-def check_rule(gate, rule, baseline, current, keys, baseline_path,
-               current_path):
-    table = rule["table"]
-    if table not in current:
-        gate.fail(f"{table}: missing from current dump {current_path}")
-        return
-    if table not in baseline:
-        gate.fail(f"{table}: missing from baseline {baseline_path} "
-                  f"(refresh baselines?)")
-        return
-    if not require_column(gate, table, rule["column"], current[table],
-                          current_path, "current"):
-        return
-    if not require_column(gate, table, rule["column"], baseline[table],
-                          baseline_path, "baseline"):
-        return
-    key_cols = keys.get(table, [])
-    base_rows = {row_key(r, key_cols): r for r in baseline[table]}
-    cur_rows = {row_key(r, key_cols): r for r in current[table]}
-    for key, brow in base_rows.items():
-        label = f"{table}[{describe(brow, key_cols)}].{rule['column']}"
-        crow = cur_rows.get(key)
-        if crow is None:
-            gate.fail(f"{label}: row present in baseline but not in current "
-                      f"run (coverage loss)")
-            continue
-        bval = parse_number(brow.get(rule["column"], ""))
-        cval = parse_number(crow.get(rule["column"], ""))
-        if bval is None or cval is None:
-            gate.fail(f"{label}: non-numeric cell "
-                      f"(baseline {brow.get(rule['column'])!r}, "
-                      f"current {crow.get(rule['column'])!r})")
+            gate.fail(f"{label}: non-numeric cell (baseline "
+                      f"{brow.get(column)!r}, current {crow.get(column)!r})")
             continue
         if bval == 0:
             gate.ok(f"{label}: baseline is 0, skipping ratio")
@@ -293,116 +166,120 @@ def check_rule(gate, rule, baseline, current, keys, baseline_path,
             gate.warn(detail)
         else:
             gate.ok(detail)
-    for key in cur_rows:
-        if key not in base_rows:
-            gate.warn(f"{table}[{'/'.join(key)}]: new row not in baseline -- "
-                      f"refresh with --update after review")
 
 
-def check_require(gate, req, current, keys, current_path):
-    table = req["table"]
-    if table not in current:
-        gate.fail(f"{table}: missing from current dump {current_path}")
+def split_require(spec):
+    head, _, value = spec.partition("=")
+    table, _, column = head.partition(":")
+    if not table or not column:
+        raise ValueError(f"bad --require {spec!r}")
+    return {"table": table, "column": column, "value": value}
+
+
+def split_bound(spec):
+    parts = spec.split(":")
+    if len(parts) < 3:
+        raise ValueError(f"bad --min/--max {spec!r}")
+    table, column, threshold = parts[0], parts[1], float(parts[2])
+    where = {}
+    for extra in parts[3:]:
+        k, _, v = extra.partition("=")
+        if k != "where":
+            raise ValueError(f"bad option in --min/--max {spec!r}")
+        for clause in v.split(","):
+            col, _, val = clause.partition("=")
+            where[col] = val
+    return {"table": table, "column": column, "threshold": threshold,
+            "where": where}
+
+
+def rows_with_column(gate, current, table, column, path):
+    """Rows of `table` when some row carries `column`; fails otherwise."""
+    rows = current.get(table)
+    if rows is None:
+        gate.fail(f"{table}: missing from current dump {path}")
+        return None
+    if not any(column in r for r in rows):
+        gate.fail(f"{table}: column {column!r} missing from current dump "
+                  f"{path} (columns present: {', '.join(columns_of(rows))})")
+        return None
+    return rows
+
+
+def check_require(gate, req, current, path):
+    table, column = req["table"], req["column"]
+    rows = rows_with_column(gate, current, table, column, path)
+    if rows is None:
         return
-    if not require_column(gate, table, req["column"], current[table],
-                          current_path, "current"):
-        return
-    key_cols = keys.get(table, [])
-    for idx, row in enumerate(current[table]):
-        got = row.get(req["column"], "")
-        label = f"{table}[{describe(row, key_cols)}].{req['column']}"
-        if got == req["value"]:
-            gate.ok(f"{label} == {req['value']!r}")
-        else:
-            gate.fail(f"{label}: expected {req['value']!r}, got {got!r} "
-                      f"(row {idx})")
+    bad = [i for i, row in enumerate(rows) if row.get(column) != req["value"]]
+    for i in bad:
+        gate.fail(f"{table}[{i}].{column}: expected {req['value']!r}, "
+                  f"got {rows[i].get(column)!r}")
+    if not bad:
+        gate.ok(f"{table}: {column} == {req['value']!r} in all "
+                f"{len(rows)} rows")
 
 
-def check_bound(gate, rule, current, ceiling, current_path):
+def check_bound(gate, rule, current, ceiling, path):
     """--min (ceiling=False) / --max (ceiling=True) absolute-bound checks."""
-    kind = "--max" if ceiling else "--min"
-    table = rule["table"]
-    if table not in current:
-        gate.fail(f"{table}: missing from current dump {current_path}")
-        return
-    if not require_column(gate, table, rule["column"], current[table],
-                          current_path, "current"):
+    table, column = rule["table"], rule["column"]
+    rows = rows_with_column(gate, current, table, column, path)
+    if rows is None:
         return
     hit = False
-    for idx, row in enumerate(current[table]):
-        if not matches(row, rule["where"]):
+    for i, row in enumerate(rows):
+        if not all(row.get(c) == v for c, v in rule["where"].items()):
             continue
         hit = True
-        val = parse_number(row.get(rule["column"], ""))
-        label = f"{table}[{describe(row, list(rule['where']))}].{rule['column']}"
+        val = parse_number(row.get(column, ""))
+        label = f"{table}[{i}].{column}"
         if val is None:
-            gate.fail(f"{label}: non-numeric cell "
-                      f"{row.get(rule['column'])!r} (row {idx})")
+            gate.fail(f"{label}: non-numeric cell {row.get(column)!r}")
         elif ceiling and val > rule["threshold"]:
-            gate.fail(f"{label}: {val:g} > ceiling {rule['threshold']:g} "
-                      f"(row {idx})")
+            gate.fail(f"{label}: {val:g} > ceiling {rule['threshold']:g}")
         elif not ceiling and val < rule["threshold"]:
-            gate.fail(f"{label}: {val:g} < floor {rule['threshold']:g} "
-                      f"(row {idx})")
+            gate.fail(f"{label}: {val:g} < floor {rule['threshold']:g}")
         else:
             op = "<=" if ceiling else ">="
             gate.ok(f"{label}: {val:g} {op} {rule['threshold']:g}")
     if not hit:
+        kind = "--max" if ceiling else "--min"
         gate.fail(f"{table}: no row matches {kind} filter {rule['where']}")
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", required=True,
-                    help="checked-in baseline JSON (bench/baselines/...)")
+    ap.add_argument("--baseline",
+                    help="baseline dump (bench/baselines/...); without it "
+                         "only the acceptance bounds are checked")
     ap.add_argument("--current", required=True,
                     help="freshly produced --json dump")
-    ap.add_argument("--keys", action="append", default=[],
-                    metavar="TABLE:COL1,COL2")
     ap.add_argument("--rule", action="append", default=[],
                     metavar="TABLE:COLUMN:DIRECTION[:fail=F][:warn=W]")
     ap.add_argument("--require", action="append", default=[],
                     metavar="TABLE:COLUMN=VALUE")
-    ap.add_argument("--pctl", action="append", default=[], dest="pctls",
-                    metavar="TABLE:COLUMN[:band=B][:warn=W]")
     ap.add_argument("--min", action="append", default=[], dest="mins",
                     metavar="TABLE:COLUMN:THRESHOLD[:where=C=V,...]")
     ap.add_argument("--max", action="append", default=[], dest="maxs",
                     metavar="TABLE:COLUMN:THRESHOLD[:where=C=V,...]")
-    ap.add_argument("--update", action="store_true",
-                    help="copy current over baseline instead of checking")
-    args = ap.parse_args()
-
-    if args.update:
-        shutil.copyfile(args.current, args.baseline)
-        print(f"baseline refreshed: {args.current} -> {args.baseline}")
-        return 0
-
-    keys = {}
-    for spec in args.keys:
-        table, _, cols = spec.partition(":")
-        keys[table] = [c for c in cols.split(",") if c]
+    args = ap.parse_args(argv)
 
     gate = Gate()
     try:
-        baseline = load_dump(args.baseline)
+        rules = [split_rule(spec) for spec in args.rule]
         current = load_dump(args.current)
-        for spec in args.rule:
-            check_rule(gate, split_rule(spec), baseline, current, keys,
-                       args.baseline, args.current)
-        for spec in args.pctls:
-            check_pctl(gate, split_pctl(spec), baseline, current, keys,
-                       args.baseline, args.current)
+        if args.baseline:
+            baseline = load_dump(args.baseline)
+            check_same(gate, baseline, current)
+            for rule in rules:
+                check_rule(gate, rule, baseline, current)
         for spec in args.require:
-            check_require(gate, split_require(spec), current, keys,
-                          args.current)
+            check_require(gate, split_require(spec), current, args.current)
         for spec in args.mins:
-            check_bound(gate, split_min(spec), current, ceiling=False,
-                        current_path=args.current)
+            check_bound(gate, split_bound(spec), current, False, args.current)
         for spec in args.maxs:
-            check_bound(gate, split_min(spec), current, ceiling=True,
-                        current_path=args.current)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+            check_bound(gate, split_bound(spec), current, True, args.current)
+    except (OSError, ValueError) as e:
         gate.fail(str(e))
 
     print(f"\n{len(gate.failures)} failure(s), {len(gate.warnings)} "

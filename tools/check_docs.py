@@ -9,7 +9,8 @@ Checks, from the repository root:
   2. README.md links the architecture and benchmark guides, so they stay
      discoverable from the front page.
   3. CHANGES.md is well-formed: every non-empty line is a `- PR <n>: ...`
-     entry (the per-PR changelog contract the sessions rely on).
+     entry (the per-PR changelog), or a `FOUND: ...` / `MENDED: ...` line
+     naming a fault seen and not yet mended / since mended.
   4. ISSUE.md, when present, is well-formed: starts with a `# ISSUE` title
      and contains at least one `## ` section.
 
@@ -76,7 +77,7 @@ def check_changes(root, failures):
     if not os.path.isfile(path):
         failures.append("CHANGES.md: missing")
         return
-    entry_re = re.compile(r"^- PR \d+: .+")
+    entry_re = re.compile(r"^(- PR \d+|FOUND|MENDED): .+")
     bad = 0
     with open(path, "r", encoding="utf-8") as f:
         for i, line in enumerate(f, 1):
@@ -85,8 +86,8 @@ def check_changes(root, failures):
             if not entry_re.match(line):
                 bad += 1
                 failures.append(
-                    f"CHANGES.md:{i}: expected '- PR <n>: ...', got "
-                    f"{line.strip()[:60]!r}")
+                    f"CHANGES.md:{i}: expected '- PR <n>: ...', 'FOUND: ...' "
+                    f"or 'MENDED: ...', got {line.strip()[:60]!r}")
     if bad == 0:
         print("ok    CHANGES.md entries well-formed")
 
