@@ -43,92 +43,52 @@ using harness::TablePrinter;
 
 namespace {
 
-struct PipelinePoint {
-  double wall_ms = 0;
-  double kops_per_sec = 0;
-  double parallel_us_per_op = 0;
-  double lag_ms = 0;
-  // Stall attribution: gc/meta are induced virtual-time device traffic
-  // (deterministic); wait_ms is the wall-clock the producer spent parked on
-  // per-shard credits (min over reps, noisy -- reported, never gated).
-  double gc_us_per_op = 0;
-  double meta_us_per_op = 0;
-  double wait_ms = 0;
-  // Per-op virtual-time latency percentiles (deterministic, gateable).
-  uint64_t p50_us = 0;
-  uint64_t p99_us = 0;
-  uint64_t p999_us = 0;
-  bool deterministic = true;
-};
-
 /// One measured point: RunPipelined with `depth` windows in flight per
-/// shard. Wall-clock is the minimum over
-/// `reps` identically-prepared executions (min, not mean: scheduler and
-/// frequency noise only ever adds time); virtual-time metrics are
-/// deterministic across reps.
-Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
-                               const methods::MethodSpec& spec,
-                               uint32_t num_shards, uint32_t batch_size,
-                               uint32_t depth, uint32_t reps,
-                               const workload::WorkloadParams& params, bool pin,
-                               obs::MetricsRegistry* metrics) {
-  PipelinePoint point;
+/// shard, prepared and run `reps` times; the last rep is checked against
+/// its inline replay. Virtual-time results are deterministic across reps,
+/// so the last rep's stand for all; its wall_ms and credit wait are the
+/// minimum over the reps (min, not mean: scheduler and frequency noise only
+/// ever adds time). `lag_ms` receives the shard clock spread at the end.
+Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
+                                     const methods::MethodSpec& spec,
+                                     uint32_t num_shards, uint32_t batch_size,
+                                     uint32_t depth, uint32_t reps,
+                                     const workload::WorkloadParams& params,
+                                     bool pin, obs::MetricsRegistry* metrics,
+                                     double* lag_ms) {
   const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   const harness::Execution threaded{.batch = batch_size,
                                     .depth = depth,
                                     .threaded = true,
                                     .pin = pin};
+  harness::CheckedRun best;
   for (uint32_t rep = 0; rep < reps; ++rep) {
     FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                              harness::PrepareRig(env, spec, rig_spec));
-    const ftl::ShardedStore* store = rig.sharded();
-
     // Uniform metrics object: run breakdown + the executor's per-worker
     // counters and the store's clock skew, read after the workers quiesce.
     // Every rep overwrites the previous rep's values.
-    FLASHDB_ASSIGN_OR_RETURN(
-        harness::PointResult run,
-        harness::Execute(&rig, env.measure_ops, threaded, metrics));
-    if (metrics != nullptr) {
-      obs::ImportShardedStoreStats(metrics, "store", *store);
-    }
-    const workload::RunStats& stats = run.stats;
-
-    if (rep == 0 || run.wall_ms < point.wall_ms) point.wall_ms = run.wall_ms;
-    const double ops = static_cast<double>(env.measure_ops);
-    point.parallel_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
-    point.lag_ms = static_cast<double>(store->shard_lag_us()) / 1000.0;
-    const flash::DeviceCounters& dc = stats.device;
-    point.gc_us_per_op =
-        static_cast<double>(dc.of(flash::OpCategory::kGc).total_us()) / ops;
-    point.meta_us_per_op =
-        static_cast<double>(dc.of(flash::OpCategory::kMeta).total_us()) / ops;
-    const double wait_ms =
-        static_cast<double>(stats.credit_wait_ns) / 1e6;
-    if (rep == 0 || wait_ms < point.wait_ms) point.wait_ms = wait_ms;
-    point.p50_us = stats.latency.p50();
-    point.p99_us = stats.latency.p99();
-    point.p999_us = stats.latency.p999();
-
-    if (rep == reps - 1) {
-      // Replay the identical schedule inline on an identically prepared
-      // store; continuous submission must leave every chip exactly where
-      // the inline run leaves it.
-      FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                               harness::PrepareRig(env, spec, rig_spec));
-      const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
+    harness::CheckedRun this_rep;
+    if (rep + 1 < reps) {
       FLASHDB_ASSIGN_OR_RETURN(
-          harness::PointResult replay,
-          harness::Execute(&ref, env.measure_ops, inline_ex));
-      point.deterministic = harness::SameVirtualRun(
-          rig.store(), stats, ref.store(), replay.stats);
+          this_rep.run,
+          harness::Execute(&rig, env.measure_ops, threaded, metrics));
+    } else {
+      FLASHDB_ASSIGN_OR_RETURN(
+          this_rep,
+          harness::ExecuteChecked(&rig, env.measure_ops, threaded, metrics));
     }
+    obs::ImportShardedStoreStats(metrics, "store", *rig.sharded());
+    *lag_ms = static_cast<double>(rig.sharded()->shard_lag_us()) / 1000.0;
+    if (rep > 0) {
+      harness::PointResult& run = this_rep.run;
+      run.wall_ms = std::min(run.wall_ms, best.run.wall_ms);
+      run.stats.credit_wait_ns =
+          std::min(run.stats.credit_wait_ns, best.run.stats.credit_wait_ns);
+    }
+    best = this_rep;
   }
-  point.kops_per_sec =
-      point.wall_ms > 0
-          ? static_cast<double>(env.measure_ops) / point.wall_ms
-          : 0;
-  return point;
+  return best;
 }
 
 }  // namespace
@@ -136,10 +96,6 @@ Result<PipelinePoint> RunPoint(const harness::ExperimentEnv& env,
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
-  if (env.measure_ops == 0) {
-    std::cerr << "--ops must be > 0\n";
-    return 1;
-  }
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
@@ -188,31 +144,35 @@ int main(int argc, char** argv) {
     }
     double anchor_wall = 0;  // the first depth's wall-clock
     for (uint32_t depth : depths) {
+      double lag_ms = 0;
       auto point = RunPoint(env, *spec, num_shards, batch_size, depth, reps,
-                            params, pin, &metrics);
+                            params, pin, &metrics, &lag_ms);
       metrics.SnapshotEpoch(point_index++);
       if (!point.ok()) {
         std::cerr << name << " depth " << depth << ": "
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (depth == depths.front()) anchor_wall = point->wall_ms;
-      const double speedup =
-          point->wall_ms > 0 ? anchor_wall / point->wall_ms : 0;
+      const workload::RunStats& s = point->run.stats;
+      const double wall_ms = point->run.wall_ms;
+      if (depth == depths.front()) anchor_wall = wall_ms;
+      const double kops_per_sec =
+          wall_ms > 0 ? static_cast<double>(env.measure_ops) / wall_ms : 0;
+      const double speedup = wall_ms > 0 ? anchor_wall / wall_ms : 0;
       if (!point->deterministic) failures++;
-      tbl.AddRow({name, "pipelined", std::to_string(depth),
-                  TablePrinter::Num(point->wall_ms, 2),
-                  TablePrinter::Num(point->kops_per_sec),
-                  TablePrinter::Num(speedup, 2) + "x",
-                  TablePrinter::Num(point->lag_ms, 1),
-                  TablePrinter::Num(point->parallel_us_per_op),
-                  TablePrinter::Num(point->gc_us_per_op),
-                  TablePrinter::Num(point->meta_us_per_op),
-                  TablePrinter::Num(point->wait_ms, 2),
-                  std::to_string(point->p50_us),
-                  std::to_string(point->p99_us),
-                  std::to_string(point->p999_us),
-                  point->deterministic ? "ok" : "FAIL"});
+      tbl.AddRow(
+          {name, "pipelined", std::to_string(depth),
+           TablePrinter::Num(wall_ms, 2), TablePrinter::Num(kops_per_sec),
+           TablePrinter::Num(speedup, 2) + "x", TablePrinter::Num(lag_ms, 1),
+           TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+           TablePrinter::Num(
+               s.PerOp(s.device.of(flash::OpCategory::kGc).total_us())),
+           TablePrinter::Num(
+               s.PerOp(s.device.of(flash::OpCategory::kMeta).total_us())),
+           TablePrinter::Num(static_cast<double>(s.credit_wait_ns) / 1e6, 2),
+           std::to_string(s.latency.p50()), std::to_string(s.latency.p99()),
+           std::to_string(s.latency.p999()),
+           point->deterministic ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);

@@ -48,19 +48,16 @@ using harness::TablePrinter;
 namespace {
 
 struct WearPoint {
-  uint64_t swaps = 0;
+  harness::CheckedRun checked;
   double erase_ratio = 0;    ///< Valid only when ratio_finite.
   bool ratio_finite = true;  ///< False when some chip saw zero erases.
   double wear_cv = 0;
-  double migrate_us_per_op = 0;
-  double parallel_us_per_op = 0;
-  double wall_ms = 0;
-  bool deterministic = true;
 };
 
 /// One measured point: threaded RunPipelined under the given skew/threshold
-/// (`threshold` <= 0 leaves wear leveling off), with an inline replay as the
-/// determinism reference.
+/// (`threshold` <= 0 leaves wear leveling off), checked against its inline
+/// replay: wear leveling must plan the same migrations at the same epoch
+/// boundaries and leave every chip bit-identical.
 Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
                            const methods::MethodSpec& spec, uint32_t num_shards,
                            uint32_t batch_size, uint32_t depth,
@@ -82,14 +79,9 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
   const harness::Execution threaded{.batch = batch_size,
                                     .depth = depth,
                                     .threaded = true};
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult run,
-                           harness::Execute(&rig, env.measure_ops, threaded));
-  point.wall_ms = run.wall_ms;
-
-  point.swaps = run.stats.migrations;
-  point.migrate_us_per_op = run.stats.migrate_us_per_op();
-  point.parallel_us_per_op = static_cast<double>(run.stats.elapsed_vt_us) /
-                             static_cast<double>(env.measure_ops);
+  FLASHDB_ASSIGN_OR_RETURN(
+      point.checked,
+      harness::ExecuteChecked(&rig, env.measure_ops, threaded));
 
   const std::vector<uint64_t> erases1 = store->shard_erases();
   uint64_t max_d = 0;
@@ -110,17 +102,6 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
     block_deltas[i] -= blocks0[i];
   }
   point.wear_cv = flash::SummarizeWear(block_deltas).cv();
-
-  // Inline replay of the identical schedule on an identically prepared
-  // store: wear leveling must plan the same migrations at the same epoch
-  // boundaries and leave every chip bit-identical.
-  FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                           harness::PrepareRig(env, spec, rig_spec));
-  const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
-                           harness::Execute(&ref, env.measure_ops, inline_ex));
-  point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
-                                                ref.store(), replay.stats);
   return point;
 }
 
@@ -129,10 +110,6 @@ Result<WearPoint> RunPoint(const harness::ExperimentEnv& env,
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
-  if (env.measure_ops == 0) {
-    std::cerr << "--ops must be > 0\n";
-    return 1;
-  }
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
@@ -198,17 +175,19 @@ int main(int argc, char** argv) {
                   << ": " << point.status().ToString() << "\n";
         return 1;
       }
-      if (!point->deterministic) failures++;
+      const workload::RunStats& s = point->checked.run.stats;
+      const bool deterministic = point->checked.deterministic;
+      if (!deterministic) failures++;
       tbl.AddRow({method_name, TablePrinter::Num(hot, 0),
                   threshold > 0 ? TablePrinter::Num(threshold, 2) : "off",
-                  std::to_string(point->swaps),
+                  std::to_string(s.migrations),
                   point->ratio_finite ? TablePrinter::Num(point->erase_ratio, 2)
                                       : "inf",
                   TablePrinter::Num(point->wear_cv, 3),
-                  TablePrinter::Num(point->migrate_us_per_op),
-                  TablePrinter::Num(point->parallel_us_per_op),
-                  TablePrinter::Num(point->wall_ms, 2),
-                  point->deterministic ? "ok" : "FAIL"});
+                  TablePrinter::Num(s.migrate_us_per_op()),
+                  TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+                  TablePrinter::Num(point->checked.run.wall_ms, 2),
+                  deterministic ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);

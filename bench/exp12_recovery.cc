@@ -67,18 +67,19 @@ Result<RecoveryRig> Prepare(const harness::ExperimentEnv& env,
                             uint32_t num_shards, uint32_t total_blocks,
                             uint32_t meta_blocks, uint32_t buckets_per_shard,
                             uint32_t num_swaps) {
+  // Guard before dividing and before constructing devices (whose ctor
+  // aborts on an all-meta chip); compare without the underflow-prone
+  // num_data_blocks().
+  if (num_shards == 0 || total_blocks / num_shards < meta_blocks + 8) {
+    return Status::InvalidArgument(
+        std::to_string(total_blocks) + " blocks over --shards=" +
+        std::to_string(num_shards) + ": need >= " +
+        std::to_string(meta_blocks + 8) + " blocks per shard (" +
+        std::to_string(meta_blocks) + " meta + 8 data)");
+  }
   flash::FlashConfig shard_cfg = env.flash_cfg;
   shard_cfg.geometry.num_blocks = total_blocks / num_shards;
   shard_cfg.geometry.meta_blocks = meta_blocks;
-  // Guard before constructing devices (whose ctor aborts on an all-meta
-  // chip); compare without the underflow-prone num_data_blocks().
-  if (shard_cfg.geometry.num_blocks < meta_blocks + 8) {
-    return Status::InvalidArgument(
-        "need >= " + std::to_string(meta_blocks + 8) +
-        " blocks per shard (" + std::to_string(meta_blocks) +
-        " meta + 8 data), got " +
-        std::to_string(shard_cfg.geometry.num_blocks));
-  }
   RecoveryRig rig;
   for (uint32_t i = 0; i < num_shards; ++i) {
     rig.devices.push_back(

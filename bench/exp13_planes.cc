@@ -18,11 +18,11 @@
 //     perf gate requires >= 2.0 on the 4-plane rows);
 //   * stall/op   -- virtual time ops spent queued behind same-plane work
 //     while another plane was idle (plane model's residual serialization);
-//   * wall_ms    -- host wall-clock of a threaded RunPipelined execution of
-//     the same schedule (depth --depth windows in flight per shard);
+//   * wall_ms    -- host wall-clock of the measured threaded RunPipelined
+//     execution (depth --depth windows in flight per shard);
 //   * determinism -- per-chip clocks and erase counts and every virtual
-//     RunStats field of the threaded run must match the inline run
-//     bit-for-bit (ok/FAIL).
+//     RunStats field of the threaded run must match an inline replay of
+//     the same schedule bit-for-bit (ok/FAIL).
 //
 // Expected shape: vt_speedup grows with the plane count and saturates
 // slightly below it (random reads collide on planes; GC compaction writes
@@ -49,50 +49,22 @@ struct GeometryPoint {
   uint32_t planes_per_chip() const { return dies * planes_per_die; }
 };
 
-struct PlanePoint {
-  double vt_us_per_op = 0;
-  double vt_kops_per_sec = 0;
-  double stall_us_per_op = 0;
-  double wall_ms = 0;
-  bool deterministic = true;
-};
-
-/// Measures one geometry x method cell: an inline RunPipelined execution for
-/// the deterministic virtual-time metrics, plus a threaded execution of the
-/// identical schedule that must replay it bit-for-bit.
-Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
-                            const methods::MethodSpec& spec,
-                            const GeometryPoint& geom, uint32_t num_shards,
-                            uint32_t batch_size, uint32_t depth) {
+/// Measures one geometry x method cell: a threaded RunPipelined execution
+/// (its wall_ms is the row's), checked against an inline replay of the
+/// identical schedule.
+Result<harness::CheckedRun> RunPoint(harness::ExperimentEnv env,
+                                     const methods::MethodSpec& spec,
+                                     const GeometryPoint& geom,
+                                     uint32_t num_shards, uint32_t batch_size,
+                                     uint32_t depth) {
   env.flash_cfg.geometry.dies_per_chip = geom.dies;
   env.flash_cfg.geometry.planes_per_die = geom.planes_per_die;
-
-  PlanePoint point;
-  const harness::RigSpec rig_spec{.shards = num_shards};
-  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
-                           harness::PrepareRig(env, spec, rig_spec));
-  const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult run,
-                           harness::Execute(&rig, env.measure_ops, inline_ex));
-  const workload::RunStats& stats = run.stats;
-  const double ops = static_cast<double>(env.measure_ops);
-  point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
-  point.vt_kops_per_sec =
-      stats.elapsed_vt_us > 0
-          ? 1000.0 * ops / static_cast<double>(stats.elapsed_vt_us)
-          : 0;
-  point.stall_us_per_op = static_cast<double>(stats.plane_stall_us) / ops;
-
-  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
-                           harness::PrepareRig(env, spec, rig_spec));
-  harness::Execution threaded = inline_ex;
-  threaded.threaded = true;
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
-                           harness::Execute(&rep, env.measure_ops, threaded));
-  point.wall_ms = replay.wall_ms;
-  point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
-                                                rig.store(), stats);
-  return point;
+  FLASHDB_ASSIGN_OR_RETURN(
+      harness::Rig rig,
+      harness::PrepareRig(env, spec, harness::RigSpec{.shards = num_shards}));
+  const harness::Execution threaded{
+      .batch = batch_size, .depth = depth, .threaded = true};
+  return harness::ExecuteChecked(&rig, env.measure_ops, threaded);
 }
 
 }  // namespace
@@ -100,10 +72,6 @@ Result<PlanePoint> RunPoint(harness::ExperimentEnv env,
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
-  if (env.measure_ops == 0) {
-    std::cerr << "--ops must be > 0\n";
-    return 1;
-  }
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 2));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
@@ -140,17 +108,22 @@ int main(int argc, char** argv) {
                   << ": " << point.status().ToString() << "\n";
         return 1;
       }
-      if (geom.planes_per_chip() == 1) base_vt_kops = point->vt_kops_per_sec;
+      const workload::RunStats& s = point->run.stats;
+      const double vt_kops_per_sec =
+          s.elapsed_vt_us > 0 ? 1000.0 * static_cast<double>(s.operations) /
+                                    static_cast<double>(s.elapsed_vt_us)
+                              : 0;
+      if (geom.planes_per_chip() == 1) base_vt_kops = vt_kops_per_sec;
       const double speedup =
-          base_vt_kops > 0 ? point->vt_kops_per_sec / base_vt_kops : 0;
+          base_vt_kops > 0 ? vt_kops_per_sec / base_vt_kops : 0;
       if (!point->deterministic) failures++;
       tbl.AddRow({name, std::to_string(geom.dies),
                   std::to_string(geom.planes_per_die),
-                  TablePrinter::Num(point->vt_us_per_op),
-                  TablePrinter::Num(point->vt_kops_per_sec, 2),
+                  TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+                  TablePrinter::Num(vt_kops_per_sec, 2),
                   TablePrinter::Num(speedup, 2) + "x",
-                  TablePrinter::Num(point->stall_us_per_op),
-                  TablePrinter::Num(point->wall_ms, 2),
+                  TablePrinter::Num(s.PerOp(s.plane_stall_us)),
+                  TablePrinter::Num(point->run.wall_ms, 2),
                   point->deterministic ? "ok" : "FAIL"});
     }
   }

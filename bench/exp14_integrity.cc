@@ -45,57 +45,25 @@ using harness::TablePrinter;
 
 namespace {
 
-struct IntegrityPoint {
-  double vt_us_per_op = 0;
-  double retry_us_per_op = 0;
-  uint64_t retries = 0;
-  uint64_t corrected = 0;
-  uint64_t uncorrectable = 0;
-  double scrub_us_per_op = 0;
-  uint64_t relocated = 0;
-  bool deterministic = true;
-};
-
 /// Measures one (method, error-rate, scrub) cell: an inline RunPipelined
-/// execution for the deterministic metrics, plus a threaded execution of the
-/// identical schedule that must replay it bit-for-bit. The
-/// error injector is attached only after warmup, so every point measures
-/// the same warmed flash image and the sweep isolates the read-path costs.
-Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
-                                const methods::MethodSpec& spec,
-                                flash::FaultInjector* injector, bool scrub,
-                                uint32_t num_shards, uint32_t batch_size,
-                                uint32_t depth, uint64_t epoch_ops) {
+/// execution for the deterministic metrics, checked against a threaded
+/// replay of the identical schedule. The error injector is attached only
+/// after warmup, so every point measures the same warmed flash image and
+/// the sweep isolates the read-path costs.
+Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
+                                     const methods::MethodSpec& spec,
+                                     flash::FaultInjector* injector,
+                                     bool scrub, uint32_t num_shards,
+                                     uint32_t batch_size, uint32_t depth,
+                                     uint64_t epoch_ops) {
   harness::RigSpec rig_spec{.shards = num_shards};
   rig_spec.params.rebalance_epoch_ops = epoch_ops;
   rig_spec.params.scrub = scrub;
-  IntegrityPoint point;
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                            harness::PrepareRig(env, spec, rig_spec));
-  if (injector != nullptr) rig.AttachFaultInjector(injector);
   const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult run,
-                           harness::Execute(&rig, env.measure_ops, inline_ex));
-  const workload::RunStats& stats = run.stats;
-  const double ops = static_cast<double>(env.measure_ops);
-  point.vt_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
-  point.retry_us_per_op = stats.retry_us_per_op();
-  point.retries = stats.device.integrity.read_retries;
-  point.corrected = stats.device.integrity.reads_corrected;
-  point.uncorrectable = stats.device.integrity.reads_uncorrectable;
-  point.scrub_us_per_op = stats.scrub_us_per_op();
-  point.relocated = stats.scrub_relocations;
-
-  FLASHDB_ASSIGN_OR_RETURN(harness::Rig rep,
-                           harness::PrepareRig(env, spec, rig_spec));
-  if (injector != nullptr) rep.AttachFaultInjector(injector);
-  harness::Execution threaded = inline_ex;
-  threaded.threaded = true;
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
-                           harness::Execute(&rep, env.measure_ops, threaded));
-  point.deterministic = harness::SameVirtualRun(rep.store(), replay.stats,
-                                                rig.store(), stats);
-  return point;
+  return harness::ExecuteChecked(&rig, env.measure_ops, inline_ex,
+                                 /*metrics=*/nullptr, injector);
 }
 
 }  // namespace
@@ -103,10 +71,6 @@ Result<IntegrityPoint> RunPoint(const harness::ExperimentEnv& env,
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
-  if (env.measure_ops == 0) {
-    std::cerr << "--ops must be > 0\n";
-    return 1;
-  }
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 2));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
@@ -159,16 +123,18 @@ int main(int argc, char** argv) {
                     << point.status().ToString() << "\n";
           return 1;
         }
+        const workload::RunStats& s = point->run.stats;
+        const flash::IntegrityCounters& integrity = s.device.integrity;
         if (!point->deterministic) failures++;
-        if (point->uncorrectable != 0 && scrub) failures++;
+        if (integrity.reads_uncorrectable != 0 && scrub) failures++;
         tbl.AddRow({name, TablePrinter::Num(ber, 3), scrub ? "on" : "off",
-                    TablePrinter::Num(point->vt_us_per_op),
-                    TablePrinter::Num(point->retry_us_per_op, 2),
-                    std::to_string(point->retries),
-                    std::to_string(point->corrected),
-                    std::to_string(point->uncorrectable),
-                    TablePrinter::Num(point->scrub_us_per_op, 2),
-                    std::to_string(point->relocated),
+                    TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+                    TablePrinter::Num(s.retry_us_per_op(), 2),
+                    std::to_string(integrity.read_retries),
+                    std::to_string(integrity.reads_corrected),
+                    std::to_string(integrity.reads_uncorrectable),
+                    TablePrinter::Num(s.scrub_us_per_op(), 2),
+                    std::to_string(s.scrub_relocations),
                     point->deterministic ? "ok" : "FAIL"});
       }
     }

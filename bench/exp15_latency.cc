@@ -21,16 +21,18 @@
 //   * ... extra=wear          -- wear-leveling rebalancer on (epoch --epoch),
 //     migrations at epoch boundaries;
 //   * ... extra=scrub         -- bit-error injector (--ber) plus background
-//     scrub at epoch boundaries.
+//     scrub at epoch boundaries. The injector's error model is a pure hash
+//     with no RNG state, so one injector serves the run and its replay.
 //
-// Every row carries a determinism cross-check: an identically prepared rig
-// replays the same operations through the *other* executor (sequential rows
-// via single-worker threaded RunPipelined; pipelined rows inline), and the
-// per-chip clocks and erase counts plus every virtual RunStats field --
-// whole latency histogram and worst-op sample included -- must match
-// bit-for-bit. The perf gate requires `ok` in every row and compares every
-// virtual column exactly with the baseline; wall_ms is machine-relative and
-// stays warn-only.
+// Every row carries one cross-mode check (harness::ExecuteChecked): an
+// identically prepared rig replays the same operations through the *other*
+// executor (sequential rows via single-worker threaded RunPipelined;
+// pipelined rows inline), and the per-chip clocks and erase counts, every
+// virtual RunStats field -- whole latency histogram and worst-op sample
+// included -- and the canonical event trace must match bit-for-bit. The
+// determinism and trace columns both print that one verdict. The perf gate
+// requires `ok` in every row and compares every virtual column exactly with
+// the baseline; wall_ms is machine-relative and stays warn-only.
 
 #include <cstdio>
 #include <iostream>
@@ -58,26 +60,17 @@ struct Config {
   const char* extra;  // "-", "wear", "scrub"
 };
 
-struct LatencyPoint {
-  harness::PointResult run;
-  bool deterministic = true;
-  /// Replay's deterministic event stream byte-identical to the primary's.
-  bool trace_ok = true;
-  uint64_t trace_emitted = 0;
-  uint64_t trace_dropped = 0;
-};
-
-/// Runs one cell in its own mode, then replays the identical operations
-/// through the other executor on an identically prepared rig and compares
-/// chip state, every virtual RunStats field, and the canonical event trace.
-/// With a --trace path, exports the primary run's timeline as Chrome trace
-/// JSON.
-Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
-                              const methods::MethodSpec& spec,
-                              const Config& cfg, uint32_t batch_size,
-                              uint64_t epoch_ops,
-                              double hot_pct, uint32_t disturb_limit,
-                              double ber, uint64_t point_index) {
+/// Runs one cell in its own mode into `recorder`, checked against a replay
+/// through the other executor on an identically prepared rig: chip state,
+/// every virtual RunStats field and the canonical event trace must match.
+/// With a --trace path, exports the run's timeline as Chrome trace JSON.
+Result<harness::CheckedRun> RunPoint(harness::ExperimentEnv env,
+                                     const methods::MethodSpec& spec,
+                                     const Config& cfg, uint32_t batch_size,
+                                     uint64_t epoch_ops, double hot_pct,
+                                     uint32_t disturb_limit, double ber,
+                                     obs::TraceRecorder* recorder,
+                                     uint64_t point_index) {
   const bool scrubbing = std::string(cfg.extra) == "scrub";
   const bool leveling = std::string(cfg.extra) == "wear";
   if (scrubbing) env.flash_cfg.read_disturb_limit = disturb_limit;
@@ -94,62 +87,37 @@ Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
     rig_spec.params.rebalance_epoch_ops = epoch_ops;
     rig_spec.params.scrub = true;
   }
-  // Each rig gets its own injector so retry-attenuation RNG state never
-  // leaks between the primary run and the replay.
+  // The error model is a pure hash of the read's address and attempt, so
+  // one injector serves the run and its replay.
   flash::BitErrorInjector::Params inj_params;
   inj_params.page_error_rate = ber;
-  flash::BitErrorInjector primary_injector(inj_params);
-  flash::BitErrorInjector replay_injector(inj_params);
+  flash::BitErrorInjector injector(inj_params);
 
   // Single-op windows make the shards=1 rows bit-identical to the
   // sequential Run() loop; multi-chip rows use the windowed batch size.
+  // The sequential row's replay runs the single-worker pipelined mode --
+  // the cross-mode proof the flat path exists for -- and pipelined rows
+  // replay inline.
   const uint32_t batch = cfg.shards == 1 ? 1 : batch_size;
   const harness::Execution primary{.batch = batch,
                                    .depth = cfg.depth,
                                    .threaded = true,
                                    .pin = cfg.pin};
-  // The replay runs the other mode: sequential rows through the
-  // single-worker pipelined mode -- the cross-mode proof the flat path
-  // exists for -- and pipelined rows inline.
-  harness::Execution replay = primary;
-  if (cfg.depth == 0) {
-    replay.depth = 4;
-  } else {
-    replay.threaded = false;
-  }
 
-  LatencyPoint point;
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                            harness::PrepareRig(env, spec, rig_spec));
-  // Post-warmup attach: every point measures the same warmed flash image,
-  // and the timeline covers exactly the measured ops. The measured
-  // operations are drawn only now, so a sequential row's Run() and its
-  // scheduled replay execute the very same operations.
-  if (scrubbing) rig.AttachFaultInjector(&primary_injector);
-  obs::TraceRecorder recorder(cfg.shards);
-  rig.AttachTrace(&recorder);
-  FLASHDB_ASSIGN_OR_RETURN(point.run,
-                           harness::Execute(&rig, env.measure_ops, primary));
-
-  point.trace_emitted = recorder.total_emitted();
-  point.trace_dropped = recorder.total_dropped();
+  // The measured operations are drawn only now, after warm-up, so a
+  // sequential row's Run() and its scheduled replay execute the very same
+  // operations.
+  FLASHDB_ASSIGN_OR_RETURN(
+      harness::CheckedRun point,
+      harness::ExecuteChecked(&rig, env.measure_ops, primary,
+                              /*metrics=*/nullptr,
+                              scrubbing ? &injector : nullptr, recorder));
   if (!env.trace_path.empty()) {
-    FLASHDB_RETURN_IF_ERROR(recorder.WriteChromeTraceFile(
+    FLASHDB_RETURN_IF_ERROR(recorder->WriteChromeTraceFile(
         harness::PointTracePath(env.trace_path, point_index)));
   }
-
-  FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                           harness::PrepareRig(env, spec, rig_spec));
-  if (scrubbing) ref.AttachFaultInjector(&replay_injector);
-  obs::TraceRecorder ref_recorder(cfg.shards);
-  ref.AttachTrace(&ref_recorder);
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult again,
-                           harness::Execute(&ref, env.measure_ops, replay));
-  point.deterministic = harness::SameVirtualRun(ref.store(), again.stats,
-                                                rig.store(), point.run.stats);
-  // The trace-determinism contract: the two modes' deterministic event
-  // streams must agree byte-for-byte (wall-domain events excluded).
-  point.trace_ok = ref_recorder.CanonicalBytes() == recorder.CanonicalBytes();
   return point;
 }
 
@@ -158,10 +126,6 @@ Result<LatencyPoint> RunPoint(harness::ExperimentEnv env,
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
-  if (env.measure_ops == 0) {
-    std::cerr << "--ops must be > 0\n";
-    return 1;
-  }
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 4));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
@@ -206,34 +170,38 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const Config& cfg : configs) {
+      obs::TraceRecorder recorder(cfg.shards);
       auto point = RunPoint(env, *spec, cfg, batch_size, epoch_ops, hot_pct,
-                            disturb_limit, ber, point_index);
+                            disturb_limit, ber, &recorder, point_index);
       if (!point.ok()) {
         std::cerr << name << " " << cfg.mode << " shards=" << cfg.shards
                   << " K=" << cfg.depth << " extra=" << cfg.extra << ": "
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (!point->deterministic || !point->trace_ok) failures++;
-      const workload::LatencyHistogram& h = point->run.stats.latency;
+      // The one verdict covers the trace too, so both columns read it.
+      const char* verdict = point->deterministic ? "ok" : "FAIL";
+      if (!point->deterministic) failures++;
+      const workload::RunStats& s = point->run.stats;
+      const workload::LatencyHistogram& h = s.latency;
       tbl.AddRow({name, cfg.mode, std::to_string(cfg.shards),
                   cfg.depth == 0 ? "-" : std::to_string(cfg.depth),
                   cfg.pin ? "on" : "off", cfg.extra,
                   std::to_string(h.p50()), std::to_string(h.p99()),
                   std::to_string(h.p999()), TablePrinter::Num(h.mean(), 1),
                   std::to_string(h.max()),
-                  std::to_string(point->run.stats.worst_op.total_us),
-                  std::to_string(point->run.stats.worst_op.gc_us),
-                  std::to_string(point->run.stats.worst_op.meta_us),
-                  TablePrinter::Num(point->run.wall_ms, 2),
-                  point->deterministic ? "ok" : "FAIL",
-                  point->trace_ok ? "ok" : "FAIL"});
+                  std::to_string(s.worst_op.total_us),
+                  std::to_string(s.worst_op.gc_us),
+                  std::to_string(s.worst_op.meta_us),
+                  TablePrinter::Num(point->run.wall_ms, 2), verdict, verdict});
       // One epoch per measured row: the registry's time series doubles as a
       // machine-readable form of the whole sweep.
-      obs::ImportRunStats(&metrics, "run", point->run.stats);
-      metrics.Set("trace.emitted", static_cast<double>(point->trace_emitted),
+      obs::ImportRunStats(&metrics, "run", s);
+      metrics.Set("trace.emitted",
+                  static_cast<double>(recorder.total_emitted()),
                   obs::MetricsRegistry::Kind::kCounter);
-      metrics.Set("trace.dropped", static_cast<double>(point->trace_dropped),
+      metrics.Set("trace.dropped",
+                  static_cast<double>(recorder.total_dropped()),
                   obs::MetricsRegistry::Kind::kCounter);
       metrics.SnapshotEpoch(point_index);
       ++point_index;

@@ -44,32 +44,16 @@ namespace {
 /// Windows in flight per shard.
 constexpr uint32_t kDepth = 4;
 
-struct ParallelPoint {
-  double wall_ms = 0;
-  double kops_per_sec = 0;
-  double parallel_us_per_op = 0;
-  double total_us_per_op = 0;
-  // Stall attribution (virtual time, deterministic): where the per-op cost
-  // beyond raw command latency went.
-  double gc_us_per_op = 0;
-  double meta_us_per_op = 0;
-  double plane_stall_us_per_op = 0;
-  // Per-op virtual-time latency percentiles (deterministic, gateable).
-  uint64_t p50_us = 0;
-  uint64_t p99_us = 0;
-  uint64_t p999_us = 0;
-  bool deterministic = true;
-};
-
-Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
-                               const methods::MethodSpec& spec,
-                               uint32_t num_shards, uint32_t batch_size,
-                               const workload::WorkloadParams& params, bool pin,
-                               obs::MetricsRegistry* metrics) {
+/// One measured point: the threaded run over `num_shards` chips, checked
+/// against its inline replay.
+Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
+                                     const methods::MethodSpec& spec,
+                                     uint32_t num_shards, uint32_t batch_size,
+                                     const workload::WorkloadParams& params,
+                                     bool pin, obs::MetricsRegistry* metrics) {
   const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                            harness::PrepareRig(env, spec, rig_spec));
-
   // The uniform per-bench metrics object: run stats plus the executor's
   // per-worker submit/complete counters and the store's clock skew --
   // report-time reads only, the caller snapshots one epoch per point.
@@ -78,44 +62,10 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
                                     .threaded = true,
                                     .pin = pin};
   FLASHDB_ASSIGN_OR_RETURN(
-      harness::PointResult run,
-      harness::Execute(&rig, env.measure_ops, threaded, metrics));
-  if (metrics != nullptr) {
-    obs::ImportShardedStoreStats(metrics, "store", *rig.sharded());
-  }
-
-  ParallelPoint point;
-  point.wall_ms = run.wall_ms;
-  point.kops_per_sec = point.wall_ms > 0
-                           ? static_cast<double>(env.measure_ops) /
-                                 point.wall_ms
-                           : 0;
-  const double ops = static_cast<double>(env.measure_ops);
-  const workload::RunStats& stats = run.stats;
-  point.parallel_us_per_op = static_cast<double>(stats.elapsed_vt_us) / ops;
-  point.total_us_per_op = static_cast<double>(stats.total_work_us) / ops;
-  const flash::DeviceCounters& dc = stats.device;
-  point.gc_us_per_op =
-      static_cast<double>(dc.of(flash::OpCategory::kGc).total_us()) / ops;
-  point.meta_us_per_op =
-      static_cast<double>(dc.of(flash::OpCategory::kMeta).total_us()) / ops;
-  point.plane_stall_us_per_op =
-      static_cast<double>(stats.plane_stall_us) / ops;
-  point.p50_us = stats.latency.p50();
-  point.p99_us = stats.latency.p99();
-  point.p999_us = stats.latency.p999();
-
-  // Replay the identical schedule inline on an identically prepared store;
-  // thread-confined execution must leave every chip exactly where the
-  // threaded run left it.
-  FLASHDB_ASSIGN_OR_RETURN(harness::Rig ref,
-                           harness::PrepareRig(env, spec, rig_spec));
-  const harness::Execution inline_ex{.batch = batch_size, .depth = kDepth};
-  FLASHDB_ASSIGN_OR_RETURN(harness::PointResult replay,
-                           harness::Execute(&ref, env.measure_ops, inline_ex));
-  point.deterministic = harness::SameVirtualRun(rig.store(), run.stats,
-                                                ref.store(), replay.stats);
-  return point;
+      harness::CheckedRun run,
+      harness::ExecuteChecked(&rig, env.measure_ops, threaded, metrics));
+  obs::ImportShardedStoreStats(metrics, "store", *rig.sharded());
+  return run;
 }
 
 }  // namespace
@@ -123,10 +73,6 @@ Result<ParallelPoint> RunPoint(const harness::ExperimentEnv& env,
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
-  if (env.measure_ops == 0) {
-    std::cerr << "--ops must be > 0\n";
-    return 1;
-  }
   const uint32_t total_blocks = env.flash_cfg.geometry.num_blocks;
   const bool pin = flags.GetBool("pin", false);
 
@@ -175,23 +121,27 @@ int main(int argc, char** argv) {
                     << point.status().ToString() << "\n";
           return 1;
         }
-        if (shards == 1) base_wall = point->wall_ms;
-        const double speedup =
-            point->wall_ms > 0 ? base_wall / point->wall_ms : 0;
+        const workload::RunStats& s = point->run.stats;
+        const double wall_ms = point->run.wall_ms;
+        if (shards == 1) base_wall = wall_ms;
+        const double kops_per_sec =
+            wall_ms > 0 ? static_cast<double>(env.measure_ops) / wall_ms : 0;
+        const double speedup = wall_ms > 0 ? base_wall / wall_ms : 0;
         if (!point->deterministic) failures++;
-        tbl.AddRow({name, std::to_string(shards), std::to_string(batch),
-                    TablePrinter::Num(point->wall_ms, 2),
-                    TablePrinter::Num(point->kops_per_sec),
-                    TablePrinter::Num(speedup, 2) + "x",
-                    TablePrinter::Num(point->parallel_us_per_op),
-                    TablePrinter::Num(point->total_us_per_op),
-                    TablePrinter::Num(point->gc_us_per_op),
-                    TablePrinter::Num(point->meta_us_per_op),
-                    TablePrinter::Num(point->plane_stall_us_per_op),
-                    std::to_string(point->p50_us),
-                    std::to_string(point->p99_us),
-                    std::to_string(point->p999_us),
-                    point->deterministic ? "ok" : "FAIL"});
+        tbl.AddRow(
+            {name, std::to_string(shards), std::to_string(batch),
+             TablePrinter::Num(wall_ms, 2), TablePrinter::Num(kops_per_sec),
+             TablePrinter::Num(speedup, 2) + "x",
+             TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+             TablePrinter::Num(s.PerOp(s.total_work_us)),
+             TablePrinter::Num(
+                 s.PerOp(s.device.of(flash::OpCategory::kGc).total_us())),
+             TablePrinter::Num(
+                 s.PerOp(s.device.of(flash::OpCategory::kMeta).total_us())),
+             TablePrinter::Num(s.PerOp(s.plane_stall_us)),
+             std::to_string(s.latency.p50()), std::to_string(s.latency.p99()),
+             std::to_string(s.latency.p999()),
+             point->deterministic ? "ok" : "FAIL"});
       }
     }
   }

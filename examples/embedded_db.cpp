@@ -38,44 +38,45 @@ ByteBuffer MakeContact(uint64_t id, Random* rng) {
   return rec;
 }
 
-/// Runs the scenario on one page-update method; returns flash-I/O ms.
-double RunScenario(const std::string& method) {
-  auto spec = methods::ParseMethodSpec(method);
+/// Runs the scenario on one page-update method; returns flash-I/O ms, or
+/// the first error any layer of the stack reported.
+Result<double> RunScenario(const std::string& method) {
+  FLASHDB_ASSIGN_OR_RETURN(methods::MethodSpec spec,
+                           methods::ParseMethodSpec(method));
   flash::FlashDevice dev(flash::FlashConfig::Small(64));  // 8 MB chip
-  auto store = methods::CreateStore(&dev, *spec);
-  store->Format(kHeapPages + kIndexPages, nullptr, nullptr);
+  auto store = methods::CreateStore(&dev, spec);
+  FLASHDB_RETURN_IF_ERROR(
+      store->Format(kHeapPages + kIndexPages, nullptr, nullptr));
   storage::BufferPool pool(store.get(), 32);  // tiny device RAM budget
 
   storage::HeapFile contacts(&pool, 0, kHeapPages);
   storage::BTree by_id(&pool, kHeapPages, kIndexPages);
-  contacts.Create();
-  by_id.Create();
+  FLASHDB_RETURN_IF_ERROR(contacts.Create());
+  FLASHDB_RETURN_IF_ERROR(by_id.Create());
 
   // Load the address book.
   Random rng(7);
   for (uint64_t id = 1; id <= kContacts; ++id) {
-    auto rid = contacts.Insert(MakeContact(id, &rng));
-    by_id.Insert(id, rid->Encode());
+    FLASHDB_ASSIGN_OR_RETURN(storage::Rid rid,
+                             contacts.Insert(MakeContact(id, &rng)));
+    FLASHDB_RETURN_IF_ERROR(by_id.Insert(id, rid.Encode()));
   }
-  pool.FlushAll();
+  FLASHDB_RETURN_IF_ERROR(pool.FlushAll());
   dev.ResetAccounting();
 
   // Usage: 70% lookups, 30% "calls" that bump the contact's call counter.
   ByteBuffer rec;
   for (uint32_t op = 0; op < kOps; ++op) {
     const uint64_t id = 1 + rng.Skewed(kContacts, 0.6);  // hot contacts
-    auto enc = by_id.Get(id);
-    if (!enc.ok()) continue;
-    const storage::Rid rid = storage::Rid::Decode(*enc);
-    if (rng.Bernoulli(0.7)) {
-      contacts.Get(rid, &rec);
-    } else {
-      contacts.Get(rid, &rec);
+    FLASHDB_ASSIGN_OR_RETURN(uint64_t enc, by_id.Get(id));
+    const storage::Rid rid = storage::Rid::Decode(enc);
+    FLASHDB_RETURN_IF_ERROR(contacts.Get(rid, &rec));
+    if (!rng.Bernoulli(0.7)) {
       EncodeFixed32(rec.data() + 8, DecodeFixed32(rec.data() + 8) + 1);
-      contacts.Update(rid, rec);
+      FLASHDB_RETURN_IF_ERROR(contacts.Update(rid, rec));
     }
   }
-  pool.FlushAll();
+  FLASHDB_RETURN_IF_ERROR(pool.FlushAll());
   const double ms = static_cast<double>(dev.clock().now_us()) / 1000.0;
   const auto& t = dev.stats().total;
   std::printf(
@@ -94,10 +95,15 @@ int main() {
   std::printf("Embedded contacts database: %u contacts, %u operations, "
               "32-frame (64 KB) buffer pool\n\n",
               kContacts, kOps);
-  const double opu = RunScenario("OPU");
-  const double pdl = RunScenario("PDL(256B)");
+  const Result<double> opu = RunScenario("OPU");
+  const Result<double> pdl = opu.ok() ? RunScenario("PDL(256B)") : opu;
+  if (!pdl.ok()) {
+    std::fprintf(stderr, "scenario failed: %s\n",
+                 pdl.status().ToString().c_str());
+    return 1;
+  }
   std::printf("\nPDL(256B) speedup over the page-based driver: %.2fx\n",
-              opu / pdl);
+              *opu / *pdl);
   std::printf("Same DBMS code, different flash driver -- the paper's "
               "DBMS-independence claim in action.\n");
   return 0;

@@ -33,17 +33,19 @@ int main() {
     params.pct_changed_by_one_op = 2.0;
     workload::UpdateDriver driver(store.get(), params);
     const uint32_t pages = (dev.geometry().total_pages() - 128) / 2;
-    if (!driver.LoadDatabase(pages).ok()) {
-      std::printf("  %-10s format failed\n", spec.ToString().c_str());
-      continue;
+    if (Status st = driver.LoadDatabase(pages); !st.ok()) {
+      std::printf("  %-10s format failed: %s\n", spec.ToString().c_str(),
+                  st.ToString().c_str());
+      return 1;
     }
     dev.ResetAccounting();
     workload::RunStats stats;
     // IPU is ~50x slower; keep the example snappy.
     const uint64_t ops = spec.kind == methods::MethodKind::kIpu ? 2000 : kOps;
-    if (!driver.Run(ops, &stats).ok()) {
-      std::printf("  %-10s run failed\n", spec.ToString().c_str());
-      continue;
+    if (Status st = driver.Run(ops, &stats); !st.ok()) {
+      std::printf("  %-10s run failed: %s\n", spec.ToString().c_str(),
+                  st.ToString().c_str());
+      return 1;
     }
     const flash::WearSummary wear = store->wear();
     const uint64_t total = wear.total;

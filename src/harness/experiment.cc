@@ -16,10 +16,11 @@
 namespace flashdb::harness {
 
 namespace {
-/// Per-chip (virtual clock, erase count) pairs of a flat or sharded store.
-std::vector<std::pair<uint64_t, uint64_t>> ChipState(PageStore* store) {
-  auto* sharded = dynamic_cast<ftl::ShardedStore*>(store);
+/// Per-chip (virtual clock, erase count) pairs of a flat or sharded rig.
+std::vector<std::pair<uint64_t, uint64_t>> ChipState(Rig* rig) {
+  ftl::ShardedStore* sharded = rig->sharded();
   if (sharded == nullptr) {
+    PageStore* store = rig->store();
     return {{store->device()->clock().now_us(), store->total_erases()}};
   }
   std::vector<std::pair<uint64_t, uint64_t>> chips;
@@ -50,11 +51,6 @@ uint32_t ExperimentEnv::num_db_pages(uint32_t chips) const {
   return static_cast<uint32_t>(
       utilization *
       static_cast<double>(g.total_pages() - 2 * g.pages_per_block) * chips);
-}
-
-bool SameVirtualRun(PageStore* a, const workload::RunStats& sa, PageStore* b,
-                    const workload::RunStats& sb) {
-  return ChipState(a) == ChipState(b) && sa.SameVirtualAs(sb);
 }
 
 std::string PointTracePath(const std::string& base, uint64_t index) {
@@ -101,13 +97,12 @@ flash::FlashDevice* Rig::chip(uint32_t i) {
   return sharded_ != nullptr ? sharded_->shard_device(i) : flat_chip_.get();
 }
 
-void Rig::AttachTrace(obs::TraceRecorder* rec) {
-  for (uint32_t i = 0; i < chips(); ++i) chip(i)->set_trace(rec->shard(i));
-  driver_->set_wall_trace(rec->wall_lane());
-}
-
-void Rig::AttachFaultInjector(flash::FaultInjector* injector) {
-  for (uint32_t i = 0; i < chips(); ++i) chip(i)->set_fault_injector(injector);
+void Rig::Attach(flash::FaultInjector* injector, obs::TraceRecorder* rec) {
+  for (uint32_t i = 0; i < chips(); ++i) {
+    chip(i)->set_fault_injector(injector);
+    if (rec != nullptr) chip(i)->set_trace(rec->shard(i));
+  }
+  if (rec != nullptr) driver_->set_wall_trace(rec->wall_lane());
 }
 
 Result<Rig> PrepareRig(const ExperimentEnv& env,
@@ -128,6 +123,9 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
   chip_cfg.geometry.num_blocks = blocks / shape.shards;
 
   Rig out;
+  out.env_ = env;
+  out.spec_ = spec;
+  out.shape_ = shape;
   if (shape.flat) {
     out.flat_chip_ = std::make_unique<flash::FlashDevice>(chip_cfg);
     out.store_ = methods::CreateStore(out.flat_chip_.get(), spec);
@@ -155,6 +153,10 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
 
 Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
                             obs::MetricsRegistry* metrics) {
+  if (num_ops == 0) {
+    return Status::InvalidArgument(
+        "--ops=0: a measured run needs at least one operation");
+  }
   using Clock = std::chrono::steady_clock;
   workload::UpdateDriver* driver = rig->driver_.get();
   PointResult result;
@@ -185,6 +187,37 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
   return result;
 }
 
+Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
+                                  const Execution& ex,
+                                  obs::MetricsRegistry* metrics,
+                                  flash::FaultInjector* injector,
+                                  obs::TraceRecorder* trace) {
+  rig->Attach(injector, trace);
+  CheckedRun out;
+  FLASHDB_ASSIGN_OR_RETURN(out.run, Execute(rig, num_ops, ex, metrics));
+
+  // Run() is the window body at batch 1, so single-op windows replay the
+  // sequential loop's very operations.
+  Execution mirror = ex;
+  mirror.threaded = !ex.threaded;
+  if (ex.depth == 0) mirror = {.batch = 1, .depth = 4, .threaded = true};
+  FLASHDB_ASSIGN_OR_RETURN(Rig twin,
+                           PrepareRig(rig->env_, rig->spec_, rig->shape_));
+  std::unique_ptr<obs::TraceRecorder> twin_trace;
+  if (trace != nullptr) {
+    twin_trace = std::make_unique<obs::TraceRecorder>(trace->num_shards());
+  }
+  twin.Attach(injector, twin_trace.get());
+  FLASHDB_ASSIGN_OR_RETURN(PointResult replay,
+                           Execute(&twin, num_ops, mirror));
+  out.deterministic =
+      ChipState(rig) == ChipState(&twin) &&
+      out.run.stats.SameVirtualAs(replay.stats) &&
+      (trace == nullptr ||
+       trace->CanonicalBytes() == twin_trace->CanonicalBytes());
+  return out;
+}
+
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params) {
@@ -195,7 +228,7 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
   std::unique_ptr<obs::TraceRecorder> recorder;
   if (!env.trace_path.empty()) {
     recorder = std::make_unique<obs::TraceRecorder>(1);
-    rig.AttachTrace(recorder.get());
+    rig.Attach(nullptr, recorder.get());
   }
   FLASHDB_ASSIGN_OR_RETURN(PointResult result,
                            Execute(&rig, env.measure_ops, Execution{}));

@@ -1,8 +1,8 @@
 // Shared experiment plumbing: builds a device + store + driver for a method,
 // loads the database, reaches steady state, and measures a workload point.
 // Every update-workload bench prepares its stores with PrepareRig and times
-// its measured runs with Execute; a replay check is a second PrepareRig with
-// equal arguments, Execute in the other mode, then SameVirtualRun.
+// its measured runs with Execute, or with ExecuteChecked, which also replays
+// them in the mirrored mode on a twin rig and compares the two.
 //
 // Scale note: the paper runs a 1 GB database on a 2 GB chip and warms up
 // until every block was garbage-collected >= 10 times. Virtual-time results
@@ -110,8 +110,19 @@ struct RigSpec {
   workload::WorkloadParams params = {};
 };
 
-/// A store plus its driver at steady state. Two rigs prepared with equal
-/// arguments hold bit-identical state, which the replay checks rely on.
+/// A measured run and the verdict of its cross-mode replay.
+struct CheckedRun {
+  PointResult run;
+  /// The replay left every chip with the same virtual clock and erase
+  /// count, agreed on every virtual RunStats field (RunStats::SameVirtualAs;
+  /// the wall-clock credit_wait_ns is excluded) and, when traced, recorded
+  /// the same canonical event bytes.
+  bool deterministic = false;
+};
+
+/// A store plus its driver at steady state, and the arguments it was
+/// prepared from. Two rigs prepared with equal arguments hold bit-identical
+/// state, which ExecuteChecked's replay relies on.
 class Rig {
  public:
   Rig(Rig&&) = default;
@@ -124,12 +135,6 @@ class Rig {
   ftl::ShardedStore* sharded() { return sharded_; }
   uint32_t chips() const;
 
-  /// Attaches `rec`'s lane i to chip i and its wall lane to the driver.
-  /// `rec` needs chips() lanes.
-  void AttachTrace(obs::TraceRecorder* rec);
-  /// Attaches `injector` to every chip.
-  void AttachFaultInjector(flash::FaultInjector* injector);
-
  private:
   friend Result<Rig> PrepareRig(const ExperimentEnv& env,
                                 const methods::MethodSpec& spec,
@@ -137,9 +142,24 @@ class Rig {
   friend Result<PointResult> Execute(Rig* rig, uint64_t num_ops,
                                      const Execution& ex,
                                      obs::MetricsRegistry* metrics);
+  friend Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
+                                           const Execution& ex,
+                                           obs::MetricsRegistry* metrics,
+                                           flash::FaultInjector* injector,
+                                           obs::TraceRecorder* trace);
+  friend Result<PointResult> RunWorkloadPoint(
+      const ExperimentEnv& env, const methods::MethodSpec& spec,
+      const workload::WorkloadParams& params);
   Rig() = default;
   flash::FlashDevice* chip(uint32_t i);
+  /// Attaches `injector` to every chip and, when `rec` is not null, its
+  /// lane i to chip i and its wall lane to the driver (`rec` needs chips()
+  /// lanes).
+  void Attach(flash::FaultInjector* injector, obs::TraceRecorder* rec);
 
+  ExperimentEnv env_;  // PrepareRig's arguments, for the replay's twin
+  methods::MethodSpec spec_;
+  RigSpec shape_;
   std::unique_ptr<flash::FlashDevice> flat_chip_;  // flat rigs only
   std::unique_ptr<PageStore> store_;
   ftl::ShardedStore* sharded_ = nullptr;  // store_, when sharded
@@ -156,11 +176,28 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
                        const methods::MethodSpec& spec, const RigSpec& shape);
 
 /// Draws `num_ops` operations from the rig's driver and runs them as `ex`
-/// says. Only the run is timed: a pre-drawn schedule and the worker start-up
-/// stay outside wall_ms. With `metrics`, imports the run stats under "run"
-/// and, when threaded, the executor's counters under "executor".
+/// says (InvalidArgument for zero). Only the run is timed: a pre-drawn
+/// schedule and the worker start-up stay outside wall_ms. With `metrics`,
+/// imports the run stats under "run" and, when threaded, the executor's
+/// counters under "executor".
 Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
                             obs::MetricsRegistry* metrics = nullptr);
+
+/// The benches' one replay check. Executes the warmed `rig` as `ex` says
+/// (with `metrics`, as Execute does), then prepares a twin from the rig's
+/// PrepareRig arguments and replays the same operations on it in the
+/// mirrored mode: a threaded run inline and an inline one threaded, at the
+/// same batch and depth; the sequential loop as single-op windows through a
+/// threaded pipeline of depth 4. `injector` (when not null) is attached to
+/// both rigs, and `trace` (when not null, with chips() lanes) to the rig
+/// while the twin records into a recorder of its own; both attach after
+/// warm-up. Returns the rig's run and the verdict; the rig stays the
+/// caller's to inspect.
+Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
+                                  const Execution& ex,
+                                  obs::MetricsRegistry* metrics = nullptr,
+                                  flash::FaultInjector* injector = nullptr,
+                                  obs::TraceRecorder* trace = nullptr);
 
 /// A flat rig for `spec` (PrepareRig), measured for `env.measure_ops`
 /// operations by the sequential Run() loop. With --trace the measured run's
@@ -168,13 +205,6 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);
-
-/// The benches' replay check: true when two executions of one schedule left
-/// every chip with the same virtual clock and erase count and agree on
-/// every virtual RunStats field (RunStats::SameVirtualAs; the wall-clock
-/// credit_wait_ns is excluded). Either store may be flat or sharded.
-bool SameVirtualRun(PageStore* a, const workload::RunStats& sa, PageStore* b,
-                    const workload::RunStats& sb);
 
 /// Per-point trace file naming under --trace: index 0 keeps `base`, index k
 /// becomes `<stem>.k.<ext>` (benches measure several points per run, each

@@ -295,7 +295,9 @@ TEST(BlockManagerPlaneTest, PickVictimGroupPairsPlanesOfOneDie) {
     const bool in_lead = dev.BlockOf(a) == 0;
     const bool in_secondary =
         dev.BlockOf(a) == 1 && dev.PageInBlock(a) < ppb / 2;
-    if (in_lead || in_secondary) ASSERT_TRUE(bm.MarkObsolete(a).ok());
+    if (in_lead || in_secondary) {
+      ASSERT_TRUE(bm.MarkObsolete(a).ok());
+    }
   }
   std::vector<uint32_t> group = PickVictimGroup(bm, nullptr);
   EXPECT_EQ(group, (std::vector<uint32_t>{0, 1}));
@@ -317,7 +319,9 @@ TEST(BlockManagerPlaneTest, PickVictimGroupSkipsWeakSecondaries) {
   for (PhysAddr a : pages) {
     const bool in_lead = dev.BlockOf(a) == 0;
     const bool in_secondary = dev.BlockOf(a) == 1 && dev.PageInBlock(a) < 3;
-    if (in_lead || in_secondary) ASSERT_TRUE(bm.MarkObsolete(a).ok());
+    if (in_lead || in_secondary) {
+      ASSERT_TRUE(bm.MarkObsolete(a).ok());
+    }
   }
   std::vector<uint32_t> group = PickVictimGroup(bm, nullptr);
   EXPECT_EQ(group, std::vector<uint32_t>{0});

@@ -97,7 +97,9 @@ TEST_F(BTreeTest, ReverseAndRandomInsertionOrders) {
     bool first = true;
     ASSERT_TRUE(t.Scan(0, UINT64_MAX,
                        [&](uint64_t k, uint64_t v) {
-                         if (!first) EXPECT_GT(k, prev);
+                         if (!first) {
+                           EXPECT_GT(k, prev);
+                         }
                          EXPECT_EQ(v, k * 2);
                          prev = k;
                          first = false;

@@ -1,12 +1,16 @@
 // Tests for the experiment harness: flag parsing, table printing, the bench
-// rig (PrepareRig/Execute), and an end-to-end workload point.
+// rig (PrepareRig/Execute), the cross-mode replay check (ExecuteChecked), and
+// an end-to-end workload point.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 
+#include "flash/fault_injector.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
+#include "obs/trace_recorder.h"
 
 namespace flashdb::harness {
 namespace {
@@ -107,57 +111,105 @@ ExperimentEnv SmallRigEnv() {
   return env;
 }
 
-TEST(RigTest, FlatSequentialRunMatchesThreadedReplay) {
-  const ExperimentEnv env = SmallRigEnv();
-  const auto spec = methods::ParseMethodSpec("PDL(256B)");
-  ASSERT_TRUE(spec.ok());
-  const RigSpec rig_spec{.flat = true};
-  auto seq_rig = PrepareRig(env, *spec, rig_spec);
-  auto thr_rig = PrepareRig(env, *spec, rig_spec);
-  ASSERT_TRUE(seq_rig.ok()) << seq_rig.status().ToString();
-  ASSERT_TRUE(thr_rig.ok()) << thr_rig.status().ToString();
-  EXPECT_EQ(seq_rig->chips(), 1u);
-  EXPECT_EQ(seq_rig->sharded(), nullptr);
-
-  const Execution threaded{.batch = 1, .depth = 4, .threaded = true};
-  auto seq = Execute(&seq_rig.value(), env.measure_ops, Execution{});
-  auto thr = Execute(&thr_rig.value(), env.measure_ops, threaded);
-  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-  ASSERT_TRUE(thr.ok()) << thr.status().ToString();
-  EXPECT_EQ(seq->stats.operations, env.measure_ops);
-  EXPECT_GT(seq->stats.overall_us_per_op(), 0.0);
-  EXPECT_TRUE(SameVirtualRun(seq_rig->store(), seq->stats, thr_rig->store(),
-                             thr->stats));
-}
-
-TEST(RigTest, LevelingShardedInlineRunMatchesThreadedReplay) {
-  const ExperimentEnv env = SmallRigEnv();
-  const auto spec = methods::ParseMethodSpec("OPU");
-  ASSERT_TRUE(spec.ok());
+/// A 2-chip OPU rig whose skew makes the wear-leveling rebalancer act.
+RigSpec LevelingRigSpec() {
   RigSpec rig_spec{.shards = 2, .leveling = ftl::WearLevelConfig{}};
   rig_spec.leveling->max_erase_ratio = 1.25;
   rig_spec.leveling->min_total_erases = 8;
   rig_spec.params.hot_shard_pct = 90;
   rig_spec.params.rebalance_epoch_ops = 100;
   rig_spec.params.record_latency = true;
-  auto inline_rig = PrepareRig(env, *spec, rig_spec);
-  auto thr_rig = PrepareRig(env, *spec, rig_spec);
-  ASSERT_TRUE(inline_rig.ok()) << inline_rig.status().ToString();
-  ASSERT_TRUE(thr_rig.ok()) << thr_rig.status().ToString();
-  ASSERT_NE(inline_rig->sharded(), nullptr);
-  EXPECT_EQ(inline_rig->chips(), 2u);
+  return rig_spec;
+}
+
+/// Fails the first read attempt it is asked about, and no other.
+class FirstReadFails : public flash::FaultInjector {
+ public:
+  void BeforeMutation(flash::OpKind, uint32_t) override {}
+  void AfterMutation(flash::OpKind, uint32_t) override {}
+  bool CorruptRead(uint32_t, uint32_t, uint32_t, uint32_t) override {
+    return !fired_.exchange(true);
+  }
+
+ private:
+  std::atomic<bool> fired_{false};
+};
+
+TEST(CheckedRunTest, SequentialRunReplaysThreaded) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("PDL(256B)");
+  ASSERT_TRUE(spec.ok());
+  auto rig = PrepareRig(env, *spec, RigSpec{.flat = true});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  EXPECT_EQ(rig->chips(), 1u);
+  EXPECT_EQ(rig->sharded(), nullptr);
+
+  auto checked = ExecuteChecked(&rig.value(), env.measure_ops, Execution{});
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  EXPECT_EQ(checked->run.stats.operations, env.measure_ops);
+  EXPECT_GT(checked->run.stats.overall_us_per_op(), 0.0);
+  EXPECT_TRUE(checked->deterministic);
+}
+
+TEST(CheckedRunTest, ThreadedRunReplaysInline) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  auto rig = PrepareRig(env, *spec, LevelingRigSpec());
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  ASSERT_NE(rig->sharded(), nullptr);
+  EXPECT_EQ(rig->chips(), 2u);
+
+  obs::TraceRecorder trace(rig->chips());
+  const Execution threaded{.batch = 4, .depth = 2, .threaded = true};
+  auto checked = ExecuteChecked(&rig.value(), env.measure_ops, threaded,
+                                nullptr, nullptr, &trace);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  EXPECT_GT(trace.total_emitted(), 0u);
+  EXPECT_TRUE(checked->deterministic);
+}
+
+TEST(CheckedRunTest, InlineRunReplaysThreaded) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  auto rig = PrepareRig(env, *spec, LevelingRigSpec());
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
 
   const Execution inline_ex{.batch = 4, .depth = 2};
-  Execution threaded_ex = inline_ex;
-  threaded_ex.threaded = true;
-  auto in = Execute(&inline_rig.value(), env.measure_ops, inline_ex);
-  auto thr = Execute(&thr_rig.value(), env.measure_ops, threaded_ex);
-  ASSERT_TRUE(in.ok()) << in.status().ToString();
-  ASSERT_TRUE(thr.ok()) << thr.status().ToString();
+  auto checked = ExecuteChecked(&rig.value(), env.measure_ops, inline_ex);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   // The skew must make the rebalancer act, or the replay proves little.
-  EXPECT_GT(in->stats.migrations, 0u);
-  EXPECT_TRUE(SameVirtualRun(inline_rig->store(), in->stats, thr_rig->store(),
-                             thr->stats));
+  EXPECT_GT(checked->run.stats.migrations, 0u);
+  EXPECT_TRUE(checked->deterministic);
+}
+
+TEST(CheckedRunTest, RunsThatDifferFailTheVerdict) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("PDL(256B)");
+  ASSERT_TRUE(spec.ok());
+  auto rig = PrepareRig(env, *spec, RigSpec{.flat = true});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+
+  // Shared by both rigs, the injector fails one read of the run and none
+  // of the replay's.
+  FirstReadFails injector;
+  auto checked = ExecuteChecked(&rig.value(), env.measure_ops, Execution{},
+                                nullptr, &injector);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  EXPECT_EQ(checked->run.stats.device.integrity.read_retries, 1u);
+  EXPECT_FALSE(checked->deterministic);
+}
+
+TEST(RigTest, ExecuteRejectsZeroOperations) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  auto rig = PrepareRig(env, *spec, RigSpec{.flat = true});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  const auto run = Execute(&rig.value(), 0, Execution{});
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
 }
 
 TEST(RigTest, RejectsFewerThanEightBlocksPerChip) {

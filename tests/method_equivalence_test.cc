@@ -155,7 +155,9 @@ void WindowedEquivalenceSuite(PageStore* store, uint32_t pages, int seed,
       queued.emplace_back(pid, buf);
       latest[pid] = queued.size() - 1;
       shadow[pid] = buf;
-      if (queued.size() >= window) ASSERT_TRUE(flush_window().ok()) << op;
+      if (queued.size() >= window) {
+        ASSERT_TRUE(flush_window().ok()) << op;
+      }
     } else {
       ASSERT_TRUE(flush_window().ok()) << op;
       ASSERT_TRUE(store->Flush().ok()) << op;

@@ -158,8 +158,9 @@ def check_rule(gate, rule, baseline, current):
             regression_pct = (bval - cval) / bval * 100.0
         else:
             regression_pct = (cval - bval) / bval * 100.0
+        drift = "regression" if regression_pct > 0 else "improvement"
         detail = (f"{label}: baseline {bval:g}, current {cval:g} "
-                  f"({regression_pct:+.1f}% regression)")
+                  f"({abs(regression_pct):.1f}% {drift})")
         if rule["fail"] is not None and regression_pct > rule["fail"]:
             gate.fail(detail)
         elif regression_pct > rule["warn"]:

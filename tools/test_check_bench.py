@@ -58,20 +58,21 @@ class CheckBenchTest(unittest.TestCase):
     def tearDownClass(cls):
         cls.tmp.cleanup()
 
-    def gate(self, bench, current):
-        """Exit status of check_bench on the baseline vs `current`."""
+    def gate(self, bench, current, out=None):
+        """Exit status of check_bench on the baseline vs `current`; its
+        report goes to `out` when given."""
         path = os.path.join(self.tmp.name, bench + ".json")
         with open(path, "w", encoding="utf-8") as f:
             json.dump(current, f)
         argv = ["--baseline", os.path.join(BASELINES, bench + ".json"),
                 "--current", path] + self.flags[bench]
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(out or io.StringIO()):
             return check_bench.main(argv)
 
-    def edited(self, bench, edit):
+    def edited(self, bench, edit, out=None):
         dump = copy.deepcopy(load_baseline(bench))
         edit(dump)
-        return self.gate(bench, dump)
+        return self.gate(bench, dump, out)
 
     def test_every_baseline_is_gated(self):
         names = {f[:-len(".json")] for f in os.listdir(BASELINES)
@@ -114,6 +115,15 @@ class CheckBenchTest(unittest.TestCase):
             for row in dump["exp11_wear"]:
                 row["wall_ms"] = f"{float(row['wall_ms']) * 2:.2f}"
         self.assertEqual(self.edited("exp11_wear", edit), 0)
+
+    def test_halved_wall_clock_reads_as_improvement(self):
+        def edit(dump):
+            for row in dump["exp11_wear"]:
+                row["wall_ms"] = f"{float(row['wall_ms']) / 2:.2f}"
+        out = io.StringIO()
+        self.assertEqual(self.edited("exp11_wear", edit, out), 0)
+        self.assertIn("% improvement)", out.getvalue())
+        self.assertNotIn("regression", out.getvalue())
 
 
 if __name__ == "__main__":
