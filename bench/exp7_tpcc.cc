@@ -30,7 +30,8 @@ Result<TpccPoint> RunPoint(const methods::MethodSpec& spec,
                            uint64_t warmup_tx, uint64_t measure_tx,
                            uint64_t seed) {
   const uint32_t page_size = 2048;
-  const uint32_t pages = workload::TpccWorkload::RequiredPages(scale, page_size);
+  const uint32_t pages =
+      workload::TpccWorkload::RequiredPages(scale, page_size);
   // Flash sized at ~50% utilization like the synthetic experiments.
   const uint32_t blocks = (pages * 2) / 64 + 8;
   flash::FlashDevice dev(flash::FlashConfig::Small(blocks));

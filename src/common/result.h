@@ -17,7 +17,8 @@ template <typename T>
 class Result {
  public:
   /// Implicit construction from a value (success).
-  Result(T value) : v_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(T value) : v_(std::move(value)) {}
 
   /// Implicit construction from an error status. Must not be OK.
   Result(Status status) : v_(std::move(status)) {  // NOLINT

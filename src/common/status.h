@@ -23,10 +23,11 @@ enum class StatusCode : int {
   kIOError = 4,           ///< Emulated device rejected the operation.
   kNoSpace = 5,           ///< Flash is full and garbage collection cannot help.
   kNotSupported = 6,      ///< Operation not implemented by this method.
-  kFlashConstraint = 7,   ///< NAND programming rule violated (0->1 without erase,
-                          ///< non-sequential program, partial-program budget).
+  kFlashConstraint = 7,   ///< NAND programming rule violated (0->1 without
+                          ///< erase, non-sequential program, partial-program
+                          ///< budget).
   kBusy = 8,              ///< Resource (buffer frame) pinned / unavailable.
-  kAborted = 9,           ///< Operation intentionally abandoned (e.g. crash cut).
+  kAborted = 9,           ///< Operation abandoned on purpose (a crash cut).
 };
 
 /// Returns a stable human-readable name for a status code ("Corruption", ...).
@@ -86,7 +87,8 @@ class Status {
   std::string ToString() const;
 
  private:
-  Status(StatusCode code, std::string msg) : code_(code), msg_(std::move(msg)) {}
+  Status(StatusCode code, std::string msg)
+      : code_(code), msg_(std::move(msg)) {}
 
   StatusCode code_;
   std::string msg_;

@@ -179,13 +179,14 @@ Status FlashDevice::ReadPage(PhysAddr addr, MutBytes data, MutBytes spare) {
   }
 
   if (!data.empty()) {
-    CopyBytes(data, ConstBytes(data_.data() + static_cast<size_t>(addr) * g.data_size,
-                               g.data_size));
+    CopyBytes(data,
+              ConstBytes(data_.data() + static_cast<size_t>(addr) * g.data_size,
+                         g.data_size));
   }
   if (!spare.empty()) {
-    CopyBytes(spare,
-              ConstBytes(spare_.data() + static_cast<size_t>(addr) * g.spare_size,
-                         g.spare_size));
+    CopyBytes(spare, ConstBytes(spare_.data() +
+                                    static_cast<size_t>(addr) * g.spare_size,
+                                g.spare_size));
   }
   if (corrupt) {
     // The cells are intact; only this delivery is wrong. Flip bits in the
@@ -278,7 +279,8 @@ Status FlashDevice::ProgramImpl(PhysAddr addr, ConstBytes data,
   }
   const uint32_t block = BlockOf(addr);
   const int32_t page = static_cast<int32_t>(PageInBlock(addr));
-  const bool first_program = (data_programs_[addr] == 0 && spare_programs_[addr] == 0);
+  const bool first_program =
+      (data_programs_[addr] == 0 && spare_programs_[addr] == 0);
   if (first_program && page < block_frontier_[block]) {
     return Status::FlashConstraint(
         "non-sequential first program: page " + std::to_string(page) +

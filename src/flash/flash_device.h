@@ -223,7 +223,9 @@ class FlashDevice {
   class ConfinementScope {
    public:
     explicit ConfinementScope(const FlashDevice* dev);
-    ~ConfinementScope() { dev_->in_operation_.store(false, std::memory_order_release); }
+    ~ConfinementScope() {
+      dev_->in_operation_.store(false, std::memory_order_release);
+    }
     ConfinementScope(const ConfinementScope&) = delete;
     ConfinementScope& operator=(const ConfinementScope&) = delete;
 

@@ -1,6 +1,5 @@
-// MappingTable: the pid -> physical-address tables shared by the page-update
-// methods, extracted from the per-store copies that used to live in PdlStore
-// and OpuStore.
+// MappingTable: the pid -> physical-address tables of the out-place core
+// (ftl/out_place_store.h) that OpuStore and PdlStore share.
 //
 // The table tracks, per logical page, the base (or data) page address and --
 // when differential tracking is enabled -- the differential page address plus
@@ -45,8 +44,8 @@ namespace flashdb::ftl {
 /// tables from identical flash images.
 class MappingTable {
  public:
-  /// `track_diffs` enables the differential-page side tables (PDL); stores
-  /// with a plain page-level mapping (OPU, IPL's block map) skip them.
+  /// `track_diffs` enables the differential-page side tables (PDL); a plain
+  /// page-level mapping (OPU) skips them.
   explicit MappingTable(bool track_diffs) : track_diffs_(track_diffs) {}
 
   /// Re-initializes for `num_pids` logical pages over `num_phys_pages`

@@ -17,7 +17,8 @@
 // The single-chip stores share the extracted FTL subsystem: ftl::MappingTable
 // (pid -> physical mapping plus differential bookkeeping and recovery
 // replay), ftl::PickGcVictims (GC victim scoring), and ftl::BlockManager
-// (stream-segregated allocation and block lifecycle). Every store applies the
+// (stream-segregated allocation and block lifecycle); OPU and PDL reach them
+// through one out-place core, ftl::OutPlaceStore. Every store applies the
 // boundary checks and the Format erase sweep declared below this interface.
 //
 // Loosely-coupled methods (PDL, OPU, IPU) only validate OnUpdate's arguments

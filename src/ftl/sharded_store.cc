@@ -140,7 +140,8 @@ Status ShardedStore::ReadPage(PageId pid, MutBytes out) {
 Status ShardedStore::OnUpdate(PageId pid, ConstBytes page_after,
                               const UpdateLog& log) {
   FLASHDB_RETURN_IF_ERROR(CheckPid(formatted_, pid, num_pages_));
-  return shards_[shard_of(pid)].store->OnUpdate(inner_pid(pid), page_after, log);
+  return shards_[shard_of(pid)].store->OnUpdate(inner_pid(pid), page_after,
+                                                log);
 }
 
 Status ShardedStore::WriteBack(PageId pid, ConstBytes page) {

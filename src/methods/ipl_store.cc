@@ -68,14 +68,28 @@ Status ApplyRecords(BufferReader* r, uint32_t count, MutBytes page) {
   }
   return Status::OK();
 }
+
+/// Reads the spare of `addr`, a page the device holds programmed. Programs
+/// are atomic, so a spare that does not decode (bad magic or CRC) was misread
+/// -- a read error, not a torn write -- and recovery must stop rather than
+/// take the page's block for merge debris and erase it.
+Result<ftl::SpareInfo> ReadProgrammedSpare(flash::FlashDevice* dev,
+                                           PhysAddr addr, MutBytes spare) {
+  FLASHDB_RETURN_IF_ERROR(dev->ReadSpare(addr, spare));
+  const ftl::SpareInfo info = ftl::DecodeSpare(spare);
+  if (info.programmed && info.crc_ok) return info;
+  return Status::Corruption("uncorrectable read: IPL recovery cannot decode "
+                            "the spare of page " + std::to_string(addr) +
+                            " (block " + std::to_string(dev->BlockOf(addr)) +
+                            ")");
+}
 }  // namespace
 
 IplStore::IplStore(flash::FlashDevice* dev, const IplConfig& config)
     : dev_(dev),
       config_(config),
       data_size_(dev->geometry().data_size),
-      spare_size_(dev->geometry().spare_size),
-      block_map_(/*track_diffs=*/false) {
+      spare_size_(dev->geometry().spare_size) {
   slot_size_ = data_size_ / kLogSlotDivisor;
   if (slot_size_ < kSlotHeaderSize + kRecordHeaderSize + 1) {
     slot_size_ = kSlotHeaderSize + kRecordHeaderSize + 1;
@@ -113,13 +127,13 @@ Status IplStore::Format(uint32_t num_logical_pages, PageInitializer initial,
       EraseForFormat(dev_, /*remaps_bad_blocks=*/false).status());
   clock_.Reset();
   num_pages_ = num_logical_pages;
-  block_map_.Reset(num_groups_, 0);
+  block_map_.resize(num_groups_);
+  for (uint32_t grp = 0; grp < num_groups_; ++grp) block_map_[grp] = grp;
   next_slot_.assign(num_groups_, 0);
   pid_slots_.assign(num_pages_, {});
   pending_.assign(num_pages_, {});
   free_blocks_.clear();
   counters_ = IplCounters{};
-  for (uint32_t grp = 0; grp < num_groups_; ++grp) block_map_.SetBase(grp, grp);
   FLASHDB_RETURN_IF_ERROR(ProgramInitialPages(
       dev_, num_pages_, initial, initial_arg, ftl::PageType::kOrig, &clock_,
       [this](PageId pid) -> Result<PhysAddr> {
@@ -136,7 +150,7 @@ Status IplStore::ReadPage(PageId pid, MutBytes out) {
   FLASHDB_RETURN_IF_ERROR(
       CheckPageArgs(formatted_, pid, num_pages_, out.size(), data_size_));
   const uint32_t grp = LogicalBlockOf(pid);
-  const uint32_t block = block_map_.base(grp);
+  const uint32_t block = block_map_[grp];
   const PhysAddr orig = dev_->AddrOf(block, pid % orig_per_block_);
   // Read the original page (CRC-verified end to end)...
   FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, orig, out));
@@ -229,7 +243,7 @@ Status IplStore::FlushPending(PageId pid) {
   const uint32_t slot = next_slot_[grp]++;
   const uint32_t lp = LogPageOfIndex(slot);
   const uint32_t s = SlotOfIndex(slot);
-  const uint32_t block = block_map_.base(grp);
+  const uint32_t block = block_map_[grp];
   const PhysAddr addr = dev_->AddrOf(block, orig_per_block_ + lp);
 
   // Partial program: all-0xFF image except the slot's bytes.
@@ -281,7 +295,7 @@ Status IplStore::MergeBlock(uint32_t grp) {
     return Status::NoSpace("IPL merge has no free block");
   }
   counters_.merges++;
-  const uint32_t old_block = block_map_.base(grp);
+  const uint32_t old_block = block_map_[grp];
   const uint32_t new_block = free_blocks_.front();
   free_blocks_.pop_front();
   const uint32_t live = LivePagesIn(grp);
@@ -336,7 +350,7 @@ Status IplStore::MergeBlock(uint32_t grp) {
   // The old block is subsequently erased and garbage-collected.
   FLASHDB_RETURN_IF_ERROR(dev_->EraseBlock(old_block));
   free_blocks_.push_back(old_block);
-  block_map_.SetBase(grp, new_block);
+  block_map_[grp] = new_block;
   next_slot_[grp] = 0;
   return Status::OK();
 }
@@ -350,7 +364,7 @@ Status IplStore::ScrubPhysPage(flash::PhysAddr addr, bool* relocated) {
   // merge into it erases it first.
   const uint32_t block = dev_->BlockOf(addr);
   for (uint32_t g = 0; g < num_groups_; ++g) {
-    if (block_map_.base(g) == block) {
+    if (block_map_[g] == block) {
       FLASHDB_RETURN_IF_ERROR(MergeBlock(g));
       *relocated = true;
       return Status::OK();
@@ -391,11 +405,11 @@ Status IplStore::Recover() {
 
   for (uint32_t b = 0; b < g.num_data_blocks(); ++b) {
     if (dev_->IsErased(dev_->AddrOf(b, 0))) continue;  // free block
-    FLASHDB_RETURN_IF_ERROR(dev_->ReadSpare(dev_->AddrOf(b, 0), spare));
-    ftl::SpareInfo first = ftl::DecodeSpare(spare);
-    if (!first.programmed || first.type != ftl::PageType::kOrig ||
-        !first.crc_ok) {
-      losers.push_back(b);  // foreign or torn block
+    FLASHDB_ASSIGN_OR_RETURN(
+        const ftl::SpareInfo first,
+        ReadProgrammedSpare(dev_, dev_->AddrOf(b, 0), spare));
+    if (first.type != ftl::PageType::kOrig) {
+      losers.push_back(b);  // foreign block
       continue;
     }
     const uint32_t grp = first.pid / orig_per_block_;
@@ -404,11 +418,10 @@ Status IplStore::Recover() {
     bool consistent = (first.pid % orig_per_block_ == 0);
     for (uint32_t i = 0; i < orig_per_block_ && consistent; ++i) {
       const PhysAddr addr = dev_->AddrOf(b, i);
-      if (dev_->IsErased(addr)) break;
-      FLASHDB_RETURN_IF_ERROR(dev_->ReadSpare(addr, spare));
-      const ftl::SpareInfo info = ftl::DecodeSpare(spare);
-      if (!info.programmed) break;
-      if (info.type != ftl::PageType::kOrig || !info.crc_ok ||
+      if (dev_->IsErased(addr)) break;  // a merge target cut short
+      FLASHDB_ASSIGN_OR_RETURN(const ftl::SpareInfo info,
+                               ReadProgrammedSpare(dev_, addr, spare));
+      if (info.type != ftl::PageType::kOrig ||
           info.pid != grp * orig_per_block_ + i) {
         consistent = false;
         break;
@@ -457,7 +470,7 @@ Status IplStore::Recover() {
 
   num_pages_ = any ? max_pid + 1 : 0;
   num_groups_ = (num_pages_ + orig_per_block_ - 1) / orig_per_block_;
-  block_map_.Reset(num_groups_, 0);
+  block_map_.assign(num_groups_, flash::kNullAddr);
   next_slot_.assign(num_groups_, 0);
   pid_slots_.assign(num_pages_, {});
   pending_.assign(num_pages_, {});
@@ -466,7 +479,7 @@ Status IplStore::Recover() {
   std::vector<bool> used(g.num_blocks, false);
   for (auto& [grp, cand] : winner) {
     if (grp >= num_groups_) continue;
-    block_map_.SetBase(grp, cand.block);
+    block_map_[grp] = cand.block;
     used[cand.block] = true;
   }
   // Erase leftover merge debris so those blocks are reusable.
@@ -482,7 +495,7 @@ Status IplStore::Recover() {
   // Pass 2: rebuild the slot tables from each winner's log region.
   ByteBuffer log_page(data_size_);
   for (uint32_t grp = 0; grp < num_groups_; ++grp) {
-    const uint32_t block = block_map_.base(grp);
+    const uint32_t block = block_map_[grp];
     if (block == flash::kNullAddr) continue;  // group without a surviving block
     uint32_t slot = 0;
     bool done = false;

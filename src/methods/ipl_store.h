@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "ftl/logical_clock.h"
-#include "ftl/mapping_table.h"
 #include "ftl/page_store.h"
 #include "ftl/spare_codec.h"
 
@@ -84,7 +83,9 @@ class IplStore : public PageStore {
 
   uint32_t LogicalBlockOf(PageId pid) const { return pid / orig_per_block_; }
   uint32_t SlotOfIndex(uint32_t slot) const { return slot % slots_per_page_; }
-  uint32_t LogPageOfIndex(uint32_t slot) const { return slot / slots_per_page_; }
+  uint32_t LogPageOfIndex(uint32_t slot) const {
+    return slot / slots_per_page_;
+  }
   /// Logical pages resident in logical block `g` (tail block may be short).
   uint32_t LivePagesIn(uint32_t g) const;
 
@@ -115,9 +116,8 @@ class IplStore : public PageStore {
   ftl::LogicalClock clock_;
   uint32_t num_pages_ = 0;
   uint32_t num_groups_ = 0;                 ///< Logical blocks.
-  /// Logical block -> physical block (block-granular use of the shared
-  /// mapping table; "base" addresses here are block indices).
-  ftl::MappingTable block_map_;
+  /// Logical block -> physical block (kNullAddr: no surviving block).
+  std::vector<uint32_t> block_map_;
   std::deque<uint32_t> free_blocks_;
   std::vector<uint16_t> next_slot_;         ///< per logical block.
   std::vector<std::vector<uint16_t>> pid_slots_;  ///< per pid, slot indices.

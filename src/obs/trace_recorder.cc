@@ -86,8 +86,9 @@ std::string TraceRecorder::CanonicalBytes() const {
   // Per-lane drop counts first: two runs must agree on what overflowed, not
   // just on the surviving suffix.
   for (uint32_t i = 0; i < num_shards_; ++i) {
-    std::snprintf(buf, sizeof(buf), "lane %u emitted=%" PRIu64 " dropped=%" PRIu64 "\n",
-                  i, lanes_[i].emitted(), lanes_[i].dropped());
+    std::snprintf(buf, sizeof(buf),
+                  "lane %u emitted=%" PRIu64 " dropped=%" PRIu64 "\n", i,
+                  lanes_[i].emitted(), lanes_[i].dropped());
     out += buf;
   }
   for (const TraceEvent& e : Merged(/*canonical_only=*/true)) {

@@ -12,15 +12,11 @@ using flash::kNullAddr;
 using flash::PhysAddr;
 
 PdlStore::PdlStore(flash::FlashDevice* dev, const PdlConfig& config)
-    : dev_(dev),
+    : OutPlaceStore(dev, ftl::PageType::kBase, kGcReserveBlocks,
+                    /*num_streams=*/2, /*track_diffs=*/true),
       config_(config),
-      data_size_(dev->geometry().data_size),
-      spare_size_(dev->geometry().spare_size),
-      bm_(dev, kGcReserveBlocks, /*num_streams=*/2),
-      buffer_(dev->geometry().data_size),
-      map_(/*track_diffs=*/true) {
-  name_ = "PDL(" + std::to_string(config_.max_differential_size) + "B)";
-}
+      name_("PDL(" + std::to_string(config.max_differential_size) + "B)"),
+      buffer_(dev->geometry().data_size) {}
 
 Status PdlStore::ValidateConfig() const {
   // A single differential record must fit in one differential page. Checked
@@ -40,26 +36,9 @@ Status PdlStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
   FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
   FLASHDB_RETURN_IF_ERROR(ValidateConfig());
-  // Factory bad blocks are left unerased and out of service.
-  FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> factory_bad,
-                           EraseForFormat(dev_, /*remaps_bad_blocks=*/true));
-  bm_.Reset();
-  for (uint32_t b : factory_bad) bm_.MarkBadForRecovery(b);
-  clock_.Reset();
   buffer_.Clear();
-  num_pages_ = num_logical_pages;
-  map_.Reset(num_logical_pages, dev_->geometry().total_pages());
   counters_ = PdlCounters{};
-  FLASHDB_RETURN_IF_ERROR(ProgramInitialPages(
-      dev_, num_logical_pages, initial, initial_arg, ftl::PageType::kBase,
-      &clock_, [this](PageId pid) -> Result<PhysAddr> {
-        FLASHDB_ASSIGN_OR_RETURN(const PhysAddr q,
-                                 bm_.AllocatePage(false, kBaseStream));
-        map_.SetBase(pid, q);
-        return q;
-      }));
-  formatted_ = true;
-  return Status::OK();
+  return FormatBases(num_logical_pages, initial, initial_arg);
 }
 
 Status PdlStore::ReadPage(PageId pid, MutBytes out) {
@@ -78,7 +57,8 @@ Status PdlStore::ReadPage(PageId pid, MutBytes out) {
   FLASHDB_RETURN_IF_ERROR(FindDifferentialInPage(dp, pid, &d, &found));
   if (!found) {
     return Status::Corruption("PPMT points at differential page " +
-                              std::to_string(dp) + " lacking a record for pid " +
+                              std::to_string(dp) +
+                              " lacking a record for pid " +
                               std::to_string(pid));
   }
   return d.ApplyTo(out);  // Step 3: merge.
@@ -123,7 +103,7 @@ Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
   }
   if (diff_scratch_.EncodedSize() <= config_.max_differential_size) {
     // Case 2: flush the buffer, then insert.
-    FLASHDB_RETURN_IF_ERROR(FlushBuffer(false));
+    FLASHDB_RETURN_IF_ERROR(FlushBuffer());
     // GC triggered by the flush may have re-added a (stale, now superseded)
     // compacted differential for this pid; drop it before inserting.
     buffer_.Remove(pid);
@@ -132,28 +112,24 @@ Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
     return Status::OK();
   }
   // Case 3: differential too large -- write the page as a new base page.
-  return WriteNewBasePage(pid, page, false);
+  return WriteNewBasePage(pid, page);
 }
 
 Status PdlStore::Flush() {
   FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
-  return FlushBuffer(false);
+  return FlushBuffer();
 }
 
-Status PdlStore::FlushBuffer(bool for_gc) {
-  if (!for_gc) {
-    FLASHDB_RETURN_IF_ERROR(ReclaimUntilSpace(kDiffStream));
-  }
+Status PdlStore::FlushBuffer() {
+  FLASHDB_RETURN_IF_ERROR(ReclaimUntilSpace(kDiffStream));
   if (buffer_.empty()) return Status::OK();
-  FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(for_gc, kDiffStream));
+  FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(false, kDiffStream));
   // Step 1: write the buffer's contents as a new differential page.
   FLASHDB_RETURN_IF_ERROR(WriteDiffPage(q, buffer_.entries()));
   // Step 2: update the mapping table and the valid-differential counts.
   for (const Differential& d : buffer_.entries()) {
-    const PhysAddr old_dp = map_.DetachDiff(d.pid());
-    if (old_dp != kNullAddr) {
-      FLASHDB_RETURN_IF_ERROR(DecreaseValidDifferentialCount(old_dp));
-    }
+    FLASHDB_RETURN_IF_ERROR(
+        DecreaseValidDifferentialCount(map_.DetachDiff(d.pid())));
     map_.AttachDiff(d.pid(), q, static_cast<uint32_t>(d.EncodedSize()));
   }
   buffer_.Clear();
@@ -168,34 +144,24 @@ Status PdlStore::WriteDiffPage(PhysAddr q,
   for (const Differential& d : diffs) d.AppendTo(&image);
   assert(image.size() <= data_size_);
   image.resize(data_size_, 0xFF);
-  ByteBuffer spare(spare_size_, 0xFF);
+  ByteBuffer spare(flash::FlashGeometry::spare_size, 0xFF);
   ftl::EncodeSpare(spare, ftl::PageType::kDiff, kPaddingPid - 1, clock_.Next(),
                    image);
   return dev_->ProgramPage(q, image, spare);
 }
 
 Status PdlStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {
-  *relocated = false;
-  FLASHDB_RETURN_IF_ERROR(CheckFormatted(formatted_));
-  if (addr >= dev_->geometry().data_pages() ||
-      bm_.state(addr) != ftl::PageState::kValid) {
-    return Status::OK();  // obsolete/erased: the block erase clears the wear
-  }
-  ByteBuffer spare(spare_size_);
-  FLASHDB_RETURN_IF_ERROR(dev_->ReadSpare(addr, spare));
-  const ftl::SpareInfo tag = ftl::DecodeSpare(spare);
-  if (!tag.programmed || tag.obsolete) return Status::OK();
-  if (tag.type == ftl::PageType::kBase) {
-    const PageId pid = tag.pid;
-    if (pid >= num_pages_ || map_.base(pid) != addr) return Status::OK();
+  FLASHDB_ASSIGN_OR_RETURN(const ftl::SpareInfo tag,
+                           ScrubTag(addr, relocated));
+  if (IsLiveBase(addr, tag)) {
     // Fold base + differential into one fresh self-contained base page (the
     // relocation must carry the *logical* content: relocating the stale base
     // bytes alone would be wasted work the moment the differential merges).
     ByteBuffer image(data_size_);
-    FLASHDB_RETURN_IF_ERROR(ReadPage(pid, image));
-    buffer_.Remove(pid);  // folded into `image`; a later flush must not
-                          // re-attach it as if it post-dated the new base
-    FLASHDB_RETURN_IF_ERROR(WriteNewBasePage(pid, image, false));
+    FLASHDB_RETURN_IF_ERROR(ReadPage(tag.pid, image));
+    buffer_.Remove(tag.pid);  // folded into `image`; a later flush must not
+                              // re-attach it as if it post-dated the new base
+    FLASHDB_RETURN_IF_ERROR(WriteNewBasePage(tag.pid, image));
     *relocated = true;
     return Status::OK();
   }
@@ -263,32 +229,20 @@ Status PdlStore::ReclaimUntilSpace(uint32_t stream) {
 }
 
 Status PdlStore::DecreaseValidDifferentialCount(PhysAddr dp) {
+  if (dp == kNullAddr) return Status::OK();
   FLASHDB_ASSIGN_OR_RETURN(const bool unreferenced, map_.ReleaseDiffRef(dp));
-  if (unreferenced) {
-    // No valid differential remains: make it available for garbage collection.
-    FLASHDB_RETURN_IF_ERROR(bm_.MarkObsolete(dp));
-  }
-  return Status::OK();
+  // No valid differential remains: make it available for garbage collection.
+  return unreferenced ? bm_.MarkObsolete(dp) : Status::OK();
 }
 
-Status PdlStore::WriteNewBasePage(PageId pid, ConstBytes page, bool for_gc) {
-  if (!for_gc) {
-    FLASHDB_RETURN_IF_ERROR(ReclaimUntilSpace(kBaseStream));
-  }
-  FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(for_gc, kBaseStream));
-  // Step 1: write the page itself as a new base page.
-  ByteBuffer spare(spare_size_, 0xFF);
-  ftl::EncodeSpare(spare, ftl::PageType::kBase, pid, clock_.Next(), page);
-  FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, page, spare));
-  // Step 2: update tables. Resolve the old locations only now: the GC run
-  // above may have relocated them.
-  const PhysAddr old_bp = map_.base(pid);
-  FLASHDB_RETURN_IF_ERROR(bm_.MarkObsolete(old_bp));
-  const PhysAddr old_dp = map_.DetachDiff(pid);
-  if (old_dp != kNullAddr) {
-    FLASHDB_RETURN_IF_ERROR(DecreaseValidDifferentialCount(old_dp));
-  }
-  map_.SetBase(pid, q);
+Status PdlStore::WriteNewBasePage(PageId pid, ConstBytes page) {
+  FLASHDB_RETURN_IF_ERROR(ReclaimUntilSpace(kBaseStream));
+  FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(false, kBaseStream));
+  // Step 1: write the page itself as a new base page, retiring the old one.
+  FLASHDB_RETURN_IF_ERROR(WriteBasePage(q, pid, page));
+  // Step 2: drop the differential. Resolve it only now: the GC run above may
+  // have relocated it.
+  FLASHDB_RETURN_IF_ERROR(DecreaseValidDifferentialCount(map_.DetachDiff(pid)));
   counters_.new_base_pages++;
   return Status::OK();
 }
@@ -305,13 +259,13 @@ Status PdlStore::RunGcOnce() {
   };
   FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> victims,
                            ftl::PickGcVictims(dev_, &bm_, dead_diff_bytes));
-  counters_.gc_runs++;
+  ++gc_runs_;
   auto in_victims = [&](uint32_t b) {
     return std::find(victims.begin(), victims.end(), b) != victims.end();
   };
   const uint32_t ppb = dev_->geometry().pages_per_block;
   ByteBuffer data(data_size_);
-  ByteBuffer spare(spare_size_);
+  ByteBuffer spare(flash::FlashGeometry::spare_size);
   // Live differentials of the victim are compacted into fresh differential
   // pages written directly (not through the one-page write buffer, whose
   // premature flushes would fragment unrelated pending differentials).
@@ -339,18 +293,10 @@ Status PdlStore::RunGcOnce() {
       // Corrupt live data must not be relocated as if it were good: surface
       // the typed error instead of laundering bad bits into a fresh page.
       FLASHDB_RETURN_IF_ERROR(ftl::VerifyPageRead(info, data, addr));
-      if (info.type == ftl::PageType::kBase) {
-        const PageId pid = info.pid;
-        if (pid >= num_pages_ || map_.base(pid) != addr) continue;  // stale
-        // Relocate, keeping the original timestamp so the page's differential
-        // (if any) still post-dates its base during crash recovery.
-        FLASHDB_ASSIGN_OR_RETURN(PhysAddr q,
-                                 bm_.AllocatePage(true, kBaseStream));
-        ByteBuffer new_spare(spare_size_, 0xFF);
-        ftl::EncodeSpare(new_spare, ftl::PageType::kBase, pid, info.timestamp,
-                         data);
-        FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, data, new_spare));
-        map_.SetBase(pid, q);
+      if (IsLiveBase(addr, info)) {
+        // The original timestamp keeps the page's differential (if any)
+        // post-dating its base during crash recovery.
+        FLASHDB_RETURN_IF_ERROR(RelocateBasePage(info, data));
         counters_.gc_bases_moved++;
         ++output_pages;
       } else if (info.type == ftl::PageType::kDiff) {
@@ -388,10 +334,8 @@ Status PdlStore::RunGcOnce() {
             FLASHDB_RETURN_IF_ERROR(d.ApplyTo(merged));
             FLASHDB_ASSIGN_OR_RETURN(PhysAddr q,
                                      bm_.AllocatePage(true, kBaseStream));
-            ByteBuffer bspare(spare_size_, 0xFF);
-            ftl::EncodeSpare(bspare, ftl::PageType::kBase, pid, clock_.Next(),
-                             merged);
-            FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, merged, bspare));
+            FLASHDB_RETURN_IF_ERROR(
+                ProgramBase(q, pid, clock_.Next(), merged));
             const PhysAddr old_bp = map_.base(pid);
             // Skip the obsolete mark when the old base sits in any victim of
             // the group: the erases below reclaim it anyway.
@@ -410,7 +354,7 @@ Status PdlStore::RunGcOnce() {
         }
         FLASHDB_RETURN_IF_ERROR(parse_status);
       }
-      // Unknown valid page types are dropped with the erase below.
+      // Stale bases and unknown page types are dropped with the erase below.
     }
     return Status::OK();
   };
@@ -446,85 +390,34 @@ Status PdlStore::RunGcOnce() {
 
 Status PdlStore::Recover() {
   FLASHDB_RETURN_IF_ERROR(ValidateConfig());
-  flash::CategoryScope cat(dev_, flash::OpCategory::kRecovery);
-  const auto& g = dev_->geometry();
-  const uint32_t total = g.data_pages();
-  bm_.Reset();
-  // Journaled bad blocks first (a crash may have cut power before the OOB
-  // mark hit flash); the scan below rediscovers on-flash marks on its own.
-  for (uint32_t b : pending_bad_) bm_.MarkBadForRecovery(b);
-  pending_bad_.clear();
-  clock_.Reset();
   buffer_.Clear();
-  map_.Reset(total, total);
-  map_.BeginReplay();
   ByteBuffer data(data_size_);
-  auto release_diff_ref = [&](PhysAddr dp) -> Status {
-    FLASHDB_ASSIGN_OR_RETURN(const bool unreferenced, map_.ReleaseDiffRef(dp));
-    if (unreferenced) return bm_.MarkObsoleteForRecovery(dp);
+  return RecoverBases([&](PhysAddr addr, const ftl::SpareInfo& info) {
+    if (info.type != ftl::PageType::kDiff) {
+      // Foreign or invalid type: unusable, reclaim via GC.
+      return bm_.MarkObsoleteForRecovery(addr);
+    }
+    // Case 2: r is a differential page -- inspect each differential (case 1,
+    // a base page, is the core's). Re-read data+spare in one verified read.
+    FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, data));
+    BufferReader reader(data);
+    Differential d;
+    Status parse_status;
+    while (Differential::ParseNext(&reader, &d, &parse_status)) {
+      if (d.pid() >= map_.num_pids()) continue;
+      clock_.Observe(d.timestamp());
+      const ftl::MappingTable::DiffReplay r =
+          map_.ReplayDiff(d.pid(), addr, d.timestamp(),
+                          static_cast<uint32_t>(d.EncodedSize()));
+      if (r.accepted) {
+        FLASHDB_RETURN_IF_ERROR(ReleaseDiffForRecovery(r.displaced_diff));
+      }
+    }
+    FLASHDB_RETURN_IF_ERROR(parse_status);
+    if (map_.vdct(addr) == 0) return bm_.MarkObsoleteForRecovery(addr);
+    bm_.SetValidForRecovery(addr);
     return Status::OK();
-  };
-
-  Status scan = ftl::ForEachProgrammedSpare(
-      dev_, [&](PhysAddr addr, const ftl::SpareInfo& info) -> Status {
-        if (info.bad_block && dev_->PageInBlock(addr) == 0) {
-          bm_.MarkBadForRecovery(dev_->BlockOf(addr));
-          if (!info.programmed) return Status::OK();
-        }
-        if (info.obsolete || !info.crc_ok) {
-          bm_.SetObsoleteForRecovery(addr);
-          return Status::OK();
-        }
-        clock_.Observe(info.timestamp);
-        if (info.type == ftl::PageType::kBase) {
-          // Case 1: r is a base page.
-          if (info.pid >= total) return bm_.MarkObsoleteForRecovery(addr);
-          const ftl::MappingTable::BaseReplay r =
-              map_.ReplayBase(info.pid, addr, info.timestamp);
-          if (!r.accepted) return bm_.MarkObsoleteForRecovery(addr);
-          if (r.displaced_base != kNullAddr) {
-            FLASHDB_RETURN_IF_ERROR(
-                bm_.MarkObsoleteForRecovery(r.displaced_base));
-          }
-          bm_.SetValidForRecovery(addr);
-          if (r.stale_diff != kNullAddr) {
-            FLASHDB_RETURN_IF_ERROR(release_diff_ref(r.stale_diff));
-          }
-        } else if (info.type == ftl::PageType::kDiff) {
-          // Case 2: r is a differential page -- inspect each differential.
-          // Re-read data+spare in one verified read (same single-read cost).
-          FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, data));
-          BufferReader reader(data);
-          Differential d;
-          Status parse_status;
-          while (Differential::ParseNext(&reader, &d, &parse_status)) {
-            if (d.pid() >= total) continue;
-            clock_.Observe(d.timestamp());
-            const ftl::MappingTable::DiffReplay r =
-                map_.ReplayDiff(d.pid(), addr, d.timestamp(),
-                                static_cast<uint32_t>(d.EncodedSize()));
-            if (r.accepted && r.displaced_diff != kNullAddr) {
-              FLASHDB_RETURN_IF_ERROR(release_diff_ref(r.displaced_diff));
-            }
-          }
-          FLASHDB_RETURN_IF_ERROR(parse_status);
-          if (map_.vdct(addr) == 0) {
-            FLASHDB_RETURN_IF_ERROR(bm_.MarkObsoleteForRecovery(addr));
-          } else {
-            bm_.SetValidForRecovery(addr);
-          }
-        } else {
-          // Foreign or invalid type: unusable, reclaim via GC.
-          FLASHDB_RETURN_IF_ERROR(bm_.MarkObsoleteForRecovery(addr));
-        }
-        return Status::OK();
-      });
-  FLASHDB_RETURN_IF_ERROR(scan);
-  bm_.FinalizeRecovery();
-  num_pages_ = map_.replayed_num_pids();
-  map_.EndReplay(num_pages_);
-  formatted_ = true;
-  return Status::OK();
+  });
 }
 
 }  // namespace flashdb::pdl

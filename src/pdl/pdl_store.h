@@ -9,6 +9,11 @@
 // plus garbage collection with differential compaction (Section 4.1) and the
 // Max_Differential_Size policy (footnote 8: when a differential exceeds it,
 // the page itself is rewritten as a fresh base page — Case 3).
+//
+// Base pages are OPU's out-place pages: Format, base-page recovery replay,
+// the scrub gate, the new-base write and GC base relocation are the out-place
+// core's (ftl/out_place_store.h). PDL adds the differential write buffer,
+// differential pages, their compaction and merge, and their replay.
 
 #ifndef FLASHDB_PDL_PDL_STORE_H_
 #define FLASHDB_PDL_PDL_STORE_H_
@@ -17,11 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "ftl/block_manager.h"
-#include "ftl/logical_clock.h"
-#include "ftl/mapping_table.h"
-#include "ftl/page_store.h"
-#include "ftl/spare_codec.h"
+#include "ftl/out_place_store.h"
 #include "pdl/diff_write_buffer.h"
 #include "pdl/differential.h"
 
@@ -40,7 +41,6 @@ struct PdlCounters {
   uint64_t diffs_buffered = 0;       ///< Case 1+2 insertions.
   uint64_t buffer_flushes = 0;       ///< Differential pages written.
   uint64_t new_base_pages = 0;       ///< Case 3 occurrences.
-  uint64_t gc_runs = 0;
   uint64_t gc_bases_moved = 0;
   uint64_t gc_diffs_compacted = 0;
   uint64_t gc_diffs_merged = 0;  ///< Differentials folded into fresh bases.
@@ -48,7 +48,7 @@ struct PdlCounters {
 };
 
 /// See file comment.
-class PdlStore : public PageStore {
+class PdlStore : public ftl::OutPlaceStore {
  public:
   PdlStore(flash::FlashDevice* dev, const PdlConfig& config);
 
@@ -64,19 +64,9 @@ class PdlStore : public PageStore {
   /// pages are skipped.
   Status ScrubPhysPage(flash::PhysAddr addr, bool* relocated) override;
   Status Recover() override;
-  uint32_t num_logical_pages() const override { return num_pages_; }
-  std::vector<uint32_t> bad_blocks() const override {
-    return bm_.bad_blocks();
-  }
-  void NoteBadBlocksForRecovery(const std::vector<uint32_t>& blocks) override {
-    pending_bad_ = blocks;
-  }
-  flash::FlashDevice* device() override { return dev_; }
 
   const PdlCounters& counters() const { return counters_; }
 
-  /// Physical location of pid's base page (tests / diagnostics).
-  flash::PhysAddr base_addr(PageId pid) const { return map_.base(pid); }
   /// Physical location of pid's differential page, or kNullAddr.
   flash::PhysAddr diff_addr(PageId pid) const { return map_.diff(pid); }
   /// Valid-differential count of a differential page (tests).
@@ -85,11 +75,10 @@ class PdlStore : public PageStore {
   size_t buffered_bytes() const { return buffer_.used_bytes(); }
 
  private:
-  /// Allocation streams: keeping base pages and differential pages in
-  /// separate open blocks keeps blocks homogeneous, which makes GC victims
-  /// cheaper (differential blocks decay almost completely before they are
-  /// collected, instead of dragging cold base pages along).
-  static constexpr uint32_t kBaseStream = 0;
+  /// Differential pages allocate from their own stream, apart from base
+  /// pages (kBaseStream): homogeneous blocks make GC victims cheaper
+  /// (differential blocks decay almost completely before they are collected,
+  /// instead of dragging cold base pages along).
   static constexpr uint32_t kDiffStream = 1;
 
   /// Free blocks withheld so garbage collection can always relocate a
@@ -108,14 +97,15 @@ class PdlStore : public PageStore {
   static constexpr uint32_t kGcMergeDivisor = 4;
   /// Writes the buffer out as a new differential page and updates the
   /// mapping / count tables (procedure writingDifferentialWriteBuffer).
-  Status FlushBuffer(bool for_gc);
+  Status FlushBuffer();
   /// Programs `diffs`, packed in order and 0xFF-padded (erased padding ends
   /// the record list on parse), as a fresh differential page at `q`.
   Status WriteDiffPage(flash::PhysAddr q, std::span<const Differential> diffs);
   /// Writes `page` as a fresh base page (procedure writingNewBasePage).
-  Status WriteNewBasePage(PageId pid, ConstBytes page, bool for_gc);
-  /// Releases one reference on differential page `dp`; marks it obsolete on
-  /// flash when none remains (procedure decreaseValidDifferentialCount).
+  Status WriteNewBasePage(PageId pid, ConstBytes page);
+  /// Releases one reference on differential page `dp` (no-op for kNullAddr);
+  /// marks it obsolete on flash when none remains (procedure
+  /// decreaseValidDifferentialCount).
   Status DecreaseValidDifferentialCount(flash::PhysAddr dp);
   /// Runs GC rounds until `stream` can allocate again, with a bound that
   /// turns tiny-chip net-zero-progress regimes into NoSpace, not livelock.
@@ -130,22 +120,10 @@ class PdlStore : public PageStore {
   Status FindDifferentialInPage(flash::PhysAddr dp, PageId pid,
                                 Differential* out, bool* found);
 
-  flash::FlashDevice* dev_;
   PdlConfig config_;
   std::string name_;
-  uint32_t num_pages_ = 0;
-  uint32_t data_size_;
-  uint32_t spare_size_;
-
-  ftl::BlockManager bm_;
-  ftl::LogicalClock clock_;
   DiffWriteBuffer buffer_;
-  /// PPMT plus the VDCT / live-byte / flushed-size bookkeeping around it.
-  ftl::MappingTable map_;
   PdlCounters counters_;
-  bool formatted_ = false;
-  /// Journaled bad-block list to re-apply at the next Recover().
-  std::vector<uint32_t> pending_bad_;
 
   /// Write-path scratch reused across WriteBack calls. The base
   /// image buffer is reused on every write; the differential's capacity is

@@ -118,8 +118,9 @@ class LatencyHistogram {
   uint64_t min() const { return count_ == 0 ? 0 : min_; }
   uint64_t max() const { return max_; }
   double mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
+    return count_ == 0
+               ? 0.0
+               : static_cast<double>(sum_) / static_cast<double>(count_);
   }
 
   void Reset() {

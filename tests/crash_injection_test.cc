@@ -803,7 +803,9 @@ class RecordingStore : public PageStore {
 
  private:
   void Note(PageId pid, ConstBytes page) {
-    if (recording_) writes_.push_back({pid, ByteBuffer(page.begin(), page.end())});
+    if (recording_) {
+      writes_.push_back({pid, ByteBuffer(page.begin(), page.end())});
+    }
   }
 
   PageStore* inner_;
@@ -931,7 +933,8 @@ TEST_P(OltpCrashTest, FlushAllPowerCutsRecoverToCommitLogPrefix) {
       crashed = true;
     }
     run.dev->set_fault_injector(nullptr);
-    ASSERT_TRUE(run_error.ok()) << "cut=" << cut << ": " << run_error.ToString();
+    ASSERT_TRUE(run_error.ok())
+        << "cut=" << cut << ": " << run_error.ToString();
     ASSERT_TRUE(crashed) << "cut=" << cut << " never fired";
     ASSERT_LT(completed, kTxns);
 

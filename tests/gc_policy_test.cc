@@ -139,7 +139,7 @@ TEST(GcPolicyTest, LargeDifferentialsGetMergedIntoBases) {
     Status st = store.WriteBack(pid, buf);
     ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
   }
-  EXPECT_GT(store.counters().gc_runs, 0u);
+  EXPECT_GT(store.gc_runs(), 0u);
   EXPECT_GT(store.counters().gc_diffs_merged, 0u);
 }
 

@@ -61,11 +61,11 @@ TEST_F(OpuStoreTest, WriteBackCostsTwoWriteOperations) {
 
 TEST_F(OpuStoreTest, OutPlaceUpdateMovesThePage) {
   Format(20);
-  const flash::PhysAddr before = store_.map(9);
+  const flash::PhysAddr before = store_.base_addr(9);
   ByteBuffer page = Read(9);
   page[5] ^= 5;
   ASSERT_TRUE(store_.WriteBack(9, page).ok());
-  EXPECT_NE(store_.map(9), before);
+  EXPECT_NE(store_.base_addr(9), before);
   EXPECT_TRUE(ftl::DecodeSpare(dev_.RawSpare(before)).obsolete);
 }
 

@@ -203,7 +203,7 @@ TEST_F(PdlRecoveryTest, RecoveryAfterGarbageCollection) {
     ASSERT_TRUE(store.WriteBack(pid, buf).ok());
     shadow[pid] = buf;
   }
-  ASSERT_GT(store.counters().gc_runs, 0u);
+  ASSERT_GT(store.gc_runs(), 0u);
   ASSERT_TRUE(store.Flush().ok());
 
   PdlStore rec(&dev, cfg);

@@ -230,7 +230,7 @@ TEST_F(PdlStoreTest, GarbageCollectionPreservesData) {
     ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
     shadow[pid] = buf;
   }
-  EXPECT_GT(store.counters().gc_runs, 0u);
+  EXPECT_GT(store.gc_runs(), 0u);
   EXPECT_GT(store.counters().gc_bases_moved, 0u);
   for (const auto& [pid, expected] : shadow) {
     ASSERT_TRUE(store.ReadPage(pid, buf).ok());

@@ -42,7 +42,8 @@ struct Rig {
   std::unique_ptr<TpccDriver> driver;
 };
 
-Rig MakeRig(const char* method, uint32_t shards, const TpccDriverOptions& opts) {
+Rig MakeRig(const char* method, uint32_t shards,
+            const TpccDriverOptions& opts) {
   const uint32_t pages_per_shard =
       TpccDriver::PagesPerShard(opts.scale, kPageSize, shards);
   const uint32_t blocks_per_shard = (pages_per_shard * 2) / 64 + 8;
