@@ -50,24 +50,18 @@ class BufferWriter {
   explicit BufferWriter(ByteBuffer* out) : out_(out) {}
 
   void PutU8(uint8_t v) { out_->push_back(v); }
-  void PutU16(uint16_t v) {
-    uint8_t tmp[2];
-    EncodeFixed16(tmp, v);
-    out_->insert(out_->end(), tmp, tmp + 2);
-  }
-  void PutU32(uint32_t v) {
-    uint8_t tmp[4];
-    EncodeFixed32(tmp, v);
-    out_->insert(out_->end(), tmp, tmp + 4);
-  }
-  void PutU64(uint64_t v) {
-    uint8_t tmp[8];
-    EncodeFixed64(tmp, v);
-    out_->insert(out_->end(), tmp, tmp + 8);
-  }
+  void PutU16(uint16_t v) { EncodeFixed16(Grow(2), v); }
+  void PutU32(uint32_t v) { EncodeFixed32(Grow(4), v); }
+  void PutU64(uint64_t v) { EncodeFixed64(Grow(8), v); }
   void PutBytes(ConstBytes b) { out_->insert(out_->end(), b.begin(), b.end()); }
 
  private:
+  /// Appends `n` bytes and returns where they start, for encoding in place.
+  uint8_t* Grow(size_t n) {
+    out_->resize(out_->size() + n);
+    return out_->data() + out_->size() - n;
+  }
+
   ByteBuffer* out_;
 };
 

@@ -10,7 +10,9 @@
 
 namespace flashdb {
 
-/// Computes CRC-32C over `data`, continuing from `seed` (0 to start).
+/// Computes CRC-32C over `data`, continuing from `seed` (0 to start). Runs
+/// SSE4.2's crc32 instruction where the CPU has it, and a byte table
+/// (common/crc32_table.h) elsewhere; both give the same value.
 uint32_t Crc32c(ConstBytes data, uint32_t seed = 0);
 
 }  // namespace flashdb

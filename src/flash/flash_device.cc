@@ -239,19 +239,14 @@ std::vector<PhysAddr> FlashDevice::TakeScrubCandidates() {
 
 Status FlashDevice::ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
                                  const char* area, bool strict) {
-  if (strict) {
-    for (size_t i = 0; i < src.size(); ++i) {
-      // A program may only clear bits: every bit set in src must already be
-      // set in the cells, i.e. src & ~dst must have no bit that is 1 in src
-      // but 0 in dst.
-      if ((src[i] & ~dst[i]) != 0) {
-        return Status::FlashConstraint(
-            std::string("program attempts 0->1 transition in ") + area +
-            " area of page " + std::to_string(addr));
-      }
-    }
+  const MutBytes cells(dst, src.size());
+  if (!strict) {
+    AndBits(cells, src);
+  } else if (!ProgramBits(cells, src)) {
+    return Status::FlashConstraint(
+        std::string("program attempts 0->1 transition in ") + area +
+        " area of page " + std::to_string(addr));
   }
-  for (size_t i = 0; i < src.size(); ++i) dst[i] &= src[i];
   return Status::OK();
 }
 

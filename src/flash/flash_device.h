@@ -237,7 +237,8 @@ class FlashDevice {
   Status ProgramImpl(PhysAddr addr, ConstBytes data, ConstBytes spare,
                      bool strict);
   /// ANDs `src` into the cell range at `dst`; when `strict`, rejects images
-  /// whose stored result would differ from `src` (lost 1-bits).
+  /// whose stored result would differ from `src` (lost 1-bits) and leaves
+  /// the cells untouched (the program rule in common/bytes.h).
   Status ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
                       const char* area, bool strict);
   /// Updates op counts and work-time totals: `count` operations summing to

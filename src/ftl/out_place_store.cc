@@ -1,5 +1,7 @@
 #include "ftl/out_place_store.h"
 
+#include <string>
+
 namespace flashdb::ftl {
 
 using flash::kNullAddr;
@@ -38,6 +40,9 @@ Status OutPlaceStore::FormatBases(uint32_t num_logical_pages,
 
 Status OutPlaceStore::RecoverBases(const SpareReplay& replay_other) {
   flash::CategoryScope cat(dev_, flash::OpCategory::kRecovery);
+  // From here on the store is mid-recovery: a failure below must not leave
+  // a usable instance over half-rebuilt tables.
+  formatted_ = false;
   const uint32_t total = dev_->geometry().data_pages();
   bm_.Reset();
   // Journaled bad blocks first (a crash may have cut power before the OOB
@@ -64,6 +69,15 @@ Status OutPlaceStore::RecoverBases(const SpareReplay& replay_other) {
   bm_.FinalizeRecovery();
   num_pages_ = map_.replayed_num_pids();
   map_.EndReplay(num_pages_);
+  // A pid below the page count with no base page lost it to a spare the
+  // scan could not read (the dead-page rule). Stay unformatted, so no GC can
+  // erase that page's block: a later remount that reads it recovers it.
+  for (PageId pid = 0; pid < num_pages_; ++pid) {
+    if (map_.base(pid) == kNullAddr) {
+      return Status::Corruption("recovery found no base page for pid " +
+                                std::to_string(pid));
+    }
+  }
   formatted_ = true;
   return Status::OK();
 }

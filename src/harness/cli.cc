@@ -14,7 +14,7 @@ Flags::Flags(int argc, char** argv) {
     arg = arg.substr(2);
     const size_t eq = arg.find('=');
     if (eq == std::string::npos) {
-      kv_[arg] = "1";
+      kv_[arg].assign(1, '1');
     } else {
       kv_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }

@@ -1,6 +1,5 @@
 #include "pdl/differential.h"
 
-#include <bit>
 #include <string>
 
 namespace flashdb::pdl {
@@ -78,29 +77,6 @@ bool Differential::ParseNext(BufferReader* reader, Differential* out,
   return true;
 }
 
-namespace {
-/// First index in [i, n) where `a` and `b` differ, or n. Compares a uint64
-/// word at a time; inside a mismatching word the differing byte is located
-/// via the XOR's trailing zeros (valid byte order on little-endian hosts).
-size_t FirstMismatch(const uint8_t* a, const uint8_t* b, size_t i, size_t n) {
-  while (i + sizeof(uint64_t) <= n) {
-    uint64_t wa, wb;
-    std::memcpy(&wa, a + i, sizeof(wa));
-    std::memcpy(&wb, b + i, sizeof(wb));
-    if (wa != wb) {
-      if constexpr (std::endian::native == std::endian::little) {
-        return i + static_cast<size_t>(std::countr_zero(wa ^ wb)) / 8;
-      } else {
-        break;  // byte loop below locates the mismatch
-      }
-    }
-    i += sizeof(uint64_t);
-  }
-  while (i < n && a[i] == b[i]) ++i;
-  return i;
-}
-}  // namespace
-
 void ComputeDifferentialInto(ConstBytes base, ConstBytes updated, PageId pid,
                              uint64_t timestamp, size_t coalesce_gap,
                              Differential* out) {
@@ -109,7 +85,7 @@ void ComputeDifferentialInto(ConstBytes base, ConstBytes updated, PageId pid,
   size_t i = 0;
   while (i < n) {
     // Skip unchanged bytes (word-at-a-time: pages are mostly unchanged).
-    i = FirstMismatch(base.data(), updated.data(), i, n);
+    i += FirstMismatch(base.subspan(i, n - i), updated.subspan(i));
     if (i >= n) break;
     // Extend the changed run; swallow equal-byte gaps of at most
     // `coalesce_gap` when more changes follow (cheaper than a new header).

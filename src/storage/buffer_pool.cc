@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -155,16 +156,18 @@ Status BufferPool::WithPage(PageId pid,
     return st;
   }
   // Minimal changed range -> update log for tightly-coupled methods.
-  uint32_t lo = 0;
-  while (lo < data_size_ && snapshot[lo] == f.data[lo]) ++lo;
+  const size_t lo = FirstMismatch(snapshot, f.data);
   if (lo < data_size_) {
-    uint32_t hi = data_size_;
-    while (hi > lo && snapshot[hi - 1] == f.data[hi - 1]) --hi;
+    const size_t hi = LastMismatch(snapshot, f.data);
     UpdateLog log;
-    log.offset = lo;
+    log.offset = static_cast<uint32_t>(lo);
     log.data.assign(f.data.begin() + lo, f.data.begin() + hi);
     st = store_->OnUpdate(pid, f.data, log);
     f.dirty = true;
+    if (!f.listed) {
+      f.listed = true;
+      dirty_frames_.push_back(idx);
+    }
   }
   Unpin(idx);
   return st;
@@ -185,25 +188,29 @@ Status BufferPool::FlushPage(PageId pid) {
 
 Status BufferPool::FlushAll() {
   ConfinementScope confined(this);
-  // Collect every dirty resident frame (frame-index order, so the batch is
-  // deterministic), then hand the store one WriteBatch, which rejects a
-  // malformed entry before writing any.
+  // Collect the dirty frames in frame-index order, so the batch is
+  // deterministic, then hand the store one WriteBatch, which rejects a
+  // malformed entry before writing any. A listed frame that an eviction or
+  // FlushPage wrote back since is clean and skipped.
+  std::sort(dirty_frames_.begin(), dirty_frames_.end());
   std::vector<PageWrite> writes;
-  std::vector<uint32_t> dirty_idx;
-  for (uint32_t i = 0; i < num_frames_; ++i) {
-    Frame& f = frames_[i];
-    if (!f.dirty || table_.count(f.pid) == 0) continue;
+  for (uint32_t i : dirty_frames_) {
+    const Frame& f = frames_[i];
+    if (!f.dirty) continue;
     if (f.pins != 0) {
       return Status::Busy("dirty frame pinned during FlushAll");
     }
     writes.push_back(PageWrite{f.pid, ConstBytes(f.data.data(), data_size_)});
-    dirty_idx.push_back(i);
   }
   if (!writes.empty()) {
     FLASHDB_RETURN_IF_ERROR(store_->WriteBatch(writes));
     stats_.dirty_writebacks += writes.size();
-    for (uint32_t i : dirty_idx) frames_[i].dirty = false;
   }
+  for (uint32_t i : dirty_frames_) {
+    frames_[i].dirty = false;
+    frames_[i].listed = false;
+  }
+  dirty_frames_.clear();
   return store_->Flush();
 }
 

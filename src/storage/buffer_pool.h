@@ -83,6 +83,7 @@ class BufferPool {
   struct Frame {
     PageId pid = 0;
     bool dirty = false;
+    bool listed = false;  ///< In dirty_frames_.
     uint32_t pins = 0;
     ByteBuffer data;
     std::list<uint32_t>::iterator lru_pos;  ///< Valid when pins == 0.
@@ -118,6 +119,9 @@ class BufferPool {
   std::vector<uint32_t> free_frames_;
   std::unordered_map<PageId, uint32_t> table_;  ///< pid -> frame index.
   std::list<uint32_t> lru_;                     ///< Front = least recent.
+  /// Frames dirtied since the last successful FlushAll, each listed once
+  /// (Frame::listed), so FlushAll visits these instead of every frame.
+  std::vector<uint32_t> dirty_frames_;
   BufferPoolStats stats_;
   /// WithPage diff scratch, one buffer per reentrancy depth: a nested
   /// WithPage (B-tree split) must not clobber the outer call's snapshot.

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "common/bytes.h"
 #include "common/coding.h"
 #include "common/crc32.h"
+#include "common/crc32_table.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
@@ -139,6 +143,10 @@ TEST(CodingTest, ReaderUnderflowSetsFailed) {
 }
 
 TEST(Crc32Test, KnownValueAndSensitivity) {
+  // The CRC-32C check value (RFC 3720, B.4), on every path.
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(Crc32c(check), 0xE3069283u);
+  EXPECT_EQ(Crc32cTable(check), 0xE3069283u);
   const uint8_t data[] = {'a', 'b', 'c'};
   const uint32_t c1 = Crc32c(data);
   EXPECT_NE(c1, 0u);
@@ -152,6 +160,42 @@ TEST(Crc32Test, SeedChaining) {
   uint32_t part = Crc32c(ConstBytes(all, 3));
   part = Crc32c(ConstBytes(all + 3, 3), part);
   EXPECT_EQ(whole, part);
+  // Random lengths, alignments and cut points, on both paths.
+  Random r(5);
+  ByteBuffer buf(4096 + 8);
+  for (int trial = 0; trial < 200; ++trial) {
+    r.Fill(buf);
+    const size_t len = r.Uniform(4097);
+    const ConstBytes data(buf.data() + r.Uniform(8), len);
+    const size_t cut = r.Uniform(len + 1);
+    const ConstBytes head = data.first(cut);
+    const ConstBytes tail = data.subspan(cut);
+    EXPECT_EQ(Crc32c(tail, Crc32c(head)), Crc32c(data))
+        << "len " << len << " cut " << cut;
+    EXPECT_EQ(Crc32cTable(tail, Crc32cTable(head)), Crc32cTable(data))
+        << "len " << len << " cut " << cut;
+  }
+}
+
+// Crc32c runs the hardware path wherever the CPU has one; the byte table is
+// the reference. Random lengths cover the word loop and every tail length,
+// and random start offsets every alignment.
+TEST(Crc32Test, EveryPathMatchesTheTable) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Random r(seed);
+    ByteBuffer buf(4096 + 8);
+    for (int trial = 0; trial < 200; ++trial) {
+      r.Fill(buf);
+      const size_t len = r.Uniform(4097);
+      const size_t off = r.Uniform(8);
+      const ConstBytes data(buf.data() + off, len);
+      const uint32_t init = static_cast<uint32_t>(r.Next()) | 1u;
+      ASSERT_EQ(Crc32c(data), Crc32cTable(data))
+          << "seed " << seed << " len " << len << " off " << off;
+      ASSERT_EQ(Crc32c(data, init), Crc32cTable(data, init))
+          << "seed " << seed << " len " << len << " off " << off;
+    }
+  }
 }
 
 TEST(RandomTest, DeterministicForSeed) {
@@ -211,6 +255,112 @@ TEST(BytesTest, EqualityAndHexDump) {
   EXPECT_FALSE(BytesEqual(a, c));
   EXPECT_EQ(HexDump(a), "dead");
   EXPECT_EQ(HexDump(a, 1), "de...");
+}
+
+// Byte-loop oracles for the page byte kernels.
+
+size_t FirstMismatchOracle(ConstBytes a, ConstBytes b) {
+  size_t i = 0;
+  while (i < a.size() && a[i] == b[i]) ++i;
+  return i;
+}
+
+size_t LastMismatchOracle(ConstBytes a, ConstBytes b) {
+  size_t hi = a.size();
+  while (hi > 0 && a[hi - 1] == b[hi - 1]) --hi;
+  return hi;
+}
+
+/// Returns false, leaving `cells` alone, when `src` sets a cleared bit;
+/// otherwise ANDs `src` in.
+bool ProgramOracle(MutBytes cells, ConstBytes src) {
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if ((src[i] & ~cells[i]) != 0) return false;
+  }
+  for (size_t i = 0; i < cells.size(); ++i) cells[i] &= src[i];
+  return true;
+}
+
+/// Checks every kernel against its oracle on cells `a` and image `b`
+/// (cells of equal length), on copies.
+void ExpectKernelsMatchOracles(ConstBytes a, ConstBytes b,
+                               const std::string& where) {
+  EXPECT_EQ(FirstMismatch(a, b), FirstMismatchOracle(a, b)) << where;
+  EXPECT_EQ(LastMismatch(a, b), LastMismatchOracle(a, b)) << where;
+  ByteBuffer got(a.begin(), a.end());
+  ByteBuffer want(a.begin(), a.end());
+  EXPECT_EQ(ProgramBits(got, b), ProgramOracle(want, b)) << where;
+  EXPECT_EQ(got, want) << where;
+  got.assign(a.begin(), a.end());
+  AndBits(got, b);
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(got[i], a[i] & b[i]) << where << " byte " << i;
+  }
+}
+
+TEST(BytesTest, KernelsMatchByteLoops) {
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    Random r(seed);
+    ByteBuffer a_buf(4096 + 8);
+    ByteBuffer b_buf(4096 + 8);
+    for (int trial = 0; trial < 300; ++trial) {
+      const size_t len = r.Uniform(4097);
+      const size_t a_off = r.Uniform(8);
+      const size_t b_off = r.Uniform(8);
+      MutBytes a(a_buf.data() + a_off, len);
+      MutBytes b(b_buf.data() + b_off, len);
+      r.Fill(a);
+      // b is a with a few bytes changed (none, for some trials); half the
+      // trials only clear bits, a valid program.
+      std::memcpy(b.data(), a.data(), len);
+      const bool clear_only = r.Bernoulli(0.5);
+      const uint64_t changes = len == 0 ? 0 : r.Uniform(4);
+      for (uint64_t c = 0; c < changes; ++c) {
+        const size_t at = r.Uniform(len);
+        const uint8_t mask = static_cast<uint8_t>(r.Next() | 1u);
+        b[at] = clear_only ? static_cast<uint8_t>(b[at] & ~mask)
+                           : static_cast<uint8_t>(b[at] ^ mask);
+      }
+      const std::string where = "seed " + std::to_string(seed) + " len " +
+                                std::to_string(len) + " offsets " +
+                                std::to_string(a_off) + "/" +
+                                std::to_string(b_off);
+      ExpectKernelsMatchOracles(a, b, where);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(BytesTest, OneBitAtEveryPositionAtBothEnds) {
+  for (size_t len : {8u, 15u, 64u, 2048u}) {
+    for (size_t off : {0u, 3u}) {
+      ByteBuffer buf(len + 8, 0xFF);
+      const MutBytes cells(buf.data() + off, len);
+      // The bit positions of the first and of the last 8-byte word.
+      for (size_t word_start : {size_t{0}, len - 8}) {
+        for (size_t bit = 0; bit < 64; ++bit) {
+          const size_t at = word_start + bit / 8;
+          const uint8_t mask = static_cast<uint8_t>(1u << (bit % 8));
+          ByteBuffer image(cells.begin(), cells.end());
+          image[at] = static_cast<uint8_t>(image[at] & ~mask);
+          const std::string where = "len " + std::to_string(len) + " off " +
+                                    std::to_string(off) + " byte " +
+                                    std::to_string(at) + " bit " +
+                                    std::to_string(bit % 8);
+          EXPECT_EQ(FirstMismatch(cells, image), at) << where;
+          EXPECT_EQ(LastMismatch(cells, image), at + 1) << where;
+          ExpectKernelsMatchOracles(cells, image, where);
+          // The reverse program raises that one cleared bit: rejected, with
+          // every cell left as it was.
+          ByteBuffer cleared = image;
+          EXPECT_FALSE(ProgramBits(cleared, cells)) << where;
+          EXPECT_EQ(cleared, image) << where;
+          ExpectKernelsMatchOracles(image, cells, where);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

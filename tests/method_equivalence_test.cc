@@ -515,12 +515,33 @@ TEST_P(BitErrorRecoveryTest, RemountNeverDestroysAPageItCouldNotRead) {
   UnreadablePage fault;
   fault.target = target;
   dev.set_fault_injector(&fault);
-  const Status st = methods::CreateStore(&dev, *spec)->Recover();
+  std::unique_ptr<PageStore> faulted = methods::CreateStore(&dev, *spec);
+  const Status st = faulted->Recover();
   dev.set_fault_injector(nullptr);
   EXPECT_TRUE(st.ok() || st.IsCorruption()) << st.ToString();
   EXPECT_EQ(fault.mutations, 0u)
       << GetParam() << ": recovery wrote to flash while page " << target
       << " was unreadable";
+  if (st.ok()) {
+    // An OK remount serves every page it had: each reads back as written or
+    // fails with Corruption, never with a wrong image or a broken mapping.
+    EXPECT_EQ(faulted->num_logical_pages(), pages) << GetParam();
+    ByteBuffer buf(data_size);
+    uint32_t wrong = 0;
+    std::string first_wrong;
+    for (PageId pid = 0; pid < pages; ++pid) {
+      const Status read = faulted->ReadPage(pid, buf);
+      if (read.IsCorruption() || (read.ok() && BytesEqual(buf, shadow[pid]))) {
+        continue;
+      }
+      if (wrong++ == 0) {
+        first_wrong = "pid " + std::to_string(pid) + ": " + read.ToString();
+      }
+    }
+    EXPECT_EQ(wrong, 0u) << GetParam() << " after an OK remount, first "
+                         << first_wrong;
+  }
+  faulted.reset();
 
   std::unique_ptr<PageStore> clean = methods::CreateStore(&dev, *spec);
   ASSERT_TRUE(clean->Recover().ok());

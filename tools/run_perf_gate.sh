@@ -46,6 +46,14 @@ gate() {
 gate exp1_update_cost --blocks=32 --ops=2000 --warmup-max=20000
 gate exp7_tpcc --warmup-tx=50 --tx=100
 
+# The rest of the paper's suite at exp1's flags, all virtual time or counts:
+# exp2 (updates till write, Fig. 13), exp3 (changed ratio, Fig. 14), exp4
+# (mixed reads and updates, Fig. 15) and exp6 (longevity, Fig. 17).
+gate exp2_updates_till_write --blocks=32 --ops=2000 --warmup-max=20000
+gate exp3_changed_ratio --blocks=32 --ops=2000 --warmup-max=20000
+gate exp4_mixed_ops --blocks=32 --ops=2000 --warmup-max=20000
+gate exp6_longevity --blocks=32 --ops=2000 --warmup-max=20000
+
 # Wall clock varies across runners and with host load, so kops/s only warns
 # at 30% drift; exp9 measures once and never fails on it.
 gate exp9_parallel --ops=2000 --warmup-max=3000 --batch=8 -- \
