@@ -1,5 +1,7 @@
 #include "ftl/mapping_table.h"
 
+#include <string>
+
 namespace flashdb::ftl {
 
 void MappingTable::Reset(uint32_t num_pids, uint32_t num_phys_pages) {
@@ -84,6 +86,13 @@ Status ForEachProgrammedSpare(
       // is surfaced so recovery can take the block out of service. No extra
       // reads: every spare in the region is read regardless.
       if (!(info.bad_block && dev->PageInBlock(addr) == 0)) continue;
+    } else if (!info.crc_ok && !info.obsolete) {
+      // Programs are atomic, so this spare was misread. It may hold its
+      // pid's only copy, or the highest pid, which sets the page count: stop
+      // before a store acts on a scan without it.
+      return Status::Corruption(
+          "uncorrectable read: recovery cannot decode the spare of page " +
+          std::to_string(addr));
     }
     FLASHDB_RETURN_IF_ERROR(fn(addr, info));
   }

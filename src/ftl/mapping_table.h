@@ -169,9 +169,10 @@ class MappingTable {
 /// from the spare areas: reads each page's spare in physical order over
 /// [0, geometry().data_pages()) and calls `fn` for every *programmed* page
 /// (erased pages are skipped). Reserved meta blocks are excluded -- they
-/// belong to the MetaJournal, not to the store. Decode results are passed
-/// through verbatim, including CRC failures -- filtering is the store's
-/// policy.
+/// belong to the MetaJournal, not to the store. A programmed spare that is
+/// not marked obsolete and fails its CRC stops the scan with Corruption;
+/// every other decode result is passed through verbatim, including the CRC
+/// failures of obsolete pages -- filtering is the store's policy.
 Status ForEachProgrammedSpare(
     flash::FlashDevice* dev,
     const std::function<Status(flash::PhysAddr, const SpareInfo&)>& fn);

@@ -1,7 +1,5 @@
 #include "ftl/out_place_store.h"
 
-#include <string>
-
 namespace flashdb::ftl {
 
 using flash::kNullAddr;
@@ -58,7 +56,7 @@ Status OutPlaceStore::RecoverBases(const SpareReplay& replay_other) {
           bm_.MarkBadForRecovery(dev_->BlockOf(addr));
           if (!info.programmed) return Status::OK();
         }
-        if (info.obsolete || !info.crc_ok) {
+        if (info.obsolete) {
           bm_.SetObsoleteForRecovery(addr);  // the dead-page rule
           return Status::OK();
         }
@@ -69,15 +67,6 @@ Status OutPlaceStore::RecoverBases(const SpareReplay& replay_other) {
   bm_.FinalizeRecovery();
   num_pages_ = map_.replayed_num_pids();
   map_.EndReplay(num_pages_);
-  // A pid below the page count with no base page lost it to a spare the
-  // scan could not read (the dead-page rule). Stay unformatted, so no GC can
-  // erase that page's block: a later remount that reads it recovers it.
-  for (PageId pid = 0; pid < num_pages_; ++pid) {
-    if (map_.base(pid) == kNullAddr) {
-      return Status::Corruption("recovery found no base page for pid " +
-                                std::to_string(pid));
-    }
-  }
   formatted_ = true;
   return Status::OK();
 }

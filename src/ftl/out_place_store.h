@@ -18,9 +18,11 @@
 // store: OPU collects only when an allocation fails, PDL ahead of it.
 //
 // The dead-page rule: during recovery a page whose spare is marked obsolete
-// or fails its CRC is dead in RAM only, never marked on flash. Programs are
-// atomic, so a spare that fails its CRC was misread (a read error or bit rot),
-// and a mark programmed on the strength of that read could retire live data.
+// is dead in RAM only, never marked on flash. Programs are atomic, so a
+// spare that fails its CRC was misread (a read error or bit rot): when it is
+// not marked obsolete, recovery stops with Corruption and the store stays
+// unformatted, since the page may be the only copy of its pid and a later
+// remount that reads it recovers it.
 
 #ifndef FLASHDB_FTL_OUT_PLACE_STORE_H_
 #define FLASHDB_FTL_OUT_PLACE_STORE_H_
@@ -72,10 +74,11 @@ class OutPlaceStore : public PageStore {
                      void* initial_arg);
 
   /// Recover: rebuilds the block states, clock and mapping from a scan of
-  /// every programmed spare. A block's bad mark takes it out of service, the
-  /// dead-page rule drops dead pages, base pages replay through
-  /// ReplayBasePage, and every other live page goes to `replay_other` (its
-  /// timestamp already observed).
+  /// every programmed spare. A block's bad mark takes it out of service, a
+  /// live-looking spare that fails its CRC returns Corruption, the dead-page
+  /// rule drops dead pages, base pages replay through ReplayBasePage, and
+  /// every other live page goes to `replay_other` (its timestamp already
+  /// observed).
   using SpareReplay =
       std::function<Status(flash::PhysAddr, const SpareInfo&)>;
   Status RecoverBases(const SpareReplay& replay_other);

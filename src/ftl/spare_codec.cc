@@ -1,5 +1,6 @@
 #include "ftl/spare_codec.h"
 
+#include <bit>
 #include <cassert>
 #include <string>
 
@@ -10,6 +11,7 @@ namespace flashdb::ftl {
 
 namespace {
 constexpr uint16_t kMagic = 0x5044;
+constexpr uint16_t kErasedMagic = 0xFFFF;
 
 uint32_t SpareCrc(ConstBytes spare) {
   // CRC over magic+type (bytes 0..2) and pid+timestamp (bytes 4..15),
@@ -43,11 +45,14 @@ SpareInfo DecodeSpare(ConstBytes spare) {
   if (spare.size() > flash::kBadBlockOobOffset) {
     info.bad_block = (spare[flash::kBadBlockOobOffset] != 0xFF);
   }
-  if (DecodeFixed16(spare.data()) != kMagic) {
+  const uint16_t magic = DecodeFixed16(spare.data());
+  if (magic == kErasedMagic) {
     info.type = PageType::kFree;
     info.programmed = false;
     return info;
   }
+  // Any other magic was programmed: one that is not ours arrived with bit
+  // errors, and its CRC check fails below.
   info.programmed = true;
   switch (spare[2]) {
     case static_cast<uint8_t>(PageType::kBase):
@@ -72,10 +77,14 @@ SpareInfo DecodeSpare(ConstBytes spare) {
       info.type = PageType::kInvalid;
       break;
   }
-  info.obsolete = (spare[3] != 0xFF);
+  // The marker is outside the CRC, and marking clears all eight of its bits,
+  // so it is read by majority: a few flipped bits cannot retire a live page
+  // or revive an obsolete one.
+  info.obsolete = std::popcount(spare[3]) < 4;
   info.pid = DecodeFixed32(spare.data() + 4);
   info.timestamp = DecodeFixed64(spare.data() + 8);
-  info.crc_ok = (DecodeFixed32(spare.data() + 16) == SpareCrc(spare));
+  info.crc_ok = magic == kMagic &&
+                DecodeFixed32(spare.data() + 16) == SpareCrc(spare);
   if (spare.size() >= kSpareDataCrcEnd) {
     info.data_crc = DecodeFixed32(spare.data() + kSpareDataCrcOffset);
   }

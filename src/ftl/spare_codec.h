@@ -2,9 +2,13 @@
 //
 // Layout (offsets in bytes):
 //   0..1   magic 0x5044 ("PD")        -- distinguishes programmed from erased
+//                                        (0xFFFF); any other value is a
+//                                        programmed header read with bit
+//                                        errors, and fails the CRC
 //   2      page type                  -- base / differential / log / raw data
 //   3      obsolete marker            -- 0xFF valid, 0x00 obsolete; cleared by
-//                                        a later partial program (footnote 9)
+//                                        a later partial program (footnote 9),
+//                                        read by majority of its bits
 //   4..7   physical page ID (pid)     -- logical page the contents belong to
 //   8..15  creation timestamp         -- logical clock, for Fig. 11 recovery
 //   16..19 CRC-32C over bytes {0..2, 4..15}
@@ -49,8 +53,8 @@ struct SpareInfo {
   bool obsolete = false;
   uint32_t pid = 0;
   uint64_t timestamp = 0;
-  bool crc_ok = false;    ///< Only meaningful when type != kFree.
-  bool programmed = false;  ///< Magic found (page not erased).
+  bool crc_ok = false;    ///< Only meaningful when `programmed`.
+  bool programmed = false;  ///< Magic not erased (page programmed).
   /// Bad-block OOB mark (flash::kBadBlockOobOffset) found cleared. Only
   /// meaningful on page 0 of a block; set independently of `programmed`
   /// (a factory-bad block carries the mark on an otherwise erased page).

@@ -2,12 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
-#include <string_view>
 #include <vector>
 
 #include "methods/method_factory.h"
 #include "methods/opu_store.h"
+#include "recording_store.h"
 #include "storage/buffer_pool.h"
 
 namespace flashdb::storage {
@@ -175,47 +174,6 @@ TEST_F(BufferPoolTest, ResetDropsCleanState) {
   EXPECT_EQ(page[0], 9);
 }
 
-/// Forwards every call to `inner`, recording the pids of each WriteBatch
-/// and of each single-page WriteBack.
-class RecordingStore : public PageStore {
- public:
-  explicit RecordingStore(PageStore* inner) : inner_(inner) {}
-
-  std::vector<std::vector<PageId>> batches;
-  std::vector<PageId> writebacks;
-
-  std::string_view name() const override { return inner_->name(); }
-  Status Format(uint32_t num_logical_pages, PageInitializer initial,
-                void* initial_arg) override {
-    return inner_->Format(num_logical_pages, initial, initial_arg);
-  }
-  Status ReadPage(PageId pid, MutBytes out) override {
-    return inner_->ReadPage(pid, out);
-  }
-  Status OnUpdate(PageId pid, ConstBytes page_after,
-                  const UpdateLog& log) override {
-    return inner_->OnUpdate(pid, page_after, log);
-  }
-  Status WriteBack(PageId pid, ConstBytes page) override {
-    writebacks.push_back(pid);
-    return inner_->WriteBack(pid, page);
-  }
-  Status WriteBatch(std::span<const PageWrite> batch) override {
-    std::vector<PageId>& pids = batches.emplace_back();
-    for (const PageWrite& w : batch) pids.push_back(w.pid);
-    return inner_->WriteBatch(batch);
-  }
-  Status Flush() override { return inner_->Flush(); }
-  Status Recover() override { return inner_->Recover(); }
-  uint32_t num_logical_pages() const override {
-    return inner_->num_logical_pages();
-  }
-  flash::FlashDevice* device() override { return inner_->device(); }
-
- private:
-  PageStore* inner_;
-};
-
 Status Touch(BufferPool* pool, PageId pid, uint8_t value) {
   return pool->WithPage(pid, [value](MutBytes p) {
     p[0] = value;
@@ -225,21 +183,23 @@ Status Touch(BufferPool* pool, PageId pid, uint8_t value) {
 
 TEST_F(BufferPoolTest, FlushAllWritesInFrameOrder) {
   RecordingStore rec(&store_);
+  rec.StartRecording();
   BufferPool pool(&rec, 8);
   auto noop = [](ConstBytes) { return Status::OK(); };
   // Frames fill from index 0: pids 30, 10, 20 land in frames 0, 1, 2.
   for (PageId pid : {30u, 10u, 20u}) ASSERT_TRUE(pool.ReadPage(pid, noop).ok());
   for (PageId pid : {20u, 30u, 10u}) ASSERT_TRUE(Touch(&pool, pid, 7).ok());
   ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_EQ(rec.batches.size(), 1u);
-  EXPECT_EQ(rec.batches[0], (std::vector<PageId>{30, 10, 20}));
+  ASSERT_EQ(rec.batches().size(), 1u);
+  EXPECT_EQ(rec.batches()[0], (std::vector<PageId>{30, 10, 20}));
   // Nothing is dirty any more: the next flush writes nothing.
   ASSERT_TRUE(pool.FlushAll().ok());
-  EXPECT_EQ(rec.batches.size(), 1u);
+  EXPECT_EQ(rec.batches().size(), 1u);
 }
 
 TEST_F(BufferPoolTest, BusyFlushWritesNothingAndTheNextWritesAll) {
   RecordingStore rec(&store_);
+  rec.StartRecording();
   BufferPool pool(&rec, 4);
   ASSERT_TRUE(Touch(&pool, 1, 1).ok());
   ASSERT_TRUE(Touch(&pool, 2, 2).ok());
@@ -250,25 +210,28 @@ TEST_F(BufferPoolTest, BusyFlushWritesNothingAndTheNextWritesAll) {
                     return Status::OK();
                   })
                   .ok());
-  EXPECT_TRUE(rec.batches.empty());
+  EXPECT_TRUE(rec.batches().empty());
   EXPECT_EQ(dev_.stats().total.writes, writes);
   ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_EQ(rec.batches.size(), 1u);
-  EXPECT_EQ(rec.batches[0], (std::vector<PageId>{1, 2}));
+  ASSERT_EQ(rec.batches().size(), 1u);
+  EXPECT_EQ(rec.batches()[0], (std::vector<PageId>{1, 2}));
 }
 
 TEST_F(BufferPoolTest, FrameEvictedDirtyThenDirtiedAgainIsWrittenOnce) {
   RecordingStore rec(&store_);
+  rec.StartRecording();
   BufferPool pool(&rec, 2);
   auto noop = [](ConstBytes) { return Status::OK(); };
   ASSERT_TRUE(Touch(&pool, 1, 1).ok());      // frame 0
   ASSERT_TRUE(pool.ReadPage(2, noop).ok());  // frame 1
   ASSERT_TRUE(pool.ReadPage(3, noop).ok());  // evicts pid 1 from frame 0
-  EXPECT_EQ(rec.writebacks, (std::vector<PageId>{1}));
+  ASSERT_EQ(rec.writes().size(), 1u);  // the eviction's write-back
+  EXPECT_EQ(rec.writes()[0].pid, 1u);
+  EXPECT_TRUE(rec.batches().empty());
   ASSERT_TRUE(Touch(&pool, 3, 3).ok());  // frame 0 dirty again
   ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_EQ(rec.batches.size(), 1u);
-  EXPECT_EQ(rec.batches[0], (std::vector<PageId>{3}));
+  ASSERT_EQ(rec.batches().size(), 1u);
+  EXPECT_EQ(rec.batches()[0], (std::vector<PageId>{3}));
   ByteBuffer page(dev_.geometry().data_size);
   ASSERT_TRUE(store_.ReadPage(1, page).ok());
   EXPECT_EQ(page[0], 1);

@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/crc32.h"
@@ -22,6 +21,7 @@
 #include "ftl/sharded_store.h"
 #include "methods/method_factory.h"
 #include "pdl/pdl_store.h"
+#include "recording_store.h"
 #include "storage/buffer_pool.h"
 #include "workload/tpcc.h"
 
@@ -756,64 +756,6 @@ INSTANTIATE_TEST_SUITE_P(Methods, ScrubCrashTest,
 //     of the commit-order log, and no torn transaction is visible through
 //     the B-tree, because every logical page equals its post-commit image.
 
-/// PageStore wrapper recording every page image handed to the write path, in
-/// order, plus commit markers -- the redo log the assertions replay. Entries
-/// are recorded *before* forwarding, so the write a cut lands on is part of
-/// the log (it may or may not have become durable).
-class RecordingStore : public PageStore {
- public:
-  explicit RecordingStore(PageStore* inner) : inner_(inner) {}
-
-  struct Rec {
-    PageId pid = 0;
-    ByteBuffer image;
-  };
-
-  void StartRecording() { recording_ = true; }
-  void MarkCommit() { commit_marks_.push_back(writes_.size()); }
-  const std::vector<Rec>& writes() const { return writes_; }
-  const std::vector<size_t>& commit_marks() const { return commit_marks_; }
-
-  std::string_view name() const override { return inner_->name(); }
-  Status Format(uint32_t num_logical_pages, PageInitializer initial,
-                void* initial_arg) override {
-    return inner_->Format(num_logical_pages, initial, initial_arg);
-  }
-  Status ReadPage(PageId pid, MutBytes out) override {
-    return inner_->ReadPage(pid, out);
-  }
-  Status OnUpdate(PageId pid, ConstBytes page_after,
-                  const UpdateLog& log) override {
-    return inner_->OnUpdate(pid, page_after, log);
-  }
-  Status WriteBack(PageId pid, ConstBytes page) override {
-    Note(pid, page);
-    return inner_->WriteBack(pid, page);
-  }
-  Status WriteBatch(std::span<const PageWrite> batch) override {
-    for (const PageWrite& w : batch) Note(w.pid, w.page);
-    return inner_->WriteBatch(batch);
-  }
-  Status Flush() override { return inner_->Flush(); }
-  Status Recover() override { return inner_->Recover(); }
-  uint32_t num_logical_pages() const override {
-    return inner_->num_logical_pages();
-  }
-  flash::FlashDevice* device() override { return inner_->device(); }
-
- private:
-  void Note(PageId pid, ConstBytes page) {
-    if (recording_) {
-      writes_.push_back({pid, ByteBuffer(page.begin(), page.end())});
-    }
-  }
-
-  PageStore* inner_;
-  bool recording_ = false;
-  std::vector<Rec> writes_;
-  std::vector<size_t> commit_marks_;
-};
-
 workload::TpccScale OltpCrashScale() {
   workload::TpccScale s;
   s.warehouses = 2;
@@ -872,7 +814,7 @@ TEST_P(OltpCrashTest, FlushAllPowerCutsRecoverToCommitLogPrefix) {
   // bounds the cut sweep.
   uint64_t total_mutations = 0;
   std::vector<uint32_t> base_hashes;
-  std::vector<RecordingStore::Rec> wlog;
+  std::vector<RecordingStore::Write> wlog;
   std::vector<size_t> marks;
   {
     OltpRig rig = BuildOltpRig(*spec);
@@ -888,12 +830,11 @@ TEST_P(OltpCrashTest, FlushAllPowerCutsRecoverToCommitLogPrefix) {
       uint32_t w = 0;
       ASSERT_TRUE(rig.wl->RunTransactionDrawing(&type, &w).ok()) << t;
       ASSERT_TRUE(rig.pool->FlushAll().ok()) << t;
-      rig.rec->MarkCommit();
+      marks.push_back(rig.rec->writes().size());
     }
     const flash::OpCounters d = rig.dev->stats().total - before;
     total_mutations = d.writes + d.erases;
     wlog = rig.rec->writes();
-    marks = rig.rec->commit_marks();
   }
   ASSERT_EQ(marks.size(), kTxns);
   ASSERT_GT(wlog.size(), 0u);

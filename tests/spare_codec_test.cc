@@ -66,6 +66,32 @@ TEST(SpareCodecTest, CorruptionDetectedByCrc) {
   EXPECT_FALSE(info.crc_ok);
 }
 
+// Reads deliver bit errors; programs are atomic. A header whose magic is
+// neither ours nor erased was programmed and misread, and the obsolete
+// marker, outside the CRC, is read by majority of its bits.
+TEST(SpareCodecTest, GarbledMagicDecodesAsProgrammedWithBadCrc) {
+  ByteBuffer spare(64, 0xFF);
+  EncodeSpare(spare, PageType::kBase, 42, 7);
+  spare[1] ^= 0x10;
+  SpareInfo info = DecodeSpare(spare);
+  EXPECT_TRUE(info.programmed);
+  EXPECT_FALSE(info.crc_ok);
+  EXPECT_FALSE(info.obsolete);
+}
+
+TEST(SpareCodecTest, ObsoleteMarkerIsReadByMajority) {
+  ByteBuffer spare(64, 0xFF);
+  EncodeSpare(spare, PageType::kBase, 42, 7);
+  spare[3] = 0xE5;  // a live marker with three bits flipped
+  SpareInfo info = DecodeSpare(spare);
+  EXPECT_FALSE(info.obsolete);
+  EXPECT_TRUE(info.crc_ok);
+  spare[3] = 0x0B;  // an obsolete marker with three bits flipped
+  info = DecodeSpare(spare);
+  EXPECT_TRUE(info.obsolete);
+  EXPECT_TRUE(info.crc_ok);
+}
+
 TEST(SpareCodecTest, UnknownTypeDecodesAsInvalid) {
   ByteBuffer spare(64, 0xFF);
   EncodeSpare(spare, PageType::kBase, 42, 7);
