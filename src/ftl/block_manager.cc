@@ -103,7 +103,7 @@ void BlockManager::SetObsoleteForRecovery(flash::PhysAddr addr) {
 }
 
 Status BlockManager::MarkObsoleteForRecovery(flash::PhysAddr addr) {
-  ByteBuffer spare(dev_->geometry().spare_size);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   EncodeObsoleteMark(spare);
   FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(addr, spare));
   SetObsoleteForRecovery(addr);
@@ -174,7 +174,7 @@ Status BlockManager::MarkObsolete(flash::PhysAddr addr) {
     return Status::InvalidArgument("MarkObsolete on non-valid page " +
                                    std::to_string(addr));
   }
-  ByteBuffer spare(dev_->geometry().spare_size, 0xFF);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   EncodeObsoleteMark(spare);
   FLASHDB_RETURN_IF_ERROR(dev_->ProgramSpare(addr, spare));
   page_state_[addr] = PageState::kObsolete;

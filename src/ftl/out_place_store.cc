@@ -1,5 +1,8 @@
 #include "ftl/out_place_store.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace flashdb::ftl {
 
 using flash::kNullAddr;
@@ -96,7 +99,7 @@ Result<SpareInfo> OutPlaceStore::ScrubTag(PhysAddr addr, bool* relocated) {
       bm_.state(addr) != PageState::kValid) {
     return SpareInfo{};  // obsolete/erased: the block erase clears the wear
   }
-  ByteBuffer spare(flash::FlashGeometry::spare_size);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   FLASHDB_RETURN_IF_ERROR(dev_->ReadSpare(addr, spare));
   const SpareInfo tag = DecodeSpare(spare);
   if (!tag.programmed || tag.obsolete) return SpareInfo{};
@@ -122,7 +125,8 @@ Status OutPlaceStore::RelocateBasePage(const SpareInfo& tag, ConstBytes page) {
 
 Status OutPlaceStore::ProgramBase(PhysAddr q, PageId pid, uint64_t ts,
                                   ConstBytes page) {
-  ByteBuffer spare(flash::FlashGeometry::spare_size, 0xFF);
+  uint8_t spare[flash::FlashGeometry::spare_size];
+  std::fill(std::begin(spare), std::end(spare), 0xFF);
   EncodeSpare(spare, base_type_, pid, ts, page);
   return dev_->ProgramPage(q, page, spare);
 }

@@ -35,6 +35,14 @@ Status CheckPageArgs(bool formatted, PageId pid, uint32_t num_pages,
   return Status::OK();
 }
 
+Status Check16BitOffsets(std::string_view method, uint32_t data_size) {
+  if (data_size <= kMaxDataSizeFor16BitOffsets) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(method) + " stores 16-bit page offsets: data_size=" +
+      std::to_string(data_size) + " exceeds " +
+      std::to_string(kMaxDataSizeFor16BitOffsets));
+}
+
 Result<std::vector<uint32_t>> EraseForFormat(flash::FlashDevice* dev,
                                              bool remaps_bad_blocks) {
   std::vector<uint32_t> bad;

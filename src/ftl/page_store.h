@@ -86,6 +86,15 @@ Status CheckPid(bool formatted, PageId pid, uint32_t num_pages);
 Status CheckPageArgs(bool formatted, PageId pid, uint32_t num_pages,
                      size_t bytes, uint32_t data_size);
 
+/// The largest data area whose byte offsets all fit 16 bits. PDL's
+/// differential extents and IPL's log records store in-page offsets in 16
+/// bits, so both refuse larger pages on every mount path.
+inline constexpr uint32_t kMaxDataSizeFor16BitOffsets = 65536;
+
+/// InvalidArgument naming `method` and `data_size` when data_size exceeds
+/// kMaxDataSizeFor16BitOffsets.
+Status Check16BitOffsets(std::string_view method, uint32_t data_size);
+
 /// Interface implemented by every page-update method.
 class PageStore {
  public:

@@ -114,6 +114,9 @@ uint32_t IplStore::LivePagesIn(uint32_t g) const {
 Status IplStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
   FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
+  // Log records store in-page offsets in 16 bits (lengths are at most one
+  // slot, data_size / kLogSlotDivisor).
+  FLASHDB_RETURN_IF_ERROR(Check16BitOffsets(name_, data_size_));
   const auto& g = dev_->geometry();
   num_groups_ = (num_logical_pages + orig_per_block_ - 1) / orig_per_block_;
   if (num_groups_ + 1 > g.num_data_blocks()) {
@@ -387,6 +390,7 @@ uint32_t IplStore::LogPagesOf(PageId pid) const {
 }
 
 Status IplStore::Recover() {
+  FLASHDB_RETURN_IF_ERROR(Check16BitOffsets(name_, data_size_));
   flash::CategoryScope cat(dev_, flash::OpCategory::kRecovery);
   const auto& g = dev_->geometry();
   clock_.Reset();

@@ -1,40 +1,49 @@
 #include "pdl/diff_write_buffer.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace flashdb::pdl {
 
+size_t DiffWriteBuffer::IndexOf(PageId pid) const {
+  return static_cast<size_t>(std::find(pids_.begin(), pids_.end(), pid) -
+                             pids_.begin());
+}
+
 const Differential* DiffWriteBuffer::Find(PageId pid) const {
-  auto it = index_.find(pid);
-  if (it == index_.end()) return nullptr;
-  return &entries_[it->second];
+  const size_t idx = IndexOf(pid);
+  return idx == size() ? nullptr : &slots_[idx];
 }
 
 void DiffWriteBuffer::Remove(PageId pid) {
-  auto it = index_.find(pid);
-  if (it == index_.end()) return;
-  const size_t idx = it->second;
-  used_ -= entries_[idx].EncodedSize();
-  index_.erase(it);
-  // Swap-with-last removal keeps the vector compact; fix the moved index.
-  if (idx != entries_.size() - 1) {
-    entries_[idx] = std::move(entries_.back());
-    index_[entries_[idx].pid()] = idx;
+  const size_t idx = IndexOf(pid);
+  if (idx == size()) return;
+  used_ -= slots_[idx].EncodedSize();
+  // Swap-with-last removal keeps the entries compact; the removed slot
+  // becomes the first recycled one.
+  const size_t last = size() - 1;
+  if (idx != last) {
+    std::swap(slots_[idx], slots_[last]);
+    pids_[idx] = pids_[last];
   }
-  entries_.pop_back();
+  pids_.pop_back();
 }
 
-void DiffWriteBuffer::Insert(Differential diff) {
+void DiffWriteBuffer::Insert(const Differential& diff) {
   assert(Fits(diff));
   assert(!Contains(diff.pid()));
   used_ += diff.EncodedSize();
-  index_[diff.pid()] = entries_.size();
-  entries_.push_back(std::move(diff));
+  if (size() < slots_.size()) {
+    slots_[size()] = diff;  // copy-assignment reuses the slot's capacity
+  } else {
+    slots_.push_back(diff);
+  }
+  pids_.push_back(diff.pid());
 }
 
 void DiffWriteBuffer::Clear() {
-  entries_.clear();
-  index_.clear();
+  pids_.clear();
   used_ = 0;
 }
 

@@ -53,11 +53,14 @@ bool Differential::ParseNext(BufferReader* reader, Differential* out,
   if (reader->remaining() < 4) return false;
   const uint32_t pid = reader->GetU32();
   if (pid == kPaddingPid) return false;  // erased padding: end of records
-  out->pid_ = pid;
-  out->timestamp_ = reader->GetU64();
+  const uint64_t timestamp = reader->GetU64();
   const uint16_t count = reader->GetU16();
-  out->extents_.clear();
-  out->data_.clear();
+  if (out != nullptr) {
+    out->pid_ = pid;
+    out->timestamp_ = timestamp;
+    out->extents_.clear();
+    out->data_.clear();
+  }
   for (uint16_t i = 0; i < count; ++i) {
     DiffExtent e;
     e.offset = reader->GetU16();
@@ -67,14 +70,36 @@ bool Differential::ParseNext(BufferReader* reader, Differential* out,
       *out_status = Status::Corruption("truncated differential record");
       return false;
     }
-    out->extents_.push_back(e);
-    out->data_.insert(out->data_.end(), payload.begin(), payload.end());
+    if (out != nullptr) {
+      out->extents_.push_back(e);
+      out->data_.insert(out->data_.end(), payload.begin(), payload.end());
+    }
   }
   if (reader->failed()) {
     *out_status = Status::Corruption("truncated differential record header");
     return false;
   }
   return true;
+}
+
+Status FindDifferential(ConstBytes page, PageId pid, Differential* out,
+                        bool* found) {
+  *found = false;
+  BufferReader reader(page);
+  Status parse_status;
+  // Peek each record's pid; only the match is copied out.
+  while (reader.remaining() >= 4) {
+    const bool match = DecodeFixed32(page.data() + reader.position()) == pid;
+    if (!Differential::ParseNext(&reader, match ? out : nullptr,
+                                 &parse_status)) {
+      break;
+    }
+    if (match) {
+      *found = true;
+      break;
+    }
+  }
+  return parse_status;
 }
 
 void ComputeDifferentialInto(ConstBytes base, ConstBytes updated, PageId pid,

@@ -9,7 +9,8 @@
 //
 // Records are packed back to back in a differential page's data area; the
 // first record whose pid field reads 0xFFFFFFFF (erased padding) terminates
-// the page. pid 0xFFFFFFFF is therefore reserved.
+// the page. pid 0xFFFFFFFF is therefore reserved. Offsets and lengths are 16
+// bits, so PdlStore refuses pages over kMaxDataSizeFor16BitOffsets bytes.
 
 #ifndef FLASHDB_PDL_DIFFERENTIAL_H_
 #define FLASHDB_PDL_DIFFERENTIAL_H_
@@ -82,7 +83,8 @@ class Differential {
 
   /// Parses the next record from `reader`. Returns false when the reader is
   /// positioned at padding / end of page (no record consumed). On malformed
-  /// input returns a Corruption status through `*out_status`.
+  /// input returns a Corruption status through `*out_status`. When `out` is
+  /// null the record is checked and skipped without copying its payload.
   static bool ParseNext(BufferReader* reader, Differential* out,
                         Status* out_status);
 
@@ -103,10 +105,20 @@ Differential ComputeDifferential(ConstBytes base, ConstBytes updated,
                                  PageId pid, uint64_t timestamp,
                                  size_t coalesce_gap = kExtentHeaderSize);
 
-/// Allocation-free variant: recomputes into `*out`, reusing its capacity.
+/// Allocation-free variant: recomputes into `*out`, reusing its capacity
+/// (it allocates only when `*out` has never held a differential this large).
 void ComputeDifferentialInto(ConstBytes base, ConstBytes updated, PageId pid,
                              uint64_t timestamp, size_t coalesce_gap,
                              Differential* out);
+
+/// Looks up pid's record in the differential page `page`: skips the records
+/// before it by their headers, without copying them, and parses the match
+/// into `*out` (reusing its capacity). Sets *found = false when padding or
+/// the end of the page comes first. Gives the same verdict and record as
+/// ParseNext applied until the match: a truncated record before or at the
+/// match returns Corruption.
+Status FindDifferential(ConstBytes page, PageId pid, Differential* out,
+                        bool* found);
 
 }  // namespace flashdb::pdl
 

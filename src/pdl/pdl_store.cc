@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <string>
 
 #include "ftl/gc_policy.h"
@@ -29,7 +30,10 @@ Status PdlStore::ValidateConfig() const {
         std::to_string(config_.max_differential_size) +
         ") must be in [1, data_size=" + std::to_string(data_size_) + "]");
   }
-  return Status::OK();
+  // Every extent offset must fit the record's 16-bit field. Lengths fit too:
+  // a stored record is at most one page, so its extents are shorter than
+  // 65,536 bytes (a larger differential is written as a new base page).
+  return Check16BitOffsets(name_, data_size_);
 }
 
 Status PdlStore::Format(uint32_t num_logical_pages, PageInitializer initial,
@@ -52,34 +56,18 @@ Status PdlStore::ReadPage(PageId pid, MutBytes out) {
   }
   const PhysAddr dp = map_.diff(pid);
   if (dp == kNullAddr) return Status::OK();  // no differential page
-  Differential d;
+  diff_page_.resize(data_size_);
+  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, dp, diff_page_));
   bool found = false;
-  FLASHDB_RETURN_IF_ERROR(FindDifferentialInPage(dp, pid, &d, &found));
+  FLASHDB_RETURN_IF_ERROR(
+      FindDifferential(diff_page_, pid, &read_diff_, &found));
   if (!found) {
     return Status::Corruption("PPMT points at differential page " +
                               std::to_string(dp) +
                               " lacking a record for pid " +
                               std::to_string(pid));
   }
-  return d.ApplyTo(out);  // Step 3: merge.
-}
-
-Status PdlStore::FindDifferentialInPage(PhysAddr dp, PageId pid,
-                                        Differential* out, bool* found) {
-  *found = false;
-  ByteBuffer data(data_size_);
-  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, dp, data));
-  BufferReader reader(data);
-  Differential d;
-  Status parse_status;
-  while (Differential::ParseNext(&reader, &d, &parse_status)) {
-    if (d.pid() == pid) {
-      *out = std::move(d);
-      *found = true;
-      return Status::OK();
-    }
-  }
-  return parse_status;
+  return read_diff_.ApplyTo(out);  // Step 3: merge.
 }
 
 Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
@@ -93,11 +81,12 @@ Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
   ComputeDifferentialInto(base_scratch_, page, pid, clock_.Next(),
                           kDiffCoalesceGap, &diff_scratch_);
   counters_.diff_bytes_written += diff_scratch_.EncodedSize();
-  // Step 3: write the differential into the differential write buffer.
+  // Step 3: write the differential into the differential write buffer
+  // (a copy: the scratch keeps its capacity for the next write).
   buffer_.Remove(pid);
   if (buffer_.Fits(diff_scratch_)) {
     // Case 1: fits in the buffer's free space.
-    buffer_.Insert(std::move(diff_scratch_));
+    buffer_.Insert(diff_scratch_);
     counters_.diffs_buffered++;
     return Status::OK();
   }
@@ -107,7 +96,7 @@ Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
     // GC triggered by the flush may have re-added a (stale, now superseded)
     // compacted differential for this pid; drop it before inserting.
     buffer_.Remove(pid);
-    buffer_.Insert(std::move(diff_scratch_));
+    buffer_.Insert(diff_scratch_);
     counters_.diffs_buffered++;
     return Status::OK();
   }
@@ -139,15 +128,16 @@ Status PdlStore::FlushBuffer() {
 
 Status PdlStore::WriteDiffPage(PhysAddr q,
                                std::span<const Differential> diffs) {
-  ByteBuffer image;
-  image.reserve(data_size_);
-  for (const Differential& d : diffs) d.AppendTo(&image);
-  assert(image.size() <= data_size_);
-  image.resize(data_size_, 0xFF);
-  ByteBuffer spare(flash::FlashGeometry::spare_size, 0xFF);
+  diff_page_.clear();
+  diff_page_.reserve(data_size_);
+  for (const Differential& d : diffs) d.AppendTo(&diff_page_);
+  assert(diff_page_.size() <= data_size_);
+  diff_page_.resize(data_size_, 0xFF);
+  uint8_t spare[flash::FlashGeometry::spare_size];
+  std::fill(std::begin(spare), std::end(spare), 0xFF);
   ftl::EncodeSpare(spare, ftl::PageType::kDiff, kPaddingPid - 1, clock_.Next(),
-                   image);
-  return dev_->ProgramPage(q, image, spare);
+                   diff_page_);
+  return dev_->ProgramPage(q, diff_page_, spare);
 }
 
 Status PdlStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {

@@ -110,28 +110,28 @@ class PdlStore : public ftl::OutPlaceStore {
   /// Runs GC rounds until `stream` can allocate again, with a bound that
   /// turns tiny-chip net-zero-progress regimes into NoSpace, not livelock.
   Status ReclaimUntilSpace(uint32_t stream);
-  /// Rejects configs whose differential limit exceeds one page (checked on
-  /// both mount paths, Format and Recover).
+  /// Rejects configs whose differential limit exceeds one page, and pages
+  /// whose offsets overflow a record's 16-bit fields (checked on both mount
+  /// paths, Format and Recover).
   Status ValidateConfig() const;
   /// Reclaims one victim block (relocate bases, compact differentials).
   Status RunGcOnce();
-  /// Reads pid's differential from flash page `dp` into `*out`.
-  /// Sets found=false when the page holds no record for pid.
-  Status FindDifferentialInPage(flash::PhysAddr dp, PageId pid,
-                                Differential* out, bool* found);
 
   PdlConfig config_;
   std::string name_;
   DiffWriteBuffer buffer_;
   PdlCounters counters_;
 
-  /// Write-path scratch reused across WriteBack calls. The base
-  /// image buffer is reused on every write; the differential's capacity is
-  /// only retained when the write ends as a new base page (Case 3) -- a
-  /// buffered differential is moved into the write buffer, capacity and all,
-  /// so Case 1/2 still allocates (once per vector, via AddExtent's reserve).
+  /// Write-path scratch reused across WriteBack calls: the base image and
+  /// the differential, whose capacity stays here (the write buffer takes a
+  /// copy), so a warm write allocates nothing outside garbage collection.
   ByteBuffer base_scratch_;
   Differential diff_scratch_;
+  /// Differential-page scratch: ReadPage reads pid's differential page into
+  /// it, and WriteDiffPage builds a page image in it.
+  ByteBuffer diff_page_;
+  /// pid's record, parsed from diff_page_ by ReadPage.
+  Differential read_diff_;
 };
 
 }  // namespace flashdb::pdl

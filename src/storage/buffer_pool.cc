@@ -44,11 +44,26 @@ BufferPool::BufferPool(PageStore* store, uint32_t num_frames)
   }
 }
 
+void BufferPool::LruRemove(uint32_t idx) {
+  Frame& f = frames_[idx];
+  if (f.lru_prev == kNoFrame) {
+    lru_head_ = f.lru_next;
+  } else {
+    frames_[f.lru_prev].lru_next = f.lru_next;
+  }
+  if (f.lru_next == kNoFrame) {
+    lru_tail_ = f.lru_prev;
+  } else {
+    frames_[f.lru_next].lru_prev = f.lru_prev;
+  }
+  f.lru_prev = f.lru_next = kNoFrame;
+  f.in_lru = false;
+}
+
 Result<uint32_t> BufferPool::Evict() {
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    Frame& f = frames_[*it];
+  for (uint32_t idx = lru_head_; idx != kNoFrame; idx = frames_[idx].lru_next) {
+    Frame& f = frames_[idx];
     if (f.pins != 0) continue;
-    const uint32_t idx = *it;
     flash::FlashDevice* dev = store_->device();
     const bool was_dirty = f.dirty;
     const uint64_t start = dev->clock().now_us();
@@ -62,9 +77,8 @@ Result<uint32_t> BufferPool::Evict() {
                          dev->clock().now_us() - start, f.pid,
                          was_dirty ? 1 : 0);
     }
-    lru_.erase(it);
-    f.in_lru = false;
-    table_.erase(f.pid);
+    LruRemove(idx);
+    table_[f.pid] = kNoFrame;
     stats_.evictions++;
     return idx;
   }
@@ -72,16 +86,12 @@ Result<uint32_t> BufferPool::Evict() {
 }
 
 Result<uint32_t> BufferPool::Pin(PageId pid) {
-  auto it = table_.find(pid);
-  if (it != table_.end()) {
+  if (const uint32_t idx = FrameOf(pid); idx != kNoFrame) {
     stats_.hits++;
-    Frame& f = frames_[it->second];
-    if (f.in_lru) {
-      lru_.erase(f.lru_pos);
-      f.in_lru = false;
-    }
+    Frame& f = frames_[idx];
+    if (f.in_lru) LruRemove(idx);
     f.pins++;
-    return it->second;
+    return idx;
   }
   stats_.misses++;
   uint32_t idx;
@@ -107,7 +117,8 @@ Result<uint32_t> BufferPool::Pin(PageId pid) {
   f.pid = pid;
   f.dirty = false;
   f.pins = 1;
-  f.in_lru = false;
+  // The store accepted pid, so it is below the store's page count.
+  if (pid >= table_.size()) table_.resize(pid + 1, kNoFrame);
   table_[pid] = idx;
   return idx;
 }
@@ -116,14 +127,20 @@ void BufferPool::Unpin(uint32_t frame_idx) {
   Frame& f = frames_[frame_idx];
   if (f.pins > 0) f.pins--;
   if (f.pins == 0 && !f.in_lru) {
-    lru_.push_back(frame_idx);
-    f.lru_pos = std::prev(lru_.end());
+    // Link at the tail: the most recently used end.
+    f.lru_prev = lru_tail_;
+    f.lru_next = kNoFrame;
+    if (lru_tail_ == kNoFrame) {
+      lru_head_ = frame_idx;
+    } else {
+      frames_[lru_tail_].lru_next = frame_idx;
+    }
+    lru_tail_ = frame_idx;
     f.in_lru = true;
   }
 }
 
-Status BufferPool::ReadPage(PageId pid,
-                            const std::function<Status(ConstBytes)>& fn) {
+Status BufferPool::ReadPage(PageId pid, FunctionRef<Status(ConstBytes)> fn) {
   ConfinementScope confined(this);
   FLASHDB_ASSIGN_OR_RETURN(uint32_t idx, Pin(pid));
   Status st = fn(frames_[idx].data);
@@ -131,8 +148,7 @@ Status BufferPool::ReadPage(PageId pid,
   return st;
 }
 
-Status BufferPool::WithPage(PageId pid,
-                            const std::function<Status(MutBytes)>& fn) {
+Status BufferPool::WithPage(PageId pid, FunctionRef<Status(MutBytes)> fn) {
   ConfinementScope confined(this);
   FLASHDB_ASSIGN_OR_RETURN(uint32_t idx, Pin(pid));
   Frame& f = frames_[idx];
@@ -141,14 +157,15 @@ Status BufferPool::WithPage(PageId pid,
   // nested call must not overwrite this call's pre-image. Index the scratch
   // list afresh after `fn` returns -- a nested call may have grown it and
   // moved the buffers.
-  const size_t snap_idx = depth_ - 1;
-  if (snapshots_.size() <= snap_idx) snapshots_.resize(snap_idx + 1);
-  if (snapshots_[snap_idx].size() != data_size_) {
-    snapshots_[snap_idx].resize(data_size_);
+  const size_t depth_idx = depth_ - 1;
+  if (scratch_.size() <= depth_idx) scratch_.resize(depth_idx + 1);
+  if (scratch_[depth_idx].snapshot.size() != data_size_) {
+    scratch_[depth_idx].snapshot.resize(data_size_);
   }
-  std::memcpy(snapshots_[snap_idx].data(), f.data.data(), data_size_);
+  std::memcpy(scratch_[depth_idx].snapshot.data(), f.data.data(), data_size_);
   Status st = fn(f.data);
-  const ByteBuffer& snapshot = snapshots_[snap_idx];
+  Scratch& scratch = scratch_[depth_idx];
+  const ByteBuffer& snapshot = scratch.snapshot;
   if (!st.ok()) {
     // Roll the frame back so a failed mutation leaves no trace.
     std::memcpy(f.data.data(), snapshot.data(), data_size_);
@@ -159,10 +176,9 @@ Status BufferPool::WithPage(PageId pid,
   const size_t lo = FirstMismatch(snapshot, f.data);
   if (lo < data_size_) {
     const size_t hi = LastMismatch(snapshot, f.data);
-    UpdateLog log;
-    log.offset = static_cast<uint32_t>(lo);
-    log.data.assign(f.data.begin() + lo, f.data.begin() + hi);
-    st = store_->OnUpdate(pid, f.data, log);
+    scratch.log.offset = static_cast<uint32_t>(lo);
+    scratch.log.data.assign(f.data.begin() + lo, f.data.begin() + hi);
+    st = store_->OnUpdate(pid, f.data, scratch.log);
     f.dirty = true;
     if (!f.listed) {
       f.listed = true;
@@ -175,9 +191,9 @@ Status BufferPool::WithPage(PageId pid,
 
 Status BufferPool::FlushPage(PageId pid) {
   ConfinementScope confined(this);
-  auto it = table_.find(pid);
-  if (it == table_.end()) return Status::OK();
-  Frame& f = frames_[it->second];
+  const uint32_t idx = FrameOf(pid);
+  if (idx == kNoFrame) return Status::OK();
+  Frame& f = frames_[idx];
   if (f.dirty) {
     FLASHDB_RETURN_IF_ERROR(store_->WriteBack(f.pid, f.data));
     stats_.dirty_writebacks++;
@@ -193,18 +209,18 @@ Status BufferPool::FlushAll() {
   // malformed entry before writing any. A listed frame that an eviction or
   // FlushPage wrote back since is clean and skipped.
   std::sort(dirty_frames_.begin(), dirty_frames_.end());
-  std::vector<PageWrite> writes;
+  writes_.clear();
   for (uint32_t i : dirty_frames_) {
     const Frame& f = frames_[i];
     if (!f.dirty) continue;
     if (f.pins != 0) {
       return Status::Busy("dirty frame pinned during FlushAll");
     }
-    writes.push_back(PageWrite{f.pid, ConstBytes(f.data.data(), data_size_)});
+    writes_.push_back(PageWrite{f.pid, ConstBytes(f.data.data(), data_size_)});
   }
-  if (!writes.empty()) {
-    FLASHDB_RETURN_IF_ERROR(store_->WriteBatch(writes));
-    stats_.dirty_writebacks += writes.size();
+  if (!writes_.empty()) {
+    FLASHDB_RETURN_IF_ERROR(store_->WriteBatch(writes_));
+    stats_.dirty_writebacks += writes_.size();
   }
   for (uint32_t i : dirty_frames_) {
     frames_[i].dirty = false;
@@ -221,11 +237,13 @@ Status BufferPool::Reset() {
   }
   FLASHDB_RETURN_IF_ERROR(FlushAll());
   table_.clear();
-  lru_.clear();
+  lru_head_ = lru_tail_ = kNoFrame;
   free_frames_.clear();
   for (uint32_t i = 0; i < num_frames_; ++i) {
-    frames_[i].dirty = false;
-    frames_[i].in_lru = false;
+    Frame& f = frames_[i];
+    f.dirty = false;
+    f.in_lru = false;
+    f.lru_prev = f.lru_next = kNoFrame;
     free_frames_.push_back(num_frames_ - 1 - i);
   }
   return Status::OK();

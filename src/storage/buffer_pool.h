@@ -8,18 +8,22 @@
 // Dirty pages are reflected into flash with WriteBack when evicted, and in
 // one WriteBatch when flushed, exactly like a disk-based DBMS swapping pages
 // out of its buffer.
+//
+// A page access allocates nothing once the pool is warm: the LRU list is
+// intrusive (frame indices linked through the frames), the page table is a
+// vector indexed by pid (a store's pids are dense below its page count),
+// callbacks are FunctionRefs, and the WithPage and FlushAll scratch is
+// reused across calls.
 
 #ifndef FLASHDB_STORAGE_BUFFER_POOL_H_
 #define FLASHDB_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <list>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "ftl/page_store.h"
 
@@ -51,12 +55,12 @@ class BufferPool {
   BufferPool(PageStore* store, uint32_t num_frames);
 
   /// Runs `fn` with read access to page `pid` (pinned for the duration).
-  Status ReadPage(PageId pid, const std::function<Status(ConstBytes)>& fn);
+  Status ReadPage(PageId pid, FunctionRef<Status(ConstBytes)> fn);
 
   /// Runs `fn` with write access to page `pid`. After `fn` returns OK the
   /// minimal changed byte range is reported to the store (OnUpdate) and the
   /// frame is marked dirty.
-  Status WithPage(PageId pid, const std::function<Status(MutBytes)>& fn);
+  Status WithPage(PageId pid, FunctionRef<Status(MutBytes)> fn);
 
   /// Writes back every dirty frame in one store WriteBatch and flushes the
   /// store. Returns Busy -- with
@@ -80,14 +84,24 @@ class BufferPool {
   flash::WearSummary device_wear() { return store_->wear(); }
 
  private:
+  /// Marks an empty page-table slot and the ends of the LRU list.
+  static constexpr uint32_t kNoFrame = 0xFFFFFFFFu;
+
   struct Frame {
     PageId pid = 0;
     bool dirty = false;
     bool listed = false;  ///< In dirty_frames_.
+    bool in_lru = false;  ///< Linked into the LRU list (when pins == 0).
     uint32_t pins = 0;
+    uint32_t lru_prev = kNoFrame;  ///< Next less recently used frame.
+    uint32_t lru_next = kNoFrame;  ///< Next more recently used frame.
     ByteBuffer data;
-    std::list<uint32_t>::iterator lru_pos;  ///< Valid when pins == 0.
-    bool in_lru = false;
+  };
+
+  /// WithPage's scratch at one reentrancy depth.
+  struct Scratch {
+    ByteBuffer snapshot;  ///< The frame's pre-image.
+    UpdateLog log;        ///< The changed range reported to OnUpdate.
   };
 
   /// RAII confinement guard taken by every public entry point: first entry
@@ -111,21 +125,32 @@ class BufferPool {
   void Unpin(uint32_t frame_idx);
   /// Finds a victim frame (LRU, unpinned), writing it back when dirty.
   Result<uint32_t> Evict();
+  /// Unlinks frame `idx` from the LRU list.
+  void LruRemove(uint32_t idx);
+  /// Frame index holding `pid`, or kNoFrame.
+  uint32_t FrameOf(PageId pid) const {
+    return pid < table_.size() ? table_[pid] : kNoFrame;
+  }
 
   PageStore* store_;
   uint32_t num_frames_;
   uint32_t data_size_;
   std::vector<Frame> frames_;
   std::vector<uint32_t> free_frames_;
-  std::unordered_map<PageId, uint32_t> table_;  ///< pid -> frame index.
-  std::list<uint32_t> lru_;                     ///< Front = least recent.
+  /// pid -> frame index (kNoFrame when not cached). Grows only to pids the
+  /// store has read, so an out-of-range pid cannot size it.
+  std::vector<uint32_t> table_;
+  uint32_t lru_head_ = kNoFrame;  ///< Least recently used unpinned frame.
+  uint32_t lru_tail_ = kNoFrame;  ///< Most recently used unpinned frame.
   /// Frames dirtied since the last successful FlushAll, each listed once
   /// (Frame::listed), so FlushAll visits these instead of every frame.
   std::vector<uint32_t> dirty_frames_;
+  /// FlushAll's batch, reused across calls.
+  std::vector<PageWrite> writes_;
   BufferPoolStats stats_;
-  /// WithPage diff scratch, one buffer per reentrancy depth: a nested
-  /// WithPage (B-tree split) must not clobber the outer call's snapshot.
-  std::vector<ByteBuffer> snapshots_;
+  /// WithPage scratch, one per reentrancy depth: a nested WithPage (B-tree
+  /// split) must not clobber the outer call's snapshot.
+  std::vector<Scratch> scratch_;
   std::atomic<std::thread::id> owner_{};  ///< Claiming thread; empty if none.
   uint32_t depth_ = 0;  ///< Reentrancy depth; touched only by the owner.
 };

@@ -117,5 +117,50 @@ TEST(BoundaryContractTest, EveryStoreRejectsBadCallsAlike) {
   }
 }
 
+/// A chip of eight four-page blocks with `data_size`-byte pages.
+FlashConfig WidePages(uint32_t data_size) {
+  FlashConfig cfg = FlashConfig::Small(8);
+  cfg.geometry.pages_per_block = 4;
+  cfg.geometry.data_size = data_size;
+  return cfg;
+}
+
+// PDL's differential extents and IPL's log records store in-page offsets in
+// 16 bits. On a larger page an offset would wrap (a change at 70,000 would
+// read back at 4,464), so both methods refuse such pages on either mount
+// path, naming the size. At 64 KiB the page's last bytes still round-trip.
+TEST(BoundaryContractTest, SixteenBitOffsetMethodsRefusePagesOver64KiB) {
+  for (const char* name : {"PDL(256B)", "IPL(64KB)"}) {
+    SCOPED_TRACE(name);
+    auto spec = methods::ParseMethodSpec(name);
+    ASSERT_TRUE(spec.ok());
+    FlashDevice wide(WidePages(131072));
+    auto refused = methods::CreateStore(&wide, *spec);
+    const Status format = refused->Format(4, nullptr, nullptr);
+    EXPECT_TRUE(format.IsInvalidArgument()) << format.ToString();
+    EXPECT_NE(format.message().find("131072"), std::string::npos)
+        << format.ToString();
+    EXPECT_TRUE(refused->Recover().IsInvalidArgument());
+    EXPECT_EQ(wide.stats().total.total_ops(), 0u);
+
+    FlashDevice max(WidePages(65536));
+    auto store = methods::CreateStore(&max, *spec);
+    ASSERT_TRUE(store->Format(4, nullptr, nullptr).ok());
+    ByteBuffer page(65536, 0);
+    UpdateLog log;
+    log.offset = 65000;
+    for (uint32_t off = log.offset; off < page.size(); ++off) {
+      page[off] = static_cast<uint8_t>(off % 251 + 1);
+    }
+    log.data.assign(page.begin() + log.offset, page.end());
+    ASSERT_TRUE(store->OnUpdate(1, page, log).ok());
+    ASSERT_TRUE(store->WriteBack(1, page).ok());
+    ASSERT_TRUE(store->Flush().ok());
+    ByteBuffer back(page.size());
+    ASSERT_TRUE(store->ReadPage(1, back).ok());
+    EXPECT_TRUE(BytesEqual(back, page));
+  }
+}
+
 }  // namespace
 }  // namespace flashdb

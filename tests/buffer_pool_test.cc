@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <list>
+#include <map>
 #include <vector>
 
+#include "common/random.h"
 #include "methods/method_factory.h"
 #include "methods/opu_store.h"
 #include "recording_store.h"
@@ -254,6 +259,198 @@ TEST_F(BufferPoolTest, SingleFramePoolStillWorks) {
     ASSERT_TRUE(store_.ReadPage(pid, page).ok());
     EXPECT_EQ(page[0], pid);
   }
+}
+
+/// Seed offset from the environment: the CI fault matrix sets
+/// FLASHDB_TEST_SEED to vary the op mix. Unset -> 0, the canonical run.
+uint64_t EnvSeed() {
+  const char* s = std::getenv("FLASHDB_TEST_SEED");
+  return s != nullptr ? std::strtoull(s, nullptr, 10) : 0;
+}
+
+/// The pool's replacement policy stated plainly: a std::list LRU of the
+/// unpinned cached pids (front = least recent), a map of the cached pids,
+/// and the pool's free-frame stack. It predicts every hit or miss and every
+/// write-back, in order (a FlushAll batch in frame-index order).
+class PoolModel {
+ public:
+  explicit PoolModel(uint32_t frames) : frames_(frames) { DropAll(); }
+
+  /// Pins `pid`; returns true on a hit.
+  bool Pin(PageId pid) {
+    auto it = cached_.find(pid);
+    if (it != cached_.end()) {
+      lru_.remove(pid);
+      ++it->second.pins;
+      return true;
+    }
+    uint32_t frame;
+    if (!free_.empty()) {
+      frame = free_.back();
+      free_.pop_back();
+    } else {
+      const PageId victim = lru_.front();  // every listed pid is unpinned
+      lru_.pop_front();
+      const Entry& v = cached_.at(victim);
+      if (v.dirty) writes_.push_back(victim);
+      frame = v.frame;
+      cached_.erase(victim);
+    }
+    cached_[pid] = Entry{frame, false, 1};
+    return false;
+  }
+
+  void Unpin(PageId pid, bool dirtied) {
+    Entry& e = cached_.at(pid);
+    if (dirtied) e.dirty = true;
+    if (--e.pins == 0) lru_.push_back(pid);
+  }
+
+  void FlushPage(PageId pid) {
+    auto it = cached_.find(pid);
+    if (it != cached_.end() && it->second.dirty) {
+      writes_.push_back(pid);
+      it->second.dirty = false;
+    }
+  }
+
+  void FlushAll() {
+    std::vector<std::pair<uint32_t, PageId>> dirty;
+    for (auto& [pid, e] : cached_) {
+      if (e.dirty) dirty.emplace_back(e.frame, pid);
+      e.dirty = false;
+    }
+    if (dirty.empty()) return;
+    std::sort(dirty.begin(), dirty.end());
+    std::vector<PageId>& batch = batches_.emplace_back();
+    for (const auto& [frame, pid] : dirty) {
+      batch.push_back(pid);
+      writes_.push_back(pid);
+    }
+  }
+
+  void Reset() {
+    FlushAll();
+    DropAll();
+  }
+
+  const std::vector<PageId>& writes() const { return writes_; }
+  const std::vector<std::vector<PageId>>& batches() const { return batches_; }
+
+ private:
+  struct Entry {
+    uint32_t frame = 0;
+    bool dirty = false;
+    uint32_t pins = 0;
+  };
+
+  void DropAll() {
+    cached_.clear();
+    lru_.clear();
+    free_.clear();
+    for (uint32_t i = 0; i < frames_; ++i) free_.push_back(frames_ - 1 - i);
+  }
+
+  uint32_t frames_;
+  std::map<PageId, Entry> cached_;
+  std::list<PageId> lru_;
+  std::vector<uint32_t> free_;
+  std::vector<PageId> writes_;
+  std::vector<std::vector<PageId>> batches_;
+};
+
+/// Drives the pool and the model with one seeded op mix: ReadPage and
+/// WithPage (nested up to three deep), FlushPage, FlushAll and Reset.
+class ModelRun {
+ public:
+  ModelRun(BufferPool* pool, RecordingStore* rec, uint32_t frames,
+           uint32_t pages, uint64_t seed)
+      : pool_(pool),
+        rec_(rec),
+        model_(frames),
+        pages_(pages),
+        rng_(seed),
+        content_(pages, 0) {}
+
+  void Step() {
+    const uint64_t op = rng_.Uniform(100);
+    if (op < 42) {
+      Access(/*depth=*/0, /*write=*/false);
+    } else if (op < 84) {
+      Access(/*depth=*/0, /*write=*/true);
+    } else if (op < 92) {
+      const PageId pid = static_cast<PageId>(rng_.Uniform(pages_));
+      model_.FlushPage(pid);
+      ASSERT_TRUE(pool_->FlushPage(pid).ok());
+    } else if (op < 98) {
+      model_.FlushAll();
+      ASSERT_TRUE(pool_->FlushAll().ok());
+    } else {
+      model_.Reset();
+      ASSERT_TRUE(pool_->Reset().ok());
+    }
+    std::vector<PageId> written;
+    for (const RecordingStore::Write& w : rec_->writes()) {
+      written.push_back(w.pid);
+    }
+    ASSERT_EQ(written, model_.writes());
+    ASSERT_EQ(rec_->batches(), model_.batches());
+  }
+
+ private:
+  /// One ReadPage or WithPage of a random pid, checked against the model;
+  /// the callback may nest another access.
+  void Access(int depth, bool write) {
+    const PageId pid = static_cast<PageId>(rng_.Uniform(pages_));
+    const uint32_t off = pid % 128;
+    const bool hit = model_.Pin(pid);
+    const BufferPoolStats before = pool_->stats();
+    auto check = [&](ConstBytes page) {
+      EXPECT_EQ(pool_->stats().hits - before.hits, hit ? 1u : 0u) << pid;
+      EXPECT_EQ(pool_->stats().misses - before.misses, hit ? 0u : 1u) << pid;
+      EXPECT_EQ(page[off], content_[pid]) << pid;
+      if (depth < 2 && rng_.Bernoulli(0.3)) {
+        Access(depth + 1, rng_.Bernoulli(0.5));
+      }
+    };
+    Status st;
+    if (write) {
+      st = pool_->WithPage(pid, [&](MutBytes page) {
+        check(page);
+        page[off] = ++content_[pid];  // always a change
+        return Status::OK();
+      });
+    } else {
+      st = pool_->ReadPage(pid, [&](ConstBytes page) {
+        check(page);
+        return Status::OK();
+      });
+    }
+    model_.Unpin(pid, write);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+
+  BufferPool* pool_;
+  RecordingStore* rec_;
+  PoolModel model_;
+  uint32_t pages_;
+  Random rng_;
+  std::vector<uint8_t> content_;  ///< Expected byte at pid % 128.
+};
+
+TEST_F(BufferPoolTest, MatchesReferenceLruModel) {
+  RecordingStore rec(&store_);
+  rec.StartRecording();
+  constexpr uint32_t kFrames = 6;
+  BufferPool pool(&rec, kFrames);
+  ModelRun run(&pool, &rec, kFrames, /*pages=*/24,
+               0xB0FF + EnvSeed() * 1000003ULL);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_NO_FATAL_FAILURE(run.Step()) << "step " << i;
+    if (HasFailure()) FAIL() << "step " << i;
+  }
+  EXPECT_GT(pool.stats().evictions, 100u);
+  EXPECT_GT(pool.stats().hits, 400u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.h"
 #include "pdl/diff_write_buffer.h"
 
 namespace flashdb::pdl {
@@ -85,6 +88,72 @@ TEST(DiffWriteBufferTest, EntriesPreserveInsertionOrder) {
   const auto& entries = buf.entries();
   ASSERT_EQ(entries.size(), 4u);
   for (PageId pid = 0; pid < 4; ++pid) EXPECT_EQ(entries[pid].pid(), pid);
+}
+
+std::vector<PageId> EntryPids(const DiffWriteBuffer& buf) {
+  std::vector<PageId> pids;
+  for (const Differential& d : buf.entries()) pids.push_back(d.pid());
+  return pids;
+}
+
+// entries() is the record order of the differential page a flush writes, so
+// it is pinned exactly: appends in insertion order, and a removal moves the
+// then-last entry into the removed one's place.
+TEST(DiffWriteBufferTest, RemoveMovesTheLastEntryIntoTheGap) {
+  DiffWriteBuffer buf(4096);
+  for (PageId pid = 0; pid < 6; ++pid) buf.Insert(MakeDiff(pid, pid, 8));
+  buf.Remove(1);
+  EXPECT_EQ(EntryPids(buf), (std::vector<PageId>{0, 5, 2, 3, 4}));
+  buf.Remove(3);
+  EXPECT_EQ(EntryPids(buf), (std::vector<PageId>{0, 5, 2, 4}));
+  buf.Insert(MakeDiff(7, 7, 30));
+  buf.Insert(MakeDiff(1, 8, 3));
+  EXPECT_EQ(EntryPids(buf), (std::vector<PageId>{0, 5, 2, 4, 7, 1}));
+  buf.Remove(1);  // the last entry: nothing moves
+  EXPECT_EQ(EntryPids(buf), (std::vector<PageId>{0, 5, 2, 4, 7}));
+}
+
+// A random mix of inserts (of varying sizes, into recycled slots), removals
+// and clears against a plain vector with swap-with-last removal: the order
+// and every entry's contents match.
+TEST(DiffWriteBufferTest, RecycledSlotsKeepOrderAndContents) {
+  Random r(0xD1FF);
+  DiffWriteBuffer buf(1 << 20);
+  std::vector<Differential> model;
+  for (int step = 0; step < 4000; ++step) {
+    const PageId pid = static_cast<PageId>(r.Uniform(40));
+    size_t at = 0;  // pid's index in the model, or model.size()
+    while (at < model.size() && model[at].pid() != pid) ++at;
+    const uint64_t op = r.Uniform(100);
+    if (op < 2) {
+      buf.Clear();
+      model.clear();
+    } else if (op < 40) {
+      buf.Remove(pid);
+      if (at < model.size()) {
+        model[at] = model.back();
+        model.pop_back();
+      }
+    } else if (at == model.size()) {
+      Differential d = MakeDiff(pid, step, r.Uniform(90));
+      if (r.Bernoulli(0.5)) d.AddExtent(100, ByteBuffer(r.Uniform(20), 7));
+      buf.Insert(d);
+      model.push_back(d);
+    }
+    ASSERT_EQ(buf.size(), model.size()) << "step " << step;
+    size_t used = 0;
+    for (size_t i = 0; i < model.size(); ++i) {
+      const Differential& got = buf.entries()[i];
+      const Differential& want = model[i];
+      ASSERT_EQ(got.pid(), want.pid()) << "step " << step << " entry " << i;
+      ASSERT_EQ(got.timestamp(), want.timestamp());
+      ASSERT_EQ(got.extents().size(), want.extents().size());
+      ASSERT_TRUE(BytesEqual(got.data(), want.data()));
+      ASSERT_EQ(buf.Find(want.pid()), &got);
+      used += want.EncodedSize();
+    }
+    ASSERT_EQ(buf.used_bytes(), used);
+  }
 }
 
 }  // namespace

@@ -224,5 +224,97 @@ TEST_P(DifferentialPropertyTest, ComputeSerializeApplyIsIdentity) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, DifferentialPropertyTest,
                          ::testing::Range(0, 50));
 
+/// The lookup FindDifferential must agree with: ParseNext applied record by
+/// record until pid's record.
+Status ParseUntilMatch(ConstBytes page, PageId pid, Differential* out,
+                       bool* found) {
+  *found = false;
+  BufferReader reader(page);
+  Differential d;
+  Status st;
+  while (Differential::ParseNext(&reader, &d, &st)) {
+    if (d.pid() == pid) {
+      *out = d;
+      *found = true;
+      return Status::OK();
+    }
+  }
+  return st;
+}
+
+// Random record pages, some padded, some cut mid-record or carrying an
+// extent length past the page end, looked up for a pid before, at or after
+// the damage, or for an absent one: the lookup and the oracle give the same
+// verdict and the same record.
+TEST(DifferentialTest, FindMatchesParseUntilMatch) {
+  Random r(0xF1AD);
+  int n_found = 0, n_corrupt = 0, n_absent = 0;
+  Differential reused(3, 3);  // carries capacity from earlier lookups
+  for (int trial = 0; trial < 3000; ++trial) {
+    ByteBuffer page;
+    std::vector<size_t> starts;
+    std::vector<PageId> pids;
+    const int records = static_cast<int>(r.Uniform(8));
+    for (int i = 0; i < records; ++i) {
+      Differential d(static_cast<PageId>(r.Uniform(12)), r.Next());
+      const int extents = static_cast<int>(r.Uniform(4));
+      for (int e = 0; e < extents; ++e) {
+        ByteBuffer bytes(r.Uniform(40));
+        r.Fill(bytes);
+        d.AddExtent(static_cast<uint16_t>(r.Uniform(kPage)), bytes);
+      }
+      starts.push_back(page.size());
+      pids.push_back(d.pid());
+      d.AppendTo(&page);
+    }
+    switch (r.Uniform(3)) {
+      case 0:  // erased padding after the records
+        page.resize(page.size() + r.Uniform(64), 0xFF);
+        break;
+      case 1:  // cut anywhere
+        page.resize(r.Uniform(page.size() + 1));
+        break;
+      default:  // one record claims an extent running past the page end
+        if (records > 0) {
+          const size_t rec = starts[r.Uniform(starts.size())];
+          if (DecodeFixed16(page.data() + rec + 12) > 0) {
+            EncodeFixed16(page.data() + rec + kDiffHeaderSize + 2, 0xFFFF);
+          }
+        }
+        break;
+    }
+    // No record carries pid 12, so it stands for an absent pid.
+    const bool absent = pids.empty() || r.Bernoulli(0.2);
+    const PageId pid = absent ? 12 : pids[r.Uniform(pids.size())];
+    Differential want, got = reused;
+    bool want_found = false, got_found = false;
+    const Status want_st = ParseUntilMatch(page, pid, &want, &want_found);
+    const Status got_st = FindDifferential(page, pid, &got, &got_found);
+    ASSERT_EQ(got_st.code(), want_st.code()) << "trial " << trial;
+    ASSERT_EQ(got_st.message(), want_st.message()) << "trial " << trial;
+    ASSERT_EQ(got_found, want_found) << "trial " << trial;
+    if (!want_st.ok()) {
+      ++n_corrupt;
+    } else if (!want_found) {
+      ++n_absent;
+    } else {
+      ++n_found;
+      EXPECT_EQ(got.pid(), want.pid());
+      EXPECT_EQ(got.timestamp(), want.timestamp());
+      ASSERT_EQ(got.extents().size(), want.extents().size());
+      for (size_t e = 0; e < want.extents().size(); ++e) {
+        EXPECT_EQ(got.extents()[e].offset, want.extents()[e].offset);
+        EXPECT_EQ(got.extents()[e].length, want.extents()[e].length);
+      }
+      EXPECT_TRUE(BytesEqual(got.data(), want.data())) << "trial " << trial;
+      reused = got;
+    }
+  }
+  // Every verdict was exercised.
+  EXPECT_GT(n_found, 300);
+  EXPECT_GT(n_corrupt, 300);
+  EXPECT_GT(n_absent, 300);
+}
+
 }  // namespace
 }  // namespace flashdb::pdl

@@ -13,10 +13,16 @@ Checks, from the repository root:
      naming a fault seen and not yet mended / since mended.
   4. ISSUE.md, when present, is well-formed: starts with a `# ISSUE` title
      and contains at least one `## ` section.
+  5. Every trajectory point (`BENCH_<n>.json` at the root) parses and
+     records each BENCHMARK.json workload, with a median for each of
+     host_kops_s, setup_s and peak_rss_mb (docs/BENCHMARKS.md gives the
+     format).
 
 Exit status: 0 when everything passes, 1 otherwise.
 """
 
+import glob
+import json
 import os
 import re
 import sys
@@ -107,6 +113,39 @@ def check_issue(root, failures):
         print("ok    ISSUE.md well-formed")
 
 
+_TRAJECTORY_METRICS = ["host_kops_s", "setup_s", "peak_rss_mb"]
+
+
+def check_trajectory(root, failures):
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
+        rel = os.path.basename(path)
+        try:
+            with open(path, encoding="utf-8") as f:
+                point = json.load(f)
+        except (OSError, ValueError) as e:
+            failures.append(f"{rel}: does not parse: {e}")
+            continue
+        before = len(failures)
+        recorded = point.get("workloads") if isinstance(point, dict) else None
+        if not isinstance(recorded, dict):
+            failures.append(f"{rel}: no 'workloads' object")
+            continue
+        for w in workloads:
+            entry = recorded.get(w)
+            if not isinstance(entry, dict):
+                failures.append(f"{rel}: workload {w} missing")
+                continue
+            for m in _TRAJECTORY_METRICS:
+                stats = entry.get(m)
+                if not (isinstance(stats, dict) and
+                        isinstance(stats.get("median"), (int, float))):
+                    failures.append(f"{rel}: {w}.{m} has no median")
+        if len(failures) == before:
+            print(f"ok    {rel} records all {len(workloads)} workloads")
+
+
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     failures = []
@@ -114,6 +153,7 @@ def main():
     check_required_readme_links(root, failures)
     check_changes(root, failures)
     check_issue(root, failures)
+    check_trajectory(root, failures)
     for f in failures:
         print(f"FAIL  {f}")
     print(f"\n{len(failures)} failure(s)")
