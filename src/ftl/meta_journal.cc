@@ -67,7 +67,6 @@ MetaJournal::MetaJournal(flash::FlashDevice* dev) : dev_(dev) {
   half_blocks_ = g.meta_blocks / 2;
   pages_per_block_ = g.pages_per_block;
   data_size_ = g.data_size;
-  spare_size_ = g.spare_size;
 }
 
 uint32_t MetaJournal::PayloadPerFrame() const {
@@ -301,7 +300,7 @@ Status MetaJournal::WriteRecord(uint64_t epoch,
   flash::CategoryScope cat(dev_, flash::OpCategory::kMeta);
   const uint32_t record_crc = Crc32c(bytes);
   ByteBuffer data(data_size_, 0xFF);
-  ByteBuffer spare(spare_size_, 0xFF);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   for (uint32_t f = 0; f < frames; ++f) {
     const uint32_t off = f * payload_cap;
     const uint32_t len = std::min<uint32_t>(
@@ -318,7 +317,6 @@ Status MetaJournal::WriteRecord(uint64_t epoch,
     frame_crc = Crc32c(ConstBytes(data).subspan(kFrameHeaderSize, len),
                        frame_crc);
     EncodeFixed32(data.data() + 28, frame_crc);
-    std::fill(spare.begin(), spare.end(), 0xFF);
     EncodeSpare(spare, PageType::kMeta, static_cast<uint32_t>(next_seq_),
                 epoch);
     FLASHDB_RETURN_IF_ERROR(
@@ -350,7 +348,7 @@ Result<MetaJournal::Recovered> MetaJournal::Recover() {
   bool any_seq = false;
 
   ByteBuffer data(data_size_);
-  ByteBuffer spare(spare_size_);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   for (uint32_t half = 0; half < 2; ++half) {
     for (uint32_t p = 0; p < half_pages(); ++p) {
       const flash::PhysAddr addr = HalfStart(half) + p;

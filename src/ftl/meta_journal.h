@@ -190,7 +190,6 @@ class MetaJournal {
   uint32_t half_blocks_;
   uint32_t pages_per_block_;
   uint32_t data_size_;
-  uint32_t spare_size_;
 
   uint32_t active_half_ = 0;
   uint32_t next_page_ = 0;  ///< Next free page index within the active half.

@@ -1,8 +1,5 @@
 #include "ftl/out_place_store.h"
 
-#include <algorithm>
-#include <iterator>
-
 namespace flashdb::ftl {
 
 using flash::kNullAddr;
@@ -126,7 +123,6 @@ Status OutPlaceStore::RelocateBasePage(const SpareInfo& tag, ConstBytes page) {
 Status OutPlaceStore::ProgramBase(PhysAddr q, PageId pid, uint64_t ts,
                                   ConstBytes page) {
   uint8_t spare[flash::FlashGeometry::spare_size];
-  std::fill(std::begin(spare), std::end(spare), 0xFF);
   EncodeSpare(spare, base_type_, pid, ts, page);
   return dev_->ProgramPage(q, page, spare);
 }

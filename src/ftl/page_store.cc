@@ -74,12 +74,11 @@ Status ProgramInitialPages(
     ftl::LogicalClock* clock,
     const std::function<Result<flash::PhysAddr>(PageId)>& place) {
   ByteBuffer page(dev->geometry().data_size, 0);
-  ByteBuffer spare(dev->geometry().spare_size, 0xFF);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   for (PageId pid = 0; pid < num_pages; ++pid) {
     std::fill(page.begin(), page.end(), 0);
     if (initial != nullptr) initial(pid, page, initial_arg);
     FLASHDB_ASSIGN_OR_RETURN(const flash::PhysAddr addr, place(pid));
-    std::fill(spare.begin(), spare.end(), 0xFF);
     ftl::EncodeSpare(spare, type, pid, clock->Next(), page);
     FLASHDB_RETURN_IF_ERROR(dev->ProgramPage(addr, page, spare));
   }

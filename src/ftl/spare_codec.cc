@@ -1,5 +1,6 @@
 #include "ftl/spare_codec.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <string>
@@ -24,7 +25,8 @@ uint32_t SpareCrc(ConstBytes spare) {
 
 void EncodeSpare(MutBytes spare, PageType type, uint32_t pid,
                  uint64_t timestamp, ConstBytes data) {
-  assert(spare.size() >= kSpareEncodedSize);
+  assert(spare.size() == flash::FlashGeometry::spare_size);
+  std::fill(spare.begin(), spare.end(), 0xFF);
   EncodeFixed16(spare.data(), kMagic);
   spare[2] = static_cast<uint8_t>(type);
   spare[3] = 0xFF;  // valid (not obsolete)
@@ -32,7 +34,6 @@ void EncodeSpare(MutBytes spare, PageType type, uint32_t pid,
   EncodeFixed64(spare.data() + 8, timestamp);
   EncodeFixed32(spare.data() + 16, SpareCrc(spare));
   if (!data.empty()) {
-    assert(spare.size() >= kSpareDataCrcEnd);
     assert(PageTypeCarriesDataCrc(type) &&
            "data CRC only belongs on once-programmed page types");
     EncodeFixed32(spare.data() + kSpareDataCrcOffset, Crc32c(data));

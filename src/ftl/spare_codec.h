@@ -82,11 +82,12 @@ inline bool PageTypeCarriesDataCrc(PageType t) {
          t == PageType::kData || t == PageType::kOrig;
 }
 
-/// Fills `spare` (>= kSpareEncodedSize, normally 64 bytes preset to 0xFF)
-/// with an initial-program image. When `data` is non-empty it must be the
-/// page's final data-area image: its CRC-32C is stamped at
-/// kSpareDataCrcOffset so reads can detect delivered bit errors. Pass the
-/// data for every type with PageTypeCarriesDataCrc; pass {} for kLog/kMeta.
+/// Writes the whole initial-program image of a spare area into `spare`
+/// (flash::FlashGeometry::spare_size bytes): the fields above, every other
+/// byte erased (0xFF). When `data` is non-empty it must be the page's final
+/// data-area image: its CRC-32C is stamped at kSpareDataCrcOffset so reads
+/// can detect delivered bit errors. Pass the data for every type with
+/// PageTypeCarriesDataCrc; pass {} for kLog/kMeta.
 void EncodeSpare(MutBytes spare, PageType type, uint32_t pid,
                  uint64_t timestamp, ConstBytes data = {});
 

@@ -1,6 +1,7 @@
 #include "methods/ipl_store.h"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/coding.h"
@@ -31,37 +32,46 @@ uint32_t SlotCrc(ConstBytes slot_bytes, size_t record_bytes) {
   return Crc32c(slot_bytes.subspan(kSlotHeaderSize, record_bytes), crc);
 }
 
-/// Walks a slot's record list without applying it: bounds-checks every
-/// record header and verifies the slot CRC. Returns the payload length in
-/// `record_bytes`.
-Status CheckSlot(ConstBytes slot_bytes, size_t* record_bytes) {
+/// A log slot: its owner and, for an owned slot, its record list.
+struct Slot {
+  uint32_t owner = kEmptySlotPid;
+  uint16_t count = 0;
+  ConstBytes records;  ///< `count` serialized records.
+};
+
+/// The one parser of a log slot. Reads the owner; for an owned slot it also
+/// bounds-checks every record header against the slot and verifies the slot
+/// CRC, so no record is trusted before both checks pass.
+Result<Slot> ParseSlot(ConstBytes slot_bytes) {
   BufferReader r(slot_bytes);
-  r.GetU32();  // owner
-  const uint16_t count = r.GetU16();
+  Slot slot;
+  slot.owner = r.GetU32();
+  if (slot.owner == kEmptySlotPid) return slot;
+  slot.count = r.GetU16();
   const uint32_t stored_crc = r.GetU32();
   const size_t start = r.position();
-  for (uint16_t i = 0; i < count; ++i) {
+  for (uint16_t i = 0; i < slot.count; ++i) {
     r.GetU16();  // offset
-    const uint16_t len = r.GetU16();
-    r.GetBytes(len);
+    r.GetBytes(r.GetU16());
     if (r.failed()) return Status::Corruption("malformed IPL slot records");
   }
-  *record_bytes = r.position() - start;
-  if (SlotCrc(slot_bytes, *record_bytes) != stored_crc) {
+  slot.records = slot_bytes.subspan(start, r.position() - start);
+  if (SlotCrc(slot_bytes, slot.records.size()) != stored_crc) {
     return Status::Corruption("uncorrectable read: IPL slot CRC mismatch");
   }
-  return Status::OK();
+  return slot;
 }
 
 /// Applies `count` serialized records {offset u16, length u16, bytes} from
-/// `r` onto `page`. A record running past the buffer or the page is
+/// `records` onto `page`. A record running past the buffer or the page is
 /// Corruption.
-Status ApplyRecords(BufferReader* r, uint32_t count, MutBytes page) {
+Status ApplyRecords(ConstBytes records, uint32_t count, MutBytes page) {
+  BufferReader r(records);
   for (uint32_t i = 0; i < count; ++i) {
-    const uint16_t off = r->GetU16();
-    const uint16_t len = r->GetU16();
-    ConstBytes data = r->GetBytes(len);
-    if (r->failed() || static_cast<size_t>(off) + len > page.size()) {
+    const uint16_t off = r.GetU16();
+    const uint16_t len = r.GetU16();
+    ConstBytes data = r.GetBytes(len);
+    if (r.failed() || static_cast<size_t>(off) + len > page.size()) {
       return Status::Corruption("malformed IPL log record");
     }
     std::memcpy(page.data() + off, data.data(), len);
@@ -74,7 +84,8 @@ Status ApplyRecords(BufferReader* r, uint32_t count, MutBytes page) {
 /// -- a read error, not a torn write -- and recovery must stop rather than
 /// take the page's block for merge debris and erase it.
 Result<ftl::SpareInfo> ReadProgrammedSpare(flash::FlashDevice* dev,
-                                           PhysAddr addr, MutBytes spare) {
+                                           PhysAddr addr) {
+  uint8_t spare[flash::FlashGeometry::spare_size];
   FLASHDB_RETURN_IF_ERROR(dev->ReadSpare(addr, spare));
   const ftl::SpareInfo info = ftl::DecodeSpare(spare);
   if (info.programmed && info.crc_ok) return info;
@@ -88,8 +99,7 @@ Result<ftl::SpareInfo> ReadProgrammedSpare(flash::FlashDevice* dev,
 IplStore::IplStore(flash::FlashDevice* dev, const IplConfig& config)
     : dev_(dev),
       config_(config),
-      data_size_(dev->geometry().data_size),
-      spare_size_(dev->geometry().spare_size) {
+      data_size_(dev->geometry().data_size) {
   slot_size_ = data_size_ / kLogSlotDivisor;
   if (slot_size_ < kSlotHeaderSize + kRecordHeaderSize + 1) {
     slot_size_ = kSlotHeaderSize + kRecordHeaderSize + 1;
@@ -104,6 +114,9 @@ IplStore::IplStore(flash::FlashDevice* dev, const IplConfig& config)
   slots_per_block_ = log_pages_per_block_ * slots_per_page_;
   max_record_payload_ = slot_size_ - kSlotHeaderSize - kRecordHeaderSize;
   name_ = "IPL(" + std::to_string(config_.log_bytes_per_block / 1024) + "KB)";
+  log_pages_.resize(size_t{log_pages_per_block_} * data_size_);
+  slot_image_.resize(data_size_);
+  merge_page_.resize(data_size_);
 }
 
 uint32_t IplStore::LivePagesIn(uint32_t g) const {
@@ -152,50 +165,36 @@ Status IplStore::Format(uint32_t num_logical_pages, PageInitializer initial,
 Status IplStore::ReadPage(PageId pid, MutBytes out) {
   FLASHDB_RETURN_IF_ERROR(
       CheckPageArgs(formatted_, pid, num_pages_, out.size(), data_size_));
-  const uint32_t grp = LogicalBlockOf(pid);
-  const uint32_t block = block_map_[grp];
-  const PhysAddr orig = dev_->AddrOf(block, pid % orig_per_block_);
+  const PhysAddr orig =
+      dev_->AddrOf(block_map_[LogicalBlockOf(pid)], pid % orig_per_block_);
   // Read the original page (CRC-verified end to end)...
   FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, orig, out));
-  // ...then only the log pages of the same block holding this page's logs.
-  const auto& slots = pid_slots_[pid];
-  ByteBuffer log_page(data_size_);
-  int32_t loaded_page = -1;
-  for (uint16_t slot : slots) {
-    const uint32_t lp = LogPageOfIndex(slot);
-    if (static_cast<int32_t>(lp) != loaded_page) {
-      const PhysAddr addr = dev_->AddrOf(block, orig_per_block_ + lp);
-      // Log pages carry no spare data CRC (integrity lives in the per-slot
-      // CRC, checked by ApplySlot); this still verifies the spare metadata.
-      FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, log_page));
-      loaded_page = static_cast<int32_t>(lp);
-    }
-    const uint32_t s = SlotOfIndex(slot);
-    bool belongs = false;
-    FLASHDB_RETURN_IF_ERROR(
-        ApplySlot(ConstBytes(log_page.data() + s * slot_size_, slot_size_),
-                  pid, out, &belongs));
-    if (!belongs) {
-      return Status::Corruption("slot index table points at foreign slot");
-    }
-  }
-  // Finally the logs still pending in memory.
-  BufferReader pending(pending_[pid].bytes);
-  return ApplyRecords(&pending, pending_[pid].count, out);
+  // ...then only the log pages of the same block holding this page's logs...
+  FLASHDB_RETURN_IF_ERROR(ApplyFlushedSlots(pid, out, /*read_log_pages=*/0));
+  // ...and finally the logs still pending in memory.
+  return ApplyRecords(pending_[pid].bytes, pending_[pid].count, out);
 }
 
-Status IplStore::ApplySlot(ConstBytes slot_bytes, PageId pid, MutBytes page,
-                           bool* belongs) {
-  *belongs = false;
-  BufferReader r(slot_bytes);
-  const uint32_t owner = r.GetU32();
-  if (owner != pid) return Status::OK();
-  *belongs = true;
-  size_t record_bytes = 0;
-  FLASHDB_RETURN_IF_ERROR(CheckSlot(slot_bytes, &record_bytes));
-  const uint16_t count = r.GetU16();
-  r.GetU32();  // slot CRC, verified by CheckSlot above
-  return ApplyRecords(&r, count, page);
+Status IplStore::ApplyFlushedSlots(PageId pid, MutBytes page,
+                                   uint32_t read_log_pages) {
+  const uint32_t block = block_map_[LogicalBlockOf(pid)];
+  for (uint16_t slot : pid_slots_[pid]) {
+    const uint32_t lp = LogPageOfIndex(slot);
+    if (lp >= read_log_pages) {
+      // Slots ascend, so each page is read once. Log pages carry no spare
+      // data CRC (integrity lives in the per-slot CRC, checked by
+      // ParseSlot); this still verifies the spare metadata.
+      FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(
+          dev_, dev_->AddrOf(block, orig_per_block_ + lp), LogPage(lp)));
+      read_log_pages = lp + 1;
+    }
+    FLASHDB_ASSIGN_OR_RETURN(const Slot s, ParseSlot(SlotBytes(slot)));
+    if (s.owner != pid) {
+      return Status::Corruption("slot index table points at foreign slot");
+    }
+    FLASHDB_RETURN_IF_ERROR(ApplyRecords(s.records, s.count, page));
+  }
+  return Status::OK();
 }
 
 Status IplStore::OnUpdate(PageId pid, ConstBytes page_after,
@@ -249,26 +248,25 @@ Status IplStore::FlushPending(PageId pid) {
   const uint32_t block = block_map_[grp];
   const PhysAddr addr = dev_->AddrOf(block, orig_per_block_ + lp);
 
-  // Partial program: all-0xFF image except the slot's bytes.
-  ByteBuffer image(data_size_, 0xFF);
-  uint8_t* base = image.data() + s * slot_size_;
+  // Partial program: an all-0xFF image except the slot's bytes. The count
+  // field ends the slot's record list, so its unused tail stays erased, like
+  // the later slots, which remain programmable.
+  std::fill(slot_image_.begin(), slot_image_.end(), 0xFF);
+  uint8_t* base = slot_image_.data() + s * slot_size_;
   EncodeFixed32(base, pid);
   EncodeFixed16(base + 4, pl.count);
   std::memcpy(base + kSlotHeaderSize, pl.bytes.data(), pl.bytes.size());
   EncodeFixed32(base + kSlotCrcOffset,
                 SlotCrc(ConstBytes(base, slot_size_), pl.bytes.size()));
-  // Unused tail of the slot must stay 0xFF? No: it must parse as "record list
-  // exhausted", which the count field already guarantees. Leave it erased so
-  // later slots in the same page remain programmable.
   if (s == 0 && dev_->IsErased(addr)) {
-    ByteBuffer spare(spare_size_, 0xFF);
+    uint8_t spare[flash::FlashGeometry::spare_size];
     ftl::EncodeSpare(spare, ftl::PageType::kLog, kEmptySlotPid - 1,
                      clock_.Next());
-    FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(addr, image, spare));
+    FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(addr, slot_image_, spare));
   } else {
     // Later slots partial-program the already-written log page (1 bits leave
     // the earlier slots' cells untouched).
-    FLASHDB_RETURN_IF_ERROR(dev_->PartialProgramPage(addr, image));
+    FLASHDB_RETURN_IF_ERROR(dev_->PartialProgramPage(addr, slot_image_));
   }
   pid_slots_[pid].push_back(static_cast<uint16_t>(slot));
   pl.bytes.clear();
@@ -303,51 +301,33 @@ Status IplStore::MergeBlock(uint32_t grp) {
   free_blocks_.pop_front();
   const uint32_t live = LivePagesIn(grp);
 
-  // Read the used log pages once and bucket records per pid, in slot order.
+  // Read the used log pages once. The erase below destroys the only copy of
+  // their records, so every used slot is verified before anything is
+  // programmed.
   const uint32_t used_slots = next_slot_[grp];
+  for (uint32_t slot = 0; slot < used_slots; ++slot) {
+    if (SlotOfIndex(slot) == 0) {
+      const uint32_t lp = LogPageOfIndex(slot);
+      FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(
+          dev_, dev_->AddrOf(old_block, orig_per_block_ + lp), LogPage(lp)));
+    }
+    FLASHDB_RETURN_IF_ERROR(ParseSlot(SlotBytes(slot)).status());
+  }
   const uint32_t used_log_pages =
       (used_slots + slots_per_page_ - 1) / slots_per_page_;
-  std::unordered_map<PageId, ByteBuffer> logs;  // concatenated records
-  std::unordered_map<PageId, uint32_t> log_counts;
-  ByteBuffer log_page(data_size_);
-  for (uint32_t lp = 0; lp < used_log_pages; ++lp) {
-    const PhysAddr addr = dev_->AddrOf(old_block, orig_per_block_ + lp);
-    FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, log_page));
-    for (uint32_t s = 0; s < slots_per_page_; ++s) {
-      const uint32_t slot = lp * slots_per_page_ + s;
-      if (slot >= used_slots) break;
-      ConstBytes sb(log_page.data() + s * slot_size_, slot_size_);
-      const uint32_t owner = DecodeFixed32(sb.data());
-      if (owner == kEmptySlotPid) continue;
-      // The erase below destroys the only copy of these records; verify the
-      // slot CRC before they are folded into fresh original pages.
-      size_t record_bytes = 0;
-      FLASHDB_RETURN_IF_ERROR(CheckSlot(sb, &record_bytes));
-      const uint16_t count = DecodeFixed16(sb.data() + 4);
-      ByteBuffer& dst = logs[owner];
-      dst.insert(dst.end(), sb.begin() + kSlotHeaderSize,
-                 sb.begin() + kSlotHeaderSize + record_bytes);
-      log_counts[owner] += count;
-    }
-  }
 
   // Rebuild each live original page and program it into the new block.
-  ByteBuffer page(data_size_);
-  ByteBuffer spare(spare_size_, 0xFF);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   const uint64_t merge_ts = clock_.Next();
   for (uint32_t i = 0; i < live; ++i) {
     const PageId pid = grp * orig_per_block_ + i;
     FLASHDB_RETURN_IF_ERROR(
-        ftl::ReadVerifiedPage(dev_, dev_->AddrOf(old_block, i), page));
-    auto it = logs.find(pid);
-    if (it != logs.end()) {
-      BufferReader r(it->second);
-      FLASHDB_RETURN_IF_ERROR(ApplyRecords(&r, log_counts[pid], page));
-    }
-    std::fill(spare.begin(), spare.end(), 0xFF);
-    ftl::EncodeSpare(spare, ftl::PageType::kOrig, pid, merge_ts, page);
+        ftl::ReadVerifiedPage(dev_, dev_->AddrOf(old_block, i), merge_page_));
     FLASHDB_RETURN_IF_ERROR(
-        dev_->ProgramPage(dev_->AddrOf(new_block, i), page, spare));
+        ApplyFlushedSlots(pid, merge_page_, used_log_pages));
+    ftl::EncodeSpare(spare, ftl::PageType::kOrig, pid, merge_ts, merge_page_);
+    FLASHDB_RETURN_IF_ERROR(
+        dev_->ProgramPage(dev_->AddrOf(new_block, i), merge_page_, spare));
     pid_slots_[pid].clear();
   }
   // The old block is subsequently erased and garbage-collected.
@@ -394,24 +374,26 @@ Status IplStore::Recover() {
   flash::CategoryScope cat(dev_, flash::OpCategory::kRecovery);
   const auto& g = dev_->geometry();
   clock_.Reset();
-  // Pass 1: inspect every block's original pages (spare reads) to find, per
-  // logical block, the complete candidate with the highest timestamp.
+  // Pass 1: inspect every block's original pages (spare reads) and keep one
+  // block per logical block. A merge cut short leaves its target with fewer
+  // programmed originals than its complete source, and a target drawn from
+  // the recycled free list can sit below its source, so the scan may meet
+  // either first. The block with more programmed originals wins; among
+  // complete copies the newer, the merge output, does.
   struct Candidate {
-    uint32_t block = 0;
-    uint64_t ts = 0;
-    bool valid = false;
+    uint32_t block;
+    uint32_t programmed;
+    uint64_t ts;
   };
   std::unordered_map<uint32_t, Candidate> winner;  // logical block -> choice
   std::vector<uint32_t> losers;
-  ByteBuffer spare(spare_size_);
   uint32_t max_pid = 0;
   bool any = false;
 
   for (uint32_t b = 0; b < g.num_data_blocks(); ++b) {
     if (dev_->IsErased(dev_->AddrOf(b, 0))) continue;  // free block
-    FLASHDB_ASSIGN_OR_RETURN(
-        const ftl::SpareInfo first,
-        ReadProgrammedSpare(dev_, dev_->AddrOf(b, 0), spare));
+    FLASHDB_ASSIGN_OR_RETURN(const ftl::SpareInfo first,
+                             ReadProgrammedSpare(dev_, dev_->AddrOf(b, 0)));
     if (first.type != ftl::PageType::kOrig) {
       losers.push_back(b);  // foreign block
       continue;
@@ -424,7 +406,7 @@ Status IplStore::Recover() {
       const PhysAddr addr = dev_->AddrOf(b, i);
       if (dev_->IsErased(addr)) break;  // a merge target cut short
       FLASHDB_ASSIGN_OR_RETURN(const ftl::SpareInfo info,
-                               ReadProgrammedSpare(dev_, addr, spare));
+                               ReadProgrammedSpare(dev_, addr));
       if (info.type != ftl::PageType::kOrig ||
           info.pid != grp * orig_per_block_ + i) {
         consistent = false;
@@ -440,36 +422,14 @@ Status IplStore::Recover() {
       continue;
     }
     clock_.Observe(ts_max);
-    Candidate& cur = winner[grp];
-    // Completeness is judged after num_pages_ is known; keep both candidates'
-    // info by preferring higher (programmed, ts).
-    Candidate cand{b, ts_max, true};
-    auto better = [&](const Candidate& x, const Candidate& y) {
-      return x.ts > y.ts;
-    };
-    if (!cur.valid) {
-      cur = cand;
-    } else {
-      // Prefer the one with more programmed originals only when the newer is
-      // an incomplete merge target; approximate by checking programmed count
-      // lazily below. A merge target has strictly newer ts; it wins only if
-      // it programmed at least as many pages as the old block.
-      uint32_t cur_prog = 0;
-      for (uint32_t i = 0; i < orig_per_block_; ++i) {
-        if (!dev_->IsErased(dev_->AddrOf(cur.block, i))) ++cur_prog;
-      }
-      if (programmed >= cur_prog && better(cand, cur)) {
-        losers.push_back(cur.block);
-        cur = cand;
-      } else if (programmed >= cur_prog && better(cur, cand)) {
-        losers.push_back(b);
-      } else if (programmed < cur_prog) {
-        losers.push_back(b);  // incomplete merge target
-      } else {
-        losers.push_back(cur.block);
-        cur = cand;
-      }
-    }
+    const Candidate cand{b, programmed, ts_max};
+    const auto [it, first_seen] = winner.try_emplace(grp, cand);
+    if (first_seen) continue;
+    Candidate& cur = it->second;
+    const bool cand_wins = std::tie(cand.programmed, cand.ts) >
+                           std::tie(cur.programmed, cur.ts);
+    losers.push_back(cand_wins ? cur.block : b);
+    if (cand_wins) cur = cand;
   }
 
   num_pages_ = any ? max_pid + 1 : 0;
@@ -497,30 +457,23 @@ Status IplStore::Recover() {
   }
 
   // Pass 2: rebuild the slot tables from each winner's log region.
-  ByteBuffer log_page(data_size_);
   for (uint32_t grp = 0; grp < num_groups_; ++grp) {
     const uint32_t block = block_map_[grp];
     if (block == flash::kNullAddr) continue;  // group without a surviving block
     uint32_t slot = 0;
-    bool done = false;
-    for (uint32_t lp = 0; lp < log_pages_per_block_ && !done; ++lp) {
-      const PhysAddr addr = dev_->AddrOf(block, orig_per_block_ + lp);
-      if (dev_->IsErased(addr)) break;
-      FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, log_page));
-      for (uint32_t s = 0; s < slots_per_page_; ++s, ++slot) {
-        ConstBytes sb(log_page.data() + s * slot_size_, slot_size_);
-        const uint32_t owner = DecodeFixed32(sb.data());
-        if (owner == kEmptySlotPid) {
-          done = true;
-          break;
-        }
-        // Recovery scans are data reads too: a slot either parses and passes
-        // its CRC or recovery fails with the typed corruption error.
-        size_t record_bytes = 0;
-        FLASHDB_RETURN_IF_ERROR(CheckSlot(sb, &record_bytes));
-        if (owner < num_pages_) {
-          pid_slots_[owner].push_back(static_cast<uint16_t>(slot));
-        }
+    for (; slot < slots_per_block_; ++slot) {
+      if (SlotOfIndex(slot) == 0) {
+        const uint32_t lp = LogPageOfIndex(slot);
+        const PhysAddr addr = dev_->AddrOf(block, orig_per_block_ + lp);
+        if (dev_->IsErased(addr)) break;
+        FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, LogPage(lp)));
+      }
+      // Recovery scans are data reads too: a slot either parses and passes
+      // its CRC or recovery fails with the typed corruption error.
+      FLASHDB_ASSIGN_OR_RETURN(const Slot parsed, ParseSlot(SlotBytes(slot)));
+      if (parsed.owner == kEmptySlotPid) break;
+      if (parsed.owner < num_pages_) {
+        pid_slots_[parsed.owner].push_back(static_cast<uint16_t>(slot));
       }
     }
     next_slot_[grp] = static_cast<uint16_t>(slot);

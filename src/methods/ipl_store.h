@@ -97,15 +97,24 @@ class IplStore : public PageStore {
   Status AppendRecord(PageId pid, uint32_t offset, ConstBytes data);
   /// Merges logical block `g`: combine originals with logs into a new block.
   Status MergeBlock(uint32_t g);
-  /// Applies every record of `slot_bytes` that belongs to `pid` onto `page`.
-  static Status ApplySlot(ConstBytes slot_bytes, PageId pid, MutBytes page,
-                          bool* belongs);
+  /// Applies pid's flushed slots onto `page` in flush order. Log pages
+  /// [0, read_log_pages) of log_pages_ already hold pid's block's pages;
+  /// any later page is read into its place when its first slot comes up.
+  Status ApplyFlushedSlots(PageId pid, MutBytes page, uint32_t read_log_pages);
+  /// Log page `lp` of a block, as held in log_pages_.
+  MutBytes LogPage(uint32_t lp) {
+    return MutBytes(log_pages_).subspan(size_t{lp} * data_size_, data_size_);
+  }
+  /// Slot `slot` of a block's log region, as held in log_pages_.
+  ConstBytes SlotBytes(uint32_t slot) {
+    return LogPage(LogPageOfIndex(slot))
+        .subspan(SlotOfIndex(slot) * slot_size_, slot_size_);
+  }
 
   flash::FlashDevice* dev_;
   IplConfig config_;
   std::string name_;
   uint32_t data_size_;
-  uint32_t spare_size_;
   uint32_t slot_size_;            ///< = log buffer size
   uint32_t slots_per_page_;
   uint32_t log_pages_per_block_;
@@ -122,6 +131,12 @@ class IplStore : public PageStore {
   std::vector<uint16_t> next_slot_;         ///< per logical block.
   std::vector<std::vector<uint16_t>> pid_slots_;  ///< per pid, slot indices.
   std::vector<PendingLogs> pending_;        ///< per pid.
+  /// Scratch reused across calls: the log region's pages as read by the read
+  /// path, a merge or recovery; the image that programs one slot (all 0xFF
+  /// but the slot); and the page a merge rebuilds.
+  ByteBuffer log_pages_;
+  ByteBuffer slot_image_;
+  ByteBuffer merge_page_;
   IplCounters counters_;
   bool formatted_ = false;
 };

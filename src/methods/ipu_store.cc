@@ -11,8 +11,7 @@ using flash::PhysAddr;
 
 IpuStore::IpuStore(flash::FlashDevice* dev)
     : dev_(dev),
-      data_size_(dev->geometry().data_size),
-      spare_size_(dev->geometry().spare_size) {}
+      data_size_(dev->geometry().data_size) {}
 
 Status IpuStore::Format(uint32_t num_logical_pages, PageInitializer initial,
                         void* initial_arg) {
@@ -58,7 +57,7 @@ Status IpuStore::WriteBack(PageId pid, ConstBytes page) {
   for (uint32_t p = 0; p < live_pages; ++p) {
     if (p == in_block) continue;
     saved_data[p].resize(data_size_);
-    saved_spare[p].resize(spare_size_);
+    saved_spare[p].resize(flash::FlashGeometry::spare_size);
     FLASHDB_RETURN_IF_ERROR(
         dev_->ReadPage(first + p, saved_data[p], saved_spare[p]));
     // The erase below destroys the only copy of these pages: a corrupt read
@@ -71,10 +70,9 @@ Status IpuStore::WriteBack(PageId pid, ConstBytes page) {
   FLASHDB_RETURN_IF_ERROR(dev_->EraseBlock(block));
   // Steps 3+4: program all live pages back in ascending (NAND) order, with
   // the updated image in its fixed slot.
-  ByteBuffer spare(spare_size_, 0xFF);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   for (uint32_t p = 0; p < live_pages; ++p) {
     if (p == in_block) {
-      std::fill(spare.begin(), spare.end(), 0xFF);
       ftl::EncodeSpare(spare, ftl::PageType::kData, pid, clock_.Next(), page);
       FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(pid, page, spare));
     } else {

@@ -41,7 +41,6 @@ class IpuStore : public PageStore {
  private:
   flash::FlashDevice* dev_;
   uint32_t data_size_;
-  uint32_t spare_size_;
   ftl::LogicalClock clock_;
   uint32_t num_pages_ = 0;
   bool formatted_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <string>
 
 #include "ftl/gc_policy.h"
@@ -17,7 +16,9 @@ PdlStore::PdlStore(flash::FlashDevice* dev, const PdlConfig& config)
                     /*num_streams=*/2, /*track_diffs=*/true),
       config_(config),
       name_("PDL(" + std::to_string(config.max_differential_size) + "B)"),
-      buffer_(dev->geometry().data_size) {}
+      buffer_(data_size_),
+      base_scratch_(data_size_),
+      page_scratch_(data_size_) {}
 
 Status PdlStore::ValidateConfig() const {
   // A single differential record must fit in one differential page. Checked
@@ -56,25 +57,23 @@ Status PdlStore::ReadPage(PageId pid, MutBytes out) {
   }
   const PhysAddr dp = map_.diff(pid);
   if (dp == kNullAddr) return Status::OK();  // no differential page
-  diff_page_.resize(data_size_);
-  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, dp, diff_page_));
+  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, dp, page_scratch_));
+  Differential& d = ParsedSlot(0);
   bool found = false;
-  FLASHDB_RETURN_IF_ERROR(
-      FindDifferential(diff_page_, pid, &read_diff_, &found));
+  FLASHDB_RETURN_IF_ERROR(FindDifferential(page_scratch_, pid, &d, &found));
   if (!found) {
     return Status::Corruption("PPMT points at differential page " +
                               std::to_string(dp) +
                               " lacking a record for pid " +
                               std::to_string(pid));
   }
-  return read_diff_.ApplyTo(out);  // Step 3: merge.
+  return d.ApplyTo(out);  // Step 3: merge.
 }
 
 Status PdlStore::WriteBack(PageId pid, ConstBytes page) {
   FLASHDB_RETURN_IF_ERROR(
       CheckPageArgs(formatted_, pid, num_pages_, page.size(), data_size_));
   // Step 1: read the base page (into the reused write-path scratch).
-  base_scratch_.resize(data_size_);
   FLASHDB_RETURN_IF_ERROR(
       ftl::ReadVerifiedPage(dev_, map_.base(pid), base_scratch_));
   // Step 2: create the differential.
@@ -112,32 +111,46 @@ Status PdlStore::Flush() {
 Status PdlStore::FlushBuffer() {
   FLASHDB_RETURN_IF_ERROR(ReclaimUntilSpace(kDiffStream));
   if (buffer_.empty()) return Status::OK();
-  FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(false, kDiffStream));
-  // Step 1: write the buffer's contents as a new differential page.
-  FLASHDB_RETURN_IF_ERROR(WriteDiffPage(q, buffer_.entries()));
-  // Step 2: update the mapping table and the valid-differential counts.
-  for (const Differential& d : buffer_.entries()) {
-    FLASHDB_RETURN_IF_ERROR(
-        DecreaseValidDifferentialCount(map_.DetachDiff(d.pid())));
-    map_.AttachDiff(d.pid(), q, static_cast<uint32_t>(d.EncodedSize()));
-  }
+  // The buffer holds at most one page of records: one page is written.
+  FLASHDB_RETURN_IF_ERROR(WriteDiffPages(buffer_.entries(), /*for_gc=*/false));
   buffer_.Clear();
   counters_.buffer_flushes++;
   return Status::OK();
 }
 
-Status PdlStore::WriteDiffPage(PhysAddr q,
-                               std::span<const Differential> diffs) {
-  diff_page_.clear();
-  diff_page_.reserve(data_size_);
-  for (const Differential& d : diffs) d.AppendTo(&diff_page_);
-  assert(diff_page_.size() <= data_size_);
-  diff_page_.resize(data_size_, 0xFF);
-  uint8_t spare[flash::FlashGeometry::spare_size];
-  std::fill(std::begin(spare), std::end(spare), 0xFF);
-  ftl::EncodeSpare(spare, ftl::PageType::kDiff, kPaddingPid - 1, clock_.Next(),
-                   diff_page_);
-  return dev_->ProgramPage(q, diff_page_, spare);
+Status PdlStore::WriteDiffPages(std::span<const Differential> records,
+                                bool for_gc) {
+  while (!records.empty()) {
+    page_scratch_.clear();  // keeps its one-page capacity
+    size_t n = 0;
+    while (n < records.size() &&
+           page_scratch_.size() + records[n].EncodedSize() <= data_size_) {
+      records[n++].AppendTo(&page_scratch_);
+    }
+    assert(n > 0 && "a record is at most one page");
+    page_scratch_.resize(data_size_, 0xFF);
+    FLASHDB_ASSIGN_OR_RETURN(const PhysAddr q,
+                             bm_.AllocatePage(for_gc, kDiffStream));
+    uint8_t spare[flash::FlashGeometry::spare_size];
+    ftl::EncodeSpare(spare, ftl::PageType::kDiff, kPaddingPid - 1,
+                     clock_.Next(), page_scratch_);
+    FLASHDB_RETURN_IF_ERROR(dev_->ProgramPage(q, page_scratch_, spare));
+    // Remap only once the new copy is durable. A power cut before the old
+    // page's obsolete mark leaves both copies on flash, and recovery's
+    // timestamp arbitration keeps exactly one.
+    for (const Differential& d : records.first(n)) {
+      FLASHDB_RETURN_IF_ERROR(
+          DecreaseValidDifferentialCount(map_.DetachDiff(d.pid())));
+      map_.AttachDiff(d.pid(), q, static_cast<uint32_t>(d.EncodedSize()));
+    }
+    records = records.subspan(n);
+  }
+  return Status::OK();
+}
+
+Differential& PdlStore::ParsedSlot(size_t i) {
+  if (i == parsed_.size()) parsed_.emplace_back();
+  return parsed_[i];
 }
 
 Status PdlStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {
@@ -166,33 +179,21 @@ Status PdlStore::ScrubPhysPage(PhysAddr addr, bool* relocated) {
   if (bm_.state(addr) != ftl::PageState::kValid || map_.vdct(addr) == 0) {
     return Status::OK();
   }
-  ByteBuffer data(data_size_);
-  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, data));
-  BufferReader reader(data);
-  std::vector<Differential> live;
-  Differential d;
+  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, page_scratch_));
+  BufferReader reader(page_scratch_);
+  size_t live = 0;  // live records in parsed_[0, live)
   Status parse_status;
-  while (Differential::ParseNext(&reader, &d, &parse_status)) {
-    if (d.pid() >= num_pages_ || map_.diff(d.pid()) != addr) continue;
-    live.push_back(std::move(d));
-    d = Differential();
+  while (Differential::ParseNext(&reader, &ParsedSlot(live), &parse_status)) {
+    const PageId pid = parsed_[live].pid();
+    if (pid < num_pages_ && map_.diff(pid) == addr) ++live;
   }
   FLASHDB_RETURN_IF_ERROR(parse_status);
-  if (live.empty()) return Status::OK();
-  // One page always suffices: the live records are a subset of one page.
-  // Program the compacted copy BEFORE dropping the old references. A power
-  // cut between the two leaves both copies on flash with identical record
-  // timestamps and recovery arbitration keeps exactly one; obsoleting first
-  // would tear the records away with nothing durable in their place.
-  FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(false, kDiffStream));
-  FLASHDB_RETURN_IF_ERROR(WriteDiffPage(q, live));
-  for (const Differential& ld : live) {
-    map_.DetachDiff(ld.pid());
-    // Marks the old page obsolete once the last reference leaves.
-    FLASHDB_RETURN_IF_ERROR(DecreaseValidDifferentialCount(addr));
-    map_.AttachDiff(ld.pid(), q, static_cast<uint32_t>(ld.EncodedSize()));
-  }
-  counters_.gc_diffs_compacted += live.size();
+  if (live == 0) return Status::OK();
+  // The live records are a subset of one page, so they fill one fresh page;
+  // the last one to leave marks the old page obsolete.
+  FLASHDB_RETURN_IF_ERROR(
+      WriteDiffPages(std::span(parsed_).first(live), /*for_gc=*/false));
+  counters_.gc_diffs_compacted += live;
   *relocated = true;
   return Status::OK();
 }
@@ -254,12 +255,11 @@ Status PdlStore::RunGcOnce() {
     return std::find(victims.begin(), victims.end(), b) != victims.end();
   };
   const uint32_t ppb = dev_->geometry().pages_per_block;
-  ByteBuffer data(data_size_);
-  ByteBuffer spare(flash::FlashGeometry::spare_size);
   // Live differentials of the victim are compacted into fresh differential
   // pages written directly (not through the one-page write buffer, whose
-  // premature flushes would fragment unrelated pending differentials).
-  std::vector<Differential> compacted;
+  // premature flushes would fragment unrelated pending differentials). They
+  // collect in parsed_[0, compacted).
+  size_t compacted = 0;
   // GC must emit fewer pages than the erases will reclaim, or the free list
   // drains. Track the pages this run has produced (relocated bases, merge
   // output, compaction output estimate) and stop merging -- the only
@@ -278,24 +278,26 @@ Status PdlStore::RunGcOnce() {
     for (uint32_t p = 0; p < ppb; ++p) {
       const PhysAddr addr = dev_->AddrOf(block, p);
       if (bm_.state(addr) != ftl::PageState::kValid) continue;
-      FLASHDB_RETURN_IF_ERROR(dev_->ReadPage(addr, data, spare));
-      const ftl::SpareInfo info = ftl::DecodeSpare(spare);
-      // Corrupt live data must not be relocated as if it were good: surface
-      // the typed error instead of laundering bad bits into a fresh page.
-      FLASHDB_RETURN_IF_ERROR(ftl::VerifyPageRead(info, data, addr));
+      // Corrupt live data must not be relocated as if it were good: the
+      // verified read surfaces the typed error instead of laundering bad
+      // bits into a fresh page.
+      ftl::SpareInfo info;
+      FLASHDB_RETURN_IF_ERROR(
+          ftl::ReadVerifiedPage(dev_, addr, page_scratch_, {}, &info));
       if (IsLiveBase(addr, info)) {
         // The original timestamp keeps the page's differential (if any)
         // post-dating its base during crash recovery.
-        FLASHDB_RETURN_IF_ERROR(RelocateBasePage(info, data));
+        FLASHDB_RETURN_IF_ERROR(RelocateBasePage(info, page_scratch_));
         counters_.gc_bases_moved++;
         ++output_pages;
       } else if (info.type == ftl::PageType::kDiff) {
         // Collect the valid differentials; dead records vanish with the
         // erase.
-        BufferReader reader(data);
-        Differential d;
+        BufferReader reader(page_scratch_);
         Status parse_status;
-        while (Differential::ParseNext(&reader, &d, &parse_status)) {
+        while (Differential::ParseNext(&reader, &ParsedSlot(compacted),
+                                       &parse_status)) {
+          const Differential& d = parsed_[compacted];
           if (d.pid() >= num_pages_ || map_.diff(d.pid()) != addr) continue;
           // The record leaves this page either way; the erase below reclaims
           // the page, so the zero-count obsolete mark is skipped.
@@ -318,14 +320,13 @@ Status PdlStore::RunGcOnce() {
             // makes global progress even when the chip is nearly full of live
             // data.
             const PageId pid = d.pid();
-            ByteBuffer merged(data_size_);
             FLASHDB_RETURN_IF_ERROR(
-                ftl::ReadVerifiedPage(dev_, map_.base(pid), merged));
-            FLASHDB_RETURN_IF_ERROR(d.ApplyTo(merged));
+                ftl::ReadVerifiedPage(dev_, map_.base(pid), base_scratch_));
+            FLASHDB_RETURN_IF_ERROR(d.ApplyTo(base_scratch_));
             FLASHDB_ASSIGN_OR_RETURN(PhysAddr q,
                                      bm_.AllocatePage(true, kBaseStream));
             FLASHDB_RETURN_IF_ERROR(
-                ProgramBase(q, pid, clock_.Next(), merged));
+                ProgramBase(q, pid, clock_.Next(), base_scratch_));
             const PhysAddr old_bp = map_.base(pid);
             // Skip the obsolete mark when the old base sits in any victim of
             // the group: the erases below reclaim it anyway.
@@ -338,8 +339,7 @@ Status PdlStore::RunGcOnce() {
             continue;
           }
           compacted_bytes += d.EncodedSize();
-          compacted.push_back(std::move(d));
-          d = Differential();
+          ++compacted;
           counters_.gc_diffs_compacted++;
         }
         FLASHDB_RETURN_IF_ERROR(parse_status);
@@ -352,24 +352,10 @@ Status PdlStore::RunGcOnce() {
     FLASHDB_RETURN_IF_ERROR(scan_victim(block));
   }
   // Write the compacted differentials, densely packed, before destroying
-  // their old home (durability: they exist nowhere else).
-  size_t i = 0;
-  while (i < compacted.size()) {
-    const size_t first = i;
-    size_t page_bytes = 0;
-    while (i < compacted.size() &&
-           page_bytes + compacted[i].EncodedSize() <= data_size_) {
-      page_bytes += compacted[i].EncodedSize();
-      ++i;
-    }
-    FLASHDB_ASSIGN_OR_RETURN(PhysAddr q, bm_.AllocatePage(true, kDiffStream));
-    FLASHDB_RETURN_IF_ERROR(WriteDiffPage(
-        q, std::span(compacted).subspan(first, i - first)));
-    for (size_t k = first; k < i; ++k) {
-      map_.AttachDiff(compacted[k].pid(), q,
-                      static_cast<uint32_t>(compacted[k].EncodedSize()));
-    }
-  }
+  // their old home (durability: they exist nowhere else). The scan above
+  // detached them, so no old page is released.
+  FLASHDB_RETURN_IF_ERROR(
+      WriteDiffPages(std::span(parsed_).first(compacted), /*for_gc=*/true));
   for (uint32_t block : victims) {
     for (uint32_t p = 0; p < ppb; ++p) {
       map_.ForgetPhysPage(dev_->AddrOf(block, p));
@@ -381,7 +367,6 @@ Status PdlStore::RunGcOnce() {
 Status PdlStore::Recover() {
   FLASHDB_RETURN_IF_ERROR(ValidateConfig());
   buffer_.Clear();
-  ByteBuffer data(data_size_);
   return RecoverBases([&](PhysAddr addr, const ftl::SpareInfo& info) {
     if (info.type != ftl::PageType::kDiff) {
       // Foreign or invalid type: unusable, reclaim via GC.
@@ -389,9 +374,9 @@ Status PdlStore::Recover() {
     }
     // Case 2: r is a differential page -- inspect each differential (case 1,
     // a base page, is the core's). Re-read data+spare in one verified read.
-    FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, data));
-    BufferReader reader(data);
-    Differential d;
+    FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, addr, page_scratch_));
+    BufferReader reader(page_scratch_);
+    Differential& d = ParsedSlot(0);
     Status parse_status;
     while (Differential::ParseNext(&reader, &d, &parse_status)) {
       if (d.pid() >= map_.num_pids()) continue;

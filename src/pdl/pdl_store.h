@@ -95,12 +95,15 @@ class PdlStore : public ftl::OutPlaceStore {
   /// total live data (bases + differentials) past the chip capacity and
   /// garbage collection livelocks.
   static constexpr uint32_t kGcMergeDivisor = 4;
-  /// Writes the buffer out as a new differential page and updates the
-  /// mapping / count tables (procedure writingDifferentialWriteBuffer).
+  /// Writes the buffer out as a new differential page (procedure
+  /// writingDifferentialWriteBuffer).
   Status FlushBuffer();
-  /// Programs `diffs`, packed in order and 0xFF-padded (erased padding ends
-  /// the record list on parse), as a fresh differential page at `q`.
-  Status WriteDiffPage(flash::PhysAddr q, std::span<const Differential> diffs);
+  /// The one writer of differential pages: packs `records` in order into as
+  /// few fresh pages as they fill, 0xFF-padded (erased padding ends the
+  /// record list on parse), and programs each page. Only then does it move
+  /// each of the page's records onto it, releasing the record's old page.
+  /// `for_gc` lets the allocation draw on the GC reserve.
+  Status WriteDiffPages(std::span<const Differential> records, bool for_gc);
   /// Writes `page` as a fresh base page (procedure writingNewBasePage).
   Status WriteNewBasePage(PageId pid, ConstBytes page);
   /// Releases one reference on differential page `dp` (no-op for kNullAddr);
@@ -116,22 +119,27 @@ class PdlStore : public ftl::OutPlaceStore {
   Status ValidateConfig() const;
   /// Reclaims one victim block (relocate bases, compact differentials).
   Status RunGcOnce();
+  /// parsed_[i], appended when i == parsed_.size().
+  Differential& ParsedSlot(size_t i);
 
   PdlConfig config_;
   std::string name_;
   DiffWriteBuffer buffer_;
   PdlCounters counters_;
 
-  /// Write-path scratch reused across WriteBack calls: the base image and
-  /// the differential, whose capacity stays here (the write buffer takes a
-  /// copy), so a warm write allocates nothing outside garbage collection.
+  /// Scratch reused across calls, so a warm store allocates nothing outside
+  /// GC's victim list. WriteBack reads the base image into base_scratch_ and
+  /// computes into diff_scratch_, whose capacity stays here (the write
+  /// buffer takes a copy); a GC merge builds its fresh base in base_scratch_.
   ByteBuffer base_scratch_;
   Differential diff_scratch_;
-  /// Differential-page scratch: ReadPage reads pid's differential page into
-  /// it, and WriteDiffPage builds a page image in it.
-  ByteBuffer diff_page_;
-  /// pid's record, parsed from diff_page_ by ReadPage.
-  Differential read_diff_;
+  /// Page scratch: ReadPage, GC, scrub and recovery read the page they parse
+  /// into it, and WriteDiffPages builds each page image in it.
+  ByteBuffer page_scratch_;
+  /// Records parsed from page_scratch_: ReadPage's and recovery's in slot 0,
+  /// GC's and scrub's compaction output in the leading slots. Every slot is
+  /// kept for its capacity.
+  std::vector<Differential> parsed_;
 };
 
 }  // namespace flashdb::pdl

@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,28 +62,31 @@ void BufferPool::LruRemove(uint32_t idx) {
 }
 
 Result<uint32_t> BufferPool::Evict() {
-  for (uint32_t idx = lru_head_; idx != kNoFrame; idx = frames_[idx].lru_next) {
-    Frame& f = frames_[idx];
-    if (f.pins != 0) continue;
-    flash::FlashDevice* dev = store_->device();
-    const bool was_dirty = f.dirty;
-    const uint64_t start = dev->clock().now_us();
-    if (f.dirty) {
-      FLASHDB_RETURN_IF_ERROR(store_->WriteBack(f.pid, f.data));
-      stats_.dirty_writebacks++;
-      f.dirty = false;
-    }
-    if (dev->trace() != nullptr) {
-      dev->trace()->Emit(obs::TraceCat::kBufEvict, start,
-                         dev->clock().now_us() - start, f.pid,
-                         was_dirty ? 1 : 0);
-    }
-    LruRemove(idx);
-    table_[f.pid] = kNoFrame;
-    stats_.evictions++;
-    return idx;
+  // The LRU list holds exactly the unpinned frames: Pin unlinks a frame, and
+  // Unpin relinks it only once its last pin is gone.
+  if (lru_head_ == kNoFrame) {
+    return Status::Busy("all buffer frames are pinned");
   }
-  return Status::Busy("all buffer frames are pinned");
+  const uint32_t idx = lru_head_;
+  Frame& f = frames_[idx];
+  assert(f.pins == 0);
+  flash::FlashDevice* dev = store_->device();
+  const bool was_dirty = f.dirty;
+  const uint64_t start = dev->clock().now_us();
+  if (f.dirty) {
+    FLASHDB_RETURN_IF_ERROR(store_->WriteBack(f.pid, f.data));
+    stats_.dirty_writebacks++;
+    f.dirty = false;
+  }
+  if (dev->trace() != nullptr) {
+    dev->trace()->Emit(obs::TraceCat::kBufEvict, start,
+                       dev->clock().now_us() - start, f.pid,
+                       was_dirty ? 1 : 0);
+  }
+  LruRemove(idx);
+  table_[f.pid] = kNoFrame;
+  stats_.evictions++;
+  return idx;
 }
 
 Result<uint32_t> BufferPool::Pin(PageId pid) {

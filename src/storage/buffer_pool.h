@@ -123,7 +123,8 @@ class BufferPool {
   /// Returns the frame index holding pid, faulting it in as needed; pins it.
   Result<uint32_t> Pin(PageId pid);
   void Unpin(uint32_t frame_idx);
-  /// Finds a victim frame (LRU, unpinned), writing it back when dirty.
+  /// Evicts the least recently used unpinned frame (the LRU list's head),
+  /// writing it back when dirty; Busy when every frame is pinned.
   Result<uint32_t> Evict();
   /// Unlinks frame `idx` from the LRU list.
   void LruRemove(uint32_t idx);

@@ -222,6 +222,27 @@ TEST_F(BufferPoolTest, BusyFlushWritesNothingAndTheNextWritesAll) {
   EXPECT_EQ(rec.batches()[0], (std::vector<PageId>{1, 2}));
 }
 
+// A miss with every frame pinned has no victim: it returns Busy, and the
+// pinned frames are untouched.
+TEST_F(BufferPoolTest, MissWithEveryFramePinnedIsBusy) {
+  BufferPool pool(&store_, 2);
+  auto noop = [](ConstBytes) { return Status::OK(); };
+  ASSERT_TRUE(pool.ReadPage(1, [&](ConstBytes) {
+                    return pool.ReadPage(2, [&](ConstBytes) {
+                      EXPECT_TRUE(pool.ReadPage(3, noop).IsBusy());
+                      return Status::OK();
+                    });
+                  })
+                  .ok());
+  EXPECT_EQ(pool.stats().evictions, 0u);
+  // Recency counts from the last unpin: page 2, released first, goes next.
+  ASSERT_TRUE(pool.ReadPage(3, noop).ok());
+  EXPECT_EQ(pool.stats().evictions, 1u);
+  const uint64_t misses = pool.stats().misses;
+  ASSERT_TRUE(pool.ReadPage(1, noop).ok());
+  EXPECT_EQ(pool.stats().misses, misses);  // page 1 stayed cached
+}
+
 TEST_F(BufferPoolTest, FrameEvictedDirtyThenDirtiedAgainIsWrittenOnce) {
   RecordingStore rec(&store_);
   rec.StartRecording();

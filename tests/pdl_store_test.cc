@@ -275,6 +275,46 @@ TEST_F(PdlStoreTest, FillsBeyondCapacityReportsNoSpace) {
   EXPECT_TRUE(st.IsNoSpace());
 }
 
+// Scrubbing a differential page compacts its live records into one fresh
+// page, the way GC compaction does but without an erase.
+TEST_F(PdlStoreTest, ScrubMovesLiveDifferentialsToOneFreshPage) {
+  auto store = MakeStore(256, 20);
+  std::map<PageId, ByteBuffer> expected;
+  auto update = [&](PageId pid) {
+    ByteBuffer page = ReadBack(*store, pid);
+    page[pid * 7] ^= 0x5A;
+    ASSERT_TRUE(store->WriteBack(pid, page).ok());
+    expected[pid] = page;
+  };
+  for (PageId pid = 0; pid < 10; ++pid) update(pid);
+  ASSERT_TRUE(store->Flush().ok());
+  const flash::PhysAddr old_page = store->diff_addr(0);
+  // Supersede half the records from a second page: five stay live.
+  for (PageId pid = 0; pid < 5; ++pid) update(pid);
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_EQ(store->vdct(old_page), 5u);
+
+  bool relocated = false;
+  ASSERT_TRUE(store->ScrubPhysPage(old_page, &relocated).ok());
+  EXPECT_TRUE(relocated);
+  const flash::PhysAddr fresh = store->diff_addr(5);
+  EXPECT_NE(fresh, old_page);
+  EXPECT_NE(fresh, store->diff_addr(0));
+  for (PageId pid = 5; pid < 10; ++pid) EXPECT_EQ(store->diff_addr(pid), fresh);
+  EXPECT_EQ(store->vdct(fresh), 5u);
+  EXPECT_EQ(store->vdct(old_page), 0u);
+  EXPECT_EQ(store->counters().gc_diffs_compacted, 5u);
+  uint8_t spare[flash::FlashGeometry::spare_size];
+  ASSERT_TRUE(dev_.ReadSpare(old_page, spare).ok());
+  EXPECT_TRUE(ftl::DecodeSpare(spare).obsolete);
+  for (PageId pid = 0; pid < 20; ++pid) {
+    const auto it = expected.find(pid);
+    EXPECT_TRUE(BytesEqual(ReadBack(*store, pid),
+                           it != expected.end() ? it->second : Expected(pid)))
+        << pid;
+  }
+}
+
 TEST_F(PdlStoreTest, WriteThroughDurabilityOfBufferedDiffs) {
   auto store = MakeStore(256, 10);
   ByteBuffer page = ReadBack(*store, 6);

@@ -19,6 +19,21 @@ TEST(SpareCodecTest, RoundTrip) {
   EXPECT_TRUE(info.crc_ok);
 }
 
+// EncodeSpare owns the whole image: whatever the buffer held before, every
+// byte outside its fields reads erased.
+TEST(SpareCodecTest, EncodeWritesTheWholeImage) {
+  const ByteBuffer page(2048, 0x5A);
+  ByteBuffer from_erased(64, 0xFF);
+  ByteBuffer from_zero(64, 0x00);
+  EncodeSpare(from_erased, PageType::kBase, 9, 33, page);
+  EncodeSpare(from_zero, PageType::kBase, 9, 33, page);
+  EXPECT_EQ(from_zero, from_erased);
+  EXPECT_EQ(from_zero[20], 0xFF);  // the bad-block mark stays good
+  EXPECT_TRUE(DecodeSpare(from_zero).crc_ok);
+  EncodeSpare(from_zero, PageType::kLog, 9, 33);  // no data CRC on kLog
+  EXPECT_EQ(DecodeSpare(from_zero).data_crc, 0xFFFFFFFFu);
+}
+
 TEST(SpareCodecTest, ErasedSpareDecodesAsFree) {
   ByteBuffer spare(64, 0xFF);
   SpareInfo info = DecodeSpare(spare);

@@ -1,20 +1,23 @@
 // Steady-state allocation checks: once warm, a page access allocates
 // nothing, through the buffer pool (hits, misses and evictions alike) and
 // through PDL's and OPU's read and write-back paths, PDL's buffer flushes
-// included. Garbage-collection rounds may allocate, so each store window
-// asserts that none ran.
+// included. PDL's garbage-collection rounds and IPL's updates and merges
+// allocate next to nothing: their windows bound the count per round and per
+// op. The other store windows assert that no GC round ran.
 //
 // This binary replaces the global operator new with a counting one, so it
 // must stay a test binary of its own.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
 #include "common/random.h"
+#include "methods/ipl_store.h"
 #include "methods/opu_store.h"
 #include "pdl/pdl_store.h"
 #include "storage/buffer_pool.h"
@@ -181,6 +184,69 @@ TEST(SteadyStateAllocTest, PdlReadAndWriteBackAllocateNothing) {
   EXPECT_EQ(store.counters().new_base_pages, 0u);
   EXPECT_EQ(store.gc_runs(), gc_runs);
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(SteadyStateAllocTest, PdlGarbageCollectionAllocatesOnlyItsVictimList) {
+  FlashDevice dev(FlashConfig::Small(16));
+  pdl::PdlStore store(&dev, pdl::PdlConfig{256});
+  constexpr uint32_t kPages = 512;
+  ASSERT_TRUE(store.Format(kPages, nullptr, nullptr).ok());
+  Random rng(0x6C);
+  ByteBuffer page(dev.geometry().data_size);
+  bool ok = true;
+  // A write-through flush after every second write leaves each differential
+  // page nearly empty, so GC victims still hold live records to compact.
+  auto drive = [&](int pairs) {
+    for (int i = 0; i < pairs; ++i) {
+      DriveStore(&store, kPages, 2, &rng, &page, &ok);
+      ok &= store.Flush().ok();
+    }
+  };
+  drive(4000);
+  ASSERT_TRUE(ok);
+  const uint64_t gc_runs = store.gc_runs();
+  const uint64_t allocs = AllocationsDuring([&] { drive(4000); });
+  ASSERT_TRUE(ok);
+  const uint64_t rounds = store.gc_runs() - gc_runs;
+  EXPECT_GE(rounds, 20u);
+  EXPECT_GT(store.counters().gc_diffs_compacted, 0u);
+  EXPECT_EQ(store.counters().new_base_pages, 0u);
+  // Each round allocates its victim list; the free list's deque allocates a
+  // chunk now and then.
+  EXPECT_LE(allocs, 2 * rounds);
+}
+
+TEST(SteadyStateAllocTest, IplUpdatesAndMergesAllocateAlmostNothing) {
+  FlashDevice dev(FlashConfig::Small(16));
+  methods::IplStore store(&dev, methods::IplConfig{18 * 1024});
+  constexpr uint32_t kPages = 220;  // four logical blocks
+  ASSERT_TRUE(store.Format(kPages, nullptr, nullptr).ok());
+  Random rng(0x1B);
+  ByteBuffer page(dev.geometry().data_size);
+  UpdateLog log;  // the driver's own, reused so its capacity stays
+  bool ok = true;
+  auto drive = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const PageId pid = static_cast<PageId>(rng.Uniform(kPages));
+      ok &= store.ReadPage(pid, page).ok();
+      log.offset = static_cast<uint32_t>(rng.Uniform(page.size() - 16));
+      log.data.resize(16);
+      rng.Fill(log.data);
+      std::copy(log.data.begin(), log.data.end(), page.begin() + log.offset);
+      ok &= store.OnUpdate(pid, page, log).ok();
+      ok &= store.WriteBack(pid, page).ok();
+    }
+  };
+  constexpr int kOps = 6000;
+  drive(kOps);
+  ASSERT_TRUE(ok);
+  const uint64_t merges = store.counters().merges;
+  const uint64_t allocs = AllocationsDuring([&] { drive(kOps); });
+  ASSERT_TRUE(ok);
+  EXPECT_GE(store.counters().merges, merges + 30);
+  // Now and then a pid's slot list outgrows its longest run between merges,
+  // or the free list's deque takes a chunk.
+  EXPECT_LE(allocs, kOps / 50);
 }
 
 TEST(SteadyStateAllocTest, OpuReadAndWriteBackAllocateNothing) {
