@@ -71,7 +71,7 @@ void MappingTable::EndReplay(uint32_t num_pids) {
 
 Status ForEachProgrammedSpare(
     flash::FlashDevice* dev,
-    const std::function<Status(flash::PhysAddr, const SpareInfo&)>& fn) {
+    FunctionRef<Status(flash::PhysAddr, const SpareInfo&)> fn) {
   // Scan the data region only: the trailing meta blocks (if reserved) hold
   // MetaJournal frames, which are not the store's pages -- replaying them
   // here would mark them obsolete and corrupt the journal.

@@ -18,10 +18,10 @@
 #define FLASHDB_FTL_MAPPING_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "flash/flash_device.h"
@@ -175,7 +175,7 @@ class MappingTable {
 /// failures of obsolete pages -- filtering is the store's policy.
 Status ForEachProgrammedSpare(
     flash::FlashDevice* dev,
-    const std::function<Status(flash::PhysAddr, const SpareInfo&)>& fn);
+    FunctionRef<Status(flash::PhysAddr, const SpareInfo&)> fn);
 
 }  // namespace flashdb::ftl
 

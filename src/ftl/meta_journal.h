@@ -139,7 +139,7 @@ class MetaJournal {
 
   /// Serializes `rec` and appends its frames. Fails with NoSpace when the
   /// record exceeds half the region (size the region for the largest
-  /// migration payload: see bytes_needed()). Device traffic is accounted
+  /// migration payload: see frames_needed()). Device traffic is accounted
   /// under OpCategory::kMeta.
   Status Append(const Record& rec);
 

@@ -36,7 +36,7 @@ Status OutPlaceStore::FormatBases(uint32_t num_logical_pages,
   return Status::OK();
 }
 
-Status OutPlaceStore::RecoverBases(const SpareReplay& replay_other) {
+Status OutPlaceStore::RecoverBases(SpareReplay replay_other) {
   flash::CategoryScope cat(dev_, flash::OpCategory::kRecovery);
   // From here on the store is mid-recovery: a failure below must not leave
   // a usable instance over half-rebuilt tables.

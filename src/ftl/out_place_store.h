@@ -28,9 +28,9 @@
 #define FLASHDB_FTL_OUT_PLACE_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "ftl/block_manager.h"
 #include "ftl/logical_clock.h"
 #include "ftl/mapping_table.h"
@@ -79,9 +79,8 @@ class OutPlaceStore : public PageStore {
   /// rule drops dead pages, base pages replay through ReplayBasePage, and
   /// every other live page goes to `replay_other` (its timestamp already
   /// observed).
-  using SpareReplay =
-      std::function<Status(flash::PhysAddr, const SpareInfo&)>;
-  Status RecoverBases(const SpareReplay& replay_other);
+  using SpareReplay = FunctionRef<Status(flash::PhysAddr, const SpareInfo&)>;
+  Status RecoverBases(SpareReplay replay_other);
 
   /// Drops one recovered reference on differential page `dp` (no-op for
   /// kNullAddr), marking the page obsolete when none remains.

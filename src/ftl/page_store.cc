@@ -72,7 +72,7 @@ Status ProgramInitialPages(
     flash::FlashDevice* dev, uint32_t num_pages,
     PageStore::PageInitializer initial, void* initial_arg, ftl::PageType type,
     ftl::LogicalClock* clock,
-    const std::function<Result<flash::PhysAddr>(PageId)>& place) {
+    FunctionRef<Result<flash::PhysAddr>(PageId)> place) {
   ByteBuffer page(dev->geometry().data_size, 0);
   uint8_t spare[flash::FlashGeometry::spare_size];
   for (PageId pid = 0; pid < num_pages; ++pid) {

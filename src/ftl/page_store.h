@@ -30,13 +30,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "flash/flash_device.h"
@@ -234,7 +234,7 @@ Status ProgramInitialPages(
     flash::FlashDevice* dev, uint32_t num_pages,
     PageStore::PageInitializer initial, void* initial_arg, ftl::PageType type,
     ftl::LogicalClock* clock,
-    const std::function<Result<flash::PhysAddr>(PageId)>& place);
+    FunctionRef<Result<flash::PhysAddr>(PageId)> place);
 
 /// RAII switch of the accounting category at the store boundary; unlike
 /// flash::CategoryScope it also covers every chip of an aggregating store.

@@ -242,7 +242,7 @@ Status IplStore::FlushPending(PageId pid) {
     // No free log slot: merge originals with logs into a fresh block.
     FLASHDB_RETURN_IF_ERROR(MergeBlock(grp));
   }
-  const uint32_t slot = next_slot_[grp]++;
+  const uint32_t slot = next_slot_[grp];
   const uint32_t lp = LogPageOfIndex(slot);
   const uint32_t s = SlotOfIndex(slot);
   const uint32_t block = block_map_[grp];
@@ -268,6 +268,10 @@ Status IplStore::FlushPending(PageId pid) {
     // the earlier slots' cells untouched).
     FLASHDB_RETURN_IF_ERROR(dev_->PartialProgramPage(addr, slot_image_));
   }
+  // Take the slot only now: a failed program leaves its cells erased, and
+  // recovery stops at the first erased slot, so a skipped slot would hide
+  // every later one. The retry reuses it.
+  next_slot_[grp] = static_cast<uint16_t>(slot + 1);
   pid_slots_[pid].push_back(static_cast<uint16_t>(slot));
   pl.bytes.clear();
   pl.count = 0;

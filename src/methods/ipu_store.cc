@@ -1,6 +1,7 @@
 #include "methods/ipu_store.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ftl/mapping_table.h"
@@ -36,7 +37,15 @@ Status IpuStore::Format(uint32_t num_logical_pages, PageInitializer initial,
 Status IpuStore::ReadPage(PageId pid, MutBytes out) {
   FLASHDB_RETURN_IF_ERROR(
       CheckPageArgs(formatted_, pid, num_pages_, out.size(), data_size_));
-  return ftl::ReadVerifiedPage(dev_, pid, out);
+  ftl::SpareInfo info;
+  FLASHDB_RETURN_IF_ERROR(ftl::ReadVerifiedPage(dev_, pid, out, {}, &info));
+  // Format programs every home page, so an erased one lost its data to a
+  // power cut between its block's erase and re-programs.
+  if (!info.programmed) {
+    return Status::Corruption("IPU home page of pid " + std::to_string(pid) +
+                              " is erased: lost to a cut mid-rewrite");
+  }
+  return Status::OK();
 }
 
 Status IpuStore::WriteBack(PageId pid, ConstBytes page) {

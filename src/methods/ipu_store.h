@@ -6,8 +6,12 @@
 //   (3) program the updated page,
 //   (4) re-program the pages read in (1).
 // The paper includes IPU as the "rarely used" worst-case baseline; it needs
-// no mapping table and trivially recovers after a crash mid-rewrite is out of
-// scope (the paper's experiments never crash IPU).
+// no mapping table. Its crash contract is weaker than the other methods': a
+// power cut between steps (2) and (4) loses the block's pages not yet
+// re-programmed. Recover() still succeeds, and reading a lost page is a typed
+// error: Corruption naming the pid, or NotFound when the lost pages were the
+// highest pids (the page count is re-derived from the largest programmed
+// one). Every other page reads back its old or new version.
 
 #ifndef FLASHDB_METHODS_IPU_STORE_H_
 #define FLASHDB_METHODS_IPU_STORE_H_

@@ -340,7 +340,7 @@ Status BTree::Delete(uint64_t key) {
 }
 
 Status BTree::Scan(uint64_t lo, uint64_t hi,
-                   const std::function<Status(uint64_t, uint64_t)>& fn) const {
+                   FunctionRef<Status(uint64_t, uint64_t)> fn) const {
   FLASHDB_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(lo));
   PageId cur = leaf;
   bool done = false;

@@ -10,9 +10,9 @@
 #define FLASHDB_STORAGE_BTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
+#include "common/function_ref.h"
 #include "storage/buffer_pool.h"
 
 namespace flashdb::storage {
@@ -41,7 +41,7 @@ class BTree {
   /// Calls fn(key, value) for keys in [lo, hi], ascending. fn returning
   /// NotFound stops the scan early (reported as OK).
   Status Scan(uint64_t lo, uint64_t hi,
-              const std::function<Status(uint64_t, uint64_t)>& fn) const;
+              FunctionRef<Status(uint64_t, uint64_t)> fn) const;
 
   /// Number of keys (full scan; diagnostics).
   Result<uint64_t> CountKeys() const;

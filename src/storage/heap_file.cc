@@ -106,8 +106,7 @@ Status HeapFile::Delete(const Rid& rid) {
   });
 }
 
-Status HeapFile::Scan(
-    const std::function<Status(const Rid&, ConstBytes)>& fn) const {
+Status HeapFile::Scan(FunctionRef<Status(const Rid&, ConstBytes)> fn) const {
   for (uint32_t i = 0; i < num_pages_; ++i) {
     bool stop = false;
     FLASHDB_RETURN_IF_ERROR(

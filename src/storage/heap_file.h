@@ -8,9 +8,9 @@
 #define FLASHDB_STORAGE_HEAP_FILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "storage/buffer_pool.h"
 #include "storage/slotted_page.h"
 
@@ -52,7 +52,7 @@ class HeapFile {
   /// Calls `fn(rid, record)` for every live record. `fn` returning a non-OK
   /// status stops the scan (NotFound is treated as "stop early", returned as
   /// OK).
-  Status Scan(const std::function<Status(const Rid&, ConstBytes)>& fn) const;
+  Status Scan(FunctionRef<Status(const Rid&, ConstBytes)> fn) const;
 
   /// Total live records across the file (scans; diagnostics).
   Result<uint64_t> CountRecords() const;

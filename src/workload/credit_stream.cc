@@ -95,9 +95,8 @@ void CreditStream::Submit(uint32_t shard, std::function<Status()> task,
   }
 }
 
-void CreditStream::AwaitAnyCredit(
-    const std::function<bool(uint32_t)>& pending) {
-  Park(kAnyShard, [this, &pending] {
+void CreditStream::AwaitAnyCredit(FunctionRef<bool(uint32_t)> pending) {
+  Park(kAnyShard, [this, pending] {
     for (uint32_t i = 0; i < num_shards_; ++i) {
       if (pending(i) && HasCredit(i)) return true;
     }
@@ -105,7 +104,7 @@ void CreditStream::AwaitAnyCredit(
   });
 }
 
-void CreditStream::Park(uint64_t label, const std::function<bool()>& ready) {
+void CreditStream::Park(uint64_t label, FunctionRef<bool()> ready) {
   const auto start = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lock(shared_->mu);

@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/function_ref.h"
 #include "common/status.h"
 
 namespace flashdb::ftl {
@@ -75,7 +76,7 @@ class CreditStream {
               std::function<void()> on_ok = {});
   /// Parks until some shard with `pending(shard)` true has a credit, or the
   /// stream failed.
-  void AwaitAnyCredit(const std::function<bool(uint32_t)>& pending);
+  void AwaitAnyCredit(FunctionRef<bool(uint32_t)> pending);
 
   /// Waits until every submitted task (and its completion) has finished,
   /// then returns the first error. Quiescence comes from the executor's own
@@ -88,7 +89,7 @@ class CreditStream {
  private:
   /// Parks until `ready()` or failed(), accounting the wait under `label`
   /// (a shard, or kAnyShard).
-  void Park(uint64_t label, const std::function<bool()>& ready);
+  void Park(uint64_t label, FunctionRef<bool()> ready);
   /// Worker side of a task: returns the credit and wakes a parked producer.
   void Complete(uint32_t shard, const Status& st,
                 const std::function<void()>* on_ok);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 
 #include "common/coding.h"
 
@@ -206,7 +205,7 @@ Status TpccWorkload::InsertRow(Table& t, uint64_t key, ConstBytes row) {
 }
 
 Status TpccWorkload::UpdateRow(Table& t, uint64_t key, ByteBuffer* row,
-                               const std::function<void(ByteBuffer*)>& mutate) {
+                               FunctionRef<void(ByteBuffer*)> mutate) {
   FLASHDB_ASSIGN_OR_RETURN(uint64_t enc, t.index->Get(key));
   const Rid rid = Rid::Decode(enc);
   FLASHDB_RETURN_IF_ERROR(t.heap->Get(rid, row));
@@ -412,8 +411,7 @@ Status TpccWorkload::OrderStatusAt(uint32_t w) {
   FLASHDB_RETURN_IF_ERROR(order_line_.index->Scan(
       OlKey(w, d, o, 0), OlKey(w, d, o, 255),
       [&](uint64_t, uint64_t enc) {
-        ByteBuffer line;
-        return order_line_.heap->Get(Rid::Decode(enc), &line);
+        return order_line_.heap->Get(Rid::Decode(enc), &line_);
       }));
   return Status::OK();
 }
@@ -468,20 +466,23 @@ Status TpccWorkload::StockLevelAt(uint32_t w) {
   FLASHDB_RETURN_IF_ERROR(GetRow(district_, DKey(w, d), &row));
   const uint32_t next = next_o_id_[wd_idx];
   const uint32_t lo = next > 20 ? next - 20 : 1;
-  std::set<uint32_t> items;
+  items_.clear();
   for (uint32_t o = lo; o < next; ++o) {
     FLASHDB_RETURN_IF_ERROR(order_line_.index->Scan(
         OlKey(w, d, o, 0), OlKey(w, d, o, 255),
         [&](uint64_t, uint64_t enc) {
-          ByteBuffer line;
           FLASHDB_RETURN_IF_ERROR(order_line_.heap->Get(Rid::Decode(enc),
-                                                        &line));
-          items.insert(DecodeFixed32(line.data()));
+                                                        &line_));
+          items_.push_back(DecodeFixed32(line_.data()));
           return Status::OK();
         }));
   }
+  // Each distinct item once, in ascending order: the order of the stock
+  // reads is part of the transaction's page traffic.
+  std::sort(items_.begin(), items_.end());
+  items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
   uint32_t low_count = 0;
-  for (uint32_t i : items) {
+  for (uint32_t i : items_) {
     FLASHDB_RETURN_IF_ERROR(GetRow(stock_, SKey(w, i), &row));
     if (DecodeFixed32(row.data()) < threshold) ++low_count;
   }

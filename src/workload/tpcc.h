@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/random.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
@@ -183,7 +184,7 @@ class TpccWorkload {
   uint32_t PickItem();
 
   Status UpdateRow(Table& t, uint64_t key, ByteBuffer* row,
-                   const std::function<void(ByteBuffer*)>& mutate);
+                   FunctionRef<void(ByteBuffer*)> mutate);
   Status GetRow(const Table& t, uint64_t key, ByteBuffer* row);
   Status InsertRow(Table& t, uint64_t key, ConstBytes row);
 
@@ -213,6 +214,10 @@ class TpccWorkload {
   std::vector<uint32_t> next_delivery_o_id_;
 
   TpccStats stats_;
+  /// Scratch reused across transactions: one order line as read by
+  /// OrderStatus and StockLevel, and StockLevel's item ids.
+  ByteBuffer line_;
+  std::vector<uint32_t> items_;
 };
 
 }  // namespace flashdb::workload

@@ -156,7 +156,7 @@ UpdateDriver::ShardStream* UpdateDriver::Route(
 }
 
 Status UpdateDriver::RunEach(OpSamples* samples,
-                             const std::function<bool(PlannedOp*)>& next) {
+                             FunctionRef<bool(PlannedOp*)> next) {
   std::vector<ShardStream> streams = MakeStreams(samples != nullptr);
   PlannedOp op;
   while (next(&op)) {

@@ -19,10 +19,10 @@
 #define FLASHDB_WORKLOAD_UPDATE_DRIVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/random.h"
 #include "flash/flash_stats.h"
 #include "ftl/page_store.h"
@@ -300,8 +300,7 @@ class UpdateDriver {
   /// alone and runs as a batch-1 window. `next` draws into the reused op
   /// and returns false to stop. Records per-op latency into `*samples`
   /// when it is non-null.
-  Status RunEach(OpSamples* samples,
-                 const std::function<bool(PlannedOp*)>& next);
+  Status RunEach(OpSamples* samples, FunctionRef<bool(PlannedOp*)> next);
   /// Streams `chunk`'s windows through one CreditStream, drains it, and
   /// folds the streams' latency samples into `*samples` in shard order.
   Status RunChunk(ChunkSpan chunk, uint32_t batch_size, uint32_t max_inflight,

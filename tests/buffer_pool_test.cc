@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <list>
 #include <map>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "methods/opu_store.h"
 #include "recording_store.h"
 #include "storage/buffer_pool.h"
+#include "test_seed.h"
 
 namespace flashdb::storage {
 namespace {
@@ -282,13 +282,6 @@ TEST_F(BufferPoolTest, SingleFramePoolStillWorks) {
   }
 }
 
-/// Seed offset from the environment: the CI fault matrix sets
-/// FLASHDB_TEST_SEED to vary the op mix. Unset -> 0, the canonical run.
-uint64_t EnvSeed() {
-  const char* s = std::getenv("FLASHDB_TEST_SEED");
-  return s != nullptr ? std::strtoull(s, nullptr, 10) : 0;
-}
-
 /// The pool's replacement policy stated plainly: a std::list LRU of the
 /// unpinned cached pids (front = least recent), a map of the cached pids,
 /// and the pool's free-frame stack. It predicts every hit or miss and every
@@ -464,8 +457,7 @@ TEST_F(BufferPoolTest, MatchesReferenceLruModel) {
   rec.StartRecording();
   constexpr uint32_t kFrames = 6;
   BufferPool pool(&rec, kFrames);
-  ModelRun run(&pool, &rec, kFrames, /*pages=*/24,
-               0xB0FF + EnvSeed() * 1000003ULL);
+  ModelRun run(&pool, &rec, kFrames, /*pages=*/24, TestSeed(0xB0FF));
   for (int i = 0; i < 3000; ++i) {
     ASSERT_NO_FATAL_FAILURE(run.Step()) << "step " << i;
     if (HasFailure()) FAIL() << "step " << i;

@@ -206,6 +206,42 @@ TEST_F(IplStoreTest, RecoverAfterMerges) {
   EXPECT_TRUE(BytesEqual(buf, page));
 }
 
+/// Fails the `n`-th data-page program from now (0 = the next one) with an
+/// I/O error, leaving its cells untouched.
+class FailNthProgram : public flash::FaultInjector {
+ public:
+  explicit FailNthProgram(int n) : left_(n) {}
+  void BeforeMutation(flash::OpKind, uint32_t) override {}
+  void AfterMutation(flash::OpKind, uint32_t) override {}
+  bool FailMutation(flash::OpKind kind, uint32_t) override {
+    return kind == flash::OpKind::kProgram && left_-- == 0;
+  }
+
+ private:
+  int left_;
+};
+
+// Recovery stops indexing a block's log at its first erased slot, so a slot
+// whose program failed must be reused, not skipped: a gap would drop every
+// slot flushed after it, acknowledged WriteBacks included.
+TEST_F(IplStoreTest, FailedSlotProgramHidesNoLaterSlot) {
+  auto s = MakeStore(18, 55);
+  ByteBuffer p0 = Read(*s, 0), p1 = Read(*s, 1), p2 = Read(*s, 2);
+  FailNthProgram fail(1);
+  dev_.set_fault_injector(&fail);
+  ASSERT_TRUE(Update(*s, 1, &p1, 0, 0x11).ok());
+  ASSERT_TRUE(s->WriteBack(1, p1).ok());
+  ASSERT_TRUE(Update(*s, 0, &p0, 0, 0x10).ok());
+  EXPECT_EQ(s->WriteBack(0, p0).code(), StatusCode::kIOError);
+  ASSERT_TRUE(Update(*s, 2, &p2, 0, 0x12).ok());
+  ASSERT_TRUE(s->WriteBack(2, p2).ok());
+  dev_.set_fault_injector(nullptr);
+  IplStore recovered(&dev_, Cfg(18));
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_TRUE(BytesEqual(Read(recovered, 1), p1));
+  EXPECT_TRUE(BytesEqual(Read(recovered, 2), p2));
+}
+
 // The shared boundary rules live in boundary_contract_test; this one is
 // IPL's own: an update log must stay inside the page.
 TEST_F(IplStoreTest, UpdateLogBeyondPageIsRejected) {

@@ -106,6 +106,31 @@ TEST_F(IpuStoreTest, CapacityBound) {
           .IsNoSpace());
 }
 
+// A cut between a rewrite's erase and its re-programs loses the block's
+// pages: reading one is a typed error naming the pid, never erased bytes
+// served as data. Other blocks are untouched.
+TEST_F(IpuStoreTest, PageLostToCutMidRewriteReadsAsCorruption) {
+  Format(100);
+  const ByteBuffer intact = Read(70);
+  ByteBuffer page = Read(3);
+  page[0] ^= 1;
+  flash::CountdownFaultInjector cut(0, /*cut_after_apply=*/true);
+  dev_.set_fault_injector(&cut);  // the rewrite's first mutation: its erase
+  EXPECT_THROW((void)store_.WriteBack(3, page), flash::PowerLossError);
+  dev_.set_fault_injector(nullptr);
+  IpuStore recovered(&dev_);
+  ASSERT_TRUE(recovered.Recover().ok());
+  ByteBuffer out(dev_.geometry().data_size);
+  for (PageId pid : {0u, 3u, 10u}) {
+    const Status st = recovered.ReadPage(pid, out);
+    EXPECT_TRUE(st.IsCorruption()) << pid << ": " << st.ToString();
+    EXPECT_NE(st.ToString().find("pid " + std::to_string(pid) + " "),
+              std::string::npos);
+  }
+  ASSERT_TRUE(recovered.ReadPage(70, out).ok());
+  EXPECT_TRUE(BytesEqual(out, intact));
+}
+
 TEST_F(IpuStoreTest, RecoverRestoresPageCount) {
   Format(123);
   IpuStore recovered(&dev_);

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -20,6 +19,7 @@
 #include "flash/fault_injector.h"
 #include "ftl/sharded_store.h"
 #include "methods/method_factory.h"
+#include "test_seed.h"
 
 namespace flashdb {
 namespace {
@@ -374,14 +374,6 @@ INSTANTIATE_TEST_SUITE_P(
 // strong claim -- the final flash contents are bit-identical to a zero-error
 // run. The error model may change *when* a read completes, never *what* the
 // store writes.
-
-/// Seed offset from the environment: the CI fault-matrix job re-runs this
-/// test with FLASHDB_TEST_SEED=1..8, varying both the workload and the
-/// injector's error pattern. Unset -> 0, the canonical run.
-uint64_t EnvSeed() {
-  const char* s = std::getenv("FLASHDB_TEST_SEED");
-  return s != nullptr ? std::strtoull(s, nullptr, 10) : 0;
-}
 
 uint32_t DeviceFingerprint(FlashDevice* dev) {
   const auto& g = dev->geometry();

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -20,6 +19,7 @@
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
+#include "test_seed.h"
 
 namespace flashdb::storage {
 namespace {
@@ -28,12 +28,6 @@ using flash::FlashConfig;
 using flash::FlashDevice;
 
 constexpr uint32_t kPageSize = 2048;
-
-uint64_t TestSeed(uint64_t base) {
-  const char* s = std::getenv("FLASHDB_TEST_SEED");
-  const uint64_t env = s != nullptr ? std::strtoull(s, nullptr, 10) : 0;
-  return base + env * 1000003ULL;
-}
 
 /// Flat rig: device + OPU store + pool, `pages` logical pages.
 struct Rig {
