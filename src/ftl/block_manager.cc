@@ -7,18 +7,30 @@
 
 namespace flashdb::ftl {
 
-BlockManager::BlockManager(flash::FlashDevice* dev, uint32_t gc_reserve_blocks,
-                           uint32_t num_streams)
+namespace {
+
+/// The GC reserve. Each stream keeps one open block per plane, and one GC
+/// round may open a fresh block on each of them: streams x planes blocks,
+/// plus 2 for a round whose relocated data spills past its fresh block.
+/// Tiny chips cannot afford the one-plane share, streams + 2: it is clamped
+/// to max(2, data blocks / 8) so they stay usable (GC's transient demand
+/// shrinks with the lighter workloads such chips carry). The other planes'
+/// share, streams x (planes - 1), is never clamped: a round opens those
+/// blocks whatever the chip size.
+uint32_t GcReserveBlocks(const flash::FlashGeometry& g, uint32_t streams) {
+  const uint32_t one_plane =
+      std::min(streams + 2, std::max(2u, g.num_data_blocks() / 8));
+  return one_plane + streams * (g.planes_per_chip() - 1);
+}
+
+}  // namespace
+
+BlockManager::BlockManager(flash::FlashDevice* dev, uint32_t num_streams)
     : dev_(dev),
-      // Tiny chips cannot afford the full reserve: clamp it so at least one
-      // quarter of the chip stays allocatable (GC transient demand scales
-      // down with lighter workloads on small chips).
-      gc_reserve_blocks_(std::min(
-          gc_reserve_blocks,
-          std::max(2u, dev->geometry().num_data_blocks() / 8))),
+      pages_per_block_(dev->geometry().pages_per_block),
       num_streams_(num_streams == 0 ? 1 : num_streams),
-      num_planes_(dev->geometry().planes_per_chip()) {
-  pages_per_block_ = dev_->geometry().pages_per_block;
+      num_planes_(dev->geometry().planes_per_chip()),
+      gc_reserve_blocks_(GcReserveBlocks(dev->geometry(), num_streams_)) {
   open_block_.assign(static_cast<size_t>(num_streams_) * num_planes_, -1);
   next_page_.assign(static_cast<size_t>(num_streams_) * num_planes_, 0);
   plane_cursor_.assign(num_streams_, 0);

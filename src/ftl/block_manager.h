@@ -45,15 +45,17 @@ enum class PageState : uint8_t {
 /// See file comment.
 class BlockManager {
  public:
-  /// `gc_reserve_blocks` free blocks, capped at max(2, data blocks / 8) so
-  /// tiny chips stay usable, are withheld from normal allocation so garbage
-  /// collection can always make progress. `num_streams` is the
-  /// number of allocation streams (see AllocatePage): callers may segregate
-  /// page kinds (e.g. PDL base pages vs differential pages) into different
-  /// open blocks so blocks stay homogeneous and garbage-collection victims
-  /// carry less cold data.
-  BlockManager(flash::FlashDevice* dev, uint32_t gc_reserve_blocks,
-               uint32_t num_streams = 1);
+  /// `num_streams` is the number of allocation streams (see AllocatePage):
+  /// callers may segregate page kinds (e.g. PDL base pages vs differential
+  /// pages) into different open blocks so blocks stay homogeneous and
+  /// garbage-collection victims carry less cold data.
+  ///
+  /// The GC reserve, the free blocks withheld from normal allocation so
+  /// garbage collection can always relocate a victim's live data, is
+  /// streams x planes + 2: each stream keeps one open block per plane, and
+  /// one GC round may open a fresh block on each of them. Tiny chips clamp
+  /// the one-plane share (block_manager.cc states the rule).
+  explicit BlockManager(flash::FlashDevice* dev, uint32_t num_streams = 1);
 
   /// Resets all state to "everything free" without touching the device.
   /// Call after formatting (the caller erases blocks itself if needed).
@@ -156,6 +158,7 @@ class BlockManager {
   }
 
   uint32_t free_blocks() const { return num_free_blocks_; }
+  /// Free blocks withheld for garbage collection (see the constructor).
   uint32_t gc_reserve_blocks() const { return gc_reserve_blocks_; }
 
   /// Number of pages in state kValid (diagnostics / tests).
@@ -167,7 +170,8 @@ class BlockManager {
   uint32_t data_size() const { return dev_->geometry().data_size; }
 
   /// Total pages the store may fill before GC stops reclaiming anything:
-  /// capacity minus the permanent reserve and any bad blocks (diagnostics).
+  /// capacity minus the GC reserve and any bad blocks. Format refuses a
+  /// larger database.
   uint64_t usable_pages() const;
 
  private:
@@ -183,10 +187,10 @@ class BlockManager {
   }
 
   flash::FlashDevice* dev_;
-  uint32_t gc_reserve_blocks_;
   uint32_t pages_per_block_;
   uint32_t num_streams_;
   uint32_t num_planes_;
+  uint32_t gc_reserve_blocks_;
   std::vector<PageState> page_state_;
   std::vector<uint32_t> block_obsolete_;  ///< Obsolete-page count per block.
   std::vector<uint32_t> block_programmed_;///< Allocated-page count per block.

@@ -73,6 +73,11 @@ uint32_t MetaJournal::PayloadPerFrame() const {
   return data_size_ - kFrameHeaderSize;
 }
 
+uint32_t MetaJournal::FramesFor(size_t bytes) const {
+  return static_cast<uint32_t>((bytes + PayloadPerFrame() - 1) /
+                               PayloadPerFrame());
+}
+
 flash::PhysAddr MetaJournal::HalfStart(uint32_t half) const {
   return (first_meta_block_ + half * half_blocks_) * pages_per_block_;
 }
@@ -101,8 +106,7 @@ Status MetaJournal::Format() {
   return Status::OK();
 }
 
-// Serialize, Deserialize, and frames_needed must stay in lock-step: the
-// frame count is computed from the same field sizes Serialize emits.
+// Serialize and Deserialize must stay in lock-step.
 std::vector<uint8_t> MetaJournal::Serialize(const Record& rec) const {
   ByteBuffer out;
   BufferWriter w(&out);
@@ -213,25 +217,7 @@ Status MetaJournal::Deserialize(ConstBytes bytes, Record* rec) {
 }
 
 uint32_t MetaJournal::frames_needed(const Record& rec) const {
-  // Closed-form size of Serialize(rec) -- kept in lock-step with it so
-  // capacity queries never copy the (multi-page) redo payload.
-  size_t bytes = 1 + 8;  // type + epoch
-  if (rec.type == Record::Type::kSnapshot) {
-    bytes += 4 + 4 + 4 + 8;                      // pages/shards/bps/swaps
-    bytes += 4 + rec.shard_of_bucket.size() * 4  // bucket count + tables
-             + rec.slot_of_bucket.size() * 4;
-    bytes += 4 + rec.erase_baseline.size() * 8;  // baseline count + values
-    bytes += 4;                                  // bad-block list count
-    for (const auto& list : rec.bad_blocks) bytes += 4 + list.size() * 4;
-    bytes += 4;                                  // redo-set count
-    for (const RedoSet& set : rec.redo) {
-      bytes += 12 + set.inner_pids.size() * 4 +
-               set.images.size() * static_cast<size_t>(data_size_);
-    }
-  }
-  assert(bytes == Serialize(rec).size() && "frames_needed out of lock-step");
-  return static_cast<uint32_t>((bytes + PayloadPerFrame() - 1) /
-                               PayloadPerFrame());
+  return FramesFor(Serialize(rec).size());
 }
 
 MetaJournal::Record MetaJournal::Stripped(const Record& rec) {
@@ -247,9 +233,7 @@ Status MetaJournal::Append(const Record& rec) {
         "(expected " + std::to_string(next_epoch_) + ")");
   }
   const std::vector<uint8_t> bytes = Serialize(rec);
-  const uint32_t payload_cap = PayloadPerFrame();
-  const uint32_t frames =
-      static_cast<uint32_t>((bytes.size() + payload_cap - 1) / payload_cap);
+  const uint32_t frames = FramesFor(bytes.size());
   if (frames > half_pages()) {
     return Status::NoSpace(
         "meta record needs " + std::to_string(frames) + " frames but a "
@@ -295,8 +279,7 @@ Status MetaJournal::Append(const Record& rec) {
 Status MetaJournal::WriteRecord(uint64_t epoch,
                                 const std::vector<uint8_t>& bytes) {
   const uint32_t payload_cap = PayloadPerFrame();
-  const uint32_t frames = static_cast<uint32_t>(
-      (bytes.size() + payload_cap - 1) / payload_cap);
+  const uint32_t frames = FramesFor(bytes.size());
   flash::CategoryScope cat(dev_, flash::OpCategory::kMeta);
   const uint32_t record_crc = Crc32c(bytes);
   ByteBuffer data(data_size_, 0xFF);
@@ -522,13 +505,12 @@ Result<MetaJournal::Recovered> MetaJournal::Recover() {
     }
   }
   if (!active_has_snapshot) {
-    const Record checkpoint = Stripped(out.snapshot);
-    if (next_page_ + frames_needed(checkpoint) > half_pages()) {
+    const std::vector<uint8_t> checkpoint = Serialize(*last_snapshot_);
+    if (next_page_ + FramesFor(checkpoint.size()) > half_pages()) {
       FLASHDB_RETURN_IF_ERROR(EraseHalf(active_half_));
       next_page_ = 0;
     }
-    FLASHDB_RETURN_IF_ERROR(
-        WriteRecord(checkpoint.epoch, Serialize(checkpoint)));
+    FLASHDB_RETURN_IF_ERROR(WriteRecord(last_snapshot_->epoch, checkpoint));
   }
   return out;
 }

@@ -174,6 +174,8 @@ class MetaJournal {
 
  private:
   uint32_t PayloadPerFrame() const;
+  /// Frames a serialized record of `bytes` bytes spans.
+  uint32_t FramesFor(size_t bytes) const;
   flash::PhysAddr HalfStart(uint32_t half) const;
   Status EraseHalf(uint32_t half);
   /// Frame-writes an already-serialized record at the current position (no

@@ -1,26 +1,39 @@
 #include "ftl/out_place_store.h"
 
+#include <string>
+
 namespace flashdb::ftl {
 
 using flash::kNullAddr;
 using flash::PhysAddr;
 
 OutPlaceStore::OutPlaceStore(flash::FlashDevice* dev, PageType base_type,
-                             uint32_t gc_reserve_blocks, uint32_t num_streams,
-                             bool track_diffs)
+                             uint32_t num_streams, bool track_diffs)
     : dev_(dev),
       data_size_(dev->geometry().data_size),
-      bm_(dev, gc_reserve_blocks, num_streams),
+      bm_(dev, num_streams),
       map_(track_diffs),
       base_type_(base_type) {}
 
 Status OutPlaceStore::FormatBases(uint32_t num_logical_pages,
                                   PageInitializer initial, void* initial_arg) {
+  // The sweep below destroys the old contents: a failure from here on must
+  // not leave a usable instance.
+  formatted_ = false;
   // Factory bad blocks are left unerased and out of service.
   FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> factory_bad,
                            EraseForFormat(dev_, /*remaps_bad_blocks=*/true));
   bm_.Reset();
   for (uint32_t b : factory_bad) bm_.MarkBadForRecovery(b);
+  // Refuse a database that cannot fit before programming any of it.
+  const uint64_t usable = bm_.usable_pages();
+  if (num_logical_pages > usable) {
+    return Status::NoSpace(
+        std::to_string(num_logical_pages) + " pages exceed the " +
+        std::to_string(usable) + " usable pages (GC reserve " +
+        std::to_string(bm_.gc_reserve_blocks()) + " blocks, bad blocks " +
+        std::to_string(bm_.num_bad_blocks()) + ")");
+  }
   clock_.Reset();
   num_pages_ = num_logical_pages;
   map_.Reset(num_logical_pages, dev_->geometry().total_pages());

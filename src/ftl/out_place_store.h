@@ -60,16 +60,16 @@ class OutPlaceStore : public PageStore {
   /// Allocation stream of base pages.
   static constexpr uint32_t kBaseStream = 0;
 
-  /// Base pages carry spare type `base_type`. The BlockManager withholds
-  /// `gc_reserve_blocks` free blocks and runs `num_streams` allocation
-  /// streams; `track_diffs` enables the MappingTable's differential tables.
+  /// Base pages carry spare type `base_type`. The BlockManager runs
+  /// `num_streams` allocation streams and sizes its GC reserve from them;
+  /// `track_diffs` enables the MappingTable's differential tables.
   OutPlaceStore(flash::FlashDevice* dev, PageType base_type,
-                uint32_t gc_reserve_blocks, uint32_t num_streams,
-                bool track_diffs);
+                uint32_t num_streams, bool track_diffs);
 
   /// Format, once the store has checked its arguments: runs the erase sweep
   /// (factory bad blocks stay unerased and out of service) and programs each
-  /// pid's initial image as a base page.
+  /// pid's initial image as a base page. NoSpace, with no page programmed,
+  /// when the pages exceed the BlockManager's usable_pages().
   Status FormatBases(uint32_t num_logical_pages, PageInitializer initial,
                      void* initial_arg);
 

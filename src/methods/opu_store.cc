@@ -9,8 +9,8 @@ namespace flashdb::methods {
 using flash::PhysAddr;
 
 OpuStore::OpuStore(flash::FlashDevice* dev)
-    : OutPlaceStore(dev, ftl::PageType::kData, kGcReserveBlocks,
-                    /*num_streams=*/1, /*track_diffs=*/false) {}
+    : OutPlaceStore(dev, ftl::PageType::kData, /*num_streams=*/1,
+                    /*track_diffs=*/false) {}
 
 Status OpuStore::ReadPage(PageId pid, MutBytes out) {
   FLASHDB_RETURN_IF_ERROR(

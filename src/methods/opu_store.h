@@ -36,10 +36,6 @@ class OpuStore : public ftl::OutPlaceStore {
   Status Recover() override;
 
  private:
-  /// Free blocks withheld so garbage collection can always relocate a
-  /// victim's valid pages.
-  static constexpr uint32_t kGcReserveBlocks = 3;
-
   /// Allocates a page for a normal write, collecting garbage until one frees.
   Result<flash::PhysAddr> AllocatePage();
   Status RunGcOnce();

@@ -12,8 +12,8 @@ using flash::kNullAddr;
 using flash::PhysAddr;
 
 PdlStore::PdlStore(flash::FlashDevice* dev, const PdlConfig& config)
-    : OutPlaceStore(dev, ftl::PageType::kBase, kGcReserveBlocks,
-                    /*num_streams=*/2, /*track_diffs=*/true),
+    : OutPlaceStore(dev, ftl::PageType::kBase, /*num_streams=*/2,
+                    /*track_diffs=*/true),
       config_(config),
       name_("PDL(" + std::to_string(config.max_differential_size) + "B)"),
       buffer_(data_size_),

@@ -80,10 +80,6 @@ class PdlStore : public ftl::OutPlaceStore {
   /// (differential blocks decay almost completely before they are collected,
   /// instead of dragging cold base pages along).
   static constexpr uint32_t kDiffStream = 1;
-
-  /// Free blocks withheld so garbage collection can always relocate a
-  /// victim's live data, differential compaction output included.
-  static constexpr uint32_t kGcReserveBlocks = 4;
   /// Gap-coalescing threshold of the differential computation.
   static constexpr uint32_t kDiffCoalesceGap =
       static_cast<uint32_t>(kExtentHeaderSize);

@@ -18,7 +18,7 @@ using flash::PhysAddr;
 class BlockManagerTest : public ::testing::Test {
  protected:
   BlockManagerTest()
-      : dev_(FlashConfig::Small(4)), bm_(&dev_, /*gc_reserve_blocks=*/1) {}
+      : dev_(FlashConfig::Small(4)), bm_(&dev_) {}
 
   Status ProgramAt(PhysAddr addr) {
     ByteBuffer data(dev_.geometry().data_size, 0x00);
@@ -158,8 +158,12 @@ TEST_F(BlockManagerTest, RecoveryReplayRebuildsCounts) {
 }
 
 TEST_F(BlockManagerTest, StreamsFillSeparateBlocks) {
-  BlockManager bm(&dev_, /*gc_reserve_blocks=*/1, /*num_streams=*/3);
+  // An 8-block chip has room for three streams' open blocks beside the
+  // derived reserve, min(3 + 2, max(2, 8 / 8)) = 2.
+  FlashDevice dev(FlashConfig::Small(8));
+  BlockManager bm(&dev, /*num_streams=*/3);
   EXPECT_EQ(bm.num_streams(), 3u);
+  ASSERT_EQ(bm.gc_reserve_blocks(), 2u);
   Result<PhysAddr> a = bm.AllocatePage(false, 0);
   Result<PhysAddr> b = bm.AllocatePage(false, 1);
   Result<PhysAddr> c = bm.AllocatePage(false, 2);
@@ -167,12 +171,12 @@ TEST_F(BlockManagerTest, StreamsFillSeparateBlocks) {
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(c.ok());
   // Each stream opens its own block; allocations never interleave.
-  EXPECT_NE(dev_.BlockOf(*a), dev_.BlockOf(*b));
-  EXPECT_NE(dev_.BlockOf(*b), dev_.BlockOf(*c));
-  EXPECT_NE(dev_.BlockOf(*a), dev_.BlockOf(*c));
+  EXPECT_NE(dev.BlockOf(*a), dev.BlockOf(*b));
+  EXPECT_NE(dev.BlockOf(*b), dev.BlockOf(*c));
+  EXPECT_NE(dev.BlockOf(*a), dev.BlockOf(*c));
   Result<PhysAddr> a2 = bm.AllocatePage(false, 0);
   ASSERT_TRUE(a2.ok());
-  EXPECT_EQ(dev_.BlockOf(*a2), dev_.BlockOf(*a));
+  EXPECT_EQ(dev.BlockOf(*a2), dev.BlockOf(*a));
   EXPECT_EQ(*a2, *a + 1);
   // Out-of-range streams are rejected.
   EXPECT_FALSE(bm.AllocatePage(false, 3).ok());
@@ -189,7 +193,7 @@ FlashConfig TwoPlaneConfig(uint32_t blocks = 8) {
 
 TEST(BlockManagerPlaneTest, AllocationStripesAcrossPlanes) {
   FlashDevice dev(TwoPlaneConfig());
-  BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
+  BlockManager bm(&dev);
   // One stream, two planes: consecutive allocations alternate between the
   // open blocks of plane 0 (block 0) and plane 1 (block 1), page by page.
   for (uint32_t i = 0; i < 6; ++i) {
@@ -202,7 +206,7 @@ TEST(BlockManagerPlaneTest, AllocationStripesAcrossPlanes) {
 
 TEST(BlockManagerPlaneTest, StreamsGetDisjointStripes) {
   FlashDevice dev(TwoPlaneConfig());
-  BlockManager bm(&dev, /*gc_reserve_blocks=*/1, /*num_streams=*/2);
+  BlockManager bm(&dev, /*num_streams=*/2);
   Result<PhysAddr> a = bm.AllocatePage(false, 0);
   Result<PhysAddr> b = bm.AllocatePage(false, 1);
   ASSERT_TRUE(a.ok());
@@ -214,7 +218,7 @@ TEST(BlockManagerPlaneTest, StreamsGetDisjointStripes) {
 
 TEST(BlockManagerPlaneTest, BadBlockExcludedFromAllocation) {
   FlashDevice dev(TwoPlaneConfig());
-  BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
+  BlockManager bm(&dev);
   bm.MarkBadForRecovery(0);
   EXPECT_TRUE(bm.is_bad_block(0));
   EXPECT_EQ(bm.num_bad_blocks(), 1u);
@@ -230,7 +234,7 @@ TEST(BlockManagerPlaneTest, BadBlockExcludedFromAllocation) {
 
 TEST(BlockManagerPlaneTest, EraseAndFreeGroupUsesOneMultiPlaneCommand) {
   FlashDevice dev(TwoPlaneConfig());
-  BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
+  BlockManager bm(&dev);
   const uint32_t ppb = dev.geometry().pages_per_block;
   for (uint32_t i = 0; i < 2 * ppb; ++i) {
     ASSERT_TRUE(bm.AllocatePage(false).ok());
@@ -250,7 +254,7 @@ TEST(BlockManagerPlaneTest, GroupEraseFailureIsolatesGrownBadBlock) {
   FlashDevice dev(cfg);
   flash::EraseFailureInjector fi(cfg.geometry.pages_per_block);
   dev.set_fault_injector(&fi);
-  BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
+  BlockManager bm(&dev);
   const uint32_t ppb = dev.geometry().pages_per_block;
   for (uint32_t i = 0; i < 2 * ppb; ++i) {
     ASSERT_TRUE(bm.AllocatePage(false).ok());
@@ -280,7 +284,7 @@ TEST(BlockManagerPlaneTest, ScanFactoryBadBlocksFindsOobMarks) {
 
 TEST(BlockManagerPlaneTest, PickVictimGroupPairsPlanesOfOneDie) {
   FlashDevice dev(TwoPlaneConfig());
-  BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
+  BlockManager bm(&dev);
   const uint32_t ppb = dev.geometry().pages_per_block;
   std::vector<PhysAddr> pages;
   for (uint32_t i = 0; i < 2 * ppb; ++i) {
@@ -305,7 +309,7 @@ TEST(BlockManagerPlaneTest, PickVictimGroupPairsPlanesOfOneDie) {
 
 TEST(BlockManagerPlaneTest, PickVictimGroupSkipsWeakSecondaries) {
   FlashDevice dev(TwoPlaneConfig());
-  BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
+  BlockManager bm(&dev);
   const uint32_t ppb = dev.geometry().pages_per_block;
   std::vector<PhysAddr> pages;
   for (uint32_t i = 0; i < 2 * ppb; ++i) {
@@ -328,9 +332,49 @@ TEST(BlockManagerPlaneTest, PickVictimGroupSkipsWeakSecondaries) {
 }
 
 TEST_F(BlockManagerTest, UsablePagesAccounting) {
+  // The fixture's 4-block chip clamps OPU's one-stream reserve, 1 + 2, to 2.
   const auto& g = dev_.geometry();
+  ASSERT_EQ(bm_.gc_reserve_blocks(), 2u);
   EXPECT_EQ(bm_.usable_pages(),
-            static_cast<uint64_t>(g.num_blocks - 1) * g.pages_per_block);
+            static_cast<uint64_t>(g.num_blocks - 2) * g.pages_per_block);
+  // A bad block leaves service and takes its pages with it.
+  bm_.MarkBadForRecovery(3);
+  EXPECT_EQ(bm_.usable_pages(),
+            static_cast<uint64_t>(g.num_blocks - 3) * g.pages_per_block);
+}
+
+// The GC reserve is streams x planes + 2, with only the one-plane share,
+// streams + 2, clamped to max(2, data blocks / 8) on small chips.
+TEST(BlockManagerReserveTest, DerivedFromStreamsAndPlanes) {
+  struct Case {
+    uint32_t blocks, dies, planes_per_die, streams, reserve;
+  };
+  // On 16 blocks the one-plane share clamps to 2; on 32 and 256 it does not.
+  const Case cases[] = {
+      {256, 1, 1, 1, 3},   // OPU, 1x1: the historical 3
+      {256, 1, 1, 2, 4},   // PDL, 1x1: the historical 4
+      {16, 1, 1, 1, 2},    // OPU, 1x1, clamped
+      {16, 1, 1, 2, 2},    // PDL, 1x1, clamped
+      {256, 1, 4, 1, 6},   // OPU, 1x4: 3 + 1 x 3
+      {256, 1, 4, 2, 10},  // PDL, 1x4: 4 + 2 x 3
+      {16, 1, 4, 1, 5},    // OPU, 1x4, clamped: 2 + 1 x 3
+      {16, 1, 4, 2, 8},    // PDL, 1x4, clamped: 2 + 2 x 3
+      {256, 2, 4, 1, 10},  // OPU, 2x4: 3 + 1 x 7
+      {256, 2, 4, 2, 18},  // PDL, 2x4: 4 + 2 x 7
+      {16, 2, 4, 1, 9},    // OPU, 2x4, clamped: 2 + 1 x 7
+      {16, 2, 4, 2, 16},   // PDL, 2x4, clamped: 2 + 2 x 7
+      {32, 2, 4, 2, 18},   // PDL, 2x4: 18 of 32 blocks withheld
+  };
+  for (const Case& c : cases) {
+    FlashConfig cfg = FlashConfig::Small(c.blocks);
+    cfg.geometry.dies_per_chip = c.dies;
+    cfg.geometry.planes_per_die = c.planes_per_die;
+    FlashDevice dev(cfg);
+    BlockManager bm(&dev, c.streams);
+    EXPECT_EQ(bm.gc_reserve_blocks(), c.reserve)
+        << c.blocks << " blocks, " << c.dies << "x" << c.planes_per_die
+        << ", " << c.streams << " stream(s)";
+  }
 }
 
 }  // namespace

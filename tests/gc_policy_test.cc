@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "ftl/block_manager.h"
@@ -34,7 +37,7 @@ void SeededImage(PageId pid, MutBytes page, void* arg) {
 
 class VictimScoreTest : public ::testing::Test {
  protected:
-  VictimScoreTest() : dev_(FlashConfig::Small(4)), bm_(&dev_, 1) {}
+  VictimScoreTest() : dev_(FlashConfig::Small(4)), bm_(&dev_) {}
 
   /// Fills `blocks` whole blocks with programmed, valid pages and closes
   /// them (an open block is never a legal victim).
@@ -170,6 +173,64 @@ TEST(GcPolicyTest, SustainedLoadNeverRunsOutOfSpace) {
     }
   }
 }
+
+// Every method reaches a deep steady state on multi-plane chips. One GC
+// round can open a fresh block on every (stream, plane) pair, so a reserve
+// that ignores the plane count runs dry: both PDL sizes then fail with
+// NoSpace on each of these geometries within the 40,000 warm-up updates.
+struct PlaneCase {
+  const char* method;
+  uint32_t dies;
+  uint32_t planes_per_die;
+};
+
+class MultiPlaneGcTest : public ::testing::TestWithParam<PlaneCase> {};
+
+TEST_P(MultiPlaneGcTest, WarmsUpAndRunsVerified) {
+  const PlaneCase& c = GetParam();
+  FlashConfig cfg = FlashConfig::Small(64);
+  cfg.geometry.dies_per_chip = c.dies;
+  cfg.geometry.planes_per_die = c.planes_per_die;
+  FlashDevice dev(cfg);
+  auto spec = methods::ParseMethodSpec(c.method);
+  ASSERT_TRUE(spec.ok());
+  auto store = methods::CreateStore(&dev, *spec);
+  workload::WorkloadParams params;
+  params.verify = true;
+  workload::UpdateDriver driver(store.get(), params);
+  // The benches' database: half the chip less two blocks of headroom.
+  const uint32_t ppb = cfg.geometry.pages_per_block;
+  ASSERT_TRUE(driver.LoadDatabase((64 - 2) * ppb / 2).ok());
+  Status st = driver.Warmup(/*erases_per_block=*/10.0, /*max_ops=*/40000);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  workload::RunStats stats;
+  st = driver.Run(500, &stats);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(stats.operations, 500u);
+  EXPECT_GT(dev.stats().total.erases, 0u);
+}
+
+std::vector<PlaneCase> PlaneCases() {
+  std::vector<PlaneCase> cases;
+  for (const char* method : {"OPU", "PDL(256B)", "PDL(2048B)"}) {
+    cases.push_back({method, 1, 4});
+    cases.push_back({method, 2, 4});
+    cases.push_back({method, 1, 8});
+  }
+  return cases;
+}
+
+std::string PlaneCaseName(const ::testing::TestParamInfo<PlaneCase>& info) {
+  std::string name;
+  for (const char* ch = info.param.method; *ch != '\0'; ++ch) {
+    if (std::isalnum(static_cast<unsigned char>(*ch))) name += *ch;
+  }
+  return name + "_" + std::to_string(info.param.dies) + "x" +
+         std::to_string(info.param.planes_per_die);
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, MultiPlaneGcTest,
+                         ::testing::ValuesIn(PlaneCases()), PlaneCaseName);
 
 TEST(GcPolicyTest, MergedPagesRemainReadableAndRecoverable) {
   FlashDevice dev(FlashConfig::Small(16));

@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BlockManagerStreamsTest, StreamsUseDisjointOpenBlocks) {
   FlashDevice dev(FlashConfig::Small(8));
-  ftl::BlockManager bm(&dev, 1, /*num_streams=*/2);
+  ftl::BlockManager bm(&dev, /*num_streams=*/2);
   auto a = bm.AllocatePage(false, 0);
   auto b = bm.AllocatePage(false, 1);
   ASSERT_TRUE(a.ok());
@@ -123,17 +123,24 @@ TEST(MetaGeometryTest, MetaRegionHelpersAndExclusion) {
   EXPECT_EQ(g.data_capacity_bytes(),
             static_cast<uint64_t>(g.data_pages()) * g.data_size);
 
-  // The allocator never hands out meta-region pages, even when exhausted.
+  // The allocator never hands out meta-region pages, even when exhausted:
+  // normal allocation stops at the GC reserve (derived from the 12 data
+  // blocks alone: min(1 + 2, max(2, 12 / 8))), and GC allocation drains the
+  // reserve up to the data boundary.
   FlashDevice dev(cfg);
-  ftl::BlockManager bm(&dev, 0);
-  uint64_t allocated = 0;
-  while (true) {
-    auto a = bm.AllocatePage(false, 0);
-    if (!a.ok()) break;
-    EXPECT_LT(*a, g.data_pages());
-    ++allocated;
+  ftl::BlockManager bm(&dev);
+  ASSERT_EQ(bm.gc_reserve_blocks(), 2u);
+  for (const bool for_gc : {false, true}) {
+    uint64_t allocated = 0;
+    while (true) {
+      auto a = bm.AllocatePage(for_gc, 0);
+      if (!a.ok()) break;
+      EXPECT_LT(*a, g.data_pages());
+      ++allocated;
+    }
+    EXPECT_EQ(allocated, for_gc ? 2u * g.pages_per_block
+                                : (12u - 2u) * g.pages_per_block);
   }
-  EXPECT_EQ(allocated, g.data_pages());
 
   // A journal-less store formatted on a meta-reserving chip sees only the
   // data region (capacity checks, erase sweep, recovery scan).
@@ -153,13 +160,13 @@ TEST(MetaGeometryTest, MetaRegionHelpersAndExclusion) {
 
 TEST(BlockManagerStreamsTest, InvalidStreamRejected) {
   FlashDevice dev(FlashConfig::Small(4));
-  ftl::BlockManager bm(&dev, 1, /*num_streams=*/2);
+  ftl::BlockManager bm(&dev, /*num_streams=*/2);
   EXPECT_FALSE(bm.AllocatePage(false, bm.num_streams()).ok());
 }
 
 TEST(BlockManagerStreamsTest, CloseOpenBlocksMakesThemVictims) {
   FlashDevice dev(FlashConfig::Small(4));
-  ftl::BlockManager bm(&dev, 1);
+  ftl::BlockManager bm(&dev);
   ByteBuffer page(dev.geometry().data_size, 0x00);
   for (int i = 0; i < 8; ++i) {
     auto a = bm.AllocatePage(false, 0);
@@ -178,7 +185,7 @@ TEST(BlockManagerStreamsTest, CloseOpenBlocksMakesThemVictims) {
 
 TEST(BlockManagerStreamsTest, NothingReclaimableIsNoSpace) {
   FlashDevice dev(FlashConfig::Small(4));
-  ftl::BlockManager bm(&dev, 1);
+  ftl::BlockManager bm(&dev);
   ByteBuffer page(dev.geometry().data_size, 0x00);
   for (int i = 0; i < 8; ++i) {
     auto a = bm.AllocatePage(false, 0);
@@ -217,6 +224,46 @@ TEST(FactoryBadBlockTest, FormatNeverErasesTheMark) {
   }
 }
 
+// Format refuses a database larger than the pages left beside the GC
+// reserve before it programs any page; one that fits formats as before, one
+// program per page. On a 32-block 2-die x 4-plane chip OPU withholds
+// min(3, 32 / 8) + 1 x 7 = 10 blocks and PDL min(4, 32 / 8) + 2 x 7 = 18.
+TEST(FormatCapacityTest, RefusesADatabaseThatCannotFitBeforeProgramming) {
+  FlashConfig cfg = FlashConfig::Small(32);
+  cfg.geometry.dies_per_chip = 2;
+  cfg.geometry.planes_per_die = 4;
+  const uint32_t ppb = cfg.geometry.pages_per_block;
+  struct Case {
+    const char* method;
+    uint32_t reserve;
+  };
+  for (const Case& c : {Case{"OPU", 10}, Case{"PDL(256B)", 18}}) {
+    auto spec = methods::ParseMethodSpec(c.method);
+    ASSERT_TRUE(spec.ok());
+    const uint32_t usable = (32 - c.reserve) * ppb;
+    FlashDevice dev(cfg);
+    auto store = methods::CreateStore(&dev, *spec);
+    ASSERT_TRUE(store->Format(usable, nullptr, nullptr).ok()) << c.method;
+    EXPECT_EQ(dev.stats().total.writes, usable) << c.method;
+    EXPECT_EQ(dev.stats().total.reads, 0u) << c.method;
+    EXPECT_EQ(dev.stats().total.erases, 0u) << c.method;
+    // One page more: the erase sweep runs, then Format stops short of any
+    // program and leaves the store unformatted.
+    const Status st = store->Format(usable + 1, nullptr, nullptr);
+    ASSERT_TRUE(st.IsNoSpace()) << c.method << ": " << st.ToString();
+    const std::string msg = st.ToString();
+    for (const std::string& part :
+         {std::to_string(usable + 1) + " pages",
+          std::to_string(usable) + " usable pages",
+          "GC reserve " + std::to_string(c.reserve) + " blocks"}) {
+      EXPECT_NE(msg.find(part), std::string::npos) << msg;
+    }
+    EXPECT_EQ(dev.stats().total.writes, usable) << c.method;
+    ByteBuffer buf(cfg.geometry.data_size);
+    EXPECT_TRUE(store->ReadPage(0, buf).IsInvalidArgument()) << c.method;
+  }
+}
+
 
 TEST(MetaBlocksTest, ReservationRoundsUpToWholePlaneStripes) {
   FlashConfig cfg = FlashConfig::Small(32);
@@ -238,7 +285,7 @@ TEST(MetaBlocksTest, AllocatorNeverEntersMetaRegionOnFourPlaneChip) {
   cfg.geometry.planes_per_die = 4;
   cfg = cfg.WithMetaBlocks(4);
   FlashDevice dev(cfg);
-  ftl::BlockManager bm(&dev, /*gc_reserve_blocks=*/1);
+  ftl::BlockManager bm(&dev);
   const uint32_t data_blocks = cfg.geometry.num_data_blocks();
   ASSERT_EQ(data_blocks, 12u);
   // Every plane holds exactly data_blocks / 4 allocatable blocks; drain the

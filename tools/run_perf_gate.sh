@@ -54,6 +54,11 @@ gate exp3_changed_ratio --blocks=32 --ops=2000 --warmup-max=20000
 gate exp4_mixed_ops --blocks=32 --ops=2000 --warmup-max=20000
 gate exp6_longevity --blocks=32 --ops=2000 --warmup-max=20000
 
+# exp5 (flash parameters, Fig. 16) needs 64 blocks: its presets section runs
+# a 2-die x 4-plane chip, where PDL's GC reserve (2 streams x 8 planes + 2 =
+# 18 blocks) leaves no room for the database on 32.
+gate exp5_flash_params --blocks=64 --ops=2000 --warmup-max=20000
+
 # Wall clock varies across runners and with host load, so kops/s only warns
 # at 30% drift; exp9 measures once and never fails on it.
 gate exp9_parallel --ops=2000 --warmup-max=3000 --batch=8 -- \
