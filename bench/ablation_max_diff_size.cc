@@ -21,6 +21,8 @@ int main(int argc, char** argv) {
   params.pct_changed_by_one_op = flags.GetDouble("changed", 2.0);
   params.updates_till_write =
       static_cast<uint32_t>(flags.GetInt("nupdates", 1));
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Ablation: Max_Differential_Size sweep (%%Changed=%.1f, N=%u)\n\n",
@@ -56,7 +58,6 @@ int main(int argc, char** argv) {
                 TablePrinter::Num(stats.erases_per_op(), 4)});
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("max_diff_sweep", tbl);
   if (!json.Finish()) return 1;
   return 0;

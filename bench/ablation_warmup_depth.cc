@@ -21,6 +21,8 @@ using harness::TablePrinter;
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
   std::printf(
       "Ablation: overall us/op vs update depth (updates per page before "
       "measurement; %%Changed=2, N=1)\n\n");
@@ -45,7 +47,6 @@ int main(int argc, char** argv) {
     tbl.AddRow(std::move(row));
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("warmup_depth_sweep", tbl);
   if (!json.Finish()) return 1;
   return 0;

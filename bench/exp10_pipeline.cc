@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("updates", 1));
   params.hot_shard_pct = flags.GetDouble("hot", 60.0);
   // Tail percentiles are virtual-time deltas: recording them never perturbs
-  // the clocks (LatencyHistogramTest.RecordingNeverChangesVirtualTime).
+  // the clocks (RecordingTest.LatencyAndTracingChangeNothing).
   params.record_latency = true;
 
   std::vector<uint32_t> depths;
@@ -118,6 +118,8 @@ int main(int argc, char** argv) {
   } else {
     depths = {1, 2, 4, 8};
   }
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Experiment 10: cross-shard pipelining under skew, %u shards, "
@@ -159,7 +161,7 @@ int main(int argc, char** argv) {
       const double kops_per_sec =
           wall_ms > 0 ? static_cast<double>(env.measure_ops) / wall_ms : 0;
       const double speedup = wall_ms > 0 ? anchor_wall / wall_ms : 0;
-      if (!point->deterministic) failures++;
+      if (!point->deterministic()) failures++;
       tbl.AddRow(
           {name, "pipelined", std::to_string(depth),
            TablePrinter::Num(wall_ms, 2), TablePrinter::Num(kops_per_sec),
@@ -172,11 +174,10 @@ int main(int argc, char** argv) {
            TablePrinter::Num(static_cast<double>(s.credit_wait_ns) / 1e6, 2),
            std::to_string(s.latency.p50()), std::to_string(s.latency.p99()),
            std::to_string(s.latency.p999()),
-           point->deterministic ? "ok" : "FAIL"});
+           point->deterministic() ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp10_pipeline", tbl);
   json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;

@@ -143,6 +143,8 @@ int main(int argc, char** argv) {
     thresholds.push_back(1.25);
     thresholds.push_back(1.50);
   }
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Experiment 11: cross-shard wear leveling via hot-pid remapping, "
@@ -176,7 +178,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       const workload::RunStats& s = point->checked.run.stats;
-      const bool deterministic = point->checked.deterministic;
+      const bool deterministic = point->checked.deterministic();
       if (!deterministic) failures++;
       tbl.AddRow({method_name, TablePrinter::Num(hot, 0),
                   threshold > 0 ? TablePrinter::Num(threshold, 2) : "off",
@@ -191,7 +193,6 @@ int main(int argc, char** argv) {
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp11_wear", tbl);
   if (!json.Finish()) return 1;
   if (failures != 0) {

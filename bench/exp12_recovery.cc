@@ -25,9 +25,10 @@
 //                    and every logical page bit-identical to its pre-crash
 //                    content (ok/FAIL);
 //   * determinism -- mode=exec recovers a twin crash image and must leave
-//                    every chip's clock, erase count, and contents
-//                    bit-identical to the mode=seq recovery (ok for seq rows
-//                    by definition).
+//                    every chip's clock, erase counts, and cells
+//                    bit-identical to the mode=seq recovery
+//                    (harness::FirstDivergence; ok for seq rows by
+//                    definition).
 //
 // Expected shape: rec work us grows with store size (the scan is linear in
 // programmed pages) and is mode-independent; rec par us drops by ~the shard
@@ -43,6 +44,7 @@
 #include "common/crc32.h"
 #include "ftl/shard_executor.h"
 #include "harness/experiment.h"
+#include "harness/replay_verdict.h"
 #include "harness/table_printer.h"
 #include "workload/run_accounting.h"
 
@@ -147,10 +149,6 @@ struct RecoveryPoint {
   uint64_t rec_par_us = 0;
   uint64_t rec_work_us = 0;
   uint64_t epochs = 0;
-  /// Per-shard virtual-clock delta of the Recover() call -- the quantity the
-  /// determinism cross-check compares bit-for-bit between modes (absolute
-  /// clocks differ by the reference rig's pre-crash content snapshot).
-  std::vector<uint64_t> clock_deltas;
   bool roundtrip = true;
   bool deterministic = true;
 };
@@ -182,9 +180,6 @@ Result<std::unique_ptr<ftl::ShardedStore>> RecoverOnce(
   const workload::ClockAdvance adv = workload::ClockAdvanceOf(clocks0, clocks1);
   point->rec_par_us = adv.elapsed_vt_us;
   point->rec_work_us = adv.total_work_us;
-  for (uint32_t i = 0; i < num_shards; ++i) {
-    point->clock_deltas.push_back(clocks1[i] - clocks0[i]);
-  }
   point->epochs = recovered->journal_epochs();
 
   point->roundtrip =
@@ -216,6 +211,8 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("buckets", 32));
   const std::string method_name = flags.GetString("method", "OPU");
   const uint32_t max_swaps = static_cast<uint32_t>(flags.GetInt("swaps", 4));
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   auto spec = methods::ParseMethodSpec(method_name);
   if (!spec.ok()) {
@@ -254,10 +251,13 @@ int main(int argc, char** argv) {
         std::cerr << exec_rig.status().ToString() << "\n";
         return 1;
       }
+      // Both twins read their pre-crash content, so their clocks stay
+      // equal and the recoveries are compared on absolute clocks.
       const std::vector<uint32_t> crcs =
           ContentCrcs(seq_rig->store.get(), seq_rig->db_pages);
-      if (crcs.empty()) {
-        std::cerr << "pre-crash content snapshot failed\n";
+      if (crcs.empty() ||
+          ContentCrcs(exec_rig->store.get(), exec_rig->db_pages) != crcs) {
+        std::cerr << "pre-crash content snapshot failed or differs\n";
         return 1;
       }
 
@@ -277,11 +277,13 @@ int main(int argc, char** argv) {
       }
 
       // Executor recovery must be bit-identical to the sequential reference.
-      exec_point.deterministic =
-          seq_point.clock_deltas == exec_point.clock_deltas &&
-          (*seq_store)->shard_erases() == (*exec_store)->shard_erases() &&
-          (*seq_store)->router()->swaps_committed() ==
-              (*exec_store)->router()->swaps_committed();
+      if (auto d = harness::FirstDivergence(
+              {harness::ChipsOf(seq_store->get())},
+              {harness::ChipsOf(exec_store->get())})) {
+        exec_point.deterministic = false;
+        std::cerr << total_blocks << " blocks, " << num_swaps
+                  << " swaps: exec recovery differs: " << d->message << "\n";
+      }
 
       for (const auto* p : {&seq_point, &exec_point}) {
         if (!p->roundtrip || !p->deterministic) ++failures;
@@ -299,7 +301,6 @@ int main(int argc, char** argv) {
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp12_recovery", tbl);
   if (!json.Finish()) return 1;
   if (failures != 0) {

@@ -76,6 +76,8 @@ int main(int argc, char** argv) {
   const uint32_t num_shards = static_cast<uint32_t>(flags.GetInt("shards", 2));
   const uint32_t batch_size = static_cast<uint32_t>(flags.GetInt("batch", 8));
   const uint32_t depth = static_cast<uint32_t>(flags.GetInt("depth", 4));
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   // 1x1 is the identity anchor; 1x2 and 1x4 grow one die's planes; 2x4 is
   // the modern two-die layout (8 planes, multi-plane erases per die).
@@ -116,7 +118,7 @@ int main(int argc, char** argv) {
       if (geom.planes_per_chip() == 1) base_vt_kops = vt_kops_per_sec;
       const double speedup =
           base_vt_kops > 0 ? vt_kops_per_sec / base_vt_kops : 0;
-      if (!point->deterministic) failures++;
+      if (!point->deterministic()) failures++;
       tbl.AddRow({name, std::to_string(geom.dies),
                   std::to_string(geom.planes_per_die),
                   TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
@@ -124,11 +126,10 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(speedup, 2) + "x",
                   TablePrinter::Num(s.PerOp(s.plane_stall_us)),
                   TablePrinter::Num(point->run.wall_ms, 2),
-                  point->deterministic ? "ok" : "FAIL"});
+                  point->deterministic() ? "ok" : "FAIL"});
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp13_planes", tbl);
   if (!json.Finish()) return 1;
   if (failures != 0) {

@@ -81,6 +81,8 @@ int main(int argc, char** argv) {
   const uint64_t epoch_ops =
       static_cast<uint64_t>(flags.GetInt("epoch", 500));
   const double disturb_factor = flags.GetDouble("disturb", 0.01);
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   // Error rates stay comfortably inside the ladder's budget: the point is
   // the cost curve and the scrubber's effect on it, not data loss (the
@@ -125,7 +127,7 @@ int main(int argc, char** argv) {
         }
         const workload::RunStats& s = point->run.stats;
         const flash::IntegrityCounters& integrity = s.device.integrity;
-        if (!point->deterministic) failures++;
+        if (!point->deterministic()) failures++;
         if (integrity.reads_uncorrectable != 0 && scrub) failures++;
         tbl.AddRow({name, TablePrinter::Num(ber, 3), scrub ? "on" : "off",
                     TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
@@ -135,12 +137,11 @@ int main(int argc, char** argv) {
                     std::to_string(integrity.reads_uncorrectable),
                     TablePrinter::Num(s.scrub_us_per_op(), 2),
                     std::to_string(s.scrub_relocations),
-                    point->deterministic ? "ok" : "FAIL"});
+                    point->deterministic() ? "ok" : "FAIL"});
       }
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp14_integrity", tbl);
   if (!json.Finish()) return 1;
   if (failures != 0) {

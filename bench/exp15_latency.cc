@@ -136,6 +136,8 @@ int main(int argc, char** argv) {
   const double ber = flags.GetDouble("ber", 0.01);
   const uint32_t disturb_limit =
       static_cast<uint32_t>(flags.GetInt("disturb-limit", 48));
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Experiment 15: per-operation latency tails, %u blocks total, "
@@ -180,8 +182,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       // The one verdict covers the trace too, so both columns read it.
-      const char* verdict = point->deterministic ? "ok" : "FAIL";
-      if (!point->deterministic) failures++;
+      const char* verdict = point->deterministic() ? "ok" : "FAIL";
+      if (!point->deterministic()) failures++;
       const workload::RunStats& s = point->run.stats;
       const workload::LatencyHistogram& h = s.latency;
       tbl.AddRow({name, cfg.mode, std::to_string(cfg.shards),
@@ -208,7 +210,6 @@ int main(int argc, char** argv) {
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp15_latency", tbl);
   json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;

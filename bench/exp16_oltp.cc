@@ -19,8 +19,11 @@
 // Every row carries the commit-order determinism check that makes the
 // concurrent numbers trustworthy: the recorded commit log (warmup +
 // measure) is replayed single-threaded against an identically prepared
-// fresh rig, and the per-chip virtual clocks, the full latency histogram,
-// and the worst-op sample must match bit-for-bit. The perf gate requires
+// fresh rig, and every chip's cells, erase counts and clock, the canonical
+// event stream (harness::FirstDivergence) and every virtual TpccRunStats
+// field (latency histograms and worst op included) must match bit-for-bit.
+// The determinism and trace columns both print that one verdict, and a
+// FAIL row prints the first difference to stderr. The perf gate requires
 // `ok` in every row; wall_ms is machine-relative and stays warn-only.
 
 #include <chrono>
@@ -34,6 +37,7 @@
 #include "ftl/shard_executor.h"
 #include "harness/cli.h"
 #include "harness/experiment.h"
+#include "harness/replay_verdict.h"
 #include "harness/table_printer.h"
 #include "methods/method_factory.h"
 #include "obs/metrics_import.h"
@@ -55,55 +59,21 @@ struct OltpPoint {
   workload::TpccRunStats stats;
   double ktps_vt = 0;
   double wall_ms = 0;
-  bool deterministic = true;
-  /// Replay's deterministic event stream byte-identical to the concurrent
-  /// serve's (transaction spans, flash commands, buffer traffic).
-  bool trace_ok = true;
+  /// The replay's first difference from the serve -- in chips, canonical
+  /// events (transaction spans, flash commands, buffer traffic) or stats;
+  /// empty when they agree.
+  std::string divergence;
   uint64_t trace_emitted = 0;
   uint64_t trace_dropped = 0;
 };
-
-struct Rig {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::TpccDriver> driver;
-};
-
-/// Builds a formatted sharded store + driver for one cell. Identical
-/// arguments yield bit-identical rigs -- the determinism replay relies on
-/// this.
-Result<Rig> Prepare(const methods::MethodSpec& spec,
-                    const workload::TpccDriverOptions& opts,
-                    uint32_t num_shards) {
-  const uint32_t page_size = 2048;  // FlashConfig::Small geometry
-  const uint32_t pages_per_shard =
-      workload::TpccDriver::PagesPerShard(opts.scale, page_size, num_shards);
-  // Flash sized at ~50% utilization like exp7.
-  const uint32_t blocks_per_shard = (pages_per_shard * 2) / 64 + 8;
-  Rig rig;
-  rig.store = methods::CreateShardedStore(
-      flash::FlashConfig::Small(blocks_per_shard), num_shards, spec);
-  FLASHDB_RETURN_IF_ERROR(
-      rig.store->Format(num_shards * pages_per_shard, nullptr, nullptr));
-  rig.driver = std::make_unique<workload::TpccDriver>(rig.store.get(), opts);
-  return rig;
-}
-
-/// Attaches one recorder lane per shard chip plus the producer's wall lane.
-/// Safe while the workers are quiescent (shard confinement makes each lane
-/// single-writer once serving resumes).
-void AttachTrace(Rig* rig, uint32_t shards, obs::TraceRecorder* rec) {
-  for (uint32_t i = 0; i < shards; ++i) {
-    rig->store->shard_device(i)->set_trace(rec->shard(i));
-  }
-  rig->driver->set_wall_trace(rec->wall_lane());
-}
 
 Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
                            const workload::TpccDriverOptions& opts,
                            const Cell& cell, uint64_t warmup_tx,
                            uint64_t measure_tx, const std::string& trace_path,
                            uint64_t point_index) {
-  FLASHDB_ASSIGN_OR_RETURN(Rig rig, Prepare(spec, opts, cell.shards));
+  FLASHDB_ASSIGN_OR_RETURN(harness::TpccRig rig,
+                           harness::PrepareTpccRig(spec, opts, cell.shards));
   ftl::ShardExecutor executor(cell.shards);
   FLASHDB_RETURN_IF_ERROR(rig.driver->Load(&executor));
   FLASHDB_RETURN_IF_ERROR(rig.driver->Serve(warmup_tx, &executor, nullptr));
@@ -113,7 +83,7 @@ Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
   // and the replay rig mirrors this by attaching after replaying the warmup
   // log.
   obs::TraceRecorder recorder(cell.shards);
-  AttachTrace(&rig, cell.shards, &recorder);
+  rig.Attach(&recorder);
 
   OltpPoint point;
   const auto t0 = std::chrono::steady_clock::now();
@@ -137,21 +107,23 @@ Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
   // The commit-order determinism contract: single-threaded replay of the
   // recorded log (warmup first, then the measured span) on a fresh,
   // identically prepared rig must reproduce the concurrent run bit-for-bit
-  // -- per-chip clocks, full histogram, worst-op sample, and the canonical
-  // event trace.
-  FLASHDB_ASSIGN_OR_RETURN(Rig ref, Prepare(spec, opts, cell.shards));
+  // -- chips, canonical event trace and virtual stats.
+  FLASHDB_ASSIGN_OR_RETURN(harness::TpccRig ref,
+                           harness::PrepareTpccRig(spec, opts, cell.shards));
   FLASHDB_RETURN_IF_ERROR(ref.driver->Load(nullptr));
   FLASHDB_RETURN_IF_ERROR(ref.driver->Replay(warmup_log, nullptr));
   obs::TraceRecorder ref_recorder(cell.shards);
-  AttachTrace(&ref, cell.shards, &ref_recorder);
+  ref.Attach(&ref_recorder);
   workload::TpccRunStats ref_stats;
   FLASHDB_RETURN_IF_ERROR(
       ref.driver->Replay(rig.driver->commit_log(), &ref_stats));
-  point.deterministic =
-      ref.store->shard_clocks() == rig.store->shard_clocks() &&
-      ref_stats.latency == point.stats.latency &&
-      ref_stats.worst_op == point.stats.worst_op;
-  point.trace_ok = ref_recorder.CanonicalBytes() == recorder.CanonicalBytes();
+  if (auto d = harness::FirstDivergence(
+          {harness::ChipsOf(rig.store.get()), &recorder},
+          {harness::ChipsOf(ref.store.get()), &ref_recorder})) {
+    point.divergence = d->message;
+  } else if (!point.stats.SameVirtualAs(ref_stats)) {
+    point.divergence = "virtual TpccRunStats differ";
+  }
   return point;
 }
 
@@ -179,6 +151,9 @@ int main(int argc, char** argv) {
   opts.remote_pct = flags.GetDouble("remote", 10.0);
   opts.max_inflight_per_shard =
       static_cast<uint32_t>(flags.GetInt("inflight", 4));
+  const std::string trace_path = flags.GetString("trace", "");
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Experiment 16: concurrent TPC-C serving over shards\n  %u warehouses, "
@@ -195,7 +170,6 @@ int main(int argc, char** argv) {
                     "p999 us", "worst us", "w_gc us", "w_meta us", "ktps_vt",
                     "speedup_vt", "wall_ms", "determinism", "trace"});
   obs::MetricsRegistry metrics;
-  const std::string trace_path = flags.GetString("trace", "");
   int failures = 0;
   uint64_t point_index = 0;
   for (const std::string& name : method_names) {
@@ -216,7 +190,12 @@ int main(int argc, char** argv) {
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (!point->deterministic || !point->trace_ok) failures++;
+      if (!point->divergence.empty()) {
+        failures++;
+        std::cerr << name << " clients=" << cell.clients << " shards="
+                  << cell.shards << ": replay differs: " << point->divergence
+                  << "\n";
+      }
       // One registry epoch per measured cell (series across the sweep).
       obs::ImportTpccStats(&metrics, "tpcc", point->stats);
       metrics.Set("trace.emitted", static_cast<double>(point->trace_emitted),
@@ -234,6 +213,7 @@ int main(int argc, char** argv) {
     }
     for (const auto& [cell, pt] : points) {
       const workload::LatencyHistogram& h = pt.stats.latency;
+      const char* verdict = pt.divergence.empty() ? "ok" : "FAIL";
       tbl.AddRow({name, std::to_string(cell.clients),
                   std::to_string(cell.shards),
                   std::to_string(pt.stats.latency.count()),
@@ -245,12 +225,10 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(pt.ktps_vt, 2),
                   anchor > 0 ? TablePrinter::Num(pt.ktps_vt / anchor, 2) : "-",
                   TablePrinter::Num(pt.wall_ms, 2),
-                  pt.deterministic ? "ok" : "FAIL",
-                  pt.trace_ok ? "ok" : "FAIL"});
+                  verdict, verdict});
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp16_oltp", tbl);
   json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;

@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
   params.pct_changed_by_one_op = flags.GetDouble("changed", 2.0);
   params.updates_till_write =
       static_cast<uint32_t>(flags.GetInt("nupdates", 1));
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Experiment 1 (Fig. 12): per-update-operation I/O time\n"
@@ -65,7 +67,6 @@ int main(int argc, char** argv) {
   std::cout << "\n(c) overall\n";
   overall_tbl.Print(std::cout);
 
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("reading_step", read_tbl);
   json.Add("writing_step", write_tbl);
   json.Add("overall", overall_tbl);

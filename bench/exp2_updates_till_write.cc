@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
   const double pct = flags.GetDouble("changed", 2.0);
   harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Experiment 2 (Fig. 13): overall us/op vs N_updates_till_write "

@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
   harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
   std::printf(
       "Experiment 3 (Fig. 14): overall us/op vs %%ChangedByOneU_Op\n\n"
       "(a) N_updates_till_write = 1\n");

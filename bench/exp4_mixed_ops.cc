@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
   harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
   double lo = 1e9, hi = 0;
   std::printf(
       "Experiment 4 (Fig. 15): overall us/op for read/update mixes "

@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
   harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
   std::printf(
       "Experiment 5 (Fig. 16): overall us/op as flash parameters vary "
       "(N=1, %%Changed=2, Terase=1500us)\n\n(a) Twrite = 500us\n");

@@ -19,6 +19,8 @@ using harness::TablePrinter;
 int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   harness::ExperimentEnv env = harness::ExperimentEnv::FromFlags(flags);
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
   std::printf(
       "Experiment 6 (Fig. 17): erase operations per update operation vs "
       "N_updates_till_write (%%Changed=2)\n\n");
@@ -40,7 +42,6 @@ int main(int argc, char** argv) {
     tbl.AddRow(std::move(row));
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("erases_per_op", tbl);
   if (!json.Finish()) return 1;
   return 0;

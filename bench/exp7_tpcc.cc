@@ -67,6 +67,8 @@ int main(int argc, char** argv) {
   scale.transaction_headroom =
       static_cast<uint32_t>(warmup_tx + measure_tx + 1000);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   const uint32_t pages = workload::TpccWorkload::RequiredPages(scale, 2048);
   std::printf(
@@ -97,7 +99,6 @@ int main(int argc, char** argv) {
     tbl.AddRow(std::move(row));
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("io_us_per_tx", tbl);
   if (!json.Finish()) return 1;
   std::printf("\n(IPU is omitted from Fig. 18 in the paper as well: its "

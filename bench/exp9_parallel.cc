@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   params.updates_till_write =
       static_cast<uint32_t>(flags.GetInt("updates", 1));
   // Tail percentiles are virtual-time deltas: recording them never perturbs
-  // the clocks (LatencyHistogramTest.RecordingNeverChangesVirtualTime).
+  // the clocks (RecordingTest.LatencyAndTracingChangeNothing).
   params.record_latency = true;
 
   std::vector<uint32_t> batch_sizes;
@@ -90,6 +90,8 @@ int main(int argc, char** argv) {
   } else {
     batch_sizes = {1, 8, 32};
   }
+  harness::JsonDump json(flags.GetString("json", ""));
+  if (!flags.AllRead()) return 2;
 
   std::printf(
       "Experiment 9: wall-clock multi-chip scaling, %u blocks total, "
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
         const double kops_per_sec =
             wall_ms > 0 ? static_cast<double>(env.measure_ops) / wall_ms : 0;
         const double speedup = wall_ms > 0 ? base_wall / wall_ms : 0;
-        if (!point->deterministic) failures++;
+        if (!point->deterministic()) failures++;
         tbl.AddRow(
             {name, std::to_string(shards), std::to_string(batch),
              TablePrinter::Num(wall_ms, 2), TablePrinter::Num(kops_per_sec),
@@ -141,12 +143,11 @@ int main(int argc, char** argv) {
              TablePrinter::Num(s.PerOp(s.plane_stall_us)),
              std::to_string(s.latency.p50()), std::to_string(s.latency.p99()),
              std::to_string(s.latency.p999()),
-             point->deterministic ? "ok" : "FAIL"});
+             point->deterministic() ? "ok" : "FAIL"});
       }
     }
   }
   tbl.Print(std::cout);
-  harness::JsonDump json(flags.GetString("json", ""));
   json.Add("exp9_parallel", tbl);
   json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;

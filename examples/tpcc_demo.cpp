@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   harness::Flags flags(argc, argv);
   const std::string method = flags.GetString("method", "PDL(256B)");
   const uint64_t tx = static_cast<uint64_t>(flags.GetInt("tx", 3000));
+  if (!flags.AllRead()) return 2;
 
   auto spec = methods::ParseMethodSpec(method);
   if (!spec.ok()) {

@@ -171,7 +171,7 @@ class BlockManager {
 
   /// Total pages the store may fill before GC stops reclaiming anything:
   /// capacity minus the GC reserve and any bad blocks. Format refuses a
-  /// larger database.
+  /// database that does not leave one of them free.
   uint64_t usable_pages() const;
 
  private:

@@ -25,11 +25,13 @@ Status OutPlaceStore::FormatBases(uint32_t num_logical_pages,
                            EraseForFormat(dev_, /*remaps_bad_blocks=*/true));
   bm_.Reset();
   for (uint32_t b : factory_bad) bm_.MarkBadForRecovery(b);
-  // Refuse a database that cannot fit before programming any of it.
+  // Refuse a database that cannot fit before programming any of it. An
+  // out-of-place write needs a free page beside the live ones, so a
+  // database that fills every usable page could never be written.
   const uint64_t usable = bm_.usable_pages();
-  if (num_logical_pages > usable) {
+  if (num_logical_pages >= usable) {
     return Status::NoSpace(
-        std::to_string(num_logical_pages) + " pages exceed the " +
+        std::to_string(num_logical_pages) + " pages fill the " +
         std::to_string(usable) + " usable pages (GC reserve " +
         std::to_string(bm_.gc_reserve_blocks()) + " blocks, bad blocks " +
         std::to_string(bm_.num_bad_blocks()) + ")");

@@ -69,7 +69,8 @@ class OutPlaceStore : public PageStore {
   /// Format, once the store has checked its arguments: runs the erase sweep
   /// (factory bad blocks stay unerased and out of service) and programs each
   /// pid's initial image as a base page. NoSpace, with no page programmed,
-  /// when the pages exceed the BlockManager's usable_pages().
+  /// unless the pages leave at least one of the BlockManager's
+  /// usable_pages() free for the first out-of-place write.
   Status FormatBases(uint32_t num_logical_pages, PageInitializer initial,
                      void* initial_arg);
 

@@ -5,6 +5,10 @@
 namespace flashdb::harness {
 
 Flags::Flags(int argc, char** argv) {
+  if (argc > 0) {
+    program_ = argv[0];
+    program_ = program_.substr(program_.rfind('/') + 1);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -21,25 +25,44 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
-std::string Flags::GetString(const std::string& key, std::string def) const {
+const std::string* Flags::Find(const std::string& key) const {
+  read_.insert(key);
   auto it = kv_.find(key);
-  return it == kv_.end() ? def : it->second;
+  return it == kv_.end() ? nullptr : &it->second;
+}
+
+bool Flags::Has(const std::string& key) const { return Find(key) != nullptr; }
+
+std::string Flags::GetString(const std::string& key, std::string def) const {
+  const std::string* v = Find(key);
+  return v == nullptr ? def : *v;
 }
 
 int64_t Flags::GetInt(const std::string& key, int64_t def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* v = Find(key);
+  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 10);
 }
 
 double Flags::GetDouble(const std::string& key, double def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = Find(key);
+  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
 }
 
 bool Flags::GetBool(const std::string& key, bool def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  return it->second != "0" && it->second != "false";
+  const std::string* v = Find(key);
+  if (v == nullptr) return def;
+  return *v != "0" && *v != "false";
+}
+
+bool Flags::AllRead(std::ostream& err) const {
+  std::string unread;
+  for (const auto& [key, value] : kv_) {
+    if (read_.count(key) == 0) unread += " --" + key;
+  }
+  for (const std::string& arg : positional_) unread += " " + arg;
+  if (unread.empty()) return true;
+  err << program_ << ": unknown argument(s):" << unread << "\n";
+  return false;
 }
 
 }  // namespace flashdb::harness

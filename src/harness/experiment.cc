@@ -16,22 +16,6 @@
 namespace flashdb::harness {
 
 namespace {
-/// Per-chip (virtual clock, erase count) pairs of a flat or sharded rig.
-std::vector<std::pair<uint64_t, uint64_t>> ChipState(Rig* rig) {
-  ftl::ShardedStore* sharded = rig->sharded();
-  if (sharded == nullptr) {
-    PageStore* store = rig->store();
-    return {{store->device()->clock().now_us(), store->total_erases()}};
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> chips;
-  const std::vector<uint64_t> clocks = sharded->shard_clocks();
-  const std::vector<uint64_t> erases = sharded->shard_erases();
-  for (size_t i = 0; i < clocks.size(); ++i) {
-    chips.emplace_back(clocks[i], erases[i]);
-  }
-  return chips;
-}
-
 /// Worker i -> core i mod the available cores; empty (unpinned) when not
 /// requested or unsupported.
 std::vector<int> PinCores(bool pin, uint32_t workers) {
@@ -93,8 +77,14 @@ uint32_t Rig::chips() const {
   return sharded_ != nullptr ? sharded_->num_shards() : 1;
 }
 
-flash::FlashDevice* Rig::chip(uint32_t i) {
+flash::FlashDevice* Rig::chip(uint32_t i) const {
   return sharded_ != nullptr ? sharded_->shard_device(i) : flat_chip_.get();
+}
+
+Twin Rig::AsTwin(const obs::TraceRecorder* trace) const {
+  Twin twin{.trace = trace};
+  for (uint32_t i = 0; i < chips(); ++i) twin.chips.push_back(chip(i));
+  return twin;
 }
 
 void Rig::Attach(flash::FaultInjector* injector, obs::TraceRecorder* rec) {
@@ -134,6 +124,10 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
         methods::CreateShardedStore(chip_cfg, shape.shards, spec);
     out.sharded_ = sharded.get();
     out.store_ = std::move(sharded);
+    // Meta blocks hold nothing but the journal: reserving them asks for it.
+    if (chip_cfg.geometry.meta_blocks > 0) {
+      FLASHDB_RETURN_IF_ERROR(out.sharded_->EnableMetaJournal());
+    }
     if (shape.leveling.has_value()) {
       FLASHDB_RETURN_IF_ERROR(
           out.sharded_->router()->EnableRebalancing(*shape.leveling));
@@ -210,12 +204,43 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
   twin.Attach(injector, twin_trace.get());
   FLASHDB_ASSIGN_OR_RETURN(PointResult replay,
                            Execute(&twin, num_ops, mirror));
-  out.deterministic =
-      ChipState(rig) == ChipState(&twin) &&
-      out.run.stats.SameVirtualAs(replay.stats) &&
-      (trace == nullptr ||
-       trace->CanonicalBytes() == twin_trace->CanonicalBytes());
+  if (auto d = FirstDivergence(rig->AsTwin(trace),
+                               twin.AsTwin(twin_trace.get()))) {
+    out.divergence = d->message;
+  } else if (!out.run.stats.SameVirtualAs(replay.stats)) {
+    out.divergence = "virtual RunStats differ";
+  }
+  if (!out.deterministic()) {
+    std::fprintf(stderr,
+                 "replay check FAIL: %s, %u chip(s), batch %u depth %u%s: "
+                 "%s\n",
+                 out.run.method.c_str(), rig->chips(), ex.batch, ex.depth,
+                 ex.threaded ? " threaded" : "", out.divergence.c_str());
+  }
   return out;
+}
+
+void TpccRig::Attach(obs::TraceRecorder* rec) {
+  for (uint32_t i = 0; i < store->num_shards(); ++i) {
+    store->shard_device(i)->set_trace(rec->shard(i));
+  }
+  driver->set_wall_trace(rec->wall_lane());
+}
+
+Result<TpccRig> PrepareTpccRig(const methods::MethodSpec& spec,
+                               const workload::TpccDriverOptions& opts,
+                               uint32_t shards) {
+  const uint32_t page_size = 2048;  // FlashConfig::Small geometry
+  const uint32_t pages_per_shard =
+      workload::TpccDriver::PagesPerShard(opts.scale, page_size, shards);
+  const uint32_t blocks_per_shard = (pages_per_shard * 2) / 64 + 8;
+  TpccRig rig;
+  rig.store = methods::CreateShardedStore(
+      flash::FlashConfig::Small(blocks_per_shard), shards, spec);
+  FLASHDB_RETURN_IF_ERROR(
+      rig.store->Format(shards * pages_per_shard, nullptr, nullptr));
+  rig.driver = std::make_unique<workload::TpccDriver>(rig.store.get(), opts);
+  return rig;
 }
 
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,

@@ -19,7 +19,9 @@
 
 #include "ftl/shard_router.h"
 #include "harness/cli.h"
+#include "harness/replay_verdict.h"
 #include "methods/method_factory.h"
+#include "workload/tpcc_driver.h"
 #include "workload/update_driver.h"
 
 namespace flashdb::flash {
@@ -54,7 +56,7 @@ struct ExperimentEnv {
   /// buffer-pool traffic, op spans) and exports it as Chrome trace-event
   /// JSON: the first point to `trace_path`, point k to `<stem>.k.<ext>`.
   /// Recording never changes virtual-time results (null-sink contract,
-  /// pinned by tests/trace_test.cc).
+  /// pinned by tests/execution_engine_test.cc).
   std::string trace_path;
 
   /// Database pages over `chips` chips that split `flash_cfg`'s blocks
@@ -113,11 +115,14 @@ struct RigSpec {
 /// A measured run and the verdict of its cross-mode replay.
 struct CheckedRun {
   PointResult run;
-  /// The replay left every chip with the same virtual clock and erase
-  /// count, agreed on every virtual RunStats field (RunStats::SameVirtualAs;
-  /// the wall-clock credit_wait_ns is excluded) and, when traced, recorded
-  /// the same canonical event bytes.
-  bool deterministic = false;
+  /// Empty when the replay agreed: FirstDivergence found every chip (clock,
+  /// erase counts, cells) and, when traced, the canonical event stream
+  /// identical, and every virtual RunStats field matched
+  /// (RunStats::SameVirtualAs; the wall-clock credit_wait_ns is excluded).
+  /// Otherwise the first difference.
+  std::string divergence;
+
+  bool deterministic() const { return divergence.empty(); }
 };
 
 /// A store plus its driver at steady state, and the arguments it was
@@ -134,6 +139,12 @@ class Rig {
   /// The store as a ShardedStore; null for a flat rig.
   ftl::ShardedStore* sharded() { return sharded_; }
   uint32_t chips() const;
+  /// Attaches `injector` to every chip and, when `rec` is not null, its
+  /// lane i to chip i and its wall lane to the driver (`rec` needs chips()
+  /// lanes).
+  void Attach(flash::FaultInjector* injector, obs::TraceRecorder* rec);
+  /// The rig's chips and `trace`, for FirstDivergence.
+  Twin AsTwin(const obs::TraceRecorder* trace = nullptr) const;
 
  private:
   friend Result<Rig> PrepareRig(const ExperimentEnv& env,
@@ -151,11 +162,7 @@ class Rig {
       const ExperimentEnv& env, const methods::MethodSpec& spec,
       const workload::WorkloadParams& params);
   Rig() = default;
-  flash::FlashDevice* chip(uint32_t i);
-  /// Attaches `injector` to every chip and, when `rec` is not null, its
-  /// lane i to chip i and its wall lane to the driver (`rec` needs chips()
-  /// lanes).
-  void Attach(flash::FaultInjector* injector, obs::TraceRecorder* rec);
+  flash::FlashDevice* chip(uint32_t i) const;
 
   ExperimentEnv env_;  // PrepareRig's arguments, for the replay's twin
   methods::MethodSpec spec_;
@@ -168,7 +175,9 @@ class Rig {
 
 /// Builds the store for `spec` on env.flash_cfg's blocks split evenly over
 /// `shape.shards` chips (InvalidArgument below 8 blocks per chip: the GC
-/// reserve would eat most of the chip), loads env.num_db_pages(shape.shards)
+/// reserve would eat most of the chip); a sharded store over chips that
+/// reserve meta blocks journals its routing durably (ShardedStore::
+/// EnableMetaJournal). Then loads env.num_db_pages(shape.shards)
 /// pages and warms up to env's steady state, capped at
 /// env.warmup_max_ops operations or, when that is 0, 20 per database page.
 /// Draws nothing of the measured run: Execute does that.
@@ -191,13 +200,30 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
 /// threaded pipeline of depth 4. `injector` (when not null) is attached to
 /// both rigs, and `trace` (when not null, with chips() lanes) to the rig
 /// while the twin records into a recorder of its own; both attach after
-/// warm-up. Returns the rig's run and the verdict; the rig stays the
-/// caller's to inspect.
+/// warm-up. Returns the rig's run and the verdict, and prints a failed
+/// verdict's divergence to stderr; the rig stays the caller's to inspect.
 Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   const Execution& ex,
                                   obs::MetricsRegistry* metrics = nullptr,
                                   flash::FaultInjector* injector = nullptr,
                                   obs::TraceRecorder* trace = nullptr);
+
+/// A formatted TPC-C serving rig: a ShardedStore over FlashConfig::Small
+/// chips sized for ~50% utilization (as exp7 sizes its chip) and a
+/// TpccDriver over it. TPC-C formats its own page layout and serves through
+/// the TpccDriver, so it has a rig of its own. Two rigs prepared with equal
+/// arguments hold bit-identical state, which a commit-log replay relies on.
+struct TpccRig {
+  std::unique_ptr<ftl::ShardedStore> store;
+  std::unique_ptr<workload::TpccDriver> driver;
+
+  /// Attaches lane i of `rec` to chip i and its wall lane to the driver;
+  /// only while the workers are quiescent.
+  void Attach(obs::TraceRecorder* rec);
+};
+Result<TpccRig> PrepareTpccRig(const methods::MethodSpec& spec,
+                               const workload::TpccDriverOptions& opts,
+                               uint32_t shards);
 
 /// A flat rig for `spec` (PrepareRig), measured for `env.measure_ops`
 /// operations by the sequential Run() loop. With --trace the measured run's

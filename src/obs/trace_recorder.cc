@@ -1,8 +1,6 @@
 #include "obs/trace_recorder.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
@@ -78,28 +76,6 @@ std::vector<TraceEvent> TraceRecorder::Merged(bool canonical_only) const {
               return a.seq < b.seq;
             });
   return all;
-}
-
-std::string TraceRecorder::CanonicalBytes() const {
-  std::string out;
-  char buf[192];
-  // Per-lane drop counts first: two runs must agree on what overflowed, not
-  // just on the surviving suffix.
-  for (uint32_t i = 0; i < num_shards_; ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "lane %u emitted=%" PRIu64 " dropped=%" PRIu64 "\n", i,
-                  lanes_[i].emitted(), lanes_[i].dropped());
-    out += buf;
-  }
-  for (const TraceEvent& e : Merged(/*canonical_only=*/true)) {
-    std::snprintf(buf, sizeof(buf),
-                  "%" PRIu64 " +%" PRIu64 " s%u #%" PRIu64 " %s %" PRIu64
-                  " %" PRIu64 " %" PRIu64 "\n",
-                  e.ts_us, e.dur_us, e.shard, e.seq, TraceCatName(e.cat), e.a0,
-                  e.a1, e.a2);
-    out += buf;
-  }
-  return out;
 }
 
 namespace {

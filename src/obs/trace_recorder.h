@@ -11,8 +11,10 @@
 // TraceRecorder owns the lanes plus one extra *wall lane* for
 // producer-thread events that live in the wall-clock domain (credit waits).
 // Merging sorts by (ts_us, shard, seq) -- a total order because (shard, seq)
-// is unique -- and CanonicalBytes() serializes only the deterministic
-// categories: the byte string two runs of the same schedule must agree on.
+// is unique. The canonical stream, Merged(true), keeps only the
+// deterministic categories: two runs of the same schedule must agree on it
+// and on every lane's emitted and dropped counts (harness::FirstDivergence
+// holds them to it).
 //
 // Recording is zero-cost when disabled: every emission site branches on a
 // null sink pointer, and emission itself only reads clocks/counters that the
@@ -93,6 +95,7 @@ class TraceRecorder {
   uint32_t num_shards() const { return num_shards_; }
   /// Lane for shard `i`'s virtual-time events (device, FTL, driver spans).
   TraceShard* shard(uint32_t i) { return &lanes_[i]; }
+  const TraceShard* shard(uint32_t i) const { return &lanes_[i]; }
   /// Lane for producer-thread wall-clock events (credit waits).
   TraceShard* wall_lane() { return &lanes_[num_shards_]; }
 
@@ -102,11 +105,6 @@ class TraceRecorder {
   /// All surviving events merged by (ts_us, shard, seq); with
   /// `canonical_only`, wall-domain categories are filtered out.
   std::vector<TraceEvent> Merged(bool canonical_only) const;
-
-  /// Compact text serialization of the deterministic merged stream -- the
-  /// byte string the trace-equality gates compare. Includes per-lane drop
-  /// counts so two runs must also agree on what overflowed.
-  std::string CanonicalBytes() const;
 
   /// Chrome trace-event JSON ("X" complete events; one process per shard,
   /// one thread track per plane for flash spans and per category above

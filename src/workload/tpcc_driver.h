@@ -104,6 +104,15 @@ struct TpccRunStats : OpSamples {
   /// Wall-clock time the producer spent parked on per-shard credits
   /// (threaded Serve only; wall time, excluded from determinism checks).
   uint64_t credit_wait_ns = 0;
+
+  /// Equality of every virtual field -- all but the wall-clock
+  /// credit_wait_ns. A Serve and the Replay of its commit log must agree.
+  bool SameVirtualAs(TpccRunStats other) const {
+    other.credit_wait_ns = credit_wait_ns;
+    return *this == other;
+  }
+  friend bool operator==(const TpccRunStats& a,
+                         const TpccRunStats& b) = default;
 };
 
 /// See file comment.

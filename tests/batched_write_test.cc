@@ -1,7 +1,7 @@
 // WriteBatch contract tests: the batched path must leave the chip in exactly
-// the state the sequential WriteBack path produces (identical data and spare
-// areas, identical virtual clock), for every method and through the
-// ShardedStore, and batched state must survive crash recovery.
+// the state the sequential WriteBack path produces (harness::FirstDivergence:
+// identical clock, erase counts, data and spare areas), for every method and
+// through the ShardedStore, and batched state must survive crash recovery.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "ftl/sharded_store.h"
 #include "methods/method_factory.h"
+#include "replay_oracle.h"
 
 namespace flashdb {
 namespace {
@@ -56,18 +57,6 @@ std::vector<std::pair<PageId, ByteBuffer>> MakeWriteStream(uint32_t pages,
   return stream;
 }
 
-void ExpectDevicesIdentical(FlashDevice* a, FlashDevice* b,
-                            const std::string& label) {
-  ASSERT_EQ(a->geometry().total_pages(), b->geometry().total_pages());
-  for (flash::PhysAddr addr = 0; addr < a->geometry().total_pages(); ++addr) {
-    ASSERT_TRUE(BytesEqual(a->RawData(addr), b->RawData(addr)))
-        << label << ": data area differs at physical page " << addr;
-    ASSERT_TRUE(BytesEqual(a->RawSpare(addr), b->RawSpare(addr)))
-        << label << ": spare area differs at physical page " << addr;
-  }
-  EXPECT_EQ(a->clock().now_us(), b->clock().now_us()) << label;
-}
-
 class BatchedWriteTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(BatchedWriteTest, MatchesSequentialOnFlashState) {
@@ -99,7 +88,7 @@ TEST_P(BatchedWriteTest, MatchesSequentialOnFlashState) {
     ASSERT_TRUE(batch->WriteBatch(writes).ok());
     window = window % 13 + 1;
   }
-  ExpectDevicesIdentical(&dev_seq, &dev_batch, GetParam());
+  EXPECT_TRUE(SameTwins({{&dev_seq}}, {{&dev_batch}}));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, BatchedWriteTest,
@@ -140,10 +129,8 @@ TEST(BatchedWriteShardedTest, MatchesSequentialAcrossShards) {
     }
     ASSERT_TRUE(batch->WriteBatch(writes).ok());
   }
-  for (uint32_t s = 0; s < shards; ++s) {
-    ExpectDevicesIdentical(seq->shard_device(s), batch->shard_device(s),
-                           "shard " + std::to_string(s));
-  }
+  EXPECT_TRUE(SameTwins({harness::ChipsOf(seq.get())},
+                        {harness::ChipsOf(batch.get())}));
 }
 
 TEST(BatchedWriteShardedTest, BatchedStateSurvivesCrashRecovery) {

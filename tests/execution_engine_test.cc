@@ -1,173 +1,95 @@
 // The execution-engine property: every run mode of UpdateDriver is one
 // windowed, credit-streamed engine, so Run(n), inline RunPipelined (null
 // executor) and threaded RunPipelined over the same operations must leave
-// identical flash cells and per-chip clocks, and report identical virtual
-// RunStats (histogram and worst op included) and canonical traces.
+// identical chips (harness::FirstDivergence: clocks, erase counts, cells and
+// canonical traces) and report identical virtual RunStats (histogram and
+// worst op included).
 //
 // Swept: flat and 4-shard stores; OPU, IPU, PDL(256B) and IPL(18KB); batch
 // 1 and 8; threaded depth 1 and 4; epochs off, and on with the durable meta
-// journal plus wear-leveling rebalancing on the sharded store. Latency
-// recording, tracing and shadow verification stay on throughout. Run(n) is
-// the batch-1 member of the family and never splits epochs, so it joins the
-// comparison wherever no migration can happen.
+// journal plus wear-leveling rebalancing on the sharded store, where the OPU
+// runs migrate. Latency recording, tracing and shadow verification stay on
+// throughout. Run(n) is the batch-1 member of the family and never splits
+// epochs, so it joins the comparison wherever no migration can happen.
+//
+// Recording itself changes nothing: a second test holds twins with latency
+// recording and tracing switched on one at a time to each other.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "flash/flash_device.h"
-#include "ftl/shard_executor.h"
-#include "ftl/sharded_store.h"
-#include "methods/method_factory.h"
-#include "obs/trace_recorder.h"
-#include "workload/update_driver.h"
+#include "harness/experiment.h"
+#include "replay_oracle.h"
 
 namespace flashdb::workload {
 namespace {
 
-using flash::FlashConfig;
-using flash::FlashDevice;
+constexpr uint64_t kOps = UpdateTwin::kOps;
 
-constexpr uint32_t kShards = 4;
-constexpr uint32_t kPages = 160;
-constexpr uint64_t kOps = 800;
-constexpr uint64_t kEpochOps = 200;
-
-/// One execution of the swept configuration.
-enum class Mode { kRun, kInline, kThreaded };
-
-struct Config {
-  std::string method;
-  bool sharded = false;
-  bool epochs = false;
-
-  bool leveling() const { return sharded && epochs; }
-};
-
-/// A warmed store with a recorder on every chip. Identical configs yield
-/// identical state, so the rigs of one comparison execute the very same
-/// operations from the very same flash image.
-struct Rig {
-  std::vector<std::unique_ptr<FlashDevice>> devices;
-  std::unique_ptr<PageStore> store;
-  std::unique_ptr<UpdateDriver> driver;
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  RunStats stats;
-
-  explicit Rig(const Config& cfg) {
-    auto spec = methods::ParseMethodSpec(cfg.method);
-    EXPECT_TRUE(spec.ok());
-    const uint32_t chips = cfg.sharded ? kShards : 1;
-    const FlashConfig flash_cfg = FlashConfig::Small(12).WithMetaBlocks(4);
-    std::vector<FlashDevice*> ptrs;
-    for (uint32_t i = 0; i < chips; ++i) {
-      devices.push_back(std::make_unique<FlashDevice>(flash_cfg));
-      ptrs.push_back(devices.back().get());
-    }
-    WorkloadParams params;
-    params.verify = true;
-    params.record_latency = true;
-    params.pct_update_ops = 80.0;
-    if (cfg.sharded) {
-      auto sharded = methods::CreateShardedStoreOverDevices(ptrs, *spec);
-      if (cfg.epochs) {
-        EXPECT_TRUE(sharded->EnableMetaJournal().ok());
-      }
-      if (cfg.leveling()) {
-        ftl::WearLevelConfig wl;
-        wl.buckets_per_shard = 8;
-        wl.max_erase_ratio = 1.25;
-        wl.min_total_erases = 8;
-        EXPECT_TRUE(sharded->router()->EnableRebalancing(wl).ok());
-      }
-      params.hot_shard_pct = 90.0;  // a hotspot to park on and to level
-      store = std::move(sharded);
-    } else {
-      store = methods::CreateStore(ptrs[0], *spec);
-    }
-    if (cfg.epochs) params.rebalance_epoch_ops = kEpochOps;
-    driver = std::make_unique<UpdateDriver>(store.get(), params);
-    EXPECT_TRUE(driver->LoadDatabase(kPages).ok());
-    EXPECT_TRUE(driver->Warmup(1.0, 2000).ok());
-    recorder = std::make_unique<obs::TraceRecorder>(chips);
-    for (uint32_t i = 0; i < chips; ++i) {
-      devices[i]->set_trace(recorder->shard(i));
-    }
-    driver->set_wall_trace(recorder->wall_lane());
-  }
-
-  /// Executes the measured operations in `mode`.
-  Status Execute(Mode mode, uint32_t batch, uint32_t depth) {
-    if (mode == Mode::kRun) return driver->Run(kOps, &stats);
-    const Schedule schedule = driver->MakeSchedule(kOps);
-    if (mode == Mode::kInline) {
-      return driver->RunPipelined(schedule, batch, depth, nullptr, &stats);
-    }
-    ftl::ShardExecutor executor(static_cast<uint32_t>(devices.size()),
-                                /*queue_capacity=*/depth);
-    return driver->RunPipelined(schedule, batch, depth, &executor, &stats);
-  }
-};
-
-/// Fails (with `label`) unless the two rigs are indistinguishable in
+/// Fails (with `label`) unless the two twins are indistinguishable in
 /// everything virtual.
-void ExpectSameExecution(const Rig& a, const Rig& b, const std::string& label) {
-  ASSERT_EQ(a.devices.size(), b.devices.size()) << label;
-  for (size_t i = 0; i < a.devices.size(); ++i) {
-    FlashDevice* da = a.devices[i].get();
-    FlashDevice* db = b.devices[i].get();
-    EXPECT_EQ(da->clock().now_us(), db->clock().now_us())
-        << label << ": chip " << i;
-    for (flash::PhysAddr addr = 0; addr < da->geometry().total_pages();
-         ++addr) {
-      ASSERT_TRUE(BytesEqual(da->RawData(addr), db->RawData(addr)))
-          << label << ": chip " << i << " data differs at page " << addr;
-      ASSERT_TRUE(BytesEqual(da->RawSpare(addr), db->RawSpare(addr)))
-          << label << ": chip " << i << " spare differs at page " << addr;
-    }
-  }
-  // Histogram and worst op included.
-  EXPECT_TRUE(a.stats.SameVirtualAs(b.stats)) << label;
-  EXPECT_EQ(a.recorder->CanonicalBytes(), b.recorder->CanonicalBytes())
+void ExpectSameExecution(const UpdateTwin& a, const UpdateTwin& b,
+                         const std::string& label) {
+  EXPECT_TRUE(
+      SameTwins(a.rig.AsTwin(&a.recorder), b.rig.AsTwin(&b.recorder)))
       << label;
+  EXPECT_TRUE(a.stats.SameVirtualAs(b.stats)) << label;
 }
 
 class ExecutionEngineTest
     : public ::testing::TestWithParam<std::tuple<const char*, bool, bool>> {};
 
 TEST_P(ExecutionEngineTest, RunInlineAndThreadedAgree) {
-  const Config cfg{std::get<0>(GetParam()), std::get<1>(GetParam()),
-                   std::get<2>(GetParam())};
+  const auto [method, sharded, epochs] = GetParam();
+  const bool leveling = sharded && epochs;
   for (const uint32_t batch : {1u, 8u}) {
     const std::string at = " batch " + std::to_string(batch);
-    Rig inline_rig(cfg);
-    ASSERT_TRUE(inline_rig.Execute(Mode::kInline, batch, 1).ok()) << at;
-    EXPECT_EQ(inline_rig.stats.operations, kOps);
-    EXPECT_EQ(inline_rig.stats.latency.count(), kOps);
-    EXPECT_EQ(inline_rig.stats.credit_wait_ns, 0u);  // inline never parks
-    if (cfg.leveling()) {
+    UpdateTwin inline_rig(method, sharded, epochs);
+    ASSERT_TRUE(inline_rig.Execute({.batch = batch, .depth = 1}).ok()) << at;
+    const RunStats& s = inline_rig.stats;
+    EXPECT_EQ(s.operations, kOps);
+    EXPECT_EQ(s.latency.count(), kOps);
+    EXPECT_GT(s.latency.max(), 0u);
+    EXPECT_EQ(s.credit_wait_ns, 0u);  // inline never parks
+    // The worst op is sampled, and its causes never exceed its total.
+    EXPECT_TRUE(s.worst_op.valid);
+    EXPECT_LE(s.worst_op.read_us + s.worst_op.write_us + s.worst_op.gc_us +
+                  s.worst_op.meta_us,
+              s.worst_op.total_us);
+    // The stream carries one op span per measured operation. Only a flat
+    // IPU chip's block rewrites overflow its ring, dropping spans as well.
+    if (std::string(method) != "IPU" || sharded) {
+      EXPECT_EQ(inline_rig.recorder.total_dropped(), 0u) << at;
+      EXPECT_EQ(CountEvents(inline_rig.recorder, obs::TraceCat::kOpSpan), kOps)
+          << at;
+    }
+    if (leveling) {
       // Every swap is journaled; OPU's write volume trips the rebalancer
       // within this short run, so its runs really migrate.
-      auto* sharded = static_cast<ftl::ShardedStore*>(inline_rig.store.get());
-      EXPECT_EQ(sharded->journal_epochs(), inline_rig.stats.migrations) << at;
-      if (cfg.method == "OPU") {
-        EXPECT_GT(inline_rig.stats.migrations, 0u) << at;
+      EXPECT_EQ(inline_rig.rig.sharded()->journal_epochs(), s.migrations)
+          << at;
+      if (std::string(method) == "OPU") {
+        EXPECT_GT(s.migrations, 0u) << at;
       }
     }
     for (const uint32_t depth : {1u, 4u}) {
-      Rig threaded(cfg);
-      ASSERT_TRUE(threaded.Execute(Mode::kThreaded, batch, depth).ok());
+      UpdateTwin threaded(method, sharded, epochs);
+      ASSERT_TRUE(threaded
+                      .Execute({.batch = batch,
+                                .depth = depth,
+                                .threaded = true})
+                      .ok());
       ExpectSameExecution(inline_rig, threaded,
                           "threaded depth " + std::to_string(depth) + at);
     }
     // Run() is the batch-1 engine without epochs: comparable wherever the
     // epoch boundaries cannot migrate anything.
-    if (batch == 1 && !cfg.leveling()) {
-      Rig run(cfg);
-      ASSERT_TRUE(run.Execute(Mode::kRun, 1, 1).ok());
+    if (batch == 1 && !leveling) {
+      UpdateTwin run(method, sharded, epochs);
+      ASSERT_TRUE(run.Execute({}).ok());
       ExpectSameExecution(inline_rig, run, "Run()" + at);
     }
   }
@@ -187,6 +109,39 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The null-sink contract: recording never moves virtual time. Three twins
+// switch the recorders on one at a time -- none, latency, latency and
+// tracing -- and each must leave the chips and virtual stats of the last.
+TEST(RecordingTest, LatencyAndTracingChangeNothing) {
+  harness::ExperimentEnv env;
+  env.flash_cfg = flash::FlashConfig::Small(32);  // 2 chips of 16 blocks
+  env.utilization = 0.25;
+  env.warmup_erases_per_block = 1.0;
+  env.warmup_max_ops = 4000;
+  const auto spec = methods::ParseMethodSpec("PDL(256B)");
+  ASSERT_TRUE(spec.ok());
+  obs::TraceRecorder recorder(2);
+  std::vector<harness::Rig> rigs;
+  std::vector<RunStats> stats;
+  for (int on = 0; on < 3; ++on) {
+    harness::RigSpec shape{.shards = 2};
+    shape.params.record_latency = on >= 1;
+    auto rig = harness::PrepareRig(env, *spec, shape);
+    ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+    if (on == 2) rig->Attach(nullptr, &recorder);
+    auto run = harness::Execute(&*rig, 500, {.batch = 8, .depth = 1});
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    stats.push_back(run->stats);
+    rigs.push_back(std::move(*rig));
+  }
+  EXPECT_TRUE(SameTwins(rigs[0].AsTwin(), rigs[1].AsTwin()));
+  EXPECT_EQ(stats[0].elapsed_vt_us, stats[1].elapsed_vt_us);
+  // Tracing keeps every virtual field, the histogram and worst op included.
+  EXPECT_TRUE(SameTwins(rigs[1].AsTwin(), rigs[2].AsTwin()));
+  EXPECT_TRUE(stats[1].SameVirtualAs(stats[2]));
+  EXPECT_GT(recorder.total_emitted(), 0u);
+}
 
 }  // namespace
 }  // namespace flashdb::workload

@@ -224,10 +224,11 @@ TEST(FactoryBadBlockTest, FormatNeverErasesTheMark) {
   }
 }
 
-// Format refuses a database larger than the pages left beside the GC
-// reserve before it programs any page; one that fits formats as before, one
-// program per page. On a 32-block 2-die x 4-plane chip OPU withholds
-// min(3, 32 / 8) + 1 x 7 = 10 blocks and PDL min(4, 32 / 8) + 2 x 7 = 18.
+// Format refuses a database that leaves no free page beside the GC reserve
+// (an out-of-place write needs one) before it programs any page; one that
+// fits formats as before, one program per page, and takes a WriteBack. On a
+// 32-block 2-die x 4-plane chip OPU withholds min(3, 32 / 8) + 1 x 7 = 10
+// blocks and PDL min(4, 32 / 8) + 2 x 7 = 18.
 TEST(FormatCapacityTest, RefusesADatabaseThatCannotFitBeforeProgramming) {
   FlashConfig cfg = FlashConfig::Small(32);
   cfg.geometry.dies_per_chip = 2;
@@ -243,23 +244,27 @@ TEST(FormatCapacityTest, RefusesADatabaseThatCannotFitBeforeProgramming) {
     const uint32_t usable = (32 - c.reserve) * ppb;
     FlashDevice dev(cfg);
     auto store = methods::CreateStore(&dev, *spec);
-    ASSERT_TRUE(store->Format(usable, nullptr, nullptr).ok()) << c.method;
-    EXPECT_EQ(dev.stats().total.writes, usable) << c.method;
+    ASSERT_TRUE(store->Format(usable - 1, nullptr, nullptr).ok()) << c.method;
+    EXPECT_EQ(dev.stats().total.writes, usable - 1) << c.method;
     EXPECT_EQ(dev.stats().total.reads, 0u) << c.method;
     EXPECT_EQ(dev.stats().total.erases, 0u) << c.method;
-    // One page more: the erase sweep runs, then Format stops short of any
-    // program and leaves the store unformatted.
-    const Status st = store->Format(usable + 1, nullptr, nullptr);
+    ByteBuffer buf(cfg.geometry.data_size, 0x5A);
+    if (std::string(c.method) == "OPU") {
+      EXPECT_TRUE(store->WriteBack(7, buf).ok()) << c.method;
+    }
+    const uint64_t writes = dev.stats().total.writes;
+    // Every usable page: the erase sweep runs, then Format stops short of
+    // any program and leaves the store unformatted.
+    const Status st = store->Format(usable, nullptr, nullptr);
     ASSERT_TRUE(st.IsNoSpace()) << c.method << ": " << st.ToString();
     const std::string msg = st.ToString();
     for (const std::string& part :
-         {std::to_string(usable + 1) + " pages",
+         {std::to_string(usable) + " pages",
           std::to_string(usable) + " usable pages",
           "GC reserve " + std::to_string(c.reserve) + " blocks"}) {
       EXPECT_NE(msg.find(part), std::string::npos) << msg;
     }
-    EXPECT_EQ(dev.stats().total.writes, usable) << c.method;
-    ByteBuffer buf(cfg.geometry.data_size);
+    EXPECT_EQ(dev.stats().total.writes, writes) << c.method;
     EXPECT_TRUE(store->ReadPage(0, buf).IsInvalidArgument()) << c.method;
   }
 }

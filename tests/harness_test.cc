@@ -9,6 +9,7 @@
 
 #include "flash/fault_injector.h"
 #include "harness/experiment.h"
+#include "harness/replay_verdict.h"
 #include "harness/table_printer.h"
 #include "obs/trace_recorder.h"
 
@@ -27,6 +28,24 @@ TEST(FlagsTest, ParsesKeyValueAndBareFlags) {
   EXPECT_EQ(flags.GetString("missing", "def"), "def");
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "positional");
+}
+
+TEST(FlagsTest, AllReadNamesEveryArgumentNoCallAskedFor) {
+  const char* argv[] = {"build/exp1_update_cost", "--ops=300", "--opz=5",
+                        "--verbose", "extra"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("ops", 0), 300);
+  EXPECT_TRUE(flags.Has("verbose"));
+  EXPECT_EQ(flags.GetInt("seed", 42), 42);  // read, though not given
+  std::ostringstream err;
+  EXPECT_FALSE(flags.AllRead(err));
+  EXPECT_EQ(err.str(), "exp1_update_cost: unknown argument(s): --opz extra\n");
+  EXPECT_EQ(flags.GetInt("opz", 0), 5);
+  EXPECT_FALSE(flags.AllRead(err));  // the positional argument still counts
+  const char* clean[] = {"prog", "--ops=1"};
+  Flags read_all(2, const_cast<char**>(clean));
+  EXPECT_EQ(read_all.GetInt("ops", 0), 1);
+  EXPECT_TRUE(read_all.AllRead(err));
 }
 
 TEST(FlagsTest, BoolParsing) {
@@ -148,7 +167,7 @@ TEST(CheckedRunTest, SequentialRunReplaysThreaded) {
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   EXPECT_EQ(checked->run.stats.operations, env.measure_ops);
   EXPECT_GT(checked->run.stats.overall_us_per_op(), 0.0);
-  EXPECT_TRUE(checked->deterministic);
+  EXPECT_TRUE(checked->deterministic());
 }
 
 TEST(CheckedRunTest, ThreadedRunReplaysInline) {
@@ -166,7 +185,7 @@ TEST(CheckedRunTest, ThreadedRunReplaysInline) {
                                 nullptr, nullptr, &trace);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   EXPECT_GT(trace.total_emitted(), 0u);
-  EXPECT_TRUE(checked->deterministic);
+  EXPECT_TRUE(checked->deterministic());
 }
 
 TEST(CheckedRunTest, InlineRunReplaysThreaded) {
@@ -181,7 +200,7 @@ TEST(CheckedRunTest, InlineRunReplaysThreaded) {
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   // The skew must make the rebalancer act, or the replay proves little.
   EXPECT_GT(checked->run.stats.migrations, 0u);
-  EXPECT_TRUE(checked->deterministic);
+  EXPECT_TRUE(checked->deterministic());
 }
 
 TEST(CheckedRunTest, RunsThatDifferFailTheVerdict) {
@@ -198,7 +217,53 @@ TEST(CheckedRunTest, RunsThatDifferFailTheVerdict) {
                                 nullptr, &injector);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   EXPECT_EQ(checked->run.stats.device.integrity.read_retries, 1u);
-  EXPECT_FALSE(checked->deterministic);
+  EXPECT_FALSE(checked->deterministic());
+  // The retry pass moved the clock and nothing else.
+  EXPECT_EQ(checked->divergence.rfind("chip 0 clock", 0), 0u)
+      << checked->divergence;
+}
+
+TEST(FirstDivergenceTest, NamesTheChipAndPageOfAnExtraSpareProgram) {
+  const flash::FlashConfig cfg = flash::FlashConfig::Small(8);
+  flash::FlashDevice a0(cfg), a1(cfg), b0(cfg), b1(cfg);
+  const ByteBuffer data(cfg.geometry.data_size, 0x5A);
+  const ByteBuffer spare(flash::FlashGeometry::spare_size, 0xA5);
+  for (flash::FlashDevice* chip : {&a0, &a1, &b0, &b1}) {
+    ASSERT_TRUE(chip->ProgramPage(3, data, spare).ok());
+  }
+  const Twin a{{&a0, &a1}};
+  const Twin b{{&b0, &b1}};
+  EXPECT_FALSE(FirstDivergence(a, b).has_value());
+  ASSERT_TRUE(b1.ProgramSpare(3, ByteBuffer(spare.size(), 0x05)).ok());
+  const auto d = FirstDivergence(a, b);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->what, "spare");
+  EXPECT_EQ(d->chip, 1u);
+  EXPECT_EQ(d->index, 3u);
+  EXPECT_NE(d->message.find("chip 1 page 3 spare"), std::string::npos)
+      << d->message;
+}
+
+TEST(FirstDivergenceTest, NamesTheShardSeqAndTimeOfAnExtraEvent) {
+  obs::TraceRecorder a(2), b(2);
+  for (obs::TraceRecorder* rec : {&a, &b}) {
+    rec->shard(0)->Emit(obs::TraceCat::kFlashRead, 10, 5);
+    rec->shard(1)->Emit(obs::TraceCat::kFlashProgram, 20, 5);
+    rec->wall_lane()->Emit(obs::TraceCat::kCreditWait, 1, 0);
+  }
+  b.wall_lane()->Emit(obs::TraceCat::kCreditWait, 2, 0);  // not canonical
+  EXPECT_FALSE(FirstDivergence({.trace = &a}, {.trace = &b}).has_value());
+  // An extra erase on shard 0, merged between the two events both share.
+  b.shard(0)->Emit(obs::TraceCat::kFlashErase, 15, 1);
+  const auto d = FirstDivergence({.trace = &a}, {.trace = &b});
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->chip, 0u);
+  EXPECT_EQ(d->index, 1u);
+  EXPECT_EQ(d->ts_us, 15u);
+  EXPECT_EQ(d->what, "event ts_us");
+  EXPECT_NE(d->message.find("flash_erase"), std::string::npos) << d->message;
+  // A traced twin never matches an untraced one.
+  EXPECT_EQ(FirstDivergence({.trace = &a}, {})->what, "trace");
 }
 
 TEST(RigTest, ExecuteRejectsZeroOperations) {

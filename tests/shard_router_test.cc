@@ -1,6 +1,9 @@
 // Unit tests for ftl::ShardRouter and cross-shard wear leveling: routing
 // identity, swap bookkeeping, migration content equivalence, erase-count
-// convergence under skew, and bit-determinism across execution modes.
+// convergence under skew, and bit-identical twins where routing or recovery
+// must not matter. That migrating runs replay bit-identically inline and
+// threaded is execution_engine_test's to show (its journaled, leveled OPU
+// cases migrate).
 
 #include "ftl/shard_router.h"
 
@@ -16,7 +19,9 @@
 #include "flash/fault_injector.h"
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
+#include "harness/experiment.h"
 #include "methods/method_factory.h"
+#include "replay_oracle.h"
 #include "workload/update_driver.h"
 
 namespace flashdb::ftl {
@@ -24,9 +29,6 @@ namespace {
 
 using flash::FlashConfig;
 using workload::RunStats;
-using workload::Schedule;
-using workload::UpdateDriver;
-using workload::WorkloadParams;
 
 TEST(ShardRouterTest, IdentityMappingMatchesLegacyStriping) {
   for (uint32_t shards : {1u, 2u, 4u, 5u}) {
@@ -247,36 +249,35 @@ TEST(ShardRouterTest, MismatchedSwapSizesRejected) {
   EXPECT_TRUE(store->MigrateBuckets(good, nullptr).ok());
 }
 
-struct PreparedRun {
-  std::unique_ptr<ShardedStore> store;
-  std::unique_ptr<UpdateDriver> driver;
-};
-
-/// Steady-state skewed setup shared by the convergence/determinism tests.
+/// The steady-state skewed rig of the convergence and zero-skew tests: 160
+/// pages over four FlashConfig::Small(8) OPU chips in 400-op epochs, with
+/// shadow verification checking every read against the migrations.
 /// `threshold` <= 0 leaves wear leveling off.
-PreparedRun PrepareSkewed(double hot_pct, double threshold,
-                          uint64_t epoch_ops, uint64_t ops_for_schedule,
-                          Schedule* schedule) {
-  auto spec = methods::ParseMethodSpec("OPU");
-  EXPECT_TRUE(spec.ok());
-  PreparedRun run;
-  run.store = methods::CreateShardedStore(FlashConfig::Small(8), 4, *spec);
+harness::Rig PrepareSkewed(double hot_pct, double threshold) {
+  harness::ExperimentEnv env;
+  env.flash_cfg = FlashConfig::Small(32);
+  env.utilization = 160.0 / (4 * (8 - 2) * 64);
+  env.warmup_erases_per_block = 1.0;
+  env.warmup_max_ops = 4000;
+  harness::RigSpec shape{.shards = 4};
+  shape.params.hot_shard_pct = hot_pct;
+  shape.params.rebalance_epoch_ops = 400;
+  shape.params.verify = true;
   if (threshold > 0) {
-    WearLevelConfig cfg;
-    cfg.buckets_per_shard = 8;
-    cfg.max_erase_ratio = threshold;
-    cfg.min_total_erases = 32;
-    EXPECT_TRUE(run.store->router()->EnableRebalancing(cfg).ok());
+    shape.leveling = WearLevelConfig{.buckets_per_shard = 8,
+                                     .max_erase_ratio = threshold,
+                                     .min_total_erases = 32};
   }
-  WorkloadParams params;
-  params.hot_shard_pct = hot_pct;
-  params.rebalance_epoch_ops = epoch_ops;
-  params.verify = true;  // shadow-checks every read against the migrations
-  run.driver = std::make_unique<UpdateDriver>(run.store.get(), params);
-  EXPECT_TRUE(run.driver->LoadDatabase(160).ok());
-  EXPECT_TRUE(run.driver->Warmup(1.0, 4000).ok());
-  *schedule = run.driver->MakeSchedule(ops_for_schedule);
-  return run;
+  auto rig = harness::PrepareRig(env, *methods::ParseMethodSpec("OPU"), shape);
+  CheckOrAbort(rig.ok(), "PrepareRig: %s", rig.status().ToString().c_str());
+  return std::move(*rig);
+}
+
+/// Runs `ops` operations of `rig`'s workload inline in 8-op windows.
+RunStats RunSkewed(harness::Rig* rig, uint64_t ops) {
+  auto run = harness::Execute(rig, ops, {.batch = 8, .depth = 1});
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  return run.ok() ? run->stats : RunStats{};
 }
 
 double EraseDeltaRatio(const std::vector<uint64_t>& before,
@@ -296,24 +297,18 @@ double EraseDeltaRatio(const std::vector<uint64_t>& before,
 // the worn chip and pull the per-shard erase ratio far below the unleveled
 // run's (shadow verification proves content stays intact throughout).
 TEST(ShardRouterTest, EraseCountsConvergeUnderSkew) {
-  Schedule schedule_off;
-  PreparedRun off = PrepareSkewed(90.0, 0.0, 400, 4000, &schedule_off);
-  const std::vector<uint64_t> off_before = off.store->shard_erases();
-  RunStats stats_off;
-  ASSERT_TRUE(
-      off.driver->RunPipelined(schedule_off, 8, 1, nullptr, &stats_off).ok());
+  harness::Rig off = PrepareSkewed(90.0, 0.0);
+  const std::vector<uint64_t> off_before = off.sharded()->shard_erases();
+  const RunStats stats_off = RunSkewed(&off, 4000);
   const double ratio_off =
-      EraseDeltaRatio(off_before, off.store->shard_erases());
+      EraseDeltaRatio(off_before, off.sharded()->shard_erases());
   EXPECT_EQ(stats_off.migrations, 0u);
 
-  Schedule schedule_on;
-  PreparedRun on = PrepareSkewed(90.0, 1.25, 400, 4000, &schedule_on);
-  const std::vector<uint64_t> on_before = on.store->shard_erases();
-  RunStats stats_on;
-  ASSERT_TRUE(
-      on.driver->RunPipelined(schedule_on, 8, 1, nullptr, &stats_on).ok());
+  harness::Rig on = PrepareSkewed(90.0, 1.25);
+  const std::vector<uint64_t> on_before = on.sharded()->shard_erases();
+  const RunStats stats_on = RunSkewed(&on, 4000);
   const double ratio_on =
-      EraseDeltaRatio(on_before, on.store->shard_erases());
+      EraseDeltaRatio(on_before, on.sharded()->shard_erases());
 
   EXPECT_GT(stats_on.migrations, 0u);
   EXPECT_GT(stats_on.device.of(flash::OpCategory::kMigrate).total_us(),
@@ -327,62 +322,12 @@ TEST(ShardRouterTest, EraseCountsConvergeUnderSkew) {
 // no migrations, and device state bit-identical to a store whose router was
 // never enabled (same epoch windowing, so the comparison isolates routing).
 TEST(ShardRouterTest, ZeroSkewStaysLegacyBitIdentical) {
-  Schedule schedule_plain;
-  PreparedRun plain = PrepareSkewed(0.0, 0.0, 400, 2000, &schedule_plain);
-  RunStats stats_plain;
-  ASSERT_TRUE(
-      plain.driver->RunPipelined(schedule_plain, 8, 1, nullptr, &stats_plain)
-          .ok());
-
-  Schedule schedule_armed;
-  PreparedRun armed = PrepareSkewed(0.0, 1.25, 400, 2000, &schedule_armed);
-  RunStats stats_armed;
-  ASSERT_TRUE(
-      armed.driver->RunPipelined(schedule_armed, 8, 1, nullptr, &stats_armed)
-          .ok());
-
-  EXPECT_EQ(stats_armed.migrations, 0u);
-  EXPECT_TRUE(armed.store->router()->is_identity());
-  EXPECT_EQ(plain.store->shard_clocks(), armed.store->shard_clocks());
-  EXPECT_EQ(plain.store->shard_erases(), armed.store->shard_erases());
-}
-
-// Bucket migrations happen at quiescent epoch boundaries, so inline and
-// threaded runs of the same schedule stay bit-identical even while
-// migrating under concurrent window submission (TSan exercises the executor
-// paths).
-TEST(ShardRouterTest, MigrationIsDeterministicInlineAndThreaded) {
-  Schedule schedule_seq;
-  PreparedRun seq = PrepareSkewed(90.0, 1.25, 400, 3000, &schedule_seq);
-  RunStats stats_seq;
-  ASSERT_TRUE(
-      seq.driver->RunPipelined(schedule_seq, 8, 1, nullptr, &stats_seq).ok());
-
-  Schedule schedule_pipe;
-  PreparedRun pipe = PrepareSkewed(90.0, 1.25, 400, 3000, &schedule_pipe);
-  RunStats stats_pipe;
-  {
-    ShardExecutor executor(4, 8);
-    ASSERT_TRUE(pipe.driver
-                    ->RunPipelined(schedule_pipe, 8, 4, &executor,
-                                   &stats_pipe)
-                    .ok());
-  }
-
-  EXPECT_GT(stats_seq.migrations, 0u);
-  EXPECT_EQ(stats_seq.migrations, stats_pipe.migrations);
-  EXPECT_EQ(seq.store->shard_clocks(), pipe.store->shard_clocks());
-  EXPECT_EQ(seq.store->shard_erases(), pipe.store->shard_erases());
-  EXPECT_TRUE(stats_seq.device == stats_pipe.device);
-
-  // And the logical contents agree everywhere.
-  ByteBuffer a(seq.store->device()->geometry().data_size);
-  ByteBuffer b(a.size());
-  for (PageId pid = 0; pid < 160; ++pid) {
-    ASSERT_TRUE(seq.store->ReadPage(pid, a).ok());
-    ASSERT_TRUE(pipe.store->ReadPage(pid, b).ok());
-    EXPECT_TRUE(BytesEqual(a, b)) << "pid " << pid;
-  }
+  harness::Rig plain = PrepareSkewed(0.0, 0.0);
+  RunSkewed(&plain, 2000);
+  harness::Rig armed = PrepareSkewed(0.0, 1.25);
+  EXPECT_EQ(RunSkewed(&armed, 2000).migrations, 0u);
+  EXPECT_TRUE(armed.sharded()->router()->is_identity());
+  EXPECT_TRUE(SameTwins(plain.AsTwin(), armed.AsTwin()));
 }
 
 // --- Durable routing: journaled recovery ----------------------------------
@@ -614,9 +559,9 @@ TEST(ShardRouterTest, RecoveryIsIdempotentAcrossCycles) {
 }
 
 // The per-chip recoveries are independent scans: dispatching them to the
-// shard workers must produce bit-identical post-recovery state (contents,
-// clocks, erase counts) to a sequential recovery of an identical crash
-// image.
+// shard workers must produce bit-identical post-recovery state (cells,
+// clocks, erase counts, logical contents) to a sequential recovery of an
+// identical crash image.
 TEST(ShardRouterTest, ParallelRecoveryMatchesSequential) {
   constexpr uint32_t kShards = 4;
   DurableRig seq_rig = BuildDurableRig(/*migrate=*/true, kShards, 160);
@@ -639,8 +584,8 @@ TEST(ShardRouterTest, ParallelRecoveryMatchesSequential) {
     ASSERT_TRUE(par->Recover(&executor).ok());
   }
 
-  EXPECT_EQ(seq->shard_clocks(), par->shard_clocks());
-  EXPECT_EQ(seq->shard_erases(), par->shard_erases());
+  EXPECT_TRUE(SameTwins({harness::ChipsOf(seq.get())},
+                        {harness::ChipsOf(par.get())}));
   EXPECT_EQ(seq->router()->swaps_committed(),
             par->router()->swaps_committed());
   ByteBuffer a(seq_rig.devices[0]->geometry().data_size);

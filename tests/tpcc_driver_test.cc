@@ -2,27 +2,21 @@
 //
 // The determinism contract under test: a concurrent N-client run records its
 // commit order, and a single-threaded replay of that order against an
-// identically prepared rig must reproduce bit-identical flash state, virtual
-// clocks, latency histograms, and worst-op samples -- for both a loosely
-// coupled method (OPU) and the paper's differential method (PDL) at 1, 2,
-// and 4 shards.
+// identically prepared twin (tests/replay_oracle.h) must reproduce
+// bit-identical flash cells, virtual clocks, virtual stats (latency
+// histograms and worst-op samples included) and canonical event streams --
+// for both a loosely coupled method (OPU) and the paper's differential
+// method (PDL) at 1, 2, and 4 shards.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ftl/shard_executor.h"
-#include "methods/method_factory.h"
-#include "workload/tpcc_driver.h"
+#include "replay_oracle.h"
 
 namespace flashdb::workload {
 namespace {
-
-using flash::FlashConfig;
-
-constexpr uint32_t kPageSize = 2048;
 
 TpccScale DriverScale() {
   TpccScale s;
@@ -36,51 +30,6 @@ TpccScale DriverScale() {
   return s;
 }
 
-/// A sharded serving rig; identical arguments produce identical state.
-struct Rig {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<TpccDriver> driver;
-};
-
-Rig MakeRig(const char* method, uint32_t shards,
-            const TpccDriverOptions& opts) {
-  const uint32_t pages_per_shard =
-      TpccDriver::PagesPerShard(opts.scale, kPageSize, shards);
-  const uint32_t blocks_per_shard = (pages_per_shard * 2) / 64 + 8;
-  auto spec = methods::ParseMethodSpec(method);
-  EXPECT_TRUE(spec.ok());
-  Rig rig;
-  rig.store = methods::CreateShardedStore(FlashConfig::Small(blocks_per_shard),
-                                          shards, *spec);
-  EXPECT_TRUE(
-      rig.store->Format(shards * pages_per_shard, nullptr, nullptr).ok());
-  rig.driver = std::make_unique<TpccDriver>(rig.store.get(), opts);
-  return rig;
-}
-
-/// Every logical page, read back through the store (quiescent only). Both
-/// sides of a comparison dump identically, so the reads cannot skew it --
-/// but clocks must be compared *before* dumping.
-std::vector<ByteBuffer> DumpPages(PageStore* store) {
-  std::vector<ByteBuffer> pages(store->num_logical_pages());
-  for (PageId pid = 0; pid < store->num_logical_pages(); ++pid) {
-    pages[pid].resize(kPageSize);
-    EXPECT_TRUE(store->ReadPage(pid, pages[pid]).ok()) << "pid " << pid;
-  }
-  return pages;
-}
-
-void ExpectStatsEqual(const TpccRunStats& a, const TpccRunStats& b) {
-  EXPECT_EQ(a.elapsed_vt_us, b.elapsed_vt_us);
-  EXPECT_EQ(a.total_work_us, b.total_work_us);
-  EXPECT_TRUE(a.latency == b.latency);
-  EXPECT_TRUE(a.worst_op == b.worst_op);
-  for (uint32_t t = 0; t < kNumTpccTxnTypes; ++t) {
-    EXPECT_TRUE(a.by_type[t] == b.by_type[t])
-        << TpccTxnTypeName(static_cast<TpccTxnType>(t));
-  }
-}
-
 struct Case {
   std::string method;
   uint32_t shards;
@@ -89,7 +38,7 @@ struct Case {
 class TpccDriverDifferentialTest : public ::testing::TestWithParam<Case> {};
 
 // The tentpole invariant: concurrent serving == sequential replay of the
-// recorded commit order, bit for bit.
+// recorded commit order, bit for bit, one transaction span per transaction.
 TEST_P(TpccDriverDifferentialTest, ConcurrentMatchesCommitOrderReplay) {
   const Case& c = GetParam();
   TpccDriverOptions opts;
@@ -99,22 +48,27 @@ TEST_P(TpccDriverDifferentialTest, ConcurrentMatchesCommitOrderReplay) {
   opts.frames_per_shard = 96;
   opts.hot_warehouse_pct = 10.0;
   opts.remote_pct = 20.0;
+  opts.max_inflight_per_shard = 3;
 
-  Rig live = MakeRig(c.method.c_str(), c.shards, opts);
+  harness::TpccRig live = TpccTwin(c.method, c.shards, opts);
   ftl::ShardExecutor executor(c.shards);
   ASSERT_TRUE(live.driver->Load(&executor).ok());
+  obs::TraceRecorder live_trace(c.shards);
+  live.Attach(&live_trace);
   TpccRunStats live_stats;
   ASSERT_TRUE(live.driver->Serve(300, &executor, &live_stats).ok());
   ASSERT_EQ(live.driver->commit_log().size(), 300u);
+  EXPECT_EQ(CountEvents(live_trace, obs::TraceCat::kTxnSpan), 300u);
 
-  Rig ref = MakeRig(c.method.c_str(), c.shards, opts);
+  harness::TpccRig ref = TpccTwin(c.method, c.shards, opts);
   ASSERT_TRUE(ref.driver->Load(nullptr).ok());
+  obs::TraceRecorder ref_trace(c.shards);
+  ref.Attach(&ref_trace);
   TpccRunStats ref_stats;
   ASSERT_TRUE(ref.driver->Replay(live.driver->commit_log(), &ref_stats).ok());
-
-  EXPECT_EQ(live.store->shard_clocks(), ref.store->shard_clocks());
-  ExpectStatsEqual(live_stats, ref_stats);
-  EXPECT_EQ(DumpPages(live.store.get()), DumpPages(ref.store.get()));
+  EXPECT_TRUE(SameTwins({harness::ChipsOf(live.store.get()), &live_trace},
+                        {harness::ChipsOf(ref.store.get()), &ref_trace}));
+  EXPECT_TRUE(live_stats.SameVirtualAs(ref_stats));
 }
 
 // The per-shard commit subsequences of a concurrent run equal the (fully
@@ -129,13 +83,13 @@ TEST_P(TpccDriverDifferentialTest, PerShardCommitOrderMatchesSubmission) {
   opts.seed = 7;
   opts.frames_per_shard = 96;
 
-  Rig live = MakeRig(c.method.c_str(), c.shards, opts);
+  harness::TpccRig live = TpccTwin(c.method, c.shards, opts);
   ftl::ShardExecutor executor(c.shards);
   ASSERT_TRUE(live.driver->Load(&executor).ok());
   ASSERT_TRUE(live.driver->Serve(250, &executor, nullptr).ok());
   const TpccCommitLog concurrent = live.driver->commit_log();
 
-  Rig inline_rig = MakeRig(c.method.c_str(), c.shards, opts);
+  harness::TpccRig inline_rig = TpccTwin(c.method, c.shards, opts);
   ASSERT_TRUE(inline_rig.driver->Load(nullptr).ok());
   ASSERT_TRUE(inline_rig.driver->Serve(250, nullptr, nullptr).ok());
   const TpccCommitLog submission = inline_rig.driver->commit_log();
@@ -182,7 +136,7 @@ TEST(TpccDriverOptionsTest, ZeroInflightPerShardIsRejected) {
   opts.frames_per_shard = 96;
   opts.max_inflight_per_shard = 0;
 
-  Rig rig = MakeRig("OPU", 2, opts);
+  harness::TpccRig rig = TpccTwin("OPU", 2, opts);
   ASSERT_TRUE(rig.driver->Load(nullptr).ok());
   ftl::ShardExecutor executor(2);
   TpccRunStats stats;
@@ -200,7 +154,7 @@ TEST(TpccDriverOptionsTest, ZeroClientsIsRejected) {
   opts.num_clients = 0;
   opts.frames_per_shard = 96;
 
-  Rig rig = MakeRig("OPU", 2, opts);
+  harness::TpccRig rig = TpccTwin("OPU", 2, opts);
   ASSERT_TRUE(rig.driver->Load(nullptr).ok());
   ftl::ShardExecutor executor(2);
   TpccRunStats stats;
@@ -219,7 +173,7 @@ TEST(TpccDriverOptionsTest, ReplayRejectsBadCommitsBeforeRunningAny) {
   opts.num_clients = 2;
   opts.frames_per_shard = 96;
 
-  Rig rig = MakeRig("OPU", 2, opts);
+  harness::TpccRig rig = TpccTwin("OPU", 2, opts);
   ASSERT_TRUE(rig.driver->Load(nullptr).ok());
   const std::vector<uint64_t> clocks = rig.store->shard_clocks();
   const TpccCommit good{0, 1, TpccTxnType::kPayment};
@@ -245,7 +199,7 @@ TEST(TpccDriverOptionsTest, MoreShardsThanWarehousesIsRejected) {
   opts.num_clients = 2;
   opts.frames_per_shard = 96;
 
-  Rig rig = MakeRig("OPU", 4, opts);
+  harness::TpccRig rig = TpccTwin("OPU", 4, opts);
   const Status load = rig.driver->Load(nullptr);
   EXPECT_TRUE(load.IsInvalidArgument()) << load.ToString();
   EXPECT_NE(load.ToString().find("2 warehouses over 4 shards"),
@@ -267,7 +221,7 @@ TEST(TpccDriverSkewTest, FullHotspotConfinesTrafficToShardZero) {
   opts.hot_warehouse_pct = 100.0;
   opts.remote_pct = 0.0;
 
-  Rig rig = MakeRig("OPU", 4, opts);
+  harness::TpccRig rig = TpccTwin("OPU", 4, opts);
   ASSERT_TRUE(rig.driver->Load(nullptr).ok());
   const std::vector<uint64_t> before = rig.store->shard_clocks();
   TpccRunStats stats;
@@ -294,7 +248,7 @@ TEST(TpccDriverStatsTest, HistogramsCoverEveryTransaction) {
   opts.seed = 11;
   opts.frames_per_shard = 96;
 
-  Rig rig = MakeRig("PDL(256B)", 2, opts);
+  harness::TpccRig rig = TpccTwin("PDL(256B)", 2, opts);
   ftl::ShardExecutor executor(2);
   ASSERT_TRUE(rig.driver->Load(&executor).ok());
   TpccRunStats stats;

@@ -3,16 +3,19 @@
 
 For each BENCHMARK.json workload and end-to-end metric, and for the suite
 wall times (ctest_s, perf_gate_s), prints every point's median in point
-order, with its move against the previous point that records the metric:
-the relative change and whether it is better or worse in the metric's
-direction. Host-time metrics (host_kops_s, setup_s, peak_rss_mb) carry a
-median over runs; the deterministic ones repeat exactly at a fixed seed, so
-any move of theirs is named, and an unchanged one reads `exact`.
+order, with a move: the relative change and whether it is better or worse
+in the metric's direction.
 
-Points measured in different sessions do not compare on host time (see
-docs/BENCHMARKS.md): a move between points whose `host` objects differ is
-marked `(other host)`, and a point without a `parent` key was measured as
-the parent of the next one.
+Host time (host_kops_s, setup_s, peak_rss_mb and the suite wall times)
+moves with the host's load, so it is compared only within one session
+(see docs/BENCHMARKS.md). A point that records `parent_workloads` (its
+same-session parent's quartiles) reads its host-time move against that
+parent; a change point reads it against the parent point measured with it
+(a point without a `parent` key, whose `commit` it names); between points
+of different sessions the value is printed without a verdict. The
+deterministic metrics repeat exactly at a fixed seed, so their moves are
+read against the previous point: any move is named, and an unchanged
+metric reads `exact`.
 
   tools/bench_trajectory.py          # the points at the repository root
   tools/bench_trajectory.py DIR      # the points in DIR
@@ -28,6 +31,8 @@ import sys
 
 _SUITE = "suite"
 _SUITE_METRICS = [("ctest_s", "lower"), ("perf_gate_s", "lower")]
+_HOST_METRICS = {"host_kops_s", "setup_s", "peak_rss_mb", "ctest_s",
+                 "perf_gate_s"}
 
 
 def point_number(path):
@@ -46,12 +51,13 @@ def load_points(directory):
     return points
 
 
-def median_of(point, workload, metric):
-    """The point's median of `metric`, or None when it does not record it."""
+def median_of(point, workload, metric, key="workloads"):
+    """The point's median of `metric`, or None when it does not record it.
+    With key="parent_workloads", the median of its same-session parent."""
     if workload == _SUITE:
-        value = point.get(metric)
+        value = point.get(metric) if key == "workloads" else None
     else:
-        entry = point.get("workloads", {}).get(workload, {})
+        entry = point.get(key, {}).get(workload, {})
         value = entry.get(metric, entry.get("deterministic", {}).get(metric))
     if isinstance(value, dict):
         value = value.get("median")
@@ -68,26 +74,47 @@ def describe_move(prev, cur, better):
     return f"{pct:+.1f}% {'better' if improved else 'worse'}"
 
 
+def same_session(prev_point, point):
+    """A parent point is measured in the session of the change after it."""
+    return ("parent" not in prev_point and
+            point.get("parent") == prev_point.get("commit"))
+
+
+def host_move(prev, point, workload, metric, value, better):
+    own = median_of(point, workload, metric, key="parent_workloads")
+    if own is not None:
+        return (f"{describe_move(own, value, better)} vs its parent "
+                f"({own:.6g}, same session)")
+    if prev is None:
+        return ""
+    if same_session(prev[0], point):
+        return describe_move(prev[1], value, better)
+    return "(other session)"
+
+
 def print_trajectory(points, workloads, metrics):
     for workload in workloads + [_SUITE]:
         print(workload)
         rows = _SUITE_METRICS if workload == _SUITE else metrics
         for metric, better in rows:
             print(f"  {metric} ({better} is better)")
-            prev = None  # (host, value) of the last point recording it
+            prev = None  # (point, value) of the last point recording it
             for name, point in points:
                 value = median_of(point, workload, metric)
                 if value is None:
                     continue
-                notes = []
-                if prev is not None:
-                    notes.append(describe_move(prev[1], value, better))
-                    if prev[0] != point.get("host"):
-                        notes.append("(other host)")
+                if metric in _HOST_METRICS:
+                    notes = [host_move(prev, point, workload, metric, value,
+                                       better)]
+                elif prev is not None:
+                    notes = [describe_move(prev[1], value, better)]
+                else:
+                    notes = []
                 if "parent" not in point:
                     notes.append("(parent point)")
-                print(f"    {name:<10} {value:>14.6g}  {' '.join(notes)}")
-                prev = (point.get("host"), value)
+                print(f"    {name:<10} {value:>14.6g}  "
+                      f"{' '.join(n for n in notes if n)}")
+                prev = (point, value)
 
 
 def main(argv):

@@ -15,8 +15,9 @@ Checks, from the repository root:
      and contains at least one `## ` section.
   5. Every trajectory point (`BENCH_<n>.json` at the root) parses and
      records each BENCHMARK.json workload, with a median for each of
-     host_kops_s, setup_s and peak_rss_mb (docs/BENCHMARKS.md gives the
-     format).
+     host_kops_s, setup_s and peak_rss_mb. So does its `parent_workloads`
+     (the same-session parent's quartiles), which every change point from
+     BENCH_29 on carries (docs/BENCHMARKS.md gives the format).
 
 Exit status: 0 when everything passes, 1 otherwise.
 """
@@ -116,6 +117,26 @@ def check_issue(root, failures):
 _TRAJECTORY_METRICS = ["host_kops_s", "setup_s", "peak_rss_mb"]
 
 
+# The first change point that records its same-session parent.
+_FIRST_PARENT_WORKLOADS = 29
+
+
+def check_workloads(rel, key, recorded, workloads, failures):
+    if not isinstance(recorded, dict):
+        failures.append(f"{rel}: no '{key}' object")
+        return
+    for w in workloads:
+        entry = recorded.get(w)
+        if not isinstance(entry, dict):
+            failures.append(f"{rel}: {key}.{w} missing")
+            continue
+        for m in _TRAJECTORY_METRICS:
+            stats = entry.get(m)
+            if not (isinstance(stats, dict) and
+                    isinstance(stats.get("median"), (int, float))):
+                failures.append(f"{rel}: {key}.{w}.{m} has no median")
+
+
 def check_trajectory(root, failures):
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
@@ -127,21 +148,19 @@ def check_trajectory(root, failures):
         except (OSError, ValueError) as e:
             failures.append(f"{rel}: does not parse: {e}")
             continue
-        before = len(failures)
-        recorded = point.get("workloads") if isinstance(point, dict) else None
-        if not isinstance(recorded, dict):
-            failures.append(f"{rel}: no 'workloads' object")
+        if not isinstance(point, dict):
+            failures.append(f"{rel}: not a JSON object")
             continue
-        for w in workloads:
-            entry = recorded.get(w)
-            if not isinstance(entry, dict):
-                failures.append(f"{rel}: workload {w} missing")
-                continue
-            for m in _TRAJECTORY_METRICS:
-                stats = entry.get(m)
-                if not (isinstance(stats, dict) and
-                        isinstance(stats.get("median"), (int, float))):
-                    failures.append(f"{rel}: {w}.{m} has no median")
+        before = len(failures)
+        check_workloads(rel, "workloads", point.get("workloads"), workloads,
+                        failures)
+        pr = point.get("pr")
+        if "parent_workloads" in point or (
+                "parent" in point and isinstance(pr, int) and
+                pr >= _FIRST_PARENT_WORKLOADS):
+            check_workloads(rel, "parent_workloads",
+                            point.get("parent_workloads"), workloads,
+                            failures)
         if len(failures) == before:
             print(f"ok    {rel} records all {len(workloads)} workloads")
 
