@@ -3,6 +3,8 @@
 // frequency, and erases per operation. Shows the trade-off the paper tunes
 // between PDL(256B) and PDL(2KB): small limits fall back to page-based
 // writes sooner but keep the differential region small and cheap to collect.
+// Every point is a checked run (harness::ExecuteChecked): a threaded replay
+// on a twin must leave identical chips, or the bench exits 1.
 
 #include <cstdio>
 #include <iostream>
@@ -30,6 +32,7 @@ int main(int argc, char** argv) {
   TablePrinter tbl({"max_diff", "overall_us/op", "write_us/op", "case3/op",
                     "flushes/op", "erases/op"});
   const harness::RigSpec flat{.flat = true, .params = params};
+  int failures = 0;
   for (uint32_t max_diff : {64u, 128u, 256u, 512u, 1024u, 2048u}) {
     const methods::MethodSpec spec{methods::MethodKind::kPdl, max_diff};
     auto rig = harness::PrepareRig(env, spec, flat);
@@ -39,13 +42,14 @@ int main(int argc, char** argv) {
     }
     const auto& store = static_cast<const pdl::PdlStore&>(*rig->store());
     const pdl::PdlCounters c0 = store.counters();
-    auto run = harness::Execute(&rig.value(), env.measure_ops,
-                                harness::Execution{});
+    auto run = harness::ExecuteChecked(&rig.value(), env.measure_ops,
+                                       harness::Execution{});
     if (!run.ok()) {
       std::cerr << max_diff << "B: " << run.status().ToString() << "\n";
       return 1;
     }
-    const workload::RunStats& stats = run->stats;
+    if (!run->deterministic()) ++failures;
+    const workload::RunStats& stats = run->run.stats;
     const pdl::PdlCounters c1 = store.counters();
     const double ops = static_cast<double>(stats.operations);
     tbl.AddRow({std::to_string(max_diff),
@@ -60,5 +64,9 @@ int main(int argc, char** argv) {
   tbl.Print(std::cout);
   json.Add("max_diff_sweep", tbl);
   if (!json.Finish()) return 1;
+  if (failures != 0) {
+    std::cerr << failures << " point(s) failed their replay check\n";
+    return 1;
+  }
   return 0;
 }

@@ -131,8 +131,6 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("buckets", 8));
   wl_base.min_total_erases =
       static_cast<uint64_t>(flags.GetInt("min-erases", 32));
-  wl_base.max_swaps_per_rebalance =
-      static_cast<uint32_t>(flags.GetInt("max-swaps", 8));
 
   const std::vector<double> skews = {0.0, 60.0, 90.0};
   std::vector<double> thresholds;  // <= 0 encodes "off"
@@ -154,7 +152,7 @@ int main(int argc, char** argv) {
       method_name.c_str(), num_shards, total_blocks,
       static_cast<unsigned long long>(env.measure_ops),
       static_cast<unsigned long long>(params.rebalance_epoch_ops),
-      wl_base.buckets_per_shard, wl_base.max_swaps_per_rebalance);
+      wl_base.buckets_per_shard, ftl::ShardRouter::kMaxSwapsPerRebalance);
 
   auto spec = methods::ParseMethodSpec(method_name);
   if (!spec.ok()) {

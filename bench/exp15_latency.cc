@@ -63,14 +63,13 @@ struct Config {
 /// Runs one cell in its own mode into `recorder`, checked against a replay
 /// through the other executor on an identically prepared rig: chip state,
 /// every virtual RunStats field and the canonical event trace must match.
-/// With a --trace path, exports the run's timeline as Chrome trace JSON.
+/// With a --trace path, ExecuteChecked exports the run's timeline.
 Result<harness::CheckedRun> RunPoint(harness::ExperimentEnv env,
                                      const methods::MethodSpec& spec,
                                      const Config& cfg, uint32_t batch_size,
                                      uint64_t epoch_ops, double hot_pct,
                                      uint32_t disturb_limit, double ber,
-                                     obs::TraceRecorder* recorder,
-                                     uint64_t point_index) {
+                                     obs::TraceRecorder* recorder) {
   const bool scrubbing = std::string(cfg.extra) == "scrub";
   const bool leveling = std::string(cfg.extra) == "wear";
   if (scrubbing) env.flash_cfg.read_disturb_limit = disturb_limit;
@@ -109,16 +108,9 @@ Result<harness::CheckedRun> RunPoint(harness::ExperimentEnv env,
   // The measured operations are drawn only now, after warm-up, so a
   // sequential row's Run() and its scheduled replay execute the very same
   // operations.
-  FLASHDB_ASSIGN_OR_RETURN(
-      harness::CheckedRun point,
-      harness::ExecuteChecked(&rig, env.measure_ops, primary,
-                              /*metrics=*/nullptr,
-                              scrubbing ? &injector : nullptr, recorder));
-  if (!env.trace_path.empty()) {
-    FLASHDB_RETURN_IF_ERROR(recorder->WriteChromeTraceFile(
-        harness::PointTracePath(env.trace_path, point_index)));
-  }
-  return point;
+  return harness::ExecuteChecked(&rig, env.measure_ops, primary,
+                                 /*metrics=*/nullptr,
+                                 scrubbing ? &injector : nullptr, recorder);
 }
 
 }  // namespace
@@ -174,7 +166,7 @@ int main(int argc, char** argv) {
     for (const Config& cfg : configs) {
       obs::TraceRecorder recorder(cfg.shards);
       auto point = RunPoint(env, *spec, cfg, batch_size, epoch_ops, hot_pct,
-                            disturb_limit, ber, &recorder, point_index);
+                            disturb_limit, ber, &recorder);
       if (!point.ok()) {
         std::cerr << name << " " << cfg.mode << " shards=" << cfg.shards
                   << " K=" << cfg.depth << " extra=" << cfg.extra << ": "

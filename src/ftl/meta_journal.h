@@ -6,7 +6,8 @@
 // journaling FTLs and walb's log-record framing). The records make the
 // ShardRouter's pid -> (shard, local pid) table -- which is otherwise purely
 // volatile -- survive a crash, including a crash in the middle of a bucket
-// migration:
+// migration. A ShardedStore keeps one on shard 0 whenever that chip
+// reserves meta blocks:
 //
 //   * kSnapshot records carry the full post-swap routing table (bucket ->
 //     (shard, slot) map + swap counter + wear-trigger erase baseline) AND a

@@ -162,7 +162,7 @@ std::vector<ShardRouter::Swap> ShardRouter::PlanRebalance(
   std::vector<double> shard_heat(num_shards_, 0.0);
   for (uint32_t b = 0; b < num_buckets_; ++b) shard_heat[loc[b]] += heat_[b];
 
-  for (uint32_t round = 0; round < config_.max_swaps_per_rebalance; ++round) {
+  for (uint32_t round = 0; round < kMaxSwapsPerRebalance; ++round) {
     uint32_t hot = 0;
     uint32_t cold = 0;
     for (uint32_t s = 1; s < num_shards_; ++s) {

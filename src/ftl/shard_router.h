@@ -28,7 +28,7 @@
 // crosses `max_erase_ratio`, PlanRebalance() greedily pairs the hottest
 // buckets of the most-worn shard with equally-sized cold buckets of the
 // least-worn shard until the predicted heat imbalance is gone (or
-// `max_swaps_per_rebalance` is hit). Planning is a pure function of the
+// kMaxSwapsPerRebalance is hit). Planning is a pure function of the
 // counters, so every execution mode plans the same swaps at the same epoch
 // boundaries.
 //
@@ -70,13 +70,14 @@ struct WearLevelConfig {
   /// No rebalancing while fewer than this many erases accumulated since the
   /// previous plan (small-sample ratios are noise).
   uint64_t min_total_erases = 64;
-  /// Upper bound on bucket swaps per rebalancing decision.
-  uint32_t max_swaps_per_rebalance = 8;
 };
 
 /// See file comment.
 class ShardRouter {
  public:
+  /// Upper bound on bucket swaps per rebalancing decision.
+  static constexpr uint32_t kMaxSwapsPerRebalance = 8;
+
   /// One planned (or committed) migration: the two buckets exchange their
   /// (shard, slot-class) assignments and their page contents.
   struct Swap {

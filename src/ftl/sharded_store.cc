@@ -36,22 +36,16 @@ ShardedStore::ShardedStore(std::vector<Shard> shards)
   name_ = "Sharded[" + std::to_string(shards_.size()) + "x" +
           std::string(shards_[0].store->name()) + "]";
   router_ = std::make_unique<ShardRouter>(num_shards());
-}
-
-Status ShardedStore::EnableMetaJournal() {
-  if (formatted_) {
-    return Status::InvalidArgument(
-        "EnableMetaJournal must be called before Format/Recover");
-  }
-  if (shards_[0].device->geometry().meta_blocks < 2) {
-    return Status::InvalidArgument(
-        "meta journal needs >= 2 reserved meta blocks on shard 0 "
-        "(FlashGeometry::meta_blocks)");
-  }
-  if (journal_ == nullptr) {
+  if (shards_[0].device->geometry().meta_blocks >= 2) {
     journal_ = std::make_unique<MetaJournal>(shards_[0].device);
   }
-  return Status::OK();
+}
+
+Status ShardedStore::CheckMetaBlocks() const {
+  if (shards_[0].device->geometry().meta_blocks != 1) return Status::OK();
+  return Status::InvalidArgument(
+      "shard 0 reserves 1 meta block: the meta journal needs >= 2 "
+      "(FlashGeometry::meta_blocks), or none for a store without one");
 }
 
 Status ShardedStore::CheckExecutor(const ShardExecutor* executor) const {
@@ -96,6 +90,7 @@ Status ShardedStore::CloseEpoch() {
 Status ShardedStore::Format(uint32_t num_logical_pages,
                             PageInitializer initial, void* initial_arg) {
   FLASHDB_RETURN_IF_ERROR(CheckPageCount(num_logical_pages));
+  FLASHDB_RETURN_IF_ERROR(CheckMetaBlocks());
   // Crash ordering: wipe the journal *before* rewriting the chips. A crash
   // before the wipe leaves the old journal over the old data (the previous
   // generation stays fully recoverable); a crash anywhere inside the
@@ -157,6 +152,7 @@ Status ShardedStore::Flush() {
 
 Status ShardedStore::Recover(ShardExecutor* executor) {
   FLASHDB_RETURN_IF_ERROR(CheckExecutor(executor));
+  FLASHDB_RETURN_IF_ERROR(CheckMetaBlocks());
   if (journal_ == nullptr && router_ != nullptr && !router_->is_identity()) {
     // Without a journal the routing table is volatile: recovery can only
     // restore identity striping, which mis-associates pids on a migrated
@@ -166,7 +162,7 @@ Status ShardedStore::Recover(ShardExecutor* executor) {
     return Status::InvalidArgument(
         "cannot Recover() after bucket migrations without a meta journal: "
         "the routing table is volatile and recovery would restore legacy "
-        "striping over migrated data (see EnableMetaJournal)");
+        "striping over migrated data (reserve meta blocks on shard 0)");
   }
 
   // From here on the store is mid-recovery: a failure below must not leave

@@ -11,6 +11,15 @@
 // page geometry. The shards are independent chips: each runs its own
 // allocation, garbage collection and recovery.
 //
+// Durability follows the chips: when shard 0 reserves meta blocks
+// (FlashGeometry::meta_blocks), the store keeps its routing table in a
+// ftl::MetaJournal there from construction on. Format() writes an epoch-0
+// snapshot and every committed bucket swap appends a snapshot (+ redo
+// payload) and a completion record, making crash recovery after migrations
+// possible; journal traffic is accounted under OpCategory::kMeta on shard 0.
+// The journal needs two meta blocks (its ping-pong halves): over exactly
+// one, Format() and Recover() return InvalidArgument.
+//
 // Accounting: stats() sums the operation counters over the shards (total
 // work) and concatenates per-block wear in shard order; shard_clocks()
 // exposes every chip's virtual clock. A run's elapsed time and total work
@@ -71,7 +80,7 @@ class ShardedStore : public PageStore {
   /// Sequential recovery (PageStore interface): Recover(nullptr).
   Status Recover() override { return Recover(nullptr); }
   /// Rebuilds the store from flash after a crash. With a meta journal
-  /// attached (EnableMetaJournal), the journal's newest valid snapshot seeds
+  /// (see file comment), the journal's newest valid snapshot seeds
   /// the ShardRouter (routing table, swap counter, wear baseline) before the
   /// per-chip recoveries run, so migrated instances recover correctly; if
   /// the snapshot's migration epoch never completed, its redo payload is
@@ -111,14 +120,6 @@ class ShardedStore : public PageStore {
   ShardRouter* router() { return router_.get(); }
   const ShardRouter* router() const { return router_.get(); }
 
-  /// Attaches the durable-metadata journal (ftl::MetaJournal) on shard 0's
-  /// device, which must reserve >= 2 meta blocks
-  /// (FlashGeometry::meta_blocks). Call before Format()/Recover(). From then
-  /// on Format() writes an epoch-0 snapshot and every committed bucket swap
-  /// appends a snapshot (+ redo payload) and a completion record, making
-  /// crash recovery after migrations possible. Journal traffic is accounted
-  /// under OpCategory::kMeta on shard 0.
-  Status EnableMetaJournal();
   /// Migration epochs committed to the journal (0 = format snapshot only).
   uint64_t journal_epochs() const {
     return journal_ == nullptr || journal_->next_epoch() == 0
@@ -161,12 +162,11 @@ class ShardedStore : public PageStore {
   ///
   /// Same quiescence contract as MigrateBuckets: call at a drained epoch
   /// boundary. Shards are processed in order and candidates in flag order, so
-  /// the sweep is deterministic across execution modes. With a meta journal
-  /// attached, a sweep that relocated anything appends a snapshot +
-  /// completion epoch, so a power cut mid-scrub recovers onto a committed
-  /// epoch: either the journaled post-scrub state, or the prior epoch with
-  /// any half-finished relocation resolved by the chips' own timestamp
-  /// arbitration.
+  /// the sweep is deterministic across execution modes. With a meta journal,
+  /// a sweep that relocated anything appends a snapshot + completion epoch,
+  /// so a power cut mid-scrub recovers onto a committed epoch: either the
+  /// journaled post-scrub state, or the prior epoch with any half-finished
+  /// relocation resolved by the chips' own timestamp arbitration.
   Status ScrubShards(ScrubResult* out);
 
   /// Cumulative erase count per shard (cheap: no stats snapshot). The input
@@ -189,6 +189,9 @@ class ShardedStore : public PageStore {
 
   /// InvalidArgument unless `executor` is null or has a worker per shard.
   Status CheckExecutor(const ShardExecutor* executor) const;
+  /// InvalidArgument when shard 0 reserves one meta block: too few for the
+  /// journal, which a reserved region asks for.
+  Status CheckMetaBlocks() const;
   /// Opens a journaled epoch: appends a snapshot of the router's *current*
   /// state carrying `redo`. With CloseEpoch, the only journal appends.
   /// Both are no-ops without a journal.

@@ -27,6 +27,21 @@ std::vector<int> PinCores(bool pin, uint32_t workers) {
   }
   return cores;
 }
+
+/// Under --trace, a recorder with `chips` chip lanes; null otherwise.
+std::unique_ptr<obs::TraceRecorder> RecorderIfTraced(const ExperimentEnv& env,
+                                                     uint32_t chips) {
+  if (env.trace_path.empty()) return nullptr;
+  return std::make_unique<obs::TraceRecorder>(chips);
+}
+
+/// The one timeline exporter: under --trace, writes `rec` (when not null)
+/// to the binary's next PointTracePath.
+Status ExportTrace(const ExperimentEnv& env, const obs::TraceRecorder* rec) {
+  if (env.trace_path.empty() || rec == nullptr) return Status::OK();
+  static uint64_t exports = 0;
+  return rec->WriteChromeTraceFile(PointTracePath(env.trace_path, exports++));
+}
 }  // namespace
 
 uint32_t ExperimentEnv::num_db_pages(uint32_t chips) const {
@@ -34,7 +49,7 @@ uint32_t ExperimentEnv::num_db_pages(uint32_t chips) const {
   g.num_blocks /= chips;
   return static_cast<uint32_t>(
       utilization *
-      static_cast<double>(g.total_pages() - 2 * g.pages_per_block) * chips);
+      static_cast<double>(g.data_pages() - 2 * g.pages_per_block) * chips);
 }
 
 std::string PointTracePath(const std::string& base, uint64_t index) {
@@ -73,26 +88,73 @@ ExperimentEnv ExperimentEnv::FromFlags(const Flags& flags) {
   return env;
 }
 
-uint32_t Rig::chips() const {
-  return sharded_ != nullptr ? sharded_->num_shards() : 1;
-}
-
-flash::FlashDevice* Rig::chip(uint32_t i) const {
-  return sharded_ != nullptr ? sharded_->shard_device(i) : flat_chip_.get();
-}
-
 Twin Rig::AsTwin(const obs::TraceRecorder* trace) const {
   Twin twin{.trace = trace};
-  for (uint32_t i = 0; i < chips(); ++i) twin.chips.push_back(chip(i));
+  for (const auto& chip : chips_) twin.chips.push_back(chip.get());
   return twin;
 }
 
 void Rig::Attach(flash::FaultInjector* injector, obs::TraceRecorder* rec) {
+  for (const auto& chip : chips_) chip->set_fault_injector(injector);
+  SetTrace(rec);
+}
+
+void Rig::SetTrace(obs::TraceRecorder* rec) {
   for (uint32_t i = 0; i < chips(); ++i) {
-    chip(i)->set_fault_injector(injector);
-    if (rec != nullptr) chip(i)->set_trace(rec->shard(i));
+    chips_[i]->set_trace(rec != nullptr ? rec->shard(i) : nullptr);
   }
-  if (rec != nullptr) driver_->set_wall_trace(rec->wall_lane());
+  if (driver_ != nullptr) {
+    driver_->set_wall_trace(rec != nullptr ? rec->wall_lane() : nullptr);
+  }
+}
+
+void Rig::Mount() {
+  if (shape_.flat) {
+    store_ = methods::CreateStore(chips_[0].get(), spec_);
+    return;
+  }
+  std::vector<flash::FlashDevice*> chips;
+  for (const auto& chip : chips_) chips.push_back(chip.get());
+  std::unique_ptr<ftl::ShardedStore> sharded =
+      methods::CreateShardedStoreOverDevices(chips, spec_);
+  sharded_ = sharded.get();
+  store_ = std::move(sharded);
+}
+
+void Rig::Crash() {
+  driver_.reset();
+  sharded_ = nullptr;
+  store_.reset();
+}
+
+Result<Rig::Recovery> Rig::Remount(bool on_executor) {
+  if (on_executor && shape_.flat) {
+    return Status::InvalidArgument(
+        "a flat rig recovers inline: its store takes no executor");
+  }
+  Crash();
+  Mount();
+  std::vector<uint64_t> before;
+  for (const auto& chip : chips_) before.push_back(chip->clock().now_us());
+  const std::unique_ptr<obs::TraceRecorder> recorder =
+      RecorderIfTraced(env_, chips());
+  if (recorder != nullptr) SetTrace(recorder.get());
+  std::unique_ptr<ftl::ShardExecutor> executor;
+  if (on_executor) executor = std::make_unique<ftl::ShardExecutor>(chips());
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  const Status st = sharded_ != nullptr ? sharded_->Recover(executor.get())
+                                        : store_->Recover();
+  Recovery out;
+  out.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  if (recorder != nullptr) SetTrace(nullptr);
+  FLASHDB_RETURN_IF_ERROR(st);
+  std::vector<uint64_t> after;
+  for (const auto& chip : chips_) after.push_back(chip->clock().now_us());
+  out.advance = workload::ClockAdvanceOf(before, after);
+  FLASHDB_RETURN_IF_ERROR(ExportTrace(env_, recorder.get()));
+  return out;
 }
 
 Result<Rig> PrepareRig(const ExperimentEnv& env,
@@ -101,13 +163,16 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
     return Status::InvalidArgument(
         "wear leveling needs a sharded rig: a flat rig has no ShardRouter");
   }
-  // Below ~8 blocks a chip cannot sustain GC at 50% utilization (the
+  // Below ~8 data blocks a chip cannot sustain GC at 50% utilization (the
   // reserve alone eats most of it); reject instead of thrashing.
   const uint32_t blocks = env.flash_cfg.geometry.num_blocks;
-  if (shape.shards == 0 || blocks / shape.shards < 8) {
+  const uint32_t meta_blocks = env.flash_cfg.geometry.meta_blocks;
+  if (shape.shards == 0 || blocks / shape.shards < meta_blocks + 8) {
     return Status::InvalidArgument(
         "--blocks=" + std::to_string(blocks) + " over " +
-        std::to_string(shape.shards) + " chip(s): need >= 8 blocks per chip");
+        std::to_string(shape.shards) + " chip(s): need >= 8 data blocks " +
+        "per chip beside its " + std::to_string(meta_blocks) +
+        " meta block(s)");
   }
   flash::FlashConfig chip_cfg = env.flash_cfg;
   chip_cfg.geometry.num_blocks = blocks / shape.shards;
@@ -116,27 +181,19 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
   out.env_ = env;
   out.spec_ = spec;
   out.shape_ = shape;
-  if (shape.flat) {
-    out.flat_chip_ = std::make_unique<flash::FlashDevice>(chip_cfg);
-    out.store_ = methods::CreateStore(out.flat_chip_.get(), spec);
-  } else {
-    std::unique_ptr<ftl::ShardedStore> sharded =
-        methods::CreateShardedStore(chip_cfg, shape.shards, spec);
-    out.sharded_ = sharded.get();
-    out.store_ = std::move(sharded);
-    // Meta blocks hold nothing but the journal: reserving them asks for it.
-    if (chip_cfg.geometry.meta_blocks > 0) {
-      FLASHDB_RETURN_IF_ERROR(out.sharded_->EnableMetaJournal());
-    }
-    if (shape.leveling.has_value()) {
-      FLASHDB_RETURN_IF_ERROR(
-          out.sharded_->router()->EnableRebalancing(*shape.leveling));
-    }
+  for (uint32_t i = 0; i < shape.shards; ++i) {
+    out.chips_.push_back(std::make_unique<flash::FlashDevice>(chip_cfg));
+  }
+  out.Mount();
+  uint32_t db_pages = env.num_db_pages(shape.shards);
+  if (shape.leveling.has_value()) {
+    ftl::ShardRouter* router = out.sharded_->router();
+    FLASHDB_RETURN_IF_ERROR(router->EnableRebalancing(*shape.leveling));
+    db_pages -= db_pages % router->num_buckets();
   }
   workload::WorkloadParams wp = shape.params;
   wp.seed = env.seed;
   out.driver_ = std::make_unique<workload::UpdateDriver>(out.store_.get(), wp);
-  const uint32_t db_pages = env.num_db_pages(shape.shards);
   FLASHDB_RETURN_IF_ERROR(out.driver_->LoadDatabase(db_pages));
   const uint64_t warmup_cap =
       env.warmup_max_ops != 0 ? env.warmup_max_ops : 20ULL * db_pages;
@@ -151,8 +208,12 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
     return Status::InvalidArgument(
         "--ops=0: a measured run needs at least one operation");
   }
-  using Clock = std::chrono::steady_clock;
   workload::UpdateDriver* driver = rig->driver_.get();
+  if (driver == nullptr) {
+    return Status::InvalidArgument(
+        "a crashed or remounted rig has no driver to measure");
+  }
+  using Clock = std::chrono::steady_clock;
   PointResult result;
   result.method = std::string(rig->store()->name());
   std::unique_ptr<ftl::ShardExecutor> executor;
@@ -186,9 +247,17 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   obs::MetricsRegistry* metrics,
                                   flash::FaultInjector* injector,
                                   obs::TraceRecorder* trace) {
+  std::unique_ptr<obs::TraceRecorder> own_trace;
+  if (trace == nullptr) {
+    own_trace = RecorderIfTraced(rig->env_, rig->chips());
+    trace = own_trace.get();
+  }
   rig->Attach(injector, trace);
+  Result<PointResult> run = Execute(rig, num_ops, ex, metrics);
+  if (own_trace != nullptr) rig->SetTrace(nullptr);
   CheckedRun out;
-  FLASHDB_ASSIGN_OR_RETURN(out.run, Execute(rig, num_ops, ex, metrics));
+  FLASHDB_ASSIGN_OR_RETURN(out.run, std::move(run));
+  FLASHDB_RETURN_IF_ERROR(ExportTrace(rig->env_, trace));
 
   // Run() is the window body at batch 1, so single-op windows replay the
   // sequential loop's very operations.
@@ -250,18 +319,12 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
   FLASHDB_ASSIGN_OR_RETURN(Rig rig, PrepareRig(env, spec, flat));
   // Attach tracing after warmup so the timeline covers the measured run
   // only. Recording never perturbs virtual time (null-sink contract).
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  if (!env.trace_path.empty()) {
-    recorder = std::make_unique<obs::TraceRecorder>(1);
-    rig.Attach(nullptr, recorder.get());
-  }
+  const std::unique_ptr<obs::TraceRecorder> recorder =
+      RecorderIfTraced(env, 1);
+  rig.Attach(nullptr, recorder.get());
   FLASHDB_ASSIGN_OR_RETURN(PointResult result,
                            Execute(&rig, env.measure_ops, Execution{}));
-  if (recorder != nullptr) {
-    static uint64_t point_index = 0;
-    FLASHDB_RETURN_IF_ERROR(recorder->WriteChromeTraceFile(
-        PointTracePath(env.trace_path, point_index++)));
-  }
+  FLASHDB_RETURN_IF_ERROR(ExportTrace(env, recorder.get()));
   return result;
 }
 

@@ -2,7 +2,8 @@
 // loads the database, reaches steady state, and measures a workload point.
 // Every update-workload bench prepares its stores with PrepareRig and times
 // its measured runs with Execute, or with ExecuteChecked, which also replays
-// them in the mirrored mode on a twin rig and compares the two.
+// them in the mirrored mode on a twin rig and compares the two. A rig can
+// also crash and remount a fresh store over its chips, to measure recovery.
 //
 // Scale note: the paper runs a 1 GB database on a 2 GB chip and warms up
 // until every block was garbage-collected >= 10 times. Virtual-time results
@@ -16,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ftl/shard_router.h"
 #include "harness/cli.h"
@@ -51,19 +53,22 @@ struct ExperimentEnv {
   uint64_t warmup_max_ops = 0;
   uint64_t measure_ops = 4000;
   uint64_t seed = 42;
-  /// When non-empty (--trace=out.json), every measured point records a
+  /// When non-empty (--trace=out.json), the harness records a
   /// deterministic event timeline (flash command spans, GC/scrub/meta/
-  /// buffer-pool traffic, op spans) and exports it as Chrome trace-event
-  /// JSON: the first point to `trace_path`, point k to `<stem>.k.<ext>`.
-  /// Recording never changes virtual-time results (null-sink contract,
-  /// pinned by tests/execution_engine_test.cc).
+  /// buffer-pool traffic, op spans) of every measured run -- the rig of
+  /// every checked run (never its twin), every RunWorkloadPoint run and
+  /// every Rig::Remount recovery -- and exports it as Chrome trace-event
+  /// JSON: the binary's first export to `trace_path`, export k to
+  /// PointTracePath(trace_path, k). Recording never changes virtual-time
+  /// results (null-sink contract, pinned by tests/execution_engine_test.cc).
   std::string trace_path;
 
   /// Database pages over `chips` chips that split `flash_cfg`'s blocks
-  /// evenly: `utilization` of every chip's pages less two blocks of
-  /// headroom. The headroom keeps IPL(64KB) feasible at 50% utilization: its
-  /// per-block log region (half the block) means the database occupies the
-  /// whole chip, and merging still needs one spare block.
+  /// evenly: `utilization` of every chip's data region (the pages outside
+  /// its meta blocks) less two blocks of headroom. The headroom keeps
+  /// IPL(64KB) feasible at 50% utilization: its per-block log region (half
+  /// the block) means the database occupies the whole chip, and merging
+  /// still needs one spare block.
   uint32_t num_db_pages(uint32_t chips = 1) const;
 
   /// Common bench flags: --blocks, --page-size, --util, --warmup-epb,
@@ -125,26 +130,47 @@ struct CheckedRun {
   bool deterministic() const { return divergence.empty(); }
 };
 
-/// A store plus its driver at steady state, and the arguments it was
-/// prepared from. Two rigs prepared with equal arguments hold bit-identical
-/// state, which ExecuteChecked's replay relies on.
+/// Chips, the store over them and its driver at steady state, and the
+/// arguments they were prepared from. Two rigs prepared with equal arguments
+/// hold bit-identical state, which ExecuteChecked's replay relies on. The
+/// rig owns its chips, so a crash and a remount leave them in place.
 class Rig {
  public:
   Rig(Rig&&) = default;
-  // No move assignment: memberwise order would free a flat rig's chip
-  // before the store that writes to it.
+  // No move assignment: memberwise order would free the chips before the
+  // store that writes to them.
   Rig& operator=(Rig&&) = delete;
 
+  /// The store; null after Crash().
   PageStore* store() { return store_.get(); }
-  /// The store as a ShardedStore; null for a flat rig.
+  /// The store as a ShardedStore; null for a flat rig and after Crash().
   ftl::ShardedStore* sharded() { return sharded_; }
-  uint32_t chips() const;
-  /// Attaches `injector` to every chip and, when `rec` is not null, its
-  /// lane i to chip i and its wall lane to the driver (`rec` needs chips()
-  /// lanes).
+  uint32_t chips() const { return static_cast<uint32_t>(chips_.size()); }
+  /// Attaches `injector` and, with `rec`, lane i of `rec` to chip i and its
+  /// wall lane to the driver (`rec` needs chips() lanes); a null argument
+  /// detaches.
   void Attach(flash::FaultInjector* injector, obs::TraceRecorder* rec);
   /// The rig's chips and `trace`, for FirstDivergence.
   Twin AsTwin(const obs::TraceRecorder* trace = nullptr) const;
+
+  /// The power cut: drops the store and the driver, every table they kept
+  /// in RAM, and keeps the chips with their flash images.
+  void Crash();
+
+  /// One remount's recovery.
+  struct Recovery {
+    /// Host wall-clock of the Recover() call.
+    double wall_ms = 0;
+    /// Its chip-clock advance (workload::ClockAdvanceOf).
+    workload::ClockAdvance advance;
+  };
+  /// Crashes the rig if it still holds a store, then mounts a fresh store of
+  /// its method over the same chips and recovers it: inline, or with
+  /// `on_executor` on a ShardExecutor with one worker per chip (sharded rigs
+  /// only). A sharded rig's journal, if its chips reserve meta blocks,
+  /// restores the routing. A remounted rig has no driver: Execute and
+  /// ExecuteChecked refuse it with InvalidArgument.
+  Result<Recovery> Remount(bool on_executor);
 
  private:
   friend Result<Rig> PrepareRig(const ExperimentEnv& env,
@@ -162,33 +188,39 @@ class Rig {
       const ExperimentEnv& env, const methods::MethodSpec& spec,
       const workload::WorkloadParams& params);
   Rig() = default;
-  flash::FlashDevice* chip(uint32_t i) const;
+  /// Builds a fresh store of spec_ over the chips.
+  void Mount();
+  /// Attaches lane i of `rec` to chip i and its wall lane to the driver;
+  /// null detaches.
+  void SetTrace(obs::TraceRecorder* rec);
 
   ExperimentEnv env_;  // PrepareRig's arguments, for the replay's twin
   methods::MethodSpec spec_;
   RigSpec shape_;
-  std::unique_ptr<flash::FlashDevice> flat_chip_;  // flat rigs only
+  std::vector<std::unique_ptr<flash::FlashDevice>> chips_;
   std::unique_ptr<PageStore> store_;
   ftl::ShardedStore* sharded_ = nullptr;  // store_, when sharded
   std::unique_ptr<workload::UpdateDriver> driver_;
 };
 
 /// Builds the store for `spec` on env.flash_cfg's blocks split evenly over
-/// `shape.shards` chips (InvalidArgument below 8 blocks per chip: the GC
-/// reserve would eat most of the chip); a sharded store over chips that
-/// reserve meta blocks journals its routing durably (ShardedStore::
-/// EnableMetaJournal). Then loads env.num_db_pages(shape.shards)
-/// pages and warms up to env's steady state, capped at
-/// env.warmup_max_ops operations or, when that is 0, 20 per database page.
-/// Draws nothing of the measured run: Execute does that.
+/// `shape.shards` chips. Each chip keeps env.flash_cfg's meta blocks, which
+/// a sharded store journals its routing in (ShardedStore), and needs 8 data
+/// blocks beside them: fewer is InvalidArgument before any chip is built
+/// (the GC reserve would eat most of the chip). Then loads
+/// env.num_db_pages(shape.shards) pages -- rounded down to whole buckets
+/// when leveling, so every bucket swap pairs equal buckets -- and warms up
+/// to env's steady state, capped at env.warmup_max_ops operations or, when
+/// that is 0, 20 per database page. Draws nothing of the measured run:
+/// Execute does that.
 Result<Rig> PrepareRig(const ExperimentEnv& env,
                        const methods::MethodSpec& spec, const RigSpec& shape);
 
 /// Draws `num_ops` operations from the rig's driver and runs them as `ex`
-/// says (InvalidArgument for zero). Only the run is timed: a pre-drawn
-/// schedule and the worker start-up stay outside wall_ms. With `metrics`,
-/// imports the run stats under "run" and, when threaded, the executor's
-/// counters under "executor".
+/// says (InvalidArgument for zero, or for a crashed or remounted rig). Only
+/// the run is timed: a pre-drawn schedule and the worker start-up stay
+/// outside wall_ms. With `metrics`, imports the run stats under "run" and,
+/// when threaded, the executor's counters under "executor".
 Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
                             obs::MetricsRegistry* metrics = nullptr);
 
@@ -200,8 +232,10 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
 /// threaded pipeline of depth 4. `injector` (when not null) is attached to
 /// both rigs, and `trace` (when not null, with chips() lanes) to the rig
 /// while the twin records into a recorder of its own; both attach after
-/// warm-up. Returns the rig's run and the verdict, and prints a failed
-/// verdict's divergence to stderr; the rig stays the caller's to inspect.
+/// warm-up. Under --trace an untraced run records into a recorder of the
+/// harness's, and the rig's timeline is exported. Returns the rig's run and
+/// the verdict, and prints a failed verdict's divergence to stderr; the rig
+/// stays the caller's to inspect.
 Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   const Execution& ex,
                                   obs::MetricsRegistry* metrics = nullptr,
@@ -227,13 +261,13 @@ Result<TpccRig> PrepareTpccRig(const methods::MethodSpec& spec,
 
 /// A flat rig for `spec` (PrepareRig), measured for `env.measure_ops`
 /// operations by the sequential Run() loop. With --trace the measured run's
-/// timeline is exported (PointTracePath).
+/// timeline is exported.
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);
 
-/// Per-point trace file naming under --trace: index 0 keeps `base`, index k
-/// becomes `<stem>.k.<ext>` (benches measure several points per run, each
+/// Per-export trace file naming under --trace: index 0 keeps `base`, index
+/// k becomes `<stem>.k.<ext>` (benches measure several points per run, each
 /// with its own timeline).
 std::string PointTracePath(const std::string& base, uint64_t index);
 

@@ -506,18 +506,11 @@ Status TpccWorkload::RunTransactionOfType(TpccTxnType type, uint32_t w) {
 }
 
 Status TpccWorkload::RunTransaction() {
-  TpccTxnType type;
-  uint32_t w;
-  return RunTransactionDrawing(&type, &w);
-}
-
-Status TpccWorkload::RunTransactionDrawing(TpccTxnType* type,
-                                           uint32_t* warehouse) {
-  // Draw order matches the historical RunTransaction() exactly: the mix pick
-  // first, then the target warehouse as the transaction's first own draw.
-  *type = PickTxnType(&rng_);
-  *warehouse = PickWarehouse();
-  return RunTransactionOfType(*type, *warehouse);
+  // The mix pick first, then the target warehouse as the transaction's
+  // first own draw.
+  const TpccTxnType type = PickTxnType(&rng_);
+  const uint32_t w = PickWarehouse();
+  return RunTransactionOfType(type, w);
 }
 
 Status TpccWorkload::Run(uint64_t n) {

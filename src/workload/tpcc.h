@@ -109,11 +109,6 @@ class TpccWorkload {
   /// uniformly drawn hosted warehouse.
   Status RunTransaction();
 
-  /// RunTransaction() that also reports what it drew -- the legacy-path
-  /// recorder for the driver's commit-order log. RNG consumption is
-  /// draw-for-draw identical to RunTransaction().
-  Status RunTransactionDrawing(TpccTxnType* type, uint32_t* warehouse);
-
   /// Executes one transaction of `type` against hosted warehouse `w` (the
   /// externally-routed form the multi-client driver uses; type and
   /// warehouse come from the client's RNG, everything inside the

@@ -178,11 +178,4 @@ Status TpccDriver::Replay(const TpccCommitLog& log, TpccRunStats* out) {
   return st;
 }
 
-Status TpccDriver::FlushAll() {
-  for (ShardState& sh : shards_) {
-    FLASHDB_RETURN_IF_ERROR(sh.pool->FlushAll());
-  }
-  return Status::OK();
-}
-
 }  // namespace flashdb::workload

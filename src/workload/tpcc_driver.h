@@ -70,8 +70,8 @@ struct TpccDriverOptions {
   /// Transactions in flight per shard before the producer parks.
   uint32_t max_inflight_per_shard = 4;
   /// FlushAll the shard's pool after every transaction (write-through
-  /// serving: each commit is one WriteBatch on the chip). When
-  /// off, dirty pages reach flash via eviction and explicit FlushAll().
+  /// serving: each commit is one WriteBatch on the chip). When off, dirty
+  /// pages reach flash only when the pool evicts them.
   bool flush_every_txn = true;
 };
 
@@ -158,9 +158,6 @@ class TpccDriver {
   /// warehouse outside 1..W or an unknown type is InvalidArgument before
   /// any transaction runs.
   Status Replay(const TpccCommitLog& log, TpccRunStats* out);
-
-  /// Flushes every shard's pool in shard order (quiescent workers only).
-  Status FlushAll();
 
   /// Wall-clock-domain trace lane for the producer's credit-wait
   /// events (TraceRecorder::wall_lane()); null disables. Per-shard

@@ -293,7 +293,6 @@ ShardRig BuildShardRig(const char* method, const FlashConfig& cfg,
     rig.chips.push_back(rig.devices.back().get());
   }
   rig.store = methods::CreateShardedStoreOverDevices(rig.chips, Spec(method));
-  EXPECT_TRUE(rig.store->EnableMetaJournal().ok());
   SeedArg arg{TestSeed(format_seed)};
   EXPECT_TRUE(rig.store->Format(kShardPages, &SeededImage, &arg).ok());
   ByteBuffer buf(cfg.geometry.data_size);
@@ -316,10 +315,7 @@ ShardRig BuildMigrationRig(const char* method) {
 Scenario<ShardRig, ftl::ShardedStore> ShardScenario(const char* method) {
   Scenario<ShardRig, ftl::ShardedStore> s;
   s.mount = [method](ShardRig& rig) {
-    auto store = methods::CreateShardedStoreOverDevices(rig.chips,
-                                                        Spec(method));
-    EXPECT_TRUE(store->EnableMetaJournal().ok());
-    return store;
+    return methods::CreateShardedStoreOverDevices(rig.chips, Spec(method));
   };
   return s;
 }
@@ -644,9 +640,7 @@ TEST_P(OltpCrashTest, FlushAllPowerCutsRecoverToCommitLogPrefix) {
     SnapshotPages(*rig.store, pages, tracker);
     rig.rec->StartRecording();
     for (uint64_t t = 0; t < kTxns; ++t) {
-      workload::TpccTxnType type;
-      uint32_t w = 0;
-      ASSERT_TRUE(rig.wl->RunTransactionDrawing(&type, &w).ok()) << t;
+      ASSERT_TRUE(rig.wl->RunTransaction().ok()) << t;
       ASSERT_TRUE(rig.pool->FlushAll().ok()) << t;
       for (size_t m = rig.marks.empty() ? 0 : rig.marks.back();
            m < rig.rec->writes().size(); ++m) {

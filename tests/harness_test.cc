@@ -12,6 +12,7 @@
 #include "harness/replay_verdict.h"
 #include "harness/table_printer.h"
 #include "obs/trace_recorder.h"
+#include "replay_oracle.h"
 
 namespace flashdb::harness {
 namespace {
@@ -285,6 +286,80 @@ TEST(RigTest, RejectsFewerThanEightBlocksPerChip) {
   const auto rig = PrepareRig(env, *spec, RigSpec{.shards = 8});
   ASSERT_FALSE(rig.ok());
   EXPECT_TRUE(rig.status().IsInvalidArgument()) << rig.status().ToString();
+}
+
+TEST(RigTest, SizesTheDatabaseOverTheDataRegion) {
+  ExperimentEnv env = SmallRigEnv();
+  env.flash_cfg = flash::FlashConfig::Small(48).WithMetaBlocks(4);
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  // Two chips of 24 blocks, 20 of them data: half of 20 - 2 blocks each.
+  auto rig = PrepareRig(env, *spec, RigSpec{.shards = 2});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  EXPECT_EQ(rig->store()->num_logical_pages(), 18u * 64u);
+  EXPECT_EQ(env.num_db_pages(2), 18u * 64u);
+  EXPECT_EQ(rig->sharded()->journal_epochs(), 0u);
+  // Leveling rounds down to whole buckets: 30% is 691 pages, 688 over 16.
+  env.utilization = 0.3;
+  auto leveled = PrepareRig(
+      env, *spec, RigSpec{.shards = 2, .leveling = ftl::WearLevelConfig{}});
+  ASSERT_TRUE(leveled.ok()) << leveled.status().ToString();
+  EXPECT_EQ(env.num_db_pages(2), 691u);
+  EXPECT_EQ(leveled->store()->num_logical_pages(), 688u);
+}
+
+TEST(RigTest, RejectsFewerThanEightDataBlocksBeforeBuildingAChip) {
+  ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  // 12 blocks less 4 meta leave 8 data blocks per chip; 11 leave 7.
+  env.flash_cfg = flash::FlashConfig::Small(24).WithMetaBlocks(4);
+  EXPECT_TRUE(PrepareRig(env, *spec, RigSpec{.shards = 2}).ok());
+  // 7 data blocks, and an all-meta chip, which would abort in the
+  // FlashDevice constructor.
+  for (const uint32_t blocks : {22u, 16u}) {
+    env.flash_cfg = flash::FlashConfig::Small(blocks).WithMetaBlocks(
+        blocks == 16 ? 8 : 4);
+    const auto rig = PrepareRig(env, *spec, RigSpec{.shards = 2});
+    ASSERT_FALSE(rig.ok()) << blocks;
+    EXPECT_TRUE(rig.status().IsInvalidArgument()) << rig.status().ToString();
+  }
+}
+
+// A journaled, migrated rig crashes and remounts over its chips: recovery
+// inline and on the executor leave identical chips and restore the swaps,
+// and the remounted rig refuses to be measured.
+TEST(RigTest, RemountInlineAndOnExecutorLeaveIdenticalChips) {
+  ExperimentEnv env = SmallRigEnv();
+  env.flash_cfg = flash::FlashConfig::Small(40).WithMetaBlocks(4);
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  const Execution inline_ex{.batch = 4, .depth = 2};
+  std::vector<Rig> rigs;
+  for (int i = 0; i < 2; ++i) {
+    auto rig = PrepareRig(env, *spec, LevelingRigSpec());
+    ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+    ASSERT_TRUE(Execute(&rig.value(), env.measure_ops, inline_ex).ok());
+    rigs.push_back(std::move(*rig));
+  }
+  const uint64_t swaps = rigs[0].sharded()->router()->swaps_committed();
+  EXPECT_GT(swaps, 0u);
+  ASSERT_TRUE(SameTwins(rigs[0].AsTwin(), rigs[1].AsTwin()));
+
+  rigs[0].Crash();
+  EXPECT_EQ(rigs[0].store(), nullptr);
+  const auto inline_rec = rigs[0].Remount(/*on_executor=*/false);
+  ASSERT_TRUE(inline_rec.ok()) << inline_rec.status().ToString();
+  const auto exec_rec = rigs[1].Remount(/*on_executor=*/true);
+  ASSERT_TRUE(exec_rec.ok()) << exec_rec.status().ToString();
+  EXPECT_GT(inline_rec->advance.total_work_us, 0u);
+  EXPECT_EQ(inline_rec->advance.total_work_us, exec_rec->advance.total_work_us);
+  EXPECT_TRUE(SameTwins(rigs[0].AsTwin(), rigs[1].AsTwin()));
+  for (Rig& rig : rigs) {
+    EXPECT_EQ(rig.sharded()->router()->swaps_committed(), swaps);
+    const auto run = Execute(&rig, env.measure_ops, Execution{});
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+  }
 }
 
 TEST(RigTest, RejectsFlatRigWithLeveling) {

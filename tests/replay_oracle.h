@@ -41,12 +41,13 @@ inline uint64_t CountEvents(const obs::TraceRecorder& rec, obs::TraceCat cat) {
 }
 
 /// The execution engine's twin, built by harness::PrepareRig: 160 pages on
-/// FlashConfig::Small(12) chips, flat or over kShards chips, shadow
-/// verification and latency recording on, and a recorder on every chip from
-/// the end of warm-up. With `epochs` the run is split into kEpochOps-op
-/// epochs, and a sharded twin also levels wear across its 90% shard-0
-/// hotspot, so it migrates, and reserves 4 meta blocks per chip, so
-/// PrepareRig journals its routing; the other twins run without a journal.
+/// FlashConfig::Small chips of 12 data blocks, flat or over kShards chips,
+/// shadow verification and latency recording on, and a recorder on every
+/// chip from the end of warm-up. With `epochs` the run is split into
+/// kEpochOps-op epochs, and a sharded twin also levels wear across its 90%
+/// shard-0 hotspot, so it migrates, and reserves 4 meta blocks per chip
+/// beside its data blocks, so its store journals its routing; the other
+/// twins run without a journal.
 struct UpdateTwin {
   static constexpr uint32_t kShards = 4;
   static constexpr uint64_t kOps = 800;
@@ -73,9 +74,10 @@ struct UpdateTwin {
   static harness::Rig Prepare(const std::string& method, bool sharded,
                               bool epochs) {
     const uint32_t chips = sharded ? kShards : 1;
+    const uint32_t meta_blocks = sharded && epochs ? 4 : 0;
     harness::ExperimentEnv env;
-    env.flash_cfg = flash::FlashConfig::Small(12 * chips)
-                        .WithMetaBlocks(sharded && epochs ? 4 : 0);
+    env.flash_cfg = flash::FlashConfig::Small((12 + meta_blocks) * chips)
+                        .WithMetaBlocks(meta_blocks);
     env.utilization = 0.25 / chips;  // 160 pages either way
     env.warmup_erases_per_block = 1.0;
     env.warmup_max_ops = 2000;

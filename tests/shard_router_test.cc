@@ -280,35 +280,41 @@ RunStats RunSkewed(harness::Rig* rig, uint64_t ops) {
   return run.ok() ? run->stats : RunStats{};
 }
 
-double EraseDeltaRatio(const std::vector<uint64_t>& before,
-                       const std::vector<uint64_t>& after) {
-  uint64_t max_d = 0;
-  uint64_t min_d = UINT64_MAX;
-  for (size_t i = 0; i < before.size(); ++i) {
-    const uint64_t d = after[i] - before[i];
-    max_d = std::max(max_d, d);
-    min_d = std::min(min_d, d);
-  }
-  return min_d == 0 ? 1e9
-                    : static_cast<double>(max_d) / static_cast<double>(min_d);
+/// Per-shard erases of `rig` while it runs `ops` operations (RunSkewed).
+std::vector<uint64_t> EraseDeltas(harness::Rig* rig, uint64_t ops,
+                                  RunStats* stats) {
+  std::vector<uint64_t> deltas = rig->sharded()->shard_erases();
+  *stats = RunSkewed(rig, ops);
+  const std::vector<uint64_t> after = rig->sharded()->shard_erases();
+  for (size_t i = 0; i < deltas.size(); ++i) deltas[i] = after[i] - deltas[i];
+  return deltas;
+}
+
+double MaxOverMin(const std::vector<uint64_t>& deltas) {
+  const auto [min_d, max_d] = std::minmax_element(deltas.begin(), deltas.end());
+  return static_cast<double>(*max_d) / static_cast<double>(*min_d);
 }
 
 // Under a 90% shard-0 hotspot, wear leveling must migrate hot buckets off
 // the worn chip and pull the per-shard erase ratio far below the unleveled
 // run's (shadow verification proves content stays intact throughout).
 TEST(ShardRouterTest, EraseCountsConvergeUnderSkew) {
+  // Long enough for every cold shard of the unleveled run to erase.
+  constexpr uint64_t kOps = 16000;
   harness::Rig off = PrepareSkewed(90.0, 0.0);
-  const std::vector<uint64_t> off_before = off.sharded()->shard_erases();
-  const RunStats stats_off = RunSkewed(&off, 4000);
-  const double ratio_off =
-      EraseDeltaRatio(off_before, off.sharded()->shard_erases());
+  RunStats stats_off;
+  const std::vector<uint64_t> off_deltas = EraseDeltas(&off, kOps, &stats_off);
   EXPECT_EQ(stats_off.migrations, 0u);
 
   harness::Rig on = PrepareSkewed(90.0, 1.25);
-  const std::vector<uint64_t> on_before = on.sharded()->shard_erases();
-  const RunStats stats_on = RunSkewed(&on, 4000);
-  const double ratio_on =
-      EraseDeltaRatio(on_before, on.sharded()->shard_erases());
+  RunStats stats_on;
+  const std::vector<uint64_t> on_deltas = EraseDeltas(&on, kOps, &stats_on);
+  // A shard that never erased would make its ratio x/0, which holds
+  // whatever leveling does.
+  ASSERT_GT(*std::min_element(off_deltas.begin(), off_deltas.end()), 0u);
+  ASSERT_GT(*std::min_element(on_deltas.begin(), on_deltas.end()), 0u);
+  const double ratio_off = MaxOverMin(off_deltas);
+  const double ratio_on = MaxOverMin(on_deltas);
 
   EXPECT_GT(stats_on.migrations, 0u);
   EXPECT_GT(stats_on.device.of(flash::OpCategory::kMigrate).total_us(),
@@ -395,7 +401,6 @@ std::unique_ptr<ShardedStore> RecoverDurableRig(const DurableRig& rig,
   auto spec = methods::ParseMethodSpec(std::string(method));
   EXPECT_TRUE(spec.ok());
   auto store = methods::CreateShardedStoreOverDevices(rig.device_ptrs, *spec);
-  EXPECT_TRUE(store->EnableMetaJournal().ok());
   EXPECT_TRUE(store->Recover().ok());
   return store;
 }
@@ -416,7 +421,6 @@ DurableRig BuildDurableRig(bool migrate, uint32_t shards = 2,
     rig.device_ptrs.push_back(rig.devices.back().get());
   }
   rig.store = methods::CreateShardedStoreOverDevices(rig.device_ptrs, *spec);
-  EXPECT_TRUE(rig.store->EnableMetaJournal().ok());
   EXPECT_TRUE(rig.store->Format(pages, nullptr, nullptr).ok());
   ByteBuffer image(cfg.geometry.data_size);
   for (PageId pid = 0; pid < pages; ++pid) {
@@ -546,7 +550,6 @@ TEST(ShardRouterTest, RecoveryIsIdempotentAcrossCycles) {
   std::vector<uint64_t> swap_counts;
   for (int cycle = 0; cycle < 2; ++cycle) {
     auto rec = methods::CreateShardedStoreOverDevices(rig.device_ptrs, *spec);
-    ASSERT_TRUE(rec->EnableMetaJournal().ok());
     ASSERT_TRUE(rec->Recover().ok());
     baselines[cycle] = rec->router()->erase_baseline();
     swap_counts.push_back(rec->router()->swaps_committed());
@@ -573,12 +576,10 @@ TEST(ShardRouterTest, ParallelRecoveryMatchesSequential) {
   ASSERT_TRUE(spec.ok());
   auto seq =
       methods::CreateShardedStoreOverDevices(seq_rig.device_ptrs, *spec);
-  ASSERT_TRUE(seq->EnableMetaJournal().ok());
   ASSERT_TRUE(seq->Recover().ok());
 
   auto par =
       methods::CreateShardedStoreOverDevices(par_rig.device_ptrs, *spec);
-  ASSERT_TRUE(par->EnableMetaJournal().ok());
   {
     ShardExecutor executor(kShards);
     ASSERT_TRUE(par->Recover(&executor).ok());
@@ -607,6 +608,22 @@ TEST(ShardRouterTest, JournallessMigratedStoreStillRefusesRecovery) {
   const std::vector<ShardRouter::Swap> swaps = {ShardRouter::Swap{0, 1}};
   ASSERT_TRUE(store->MigrateBuckets(swaps, nullptr).ok());
   EXPECT_FALSE(store->Recover().ok());
+}
+
+// The journal follows the chips: its ping-pong halves need two meta blocks,
+// so a shard 0 that reserves exactly one can neither format nor recover.
+TEST(ShardRouterTest, OneMetaBlockIsInvalidArgument) {
+  auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  auto store = methods::CreateShardedStore(
+      FlashConfig::Small(12).WithMetaBlocks(1), 2, *spec);
+  const Status format = store->Format(64, nullptr, nullptr);
+  EXPECT_TRUE(format.IsInvalidArgument()) << format.ToString();
+  EXPECT_NE(format.message().find("1 meta block"), std::string::npos)
+      << format.message();
+  const Status recover = store->Recover();
+  EXPECT_TRUE(recover.IsInvalidArgument()) << recover.ToString();
+  EXPECT_EQ(store->journal_epochs(), 0u);
 }
 
 /// A shard running OPU on its own chip with `data_size`-byte pages.
