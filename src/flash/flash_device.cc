@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -238,9 +239,15 @@ std::vector<PhysAddr> FlashDevice::TakeScrubCandidates() {
 }
 
 Status FlashDevice::ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
-                                 const char* area, bool strict) {
+                                 const char* area, uint32_t programs,
+                                 bool strict) {
   const MutBytes cells(dst, src.size());
-  if (!strict) {
+  if (programs == 0) {
+    // Erased cells: AND gives back the image, and no 0->1 check can fail.
+    assert(std::all_of(cells.begin(), cells.end(),
+                       [](uint8_t b) { return b == 0xFF; }));
+    CopyBytes(cells, src);
+  } else if (!strict) {
     AndBits(cells, src);
   } else if (!ProgramBits(cells, src)) {
     return Status::FlashConstraint(
@@ -295,13 +302,13 @@ Status FlashDevice::ProgramImpl(PhysAddr addr, ConstBytes data,
   if (!data.empty()) {
     FLASHDB_RETURN_IF_ERROR(ProgramCells(
         data_.data() + static_cast<size_t>(addr) * g.data_size, data, addr,
-        "data", strict));
+        "data", data_programs_[addr], strict));
     data_programs_[addr]++;
   }
   if (!spare.empty()) {
     FLASHDB_RETURN_IF_ERROR(ProgramCells(
         spare_.data() + static_cast<size_t>(addr) * g.spare_size, spare, addr,
-        "spare", strict));
+        "spare", spare_programs_[addr], strict));
     spare_programs_[addr]++;
   }
   if (first_program && page > block_frontier_[block]) {

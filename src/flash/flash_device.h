@@ -125,6 +125,11 @@ class FlashDevice {
   /// already 0 in the cells (the stored result would silently differ
   /// from the image). Buffers must be exactly data_size / spare_size long
   /// (either may be empty to leave the area untouched). Charges one Twrite.
+  ///
+  /// The first program of an area since its erase copies the image: the
+  /// cells are all 1s, so AND-ing equals copying and the check cannot fail.
+  /// Every later program of the area checks (strict) or ANDs (partial), so
+  /// the cells always hold what the AND rule gives, whichever path ran.
   Status ProgramPage(PhysAddr addr, ConstBytes data, ConstBytes spare) {
     return ProgramImpl(addr, data, spare, /*strict=*/true);
   }
@@ -238,9 +243,11 @@ class FlashDevice {
                      bool strict);
   /// ANDs `src` into the cell range at `dst`; when `strict`, rejects images
   /// whose stored result would differ from `src` (lost 1-bits) and leaves
-  /// the cells untouched (the program rule in common/bytes.h).
+  /// the cells untouched (the program rule in common/bytes.h). `programs` is
+  /// the area's program count since its erase: at 0 the cells are all 1s,
+  /// so `src` is copied (what the AND gives; the check cannot fail).
   Status ProgramCells(uint8_t* dst, ConstBytes src, PhysAddr addr,
-                      const char* area, bool strict);
+                      const char* area, uint32_t programs, bool strict);
   /// Updates op counts and work-time totals: `count` operations summing to
   /// `us` of array time (multi-plane commands pass count > 1, us once).
   void ChargeCounters(OpKind kind, uint64_t us, uint64_t count);

@@ -11,6 +11,10 @@ void MappingTable::Reset(uint32_t num_pids, uint32_t num_phys_pages) {
     vdct_.assign(num_phys_pages, 0);
     diff_live_bytes_.assign(num_phys_pages, 0);
     flushed_diff_size_.assign(num_pids, 0);
+    const uint32_t num_blocks =
+        (num_phys_pages + pages_per_block_ - 1) / pages_per_block_;
+    block_diff_pages_.assign(num_blocks, 0);
+    block_diff_live_bytes_.assign(num_blocks, 0);
   }
   base_ts_.clear();
   diff_ts_.clear();

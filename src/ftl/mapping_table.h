@@ -5,8 +5,10 @@
 // when differential tracking is enabled -- the differential page address plus
 // the bookkeeping PDL needs around it: the per-physical-page valid
 // differential count (VDCT), the live differential bytes per differential
-// page (steering byte-scored GC victim selection), and the size of each pid's
-// last flushed differential.
+// page, and the size of each pid's last flushed differential. Per block it
+// keeps the two sums GC victim scoring reads (ftl/gc_policy.h): the pages
+// with VDCT > 0 and their live differential bytes, updated by every call
+// that moves a page's VDCT or live bytes, so a block's score is O(1).
 //
 // It also owns the timestamp-arbitrated *recovery replay*: during a full-chip
 // spare scan (see ForEachProgrammedSpare) the store feeds every surviving
@@ -45,8 +47,10 @@ namespace flashdb::ftl {
 class MappingTable {
  public:
   /// `track_diffs` enables the differential-page side tables (PDL); a plain
-  /// page-level mapping (OPU) skips them.
-  explicit MappingTable(bool track_diffs) : track_diffs_(track_diffs) {}
+  /// page-level mapping (OPU) skips them. Physical page `addr` lies in block
+  /// addr / pages_per_block.
+  MappingTable(bool track_diffs, uint32_t pages_per_block)
+      : track_diffs_(track_diffs), pages_per_block_(pages_per_block) {}
 
   /// Re-initializes for `num_pids` logical pages over `num_phys_pages`
   /// physical pages (everything unmapped).
@@ -69,13 +73,26 @@ class MappingTable {
     return flushed_diff_size_[pid];
   }
 
+  /// Pages of `block` with a nonzero valid-differential count (0 without
+  /// differential tracking).
+  uint32_t block_diff_pages(uint32_t block) const {
+    return track_diffs_ ? block_diff_pages_[block] : 0;
+  }
+  /// Live differential bytes on the pages of `block` (0 without
+  /// differential tracking).
+  uint64_t block_diff_live_bytes(uint32_t block) const {
+    return track_diffs_ ? block_diff_live_bytes_[block] : 0;
+  }
+
   /// Points pid's differential at page `dp` holding `size` encoded bytes:
   /// updates the mapping, the page's valid-differential count, its live-byte
-  /// total and the pid's flushed size in one step.
+  /// total, its block's sums and the pid's flushed size in one step.
   void AttachDiff(PageId pid, flash::PhysAddr dp, uint32_t size) {
+    const uint32_t block = dp / pages_per_block_;
     diff_[pid] = dp;
-    vdct_[dp]++;
+    if (vdct_[dp]++ == 0) block_diff_pages_[block]++;
     diff_live_bytes_[dp] += size;
+    block_diff_live_bytes_[block] += size;
     flushed_diff_size_[pid] = size;
   }
 
@@ -87,6 +104,7 @@ class MappingTable {
     const flash::PhysAddr dp = diff_[pid];
     if (dp == flash::kNullAddr) return dp;
     diff_live_bytes_[dp] -= flushed_diff_size_[pid];
+    block_diff_live_bytes_[dp / pages_per_block_] -= flushed_diff_size_[pid];
     flushed_diff_size_[pid] = 0;
     diff_[pid] = flash::kNullAddr;
     return dp;
@@ -100,13 +118,18 @@ class MappingTable {
     if (vdct_[dp] == 0) {
       return Status::Corruption("VDCT underflow at page " + std::to_string(dp));
     }
-    return --vdct_[dp] == 0;
+    if (--vdct_[dp] != 0) return false;
+    block_diff_pages_[dp / pages_per_block_]--;
+    return true;
   }
 
   /// Drops the per-physical-page accounting of a page whose block is being
   /// erased.
   void ForgetPhysPage(flash::PhysAddr addr) {
     if (!track_diffs_) return;
+    const uint32_t block = addr / pages_per_block_;
+    if (vdct_[addr] != 0) block_diff_pages_[block]--;
+    block_diff_live_bytes_[block] -= diff_live_bytes_[addr];
     vdct_[addr] = 0;
     diff_live_bytes_[addr] = 0;
   }
@@ -153,11 +176,15 @@ class MappingTable {
 
  private:
   bool track_diffs_;
+  uint32_t pages_per_block_;
   std::vector<flash::PhysAddr> base_;  ///< pid -> base/data page address.
   std::vector<flash::PhysAddr> diff_;  ///< pid -> differential page address.
   std::vector<uint32_t> vdct_;         ///< Per-phys-page valid-diff count.
   std::vector<uint32_t> diff_live_bytes_;  ///< Per-phys-page live diff bytes.
   std::vector<uint32_t> flushed_diff_size_;  ///< Per-pid last flushed size.
+  /// Per block: pages with vdct_ > 0, and the sum of their diff_live_bytes_.
+  std::vector<uint32_t> block_diff_pages_;
+  std::vector<uint64_t> block_diff_live_bytes_;
   // Replay state (allocated between BeginReplay and EndReplay).
   std::vector<uint64_t> base_ts_;
   std::vector<uint64_t> diff_ts_;

@@ -12,7 +12,7 @@ OutPlaceStore::OutPlaceStore(flash::FlashDevice* dev, PageType base_type,
     : dev_(dev),
       data_size_(dev->geometry().data_size),
       bm_(dev, num_streams),
-      map_(track_diffs),
+      map_(track_diffs, dev->geometry().pages_per_block),
       base_type_(base_type) {}
 
 Status OutPlaceStore::FormatBases(uint32_t num_logical_pages,
@@ -130,15 +130,17 @@ Status OutPlaceStore::WriteBasePage(PhysAddr q, PageId pid, ConstBytes page) {
 Status OutPlaceStore::RelocateBasePage(const SpareInfo& tag, ConstBytes page) {
   FLASHDB_ASSIGN_OR_RETURN(const PhysAddr q,
                            bm_.AllocatePage(/*for_gc=*/true, kBaseStream));
-  FLASHDB_RETURN_IF_ERROR(ProgramBase(q, tag.pid, tag.timestamp, page));
+  FLASHDB_RETURN_IF_ERROR(
+      ProgramBase(q, tag.pid, tag.timestamp, page, tag.data_crc));
   map_.SetBase(tag.pid, q);
   return Status::OK();
 }
 
 Status OutPlaceStore::ProgramBase(PhysAddr q, PageId pid, uint64_t ts,
-                                  ConstBytes page) {
+                                  ConstBytes page,
+                                  std::optional<uint32_t> verified_crc) {
   uint8_t spare[flash::FlashGeometry::spare_size];
-  EncodeSpare(spare, base_type_, pid, ts, page);
+  EncodeSpare(spare, base_type_, pid, ts, page, verified_crc);
   return dev_->ProgramPage(q, page, spare);
 }
 

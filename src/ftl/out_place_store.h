@@ -28,6 +28,7 @@
 #define FLASHDB_FTL_OUT_PLACE_STORE_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/function_ref.h"
@@ -53,6 +54,9 @@ class OutPlaceStore : public PageStore {
 
   /// Physical location of pid's base page (tests / diagnostics).
   flash::PhysAddr base_addr(PageId pid) const { return map_.base(pid); }
+  /// The page states and mapping GC scores its blocks from (tests).
+  const BlockManager& block_manager() const { return bm_; }
+  const MappingTable& mapping() const { return map_; }
   /// Garbage-collection rounds run so far.
   uint64_t gc_runs() const { return gc_runs_; }
 
@@ -103,14 +107,19 @@ class OutPlaceStore : public PageStore {
   /// remaps pid to `q`.
   Status WriteBasePage(flash::PhysAddr q, PageId pid, ConstBytes page);
 
-  /// GC relocation: copies live base page `tag` (data `page`) to a page
-  /// from the reserve under its original timestamp -- so newer records
-  /// still post-date it during recovery -- and remaps its pid.
+  /// GC relocation: copies live base page `tag` (data `page`, which a
+  /// verified read just checked against `tag`) to a page from the reserve
+  /// under its original timestamp -- so newer records still post-date it
+  /// during recovery -- and remaps its pid. The new spare carries the data
+  /// CRC that read checked.
   Status RelocateBasePage(const SpareInfo& tag, ConstBytes page);
 
-  /// Programs `page` at `q` as pid's base page stamped `ts`.
+  /// Programs `page` at `q` as pid's base page stamped `ts`. `verified_crc`
+  /// is the data CRC of `page` when a verified read already checked it
+  /// (see EncodeSpare).
   Status ProgramBase(flash::PhysAddr q, PageId pid, uint64_t ts,
-                     ConstBytes page);
+                     ConstBytes page,
+                     std::optional<uint32_t> verified_crc = std::nullopt);
 
   flash::FlashDevice* dev_;
   uint32_t data_size_;

@@ -24,7 +24,8 @@ uint32_t SpareCrc(ConstBytes spare) {
 }  // namespace
 
 void EncodeSpare(MutBytes spare, PageType type, uint32_t pid,
-                 uint64_t timestamp, ConstBytes data) {
+                 uint64_t timestamp, ConstBytes data,
+                 std::optional<uint32_t> verified_crc) {
   assert(spare.size() == flash::FlashGeometry::spare_size);
   std::fill(spare.begin(), spare.end(), 0xFF);
   EncodeFixed16(spare.data(), kMagic);
@@ -36,7 +37,10 @@ void EncodeSpare(MutBytes spare, PageType type, uint32_t pid,
   if (!data.empty()) {
     assert(PageTypeCarriesDataCrc(type) &&
            "data CRC only belongs on once-programmed page types");
-    EncodeFixed32(spare.data() + kSpareDataCrcOffset, Crc32c(data));
+    assert((!verified_crc || *verified_crc == Crc32c(data)) &&
+           "a carried data CRC must be the CRC of the page it is stamped on");
+    EncodeFixed32(spare.data() + kSpareDataCrcOffset,
+                  verified_crc ? *verified_crc : Crc32c(data));
   }
 }
 

@@ -20,7 +20,8 @@
 //          kDiff, kData, kOrig; see PageTypeCarriesDataCrc). Absent (erased
 //          0xFF bytes) on kLog pages, whose data area keeps evolving via
 //          partial programs, and on kMeta frames, which carry their own
-//          frame/record CRCs in the data area.
+//          frame/record CRCs in the data area. A GC relocation of an
+//          unchanged page copies the value its verified read just checked.
 //
 // The obsolete marker is deliberately excluded from the metadata CRC because
 // it is programmed *after* the page is written, by clearing bits only.
@@ -29,6 +30,7 @@
 #define FLASHDB_FTL_SPARE_CODEC_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "common/bytes.h"
 #include "flash/flash_device.h"
@@ -88,8 +90,14 @@ inline bool PageTypeCarriesDataCrc(PageType t) {
 /// data-area image: its CRC-32C is stamped at kSpareDataCrcOffset so reads
 /// can detect delivered bit errors. Pass the data for every type with
 /// PageTypeCarriesDataCrc; pass {} for kLog/kMeta.
+///
+/// A CRC is computed only where it is checked. A relocation that carries a
+/// page unchanged passes `verified_crc`: the data CRC its verified read of
+/// the same bytes just checked (SpareInfo::data_crc). It is stamped as is,
+/// not computed again; Debug builds assert it matches `data`.
 void EncodeSpare(MutBytes spare, PageType type, uint32_t pid,
-                 uint64_t timestamp, ConstBytes data = {});
+                 uint64_t timestamp, ConstBytes data = {},
+                 std::optional<uint32_t> verified_crc = std::nullopt);
 
 /// Parses a spare image. Erased spare decodes to type kFree.
 SpareInfo DecodeSpare(ConstBytes spare);

@@ -10,7 +10,8 @@ using flash::PhysAddr;
 
 OpuStore::OpuStore(flash::FlashDevice* dev)
     : OutPlaceStore(dev, ftl::PageType::kData, /*num_streams=*/1,
-                    /*track_diffs=*/false) {}
+                    /*track_diffs=*/false),
+      gc_page_(data_size_) {}
 
 Status OpuStore::ReadPage(PageId pid, MutBytes out) {
   FLASHDB_RETURN_IF_ERROR(
@@ -56,22 +57,22 @@ Result<PhysAddr> OpuStore::AllocatePage() {
 
 Status OpuStore::RunGcOnce() {
   flash::CategoryScope cat(dev_, flash::OpCategory::kGc);
-  // Whole pages only: a valid data page reclaims nothing.
+  // Whole pages only: OPU's mapping tracks no differentials, so a valid
+  // data page reclaims nothing.
   FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> victims,
-                           ftl::PickGcVictims(dev_, &bm_, nullptr));
+                           ftl::PickGcVictims(dev_, &bm_, map_));
   ++gc_runs_;
-  ByteBuffer data(data_size_);
-  ByteBuffer spare(flash::FlashGeometry::spare_size);
+  uint8_t spare[flash::FlashGeometry::spare_size];
   for (uint32_t block : victims) {
     for (uint32_t p = 0; p < bm_.pages_per_block(); ++p) {
       const PhysAddr addr = dev_->AddrOf(block, p);
       if (bm_.state(addr) != ftl::PageState::kValid) continue;
-      FLASHDB_RETURN_IF_ERROR(dev_->ReadPage(addr, data, spare));
+      FLASHDB_RETURN_IF_ERROR(dev_->ReadPage(addr, gc_page_, spare));
       const ftl::SpareInfo info = ftl::DecodeSpare(spare);
       if (!IsLiveBase(addr, info)) continue;  // stale; dropped by the erase
       // Corrupt live data must not be relocated as if it were good.
-      FLASHDB_RETURN_IF_ERROR(ftl::VerifyPageRead(info, data, addr));
-      FLASHDB_RETURN_IF_ERROR(RelocateBasePage(info, data));
+      FLASHDB_RETURN_IF_ERROR(ftl::VerifyPageRead(info, gc_page_, addr));
+      FLASHDB_RETURN_IF_ERROR(RelocateBasePage(info, gc_page_));
     }
   }
   return bm_.EraseAndFreeGroup(victims);

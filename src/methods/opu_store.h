@@ -39,6 +39,10 @@ class OpuStore : public ftl::OutPlaceStore {
   /// Allocates a page for a normal write, collecting garbage until one frees.
   Result<flash::PhysAddr> AllocatePage();
   Status RunGcOnce();
+
+  /// GC's page scratch, reused every round: a round allocates only its
+  /// victim list.
+  ByteBuffer gc_page_;
 };
 
 }  // namespace flashdb::methods

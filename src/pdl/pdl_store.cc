@@ -243,13 +243,8 @@ Status PdlStore::RunGcOnce() {
   // Byte-scored victim selection: obsolete pages reclaim a whole page;
   // valid differential pages reclaim their dead fraction via compaction;
   // valid base pages reclaim nothing (they must be relocated).
-  const ftl::ValidPageScore dead_diff_bytes = [this](PhysAddr addr) {
-    if (map_.vdct(addr) == 0) return uint64_t{0};  // base page
-    const uint32_t live = map_.diff_live_bytes(addr);
-    return uint64_t{live >= data_size_ ? 0 : data_size_ - live};
-  };
   FLASHDB_ASSIGN_OR_RETURN(const std::vector<uint32_t> victims,
-                           ftl::PickGcVictims(dev_, &bm_, dead_diff_bytes));
+                           ftl::PickGcVictims(dev_, &bm_, map_));
   ++gc_runs_;
   auto in_victims = [&](uint32_t b) {
     return std::find(victims.begin(), victims.end(), b) != victims.end();

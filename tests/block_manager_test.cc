@@ -6,6 +6,7 @@
 #include "flash/fault_injector.h"
 #include "ftl/block_manager.h"
 #include "ftl/gc_policy.h"
+#include "ftl/mapping_table.h"
 #include "ftl/spare_codec.h"
 
 namespace flashdb::ftl {
@@ -18,7 +19,9 @@ using flash::PhysAddr;
 class BlockManagerTest : public ::testing::Test {
  protected:
   BlockManagerTest()
-      : dev_(FlashConfig::Small(4)), bm_(&dev_) {}
+      : dev_(FlashConfig::Small(4)),
+        bm_(&dev_),
+        no_diffs_(/*track_diffs=*/false, dev_.geometry().pages_per_block) {}
 
   Status ProgramAt(PhysAddr addr) {
     ByteBuffer data(dev_.geometry().data_size, 0x00);
@@ -27,13 +30,14 @@ class BlockManagerTest : public ::testing::Test {
 
   /// The victim chosen by obsolete-page count alone (OPU's scoring).
   std::optional<uint32_t> PickGreedyVictim() {
-    const std::vector<uint32_t> group = PickVictimGroup(bm_, nullptr);
+    const std::vector<uint32_t> group = PickVictimGroup(bm_, no_diffs_);
     if (group.empty()) return std::nullopt;
     return group.front();
   }
 
   FlashDevice dev_;
   BlockManager bm_;
+  MappingTable no_diffs_;  ///< OPU's mapping: no differential pages.
 };
 
 TEST_F(BlockManagerTest, SequentialAllocation) {
@@ -303,7 +307,8 @@ TEST(BlockManagerPlaneTest, PickVictimGroupPairsPlanesOfOneDie) {
       ASSERT_TRUE(bm.MarkObsolete(a).ok());
     }
   }
-  std::vector<uint32_t> group = PickVictimGroup(bm, nullptr);
+  const MappingTable no_diffs(/*track_diffs=*/false, ppb);
+  std::vector<uint32_t> group = PickVictimGroup(bm, no_diffs);
   EXPECT_EQ(group, (std::vector<uint32_t>{0, 1}));
 }
 
@@ -327,7 +332,8 @@ TEST(BlockManagerPlaneTest, PickVictimGroupSkipsWeakSecondaries) {
       ASSERT_TRUE(bm.MarkObsolete(a).ok());
     }
   }
-  std::vector<uint32_t> group = PickVictimGroup(bm, nullptr);
+  const MappingTable no_diffs(/*track_diffs=*/false, ppb);
+  std::vector<uint32_t> group = PickVictimGroup(bm, no_diffs);
   EXPECT_EQ(group, std::vector<uint32_t>{0});
 }
 

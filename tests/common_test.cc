@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/coding.h"
@@ -195,6 +196,49 @@ TEST(Crc32Test, EveryPathMatchesTheTable) {
       ASSERT_EQ(Crc32c(data, init), Crc32cTable(data, init))
           << "seed " << seed << " len " << len << " off " << off;
     }
+  }
+}
+
+// The SSE4.2 path runs three kCrc32cLaneBytes lanes per 2,040-byte stride,
+// then words, then bytes. Random lengths rarely land on a stride edge, so
+// every length one short of, at and one past an edge (and the page sizes)
+// is pinned here, at every start offset, with seed 0 and random seeds.
+TEST(Crc32Test, StrideEdgesMatchTheTable) {
+  constexpr size_t kStride = 3 * kCrc32cLaneBytes;
+  ASSERT_EQ(kStride, 2040u);
+  const size_t lengths[] = {0,    7,    8,    2039, 2040, 2041, 2048,
+                            4079, 4080, 4081, 6120, 8192};
+  Random r(31);
+  ByteBuffer buf(8192 + 8);
+  r.Fill(buf);
+  for (size_t len : lengths) {
+    for (size_t off = 0; off < 8; ++off) {
+      const ConstBytes data(buf.data() + off, len);
+      ASSERT_EQ(Crc32c(data), Crc32cTable(data))
+          << "len " << len << " off " << off;
+      for (int trial = 0; trial < 4; ++trial) {
+        const uint32_t seed = static_cast<uint32_t>(r.Next());
+        ASSERT_EQ(Crc32c(data, seed), Crc32cTable(data, seed))
+            << "len " << len << " off " << off << " seed " << seed;
+      }
+    }
+  }
+}
+
+// The lane join advances a raw register over 680 zero bytes; the byte table
+// run over the same zeros is the reference. Crc32cTable inverts its seed on
+// the way in and its result on the way out, so the raw register is
+// `seed ^ ~0` on both sides.
+TEST(Crc32Test, LaneJoinAppendsLaneZeros) {
+  const ByteBuffer zeros(kCrc32cLaneBytes, 0x00);
+  Random r(32);
+  std::vector<uint32_t> regs = {0u, 1u, 0x80000000u, 0xFFFFFFFFu};
+  for (int i = 0; i < 32; ++i) regs.push_back(uint32_t{1} << i);
+  for (int i = 0; i < 200; ++i) regs.push_back(static_cast<uint32_t>(r.Next()));
+  for (uint32_t reg : regs) {
+    const uint32_t expected = Crc32cTable(zeros, reg ^ 0xFFFFFFFFu) ^
+                              0xFFFFFFFFu;
+    ASSERT_EQ(Crc32cAppendLaneZeros(reg), expected) << "register " << reg;
   }
 }
 

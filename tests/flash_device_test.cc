@@ -133,6 +133,118 @@ TEST_F(FlashDeviceTest, PartialProgramKeepsOneBitsUntouched) {
   EXPECT_EQ(rdata[9], 0xFF);
 }
 
+// --- The first program of an area copies its image ------------------------
+// An area whose program count since its erase is 0 holds only 1s, so the
+// emulator copies the image instead of checking and AND-ing it. These tests
+// hold each path to the AND rule's result.
+
+/// A page image with every byte value, so a copy and an AND differ wherever
+/// a cell is not all 1s.
+ByteBuffer PatternPage(const FlashDevice& dev, uint8_t salt) {
+  ByteBuffer page(dev.geometry().data_size);
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<uint8_t>(i * 37 + salt);
+  }
+  return page;
+}
+
+TEST_F(FlashDeviceTest, FirstProgramLeavesCellsEqualToTheImage) {
+  const ByteBuffer data = PatternPage(dev_, 1);
+  ByteBuffer spare = Spare(0xFF);
+  for (size_t i = 0; i < spare.size(); ++i) {
+    spare[i] = static_cast<uint8_t>(i * 11);
+  }
+  ASSERT_TRUE(dev_.ProgramPage(2, data, spare).ok());
+  EXPECT_TRUE(BytesEqual(dev_.RawData(2), data));
+  EXPECT_TRUE(BytesEqual(dev_.RawSpare(2), spare));
+  EXPECT_EQ(dev_.DataProgramCount(2), 1u);
+}
+
+TEST_F(FlashDeviceTest, SpareProgrammedFirstStillCopiesTheData) {
+  // An obsolete mark programmed into an erased page's spare.
+  ByteBuffer mark = Spare(0xFF);
+  mark[3] = 0x00;
+  ASSERT_TRUE(dev_.ProgramSpare(0, mark).ok());
+  // The bad-block OOB mark on page 0 of block 1.
+  ASSERT_TRUE(dev_.MarkBadBlockOob(1).ok());
+  for (PhysAddr addr : {PhysAddr{0}, dev_.AddrOf(1, 0)}) {
+    ASSERT_EQ(dev_.DataProgramCount(addr), 0u);
+    const ByteBuffer data = PatternPage(dev_, static_cast<uint8_t>(addr));
+    ASSERT_TRUE(dev_.ProgramPage(addr, data, {}).ok()) << addr;
+    EXPECT_TRUE(BytesEqual(dev_.RawData(addr), data)) << addr;
+    EXPECT_EQ(dev_.DataProgramCount(addr), 1u);
+  }
+  EXPECT_EQ(dev_.RawSpare(0)[3], 0x00);
+  EXPECT_TRUE(dev_.HasBadBlockOob(1));
+}
+
+TEST_F(FlashDeviceTest, StrictReprogramNeedingZeroToOneLeavesCellsUnchanged) {
+  const ByteBuffer first = PatternPage(dev_, 0);
+  ASSERT_TRUE(dev_.ProgramPage(0, first, {}).ok());
+  // Setting every bit back needs a 0->1 transition wherever `first` has a 0.
+  const Status s = dev_.ProgramPage(0, Page(0xFF), {});
+  EXPECT_TRUE(s.IsFlashConstraint()) << s.ToString();
+  EXPECT_TRUE(BytesEqual(dev_.RawData(0), first));
+  EXPECT_EQ(dev_.DataProgramCount(0), 1u);
+  // So does a strict spare re-program (ProgramSpare is a partial program).
+  ASSERT_TRUE(dev_.ProgramPage(1, {}, Spare(0x0F)).ok());
+  EXPECT_TRUE(dev_.ProgramPage(1, {}, Spare(0xF0)).IsFlashConstraint());
+  EXPECT_TRUE(BytesEqual(dev_.RawSpare(1), Spare(0x0F)));
+}
+
+TEST_F(FlashDeviceTest, PartialProgramAfterTheFirstAnds) {
+  const ByteBuffer first = PatternPage(dev_, 0);
+  const ByteBuffer second = PatternPage(dev_, 85);
+  ASSERT_TRUE(dev_.ProgramPage(0, first, {}).ok());
+  ASSERT_TRUE(dev_.PartialProgramPage(0, second).ok());
+  ByteBuffer anded(first.size());
+  for (size_t i = 0; i < anded.size(); ++i) anded[i] = first[i] & second[i];
+  ASSERT_FALSE(BytesEqual(anded, second));
+  EXPECT_TRUE(BytesEqual(dev_.RawData(0), anded));
+  EXPECT_EQ(dev_.DataProgramCount(0), 2u);
+}
+
+TEST_F(FlashDeviceTest, EraseMakesTheNextProgramACopyAgain) {
+  ASSERT_TRUE(dev_.ProgramPage(0, PatternPage(dev_, 0), Spare(0x00)).ok());
+  ASSERT_TRUE(dev_.EraseBlock(0).ok());
+  // Either image would fail a strict check against the old cells.
+  const ByteBuffer data = PatternPage(dev_, 200);
+  const ByteBuffer spare = Spare(0xA5);
+  ASSERT_TRUE(dev_.ProgramPage(0, data, spare).ok());
+  EXPECT_TRUE(BytesEqual(dev_.RawData(0), data));
+  EXPECT_TRUE(BytesEqual(dev_.RawSpare(0), spare));
+}
+
+/// Fails every program of one page with a grown-bad-block IOError.
+class ProgramFailureInjector : public FaultInjector {
+ public:
+  explicit ProgramFailureInjector(PhysAddr addr) : addr_(addr) {}
+  void BeforeMutation(OpKind, uint32_t) override {}
+  void AfterMutation(OpKind, uint32_t) override {}
+  bool FailMutation(OpKind kind, uint32_t addr) override {
+    return kind != OpKind::kErase && addr == addr_;
+  }
+
+ private:
+  PhysAddr addr_;
+};
+
+TEST_F(FlashDeviceTest, FailedFirstProgramLeavesThePageErased) {
+  ProgramFailureInjector fi(3);
+  dev_.set_fault_injector(&fi);
+  EXPECT_EQ(dev_.ProgramPage(3, PatternPage(dev_, 0), Spare(0x00)).code(),
+            StatusCode::kIOError);
+  dev_.set_fault_injector(nullptr);
+  EXPECT_TRUE(dev_.IsErased(3));
+  EXPECT_EQ(dev_.DataProgramCount(3), 0u);
+  EXPECT_TRUE(BytesEqual(dev_.RawData(3), Page(0xFF)));
+  EXPECT_TRUE(BytesEqual(dev_.RawSpare(3), Spare(0xFF)));
+  // The retry is a first program, so it copies.
+  const ByteBuffer data = PatternPage(dev_, 9);
+  ASSERT_TRUE(dev_.ProgramPage(3, data, {}).ok());
+  EXPECT_TRUE(BytesEqual(dev_.RawData(3), data));
+}
+
 TEST_F(FlashDeviceTest, TimingChargesVirtualClock) {
   const auto& t = dev_.config().timing;
   ASSERT_TRUE(dev_.ProgramPage(0, Page(0xAA), {}).ok());

@@ -7,12 +7,15 @@
 
 #include <cctype>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "flash/fault_injector.h"
 #include "ftl/block_manager.h"
 #include "ftl/gc_policy.h"
+#include "ftl/mapping_table.h"
 #include "methods/method_factory.h"
 #include "methods/opu_store.h"
 #include "pdl/pdl_store.h"
@@ -35,9 +38,36 @@ void SeededImage(PageId pid, MutBytes page, void* arg) {
 
 // --- Unit tests of the victim scoring ---------------------------------------
 
+/// The page walk ScoreBlock replaced: a page per obsolete page, plus each
+/// valid differential page's dead bytes (a page less its live bytes,
+/// clamped at 0). ScoreBlock must equal it on every block at every point
+/// where GC picks.
+uint64_t WalkScore(const ftl::BlockManager& bm, const ftl::MappingTable& map,
+                   uint32_t block) {
+  const uint64_t page = bm.data_size();
+  uint64_t score = bm.block_obsolete(block) * page;
+  if (!map.track_diffs()) return score;
+  for (uint32_t p = 0; p < bm.pages_per_block(); ++p) {
+    const PhysAddr addr = bm.AddrOf(block, p);
+    if (bm.state(addr) != ftl::PageState::kValid || map.vdct(addr) == 0) {
+      continue;
+    }
+    const uint64_t live = map.diff_live_bytes(addr);
+    score += live >= page ? 0 : page - live;
+  }
+  return score;
+}
+
 class VictimScoreTest : public ::testing::Test {
  protected:
-  VictimScoreTest() : dev_(FlashConfig::Small(4)), bm_(&dev_) {}
+  VictimScoreTest()
+      : dev_(FlashConfig::Small(4)),
+        bm_(&dev_),
+        opu_map_(/*track_diffs=*/false, dev_.geometry().pages_per_block),
+        pdl_map_(/*track_diffs=*/true, dev_.geometry().pages_per_block) {
+    pdl_map_.Reset(dev_.geometry().total_pages(),
+                   dev_.geometry().total_pages());
+  }
 
   /// Fills `blocks` whole blocks with programmed, valid pages and closes
   /// them (an open block is never a legal victim).
@@ -51,8 +81,18 @@ class VictimScoreTest : public ::testing::Test {
     bm_.CloseOpenBlocks();
   }
 
+  /// Holds ScoreBlock to the page walk on every block.
+  void ExpectScoresMatchTheWalk() {
+    for (uint32_t b = 0; b < bm_.num_blocks(); ++b) {
+      EXPECT_EQ(ftl::ScoreBlock(bm_, pdl_map_, b), WalkScore(bm_, pdl_map_, b))
+          << "block " << b;
+    }
+  }
+
   FlashDevice dev_;
   ftl::BlockManager bm_;
+  ftl::MappingTable opu_map_;  ///< No differentials (OPU's mapping).
+  ftl::MappingTable pdl_map_;  ///< Differentials tracked (PDL's mapping).
 };
 
 TEST_F(VictimScoreTest, ObsoletePagesScoreAFullPageEach) {
@@ -62,40 +102,199 @@ TEST_F(VictimScoreTest, ObsoletePagesScoreAFullPageEach) {
   for (uint32_t p = 0; p < 3; ++p) ASSERT_TRUE(bm_.MarkObsolete(p).ok());
   for (uint32_t p = 0; p < 8; ++p) ASSERT_TRUE(bm_.MarkObsolete(ppb + p).ok());
   const uint64_t page_bytes = dev_.geometry().data_size;
-  EXPECT_EQ(ftl::ScoreBlock(bm_, nullptr, 0), 3 * page_bytes);
-  EXPECT_EQ(ftl::ScoreBlock(bm_, nullptr, 1), 8 * page_bytes);
-  EXPECT_EQ(ftl::PickVictimGroup(bm_, nullptr), std::vector<uint32_t>{1});
+  EXPECT_EQ(ftl::ScoreBlock(bm_, opu_map_, 0), 3 * page_bytes);
+  EXPECT_EQ(ftl::ScoreBlock(bm_, opu_map_, 1), 8 * page_bytes);
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, opu_map_), std::vector<uint32_t>{1});
 }
 
-TEST_F(VictimScoreTest, ValidPageScoreAddsDeadBytes) {
+TEST_F(VictimScoreTest, DeadDifferentialBytesAddToTheScore) {
   FillBlocks(2);
   const uint32_t ppb = dev_.geometry().pages_per_block;
   const uint32_t page_bytes = dev_.geometry().data_size;
   // Block 0: 2 obsolete pages, everything else scores 0.
   for (uint32_t p = 0; p < 2; ++p) ASSERT_TRUE(bm_.MarkObsolete(p).ok());
   // Block 1: 1 obsolete page, but its valid pages are almost-dead
-  // differential pages worth half a page each -- the byte score dwarfs
-  // block 0 even though obsolete pages alone prefer block 0.
+  // differential pages, each holding one live half-page differential -- the
+  // byte score dwarfs block 0 even though obsolete pages alone prefer
+  // block 0.
   ASSERT_TRUE(bm_.MarkObsolete(ppb).ok());
-  const ftl::ValidPageScore half_dead = [&](PhysAddr addr) -> uint64_t {
-    return dev_.BlockOf(addr) == 1 ? page_bytes / 2 : 0;
-  };
-  EXPECT_EQ(ftl::ScoreBlock(bm_, half_dead, 1),
+  for (uint32_t p = 1; p < ppb; ++p) {
+    pdl_map_.AttachDiff(/*pid=*/p, ppb + p, page_bytes / 2);
+  }
+  EXPECT_EQ(ftl::ScoreBlock(bm_, pdl_map_, 1),
             page_bytes + (ppb - 1) * (page_bytes / 2));
-  EXPECT_EQ(ftl::PickVictimGroup(bm_, half_dead), std::vector<uint32_t>{1});
-  EXPECT_EQ(ftl::PickVictimGroup(bm_, nullptr), std::vector<uint32_t>{0});
+  ExpectScoresMatchTheWalk();
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, pdl_map_), std::vector<uint32_t>{1});
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, opu_map_), std::vector<uint32_t>{0});
 }
 
 TEST_F(VictimScoreTest, VictimMustReclaimAtLeastOnePage) {
   FillBlocks(2);
-  // Dead bytes adding up to less than a page do not justify an erase.
-  const ftl::ValidPageScore one_byte = [](PhysAddr) -> uint64_t { return 1; };
-  EXPECT_TRUE(ftl::PickVictimGroup(bm_, one_byte).empty());
-  EXPECT_TRUE(ftl::PickVictimGroup(bm_, nullptr).empty());
+  const uint32_t ppb = dev_.geometry().pages_per_block;
+  const uint32_t page_bytes = dev_.geometry().data_size;
+  // Dead bytes adding up to less than a page do not justify an erase: every
+  // valid page holds a differential one byte short of a page.
+  for (uint32_t addr = 0; addr < 2 * ppb; ++addr) {
+    pdl_map_.AttachDiff(/*pid=*/addr, addr, page_bytes - 1);
+  }
+  EXPECT_EQ(ftl::ScoreBlock(bm_, pdl_map_, 0), ppb);
+  EXPECT_TRUE(ftl::PickVictimGroup(bm_, pdl_map_).empty());
+  EXPECT_TRUE(ftl::PickVictimGroup(bm_, opu_map_).empty());
   // One obsolete page does.
-  ASSERT_TRUE(bm_.MarkObsolete(dev_.geometry().pages_per_block).ok());
-  EXPECT_EQ(ftl::PickVictimGroup(bm_, nullptr), std::vector<uint32_t>{1});
+  ASSERT_TRUE(bm_.MarkObsolete(ppb).ok());
+  EXPECT_EQ(ftl::PickVictimGroup(bm_, opu_map_), std::vector<uint32_t>{1});
 }
+
+// Every MappingTable call that moves a page's valid-differential count or
+// live bytes moves its block's sums with it.
+TEST_F(VictimScoreTest, BlockSumsFollowEveryMappingUpdate) {
+  FillBlocks(2);
+  const uint32_t ppb = dev_.geometry().pages_per_block;
+  const PhysAddr dp = ppb + 5;  // a differential page in block 1
+  pdl_map_.AttachDiff(/*pid=*/0, dp, 100);
+  pdl_map_.AttachDiff(/*pid=*/1, dp, 300);
+  EXPECT_EQ(pdl_map_.block_diff_pages(1), 1u);
+  EXPECT_EQ(pdl_map_.block_diff_live_bytes(1), 400u);
+  ExpectScoresMatchTheWalk();
+  // pid 0's record moves to page 3 of block 0.
+  EXPECT_EQ(pdl_map_.DetachDiff(0), dp);
+  ASSERT_FALSE(*pdl_map_.ReleaseDiffRef(dp));
+  pdl_map_.AttachDiff(/*pid=*/0, 3, 120);
+  EXPECT_EQ(pdl_map_.block_diff_live_bytes(1), 300u);
+  EXPECT_EQ(pdl_map_.block_diff_pages(0), 1u);
+  ExpectScoresMatchTheWalk();
+  // pid 1's record leaves too: the page holds no live differential.
+  EXPECT_EQ(pdl_map_.DetachDiff(1), dp);
+  ASSERT_TRUE(*pdl_map_.ReleaseDiffRef(dp));
+  EXPECT_EQ(pdl_map_.block_diff_pages(1), 0u);
+  EXPECT_EQ(pdl_map_.block_diff_live_bytes(1), 0u);
+  ExpectScoresMatchTheWalk();
+  // An erase forgets block 0's page with its record still attached.
+  for (uint32_t p = 0; p < ppb; ++p) pdl_map_.ForgetPhysPage(p);
+  EXPECT_EQ(pdl_map_.block_diff_pages(0), 0u);
+  EXPECT_EQ(pdl_map_.block_diff_live_bytes(0), 0u);
+  // Reset clears every sum.
+  pdl_map_.AttachDiff(/*pid=*/2, dp, 50);
+  pdl_map_.Reset(dev_.geometry().total_pages(), dev_.geometry().total_pages());
+  EXPECT_EQ(pdl_map_.block_diff_pages(1), 0u);
+  EXPECT_EQ(pdl_map_.block_diff_live_bytes(1), 0u);
+}
+
+// --- The O(1) score on live PDL stores --------------------------------------
+
+/// Holds every data block's ScoreBlock to the page walk. Runs as a fault
+/// injector's BeforeMutation on each erase issued under OpCategory::kGc: the
+/// end of every GC round, after its relocations, compaction and
+/// ForgetPhysPage calls, right where the next round will pick.
+class ScoreAuditor : public flash::FaultInjector {
+ public:
+  explicit ScoreAuditor(const FlashDevice* dev) : dev_(dev) {}
+
+  void set_store(const ftl::OutPlaceStore* store) { store_ = store; }
+  uint32_t gc_erases_audited() const { return gc_erases_audited_; }
+
+  /// Audits every data block now, failing the test on each that disagrees;
+  /// returns how many did.
+  uint32_t Audit() {
+    const ftl::BlockManager& bm = store_->block_manager();
+    const ftl::MappingTable& map = store_->mapping();
+    uint32_t mismatches = 0;
+    for (uint32_t b = 0; b < dev_->geometry().num_data_blocks(); ++b) {
+      const uint64_t fast = ftl::ScoreBlock(bm, map, b);
+      const uint64_t walk = WalkScore(bm, map, b);
+      if (fast != walk) {
+        ADD_FAILURE() << "block " << b << ": ScoreBlock " << fast
+                      << ", page walk " << walk;
+        ++mismatches;
+      }
+    }
+    return mismatches;
+  }
+
+  void BeforeMutation(flash::OpKind kind, uint32_t) override {
+    if (kind != flash::OpKind::kErase ||
+        dev_->category() != flash::OpCategory::kGc) {
+      return;
+    }
+    ++gc_erases_audited_;
+    Audit();
+  }
+  void AfterMutation(flash::OpKind, uint32_t) override {}
+
+ private:
+  const FlashDevice* dev_;
+  const ftl::OutPlaceStore* store_ = nullptr;
+  uint32_t gc_erases_audited_ = 0;
+};
+
+struct ScoreCase {
+  uint32_t max_differential_size;
+  uint32_t dies;
+  uint32_t planes_per_die;
+};
+
+class GcScoreTest : public ::testing::TestWithParam<ScoreCase> {};
+
+// ScoreBlock's per-block sums equal the page walk after every GC round and
+// after Recover(), with one remount mid-run, so every victim is the block
+// the walk would pick, ties included.
+TEST_P(GcScoreTest, EveryBlockScoresItsPageWalk) {
+  const ScoreCase& c = GetParam();
+  FlashConfig cfg = FlashConfig::Small(64);
+  cfg.geometry.dies_per_chip = c.dies;
+  cfg.geometry.planes_per_die = c.planes_per_die;
+  FlashDevice dev(cfg);
+  ScoreAuditor auditor(&dev);
+  dev.set_fault_injector(&auditor);
+  pdl::PdlConfig pcfg;
+  pcfg.max_differential_size = c.max_differential_size;
+  auto store = std::make_unique<pdl::PdlStore>(&dev, pcfg);
+  auditor.set_store(store.get());
+  // The benches' database: half the chip less two blocks of headroom.
+  const uint32_t pages = (64 - 2) * cfg.geometry.pages_per_block / 2;
+  SeedArg arg{41};
+  ASSERT_TRUE(store->Format(pages, &SeededImage, &arg).ok());
+  Random r(42);
+  ByteBuffer buf(cfg.geometry.data_size);
+  constexpr int kOps = 40000;
+  for (int op = 0; op < kOps; ++op) {
+    if (op == kOps / 2) {
+      // Remount: a new store rebuilds its sums from the spare scan.
+      ASSERT_TRUE(store->Flush().ok());
+      const uint32_t before = auditor.gc_erases_audited();
+      store = std::make_unique<pdl::PdlStore>(&dev, pcfg);
+      auditor.set_store(store.get());
+      ASSERT_TRUE(store->Recover().ok());
+      EXPECT_EQ(auditor.Audit(), 0u) << "after Recover()";
+      EXPECT_GT(before, 0u) << "no GC erase before the remount";
+    }
+    const PageId pid = static_cast<PageId>(r.Uniform(pages));
+    ASSERT_TRUE(store->ReadPage(pid, buf).ok());
+    // One to three runs of 8-128 changed bytes: differentials of every size,
+    // some past PDL(256B)'s limit (new base pages).
+    const uint64_t runs = 1 + r.Uniform(3);
+    for (uint64_t i = 0; i < runs; ++i) {
+      const uint32_t len = 8 + static_cast<uint32_t>(r.Uniform(121));
+      const uint32_t off = static_cast<uint32_t>(r.Uniform(buf.size() - len));
+      for (uint32_t k = 0; k < len; ++k) buf[off + k] ^= 0x6D;
+    }
+    const Status st = store->WriteBack(pid, buf);
+    ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
+  }
+  EXPECT_EQ(auditor.Audit(), 0u) << "at the end";
+  EXPECT_GT(auditor.gc_erases_audited(), 100u);
+  dev.set_fault_injector(nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PdlSizesAndGeometries, GcScoreTest,
+    ::testing::Values(ScoreCase{256, 1, 1}, ScoreCase{2048, 1, 1},
+                      ScoreCase{256, 2, 4}, ScoreCase{2048, 2, 4}),
+    [](const ::testing::TestParamInfo<ScoreCase>& info) {
+      return "PDL" + std::to_string(info.param.max_differential_size) +
+             "B_" + std::to_string(info.param.dies) + "x" +
+             std::to_string(info.param.planes_per_die);
+    });
 
 // --- Store-level behavior ---------------------------------------------------
 

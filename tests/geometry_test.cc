@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "ftl/block_manager.h"
 #include "ftl/gc_policy.h"
+#include "ftl/mapping_table.h"
 #include "methods/method_factory.h"
 
 namespace flashdb {
@@ -175,10 +176,12 @@ TEST(BlockManagerStreamsTest, CloseOpenBlocksMakesThemVictims) {
     ASSERT_TRUE(bm.MarkObsolete(*a).ok());
   }
   // Open block excluded from victim selection.
-  EXPECT_TRUE(ftl::PickVictimGroup(bm, nullptr).empty());
+  const ftl::MappingTable no_diffs(/*track_diffs=*/false,
+                                   dev.geometry().pages_per_block);
+  EXPECT_TRUE(ftl::PickVictimGroup(bm, no_diffs).empty());
   // The GC round preamble closes the open blocks and picks again.
   Result<std::vector<uint32_t>> victims =
-      ftl::PickGcVictims(&dev, &bm, nullptr);
+      ftl::PickGcVictims(&dev, &bm, no_diffs);
   ASSERT_TRUE(victims.ok());
   EXPECT_EQ(*victims, std::vector<uint32_t>{0});
 }
@@ -194,7 +197,9 @@ TEST(BlockManagerStreamsTest, NothingReclaimableIsNoSpace) {
   }
   // Every page is valid: even with the open block closed there is nothing
   // to reclaim.
-  EXPECT_TRUE(ftl::PickGcVictims(&dev, &bm, nullptr).status().IsNoSpace());
+  const ftl::MappingTable no_diffs(/*track_diffs=*/false,
+                                   dev.geometry().pages_per_block);
+  EXPECT_TRUE(ftl::PickGcVictims(&dev, &bm, no_diffs).status().IsNoSpace());
 }
 
 // Format keeps factory bad-block marks on every method. OPU and PDL remap:
