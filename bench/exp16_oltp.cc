@@ -17,27 +17,24 @@
 // (clients=4, shards=4), a --min bound of tools/run_perf_gate.sh.
 //
 // Every row carries the commit-order determinism check that makes the
-// concurrent numbers trustworthy: the recorded commit log (warmup +
-// measure) is replayed single-threaded against an identically prepared
-// fresh rig, and every chip's cells, erase counts and clock, the canonical
-// event stream (harness::FirstDivergence) and every virtual TpccRunStats
-// field (latency histograms and worst op included) must match bit-for-bit.
-// The determinism and trace columns both print that one verdict, and a
-// FAIL row prints the first difference to stderr. The perf gate requires
-// `ok` in every row; wall_ms is machine-relative and stays warn-only.
+// concurrent numbers trustworthy: harness::ServeChecked replays the recorded
+// commit log (warmup + measure) single-threaded against an identically
+// prepared twin rig, and every chip's cells, erase counts and clock, the
+// canonical event stream (harness::FirstDivergence) and every virtual
+// TpccRunStats field (latency histograms and worst op included) must match
+// bit-for-bit. The determinism and trace columns both print that one
+// verdict, and a FAIL row prints the first difference to stderr. The perf
+// gate requires `ok` in every row; wall_ms is machine-relative and stays
+// warn-only.
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "ftl/shard_executor.h"
 #include "harness/cli.h"
 #include "harness/experiment.h"
-#include "harness/replay_verdict.h"
 #include "harness/table_printer.h"
 #include "methods/method_factory.h"
 #include "obs/metrics_import.h"
@@ -55,76 +52,12 @@ struct Cell {
   uint32_t shards;
 };
 
-struct OltpPoint {
-  workload::TpccRunStats stats;
-  double ktps_vt = 0;
-  double wall_ms = 0;
-  /// The replay's first difference from the serve -- in chips, canonical
-  /// events (transaction spans, flash commands, buffer traffic) or stats;
-  /// empty when they agree.
-  std::string divergence;
-  uint64_t trace_emitted = 0;
-  uint64_t trace_dropped = 0;
-};
-
-Result<OltpPoint> RunPoint(const methods::MethodSpec& spec,
-                           const workload::TpccDriverOptions& opts,
-                           const Cell& cell, uint64_t warmup_tx,
-                           uint64_t measure_tx, const std::string& trace_path,
-                           uint64_t point_index) {
-  FLASHDB_ASSIGN_OR_RETURN(harness::TpccRig rig,
-                           harness::PrepareTpccRig(spec, opts, cell.shards));
-  ftl::ShardExecutor executor(cell.shards);
-  FLASHDB_RETURN_IF_ERROR(rig.driver->Load(&executor));
-  FLASHDB_RETURN_IF_ERROR(rig.driver->Serve(warmup_tx, &executor, nullptr));
-  const workload::TpccCommitLog warmup_log = rig.driver->commit_log();
-
-  // Post-warmup attach: the timeline covers the measured transactions only,
-  // and the replay rig mirrors this by attaching after replaying the warmup
-  // log.
-  obs::TraceRecorder recorder(cell.shards);
-  rig.Attach(&recorder);
-
-  OltpPoint point;
-  const auto t0 = std::chrono::steady_clock::now();
-  FLASHDB_RETURN_IF_ERROR(
-      rig.driver->Serve(measure_tx, &executor, &point.stats));
-  point.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  if (point.stats.elapsed_vt_us > 0) {
-    point.ktps_vt = 1000.0 * static_cast<double>(point.stats.latency.count()) /
-                    static_cast<double>(point.stats.elapsed_vt_us);
-  }
-
-  point.trace_emitted = recorder.total_emitted();
-  point.trace_dropped = recorder.total_dropped();
-  if (!trace_path.empty()) {
-    FLASHDB_RETURN_IF_ERROR(recorder.WriteChromeTraceFile(
-        harness::PointTracePath(trace_path, point_index)));
-  }
-
-  // The commit-order determinism contract: single-threaded replay of the
-  // recorded log (warmup first, then the measured span) on a fresh,
-  // identically prepared rig must reproduce the concurrent run bit-for-bit
-  // -- chips, canonical event trace and virtual stats.
-  FLASHDB_ASSIGN_OR_RETURN(harness::TpccRig ref,
-                           harness::PrepareTpccRig(spec, opts, cell.shards));
-  FLASHDB_RETURN_IF_ERROR(ref.driver->Load(nullptr));
-  FLASHDB_RETURN_IF_ERROR(ref.driver->Replay(warmup_log, nullptr));
-  obs::TraceRecorder ref_recorder(cell.shards);
-  ref.Attach(&ref_recorder);
-  workload::TpccRunStats ref_stats;
-  FLASHDB_RETURN_IF_ERROR(
-      ref.driver->Replay(rig.driver->commit_log(), &ref_stats));
-  if (auto d = harness::FirstDivergence(
-          {harness::ChipsOf(rig.store.get()), &recorder},
-          {harness::ChipsOf(ref.store.get()), &ref_recorder})) {
-    point.divergence = d->message;
-  } else if (!point.stats.SameVirtualAs(ref_stats)) {
-    point.divergence = "virtual TpccRunStats differ";
-  }
-  return point;
+/// Virtual-time serving throughput: transactions over the largest shard
+/// clock advance (the chips run in parallel).
+double KtpsVt(const workload::TpccRunStats& stats) {
+  if (stats.elapsed_vt_us == 0) return 0;
+  return 1000.0 * static_cast<double>(stats.latency.count()) /
+         static_cast<double>(stats.elapsed_vt_us);
 }
 
 }  // namespace
@@ -171,49 +104,50 @@ int main(int argc, char** argv) {
                     "speedup_vt", "wall_ms", "determinism", "trace"});
   obs::MetricsRegistry metrics;
   int failures = 0;
-  uint64_t point_index = 0;
   for (const std::string& name : method_names) {
     auto spec = methods::ParseMethodSpec(name);
     if (!spec.ok()) {
       std::cerr << spec.status().ToString() << "\n";
       return 1;
     }
-    std::vector<std::pair<Cell, OltpPoint>> points;
+    std::vector<std::pair<Cell, harness::CheckedServe>> points;
     for (const Cell& cell : cells) {
       workload::TpccDriverOptions cell_opts = opts;
       cell_opts.num_clients = cell.clients;
-      auto point = RunPoint(*spec, cell_opts, cell, warmup_tx, measure_tx,
-                            trace_path, point_index);
+      // The cell's timeline, from the end of the warm-up.
+      obs::TraceRecorder recorder(cell.shards);
+      auto rig = harness::PrepareTpccRig(*spec, cell_opts, cell.shards,
+                                         warmup_tx, trace_path);
+      auto point = rig.ok()
+                       ? harness::ServeChecked(&*rig, measure_tx, &recorder)
+                       : Result<harness::CheckedServe>(rig.status());
       if (!point.ok()) {
         std::cerr << name << " clients=" << cell.clients
                   << " shards=" << cell.shards << ": "
                   << point.status().ToString() << "\n";
         return 1;
       }
-      if (!point->divergence.empty()) {
-        failures++;
-        std::cerr << name << " clients=" << cell.clients << " shards="
-                  << cell.shards << ": replay differs: " << point->divergence
-                  << "\n";
-      }
+      if (!point->deterministic()) failures++;
       // One registry epoch per measured cell (series across the sweep).
       obs::ImportTpccStats(&metrics, "tpcc", point->stats);
-      metrics.Set("trace.emitted", static_cast<double>(point->trace_emitted),
+      metrics.Set("trace.emitted",
+                  static_cast<double>(recorder.total_emitted()),
                   obs::MetricsRegistry::Kind::kCounter);
-      metrics.Set("trace.dropped", static_cast<double>(point->trace_dropped),
+      metrics.Set("trace.dropped",
+                  static_cast<double>(recorder.total_dropped()),
                   obs::MetricsRegistry::Kind::kCounter);
-      metrics.SnapshotEpoch(point_index);
-      ++point_index;
+      metrics.SnapshotEpoch(metrics.num_epochs());
       points.emplace_back(cell, std::move(*point));
     }
     // Scaling anchor: the single-shard cell at the standard client count.
     double anchor = 0;
     for (const auto& [cell, pt] : points) {
-      if (cell.clients == 4 && cell.shards == 1) anchor = pt.ktps_vt;
+      if (cell.clients == 4 && cell.shards == 1) anchor = KtpsVt(pt.stats);
     }
     for (const auto& [cell, pt] : points) {
       const workload::LatencyHistogram& h = pt.stats.latency;
-      const char* verdict = pt.divergence.empty() ? "ok" : "FAIL";
+      const double ktps_vt = KtpsVt(pt.stats);
+      const char* verdict = pt.deterministic() ? "ok" : "FAIL";
       tbl.AddRow({name, std::to_string(cell.clients),
                   std::to_string(cell.shards),
                   std::to_string(pt.stats.latency.count()),
@@ -222,8 +156,8 @@ int main(int argc, char** argv) {
                   std::to_string(pt.stats.worst_op.total_us),
                   std::to_string(pt.stats.worst_op.gc_us),
                   std::to_string(pt.stats.worst_op.meta_us),
-                  TablePrinter::Num(pt.ktps_vt, 2),
-                  anchor > 0 ? TablePrinter::Num(pt.ktps_vt / anchor, 2) : "-",
+                  TablePrinter::Num(ktps_vt, 2),
+                  anchor > 0 ? TablePrinter::Num(ktps_vt / anchor, 2) : "-",
                   TablePrinter::Num(pt.wall_ms, 2),
                   verdict, verdict});
     }

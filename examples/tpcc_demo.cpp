@@ -4,12 +4,13 @@
 //
 //   $ ./build/examples/tpcc_demo [--method=PDL(256B)] [--tx=3000]
 
+#include <algorithm>
 #include <cstdio>
 
 #include "harness/cli.h"
+#include "harness/experiment.h"
 #include "methods/method_factory.h"
-#include "storage/buffer_pool.h"
-#include "workload/tpcc.h"
+#include "workload/tpcc_driver.h"
 
 using namespace flashdb;
 
@@ -26,42 +27,41 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  workload::TpccScale scale;
-  scale.transaction_headroom = static_cast<uint32_t>(tx + 1000);
-  const uint32_t pages = workload::TpccWorkload::RequiredPages(scale, 2048);
-  const uint32_t blocks = (pages * 2) / 64 + 8;
-
-  flash::FlashDevice dev(flash::FlashConfig::Small(blocks));
-  auto store = methods::CreateStore(&dev, *spec);
-  if (!store->Format(pages, nullptr, nullptr).ok()) {
-    std::fprintf(stderr, "format failed\n");
+  // One client on a one-chip TPC-C rig.
+  workload::TpccDriverOptions opts;
+  opts.scale.transaction_headroom = static_cast<uint32_t>(tx + 1000);
+  opts.seed = 2026;
+  const uint32_t pages =
+      workload::TpccDriver::PagesPerShard(opts.scale, 2048, 1);
+  // A DBMS buffer of 1% of the database, like the middle of Fig. 18's sweep.
+  opts.frames_per_shard = std::max(16u, pages / 100);
+  auto rig = harness::PrepareTpccRig(*spec, opts, /*shards=*/1,
+                                     /*warmup_tx=*/0);
+  if (!rig.ok()) {
+    std::fprintf(stderr, "load failed: %s\n", rig.status().ToString().c_str());
     return 1;
   }
-  // A DBMS buffer of 1% of the database, like the middle of Fig. 18's sweep.
-  storage::BufferPool pool(store.get(), std::max(16u, pages / 100));
-  workload::TpccWorkload tpcc(&pool, scale, /*seed=*/2026);
-
   std::printf("loading TPC-C: %u warehouses, %u items, %u pages (%.1f MB) "
               "on a %u-block emulated chip, method %s...\n",
-              scale.warehouses, scale.items, pages,
-              pages * 2048.0 / 1048576.0, blocks,
-              std::string(store->name()).c_str());
-  if (!tpcc.Load().ok()) {
-    std::fprintf(stderr, "load failed\n");
-    return 1;
-  }
-  dev.ResetAccounting();
+              opts.scale.warehouses, opts.scale.items, pages,
+              pages * 2048.0 / 1048576.0,
+              rig->sharded()->shard_device(0)->geometry().num_blocks,
+              std::string(rig->sharded()->shard(0)->name()).c_str());
+  workload::TpccWorkload* tpcc = rig->tpcc()->shard_workload(0);
 
   std::printf("running %llu transactions...\n",
               static_cast<unsigned long long>(tx));
-  Status st = tpcc.Run(tx);
-  if (!st.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", st.ToString().c_str());
+  const flash::FlashStats before = rig->store()->stats();
+  auto cost = rig->Measure([&] {
+    FLASHDB_RETURN_IF_ERROR(tpcc->Run(tx));
+    return tpcc->pool()->FlushAll();
+  });
+  if (!cost.ok()) {
+    std::fprintf(stderr, "run failed: %s\n", cost.status().ToString().c_str());
     return 1;
   }
-  if (!pool.FlushAll().ok()) return 1;
 
-  const workload::TpccStats& s = tpcc.stats();
+  const workload::TpccStats& s = tpcc->stats();
   std::printf("\ntransaction mix: new-order %llu, payment %llu, order-status "
               "%llu, delivery %llu, stock-level %llu\n",
               static_cast<unsigned long long>(
@@ -74,14 +74,14 @@ int main(int argc, char** argv) {
                   s.of(workload::TpccTxnType::kDelivery)),
               static_cast<unsigned long long>(
                   s.of(workload::TpccTxnType::kStockLevel)));
-  const auto& t = dev.stats().total;
+  const flash::OpCounters t = (rig->store()->stats() - before).total;
   std::printf("flash I/O: %llu reads, %llu writes, %llu erases\n",
               static_cast<unsigned long long>(t.reads),
               static_cast<unsigned long long>(t.writes),
               static_cast<unsigned long long>(t.erases));
   std::printf("I/O time per transaction: %.1f us (buffer hit rate %.1f%%)\n",
-              static_cast<double>(dev.clock().now_us()) /
+              static_cast<double>(cost->advance.elapsed_vt_us) /
                   static_cast<double>(tx),
-              100.0 * pool.stats().hit_rate());
+              100.0 * tpcc->pool()->stats().hit_rate());
   return 0;
 }

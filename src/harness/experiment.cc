@@ -28,11 +28,34 @@ std::vector<int> PinCores(bool pin, uint32_t workers) {
   return cores;
 }
 
-/// Under --trace, a recorder with `chips` chip lanes; null otherwise.
-std::unique_ptr<obs::TraceRecorder> RecorderIfTraced(const ExperimentEnv& env,
-                                                     uint32_t chips) {
-  if (env.trace_path.empty()) return nullptr;
-  return std::make_unique<obs::TraceRecorder>(chips);
+/// `trace` when not null; else under --trace a recorder with `chips` chip
+/// lanes, which `*own` keeps; else null.
+obs::TraceRecorder* TraceOrOwn(obs::TraceRecorder* trace,
+                               const ExperimentEnv& env, uint32_t chips,
+                               std::unique_ptr<obs::TraceRecorder>* own) {
+  if (trace != nullptr || env.trace_path.empty()) return trace;
+  *own = std::make_unique<obs::TraceRecorder>(chips);
+  return own->get();
+}
+
+/// The twin's recorder when the rig ran traced into `trace`; else null.
+std::unique_ptr<obs::TraceRecorder> TwinRecorder(
+    const obs::TraceRecorder* trace) {
+  if (trace == nullptr) return nullptr;
+  return std::make_unique<obs::TraceRecorder>(trace->num_shards());
+}
+
+/// Per-export trace file naming under --trace: index 0 keeps `base`, index
+/// k becomes `<stem>.k.<ext>` (benches measure several points per run, each
+/// with its own timeline).
+std::string PointTracePath(const std::string& base, uint64_t index) {
+  if (index == 0) return base;
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ".%llu",
+                static_cast<unsigned long long>(index));
+  const size_t dot = base.rfind('.');
+  if (dot == std::string::npos || dot == 0) return base + suffix;
+  return base.substr(0, dot) + suffix + base.substr(dot);
 }
 
 /// The one timeline exporter: under --trace, writes `rec` (when not null)
@@ -50,16 +73,6 @@ uint32_t ExperimentEnv::num_db_pages(uint32_t chips) const {
   return static_cast<uint32_t>(
       utilization *
       static_cast<double>(g.data_pages() - 2 * g.pages_per_block) * chips);
-}
-
-std::string PointTracePath(const std::string& base, uint64_t index) {
-  if (index == 0) return base;
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), ".%llu",
-                static_cast<unsigned long long>(index));
-  const size_t dot = base.rfind('.');
-  if (dot == std::string::npos || dot == 0) return base + suffix;
-  return base.substr(0, dot) + suffix + base.substr(dot);
 }
 
 ExperimentEnv ExperimentEnv::FromFlags(const Flags& flags) {
@@ -103,9 +116,18 @@ void Rig::SetTrace(obs::TraceRecorder* rec) {
   for (uint32_t i = 0; i < chips(); ++i) {
     chips_[i]->set_trace(rec != nullptr ? rec->shard(i) : nullptr);
   }
-  if (driver_ != nullptr) {
-    driver_->set_wall_trace(rec != nullptr ? rec->wall_lane() : nullptr);
+  obs::TraceShard* wall = rec != nullptr ? rec->wall_lane() : nullptr;
+  if (driver_ != nullptr) driver_->set_wall_trace(wall);
+  if (tpcc_ != nullptr) tpcc_->set_wall_trace(wall);
+}
+
+Rig::Rig(const ExperimentEnv& env, const methods::MethodSpec& spec,
+         const RigSpec& shape, const flash::FlashConfig& chip_cfg)
+    : env_(env), spec_(spec), shape_(shape) {
+  for (uint32_t i = 0; i < shape.shards; ++i) {
+    chips_.push_back(std::make_unique<flash::FlashDevice>(chip_cfg));
   }
+  Mount();
 }
 
 void Rig::Mount() {
@@ -123,38 +145,46 @@ void Rig::Mount() {
 
 void Rig::Crash() {
   driver_.reset();
+  tpcc_.reset();
   sharded_ = nullptr;
   store_.reset();
 }
 
-Result<Rig::Recovery> Rig::Remount(bool on_executor) {
+Result<Rig::Cost> Rig::Measure(FunctionRef<Status()> fn,
+                               obs::TraceRecorder* trace) {
+  std::vector<uint64_t> before;
+  for (const auto& chip : chips_) before.push_back(chip->clock().now_us());
+  std::unique_ptr<obs::TraceRecorder> own_trace;
+  trace = TraceOrOwn(trace, env_, chips(), &own_trace);
+  if (trace != nullptr) SetTrace(trace);
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  const Status st = fn();
+  Cost out;
+  out.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  if (trace != nullptr) SetTrace(nullptr);
+  FLASHDB_RETURN_IF_ERROR(st);
+  std::vector<uint64_t> after;
+  for (const auto& chip : chips_) after.push_back(chip->clock().now_us());
+  out.advance = workload::ClockAdvanceOf(before, after);
+  FLASHDB_RETURN_IF_ERROR(ExportTrace(env_, trace));
+  return out;
+}
+
+Result<Rig::Cost> Rig::Remount(bool on_executor) {
   if (on_executor && shape_.flat) {
     return Status::InvalidArgument(
         "a flat rig recovers inline: its store takes no executor");
   }
   Crash();
   Mount();
-  std::vector<uint64_t> before;
-  for (const auto& chip : chips_) before.push_back(chip->clock().now_us());
-  const std::unique_ptr<obs::TraceRecorder> recorder =
-      RecorderIfTraced(env_, chips());
-  if (recorder != nullptr) SetTrace(recorder.get());
   std::unique_ptr<ftl::ShardExecutor> executor;
   if (on_executor) executor = std::make_unique<ftl::ShardExecutor>(chips());
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point t0 = Clock::now();
-  const Status st = sharded_ != nullptr ? sharded_->Recover(executor.get())
-                                        : store_->Recover();
-  Recovery out;
-  out.wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  if (recorder != nullptr) SetTrace(nullptr);
-  FLASHDB_RETURN_IF_ERROR(st);
-  std::vector<uint64_t> after;
-  for (const auto& chip : chips_) after.push_back(chip->clock().now_us());
-  out.advance = workload::ClockAdvanceOf(before, after);
-  FLASHDB_RETURN_IF_ERROR(ExportTrace(env_, recorder.get()));
-  return out;
+  return Measure([&] {
+    return sharded_ != nullptr ? sharded_->Recover(executor.get())
+                               : store_->Recover();
+  });
 }
 
 Result<Rig> PrepareRig(const ExperimentEnv& env,
@@ -177,14 +207,7 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
   flash::FlashConfig chip_cfg = env.flash_cfg;
   chip_cfg.geometry.num_blocks = blocks / shape.shards;
 
-  Rig out;
-  out.env_ = env;
-  out.spec_ = spec;
-  out.shape_ = shape;
-  for (uint32_t i = 0; i < shape.shards; ++i) {
-    out.chips_.push_back(std::make_unique<flash::FlashDevice>(chip_cfg));
-  }
-  out.Mount();
+  Rig out(env, spec, shape, chip_cfg);
   uint32_t db_pages = env.num_db_pages(shape.shards);
   if (shape.leveling.has_value()) {
     ftl::ShardRouter* router = out.sharded_->router();
@@ -211,7 +234,7 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
   workload::UpdateDriver* driver = rig->driver_.get();
   if (driver == nullptr) {
     return Status::InvalidArgument(
-        "a crashed or remounted rig has no driver to measure");
+        "a TPC-C, crashed or remounted rig has no update driver to measure");
   }
   using Clock = std::chrono::steady_clock;
   PointResult result;
@@ -248,10 +271,7 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   flash::FaultInjector* injector,
                                   obs::TraceRecorder* trace) {
   std::unique_ptr<obs::TraceRecorder> own_trace;
-  if (trace == nullptr) {
-    own_trace = RecorderIfTraced(rig->env_, rig->chips());
-    trace = own_trace.get();
-  }
+  trace = TraceOrOwn(trace, rig->env_, rig->chips(), &own_trace);
   rig->Attach(injector, trace);
   Result<PointResult> run = Execute(rig, num_ops, ex, metrics);
   if (own_trace != nullptr) rig->SetTrace(nullptr);
@@ -266,10 +286,7 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
   if (ex.depth == 0) mirror = {.batch = 1, .depth = 4, .threaded = true};
   FLASHDB_ASSIGN_OR_RETURN(Rig twin,
                            PrepareRig(rig->env_, rig->spec_, rig->shape_));
-  std::unique_ptr<obs::TraceRecorder> twin_trace;
-  if (trace != nullptr) {
-    twin_trace = std::make_unique<obs::TraceRecorder>(trace->num_shards());
-  }
+  const std::unique_ptr<obs::TraceRecorder> twin_trace = TwinRecorder(trace);
   twin.Attach(injector, twin_trace.get());
   FLASHDB_ASSIGN_OR_RETURN(PointResult replay,
                            Execute(&twin, num_ops, mirror));
@@ -289,27 +306,76 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
   return out;
 }
 
-void TpccRig::Attach(obs::TraceRecorder* rec) {
-  for (uint32_t i = 0; i < store->num_shards(); ++i) {
-    store->shard_device(i)->set_trace(rec->shard(i));
+Result<Rig> PrepareTpccRig(const methods::MethodSpec& spec,
+                           const workload::TpccDriverOptions& opts,
+                           uint32_t shards, uint64_t warmup_tx,
+                           const std::string& trace_path, bool on_executor) {
+  if (shards == 0) {
+    return Status::InvalidArgument("a TPC-C rig needs at least one shard");
   }
-  driver->set_wall_trace(rec->wall_lane());
+  const uint32_t pages_per_shard = workload::TpccDriver::PagesPerShard(
+      opts.scale, flash::FlashConfig::Small().geometry.data_size, shards);
+  ExperimentEnv env;
+  env.trace_path = trace_path;
+  Rig out(env, spec, RigSpec{.shards = shards},
+          flash::FlashConfig::Small((pages_per_shard * 2) / 64 + 8));
+  out.tpcc_opts_ = opts;
+  FLASHDB_RETURN_IF_ERROR(
+      out.sharded_->Format(shards * pages_per_shard, nullptr, nullptr));
+  out.tpcc_ = std::make_unique<workload::TpccDriver>(out.sharded_, opts);
+  std::unique_ptr<ftl::ShardExecutor> executor;
+  if (on_executor) executor = std::make_unique<ftl::ShardExecutor>(shards);
+  FLASHDB_RETURN_IF_ERROR(out.tpcc_->Load(executor.get()));
+  if (warmup_tx > 0) {
+    FLASHDB_RETURN_IF_ERROR(
+        out.tpcc_->Serve(warmup_tx, executor.get(), nullptr));
+    out.tpcc_log_ = out.tpcc_->commit_log();
+  }
+  return out;
 }
 
-Result<TpccRig> PrepareTpccRig(const methods::MethodSpec& spec,
-                               const workload::TpccDriverOptions& opts,
-                               uint32_t shards) {
-  const uint32_t page_size = 2048;  // FlashConfig::Small geometry
-  const uint32_t pages_per_shard =
-      workload::TpccDriver::PagesPerShard(opts.scale, page_size, shards);
-  const uint32_t blocks_per_shard = (pages_per_shard * 2) / 64 + 8;
-  TpccRig rig;
-  rig.store = methods::CreateShardedStore(
-      flash::FlashConfig::Small(blocks_per_shard), shards, spec);
-  FLASHDB_RETURN_IF_ERROR(
-      rig.store->Format(shards * pages_per_shard, nullptr, nullptr));
-  rig.driver = std::make_unique<workload::TpccDriver>(rig.store.get(), opts);
-  return rig;
+Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
+                                  obs::TraceRecorder* trace) {
+  workload::TpccDriver* driver = rig->tpcc_.get();
+  if (driver == nullptr) {
+    return Status::InvalidArgument(
+        "an update, crashed or remounted rig has no TPC-C driver to serve");
+  }
+  std::unique_ptr<obs::TraceRecorder> own_trace;
+  trace = TraceOrOwn(trace, rig->env_, rig->chips(), &own_trace);
+  ftl::ShardExecutor executor(rig->chips());
+  CheckedServe out;
+  const auto serve = [&] {
+    return driver->Serve(num_txns, &executor, &out.stats);
+  };
+  FLASHDB_ASSIGN_OR_RETURN(const Rig::Cost cost, rig->Measure(serve, trace));
+  out.wall_ms = cost.wall_ms;
+
+  FLASHDB_ASSIGN_OR_RETURN(
+      Rig twin, PrepareTpccRig(rig->spec_, rig->tpcc_opts_, rig->chips(),
+                               /*warmup_tx=*/0, /*trace_path=*/"",
+                               /*on_executor=*/false));
+  FLASHDB_RETURN_IF_ERROR(twin.tpcc_->Replay(rig->tpcc_log_, nullptr));
+  const std::unique_ptr<obs::TraceRecorder> twin_trace = TwinRecorder(trace);
+  twin.SetTrace(twin_trace.get());
+  const workload::TpccCommitLog& served = driver->commit_log();
+  workload::TpccRunStats replay;
+  FLASHDB_RETURN_IF_ERROR(twin.tpcc_->Replay(served, &replay));
+  rig->tpcc_log_.insert(rig->tpcc_log_.end(), served.begin(), served.end());
+  if (auto d = FirstDivergence(rig->AsTwin(trace),
+                               twin.AsTwin(twin_trace.get()))) {
+    out.divergence = d->message;
+  } else if (!out.stats.SameVirtualAs(replay)) {
+    out.divergence = "virtual TpccRunStats differ";
+  }
+  if (!out.deterministic()) {
+    std::fprintf(stderr,
+                 "replay check FAIL: TPC-C %s, %u chip(s), %u client(s): "
+                 "%s\n",
+                 std::string(rig->store()->name()).c_str(), rig->chips(),
+                 rig->tpcc_opts_.num_clients, out.divergence.c_str());
+  }
+  return out;
 }
 
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
@@ -317,14 +383,14 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const workload::WorkloadParams& params) {
   const RigSpec flat{.flat = true, .params = params};
   FLASHDB_ASSIGN_OR_RETURN(Rig rig, PrepareRig(env, spec, flat));
-  // Attach tracing after warmup so the timeline covers the measured run
+  // Measure traces after warmup, so the timeline covers the measured run
   // only. Recording never perturbs virtual time (null-sink contract).
-  const std::unique_ptr<obs::TraceRecorder> recorder =
-      RecorderIfTraced(env, 1);
-  rig.Attach(nullptr, recorder.get());
-  FLASHDB_ASSIGN_OR_RETURN(PointResult result,
-                           Execute(&rig, env.measure_ops, Execution{}));
-  FLASHDB_RETURN_IF_ERROR(ExportTrace(env, recorder.get()));
+  Result<PointResult> result = PointResult{};
+  const auto run = [&] {
+    result = Execute(&rig, env.measure_ops, Execution{});
+    return result.status();
+  };
+  FLASHDB_RETURN_IF_ERROR(rig.Measure(run).status());
   return result;
 }
 

@@ -2,8 +2,10 @@
 // loads the database, reaches steady state, and measures a workload point.
 // Every update-workload bench prepares its stores with PrepareRig and times
 // its measured runs with Execute, or with ExecuteChecked, which also replays
-// them in the mirrored mode on a twin rig and compares the two. A rig can
-// also crash and remount a fresh store over its chips, to measure recovery.
+// them in the mirrored mode on a twin rig and compares the two. TPC-C rigs
+// come from PrepareTpccRig and serve through ServeChecked, which replays
+// their commit log on a twin. Any rig can also crash and remount a fresh
+// store over its chips, to measure recovery.
 //
 // Scale note: the paper runs a 1 GB database on a 2 GB chip and warms up
 // until every block was garbage-collected >= 10 times. Virtual-time results
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "ftl/shard_router.h"
 #include "harness/cli.h"
 #include "harness/replay_verdict.h"
@@ -56,11 +59,12 @@ struct ExperimentEnv {
   /// When non-empty (--trace=out.json), the harness records a
   /// deterministic event timeline (flash command spans, GC/scrub/meta/
   /// buffer-pool traffic, op spans) of every measured run -- the rig of
-  /// every checked run (never its twin), every RunWorkloadPoint run and
-  /// every Rig::Remount recovery -- and exports it as Chrome trace-event
-  /// JSON: the binary's first export to `trace_path`, export k to
-  /// PointTracePath(trace_path, k). Recording never changes virtual-time
-  /// results (null-sink contract, pinned by tests/execution_engine_test.cc).
+  /// every checked run or serve (never its twin), every RunWorkloadPoint
+  /// run and every Rig::Measure call, Rig::Remount's recovery included --
+  /// and exports it as Chrome trace-event JSON: the binary's first export
+  /// to `trace_path`, export k to `<stem>.k.<ext>`. Recording never changes
+  /// virtual-time results (null-sink contract, pinned by
+  /// tests/execution_engine_test.cc).
   std::string trace_path;
 
   /// Database pages over `chips` chips that split `flash_cfg`'s blocks
@@ -130,10 +134,24 @@ struct CheckedRun {
   bool deterministic() const { return divergence.empty(); }
 };
 
+/// A TPC-C rig's measured transactions and the verdict of their replay.
+struct CheckedServe {
+  workload::TpccRunStats stats;
+  /// Host wall-clock of the served transactions (never gated).
+  double wall_ms = 0;
+  /// As CheckedRun's, with every virtual TpccRunStats field
+  /// (TpccRunStats::SameVirtualAs).
+  std::string divergence;
+
+  bool deterministic() const { return divergence.empty(); }
+};
+
 /// Chips, the store over them and its driver at steady state, and the
 /// arguments they were prepared from. Two rigs prepared with equal arguments
-/// hold bit-identical state, which ExecuteChecked's replay relies on. The
-/// rig owns its chips, so a crash and a remount leave them in place.
+/// hold bit-identical state, which ExecuteChecked's and ServeChecked's
+/// replays rely on. An update rig (PrepareRig) has an UpdateDriver, a TPC-C
+/// rig (PrepareTpccRig) a TpccDriver. The rig owns its chips, so a crash and
+/// a remount leave them in place.
 class Rig {
  public:
   Rig(Rig&&) = default;
@@ -146,6 +164,8 @@ class Rig {
   /// The store as a ShardedStore; null for a flat rig and after Crash().
   ftl::ShardedStore* sharded() { return sharded_; }
   uint32_t chips() const { return static_cast<uint32_t>(chips_.size()); }
+  /// The TPC-C driver; null for an update rig and after Crash().
+  workload::TpccDriver* tpcc() { return tpcc_.get(); }
   /// Attaches `injector` and, with `rec`, lane i of `rec` to chip i and its
   /// wall lane to the driver (`rec` needs chips() lanes); a null argument
   /// detaches.
@@ -153,24 +173,32 @@ class Rig {
   /// The rig's chips and `trace`, for FirstDivergence.
   Twin AsTwin(const obs::TraceRecorder* trace = nullptr) const;
 
-  /// The power cut: drops the store and the driver, every table they kept
-  /// in RAM, and keeps the chips with their flash images.
-  void Crash();
-
-  /// One remount's recovery.
-  struct Recovery {
-    /// Host wall-clock of the Recover() call.
+  /// What one measured call cost.
+  struct Cost {
+    /// Host wall-clock of the call.
     double wall_ms = 0;
     /// Its chip-clock advance (workload::ClockAdvanceOf).
     workload::ClockAdvance advance;
   };
+  /// Runs `fn` with `trace` (chips() lanes) attached while it runs -- when
+  /// null, under --trace, a recorder of the harness's -- and returns its
+  /// cost. Under --trace the timeline is exported.
+  Result<Cost> Measure(FunctionRef<Status()> fn,
+                       obs::TraceRecorder* trace = nullptr);
+
+  /// The power cut: drops the store and the driver (a TPC-C driver with its
+  /// buffer pools), every table they kept in RAM, and keeps the chips with
+  /// their flash images.
+  void Crash();
+
   /// Crashes the rig if it still holds a store, then mounts a fresh store of
   /// its method over the same chips and recovers it: inline, or with
   /// `on_executor` on a ShardExecutor with one worker per chip (sharded rigs
   /// only). A sharded rig's journal, if its chips reserve meta blocks,
-  /// restores the routing. A remounted rig has no driver: Execute and
-  /// ExecuteChecked refuse it with InvalidArgument.
-  Result<Recovery> Remount(bool on_executor);
+  /// restores the routing. Returns the recovery's Measure cost. A remounted
+  /// rig has no driver: Execute, ExecuteChecked and ServeChecked refuse it
+  /// with InvalidArgument.
+  Result<Cost> Remount(bool on_executor);
 
  private:
   friend Result<Rig> PrepareRig(const ExperimentEnv& env,
@@ -184,23 +212,36 @@ class Rig {
                                            obs::MetricsRegistry* metrics,
                                            flash::FaultInjector* injector,
                                            obs::TraceRecorder* trace);
-  friend Result<PointResult> RunWorkloadPoint(
-      const ExperimentEnv& env, const methods::MethodSpec& spec,
-      const workload::WorkloadParams& params);
-  Rig() = default;
+  friend Result<Rig> PrepareTpccRig(const methods::MethodSpec& spec,
+                                    const workload::TpccDriverOptions& opts,
+                                    uint32_t shards, uint64_t warmup_tx,
+                                    const std::string& trace_path,
+                                    bool on_executor);
+  friend Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
+                                           obs::TraceRecorder* trace);
+  /// `shape.shards` chips of `chip_cfg` and a store of `spec` over them.
+  Rig(const ExperimentEnv& env, const methods::MethodSpec& spec,
+      const RigSpec& shape, const flash::FlashConfig& chip_cfg);
   /// Builds a fresh store of spec_ over the chips.
   void Mount();
   /// Attaches lane i of `rec` to chip i and its wall lane to the driver;
   /// null detaches.
   void SetTrace(obs::TraceRecorder* rec);
 
-  ExperimentEnv env_;  // PrepareRig's arguments, for the replay's twin
+  // The prepare call's arguments, for the replay's twin. Of env_ and
+  // shape_, a TPC-C rig sets only env_.trace_path and shape_.shards.
+  ExperimentEnv env_;
   methods::MethodSpec spec_;
   RigSpec shape_;
+  workload::TpccDriverOptions tpcc_opts_;
   std::vector<std::unique_ptr<flash::FlashDevice>> chips_;
   std::unique_ptr<PageStore> store_;
   ftl::ShardedStore* sharded_ = nullptr;  // store_, when sharded
   std::unique_ptr<workload::UpdateDriver> driver_;
+  std::unique_ptr<workload::TpccDriver> tpcc_;
+  /// A TPC-C rig's commits before its driver's current commit_log(): the
+  /// warm-up's, then each earlier ServeChecked's.
+  workload::TpccCommitLog tpcc_log_;
 };
 
 /// Builds the store for `spec` on env.flash_cfg's blocks split evenly over
@@ -217,10 +258,11 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
                        const methods::MethodSpec& spec, const RigSpec& shape);
 
 /// Draws `num_ops` operations from the rig's driver and runs them as `ex`
-/// says (InvalidArgument for zero, or for a crashed or remounted rig). Only
-/// the run is timed: a pre-drawn schedule and the worker start-up stay
-/// outside wall_ms. With `metrics`, imports the run stats under "run" and,
-/// when threaded, the executor's counters under "executor".
+/// says (InvalidArgument for zero, or for a TPC-C, crashed or remounted
+/// rig). Only the run is timed: a pre-drawn schedule and the worker
+/// start-up stay outside wall_ms. With `metrics`, imports the run stats
+/// under "run" and, when threaded, the executor's counters under
+/// "executor".
 Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
                             obs::MetricsRegistry* metrics = nullptr);
 
@@ -242,22 +284,34 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   flash::FaultInjector* injector = nullptr,
                                   obs::TraceRecorder* trace = nullptr);
 
-/// A formatted TPC-C serving rig: a ShardedStore over FlashConfig::Small
-/// chips sized for ~50% utilization (as exp7 sizes its chip) and a
-/// TpccDriver over it. TPC-C formats its own page layout and serves through
-/// the TpccDriver, so it has a rig of its own. Two rigs prepared with equal
-/// arguments hold bit-identical state, which a commit-log replay relies on.
-struct TpccRig {
-  std::unique_ptr<ftl::ShardedStore> store;
-  std::unique_ptr<workload::TpccDriver> driver;
+/// A TPC-C rig over `shards` chips of FlashConfig::Small geometry, each
+/// sized for the fullest shard's TPC-C pages at ~50% utilization: a
+/// ShardedStore formatted over them and a TpccDriver of `opts` over it,
+/// loaded and warmed up by `warmup_tx` served transactions on a
+/// ShardExecutor with one worker per chip, or inline when not `on_executor`
+/// (the per-shard state is the same either way). With `trace_path`
+/// (--trace), ServeChecked and Measure export the rig's timelines. Zero
+/// shards, or more shards than warehouses, is InvalidArgument.
+Result<Rig> PrepareTpccRig(const methods::MethodSpec& spec,
+                           const workload::TpccDriverOptions& opts,
+                           uint32_t shards, uint64_t warmup_tx,
+                           const std::string& trace_path = "",
+                           bool on_executor = true);
 
-  /// Attaches lane i of `rec` to chip i and its wall lane to the driver;
-  /// only while the workers are quiescent.
-  void Attach(obs::TraceRecorder* rec);
-};
-Result<TpccRig> PrepareTpccRig(const methods::MethodSpec& spec,
-                               const workload::TpccDriverOptions& opts,
-                               uint32_t shards);
+/// The TPC-C counterpart of ExecuteChecked. Serves `num_txns` transactions
+/// of the rig's clients on a ShardExecutor with one worker per chip, then
+/// prepares a twin from the rig's PrepareTpccRig arguments, loaded inline,
+/// and replays the rig's whole commit log on it inline: the warm-up and
+/// earlier ServeChecked serves first (a serve through rig->tpcc() directly
+/// is not in that log), then this serve's. `trace` (when not null, with
+/// chips() lanes) is attached to the rig, and the twin records the replayed
+/// serve into a recorder of its own. Under --trace an untraced serve
+/// records into a recorder of the harness's, and the rig's timeline is
+/// exported. InvalidArgument for an update, crashed or remounted rig.
+/// Returns the rig's serve and the verdict, and prints a failed verdict's
+/// divergence to stderr.
+Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
+                                  obs::TraceRecorder* trace = nullptr);
 
 /// A flat rig for `spec` (PrepareRig), measured for `env.measure_ops`
 /// operations by the sequential Run() loop. With --trace the measured run's
@@ -265,11 +319,6 @@ Result<TpccRig> PrepareTpccRig(const methods::MethodSpec& spec,
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);
-
-/// Per-export trace file naming under --trace: index 0 keeps `base`, index
-/// k becomes `<stem>.k.<ext>` (benches measure several points per run, each
-/// with its own timeline).
-std::string PointTracePath(const std::string& base, uint64_t index);
 
 }  // namespace flashdb::harness
 

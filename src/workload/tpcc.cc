@@ -162,11 +162,6 @@ TpccWorkload::TpccWorkload(storage::BufferPool* pool, const TpccScale& scale,
   next_delivery_o_id_.assign(wd, scale_.init_orders_per_district * 2 / 3 + 1);
 }
 
-uint32_t TpccWorkload::RequiredPages(const TpccScale& scale,
-                                     uint32_t page_size) {
-  return ComputeLayout(scale, page_size, scale.warehouses).total();
-}
-
 uint32_t TpccWorkload::RequiredPagesHosted(const TpccScale& scale,
                                            uint32_t page_size,
                                            uint32_t hosted_warehouses) {

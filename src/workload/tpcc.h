@@ -74,7 +74,8 @@ struct TpccStats {
 class TpccWorkload {
  public:
   /// Hosts every warehouse 1..scale.warehouses. `pool` must sit on a
-  /// formatted store large enough for the scale (RequiredPages()).
+  /// formatted store large enough for the scale
+  /// (TpccDriver::PagesPerShard(scale, page_size, 1)).
   TpccWorkload(storage::BufferPool* pool, const TpccScale& scale,
                uint64_t seed);
 
@@ -87,9 +88,6 @@ class TpccWorkload {
   /// store.
   TpccWorkload(storage::BufferPool* pool, const TpccScale& scale,
                std::vector<uint32_t> warehouse_ids, uint64_t seed);
-
-  /// Logical pages needed for tables + indexes at `scale` and `page_size`.
-  static uint32_t RequiredPages(const TpccScale& scale, uint32_t page_size);
 
   /// Page budget for an instance hosting `hosted_warehouses` of the scale's
   /// warehouses (full ITEM table, per-warehouse tables scaled down).

@@ -167,7 +167,7 @@ class TpccDriver {
 
   const TpccCommitLog& commit_log() const { return commit_log_; }
   storage::BufferPool* shard_pool(uint32_t s) { return shards_[s].pool.get(); }
-  ftl::ShardedStore* store() { return store_; }
+  TpccWorkload* shard_workload(uint32_t s) { return shards_[s].workload.get(); }
 
  private:
   /// One shard's sub-DBMS.

@@ -24,7 +24,7 @@
 #include "recording_store.h"
 #include "storage/buffer_pool.h"
 #include "test_seed.h"
-#include "workload/tpcc.h"
+#include "workload/tpcc_driver.h"
 
 namespace flashdb {
 namespace {
@@ -614,7 +614,7 @@ class OltpCrashTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(OltpCrashTest, FlushAllPowerCutsRecoverToCommitLogPrefix) {
   const char* method = GetParam();
   const uint32_t pages =
-      workload::TpccWorkload::RequiredPages(OltpCrashScale(), kOltpPageSize);
+      workload::TpccDriver::PagesPerShard(OltpCrashScale(), kOltpPageSize, 1);
   Scenario<OltpRig> s;
   // Device + store + pool + loaded TPC-C instance, with the load flushed.
   // The frame count covers every logical page: no evictions, so flash

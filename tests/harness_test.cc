@@ -276,6 +276,8 @@ TEST(RigTest, ExecuteRejectsZeroOperations) {
   const auto run = Execute(&rig.value(), 0, Execution{});
   ASSERT_FALSE(run.ok());
   EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+  // ServeChecked serves TPC-C rigs only.
+  EXPECT_TRUE(ServeChecked(&rig.value(), 10).status().IsInvalidArgument());
 }
 
 TEST(RigTest, RejectsFewerThanEightBlocksPerChip) {

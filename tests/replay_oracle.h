@@ -1,10 +1,10 @@
-// The replay counterpart of crash_explorer.h: the twin factories of the
+// The replay counterpart of crash_explorer.h: the twin factory of the
 // determinism tests and the one assertion they make. A determinism test
 // prepares two twins identically, runs one schedule on them in two ways
-// (inline and threaded at any depth, TPC-C Serve and the Replay of its
-// commit log, recovery inline and on the executor) and expects
-// harness::FirstDivergence to find no difference. Twins whose rig fits
-// harness::PrepareRig are built with it.
+// (inline and threaded at any depth, recovery inline and on the executor)
+// and expects harness::FirstDivergence to find no difference. Twins whose
+// rig fits harness::PrepareRig are built with it; TPC-C twins are
+// harness::PrepareTpccRig rigs, whose Serve harness::ServeChecked checks.
 
 #ifndef FLASHDB_TESTS_REPLAY_ORACLE_H_
 #define FLASHDB_TESTS_REPLAY_ORACLE_H_
@@ -99,17 +99,6 @@ struct UpdateTwin {
     return std::move(*rig);
   }
 };
-
-/// A TPC-C twin: harness::PrepareTpccRig for `method`, which must succeed.
-inline harness::TpccRig TpccTwin(const std::string& method, uint32_t shards,
-                                 const workload::TpccDriverOptions& opts) {
-  auto spec = methods::ParseMethodSpec(method);
-  CheckOrAbort(spec.ok(), "bad method %s", method.c_str());
-  auto rig = harness::PrepareTpccRig(*spec, opts, shards);
-  CheckOrAbort(rig.ok(), "PrepareTpccRig: %s",
-               rig.status().ToString().c_str());
-  return std::move(*rig);
-}
 
 }  // namespace flashdb
 

@@ -5,7 +5,7 @@
 #include "methods/method_factory.h"
 #include "replay_oracle.h"
 #include "storage/buffer_pool.h"
-#include "workload/tpcc.h"
+#include "workload/tpcc_driver.h"
 
 namespace flashdb::workload {
 namespace {
@@ -27,7 +27,7 @@ TpccScale TinyScale() {
 struct Fixture {
   explicit Fixture(const char* method, uint32_t frames = 64)
       : scale(TinyScale()) {
-    const uint32_t pages = TpccWorkload::RequiredPages(scale, 2048);
+    const uint32_t pages = TpccDriver::PagesPerShard(scale, 2048, 1);
     const uint32_t blocks = (pages * 2) / 64 + 4;
     dev = std::make_unique<FlashDevice>(FlashConfig::Small(blocks));
     auto spec = methods::ParseMethodSpec(method);
@@ -50,8 +50,8 @@ TEST(TpccTest, RequiredPagesScalesWithCardinality) {
   TpccScale big = TinyScale();
   big.warehouses = 2;
   big.items = 600;
-  EXPECT_GT(TpccWorkload::RequiredPages(big, 2048),
-            TpccWorkload::RequiredPages(small, 2048));
+  EXPECT_GT(TpccDriver::PagesPerShard(big, 2048, 1),
+            TpccDriver::PagesPerShard(small, 2048, 1));
 }
 
 TEST(TpccTest, LoadSucceeds) {
