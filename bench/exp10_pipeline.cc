@@ -35,8 +35,6 @@
 
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
-#include "obs/metrics_import.h"
-#include "obs/metrics_registry.h"
 
 using namespace flashdb;
 using harness::TablePrinter;
@@ -54,8 +52,7 @@ Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
                                      uint32_t num_shards, uint32_t batch_size,
                                      uint32_t depth, uint32_t reps,
                                      const workload::WorkloadParams& params,
-                                     bool pin, obs::MetricsRegistry* metrics,
-                                     double* lag_ms) {
+                                     bool pin, double* lag_ms) {
   const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   const harness::Execution threaded{.batch = batch_size,
                                     .depth = depth,
@@ -65,20 +62,14 @@ Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
   for (uint32_t rep = 0; rep < reps; ++rep) {
     FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                              harness::PrepareRig(env, spec, rig_spec));
-    // Uniform metrics object: run breakdown + the executor's per-worker
-    // counters and the store's clock skew, read after the workers quiesce.
-    // Every rep overwrites the previous rep's values.
     harness::CheckedRun this_rep;
     if (rep + 1 < reps) {
       FLASHDB_ASSIGN_OR_RETURN(
-          this_rep.run,
-          harness::Execute(&rig, env.measure_ops, threaded, metrics));
+          this_rep.run, harness::Execute(&rig, env.measure_ops, threaded));
     } else {
       FLASHDB_ASSIGN_OR_RETURN(
-          this_rep,
-          harness::ExecuteChecked(&rig, env.measure_ops, threaded, metrics));
+          this_rep, harness::ExecuteChecked(&rig, env.measure_ops, threaded));
     }
-    obs::ImportShardedStoreStats(metrics, "store", *rig.sharded());
     *lag_ms = static_cast<double>(rig.sharded()->shard_lag_us()) / 1000.0;
     if (rep > 0) {
       harness::PointResult& run = this_rep.run;
@@ -135,8 +126,6 @@ int main(int argc, char** argv) {
                     "lag_ms", "par us/op", "gc us/op", "meta us/op",
                     "wait_ms", "p50 us", "p99 us", "p999 us",
                     "determinism"});
-  obs::MetricsRegistry metrics;
-  uint64_t point_index = 0;
   int failures = 0;
   for (const std::string& name : method_names) {
     auto spec = methods::ParseMethodSpec(name);
@@ -148,8 +137,7 @@ int main(int argc, char** argv) {
     for (uint32_t depth : depths) {
       double lag_ms = 0;
       auto point = RunPoint(env, *spec, num_shards, batch_size, depth, reps,
-                            params, pin, &metrics, &lag_ms);
-      metrics.SnapshotEpoch(point_index++);
+                            params, pin, &lag_ms);
       if (!point.ok()) {
         std::cerr << name << " depth " << depth << ": "
                   << point.status().ToString() << "\n";
@@ -179,7 +167,6 @@ int main(int argc, char** argv) {
   }
   tbl.Print(std::cout);
   json.Add("exp10_pipeline", tbl);
-  json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;
   if (failures != 0) {
     std::cerr << "\n" << failures

@@ -62,8 +62,7 @@ Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                            harness::PrepareRig(env, spec, rig_spec));
   const harness::Execution inline_ex{.batch = batch_size, .depth = depth};
-  return harness::ExecuteChecked(&rig, env.measure_ops, inline_ex,
-                                 /*metrics=*/nullptr, injector);
+  return harness::ExecuteChecked(&rig, env.measure_ops, inline_ex, injector);
 }
 
 }  // namespace

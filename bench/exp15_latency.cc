@@ -42,8 +42,6 @@
 #include "flash/fault_injector.h"
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
-#include "obs/metrics_import.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 
 using namespace flashdb;
@@ -94,13 +92,13 @@ Result<harness::CheckedRun> RunPoint(harness::ExperimentEnv env,
 
   // Single-op windows make the shards=1 rows bit-identical to the
   // sequential Run() loop; multi-chip rows use the windowed batch size.
-  // The sequential row's replay runs the single-worker pipelined mode --
-  // the cross-mode proof the flat path exists for -- and pipelined rows
-  // replay inline.
+  // The sequential row (depth 0, on the calling thread) replays through the
+  // single-worker pipelined mode -- the cross-mode proof the flat path
+  // exists for -- and pipelined rows, threaded, replay inline.
   const uint32_t batch = cfg.shards == 1 ? 1 : batch_size;
   const harness::Execution primary{.batch = batch,
                                    .depth = cfg.depth,
-                                   .threaded = true,
+                                   .threaded = cfg.depth > 0,
                                    .pin = cfg.pin};
 
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
@@ -109,7 +107,6 @@ Result<harness::CheckedRun> RunPoint(harness::ExperimentEnv env,
   // sequential row's Run() and its scheduled replay execute the very same
   // operations.
   return harness::ExecuteChecked(&rig, env.measure_ops, primary,
-                                 /*metrics=*/nullptr,
                                  scrubbing ? &injector : nullptr, recorder);
 }
 
@@ -154,9 +151,7 @@ int main(int argc, char** argv) {
                     "p50 us", "p99 us", "p999 us", "mean us", "max us",
                     "worst us", "w_gc us", "w_meta us", "wall_ms",
                     "determinism", "trace"});
-  obs::MetricsRegistry metrics;
   int failures = 0;
-  uint64_t point_index = 0;
   for (const std::string& name : method_names) {
     auto spec = methods::ParseMethodSpec(name);
     if (!spec.ok()) {
@@ -188,22 +183,10 @@ int main(int argc, char** argv) {
                   std::to_string(s.worst_op.gc_us),
                   std::to_string(s.worst_op.meta_us),
                   TablePrinter::Num(point->run.wall_ms, 2), verdict, verdict});
-      // One epoch per measured row: the registry's time series doubles as a
-      // machine-readable form of the whole sweep.
-      obs::ImportRunStats(&metrics, "run", s);
-      metrics.Set("trace.emitted",
-                  static_cast<double>(recorder.total_emitted()),
-                  obs::MetricsRegistry::Kind::kCounter);
-      metrics.Set("trace.dropped",
-                  static_cast<double>(recorder.total_dropped()),
-                  obs::MetricsRegistry::Kind::kCounter);
-      metrics.SnapshotEpoch(point_index);
-      ++point_index;
     }
   }
   tbl.Print(std::cout);
   json.Add("exp15_latency", tbl);
-  json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;
   if (failures != 0) {
     std::cerr << "\n" << failures

@@ -37,8 +37,6 @@
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
 #include "methods/method_factory.h"
-#include "obs/metrics_import.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "workload/tpcc_driver.h"
 
@@ -102,7 +100,6 @@ int main(int argc, char** argv) {
   TablePrinter tbl({"Method", "clients", "shards", "txns", "p50 us", "p99 us",
                     "p999 us", "worst us", "w_gc us", "w_meta us", "ktps_vt",
                     "speedup_vt", "wall_ms", "determinism", "trace"});
-  obs::MetricsRegistry metrics;
   int failures = 0;
   for (const std::string& name : method_names) {
     auto spec = methods::ParseMethodSpec(name);
@@ -128,15 +125,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (!point->deterministic()) failures++;
-      // One registry epoch per measured cell (series across the sweep).
-      obs::ImportTpccStats(&metrics, "tpcc", point->stats);
-      metrics.Set("trace.emitted",
-                  static_cast<double>(recorder.total_emitted()),
-                  obs::MetricsRegistry::Kind::kCounter);
-      metrics.Set("trace.dropped",
-                  static_cast<double>(recorder.total_dropped()),
-                  obs::MetricsRegistry::Kind::kCounter);
-      metrics.SnapshotEpoch(metrics.num_epochs());
       points.emplace_back(cell, std::move(*point));
     }
     // Scaling anchor: the single-shard cell at the standard client count.
@@ -164,7 +152,6 @@ int main(int argc, char** argv) {
   }
   tbl.Print(std::cout);
   json.Add("exp16_oltp", tbl);
-  json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;
   if (failures != 0) {
     std::cerr << "\n" << failures

@@ -20,8 +20,7 @@ namespace {
 
 int RunSeries(const harness::ExperimentEnv& env, double pct_changed,
               const std::string& series, harness::JsonDump* json) {
-  TablePrinter tbl({"N_updates_till_write", "IPL(18KB)", "IPL(64KB)",
-                    "PDL(2048B)", "PDL(256B)", "OPU", "IPU"});
+  TablePrinter tbl(harness::PaperMethodHeader("N_updates_till_write"));
   for (uint32_t n = 1; n <= 8; ++n) {
     std::vector<std::string> row = {std::to_string(n)};
     for (const methods::MethodSpec& spec : methods::PaperMethodSet()) {

@@ -20,8 +20,7 @@ namespace {
 
 int RunSeries(const harness::ExperimentEnv& env, uint32_t n_updates,
               const std::string& series, harness::JsonDump* json) {
-  TablePrinter tbl({"%Changed", "IPL(18KB)", "IPL(64KB)", "PDL(2048B)",
-                    "PDL(256B)", "OPU", "IPU"});
+  TablePrinter tbl(harness::PaperMethodHeader("%Changed"));
   for (double pct : {0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0}) {
     std::vector<std::string> row = {TablePrinter::Num(pct, 1)};
     for (const methods::MethodSpec& spec : methods::PaperMethodSet()) {

@@ -21,8 +21,7 @@ namespace {
 int RunSeries(const harness::ExperimentEnv& env, uint32_t n_updates,
               double* pdl_vs_opu_min, double* pdl_vs_opu_max,
               const std::string& series, harness::JsonDump* json) {
-  TablePrinter tbl({"%UpdateOps", "IPL(18KB)", "IPL(64KB)", "PDL(2048B)",
-                    "PDL(256B)", "OPU", "IPU"});
+  TablePrinter tbl(harness::PaperMethodHeader("%UpdateOps"));
   for (double pct_up : {0.0, 10.0, 25.0, 50.0, 75.0, 100.0}) {
     std::vector<std::string> row = {TablePrinter::Num(pct_up, 0)};
     double pdl256 = 0;

@@ -25,8 +25,7 @@ namespace {
 int RunSeries(harness::ExperimentEnv env, uint32_t twrite,
               const std::string& series, harness::JsonDump* json) {
   env.flash_cfg.timing.write_us = twrite;
-  TablePrinter tbl({"Tread_us", "IPL(18KB)", "IPL(64KB)", "PDL(2048B)",
-                    "PDL(256B)", "OPU", "IPU"});
+  TablePrinter tbl(harness::PaperMethodHeader("Tread_us"));
   for (uint32_t tread : {10u, 50u, 110u, 250u, 500u, 1000u, 1500u}) {
     env.flash_cfg.timing.read_us = tread;
     std::vector<std::string> row = {std::to_string(tread)};

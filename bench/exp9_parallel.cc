@@ -33,8 +33,6 @@
 
 #include "harness/experiment.h"
 #include "harness/table_printer.h"
-#include "obs/metrics_import.h"
-#include "obs/metrics_registry.h"
 
 using namespace flashdb;
 using harness::TablePrinter;
@@ -50,22 +48,15 @@ Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      uint32_t num_shards, uint32_t batch_size,
                                      const workload::WorkloadParams& params,
-                                     bool pin, obs::MetricsRegistry* metrics) {
+                                     bool pin) {
   const harness::RigSpec rig_spec{.shards = num_shards, .params = params};
   FLASHDB_ASSIGN_OR_RETURN(harness::Rig rig,
                            harness::PrepareRig(env, spec, rig_spec));
-  // The uniform per-bench metrics object: run stats plus the executor's
-  // per-worker submit/complete counters and the store's clock skew --
-  // report-time reads only, the caller snapshots one epoch per point.
   const harness::Execution threaded{.batch = batch_size,
                                     .depth = kDepth,
                                     .threaded = true,
                                     .pin = pin};
-  FLASHDB_ASSIGN_OR_RETURN(
-      harness::CheckedRun run,
-      harness::ExecuteChecked(&rig, env.measure_ops, threaded, metrics));
-  obs::ImportShardedStoreStats(metrics, "store", *rig.sharded());
-  return run;
+  return harness::ExecuteChecked(&rig, env.measure_ops, threaded);
 }
 
 }  // namespace
@@ -104,8 +95,6 @@ int main(int argc, char** argv) {
                     "speedup", "par us/op", "total us/op", "gc us/op",
                     "meta us/op", "stall us/op", "p50 us", "p99 us",
                     "p999 us", "determinism"});
-  obs::MetricsRegistry metrics;
-  uint64_t point_index = 0;
   int failures = 0;
   for (const std::string& name : method_names) {
     auto spec = methods::ParseMethodSpec(name);
@@ -116,8 +105,7 @@ int main(int argc, char** argv) {
     for (uint32_t batch : batch_sizes) {
       double base_wall = 0;
       for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-        auto point = RunPoint(env, *spec, shards, batch, params, pin, &metrics);
-        metrics.SnapshotEpoch(point_index++);
+        auto point = RunPoint(env, *spec, shards, batch, params, pin);
         if (!point.ok()) {
           std::cerr << name << " x" << shards << " b" << batch << ": "
                     << point.status().ToString() << "\n";
@@ -149,7 +137,6 @@ int main(int argc, char** argv) {
   }
   tbl.Print(std::cout);
   json.Add("exp9_parallel", tbl);
-  json.AddRaw("metrics", metrics.ToJson());
   if (!json.Finish()) return 1;
   if (failures != 0) {
     std::cerr << "\n" << failures

@@ -1,6 +1,6 @@
 #include "harness/cli.h"
 
-#include <cstdlib>
+#include <charconv>
 
 namespace flashdb::harness {
 
@@ -38,14 +38,25 @@ std::string Flags::GetString(const std::string& key, std::string def) const {
   return v == nullptr ? def : *v;
 }
 
-int64_t Flags::GetInt(const std::string& key, int64_t def) const {
+template <typename T>
+T Flags::GetNumber(const std::string& key, T def) const {
   const std::string* v = Find(key);
-  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 10);
+  if (v == nullptr) return def;
+  const char* end = v->data() + v->size();
+  T out{};
+  const auto [ptr, ec] = std::from_chars(v->data(), end, out);
+  if (ec == std::errc() && ptr == end) return out;
+  malformed_[key] =
+      ec == std::errc::result_out_of_range ? "out of range" : "not a number";
+  return def;
+}
+
+int64_t Flags::GetInt(const std::string& key, int64_t def) const {
+  return GetNumber(key, def);
 }
 
 double Flags::GetDouble(const std::string& key, double def) const {
-  const std::string* v = Find(key);
-  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
+  return GetNumber(key, def);
 }
 
 bool Flags::GetBool(const std::string& key, bool def) const {
@@ -60,9 +71,14 @@ bool Flags::AllRead(std::ostream& err) const {
     if (read_.count(key) == 0) unread += " --" + key;
   }
   for (const std::string& arg : positional_) unread += " " + arg;
-  if (unread.empty()) return true;
-  err << program_ << ": unknown argument(s):" << unread << "\n";
-  return false;
+  if (!unread.empty()) {
+    err << program_ << ": unknown argument(s):" << unread << "\n";
+  }
+  for (const auto& [key, why] : malformed_) {
+    err << program_ << ": --" << key << "=" << kv_.at(key) << ": " << why
+        << "\n";
+  }
+  return unread.empty() && malformed_.empty();
 }
 
 }  // namespace flashdb::harness

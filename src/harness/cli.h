@@ -14,7 +14,9 @@ namespace flashdb::harness {
 
 /// Parsed command line: --key=value and bare --key (value "1") flags. Every
 /// Has and Get* call records its key as read, so a binary that has read all
-/// its flags can reject the ones it never asked for (AllRead).
+/// its flags can reject the ones it never asked for (AllRead). GetInt and
+/// GetDouble parse the whole value; one that is not wholly a number, or
+/// that overflows, reads as the default and AllRead rejects it.
 class Flags {
  public:
   Flags(int argc, char** argv);
@@ -29,19 +31,26 @@ class Flags {
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Called once every flag has been read, before the first rig: false,
-  /// after printing them to `err`, when a given flag was never read or a
-  /// positional argument was given (no binary takes one). A misspelt flag
-  /// would otherwise run the defaults; the binary exits 2.
+  /// after printing them to `err`, when a given flag was never read, a
+  /// positional argument was given (no binary takes one) or a numeric
+  /// flag's value is malformed. A misspelt flag would otherwise run the
+  /// defaults; the binary exits 2.
   bool AllRead(std::ostream& err = std::cerr) const;
 
  private:
   /// The value of `key` (recorded as read), or null when it was not given.
   const std::string* Find(const std::string& key) const;
+  /// The whole value of `key` as a T; `def` when it was not given or is
+  /// malformed, which is recorded for AllRead.
+  template <typename T>
+  T GetNumber(const std::string& key, T def) const;
 
   std::string program_;
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
   mutable std::set<std::string> read_;
+  /// Flag -> why its value is not a number.
+  mutable std::map<std::string, std::string> malformed_;
 };
 
 }  // namespace flashdb::harness

@@ -28,16 +28,6 @@ std::vector<int> PinCores(bool pin, uint32_t workers) {
   return cores;
 }
 
-/// `trace` when not null; else under --trace a recorder with `chips` chip
-/// lanes, which `*own` keeps; else null.
-obs::TraceRecorder* TraceOrOwn(obs::TraceRecorder* trace,
-                               const ExperimentEnv& env, uint32_t chips,
-                               std::unique_ptr<obs::TraceRecorder>* own) {
-  if (trace != nullptr || env.trace_path.empty()) return trace;
-  *own = std::make_unique<obs::TraceRecorder>(chips);
-  return own->get();
-}
-
 /// The twin's recorder when the rig ran traced into `trace`; else null.
 std::unique_ptr<obs::TraceRecorder> TwinRecorder(
     const obs::TraceRecorder* trace) {
@@ -65,7 +55,23 @@ Status ExportTrace(const ExperimentEnv& env, const obs::TraceRecorder* rec) {
   static uint64_t exports = 0;
   return rec->WriteChromeTraceFile(PointTracePath(env.trace_path, exports++));
 }
+
+/// The binary's one registry, which Rig::Measure records into.
+obs::MetricsRegistry& Registry() {
+  static obs::MetricsRegistry registry;
+  return registry;
+}
 }  // namespace
+
+const obs::MetricsRegistry& Metrics() { return Registry(); }
+
+std::vector<std::string> PaperMethodHeader(std::string first) {
+  std::vector<std::string> header = {std::move(first)};
+  for (const methods::MethodSpec& spec : methods::PaperMethodSet()) {
+    header.push_back(spec.ToString());
+  }
+  return header;
+}
 
 uint32_t ExperimentEnv::num_db_pages(uint32_t chips) const {
   flash::FlashGeometry g = flash_cfg.geometry;
@@ -152,10 +158,18 @@ void Rig::Crash() {
 
 Result<Rig::Cost> Rig::Measure(FunctionRef<Status()> fn,
                                obs::TraceRecorder* trace) {
+  return Measure(fn, trace, [](obs::MetricsRegistry*) {});
+}
+
+Result<Rig::Cost> Rig::Measure(
+    FunctionRef<Status()> fn, obs::TraceRecorder* trace,
+    FunctionRef<void(obs::MetricsRegistry*)> record) {
   std::vector<uint64_t> before;
   for (const auto& chip : chips_) before.push_back(chip->clock().now_us());
-  std::unique_ptr<obs::TraceRecorder> own_trace;
-  trace = TraceOrOwn(trace, env_, chips(), &own_trace);
+  if (trace == nullptr && !env_.trace_path.empty()) {
+    own_trace_ = std::make_unique<obs::TraceRecorder>(chips());
+    trace = own_trace_.get();
+  }
   if (trace != nullptr) SetTrace(trace);
   using Clock = std::chrono::steady_clock;
   const Clock::time_point t0 = Clock::now();
@@ -168,7 +182,28 @@ Result<Rig::Cost> Rig::Measure(FunctionRef<Status()> fn,
   std::vector<uint64_t> after;
   for (const auto& chip : chips_) after.push_back(chip->clock().now_us());
   out.advance = workload::ClockAdvanceOf(before, after);
+  if (twin_) return out;
   FLASHDB_RETURN_IF_ERROR(ExportTrace(env_, trace));
+
+  using Kind = obs::MetricsRegistry::Kind;
+  obs::MetricsRegistry& reg = Registry();
+  reg.ClearValues();
+  reg.Set("cost.wall_ms", out.wall_ms);
+  reg.Set("cost.elapsed_vt_us",
+          static_cast<double>(out.advance.elapsed_vt_us));
+  reg.Set("cost.total_work_us",
+          static_cast<double>(out.advance.total_work_us), Kind::kCounter);
+  if (trace != nullptr) {
+    reg.Set("trace.emitted", static_cast<double>(trace->total_emitted()),
+            Kind::kCounter);
+    reg.Set("trace.dropped", static_cast<double>(trace->total_dropped()),
+            Kind::kCounter);
+  }
+  record(&reg);
+  if (sharded_ != nullptr) {
+    obs::ImportShardedStoreStats(&reg, "store", *sharded_);
+  }
+  reg.SnapshotEpoch(reg.num_epochs());
   return out;
 }
 
@@ -225,59 +260,62 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
   return out;
 }
 
-Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
-                            obs::MetricsRegistry* metrics) {
+Result<PointResult> Rig::Run(uint64_t num_ops, const Execution& ex,
+                             obs::TraceRecorder* trace) {
   if (num_ops == 0) {
     return Status::InvalidArgument(
         "--ops=0: a measured run needs at least one operation");
   }
-  workload::UpdateDriver* driver = rig->driver_.get();
-  if (driver == nullptr) {
+  if (driver_ == nullptr) {
     return Status::InvalidArgument(
         "a TPC-C, crashed or remounted rig has no update driver to measure");
   }
-  using Clock = std::chrono::steady_clock;
+  if (ex.depth == 0 && (ex.threaded || ex.batch != 1)) {
+    return Status::InvalidArgument(
+        "depth 0 runs the sequential Run() loop, which takes neither "
+        "threaded nor a batch other than 1 (got batch " +
+        std::to_string(ex.batch) + (ex.threaded ? ", threaded)" : ")"));
+  }
   PointResult result;
-  result.method = std::string(rig->store()->name());
+  result.method = std::string(store_->name());
+  workload::Schedule schedule;
   std::unique_ptr<ftl::ShardExecutor> executor;
-  Clock::time_point t0;
-  if (ex.depth == 0) {
-    t0 = Clock::now();
-    FLASHDB_RETURN_IF_ERROR(driver->Run(num_ops, &result.stats));
-  } else {
-    const workload::Schedule schedule = driver->MakeSchedule(num_ops);
+  if (ex.depth > 0) {
+    schedule = driver_->MakeSchedule(num_ops);
     if (ex.threaded) {
       executor = std::make_unique<ftl::ShardExecutor>(
-          rig->chips(), ex.depth, PinCores(ex.pin, rig->chips()));
+          chips(), ex.depth, PinCores(ex.pin, chips()));
     }
-    t0 = Clock::now();
-    FLASHDB_RETURN_IF_ERROR(driver->RunPipelined(
-        schedule, ex.batch, ex.depth, executor.get(), &result.stats));
   }
-  result.wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  if (metrics != nullptr) {
-    obs::ImportRunStats(metrics, "run", result.stats);
+  const auto run = [&] {
+    return ex.depth == 0
+               ? driver_->Run(num_ops, &result.stats)
+               : driver_->RunPipelined(schedule, ex.batch, ex.depth,
+                                       executor.get(), &result.stats);
+  };
+  const auto record = [&](obs::MetricsRegistry* reg) {
+    obs::ImportRunStats(reg, "run", result.stats);
     if (executor != nullptr) {
-      obs::ImportExecutorStats(metrics, "executor", *executor);
+      obs::ImportExecutorStats(reg, "executor", *executor);
     }
-  }
+  };
+  FLASHDB_ASSIGN_OR_RETURN(const Cost cost, Measure(run, trace, record));
+  result.wall_ms = cost.wall_ms;
   return result;
+}
+
+Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex) {
+  return rig->Run(num_ops, ex, nullptr);
 }
 
 Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   const Execution& ex,
-                                  obs::MetricsRegistry* metrics,
                                   flash::FaultInjector* injector,
                                   obs::TraceRecorder* trace) {
-  std::unique_ptr<obs::TraceRecorder> own_trace;
-  trace = TraceOrOwn(trace, rig->env_, rig->chips(), &own_trace);
-  rig->Attach(injector, trace);
-  Result<PointResult> run = Execute(rig, num_ops, ex, metrics);
-  if (own_trace != nullptr) rig->SetTrace(nullptr);
+  rig->Attach(injector, nullptr);
   CheckedRun out;
-  FLASHDB_ASSIGN_OR_RETURN(out.run, std::move(run));
-  FLASHDB_RETURN_IF_ERROR(ExportTrace(rig->env_, trace));
+  FLASHDB_ASSIGN_OR_RETURN(out.run, rig->Run(num_ops, ex, trace));
+  if (trace == nullptr) trace = rig->own_trace_.get();
 
   // Run() is the window body at batch 1, so single-op windows replay the
   // sequential loop's very operations.
@@ -286,10 +324,11 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
   if (ex.depth == 0) mirror = {.batch = 1, .depth = 4, .threaded = true};
   FLASHDB_ASSIGN_OR_RETURN(Rig twin,
                            PrepareRig(rig->env_, rig->spec_, rig->shape_));
+  twin.twin_ = true;
+  twin.Attach(injector, nullptr);
   const std::unique_ptr<obs::TraceRecorder> twin_trace = TwinRecorder(trace);
-  twin.Attach(injector, twin_trace.get());
   FLASHDB_ASSIGN_OR_RETURN(PointResult replay,
-                           Execute(&twin, num_ops, mirror));
+                           twin.Run(num_ops, mirror, twin_trace.get()));
   if (auto d = FirstDivergence(rig->AsTwin(trace),
                                twin.AsTwin(twin_trace.get()))) {
     out.divergence = d->message;
@@ -341,15 +380,18 @@ Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
     return Status::InvalidArgument(
         "an update, crashed or remounted rig has no TPC-C driver to serve");
   }
-  std::unique_ptr<obs::TraceRecorder> own_trace;
-  trace = TraceOrOwn(trace, rig->env_, rig->chips(), &own_trace);
   ftl::ShardExecutor executor(rig->chips());
   CheckedServe out;
   const auto serve = [&] {
     return driver->Serve(num_txns, &executor, &out.stats);
   };
-  FLASHDB_ASSIGN_OR_RETURN(const Rig::Cost cost, rig->Measure(serve, trace));
+  const auto record = [&](obs::MetricsRegistry* reg) {
+    obs::ImportTpccStats(reg, "tpcc", out.stats);
+  };
+  FLASHDB_ASSIGN_OR_RETURN(const Rig::Cost cost,
+                           rig->Measure(serve, trace, record));
   out.wall_ms = cost.wall_ms;
+  if (trace == nullptr) trace = rig->own_trace_.get();
 
   FLASHDB_ASSIGN_OR_RETURN(
       Rig twin, PrepareTpccRig(rig->spec_, rig->tpcc_opts_, rig->chips(),
@@ -383,15 +425,7 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const workload::WorkloadParams& params) {
   const RigSpec flat{.flat = true, .params = params};
   FLASHDB_ASSIGN_OR_RETURN(Rig rig, PrepareRig(env, spec, flat));
-  // Measure traces after warmup, so the timeline covers the measured run
-  // only. Recording never perturbs virtual time (null-sink contract).
-  Result<PointResult> result = PointResult{};
-  const auto run = [&] {
-    result = Execute(&rig, env.measure_ops, Execution{});
-    return result.status();
-  };
-  FLASHDB_RETURN_IF_ERROR(rig.Measure(run).status());
-  return result;
+  return Execute(&rig, env.measure_ops, Execution{});
 }
 
 }  // namespace flashdb::harness

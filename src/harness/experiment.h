@@ -1,11 +1,17 @@
 // Shared experiment plumbing: builds a device + store + driver for a method,
 // loads the database, reaches steady state, and measures a workload point.
-// Every update-workload bench prepares its stores with PrepareRig and times
-// its measured runs with Execute, or with ExecuteChecked, which also replays
-// them in the mirrored mode on a twin rig and compares the two. TPC-C rigs
-// come from PrepareTpccRig and serve through ServeChecked, which replays
-// their commit log on a twin. Any rig can also crash and remount a fresh
-// store over its chips, to measure recovery.
+// Every update-workload bench prepares its stores with PrepareRig and runs
+// its measured operations with Execute, or with ExecuteChecked, which also
+// replays them in the mirrored mode on a twin rig and compares the two.
+// TPC-C rigs come from PrepareTpccRig and serve through ServeChecked, which
+// replays their commit log on a twin. Any rig can also crash and remount a
+// fresh store over its chips, to measure recovery.
+//
+// Rig::Measure is the one timer: Execute, ServeChecked and Remount measure
+// through it, and so may a bench. Each measured call on a prepared rig is
+// timed, traced under --trace and recorded as one epoch of the binary's
+// metrics registry (Metrics()), which every --json dump carries; a replay
+// twin, a load and a warm-up are none of these.
 //
 // Scale note: the paper runs a 1 GB database on a 2 GB chip and warms up
 // until every block was garbage-collected >= 10 times. Virtual-time results
@@ -26,6 +32,7 @@
 #include "harness/cli.h"
 #include "harness/replay_verdict.h"
 #include "methods/method_factory.h"
+#include "obs/trace_recorder.h"
 #include "workload/tpcc_driver.h"
 #include "workload/update_driver.h"
 
@@ -34,7 +41,6 @@ class FaultInjector;
 }  // namespace flashdb::flash
 namespace flashdb::obs {
 class MetricsRegistry;
-class TraceRecorder;
 }  // namespace flashdb::obs
 
 namespace flashdb::harness {
@@ -58,13 +64,12 @@ struct ExperimentEnv {
   uint64_t seed = 42;
   /// When non-empty (--trace=out.json), the harness records a
   /// deterministic event timeline (flash command spans, GC/scrub/meta/
-  /// buffer-pool traffic, op spans) of every measured run -- the rig of
-  /// every checked run or serve (never its twin), every RunWorkloadPoint
-  /// run and every Rig::Measure call, Rig::Remount's recovery included --
-  /// and exports it as Chrome trace-event JSON: the binary's first export
-  /// to `trace_path`, export k to `<stem>.k.<ext>`. Recording never changes
-  /// virtual-time results (null-sink contract, pinned by
-  /// tests/execution_engine_test.cc).
+  /// buffer-pool traffic, op spans) of every Rig::Measure call -- each
+  /// Execute, the rig of each checked run or serve (never its twin) and
+  /// each Rig::Remount recovery -- and exports it as Chrome trace-event
+  /// JSON: the binary's first export to `trace_path`, export k to
+  /// `<stem>.k.<ext>`. Recording never changes virtual-time results
+  /// (null-sink contract, pinned by tests/execution_engine_test.cc).
   std::string trace_path;
 
   /// Database pages over `chips` chips that split `flash_cfg`'s blocks
@@ -94,8 +99,8 @@ struct Execution {
   /// Operations per per-shard window.
   uint32_t batch = 1;
   /// Windows in flight per shard. 0 runs the plain sequential Run() loop on
-  /// the calling thread, drawing each operation just before it executes
-  /// (the other fields are then unused).
+  /// the calling thread, drawing each operation just before it executes; it
+  /// takes batch 1 and no threads (Execute refuses anything else).
   uint32_t depth = 0;
   /// Streams the windows to a fresh ShardExecutor with one worker per chip
   /// instead of running them on the calling thread. Each worker's ring
@@ -182,7 +187,9 @@ class Rig {
   };
   /// Runs `fn` with `trace` (chips() lanes) attached while it runs -- when
   /// null, under --trace, a recorder of the harness's -- and returns its
-  /// cost. Under --trace the timeline is exported.
+  /// cost. Under --trace the timeline is exported. Records one epoch of
+  /// Metrics(): the cost, the recorder's emitted and dropped counts when
+  /// traced, and a sharded rig's store stats ("store").
   Result<Cost> Measure(FunctionRef<Status()> fn,
                        obs::TraceRecorder* trace = nullptr);
 
@@ -205,11 +212,9 @@ class Rig {
                                 const methods::MethodSpec& spec,
                                 const RigSpec& shape);
   friend Result<PointResult> Execute(Rig* rig, uint64_t num_ops,
-                                     const Execution& ex,
-                                     obs::MetricsRegistry* metrics);
+                                     const Execution& ex);
   friend Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                            const Execution& ex,
-                                           obs::MetricsRegistry* metrics,
                                            flash::FaultInjector* injector,
                                            obs::TraceRecorder* trace);
   friend Result<Rig> PrepareTpccRig(const methods::MethodSpec& spec,
@@ -227,6 +232,12 @@ class Rig {
   /// Attaches lane i of `rec` to chip i and its wall lane to the driver;
   /// null detaches.
   void SetTrace(obs::TraceRecorder* rec);
+  /// Measure, with `record` adding the call's own stats to its epoch.
+  Result<Cost> Measure(FunctionRef<Status()> fn, obs::TraceRecorder* trace,
+                       FunctionRef<void(obs::MetricsRegistry*)> record);
+  /// Execute, traced into `trace` as Measure says.
+  Result<PointResult> Run(uint64_t num_ops, const Execution& ex,
+                          obs::TraceRecorder* trace);
 
   // The prepare call's arguments, for the replay's twin. Of env_ and
   // shape_, a TPC-C rig sets only env_.trace_path and shape_.shards.
@@ -242,6 +253,11 @@ class Rig {
   /// A TPC-C rig's commits before its driver's current commit_log(): the
   /// warm-up's, then each earlier ServeChecked's.
   workload::TpccCommitLog tpcc_log_;
+  /// ExecuteChecked's replay twin: its Measure records and exports nothing.
+  bool twin_ = false;
+  /// Under --trace, the recorder of the last Measure given none, kept for
+  /// the replay check.
+  std::unique_ptr<obs::TraceRecorder> own_trace_;
 };
 
 /// Builds the store for `spec` on env.flash_cfg's blocks split evenly over
@@ -258,29 +274,27 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
                        const methods::MethodSpec& spec, const RigSpec& shape);
 
 /// Draws `num_ops` operations from the rig's driver and runs them as `ex`
-/// says (InvalidArgument for zero, or for a TPC-C, crashed or remounted
-/// rig). Only the run is timed: a pre-drawn schedule and the worker
-/// start-up stay outside wall_ms. With `metrics`, imports the run stats
-/// under "run" and, when threaded, the executor's counters under
-/// "executor".
-Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex,
-                            obs::MetricsRegistry* metrics = nullptr);
+/// says through Rig::Measure. InvalidArgument for zero operations, for a
+/// TPC-C, crashed or remounted rig, and for depth 0 with `threaded` or a
+/// batch other than 1. A pipelined run draws its schedule and starts its
+/// workers before Measure, so wall_ms excludes both. Its epoch adds the
+/// run stats ("run") and, when threaded, the executor's counters
+/// ("executor").
+Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex);
 
-/// The benches' one replay check. Executes the warmed `rig` as `ex` says
-/// (with `metrics`, as Execute does), then prepares a twin from the rig's
-/// PrepareRig arguments and replays the same operations on it in the
-/// mirrored mode: a threaded run inline and an inline one threaded, at the
-/// same batch and depth; the sequential loop as single-op windows through a
-/// threaded pipeline of depth 4. `injector` (when not null) is attached to
-/// both rigs, and `trace` (when not null, with chips() lanes) to the rig
-/// while the twin records into a recorder of its own; both attach after
-/// warm-up. Under --trace an untraced run records into a recorder of the
-/// harness's, and the rig's timeline is exported. Returns the rig's run and
-/// the verdict, and prints a failed verdict's divergence to stderr; the rig
-/// stays the caller's to inspect.
+/// The benches' one replay check. Executes the warmed `rig` as `ex` says,
+/// traced into `trace` (when not null, with chips() lanes) as Execute's
+/// Measure says, then prepares a twin from the rig's PrepareRig arguments
+/// and replays the same operations on it in the mirrored mode: a threaded
+/// run inline and an inline one threaded, at the same batch and depth; the
+/// sequential loop as single-op windows through a threaded pipeline of
+/// depth 4. `injector` (when not null) is attached to both rigs after
+/// warm-up. When the rig's run was traced, the twin's records into a
+/// recorder of its own; the twin records no epoch and exports no timeline.
+/// Returns the rig's run and the verdict, and prints a failed verdict's
+/// divergence to stderr; the rig stays the caller's to inspect.
 Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   const Execution& ex,
-                                  obs::MetricsRegistry* metrics = nullptr,
                                   flash::FaultInjector* injector = nullptr,
                                   obs::TraceRecorder* trace = nullptr);
 
@@ -303,22 +317,30 @@ Result<Rig> PrepareTpccRig(const methods::MethodSpec& spec,
 /// prepares a twin from the rig's PrepareTpccRig arguments, loaded inline,
 /// and replays the rig's whole commit log on it inline: the warm-up and
 /// earlier ServeChecked serves first (a serve through rig->tpcc() directly
-/// is not in that log), then this serve's. `trace` (when not null, with
-/// chips() lanes) is attached to the rig, and the twin records the replayed
-/// serve into a recorder of its own. Under --trace an untraced serve
-/// records into a recorder of the harness's, and the rig's timeline is
-/// exported. InvalidArgument for an update, crashed or remounted rig.
-/// Returns the rig's serve and the verdict, and prints a failed verdict's
-/// divergence to stderr.
+/// is not in that log), then this serve's. The serve runs through
+/// Rig::Measure, traced into `trace` (when not null, with chips() lanes) as
+/// Measure says; its epoch adds the TPC-C stats ("tpcc"). When it was
+/// traced, the twin records the replayed serve into a recorder of its own.
+/// InvalidArgument for an update, crashed or remounted rig. Returns the
+/// rig's serve and the verdict, and prints a failed verdict's divergence to
+/// stderr.
 Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
                                   obs::TraceRecorder* trace = nullptr);
 
 /// A flat rig for `spec` (PrepareRig), measured for `env.measure_ops`
-/// operations by the sequential Run() loop. With --trace the measured run's
-/// timeline is exported.
+/// operations by the sequential Run() loop (Execute).
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
                                      const methods::MethodSpec& spec,
                                      const workload::WorkloadParams& params);
+
+/// A table header: `first`, then the names of methods::PaperMethodSet() in
+/// its order, the order a row's cells are filled in.
+std::vector<std::string> PaperMethodHeader(std::string first);
+
+/// The binary's metrics registry: one epoch per Rig::Measure call on a
+/// prepared rig, holding only the values that call set. JsonDump writes it
+/// as "metrics".
+const obs::MetricsRegistry& Metrics();
 
 }  // namespace flashdb::harness
 

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <fstream>
 
+#include "harness/experiment.h"
+#include "obs/metrics_registry.h"
+
 namespace flashdb::harness {
 
 std::string TablePrinter::Num(double v, int prec) {
@@ -72,38 +75,27 @@ void TablePrinter::WriteJson(std::ostream& os) const {
   os << "\n]";
 }
 
-bool DumpTablesJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, const TablePrinter*>>& tables,
-    const std::vector<std::pair<std::string, std::string>>& raw_objects) {
-  std::ofstream out(path);
+bool JsonDump::Finish() const {
+  if (path_.empty()) return true;
+  std::ofstream out(path_);
   if (!out) {
-    std::cerr << "cannot write --json file: " << path << "\n";
+    std::cerr << "cannot write --json file: " << path_ << "\n";
     return false;
   }
   out << "{";
   size_t emitted = 0;
-  for (const auto& [name, table] : tables) {
+  for (const auto& [name, table] : tables_) {
     out << (emitted++ ? ",\n" : "\n");
     EmitJsonString(out, name);
     out << ": ";
-    table->WriteJson(out);
+    table.WriteJson(out);
   }
-  for (const auto& [name, raw] : raw_objects) {
-    out << (emitted++ ? ",\n" : "\n");
-    EmitJsonString(out, name);
-    out << ": " << raw;
+  if (Metrics().num_epochs() != 0) {
+    out << (emitted != 0 ? ",\n" : "\n") << "\"metrics\": ";
+    Metrics().WriteJson(out);
   }
   out << "\n}\n";
   return true;
-}
-
-bool JsonDump::Finish() const {
-  if (path_.empty()) return true;
-  std::vector<std::pair<std::string, const TablePrinter*>> refs;
-  refs.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) refs.emplace_back(name, &table);
-  return DumpTablesJson(path_, refs, raw_objects_);
 }
 
 }  // namespace flashdb::harness

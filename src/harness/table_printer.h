@@ -33,21 +33,12 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Writes `tables` to `path` as one JSON object {name: [rows...], ...} --
-/// the machine-readable form behind every bench's --json flag, so perf
-/// trajectories (BENCH_*.json) can be recorded run-over-run. `raw_objects`
-/// are pre-serialized JSON values (e.g. an obs::MetricsRegistry dump)
-/// emitted verbatim after the tables under their names. Returns false
-/// (after printing to stderr) when the file cannot be written.
-bool DumpTablesJson(
-    const std::string& path,
-    const std::vector<std::pair<std::string, const TablePrinter*>>& tables,
-    const std::vector<std::pair<std::string, std::string>>& raw_objects = {});
-
 /// Accumulates named result tables over a bench run and, when the bench was
-/// invoked with a --json=<path> flag, writes them out via DumpTablesJson.
-/// With no --json flag both Add and Finish are no-ops, so benches can record
-/// unconditionally.
+/// invoked with a --json=<path> flag, writes them to that path as one JSON
+/// object {name: [rows...], ...} -- the machine-readable form behind every
+/// bench's --json flag, so perf trajectories (BENCH_*.json) can be recorded
+/// run-over-run. With no --json flag both Add and Finish are no-ops, so
+/// benches can record unconditionally.
 class JsonDump {
  public:
   explicit JsonDump(std::string path) : path_(std::move(path)) {}
@@ -56,22 +47,14 @@ class JsonDump {
     if (!path_.empty()) tables_.emplace_back(std::move(name), table);
   }
 
-  /// Attaches a pre-serialized JSON value emitted verbatim under `name`
-  /// after the tables -- how benches dump their obs::MetricsRegistry as one
-  /// uniform "metrics" object.
-  void AddRaw(std::string name, std::string raw_json) {
-    if (!path_.empty()) {
-      raw_objects_.emplace_back(std::move(name), std::move(raw_json));
-    }
-  }
-
-  /// Writes the collected tables; returns false on I/O failure.
+  /// Writes the collected tables and, when it holds an epoch, the binary's
+  /// metrics registry (harness::Metrics()) as "metrics"; returns false
+  /// (after printing to stderr) when the file cannot be written.
   bool Finish() const;
 
  private:
   std::string path_;
   std::vector<std::pair<std::string, TablePrinter>> tables_;
-  std::vector<std::pair<std::string, std::string>> raw_objects_;
 };
 
 }  // namespace flashdb::harness

@@ -2,7 +2,10 @@
 // into an obs::MetricsRegistry under a dotted name prefix. Keeping these as
 // free functions (instead of registry pointers inside FlashDevice &c.) keeps
 // the hot paths untouched -- the registry is populated at report time only,
-// so it can never perturb a virtual clock or a gated column.
+// so it can never perturb a virtual clock or a gated column. The harness
+// calls them, into its one registry per binary, as harness::Rig::Measure
+// records a measured call's epoch: "run" and "executor" for an update run,
+// "tpcc" for a TPC-C serve, "store" for a sharded rig.
 //
 // Naming convention: "<prefix>.<field>", e.g. "run.gc.erases",
 // "run.latency.p999", "executor.worker0.in_flight". Histograms import as

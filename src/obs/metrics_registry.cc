@@ -61,6 +61,10 @@ MetricsRegistry::Kind MetricsRegistry::kind(const std::string& name) const {
   return m == nullptr ? Kind::kGauge : m->kind;
 }
 
+void MetricsRegistry::ClearValues() {
+  for (auto& [name, metric] : map_) metric.value = 0;
+}
+
 void MetricsRegistry::SnapshotEpoch(uint64_t id) {
   Epoch e;
   e.id = id;

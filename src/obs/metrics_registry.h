@@ -11,9 +11,11 @@
 // virtual-time column: the registry is written only after the measured work.
 //
 // SnapshotEpoch() freezes the current values under an epoch id, producing an
-// epoch-granular time series (write-amp, erase deltas, GC pressure, queue
-// depth, ...) that ToJson() emits alongside the final values -- the single
-// uniform "metrics" object every bench --json dump carries.
+// epoch-granular time series that ToJson() emits alongside the last values.
+// The benches' registry is the harness's, one per binary
+// (harness::Metrics()): harness::Rig::Measure clears the values, calls the
+// importers and snapshots one epoch per measured call, and every bench
+// --json dump carries it as its "metrics" object.
 
 #ifndef FLASHDB_OBS_METRICS_REGISTRY_H_
 #define FLASHDB_OBS_METRICS_REGISTRY_H_
@@ -50,8 +52,12 @@ class MetricsRegistry {
 
   size_t size() const { return names_.size(); }
 
+  /// Zeroes every value (names and kinds stay registered), so the next
+  /// snapshot holds only what is set after this call.
+  void ClearValues();
+
   /// Freezes the current values as the time-series sample for epoch `id`.
-  /// Metrics registered after a snapshot report 0 for the earlier epochs.
+  /// Metrics registered after a snapshot are absent from the earlier epochs.
   void SnapshotEpoch(uint64_t id);
   size_t num_epochs() const { return epochs_.size(); }
 

@@ -296,13 +296,18 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
   FLASHDB_RETURN_IF_ERROR(CreditStream::Validate(
       executor, sharded_ != nullptr ? sharded_->num_shards() : 1,
       max_inflight));
-  const flash::FlashStats stats0 = store_->stats();
-  const std::vector<uint64_t> clocks0 = ChipClocks();
-  OpSamples samples;
   const uint64_t epoch = params_.rebalance_epoch_ops;
   const bool leveling =
       sharded_ != nullptr && sharded_->router()->rebalancing_enabled();
   const bool scrubbing = params_.scrub && sharded_ != nullptr;
+  if (epoch == 0 && (leveling || scrubbing)) {
+    return Status::InvalidArgument(
+        "rebalance_epoch_ops 0: wear leveling and scrub run at epoch "
+        "boundaries, and a run of one epoch has none");
+  }
+  const flash::FlashStats stats0 = store_->stats();
+  const std::vector<uint64_t> clocks0 = ChipClocks();
+  OpSamples samples;
   const ChunkSpan all(schedule);
   // Epoch splitting applies whenever it is configured -- even with the
   // router disabled -- so a leveling-off reference run sees the exact same

@@ -62,7 +62,8 @@ struct WorkloadParams {
   /// runs share the leveling-on runs' window boundaries -- but migrations
   /// only happen on a ShardedStore whose router has rebalancing enabled, at
   /// identical virtual-time points inline and threaded (determinism is
-  /// preserved). Run() and Warmup() never split.
+  /// preserved). Run() and Warmup() never split. RunPipelined refuses 0 on
+  /// a store whose router rebalances, or with `scrub` on a sharded store.
   uint64_t rebalance_epoch_ops = 0;
   /// Maintain an in-memory shadow database and verify every page read
   /// against it (tests; costs RAM proportional to the database).

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "flash/fault_injector.h"
 #include "harness/experiment.h"
 #include "harness/replay_verdict.h"
 #include "harness/table_printer.h"
+#include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
 #include "replay_oracle.h"
 
@@ -47,6 +50,25 @@ TEST(FlagsTest, AllReadNamesEveryArgumentNoCallAskedFor) {
   Flags read_all(2, const_cast<char**>(clean));
   EXPECT_EQ(read_all.GetInt("ops", 0), 1);
   EXPECT_TRUE(read_all.AllRead(err));
+}
+
+TEST(FlagsTest, AllReadNamesEveryValueThatIsNotWhollyANumber) {
+  const char* argv[] = {"build/exp1_update_cost", "--ops=abc", "--util=0.5x",
+                        "--seed=99999999999999999999", "--blocks=64",
+                        "--ber=1e-3", "--opz=5"};
+  Flags flags(7, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("ops", 4000), 4000);  // the default, never 0
+  EXPECT_DOUBLE_EQ(flags.GetDouble("util", 0.5), 0.5);
+  EXPECT_EQ(flags.GetInt("seed", 42), 42);
+  EXPECT_EQ(flags.GetInt("blocks", 128), 64);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("ber", 0), 1e-3);
+  std::ostringstream err;
+  EXPECT_FALSE(flags.AllRead(err));
+  EXPECT_EQ(err.str(),
+            "exp1_update_cost: unknown argument(s): --opz\n"
+            "exp1_update_cost: --ops=abc: not a number\n"
+            "exp1_update_cost: --seed=99999999999999999999: out of range\n"
+            "exp1_update_cost: --util=0.5x: not a number\n");
 }
 
 TEST(FlagsTest, BoolParsing) {
@@ -183,7 +205,7 @@ TEST(CheckedRunTest, ThreadedRunReplaysInline) {
   obs::TraceRecorder trace(rig->chips());
   const Execution threaded{.batch = 4, .depth = 2, .threaded = true};
   auto checked = ExecuteChecked(&rig.value(), env.measure_ops, threaded,
-                                nullptr, nullptr, &trace);
+                                nullptr, &trace);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   EXPECT_GT(trace.total_emitted(), 0u);
   EXPECT_TRUE(checked->deterministic());
@@ -215,7 +237,7 @@ TEST(CheckedRunTest, RunsThatDifferFailTheVerdict) {
   // of the replay's.
   FirstReadFails injector;
   auto checked = ExecuteChecked(&rig.value(), env.measure_ops, Execution{},
-                                nullptr, &injector);
+                                &injector);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   EXPECT_EQ(checked->run.stats.device.integrity.read_retries, 1u);
   EXPECT_FALSE(checked->deterministic());
@@ -278,6 +300,24 @@ TEST(RigTest, ExecuteRejectsZeroOperations) {
   EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
   // ServeChecked serves TPC-C rigs only.
   EXPECT_TRUE(ServeChecked(&rig.value(), 10).status().IsInvalidArgument());
+}
+
+TEST(RigTest, DepthZeroTakesNeitherThreadsNorABatch) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  auto rig = PrepareRig(env, *spec, RigSpec{.shards = 2});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  const size_t epochs = Metrics().num_epochs();
+  for (const Execution& ex :
+       {Execution{.threaded = true}, Execution{.batch = 8}}) {
+    const auto run = Execute(&rig.value(), env.measure_ops, ex);
+    EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+    EXPECT_NE(run.status().ToString().find("depth 0"), std::string::npos)
+        << run.status().ToString();
+  }
+  EXPECT_EQ(Metrics().num_epochs(), epochs);  // refused before it ran
+  EXPECT_TRUE(Execute(&rig.value(), env.measure_ops, Execution{}).ok());
 }
 
 TEST(RigTest, RejectsFewerThanEightBlocksPerChip) {
@@ -372,6 +412,84 @@ TEST(RigTest, RejectsFlatRigWithLeveling) {
   const auto rig = PrepareRig(env, *spec, flat_leveling);
   ASSERT_FALSE(rig.ok());
   EXPECT_TRUE(rig.status().IsInvalidArgument()) << rig.status().ToString();
+}
+
+// Every measured call adds one epoch to the binary's registry, holding only
+// what that call set; a replay twin, a load and a warm-up add none.
+TEST(MetricsTest, EveryMeasuredCallAddsOneEpochOfItsOwn) {
+  ExperimentEnv env = SmallRigEnv();
+  env.flash_cfg = flash::FlashConfig::Small(40).WithMetaBlocks(4);
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  const obs::MetricsRegistry& metrics = Metrics();
+  size_t epochs = metrics.num_epochs();
+  auto rig = PrepareRig(env, *spec, LevelingRigSpec());
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  EXPECT_EQ(metrics.num_epochs(), epochs);  // load and warm-up
+
+  const Execution threaded{.batch = 4, .depth = 2, .threaded = true};
+  auto checked = ExecuteChecked(&rig.value(), env.measure_ops, threaded);
+  ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+  EXPECT_TRUE(checked->deterministic());
+  EXPECT_EQ(metrics.num_epochs(), ++epochs);  // not the twin's replay
+  EXPECT_EQ(metrics.Get("run.operations"), env.measure_ops);
+  EXPECT_EQ(metrics.Get("cost.elapsed_vt_us"),
+            checked->run.stats.elapsed_vt_us);
+  EXPECT_EQ(metrics.Get("executor.workers"), 2);
+  EXPECT_GT(metrics.Get("store.shard1.clock_us"), 0);
+  EXPECT_FALSE(metrics.Has("tpcc.transactions"));
+
+  ASSERT_TRUE(rig->Remount(/*on_executor=*/true).ok());
+  EXPECT_EQ(metrics.num_epochs(), ++epochs);
+  EXPECT_EQ(metrics.Get("run.operations"), 0);  // a recovery runs no ops
+  EXPECT_GT(metrics.Get("cost.total_work_us"), 0);
+
+  // A one-chip epoch after a two-chip one holds no second chip's value.
+  auto one_chip = PrepareRig(env, *spec, RigSpec{.shards = 1});
+  ASSERT_TRUE(one_chip.ok()) << one_chip.status().ToString();
+  ASSERT_TRUE(Execute(&one_chip.value(), env.measure_ops, threaded).ok());
+  EXPECT_EQ(metrics.num_epochs(), ++epochs);
+  EXPECT_EQ(metrics.Get("executor.workers"), 1);
+  EXPECT_GT(metrics.Get("executor.worker0.submitted"), 0);
+  EXPECT_GT(metrics.Get("store.shard0.clock_us"), 0);
+  EXPECT_EQ(metrics.Get("executor.worker1.submitted"), 0);
+  EXPECT_EQ(metrics.Get("store.shard1.clock_us"), 0);
+
+  workload::TpccDriverOptions opts;
+  opts.scale.warehouses = 1;
+  opts.scale.districts_per_warehouse = 2;
+  opts.scale.customers_per_district = 10;
+  opts.scale.items = 50;
+  opts.scale.init_orders_per_district = 5;
+  opts.scale.transaction_headroom = 200;
+  opts.frames_per_shard = 32;
+  auto tpcc = PrepareTpccRig(*spec, opts, /*shards=*/1, /*warmup_tx=*/20);
+  ASSERT_TRUE(tpcc.ok()) << tpcc.status().ToString();
+  EXPECT_EQ(metrics.num_epochs(), epochs);  // load and warm-up
+  auto served = ServeChecked(&tpcc.value(), 30);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->deterministic()) << served->divergence;
+  EXPECT_EQ(metrics.num_epochs(), ++epochs);  // not the twin's replay
+  EXPECT_EQ(metrics.Get("tpcc.transactions"), 30);
+  EXPECT_EQ(metrics.Get("run.operations"), 0);
+
+  // Every --json dump carries the registry, one epoch per measured call.
+  const std::string path = ::testing::TempDir() + "metrics_test.json";
+  JsonDump dump(path);
+  TablePrinter table({"k"});
+  dump.Add("table", table);
+  ASSERT_TRUE(dump.Finish());
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_NE(json.find("\"metrics\": " + metrics.ToJson()), std::string::npos);
+  size_t dumped = 0;
+  for (size_t at = json.find("{\"epoch\":"); at != std::string::npos;
+       at = json.find("{\"epoch\":", at + 1)) {
+    ++dumped;
+  }
+  EXPECT_EQ(dumped, epochs);
 }
 
 }  // namespace

@@ -313,6 +313,19 @@ TEST(UpdateDriverPipelinedTest, RejectsBadArguments) {
                   .IsInvalidArgument());  // 2 workers < 4 shards
   // A null executor is the inline engine, not an error.
   EXPECT_TRUE(driver.RunPipelined(schedule, 4, 2, nullptr, &stats).ok());
+  // Scrub and wear leveling run at epoch boundaries: without an epoch length
+  // the run is refused before any operation.
+  const std::vector<uint64_t> clocks = sharded->shard_clocks();
+  WorkloadParams scrub_params;
+  scrub_params.scrub = true;
+  UpdateDriver scrubbing(sharded.get(), scrub_params);
+  EXPECT_TRUE(scrubbing.RunPipelined(schedule, 4, 2, nullptr, &stats)
+                  .IsInvalidArgument());
+  ASSERT_TRUE(
+      sharded->router()->EnableRebalancing(ftl::WearLevelConfig{}).ok());
+  EXPECT_TRUE(driver.RunPipelined(schedule, 4, 2, &executor, &stats)
+                  .IsInvalidArgument());
+  EXPECT_EQ(sharded->shard_clocks(), clocks);
 
   // A flat store pipelines on one worker, or inline.
   FlashDevice dev(FlashConfig::Small(8));

@@ -110,6 +110,25 @@ class CheckBenchTest(unittest.TestCase):
             row["kops/s"] = f"{float(row['kops/s']) * 0.3:.1f}"
         self.assertEqual(self.edited("exp10_pipeline", edit), 1)
 
+    def test_metrics_object_is_not_compared(self):
+        # Every bench's dump now carries the harness's metrics registry,
+        # which most baselines lack; only the tables are gated.
+        metrics = {"values": {"run.operations": 2000},
+                   "kinds": {"run.operations": "counter"},
+                   "epochs": [{"epoch": 0,
+                               "values": {"run.operations": 2000}}]}
+        self.assertNotIn("metrics", load_baseline("exp1_update_cost"))
+
+        def add(dump):
+            dump["metrics"] = metrics
+        self.assertEqual(self.edited("exp1_update_cost", add), 0)
+
+        def add_and_move(dump):
+            add(dump)
+            row = dump["overall"][0]
+            row["overall_us/op"] = bump_last_digit(row["overall_us/op"])
+        self.assertEqual(self.edited("exp1_update_cost", add_and_move), 1)
+
     def test_doubled_wall_clock_passes(self):
         def edit(dump):
             for row in dump["exp11_wear"]:
