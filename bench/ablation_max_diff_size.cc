@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!run->deterministic()) ++failures;
-    const workload::RunStats& stats = run->run.stats;
+    const workload::RunStats& stats = run->stats;
     const pdl::PdlCounters c1 = store.counters();
     const double ops = static_cast<double>(stats.operations);
     tbl.AddRow({std::to_string(max_diff),

@@ -26,11 +26,14 @@ int main(int argc, char** argv) {
   std::printf(
       "Ablation: overall us/op vs update depth (updates per page before "
       "measurement; %%Changed=2, N=1)\n\n");
-  TablePrinter tbl({"updates/page", "PDL(2048B)", "PDL(256B)", "OPU",
-                    "IPL(18KB)"});
+  const std::vector<std::string> methods = {"PDL(2048B)", "PDL(256B)", "OPU",
+                                            "IPL(18KB)"};
+  std::vector<std::string> header = {"updates/page"};
+  header.insert(header.end(), methods.begin(), methods.end());
+  TablePrinter tbl(header);
   for (uint32_t depth : {5u, 10u, 20u, 40u, 80u, 160u}) {
     std::vector<std::string> row = {std::to_string(depth)};
-    for (const char* m : {"PDL(2048B)", "PDL(256B)", "OPU", "IPL(18KB)"}) {
+    for (const std::string& m : methods) {
       harness::ExperimentEnv e = env;
       e.warmup_erases_per_block = 1e9;  // cap entirely by op count
       e.warmup_max_ops = static_cast<uint64_t>(depth) * e.num_db_pages();

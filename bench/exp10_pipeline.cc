@@ -17,7 +17,7 @@
 //   * lag_ms           -- shard clock spread max-min (virtual time) at the
 //     end of the run: how far the hot chip ran ahead, the skew observable;
 //   * par us/op        -- elapsed virtual time (the largest chip-clock
-//     advance, RunStats::elapsed_vt_us);
+//     advance, harness::Cost);
 //   * p50/p99/p999     -- per-op virtual-time latency percentiles
 //     (deterministic; identical whether or not --pin is set);
 //   * determinism      -- per-chip clocks and erase counts and every virtual
@@ -65,17 +65,20 @@ Result<harness::CheckedRun> RunPoint(const harness::ExperimentEnv& env,
     harness::CheckedRun this_rep;
     if (rep + 1 < reps) {
       FLASHDB_ASSIGN_OR_RETURN(
-          this_rep.run, harness::Execute(&rig, env.measure_ops, threaded));
+          harness::PointResult run,
+          harness::Execute(&rig, env.measure_ops, threaded));
+      this_rep.stats = run.stats;
+      this_rep.cost = run.cost;
     } else {
       FLASHDB_ASSIGN_OR_RETURN(
           this_rep, harness::ExecuteChecked(&rig, env.measure_ops, threaded));
     }
     *lag_ms = static_cast<double>(rig.sharded()->shard_lag_us()) / 1000.0;
     if (rep > 0) {
-      harness::PointResult& run = this_rep.run;
-      run.wall_ms = std::min(run.wall_ms, best.run.wall_ms);
-      run.stats.credit_wait_ns =
-          std::min(run.stats.credit_wait_ns, best.run.stats.credit_wait_ns);
+      this_rep.cost.wall_ms =
+          std::min(this_rep.cost.wall_ms, best.cost.wall_ms);
+      this_rep.stats.credit_wait_ns =
+          std::min(this_rep.stats.credit_wait_ns, best.stats.credit_wait_ns);
     }
     best = this_rep;
   }
@@ -143,8 +146,8 @@ int main(int argc, char** argv) {
                   << point.status().ToString() << "\n";
         return 1;
       }
-      const workload::RunStats& s = point->run.stats;
-      const double wall_ms = point->run.wall_ms;
+      const workload::RunStats& s = point->stats;
+      const double wall_ms = point->cost.wall_ms;
       if (depth == depths.front()) anchor_wall = wall_ms;
       const double kops_per_sec =
           wall_ms > 0 ? static_cast<double>(env.measure_ops) / wall_ms : 0;
@@ -154,7 +157,7 @@ int main(int argc, char** argv) {
           {name, "pipelined", std::to_string(depth),
            TablePrinter::Num(wall_ms, 2), TablePrinter::Num(kops_per_sec),
            TablePrinter::Num(speedup, 2) + "x", TablePrinter::Num(lag_ms, 1),
-           TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+           TablePrinter::Num(s.PerOp(point->cost.advance.elapsed_vt_us)),
            TablePrinter::Num(
                s.PerOp(s.device.of(flash::OpCategory::kGc).total_us())),
            TablePrinter::Num(

@@ -21,7 +21,7 @@
 //   * migr us/op  -- virtual-time cost of the migration copies (the price
 //                    paid for leveling, amortized over the measured ops);
 //   * par us/op   -- elapsed virtual time (the largest chip-clock advance,
-//                    RunStats::elapsed_vt_us);
+//                    harness::Cost);
 //   * wall_ms     -- host wall-clock of the measured RunPipelined call;
 //   * determinism -- the measured threaded run must leave every chip's
 //                    virtual clock and erase count, and every virtual
@@ -175,7 +175,8 @@ int main(int argc, char** argv) {
                   << ": " << point.status().ToString() << "\n";
         return 1;
       }
-      const workload::RunStats& s = point->checked.run.stats;
+      const workload::RunStats& s = point->checked.stats;
+      const harness::Cost& cost = point->checked.cost;
       const bool deterministic = point->checked.deterministic();
       if (!deterministic) failures++;
       tbl.AddRow({method_name, TablePrinter::Num(hot, 0),
@@ -185,8 +186,8 @@ int main(int argc, char** argv) {
                                       : "inf",
                   TablePrinter::Num(point->wear_cv, 3),
                   TablePrinter::Num(s.migrate_us_per_op()),
-                  TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
-                  TablePrinter::Num(point->checked.run.wall_ms, 2),
+                  TablePrinter::Num(s.PerOp(cost.advance.elapsed_vt_us)),
+                  TablePrinter::Num(cost.wall_ms, 2),
                   deterministic ? "ok" : "FAIL"});
     }
   }

@@ -18,7 +18,7 @@
 //   * epochs      -- migration epochs recovered from the journal (== swaps);
 //   * wall_ms     -- host wall-clock of the Recover() call;
 //   * rec par us  -- elapsed virtual recovery time (the largest chip-clock
-//                    advance, workload::ClockAdvanceOf);
+//                    advance, harness::Cost);
 //   * rec work us -- total device busy time of recovery (the sum of the
 //                    chip-clock advances): the single-chip-equivalent cost
 //                    that mode=exec spreads across workers;

@@ -11,7 +11,7 @@
 // sweeps geometry x method (x pipeline depth for the threaded check) and
 // reports, per point:
 //   * vt us/op   -- virtual-clock advance per operation (the largest
-//     chip-clock advance, RunStats::elapsed_vt_us);
+//     chip-clock advance, harness::Cost);
 //   * vt kops/s  -- operations per virtual second, the device-parallel
 //     throughput (deterministic; gated against the baseline);
 //   * vt_speedup -- vt throughput over the same method's 1x1 point (the
@@ -110,22 +110,23 @@ int main(int argc, char** argv) {
                   << ": " << point.status().ToString() << "\n";
         return 1;
       }
-      const workload::RunStats& s = point->run.stats;
+      const workload::RunStats& s = point->stats;
+      const uint64_t elapsed_vt_us = point->cost.advance.elapsed_vt_us;
       const double vt_kops_per_sec =
-          s.elapsed_vt_us > 0 ? 1000.0 * static_cast<double>(s.operations) /
-                                    static_cast<double>(s.elapsed_vt_us)
-                              : 0;
+          elapsed_vt_us > 0 ? 1000.0 * static_cast<double>(s.operations) /
+                                  static_cast<double>(elapsed_vt_us)
+                            : 0;
       if (geom.planes_per_chip() == 1) base_vt_kops = vt_kops_per_sec;
       const double speedup =
           base_vt_kops > 0 ? vt_kops_per_sec / base_vt_kops : 0;
       if (!point->deterministic()) failures++;
       tbl.AddRow({name, std::to_string(geom.dies),
                   std::to_string(geom.planes_per_die),
-                  TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+                  TablePrinter::Num(s.PerOp(elapsed_vt_us)),
                   TablePrinter::Num(vt_kops_per_sec, 2),
                   TablePrinter::Num(speedup, 2) + "x",
                   TablePrinter::Num(s.PerOp(s.plane_stall_us)),
-                  TablePrinter::Num(point->run.wall_ms, 2),
+                  TablePrinter::Num(point->cost.wall_ms, 2),
                   point->deterministic() ? "ok" : "FAIL"});
     }
   }

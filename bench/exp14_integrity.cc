@@ -11,7 +11,7 @@
 // resetting its read-disturb exposure. This bench sweeps bit-error rate x
 // scrub {off,on} x method and reports:
 //   * vt us/op    -- virtual-clock advance per operation (the largest
-//     chip-clock advance, RunStats::elapsed_vt_us; retries included);
+//     chip-clock advance, harness::Cost; retries included);
 //   * retry us/op -- virtual time spent in retry passes, per operation;
 //   * retries     -- total retry passes; corrected -- reads clean after >= 1
 //     retry; uncorr -- reads still corrupt after the ladder (the perf gate
@@ -124,12 +124,13 @@ int main(int argc, char** argv) {
                     << point.status().ToString() << "\n";
           return 1;
         }
-        const workload::RunStats& s = point->run.stats;
+        const workload::RunStats& s = point->stats;
         const flash::IntegrityCounters& integrity = s.device.integrity;
         if (!point->deterministic()) failures++;
         if (integrity.reads_uncorrectable != 0 && scrub) failures++;
         tbl.AddRow({name, TablePrinter::Num(ber, 3), scrub ? "on" : "off",
-                    TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
+                    TablePrinter::Num(
+                        s.PerOp(point->cost.advance.elapsed_vt_us)),
                     TablePrinter::Num(s.retry_us_per_op(), 2),
                     std::to_string(integrity.read_retries),
                     std::to_string(integrity.reads_corrected),

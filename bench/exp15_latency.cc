@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       // The one verdict covers the trace too, so both columns read it.
       const char* verdict = point->deterministic() ? "ok" : "FAIL";
       if (!point->deterministic()) failures++;
-      const workload::RunStats& s = point->run.stats;
+      const workload::RunStats& s = point->stats;
       const workload::LatencyHistogram& h = s.latency;
       tbl.AddRow({name, cfg.mode, std::to_string(cfg.shards),
                   cfg.depth == 0 ? "-" : std::to_string(cfg.depth),
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
                   std::to_string(s.worst_op.total_us),
                   std::to_string(s.worst_op.gc_us),
                   std::to_string(s.worst_op.meta_us),
-                  TablePrinter::Num(point->run.wall_ms, 2), verdict, verdict});
+                  TablePrinter::Num(point->cost.wall_ms, 2), verdict, verdict});
     }
   }
   tbl.Print(std::cout);

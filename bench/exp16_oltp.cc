@@ -52,10 +52,11 @@ struct Cell {
 
 /// Virtual-time serving throughput: transactions over the largest shard
 /// clock advance (the chips run in parallel).
-double KtpsVt(const workload::TpccRunStats& stats) {
-  if (stats.elapsed_vt_us == 0) return 0;
-  return 1000.0 * static_cast<double>(stats.latency.count()) /
-         static_cast<double>(stats.elapsed_vt_us);
+double KtpsVt(const harness::CheckedServe& pt) {
+  const uint64_t elapsed_vt_us = pt.cost.advance.elapsed_vt_us;
+  if (elapsed_vt_us == 0) return 0;
+  return 1000.0 * static_cast<double>(pt.stats.latency.count()) /
+         static_cast<double>(elapsed_vt_us);
 }
 
 }  // namespace
@@ -130,11 +131,11 @@ int main(int argc, char** argv) {
     // Scaling anchor: the single-shard cell at the standard client count.
     double anchor = 0;
     for (const auto& [cell, pt] : points) {
-      if (cell.clients == 4 && cell.shards == 1) anchor = KtpsVt(pt.stats);
+      if (cell.clients == 4 && cell.shards == 1) anchor = KtpsVt(pt);
     }
     for (const auto& [cell, pt] : points) {
       const workload::LatencyHistogram& h = pt.stats.latency;
-      const double ktps_vt = KtpsVt(pt.stats);
+      const double ktps_vt = KtpsVt(pt);
       const char* verdict = pt.deterministic() ? "ok" : "FAIL";
       tbl.AddRow({name, std::to_string(cell.clients),
                   std::to_string(cell.shards),
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
                   std::to_string(pt.stats.worst_op.meta_us),
                   TablePrinter::Num(ktps_vt, 2),
                   anchor > 0 ? TablePrinter::Num(ktps_vt / anchor, 2) : "-",
-                  TablePrinter::Num(pt.wall_ms, 2),
+                  TablePrinter::Num(pt.cost.wall_ms, 2),
                   verdict, verdict});
     }
   }

@@ -62,7 +62,7 @@ Result<double> PresetVtPerOp(const harness::ExperimentEnv& base,
   params.updates_till_write = 1;
   FLASHDB_ASSIGN_OR_RETURN(harness::PointResult r,
                            harness::RunWorkloadPoint(env, spec, params));
-  return static_cast<double>(r.stats.elapsed_vt_us) /
+  return static_cast<double>(r.cost.advance.elapsed_vt_us) /
          static_cast<double>(env.measure_ops);
 }
 

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   std::printf(
       "Experiment 6 (Fig. 17): erase operations per update operation vs "
       "N_updates_till_write (%%Changed=2)\n\n");
-  TablePrinter tbl({"N_updates_till_write", "IPL(18KB)", "IPL(64KB)",
-                    "PDL(2048B)", "PDL(256B)", "OPU", "IPU"});
+  TablePrinter tbl(harness::PaperMethodHeader("N_updates_till_write"));
   for (uint32_t n = 1; n <= 8; ++n) {
     std::vector<std::string> row = {std::to_string(n)};
     for (const methods::MethodSpec& spec : methods::PaperMethodSet()) {

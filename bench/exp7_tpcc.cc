@@ -41,7 +41,7 @@ Result<double> IoUsPerTx(const methods::MethodSpec& spec,
                               trace_path));
   workload::TpccWorkload* tpcc = rig.tpcc()->shard_workload(0);
   FLASHDB_RETURN_IF_ERROR(tpcc->Run(warmup_tx));
-  FLASHDB_ASSIGN_OR_RETURN(const harness::Rig::Cost cost, rig.Measure([&] {
+  FLASHDB_ASSIGN_OR_RETURN(const harness::Cost cost, rig.Measure([&] {
     FLASHDB_RETURN_IF_ERROR(tpcc->Run(measure_tx));
     return tpcc->pool()->FlushAll();
   }));
@@ -79,15 +79,18 @@ int main(int argc, char** argv) {
       static_cast<unsigned long>(warmup_tx),
       static_cast<unsigned long>(measure_tx));
 
-  TablePrinter tbl({"buffer(%db)", "frames", "IPL(18KB)", "IPL(64KB)",
-                    "PDL(2048B)", "PDL(256B)", "OPU"});
+  // The paper's methods but IPU (see the closing note), one column each.
+  const std::vector<std::string> methods = {"IPL(18KB)", "IPL(64KB)",
+                                            "PDL(2048B)", "PDL(256B)", "OPU"};
+  std::vector<std::string> header = {"buffer(%db)", "frames"};
+  header.insert(header.end(), methods.begin(), methods.end());
+  TablePrinter tbl(header);
   for (double buf_pct : {0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0}) {
     opts.frames_per_shard = std::max<uint32_t>(
         8, static_cast<uint32_t>(buf_pct / 100.0 * pages));
     std::vector<std::string> row = {TablePrinter::Num(buf_pct, 2),
                                     std::to_string(opts.frames_per_shard)};
-    for (const char* m :
-         {"IPL(18KB)", "IPL(64KB)", "PDL(2048B)", "PDL(256B)", "OPU"}) {
+    for (const std::string& m : methods) {
       auto spec = methods::ParseMethodSpec(m);
       auto r = IoUsPerTx(*spec, opts, warmup_tx, measure_tx, trace_path);
       if (!r.ok()) {

@@ -10,8 +10,8 @@
 //   * wall_ms / kops_s -- host wall-clock (std::chrono) over the measured
 //     ops; this is the figure that should scale with S on a multi-core host.
 //   * par us/op       -- elapsed virtual time (the largest chip-clock
-//     advance, RunStats::elapsed_vt_us): the multi-chip scaling in virtual
-//     time, near-linear in S.
+//     advance, harness::Cost): the multi-chip scaling in virtual time,
+//     near-linear in S.
 //   * total us/op     -- summed chip-clock advances (total_work_us): the
 //     total work, flat in S.
 //   * p50/p99/p999    -- per-op virtual-time latency percentiles
@@ -111,8 +111,9 @@ int main(int argc, char** argv) {
                     << point.status().ToString() << "\n";
           return 1;
         }
-        const workload::RunStats& s = point->run.stats;
-        const double wall_ms = point->run.wall_ms;
+        const workload::RunStats& s = point->stats;
+        const harness::ClockAdvance& vt = point->cost.advance;
+        const double wall_ms = point->cost.wall_ms;
         if (shards == 1) base_wall = wall_ms;
         const double kops_per_sec =
             wall_ms > 0 ? static_cast<double>(env.measure_ops) / wall_ms : 0;
@@ -122,8 +123,8 @@ int main(int argc, char** argv) {
             {name, std::to_string(shards), std::to_string(batch),
              TablePrinter::Num(wall_ms, 2), TablePrinter::Num(kops_per_sec),
              TablePrinter::Num(speedup, 2) + "x",
-             TablePrinter::Num(s.PerOp(s.elapsed_vt_us)),
-             TablePrinter::Num(s.PerOp(s.total_work_us)),
+             TablePrinter::Num(s.PerOp(vt.elapsed_vt_us)),
+             TablePrinter::Num(s.PerOp(vt.total_work_us)),
              TablePrinter::Num(
                  s.PerOp(s.device.of(flash::OpCategory::kGc).total_us())),
              TablePrinter::Num(

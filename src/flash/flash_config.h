@@ -6,6 +6,8 @@
 
 #include <cstdint>
 
+#include "common/status.h"
+
 namespace flashdb::flash {
 
 /// Physical layout of the chip.
@@ -52,6 +54,12 @@ struct FlashGeometry {
   uint32_t die_of_block(uint32_t block) const {
     return plane_of_block(block) / planes_per_die;
   }
+
+  /// The one geometry rule, which FlashDevice's constructor aborts on:
+  /// InvalidArgument naming the field unless a page holds data, the chip has
+  /// 1 to 64 planes, and the meta region is whole plane stripes that leave
+  /// at least one data block.
+  Status Check() const;
 };
 
 /// Per-operation latencies in microseconds (Table 1).

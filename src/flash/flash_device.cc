@@ -42,20 +42,36 @@ FlashDevice::ConfinementScope::ConfinementScope(const FlashDevice* dev)
   }
 }
 
+Status FlashGeometry::Check() const {
+  if (data_size == 0) {
+    return Status::InvalidArgument("data_size 0: a page must hold data");
+  }
+  if (dies_per_chip == 0 || planes_per_die == 0 || planes_per_chip() > 64) {
+    return Status::InvalidArgument(
+        "dies_per_chip " + std::to_string(dies_per_chip) +
+        " x planes_per_die " + std::to_string(planes_per_die) +
+        ": each must be >= 1, with at most 64 planes per chip");
+  }
+  if (meta_blocks >= num_blocks) {
+    return Status::InvalidArgument(
+        "meta_blocks " + std::to_string(meta_blocks) +
+        " must leave at least one data block (num_blocks " +
+        std::to_string(num_blocks) + ")");
+  }
+  if (meta_blocks % planes_per_chip() != 0) {
+    return Status::InvalidArgument(
+        "meta_blocks " + std::to_string(meta_blocks) +
+        " must be a whole plane stripe (multiple of " +
+        std::to_string(planes_per_chip()) +
+        ") -- use FlashConfig::WithMetaBlocks");
+  }
+  return Status::OK();
+}
+
 FlashDevice::FlashDevice(const FlashConfig& config) : config_(config) {
   const auto& g = config_.geometry;
-  CheckOrAbort(g.meta_blocks < g.num_blocks,
-               "FlashDevice: meta_blocks (%u) must leave at least one data "
-               "block (num_blocks %u)",
-               g.meta_blocks, g.num_blocks);
-  CheckOrAbort(g.dies_per_chip != 0 && g.planes_per_die != 0 &&
-                   g.planes_per_chip() <= 64,
-               "FlashDevice: dies_per_chip and planes_per_die must be >= 1, "
-               "with at most 64 planes per chip");
-  CheckOrAbort(g.meta_blocks % g.planes_per_chip() == 0,
-               "FlashDevice: meta_blocks (%u) must be a whole plane stripe "
-               "(multiple of %u) -- use FlashConfig::WithMetaBlocks",
-               g.meta_blocks, g.planes_per_chip());
+  const Status valid = g.Check();
+  CheckOrAbort(valid.ok(), "FlashDevice: %s", valid.message().c_str());
   data_.assign(static_cast<size_t>(g.total_pages()) * g.data_size, 0xFF);
   spare_.assign(static_cast<size_t>(g.total_pages()) * g.spare_size, 0xFF);
   data_programs_.assign(g.total_pages(), 0);

@@ -22,9 +22,9 @@
 //
 // Accounting: stats() sums the operation counters over the shards (total
 // work) and concatenates per-block wear in shard order; shard_clocks()
-// exposes every chip's virtual clock. A run's elapsed time and total work
-// are derived from clock readings taken before and after it by the
-// workload layer's one rule (workload::ClockAdvanceOf).
+// exposes every chip's virtual clock. A measured call's elapsed time and
+// total work come from the one reading of the chip clocks around it
+// (harness::Rig::Measure).
 
 #ifndef FLASHDB_FTL_SHARDED_STORE_H_
 #define FLASHDB_FTL_SHARDED_STORE_H_

@@ -1,7 +1,9 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,6 +63,44 @@ obs::MetricsRegistry& Registry() {
   static obs::MetricsRegistry registry;
   return registry;
 }
+
+/// The one rule turning per-chip clocks read before and after a measured
+/// call (equal lengths, chip order) into its ClockAdvance. Each chip's own
+/// advance counts, so a chip whose clock started behind still reports its
+/// work.
+ClockAdvance ClockAdvanceOf(std::span<const uint64_t> before,
+                            std::span<const uint64_t> after) {
+  ClockAdvance adv;
+  for (size_t i = 0; i < after.size(); ++i) {
+    const uint64_t delta = after[i] - before[i];
+    adv.elapsed_vt_us = std::max(adv.elapsed_vt_us, delta);
+    adv.total_work_us += delta;
+  }
+  return adv;
+}
+
+/// The checked calls' one verdict on the rig's `stats` and `cost`: the
+/// first difference between the rig and its twin (FirstDivergence), else
+/// between their virtual stats (SameVirtualAs). A failed verdict prints
+/// `what` and the difference to stderr.
+template <typename Stats>
+Checked<Stats> Verdict(Stats stats, const Cost& cost, const Twin& rig,
+                       const Twin& twin, const Stats& replay,
+                       const char* what) {
+  Checked<Stats> out;
+  out.stats = std::move(stats);
+  out.cost = cost;
+  if (auto d = FirstDivergence(rig, twin)) {
+    out.divergence = d->message;
+  } else if (!out.stats.SameVirtualAs(replay)) {
+    out.divergence = "virtual stats differ";
+  }
+  if (!out.deterministic()) {
+    std::fprintf(stderr, "replay check FAIL: %s: %s\n", what,
+                 out.divergence.c_str());
+  }
+  return out;
+}
 }  // namespace
 
 const obs::MetricsRegistry& Metrics() { return Registry(); }
@@ -74,6 +114,7 @@ std::vector<std::string> PaperMethodHeader(std::string first) {
 }
 
 uint32_t ExperimentEnv::num_db_pages(uint32_t chips) const {
+  if (!(utilization > 0)) return 0;
   flash::FlashGeometry g = flash_cfg.geometry;
   g.num_blocks /= chips;
   return static_cast<uint32_t>(
@@ -156,14 +197,12 @@ void Rig::Crash() {
   store_.reset();
 }
 
-Result<Rig::Cost> Rig::Measure(FunctionRef<Status()> fn,
-                               obs::TraceRecorder* trace) {
+Result<Cost> Rig::Measure(FunctionRef<Status()> fn, obs::TraceRecorder* trace) {
   return Measure(fn, trace, [](obs::MetricsRegistry*) {});
 }
 
-Result<Rig::Cost> Rig::Measure(
-    FunctionRef<Status()> fn, obs::TraceRecorder* trace,
-    FunctionRef<void(obs::MetricsRegistry*)> record) {
+Result<Cost> Rig::Measure(FunctionRef<Status()> fn, obs::TraceRecorder* trace,
+                          FunctionRef<void(obs::MetricsRegistry*)> record) {
   std::vector<uint64_t> before;
   for (const auto& chip : chips_) before.push_back(chip->clock().now_us());
   if (trace == nullptr && !env_.trace_path.empty()) {
@@ -181,33 +220,36 @@ Result<Rig::Cost> Rig::Measure(
   FLASHDB_RETURN_IF_ERROR(st);
   std::vector<uint64_t> after;
   for (const auto& chip : chips_) after.push_back(chip->clock().now_us());
-  out.advance = workload::ClockAdvanceOf(before, after);
+  out.advance = ClockAdvanceOf(before, after);
   if (twin_) return out;
   FLASHDB_RETURN_IF_ERROR(ExportTrace(env_, trace));
 
-  using Kind = obs::MetricsRegistry::Kind;
   obs::MetricsRegistry& reg = Registry();
   reg.ClearValues();
   reg.Set("cost.wall_ms", out.wall_ms);
   reg.Set("cost.elapsed_vt_us",
           static_cast<double>(out.advance.elapsed_vt_us));
-  reg.Set("cost.total_work_us",
-          static_cast<double>(out.advance.total_work_us), Kind::kCounter);
+  reg.Set("cost.total_work_us", static_cast<double>(out.advance.total_work_us));
   if (trace != nullptr) {
-    reg.Set("trace.emitted", static_cast<double>(trace->total_emitted()),
-            Kind::kCounter);
-    reg.Set("trace.dropped", static_cast<double>(trace->total_dropped()),
-            Kind::kCounter);
+    // The chip lanes only: the wall lane's credit waits vary run to run.
+    uint64_t emitted = 0;
+    uint64_t dropped = 0;
+    for (uint32_t i = 0; i < chips(); ++i) {
+      emitted += trace->shard(i)->emitted();
+      dropped += trace->shard(i)->dropped();
+    }
+    reg.Set("trace.emitted", static_cast<double>(emitted));
+    reg.Set("trace.dropped", static_cast<double>(dropped));
   }
   record(&reg);
   if (sharded_ != nullptr) {
     obs::ImportShardedStoreStats(&reg, "store", *sharded_);
   }
-  reg.SnapshotEpoch(reg.num_epochs());
+  reg.SnapshotEpoch();
   return out;
 }
 
-Result<Rig::Cost> Rig::Remount(bool on_executor) {
+Result<Cost> Rig::Remount(bool on_executor) {
   if (on_executor && shape_.flat) {
     return Status::InvalidArgument(
         "a flat rig recovers inline: its store takes no executor");
@@ -241,9 +283,16 @@ Result<Rig> PrepareRig(const ExperimentEnv& env,
   }
   flash::FlashConfig chip_cfg = env.flash_cfg;
   chip_cfg.geometry.num_blocks = blocks / shape.shards;
+  FLASHDB_RETURN_IF_ERROR(chip_cfg.geometry.Check());
+  uint32_t db_pages = env.num_db_pages(shape.shards);
+  if (db_pages == 0) {
+    char util[32];
+    std::snprintf(util, sizeof(util), "%g", env.utilization);
+    return Status::InvalidArgument(std::string("--util=") + util +
+                                   " leaves the database no page");
+  }
 
   Rig out(env, spec, shape, chip_cfg);
-  uint32_t db_pages = env.num_db_pages(shape.shards);
   if (shape.leveling.has_value()) {
     ftl::ShardRouter* router = out.sharded_->router();
     FLASHDB_RETURN_IF_ERROR(router->EnableRebalancing(*shape.leveling));
@@ -299,8 +348,7 @@ Result<PointResult> Rig::Run(uint64_t num_ops, const Execution& ex,
       obs::ImportExecutorStats(reg, "executor", *executor);
     }
   };
-  FLASHDB_ASSIGN_OR_RETURN(const Cost cost, Measure(run, trace, record));
-  result.wall_ms = cost.wall_ms;
+  FLASHDB_ASSIGN_OR_RETURN(result.cost, Measure(run, trace, record));
   return result;
 }
 
@@ -313,8 +361,7 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   flash::FaultInjector* injector,
                                   obs::TraceRecorder* trace) {
   rig->Attach(injector, nullptr);
-  CheckedRun out;
-  FLASHDB_ASSIGN_OR_RETURN(out.run, rig->Run(num_ops, ex, trace));
+  FLASHDB_ASSIGN_OR_RETURN(PointResult run, rig->Run(num_ops, ex, trace));
   if (trace == nullptr) trace = rig->own_trace_.get();
 
   // Run() is the window body at batch 1, so single-op windows replay the
@@ -329,20 +376,12 @@ Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
   const std::unique_ptr<obs::TraceRecorder> twin_trace = TwinRecorder(trace);
   FLASHDB_ASSIGN_OR_RETURN(PointResult replay,
                            twin.Run(num_ops, mirror, twin_trace.get()));
-  if (auto d = FirstDivergence(rig->AsTwin(trace),
-                               twin.AsTwin(twin_trace.get()))) {
-    out.divergence = d->message;
-  } else if (!out.run.stats.SameVirtualAs(replay.stats)) {
-    out.divergence = "virtual RunStats differ";
-  }
-  if (!out.deterministic()) {
-    std::fprintf(stderr,
-                 "replay check FAIL: %s, %u chip(s), batch %u depth %u%s: "
-                 "%s\n",
-                 out.run.method.c_str(), rig->chips(), ex.batch, ex.depth,
-                 ex.threaded ? " threaded" : "", out.divergence.c_str());
-  }
-  return out;
+  char what[128];
+  std::snprintf(what, sizeof(what), "%s, %u chip(s), batch %u depth %u%s",
+                run.method.c_str(), rig->chips(), ex.batch, ex.depth,
+                ex.threaded ? " threaded" : "");
+  return Verdict(std::move(run.stats), run.cost, rig->AsTwin(trace),
+                 twin.AsTwin(twin_trace.get()), replay.stats, what);
 }
 
 Result<Rig> PrepareTpccRig(const methods::MethodSpec& spec,
@@ -381,16 +420,12 @@ Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
         "an update, crashed or remounted rig has no TPC-C driver to serve");
   }
   ftl::ShardExecutor executor(rig->chips());
-  CheckedServe out;
-  const auto serve = [&] {
-    return driver->Serve(num_txns, &executor, &out.stats);
-  };
+  workload::TpccRunStats stats;
+  const auto serve = [&] { return driver->Serve(num_txns, &executor, &stats); };
   const auto record = [&](obs::MetricsRegistry* reg) {
-    obs::ImportTpccStats(reg, "tpcc", out.stats);
+    obs::ImportTpccStats(reg, "tpcc", stats);
   };
-  FLASHDB_ASSIGN_OR_RETURN(const Rig::Cost cost,
-                           rig->Measure(serve, trace, record));
-  out.wall_ms = cost.wall_ms;
+  FLASHDB_ASSIGN_OR_RETURN(const Cost cost, rig->Measure(serve, trace, record));
   if (trace == nullptr) trace = rig->own_trace_.get();
 
   FLASHDB_ASSIGN_OR_RETURN(
@@ -404,20 +439,12 @@ Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
   workload::TpccRunStats replay;
   FLASHDB_RETURN_IF_ERROR(twin.tpcc_->Replay(served, &replay));
   rig->tpcc_log_.insert(rig->tpcc_log_.end(), served.begin(), served.end());
-  if (auto d = FirstDivergence(rig->AsTwin(trace),
-                               twin.AsTwin(twin_trace.get()))) {
-    out.divergence = d->message;
-  } else if (!out.stats.SameVirtualAs(replay)) {
-    out.divergence = "virtual TpccRunStats differ";
-  }
-  if (!out.deterministic()) {
-    std::fprintf(stderr,
-                 "replay check FAIL: TPC-C %s, %u chip(s), %u client(s): "
-                 "%s\n",
-                 std::string(rig->store()->name()).c_str(), rig->chips(),
-                 rig->tpcc_opts_.num_clients, out.divergence.c_str());
-  }
-  return out;
+  char what[128];
+  std::snprintf(what, sizeof(what), "TPC-C %s, %u chip(s), %u client(s)",
+                std::string(rig->store()->name()).c_str(), rig->chips(),
+                rig->tpcc_opts_.num_clients);
+  return Verdict(std::move(stats), cost, rig->AsTwin(trace),
+                 twin.AsTwin(twin_trace.get()), replay, what);
 }
 
 Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,

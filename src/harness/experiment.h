@@ -7,11 +7,13 @@
 // replays their commit log on a twin. Any rig can also crash and remount a
 // fresh store over its chips, to measure recovery.
 //
-// Rig::Measure is the one timer: Execute, ServeChecked and Remount measure
-// through it, and so may a bench. Each measured call on a prepared rig is
-// timed, traced under --trace and recorded as one epoch of the binary's
-// metrics registry (Metrics()), which every --json dump carries; a replay
-// twin, a load and a warm-up are none of these.
+// Rig::Measure is the one timer and the one reader of the chip clocks around
+// a measured call: Execute, ServeChecked and Remount measure through it, and
+// so may a bench, and each returns its Cost (wall ms and clock advance). Each
+// measured call on a prepared rig is timed, traced under --trace and
+// recorded as one epoch of the binary's metrics registry (Metrics()), which
+// every --json dump carries; a replay twin, a load and a warm-up are none of
+// these.
 //
 // Scale note: the paper runs a 1 GB database on a 2 GB chip and warms up
 // until every block was garbage-collected >= 10 times. Virtual-time results
@@ -86,12 +88,31 @@ struct ExperimentEnv {
   static ExperimentEnv FromFlags(const Flags& flags);
 };
 
+/// Virtual time of a measured call over a rig's chips.
+struct ClockAdvance {
+  /// The largest per-chip clock advance: the elapsed time with the chips
+  /// running in parallel.
+  uint64_t elapsed_vt_us = 0;
+  /// The sum of the per-chip advances: total device busy time.
+  uint64_t total_work_us = 0;
+
+  friend bool operator==(const ClockAdvance& a,
+                         const ClockAdvance& b) = default;
+};
+
+/// What one measured call cost: Rig::Measure's one reading of it.
+struct Cost {
+  /// Host wall-clock of the call (never gated: machine-relative).
+  double wall_ms = 0;
+  /// Its chip-clock advance.
+  ClockAdvance advance;
+};
+
 /// One measured point: a method under a workload.
 struct PointResult {
   std::string method;
   workload::RunStats stats;
-  /// Host wall-clock of the measured run (never gated: machine-relative).
-  double wall_ms = 0;
+  Cost cost;
 };
 
 /// How Execute runs the measured operations.
@@ -126,30 +147,23 @@ struct RigSpec {
   workload::WorkloadParams params = {};
 };
 
-/// A measured run and the verdict of its cross-mode replay.
-struct CheckedRun {
-  PointResult run;
+/// A checked call's stats and cost, and the verdict of its replay on a twin.
+template <typename Stats>
+struct Checked {
+  Stats stats;
+  Cost cost;
   /// Empty when the replay agreed: FirstDivergence found every chip (clock,
   /// erase counts, cells) and, when traced, the canonical event stream
-  /// identical, and every virtual RunStats field matched
-  /// (RunStats::SameVirtualAs; the wall-clock credit_wait_ns is excluded).
-  /// Otherwise the first difference.
+  /// identical, and every virtual stats field matched (SameVirtualAs; the
+  /// wall-clock credit_wait_ns is excluded). Otherwise the first difference.
   std::string divergence;
 
   bool deterministic() const { return divergence.empty(); }
 };
-
-/// A TPC-C rig's measured transactions and the verdict of their replay.
-struct CheckedServe {
-  workload::TpccRunStats stats;
-  /// Host wall-clock of the served transactions (never gated).
-  double wall_ms = 0;
-  /// As CheckedRun's, with every virtual TpccRunStats field
-  /// (TpccRunStats::SameVirtualAs).
-  std::string divergence;
-
-  bool deterministic() const { return divergence.empty(); }
-};
+/// A measured update run (ExecuteChecked).
+using CheckedRun = Checked<workload::RunStats>;
+/// A TPC-C rig's measured transactions (ServeChecked).
+using CheckedServe = Checked<workload::TpccRunStats>;
 
 /// Chips, the store over them and its driver at steady state, and the
 /// arguments they were prepared from. Two rigs prepared with equal arguments
@@ -178,18 +192,13 @@ class Rig {
   /// The rig's chips and `trace`, for FirstDivergence.
   Twin AsTwin(const obs::TraceRecorder* trace = nullptr) const;
 
-  /// What one measured call cost.
-  struct Cost {
-    /// Host wall-clock of the call.
-    double wall_ms = 0;
-    /// Its chip-clock advance (workload::ClockAdvanceOf).
-    workload::ClockAdvance advance;
-  };
   /// Runs `fn` with `trace` (chips() lanes) attached while it runs -- when
   /// null, under --trace, a recorder of the harness's -- and returns its
-  /// cost. Under --trace the timeline is exported. Records one epoch of
-  /// Metrics(): the cost, the recorder's emitted and dropped counts when
-  /// traced, and a sharded rig's store stats ("store").
+  /// cost, the only reading of the chip clocks around a measured call.
+  /// Under --trace the timeline is exported. Records one epoch of
+  /// Metrics(): the cost ("cost"), the chip lanes' emitted and dropped event
+  /// counts when traced ("trace"; the wall lane's credit waits vary from run
+  /// to run), and a sharded rig's store stats ("store").
   Result<Cost> Measure(FunctionRef<Status()> fn,
                        obs::TraceRecorder* trace = nullptr);
 
@@ -263,8 +272,10 @@ class Rig {
 /// Builds the store for `spec` on env.flash_cfg's blocks split evenly over
 /// `shape.shards` chips. Each chip keeps env.flash_cfg's meta blocks, which
 /// a sharded store journals its routing in (ShardedStore), and needs 8 data
-/// blocks beside them: fewer is InvalidArgument before any chip is built
-/// (the GC reserve would eat most of the chip). Then loads
+/// blocks beside them (the GC reserve would eat most of a smaller chip).
+/// Fewer blocks, a chip geometry FlashGeometry::Check refuses, or a
+/// utilization that leaves the database no page is InvalidArgument naming
+/// the field, before any chip is built. Then loads
 /// env.num_db_pages(shape.shards) pages -- rounded down to whole buckets
 /// when leveling, so every bucket swap pairs equal buckets -- and warms up
 /// to env's steady state, capped at env.warmup_max_ops operations or, when
@@ -291,8 +302,8 @@ Result<PointResult> Execute(Rig* rig, uint64_t num_ops, const Execution& ex);
 /// depth 4. `injector` (when not null) is attached to both rigs after
 /// warm-up. When the rig's run was traced, the twin's records into a
 /// recorder of its own; the twin records no epoch and exports no timeline.
-/// Returns the rig's run and the verdict, and prints a failed verdict's
-/// divergence to stderr; the rig stays the caller's to inspect.
+/// Returns the rig's run stats and cost and the verdict, and prints a failed
+/// verdict's divergence to stderr; the rig stays the caller's to inspect.
 Result<CheckedRun> ExecuteChecked(Rig* rig, uint64_t num_ops,
                                   const Execution& ex,
                                   flash::FaultInjector* injector = nullptr,
@@ -322,8 +333,8 @@ Result<Rig> PrepareTpccRig(const methods::MethodSpec& spec,
 /// Measure says; its epoch adds the TPC-C stats ("tpcc"). When it was
 /// traced, the twin records the replayed serve into a recorder of its own.
 /// InvalidArgument for an update, crashed or remounted rig. Returns the
-/// rig's serve and the verdict, and prints a failed verdict's divergence to
-/// stderr.
+/// rig's serve stats and cost and the verdict (ExecuteChecked's comparison
+/// step), and prints a failed verdict's divergence to stderr.
 Result<CheckedServe> ServeChecked(Rig* rig, uint64_t num_txns,
                                   obs::TraceRecorder* trace = nullptr);
 
@@ -338,8 +349,8 @@ Result<PointResult> RunWorkloadPoint(const ExperimentEnv& env,
 std::vector<std::string> PaperMethodHeader(std::string first);
 
 /// The binary's metrics registry: one epoch per Rig::Measure call on a
-/// prepared rig, holding only the values that call set. JsonDump writes it
-/// as "metrics".
+/// prepared rig, holding only the values that call set, each under one
+/// name. JsonDump writes it as "metrics".
 const obs::MetricsRegistry& Metrics();
 
 }  // namespace flashdb::harness

@@ -12,8 +12,6 @@ namespace flashdb::obs {
 
 namespace {
 
-using Kind = MetricsRegistry::Kind;
-
 /// Stable dotted-name suffix for a device accounting category.
 const char* CategorySlug(int c) {
   switch (static_cast<flash::OpCategory>(c)) {
@@ -31,15 +29,12 @@ const char* CategorySlug(int c) {
 
 void ImportOpCounters(MetricsRegistry* reg, const std::string& prefix,
                       const flash::OpCounters& c) {
-  reg->Set(prefix + ".reads", static_cast<double>(c.reads), Kind::kCounter);
-  reg->Set(prefix + ".writes", static_cast<double>(c.writes), Kind::kCounter);
-  reg->Set(prefix + ".erases", static_cast<double>(c.erases), Kind::kCounter);
-  reg->Set(prefix + ".read_us", static_cast<double>(c.read_us),
-           Kind::kCounter);
-  reg->Set(prefix + ".write_us", static_cast<double>(c.write_us),
-           Kind::kCounter);
-  reg->Set(prefix + ".erase_us", static_cast<double>(c.erase_us),
-           Kind::kCounter);
+  reg->Set(prefix + ".reads", static_cast<double>(c.reads));
+  reg->Set(prefix + ".writes", static_cast<double>(c.writes));
+  reg->Set(prefix + ".erases", static_cast<double>(c.erases));
+  reg->Set(prefix + ".read_us", static_cast<double>(c.read_us));
+  reg->Set(prefix + ".write_us", static_cast<double>(c.write_us));
+  reg->Set(prefix + ".erase_us", static_cast<double>(c.erase_us));
 }
 
 void ImportWorstOp(MetricsRegistry* reg, const std::string& prefix,
@@ -57,22 +52,19 @@ void ImportWorstOp(MetricsRegistry* reg, const std::string& prefix,
 
 void ImportHistogram(MetricsRegistry* reg, const std::string& prefix,
                      const workload::LatencyHistogram& h) {
-  reg->Set(prefix + ".count", static_cast<double>(h.count()), Kind::kHist);
-  reg->Set(prefix + ".mean", h.mean(), Kind::kHist);
-  reg->Set(prefix + ".p50", static_cast<double>(h.p50()), Kind::kHist);
-  reg->Set(prefix + ".p95", static_cast<double>(h.ValueAtPercentile(95.0)),
-           Kind::kHist);
-  reg->Set(prefix + ".p99", static_cast<double>(h.p99()), Kind::kHist);
-  reg->Set(prefix + ".p999", static_cast<double>(h.p999()), Kind::kHist);
-  reg->Set(prefix + ".max", static_cast<double>(h.max()), Kind::kHist);
+  reg->Set(prefix + ".count", static_cast<double>(h.count()));
+  reg->Set(prefix + ".mean", h.mean());
+  reg->Set(prefix + ".p50", static_cast<double>(h.p50()));
+  reg->Set(prefix + ".p95", static_cast<double>(h.ValueAtPercentile(95.0)));
+  reg->Set(prefix + ".p99", static_cast<double>(h.p99()));
+  reg->Set(prefix + ".p999", static_cast<double>(h.p999()));
+  reg->Set(prefix + ".max", static_cast<double>(h.max()));
 }
 
 void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
                     const workload::RunStats& s) {
-  reg->Set(prefix + ".operations", static_cast<double>(s.operations),
-           Kind::kCounter);
-  reg->Set(prefix + ".update_ops", static_cast<double>(s.update_ops),
-           Kind::kCounter);
+  reg->Set(prefix + ".operations", static_cast<double>(s.operations));
+  reg->Set(prefix + ".update_ops", static_cast<double>(s.update_ops));
   reg->Set(prefix + ".read_us_per_op", s.read_us_per_op());
   reg->Set(prefix + ".write_us_per_op", s.write_us_per_op());
   reg->Set(prefix + ".overall_us_per_op", s.overall_us_per_op());
@@ -82,26 +74,18 @@ void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
       ImportOpCounters(reg, prefix + "." + CategorySlug(c), oc);
     }
   }
-  reg->Set(prefix + ".erases", static_cast<double>(s.device.total.erases),
-           Kind::kCounter);
-  reg->Set(prefix + ".migrations", static_cast<double>(s.migrations),
-           Kind::kCounter);
+  reg->Set(prefix + ".erases", static_cast<double>(s.device.total.erases));
+  reg->Set(prefix + ".migrations", static_cast<double>(s.migrations));
   reg->Set(prefix + ".scrub_candidates",
-           static_cast<double>(s.scrub_candidates), Kind::kCounter);
+           static_cast<double>(s.scrub_candidates));
   reg->Set(prefix + ".scrub_relocations",
-           static_cast<double>(s.scrub_relocations), Kind::kCounter);
+           static_cast<double>(s.scrub_relocations));
   reg->Set(prefix + ".read_retries",
-           static_cast<double>(s.device.integrity.read_retries),
-           Kind::kCounter);
+           static_cast<double>(s.device.integrity.read_retries));
   reg->Set(prefix + ".retry_us",
-           static_cast<double>(s.device.integrity.retry_us), Kind::kCounter);
-  reg->Set(prefix + ".plane_stall_us", static_cast<double>(s.plane_stall_us),
-           Kind::kCounter);
-  reg->Set(prefix + ".elapsed_vt_us", static_cast<double>(s.elapsed_vt_us));
-  reg->Set(prefix + ".total_work_us", static_cast<double>(s.total_work_us),
-           Kind::kCounter);
-  reg->Set(prefix + ".credit_wait_ns", static_cast<double>(s.credit_wait_ns),
-           Kind::kCounter);
+           static_cast<double>(s.device.integrity.retry_us));
+  reg->Set(prefix + ".plane_stall_us", static_cast<double>(s.plane_stall_us));
+  reg->Set(prefix + ".credit_wait_ns", static_cast<double>(s.credit_wait_ns));
   if (s.latency.count() != 0) {
     ImportHistogram(reg, prefix + ".latency", s.latency);
   }
@@ -110,13 +94,8 @@ void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
 
 void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
                      const workload::TpccRunStats& s) {
-  reg->Set(prefix + ".transactions", static_cast<double>(s.latency.count()),
-           Kind::kCounter);
-  reg->Set(prefix + ".elapsed_vt_us", static_cast<double>(s.elapsed_vt_us));
-  reg->Set(prefix + ".total_work_us", static_cast<double>(s.total_work_us),
-           Kind::kCounter);
-  reg->Set(prefix + ".credit_wait_ns", static_cast<double>(s.credit_wait_ns),
-           Kind::kCounter);
+  reg->Set(prefix + ".transactions", static_cast<double>(s.latency.count()));
+  reg->Set(prefix + ".credit_wait_ns", static_cast<double>(s.credit_wait_ns));
   if (s.latency.count() != 0) {
     ImportHistogram(reg, prefix + ".latency", s.latency);
   }
@@ -127,7 +106,7 @@ void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
     const std::string p =
         prefix + ".type." +
         workload::TpccTxnTypeName(static_cast<workload::TpccTxnType>(t));
-    reg->Set(p + ".count", static_cast<double>(h.count()), Kind::kCounter);
+    reg->Set(p + ".count", static_cast<double>(h.count()));
     ImportHistogram(reg, p + ".latency", h);
   }
 }
@@ -138,18 +117,14 @@ void ImportExecutorStats(MetricsRegistry* reg, const std::string& prefix,
   uint64_t completed = 0;
   for (uint32_t w = 0; w < ex.num_workers(); ++w) {
     const std::string p = prefix + ".worker" + std::to_string(w);
-    reg->Set(p + ".submitted", static_cast<double>(ex.submitted_count(w)),
-             Kind::kCounter);
-    reg->Set(p + ".completed", static_cast<double>(ex.completed_count(w)),
-             Kind::kCounter);
+    reg->Set(p + ".submitted", static_cast<double>(ex.submitted_count(w)));
+    reg->Set(p + ".completed", static_cast<double>(ex.completed_count(w)));
     reg->Set(p + ".in_flight", static_cast<double>(ex.in_flight(w)));
     submitted += ex.submitted_count(w);
     completed += ex.completed_count(w);
   }
-  reg->Set(prefix + ".submitted", static_cast<double>(submitted),
-           Kind::kCounter);
-  reg->Set(prefix + ".completed", static_cast<double>(completed),
-           Kind::kCounter);
+  reg->Set(prefix + ".submitted", static_cast<double>(submitted));
+  reg->Set(prefix + ".completed", static_cast<double>(completed));
   reg->Set(prefix + ".workers", static_cast<double>(ex.num_workers()));
   reg->Set(prefix + ".pinned_workers",
            static_cast<double>(ex.pinned_workers()));
@@ -164,7 +139,7 @@ void ImportShardedStoreStats(MetricsRegistry* reg, const std::string& prefix,
   }
   reg->Set(prefix + ".shard_lag_us", static_cast<double>(store.shard_lag_us()));
   reg->Set(prefix + ".journal_epochs",
-           static_cast<double>(store.journal_epochs()), Kind::kCounter);
+           static_cast<double>(store.journal_epochs()));
 }
 
 }  // namespace flashdb::obs

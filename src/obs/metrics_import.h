@@ -9,7 +9,9 @@
 //
 // Naming convention: "<prefix>.<field>", e.g. "run.gc.erases",
 // "run.latency.p999", "executor.worker0.in_flight". Histograms import as
-// Kind::kHist summary fields (count/mean/p50/p95/p99/p999/max).
+// summary fields (count/mean/p50/p95/p99/p999/max). A measured call's clock
+// advance is no importer's: Rig::Measure reads it once and records it as
+// "cost.elapsed_vt_us" and "cost.total_work_us".
 
 #ifndef FLASHDB_OBS_METRICS_IMPORT_H_
 #define FLASHDB_OBS_METRICS_IMPORT_H_
@@ -35,13 +37,13 @@ void ImportHistogram(MetricsRegistry* reg, const std::string& prefix,
                      const workload::LatencyHistogram& h);
 
 /// Workload run breakdown: per-op figures, one <prefix>.<category>.* group
-/// per device category the run touched, stall attribution, elapsed and
-/// total virtual time, credit_wait, latency histogram, worst-op attribution.
+/// per device category the run touched, stall attribution, credit_wait,
+/// latency histogram, worst-op attribution.
 void ImportRunStats(MetricsRegistry* reg, const std::string& prefix,
                     const workload::RunStats& s);
 
 /// TPC-C serving stats: txn counts (total and per type), latency histograms,
-/// elapsed/total virtual time, credit_wait.
+/// worst-transaction attribution, credit_wait.
 void ImportTpccStats(MetricsRegistry* reg, const std::string& prefix,
                      const workload::TpccRunStats& s);
 

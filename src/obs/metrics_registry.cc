@@ -1,5 +1,6 @@
 #include "obs/metrics_registry.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -7,70 +8,36 @@
 
 namespace flashdb::obs {
 
-const char* MetricsRegistry::KindName(Kind k) {
-  switch (k) {
-    case Kind::kCounter: return "counter";
-    case Kind::kGauge: return "gauge";
-    case Kind::kHist: return "hist";
-  }
-  return "unknown";
-}
-
-MetricsRegistry::Metric* MetricsRegistry::Find(const std::string& name) {
-  auto it = map_.find(name);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-const MetricsRegistry::Metric* MetricsRegistry::Find(
-    const std::string& name) const {
-  auto it = map_.find(name);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-void MetricsRegistry::Set(const std::string& name, double value, Kind kind) {
-  Metric* m = Find(name);
-  if (m == nullptr) {
+void MetricsRegistry::Set(const std::string& name, double value) {
+  const auto [it, added] = index_.try_emplace(name, names_.size());
+  if (added) {
     names_.push_back(name);
-    m = &map_[name];
-    m->kind = kind;
+    values_.push_back(0);
   }
-  m->value = value;
-}
-
-void MetricsRegistry::Inc(const std::string& name, double delta) {
-  Metric* m = Find(name);
-  if (m == nullptr) {
-    names_.push_back(name);
-    m = &map_[name];
-    m->kind = Kind::kCounter;
-  }
-  m->value += delta;
+  values_[it->second] = value;
 }
 
 bool MetricsRegistry::Has(const std::string& name) const {
-  return Find(name) != nullptr;
+  return index_.contains(name);
 }
 
 double MetricsRegistry::Get(const std::string& name) const {
-  const Metric* m = Find(name);
-  return m == nullptr ? 0.0 : m->value;
-}
-
-MetricsRegistry::Kind MetricsRegistry::kind(const std::string& name) const {
-  const Metric* m = Find(name);
-  return m == nullptr ? Kind::kGauge : m->kind;
+  const auto it = index_.find(name);
+  return it == index_.end() ? 0.0 : values_[it->second];
 }
 
 void MetricsRegistry::ClearValues() {
-  for (auto& [name, metric] : map_) metric.value = 0;
+  std::fill(values_.begin(), values_.end(), 0.0);
 }
 
-void MetricsRegistry::SnapshotEpoch(uint64_t id) {
-  Epoch e;
-  e.id = id;
-  e.values.reserve(names_.size());
-  for (const std::string& n : names_) e.values.push_back(Get(n));
-  epochs_.push_back(std::move(e));
+void MetricsRegistry::SnapshotEpoch() { epochs_.push_back(values_); }
+
+std::map<std::string, double> MetricsRegistry::Epoch(size_t e) const {
+  std::map<std::string, double> out;
+  for (size_t i = 0; i < epochs_[e].size(); ++i) {
+    out[names_[i]] = epochs_[e][i];
+  }
+  return out;
 }
 
 namespace {
@@ -103,28 +70,15 @@ void EmitString(std::ostream& os, const std::string& s) {
 }  // namespace
 
 void MetricsRegistry::WriteJson(std::ostream& os) const {
-  os << "{\"values\":{";
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (i != 0) os << ',';
-    EmitString(os, names_[i]);
-    os << ':';
-    EmitNumber(os, Get(names_[i]));
-  }
-  os << "},\"kinds\":{";
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (i != 0) os << ',';
-    EmitString(os, names_[i]);
-    os << ":\"" << KindName(kind(names_[i])) << '"';
-  }
-  os << "},\"epochs\":[";
+  os << "{\"epochs\":[";
   for (size_t e = 0; e < epochs_.size(); ++e) {
     if (e != 0) os << ',';
-    os << "{\"epoch\":" << epochs_[e].id << ",\"values\":{";
-    for (size_t i = 0; i < epochs_[e].values.size(); ++i) {
+    os << "{\"epoch\":" << e << ",\"values\":{";
+    for (size_t i = 0; i < epochs_[e].size(); ++i) {
       if (i != 0) os << ',';
       EmitString(os, names_[i]);
       os << ':';
-      EmitNumber(os, epochs_[e].values[i]);
+      EmitNumber(os, epochs_[e][i]);
     }
     os << "}}";
   }

@@ -1,7 +1,5 @@
 #include "workload/run_accounting.h"
 
-#include <algorithm>
-
 #include "flash/flash_device.h"
 
 namespace flashdb::workload {
@@ -28,17 +26,6 @@ WorstOpSample CostSince(const CostSnap& before, flash::FlashDevice* dev,
                        .meta_us = now.meta_us - before.meta_us,
                        .pid = pid,
                        .valid = true};
-}
-
-ClockAdvance ClockAdvanceOf(std::span<const uint64_t> before,
-                            std::span<const uint64_t> after) {
-  ClockAdvance adv;
-  for (size_t i = 0; i < after.size(); ++i) {
-    const uint64_t delta = after[i] - before[i];
-    adv.elapsed_vt_us = std::max(adv.elapsed_vt_us, delta);
-    adv.total_work_us += delta;
-  }
-  return adv;
 }
 
 }  // namespace flashdb::workload

@@ -3,15 +3,14 @@
 //   * WorstOpSample / CostSnap -- one op's (or transaction's) virtual cost,
 //     a delta of its owning chip's clock and by-category counters;
 //   * OpSamples -- the latency distribution and slowest op of a shard or of
-//     a whole run, folded across shards in shard-index order;
-//   * ClockAdvanceOf -- per-chip clocks before and after a run turned into
-//     its elapsed time (the largest advance) and total work (the sum).
+//     a whole run, folded across shards in shard-index order.
+// A run's elapsed time and total work are no driver's: harness::Rig::Measure
+// reads the chip clocks around the measured call, once.
 
 #ifndef FLASHDB_WORKLOAD_RUN_ACCOUNTING_H_
 #define FLASHDB_WORKLOAD_RUN_ACCOUNTING_H_
 
 #include <cstdint>
-#include <span>
 
 #include "ftl/page_store.h"
 #include "workload/latency_histogram.h"
@@ -87,20 +86,6 @@ struct OpSamples {
   }
   friend bool operator==(const OpSamples& a, const OpSamples& b) = default;
 };
-
-/// Virtual time of a run over one or more chips.
-struct ClockAdvance {
-  /// The largest per-chip clock advance: the elapsed time with the chips
-  /// running in parallel.
-  uint64_t elapsed_vt_us = 0;
-  /// The sum of the per-chip advances: total device busy time.
-  uint64_t total_work_us = 0;
-};
-/// The one rule turning per-chip clocks read before and after a run (equal
-/// lengths, chip order) into its ClockAdvance. Each chip's own advance
-/// counts, so a chip whose clock started behind still reports its work.
-ClockAdvance ClockAdvanceOf(std::span<const uint64_t> before,
-                            std::span<const uint64_t> after);
 
 }  // namespace flashdb::workload
 

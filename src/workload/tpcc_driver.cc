@@ -98,14 +98,9 @@ TpccDriver::Draw TpccDriver::DrawNext(uint64_t txn_index) {
   return d;
 }
 
-void TpccDriver::FoldStats(const std::vector<uint64_t>& clocks_before,
-                           const std::vector<TpccTypeSamples>& acc,
+void TpccDriver::FoldStats(const std::vector<TpccTypeSamples>& acc,
                            uint64_t wait_ns, TpccRunStats* out) {
   if (out == nullptr) return;
-  const ClockAdvance adv =
-      ClockAdvanceOf(clocks_before, store_->shard_clocks());
-  out->elapsed_vt_us += adv.elapsed_vt_us;
-  out->total_work_us += adv.total_work_us;
   out->credit_wait_ns += wait_ns;
   for (const TpccTypeSamples& shard : acc) {
     for (uint32_t t = 0; t < kNumTpccTxnTypes; ++t) {
@@ -128,7 +123,6 @@ Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
   commit_log_.reserve(num_txns);
   std::vector<TpccTypeSamples> acc(n);
   uint64_t wait_ns = 0;
-  const std::vector<uint64_t> clocks_before = store_->shard_clocks();
   CreditStream credits(executor, n, opts_.max_inflight_per_shard, &wait_ns,
                        wall_trace_);
   for (uint64_t i = 0; i < num_txns && !credits.failed(); ++i) {
@@ -148,10 +142,10 @@ Status TpccDriver::Serve(uint64_t num_txns, ftl::ShardExecutor* executor,
         },
         [this, commit] { commit_log_.push_back(commit); });
   }
-  // The drain also publishes the workers' device mutations to this thread
-  // before FoldStats snapshots the clocks.
+  // The drain also publishes the workers' samples to this thread before
+  // FoldStats reads them.
   const Status st = credits.Drain();
-  FoldStats(clocks_before, acc, wait_ns, out);
+  FoldStats(acc, wait_ns, out);
   return st;
 }
 
@@ -167,14 +161,13 @@ Status TpccDriver::Replay(const TpccCommitLog& log, TpccRunStats* out) {
     }
   }
   std::vector<TpccTypeSamples> acc(store_->num_shards());
-  const std::vector<uint64_t> clocks_before = store_->shard_clocks();
   Status st;
   for (const TpccCommit& c : log) {
     const uint32_t s = shard_of_warehouse(c.warehouse);
     st = ExecuteTxn(s, c.type, c.warehouse, c.client, &acc[s]);
     if (!st.ok()) break;
   }
-  FoldStats(clocks_before, acc, /*wait_ns=*/0, out);
+  FoldStats(acc, /*wait_ns=*/0, out);
   return st;
 }
 

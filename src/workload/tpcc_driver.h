@@ -92,15 +92,12 @@ using TpccTypeSamples = std::array<OpSamples, kNumTpccTxnTypes>;
 /// advance of its shard's virtual clock across the whole transaction
 /// (including its flush); the worst-op sample carries the same GC/meta
 /// attribution as the page-op layer, with `pid` holding the warehouse id.
+/// The call's elapsed time and total work are the chip-clock advance that
+/// harness::Rig::Measure reads around it.
 struct TpccRunStats : OpSamples {
   /// The same samples split by type; by_type[t].latency.count() is the
   /// number of type-t transactions.
   TpccTypeSamples by_type;
-  /// Largest per-shard clock advance of the run (ClockAdvanceOf): the
-  /// serving-throughput denominator when the chips run in parallel.
-  uint64_t elapsed_vt_us = 0;
-  /// Sum of the per-shard clock advances (total device busy time).
-  uint64_t total_work_us = 0;
   /// Wall-clock time the producer spent parked on per-shard credits
   /// (threaded Serve only; wall time, excluded from determinism checks).
   uint64_t credit_wait_ns = 0;
@@ -193,11 +190,9 @@ class TpccDriver {
                     TpccTypeSamples* acc);
   /// Folds the per-shard accumulators `acc` in shard-index order (Merge is
   /// commutative and Offer order-stable, so the fold equals the sequential
-  /// replay's), the clock advance since `clocks_before` and `wait_ns` into
-  /// `*out` (no-op when null).
-  void FoldStats(const std::vector<uint64_t>& clocks_before,
-                 const std::vector<TpccTypeSamples>& acc, uint64_t wait_ns,
-                 TpccRunStats* out);
+  /// replay's) and `wait_ns` into `*out` (no-op when null).
+  static void FoldStats(const std::vector<TpccTypeSamples>& acc,
+                        uint64_t wait_ns, TpccRunStats* out);
 
   ftl::ShardedStore* store_;
   TpccDriverOptions opts_;

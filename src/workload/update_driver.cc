@@ -110,7 +110,6 @@ Status UpdateDriver::Warmup(double erases_per_block, uint64_t max_ops) {
 
 Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
   const flash::FlashStats stats0 = store_->stats();
-  const std::vector<uint64_t> clocks0 = ChipClocks();
   OpSamples samples;
   uint64_t ops = 0;
   uint64_t update_ops = 0;
@@ -122,7 +121,7 @@ Status UpdateDriver::Run(uint64_t num_ops, RunStats* out) {
         if (op->is_update) ++update_ops;
         return true;
       }));
-  AccumulateRunStats(stats0, clocks0, ops, update_ops, samples, out);
+  AccumulateRunStats(stats0, ops, update_ops, samples, out);
   return Status::OK();
 }
 
@@ -265,13 +264,7 @@ Status UpdateDriver::RunShardWindow(ShardStream* s, size_t begin, size_t end) {
   return FlushShardWindow(s);
 }
 
-std::vector<uint64_t> UpdateDriver::ChipClocks() {
-  if (sharded_ != nullptr) return sharded_->shard_clocks();
-  return {store_->device()->clock().now_us()};
-}
-
 void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
-                                      const std::vector<uint64_t>& clocks0,
                                       uint64_t operations, uint64_t update_ops,
                                       const OpSamples& samples,
                                       RunStats* out) {
@@ -280,9 +273,6 @@ void UpdateDriver::AccumulateRunStats(const flash::FlashStats& before,
   const flash::FlashStats after = store_->stats();
   out->device += after - before;
   out->plane_stall_us += after.plane_stall_us() - before.plane_stall_us();
-  const ClockAdvance adv = ClockAdvanceOf(clocks0, ChipClocks());
-  out->elapsed_vt_us += adv.elapsed_vt_us;
-  out->total_work_us += adv.total_work_us;
   out->Merge(samples);
 }
 
@@ -306,7 +296,6 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
         "boundaries, and a run of one epoch has none");
   }
   const flash::FlashStats stats0 = store_->stats();
-  const std::vector<uint64_t> clocks0 = ChipClocks();
   OpSamples samples;
   const ChunkSpan all(schedule);
   // Epoch splitting applies whenever it is configured -- even with the
@@ -333,8 +322,7 @@ Status UpdateDriver::RunPipelined(const Schedule& schedule,
   }
   uint64_t update_ops = 0;
   for (const PlannedOp& op : schedule) update_ops += op.is_update ? 1 : 0;
-  AccumulateRunStats(stats0, clocks0, schedule.size(), update_ops, samples,
-                     out);
+  AccumulateRunStats(stats0, schedule.size(), update_ops, samples, out);
   return Status::OK();
 }
 

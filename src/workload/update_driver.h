@@ -84,12 +84,14 @@ struct WorkloadParams {
   bool record_latency = false;
 };
 
-/// Virtual-time breakdown of a measured run. The OpSamples base holds the
-/// per-operation latency (WorkloadParams::record_latency only): the
-/// distribution of per-op virtual latency in microseconds, merged across
-/// shards by counter addition so it is bit-identical across the inline and
-/// threaded executions of one schedule, and the slowest op with its
-/// per-cause attribution. Both stay empty when recording is off.
+/// Virtual-time breakdown of a measured run: what its operations did on the
+/// device, by category. Its elapsed time and total work are the chip-clock
+/// advance that harness::Rig::Measure reads around the call. The OpSamples
+/// base holds the per-operation latency (WorkloadParams::record_latency
+/// only): the distribution of per-op virtual latency in microseconds, merged
+/// across shards by counter addition so it is bit-identical across the
+/// inline and threaded executions of one schedule, and the slowest op with
+/// its per-cause attribution. Both stay empty when recording is off.
 /// Epoch-boundary work (bucket migration, scrub sweeps, the migration
 /// journal) runs while the shards are quiescent and belongs to no operation,
 /// so it appears in the migrate/scrub/meta counters but never in the
@@ -115,11 +117,6 @@ struct RunStats : OpSamples {
   /// plane of the chip was idle (delta of FlashStats::plane_stall_us over
   /// every chip). 0 on single-plane geometries.
   uint64_t plane_stall_us = 0;
-  /// Largest per-chip virtual-clock advance across the run (ClockAdvanceOf):
-  /// the denominator for device-parallel throughput.
-  uint64_t elapsed_vt_us = 0;
-  /// Sum of the per-chip clock advances: total device busy time.
-  uint64_t total_work_us = 0;
   /// Wall-clock nanoseconds the producer spent parked waiting for a
   /// per-shard credit (threaded RunPipelined only; 0 elsewhere). Wall time,
   /// not virtual time: excluded from determinism comparisons.
@@ -306,12 +303,9 @@ class UpdateDriver {
   /// folds the streams' latency samples into `*samples` in shard order.
   Status RunChunk(ChunkSpan chunk, uint32_t batch_size, uint32_t max_inflight,
                   ftl::ShardExecutor* executor, OpSamples* samples);
-  /// Per-chip virtual clocks in shard order (one for a flat store).
-  std::vector<uint64_t> ChipClocks();
-  /// Folds the op counts, the device-stats and clock deltas since
-  /// `before` / `clocks0`, and the run's latency samples into `*out`.
+  /// Folds the op counts, the device-stats delta since `before` and the
+  /// run's latency samples into `*out`.
   void AccumulateRunStats(const flash::FlashStats& before,
-                          const std::vector<uint64_t>& clocks0,
                           uint64_t operations, uint64_t update_ops,
                           const OpSamples& samples, RunStats* out);
   /// Epoch boundary (shards quiescent): feeds the finished chunk's write

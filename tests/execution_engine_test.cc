@@ -123,7 +123,7 @@ TEST(RecordingTest, LatencyAndTracingChangeNothing) {
   ASSERT_TRUE(spec.ok());
   obs::TraceRecorder recorder(2);
   std::vector<harness::Rig> rigs;
-  std::vector<RunStats> stats;
+  std::vector<harness::PointResult> runs;
   for (int on = 0; on < 3; ++on) {
     harness::RigSpec shape{.shards = 2};
     shape.params.record_latency = on >= 1;
@@ -132,14 +132,15 @@ TEST(RecordingTest, LatencyAndTracingChangeNothing) {
     if (on == 2) rig->Attach(nullptr, &recorder);
     auto run = harness::Execute(&*rig, 500, {.batch = 8, .depth = 1});
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    stats.push_back(run->stats);
+    runs.push_back(*run);
     rigs.push_back(std::move(*rig));
   }
   EXPECT_TRUE(SameTwins(rigs[0].AsTwin(), rigs[1].AsTwin()));
-  EXPECT_EQ(stats[0].elapsed_vt_us, stats[1].elapsed_vt_us);
+  EXPECT_EQ(runs[0].cost.advance, runs[1].cost.advance);
   // Tracing keeps every virtual field, the histogram and worst op included.
   EXPECT_TRUE(SameTwins(rigs[1].AsTwin(), rigs[2].AsTwin()));
-  EXPECT_TRUE(stats[1].SameVirtualAs(stats[2]));
+  EXPECT_TRUE(runs[1].stats.SameVirtualAs(runs[2].stats));
+  EXPECT_EQ(runs[1].cost.advance, runs[2].cost.advance);
   EXPECT_GT(recorder.total_emitted(), 0u);
 }
 

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "flash/fault_injector.h"
 #include "harness/experiment.h"
@@ -188,8 +190,8 @@ TEST(CheckedRunTest, SequentialRunReplaysThreaded) {
 
   auto checked = ExecuteChecked(&rig.value(), env.measure_ops, Execution{});
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
-  EXPECT_EQ(checked->run.stats.operations, env.measure_ops);
-  EXPECT_GT(checked->run.stats.overall_us_per_op(), 0.0);
+  EXPECT_EQ(checked->stats.operations, env.measure_ops);
+  EXPECT_GT(checked->stats.overall_us_per_op(), 0.0);
   EXPECT_TRUE(checked->deterministic());
 }
 
@@ -222,7 +224,7 @@ TEST(CheckedRunTest, InlineRunReplaysThreaded) {
   auto checked = ExecuteChecked(&rig.value(), env.measure_ops, inline_ex);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
   // The skew must make the rebalancer act, or the replay proves little.
-  EXPECT_GT(checked->run.stats.migrations, 0u);
+  EXPECT_GT(checked->stats.migrations, 0u);
   EXPECT_TRUE(checked->deterministic());
 }
 
@@ -239,7 +241,7 @@ TEST(CheckedRunTest, RunsThatDifferFailTheVerdict) {
   auto checked = ExecuteChecked(&rig.value(), env.measure_ops, Execution{},
                                 &injector);
   ASSERT_TRUE(checked.ok()) << checked.status().ToString();
-  EXPECT_EQ(checked->run.stats.device.integrity.read_retries, 1u);
+  EXPECT_EQ(checked->stats.device.integrity.read_retries, 1u);
   EXPECT_FALSE(checked->deterministic());
   // The retry pass moved the clock and nothing else.
   EXPECT_EQ(checked->divergence.rfind("chip 0 clock", 0), 0u)
@@ -404,6 +406,38 @@ TEST(RigTest, RemountInlineAndOnExecutorLeaveIdenticalChips) {
   }
 }
 
+// A geometry the flash layer refuses, or a utilization that leaves the
+// database no page, is InvalidArgument naming the field before any chip is
+// built: IPL would divide by a page size of 0, and a chip without planes
+// would abort.
+TEST(RigTest, RejectsABadGeometryOrUtilizationBeforeBuildingAChip) {
+  const auto spec = methods::ParseMethodSpec("IPL(18KB)");
+  ASSERT_TRUE(spec.ok());
+  struct Probe {
+    const char* field;
+    void (*edit)(ExperimentEnv*);
+  };
+  const Probe probes[] = {
+      {"data_size",
+       [](ExperimentEnv* e) { e->flash_cfg.geometry.data_size = 0; }},
+      {"planes_per_die",
+       [](ExperimentEnv* e) { e->flash_cfg.geometry.planes_per_die = 0; }},
+      {"dies_per_chip",
+       [](ExperimentEnv* e) { e->flash_cfg.geometry.dies_per_chip = 0; }},
+      {"--util=0", [](ExperimentEnv* e) { e->utilization = 0; }},
+      {"--util=-0.5", [](ExperimentEnv* e) { e->utilization = -0.5; }},
+  };
+  for (const Probe& probe : probes) {
+    ExperimentEnv env = SmallRigEnv();
+    probe.edit(&env);
+    const auto rig = PrepareRig(env, *spec, RigSpec{.flat = true});
+    ASSERT_FALSE(rig.ok()) << probe.field;
+    EXPECT_TRUE(rig.status().IsInvalidArgument()) << rig.status().ToString();
+    EXPECT_NE(rig.status().ToString().find(probe.field), std::string::npos)
+        << rig.status().ToString();
+  }
+}
+
 TEST(RigTest, RejectsFlatRigWithLeveling) {
   const ExperimentEnv env = SmallRigEnv();
   const auto spec = methods::ParseMethodSpec("OPU");
@@ -434,7 +468,8 @@ TEST(MetricsTest, EveryMeasuredCallAddsOneEpochOfItsOwn) {
   EXPECT_EQ(metrics.num_epochs(), ++epochs);  // not the twin's replay
   EXPECT_EQ(metrics.Get("run.operations"), env.measure_ops);
   EXPECT_EQ(metrics.Get("cost.elapsed_vt_us"),
-            checked->run.stats.elapsed_vt_us);
+            checked->cost.advance.elapsed_vt_us);
+  EXPECT_FALSE(metrics.Has("run.elapsed_vt_us"));  // one name per value
   EXPECT_EQ(metrics.Get("executor.workers"), 2);
   EXPECT_GT(metrics.Get("store.shard1.clock_us"), 0);
   EXPECT_FALSE(metrics.Has("tpcc.transactions"));
@@ -490,6 +525,42 @@ TEST(MetricsTest, EveryMeasuredCallAddsOneEpochOfItsOwn) {
     ++dumped;
   }
   EXPECT_EQ(dumped, epochs);
+}
+
+// Two identically prepared, traced, threaded checked runs write the same
+// epoch but for host time: the wall clock and the producer's credit waits.
+// A traced epoch counts the chip lanes' events only, so a wall-lane credit
+// wait that one run took and the other did not moves nothing.
+TEST(MetricsTest, IdenticalRunsWriteEpochsThatDifferOnlyInHostTime) {
+  const ExperimentEnv env = SmallRigEnv();
+  const auto spec = methods::ParseMethodSpec("OPU");
+  ASSERT_TRUE(spec.ok());
+  RigSpec shape{.shards = 2};
+  shape.params.record_latency = true;
+  const Execution threaded{.batch = 4, .depth = 2, .threaded = true};
+  const obs::MetricsRegistry& metrics = Metrics();
+  for (int i = 0; i < 2; ++i) {
+    auto rig = PrepareRig(env, *spec, shape);
+    ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+    obs::TraceRecorder trace(rig->chips());
+    if (i == 0) trace.wall_lane()->Emit(obs::TraceCat::kCreditWait, 1, 0);
+    auto checked = ExecuteChecked(&rig.value(), env.measure_ops, threaded,
+                                  nullptr, &trace);
+    ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+    EXPECT_TRUE(checked->deterministic()) << checked->divergence;
+    EXPECT_EQ(metrics.Get("trace.emitted"),
+              trace.shard(0)->emitted() + trace.shard(1)->emitted());
+  }
+  const size_t n = metrics.num_epochs();
+  std::map<std::string, double> first = metrics.Epoch(n - 2);
+  std::map<std::string, double> second = metrics.Epoch(n - 1);
+  EXPECT_GT(first.at("trace.emitted"), 0);
+  EXPECT_GT(first.at("run.latency.count"), 0);
+  for (const char* host : {"cost.wall_ms", "run.credit_wait_ns"}) {
+    first.erase(host);
+    second.erase(host);
+  }
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

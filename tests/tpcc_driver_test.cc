@@ -227,8 +227,9 @@ TEST(TpccDriverSkewTest, FullHotspotConfinesTrafficToShardZero) {
 
   harness::Rig rig = Prepare("OPU", 4, opts);
   const std::vector<uint64_t> before = rig.sharded()->shard_clocks();
-  TpccRunStats stats;
-  ASSERT_TRUE(rig.tpcc()->Serve(120, nullptr, &stats).ok());
+  const auto cost =
+      rig.Measure([&] { return rig.tpcc()->Serve(120, nullptr, nullptr); });
+  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
   const std::vector<uint64_t> after = rig.sharded()->shard_clocks();
   EXPECT_GT(after[0], before[0]);
   for (uint32_t s = 1; s < 4; ++s) {
@@ -238,7 +239,7 @@ TEST(TpccDriverSkewTest, FullHotspotConfinesTrafficToShardZero) {
     EXPECT_EQ(c.warehouse, 1u);
   }
   // Work was serial on one chip: elapsed == total busy time.
-  EXPECT_EQ(stats.elapsed_vt_us, stats.total_work_us);
+  EXPECT_EQ(cost->advance.elapsed_vt_us, cost->advance.total_work_us);
 }
 
 // Latency recording sanity: every committed transaction lands one histogram

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,20 +84,21 @@ TEST(TraceRecorderTest, ChromeExportParsesAsJsonSmoke) {
 
 TEST(MetricsRegistryTest, RegistersAndSnapshotsEpochs) {
   MetricsRegistry reg;
-  reg.Inc("ops", 5);
+  reg.Set("ops", 5);
   reg.Set("gauge", 2.5);
-  reg.SnapshotEpoch(0);
-  reg.Inc("ops", 5);
-  reg.Set("gauge", 7.5);
-  reg.SnapshotEpoch(1);
+  reg.SnapshotEpoch();
+  reg.ClearValues();
+  reg.Set("ops", 10);
+  reg.SnapshotEpoch();
   EXPECT_EQ(reg.Get("ops"), 10.0);
-  EXPECT_EQ(reg.kind("ops"), MetricsRegistry::Kind::kCounter);
-  EXPECT_EQ(reg.kind("gauge"), MetricsRegistry::Kind::kGauge);
-  EXPECT_EQ(reg.num_epochs(), 2u);
-  const std::string json = reg.ToJson();
-  EXPECT_NE(json.find("\"ops\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"epochs\""), std::string::npos);
-  EXPECT_NE(json.find("\"counter\""), std::string::npos);
+  EXPECT_EQ(reg.Get("gauge"), 0.0);  // cleared, and not set again
+  ASSERT_EQ(reg.num_epochs(), 2u);
+  EXPECT_EQ(reg.Epoch(0), (std::map<std::string, double>{{"gauge", 2.5},
+                                                         {"ops", 5}}));
+  // The registry is its epochs, each numbered by its index.
+  EXPECT_EQ(reg.ToJson(),
+            "{\"epochs\":[{\"epoch\":0,\"values\":{\"ops\":5,\"gauge\":2.5}},"
+            "{\"epoch\":1,\"values\":{\"ops\":10,\"gauge\":0}}]}");
 }
 
 TEST(MetricsRegistryTest, ImportersProjectRunStats) {

@@ -7,6 +7,7 @@
 
 #include "ftl/shard_executor.h"
 #include "ftl/sharded_store.h"
+#include "harness/experiment.h"
 #include "methods/method_factory.h"
 #include "pdl/pdl_store.h"
 #include "workload/update_driver.h"
@@ -238,13 +239,18 @@ TEST(UpdateDriverPipelinedTest, HotShardSkewLandsOnShardZero) {
 // The clock rule: a run's elapsed time is the largest per-chip clock
 // advance, not the movement of the largest clock. Every measured op lands on
 // the chip whose clock starts (and stays) behind, so the largest clock never
-// moves -- yet the run took exactly that chip's advance.
+// moves -- yet the run took exactly that chip's advance, which Rig::Measure,
+// the one reader of a measured call's clocks, reports.
 TEST(UpdateDriverPipelinedTest, ElapsedIsTheLargestChipAdvance) {
   auto spec = methods::ParseMethodSpec("OPU");
   ASSERT_TRUE(spec.ok());
-  auto store = methods::CreateShardedStore(FlashConfig::Small(8), 2, *spec);
-  UpdateDriver driver(store.get(), WorkloadParams{});
-  ASSERT_TRUE(driver.LoadDatabase(40).ok());
+  harness::ExperimentEnv env;
+  env.flash_cfg = FlashConfig::Small(16);  // two chips of 8 blocks
+  env.warmup_erases_per_block = 0;         // loaded, never warmed up
+  auto rig = harness::PrepareRig(env, *spec, harness::RigSpec{.shards = 2});
+  ASSERT_TRUE(rig.ok()) << rig.status().ToString();
+  ftl::ShardedStore* store = rig->sharded();
+  UpdateDriver driver(store, WorkloadParams{});
   // Identity routing: even pids live on shard 0, odd pids on shard 1.
   PlannedOp read_pid0;
   read_pid0.is_update = false;
@@ -259,14 +265,16 @@ TEST(UpdateDriverPipelinedTest, ElapsedIsTheLargestChipAdvance) {
   const std::vector<uint64_t> before = store->shard_clocks();
   ASSERT_GT(before[0], before[1]);
   RunStats stats;
-  ASSERT_TRUE(driver.RunPipelined(behind, 4, 1, nullptr, &stats).ok());
+  const auto cost = rig->Measure(
+      [&] { return driver.RunPipelined(behind, 4, 1, nullptr, &stats); });
+  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
   const std::vector<uint64_t> after = store->shard_clocks();
   ASSERT_EQ(after[0], before[0]);
   ASSERT_LT(after[1], after[0]);  // the largest clock never moved
   const uint64_t advance = after[1] - before[1];
   EXPECT_GT(advance, 0u);
-  EXPECT_EQ(stats.elapsed_vt_us, advance);
-  EXPECT_EQ(stats.total_work_us, advance);
+  EXPECT_EQ(cost->advance.elapsed_vt_us, advance);
+  EXPECT_EQ(cost->advance.total_work_us, advance);
 }
 
 TEST(UpdateDriverPipelinedTest, ZeroSkewKeepsUniformDrawIdentical) {

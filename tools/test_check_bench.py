@@ -110,13 +110,13 @@ class CheckBenchTest(unittest.TestCase):
             row["kops/s"] = f"{float(row['kops/s']) * 0.3:.1f}"
         self.assertEqual(self.edited("exp10_pipeline", edit), 1)
 
+    # Every bench's dump carries the harness's metrics registry: its epochs,
+    # one per measured call. Only the tables are gated.
+    METRICS = {"epochs": [{"epoch": 0, "values": {"run.operations": 2000}}]}
+
     def test_metrics_object_is_not_compared(self):
-        # Every bench's dump now carries the harness's metrics registry,
-        # which most baselines lack; only the tables are gated.
-        metrics = {"values": {"run.operations": 2000},
-                   "kinds": {"run.operations": "counter"},
-                   "epochs": [{"epoch": 0,
-                               "values": {"run.operations": 2000}}]}
+        # Most baselines carry no metrics object at all.
+        metrics = self.METRICS
         self.assertNotIn("metrics", load_baseline("exp1_update_cost"))
 
         def add(dump):
@@ -128,6 +128,15 @@ class CheckBenchTest(unittest.TestCase):
             row = dump["overall"][0]
             row["overall_us/op"] = bump_last_digit(row["overall_us/op"])
         self.assertEqual(self.edited("exp1_update_cost", add_and_move), 1)
+
+    def test_epochs_only_metrics_pass_an_older_metrics_object(self):
+        # A baseline recorded before the registry was cut to its epochs
+        # still holds "values" and "kinds" beside them.
+        self.assertIn("kinds", load_baseline("exp9_parallel")["metrics"])
+
+        def replace(dump):
+            dump["metrics"] = self.METRICS
+        self.assertEqual(self.edited("exp9_parallel", replace), 0)
 
     def test_doubled_wall_clock_passes(self):
         def edit(dump):
